@@ -11,7 +11,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all build check test race raceshards shardcheck alloccheck serve chaos clos gossip lint lint-extra fuzz bench ci clean
+.PHONY: all build check test race raceshards shardcheck alloccheck serve chaos clos gossip lint lint-extra fuzz bench benchcheck ci clean
 
 all: build
 
@@ -86,8 +86,9 @@ gossip:
 # GOMAXPROCS workers by default; `go build` first warms the build cache so
 # hotpathalloc's -gcflags=-m extraction replays compiler diagnostics
 # instead of recompiling, and -stale fails the build on //unetlint:allow
-# directives that no longer suppress anything.
+# directives that no longer suppress anything. gofmt -l must print nothing.
 lint: build
+	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...
 	$(GO) run ./cmd/unetlint -stale ./...
 
@@ -125,6 +126,12 @@ ci: build
 
 bench:
 	sh scripts/bench.sh $(BENCH_OUT)
+
+# benchcheck compares two ledgers written by `go run ./bench -out` (one run
+# each, or several concatenated for paired runs; see bench/README.md):
+# make benchcheck OLD=old.json NEW=new.json. Exit 1 on a regression.
+benchcheck:
+	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 clean:
 	rm -f BENCH_PR1.json BENCH_PR1.txt BENCH_PR2.json BENCH_PR2.txt BENCH_PR4.json BENCH_PR4.txt BENCH_PR5.json BENCH_PR5.txt BENCH_PR6.json BENCH_PR6.txt BENCH_PR7.json BENCH_PR7.txt BENCH_PR9.json BENCH_PR9.txt BENCH_PR10.json BENCH_PR10.txt

@@ -195,10 +195,10 @@ func (d *Device) DetachEndpoint(ep *unet.Endpoint) {
 
 // OpenChannel registers the receive tag rx as belonging to (ep, ch).
 func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VCI) error {
-	if int(rx) >= len(d.table) {
-		grown := make([]vciEntry, int(rx)+1)
-		copy(grown, d.table)
-		d.table = grown
+	if n := int(rx) + 1 - len(d.table); n > 0 {
+		// append's amortised growth: a mesh opens channels one rising VCI at
+		// a time, and growing to exactly rx+1 copied the table on every call.
+		d.table = append(d.table, make([]vciEntry, n)...)
 	}
 	ent := &d.table[rx]
 	if ent.open && ent.ep != ep {

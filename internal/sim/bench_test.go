@@ -71,7 +71,10 @@ func BenchmarkEngine_TimerCancel(b *testing.B) {
 
 // BenchmarkEngine_ProcContextSwitch bounces a bounded FIFO between two
 // processes: each element is two blocking handoffs (full → put wakes get,
-// empty → get wakes put), the simulator's equivalent of a context switch.
+// empty → get wakes put), the simulator's equivalent of a context switch:
+// per element, two resume events and four coroutine switches (engine → proc
+// → engine, twice). ~360 ns/op on the 2-vCPU reference box; the two-channel
+// goroutine handshake it replaced was ~0.9–1.1 µs.
 func BenchmarkEngine_ProcContextSwitch(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -91,8 +94,9 @@ func BenchmarkEngine_ProcContextSwitch(b *testing.B) {
 	e.Run()
 }
 
-// BenchmarkEngine_SleepResume measures the pooled resume event: one process
-// sleeping in a tight loop.
+// BenchmarkEngine_SleepResume is one process sleeping in a tight loop with
+// nothing else queued, so every sleep is taken in place: ~3–5 ns/op, against
+// ~440 ns for the schedule-park-fire-resume round it stands for.
 func BenchmarkEngine_SleepResume(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -170,9 +174,13 @@ func benchSchedulerCancel(b *testing.B, kind SchedulerKind, pending int) {
 	}
 }
 
-func BenchmarkSchedulerCancel_Heap1k(b *testing.B)    { benchSchedulerCancel(b, SchedulerHeap, 1_000) }
-func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)   { benchSchedulerCancel(b, SchedulerWheel, 1_000) }
-func BenchmarkSchedulerCancel_Heap100k(b *testing.B)  { benchSchedulerCancel(b, SchedulerHeap, 100_000) }
-func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) { benchSchedulerCancel(b, SchedulerWheel, 100_000) }
-func BenchmarkSchedulerCancel_Heap1M(b *testing.B)    { benchSchedulerCancel(b, SchedulerHeap, 1_000_000) }
-func BenchmarkSchedulerCancel_Wheel1M(b *testing.B)   { benchSchedulerCancel(b, SchedulerWheel, 1_000_000) }
+func BenchmarkSchedulerCancel_Heap1k(b *testing.B)   { benchSchedulerCancel(b, SchedulerHeap, 1_000) }
+func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)  { benchSchedulerCancel(b, SchedulerWheel, 1_000) }
+func BenchmarkSchedulerCancel_Heap100k(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 100_000) }
+func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) {
+	benchSchedulerCancel(b, SchedulerWheel, 100_000)
+}
+func BenchmarkSchedulerCancel_Heap1M(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 1_000_000) }
+func BenchmarkSchedulerCancel_Wheel1M(b *testing.B) {
+	benchSchedulerCancel(b, SchedulerWheel, 1_000_000)
+}

@@ -6,16 +6,20 @@ import (
 )
 
 // Proc is a simulated process: application code that consumes virtual time
-// via Sleep and blocks on Conds and FIFOs. A Proc's function runs on a
-// dedicated goroutine, but the engine guarantees that at most one process
-// executes at a time, so simulated code needs no locking.
+// via Sleep and blocks on Conds and FIFOs. A Proc's function runs as an
+// iter.Pull coroutine that only the engine resumes, so at most one process
+// executes at a time and simulated code needs no locking.
 type Proc struct {
-	e       *Engine
-	name    string
-	resume  chan struct{}
-	started bool
-	done    bool
-	killed  bool
+	e    *Engine
+	name string
+	// next resumes the coroutine until its next park (or its end); yield,
+	// called from inside it, hands control back to whoever called next and
+	// reports false once stop has been called. All three are set by the
+	// start event Spawn schedules.
+	next  func() (struct{}, bool)
+	yield func(struct{}) bool
+	stop  func()
+	done  bool
 	// w is the process's reusable condition-wait record. A blocked process
 	// waits on exactly one condition, so one embedded record (instead of an
 	// allocation per Wait) suffices; WaitTimeout cancels its timer on a
@@ -26,29 +30,26 @@ type Proc struct {
 // procKilled is the panic payload used to unwind a process during Shutdown.
 type procKilled struct{}
 
-// top is the goroutine entry point wrapping the user function.
+// top is the coroutine body wrapping the user function. A panic in fn is
+// re-raised with the process name; iter.Pull carries it out of next, so it
+// surfaces on the goroutine that called Run.
 func (p *Proc) top(fn func(*Proc)) {
 	defer func() {
 		p.done = true
 		if r := recover(); r != nil {
 			if _, ok := r.(procKilled); !ok {
-				// Re-panic on the engine side would deadlock the handshake;
-				// deliver the panic on this goroutine with context instead.
-				p.e.parked <- struct{}{}
 				panic(fmt.Sprintf("sim: process %q panicked: %v", p.name, r))
 			}
 		}
-		p.e.parked <- struct{}{}
 	}()
 	fn(p)
 }
 
-// park blocks the process until the engine transfers control back. It is
+// park suspends the process until the engine transfers control back. It is
 // the single suspension point; every blocking primitive funnels through it.
 func (p *Proc) park() {
-	p.e.parked <- struct{}{}
-	<-p.resume
-	if p.killed {
+	//unetlint:allow hotpathalloc coroutine switch back to the engine, not a call into unknown code: what runs before the resume are other events, each under its own root, and the switch itself allocates nothing (TestSteadyStateAllocs* hold 0 allocs/round)
+	if !p.yield(struct{}{}) {
 		panic(procKilled{})
 	}
 }
@@ -69,11 +70,33 @@ func (p *Proc) Logf(format string, args ...any) { p.e.Tracef(p.name, format, arg
 // process spending d of CPU (or waiting) time. Other processes and events
 // run in the interim. Non-positive d yields without advancing the clock.
 // Sleep allocates nothing: the wake-up is a pooled resume event.
+//
+// When that wake-up would be the very next event to fire — strictly before
+// the queue head and strictly inside the current runWindow — Sleep takes it
+// in place. Parking would queue a resume event that is the queue minimum;
+// the engine would pop it next with nothing firing in between, advance the
+// clock to it, count a step, and switch straight back here. Sleep does
+// exactly that itself: same sequence number consumed, same clock, same
+// Steps, every other event's (at, seq) untouched, two switches and a heap
+// push/pop saved. A head at or before the wake-up (an equal time has the
+// lower sequence number; a canceled head is not worth telling apart) or a
+// window stop at or before it (cross-shard arrivals may still land there)
+// takes the parking path.
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
-	p.e.resumeAt(p.e.now+d, p)
+	e := p.e
+	at := e.now + d
+	if at < e.stop {
+		if head := e.peek(); head == nil || at < head.at {
+			e.seq++
+			e.nsteps++
+			e.now = at
+			return
+		}
+	}
+	e.resumeAt(at, p)
 	p.park()
 }
 

@@ -3,10 +3,14 @@
 //
 // The engine maintains a virtual clock and an ordered event queue. Simulated
 // activities run either as plain scheduled callbacks (Engine.After) or as
-// processes (Proc): goroutines that are cooperatively scheduled so that
-// exactly one of them — or the engine itself — executes at any instant.
-// Processes advance the virtual clock by sleeping (charging processing
-// costs) and synchronize through conditions (Cond) and bounded FIFOs.
+// processes (Proc): iter.Pull coroutines that the engine resumes from its
+// event loop and that hand control straight back when they block, so
+// exactly one of them — or the engine itself — executes at any instant and
+// a hand-off never crosses the Go scheduler. Processes advance the virtual
+// clock by sleeping (charging processing costs) and synchronize through
+// conditions (Cond) and bounded FIFOs. A sleep whose wake-up would be the
+// very next event is taken in place, without leaving the process; see
+// Proc.Sleep for why that changes neither event order nor Steps.
 //
 // Determinism: events firing at the same virtual time are processed in
 // scheduling order, and all randomness flows from the engine's seeded
@@ -38,6 +42,7 @@ package sim
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"time"
 )
@@ -57,15 +62,14 @@ type Engine struct {
 	// returned here and reused, so steady-state scheduling allocates nothing.
 	free *event
 	// wheel is the far-horizon event store (nil under SchedulerHeap).
-	wheel  *wheel
-	parked chan struct{}
-	// running is the currently executing process, nil while the engine
-	// itself (or a callback) runs.
-	running *Proc
-	procs   map[*Proc]struct{}
-	rng     *rand.Rand
-	tracer  func(at time.Duration, who, msg string)
-	nsteps  uint64
+	wheel *wheel
+	// stop is the exclusive bound of the runWindow in progress, which
+	// in-place sleeps must stay inside; Shutdown zeroes it.
+	stop   time.Duration
+	procs  map[*Proc]struct{}
+	rng    *rand.Rand
+	tracer func(at time.Duration, who, msg string)
+	nsteps uint64
 	// group and shardID place the engine in a sharded simulation (nil /
 	// zero for a plain serial engine). See shard.go.
 	group   *Group
@@ -95,9 +99,8 @@ func New(seed int64) *Engine { return NewWithScheduler(seed, SchedulerWheel) }
 // affects only the cost of holding large pending-event populations.
 func NewWithScheduler(seed int64, kind SchedulerKind) *Engine {
 	e := &Engine{
-		parked: make(chan struct{}),
-		procs:  make(map[*Proc]struct{}),
-		rng:    rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
+		procs: make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
 	}
 	if kind == SchedulerWheel {
 		e.wheel = newWheel()
@@ -365,6 +368,7 @@ func (e *Engine) RunUntil(limit time.Duration) time.Duration {
 // the serial engine's whole main loop (RunUntil passes limit+1) and one
 // conservative window of a sharded run.
 func (e *Engine) runWindow(stop time.Duration) {
+	e.stop = stop
 	for {
 		next := e.peek()
 		if next == nil || next.at >= stop {
@@ -442,10 +446,12 @@ func (e *Engine) maybeCompact() {
 	e.events.init()
 }
 
-// Shutdown terminates every live process (blocked or sleeping) by unwinding
-// its goroutine, then discards pending events. Call when a simulation is
-// finished to avoid leaking goroutines; the engine must not be used after.
-// On the root engine of a shard group it shuts every shard down.
+// Shutdown terminates every live process (blocked or sleeping) by stopping
+// its coroutine — the pending park panics with procKilled, so the process's
+// deferred functions run — then discards pending events. Call when a
+// simulation is finished to avoid leaking coroutines; the engine must not
+// be used after. On the root engine of a shard group it shuts every shard
+// down.
 func (e *Engine) Shutdown() {
 	if e.group != nil && e.group.root == e {
 		e.group.shutdown()
@@ -455,12 +461,10 @@ func (e *Engine) Shutdown() {
 }
 
 func (e *Engine) shutdownLocal() {
+	e.stop = 0 // a deferred Sleep during the unwind must park, not run on
 	for p := range e.procs {
-		p.killed = true
-	}
-	for p := range e.procs {
-		if p.started && !p.done {
-			e.transfer(p)
+		if p.stop != nil && !p.done {
+			p.stop()
 		}
 		delete(e.procs, p)
 	}
@@ -472,14 +476,12 @@ func (e *Engine) shutdownLocal() {
 	}
 }
 
-// transfer hands execution to p and waits until p blocks or finishes.
-// This is the single point of control transfer between engine and process.
+// transfer resumes p's coroutine and returns when p parks or finishes: a
+// direct switch to p and back, on the calling goroutine's thread. A panic in
+// p comes out of next here, wrapped by top. This is the single point of
+// control transfer between engine and process.
 func (e *Engine) transfer(p *Proc) {
-	prev := e.running
-	e.running = p
-	p.resume <- struct{}{}
-	<-e.parked
-	e.running = prev
+	p.next()
 	if p.done {
 		delete(e.procs, p)
 	}
@@ -501,25 +503,18 @@ func (e *Engine) resumeAt(at time.Duration, p *Proc) {
 }
 
 // Spawn creates a process named name running fn and schedules it to start
-// at the current virtual time. fn runs on its own goroutine but under the
-// engine's cooperative scheduling: it executes only while every other
-// process is blocked.
+// at the current virtual time. The start event creates fn's coroutine, so a
+// process that never starts costs nothing to shut down; fn executes only
+// while the engine has transferred control to it.
 func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
-	p := &Proc{e: e, name: name, resume: make(chan struct{})}
+	p := &Proc{e: e, name: name}
 	e.procs[p] = struct{}{}
 	e.After(0, func() {
-		if p.killed || p.started {
-			return
-		}
-		p.started = true
-		prev := e.running
-		e.running = p
-		go p.top(fn)
-		<-e.parked
-		e.running = prev
-		if p.done {
-			delete(e.procs, p)
-		}
+		p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+			p.yield = yield
+			p.top(fn)
+		})
+		e.transfer(p)
 	})
 	return p
 }

@@ -36,6 +36,11 @@
 #    multi-core regression. The storm runs with UNET_BENCH_OVERSUB=1 so
 #    oversubscribed shapes are still recorded (they skip by default under
 #    plain `go test -bench`).
+#    Engine rungs to expect since processes became coroutines (PR 12,
+#    2-vCPU box): Engine_ProcContextSwitch ~360 ns/op (was ~0.9–1.1 µs),
+#    Engine_SleepResume ~3–5 ns/op (in-place sleep; was ~440 ns),
+#    Engine_ScheduleFire unchanged at ~17–20 ns. The end-to-end ledger is
+#    `go run ./bench`; `make benchcheck OLD=… NEW=…` compares two.
 #
 # Usage: scripts/bench.sh [output.json]   (default BENCH_PR10.json)
 set -eu

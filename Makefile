@@ -4,7 +4,11 @@
 # mirrors the GitHub Actions workflow.
 
 GO ?= go
-BENCH_OUT ?= BENCH_PR10.json
+# PR numbers this change's artifacts. BENCH_PR$(PR).json is the committed
+# set of paired `go run ./bench -out` ledgers; `make bench` writes the
+# go-test rung summary beside it.
+PR ?= 13
+BENCH_OUT ?= BENCH_PR$(PR)_rungs.json
 FUZZTIME ?= 10s
 
 # Pinned external linter versions (kept in sync with .github/workflows/ci.yml).
@@ -29,13 +33,13 @@ race:
 	$(GO) test -race ./internal/nic/...
 	GOMAXPROCS=4 $(GO) test -race -run 'Golden' ./internal/experiments/
 
-# raceshards is the dedicated shard-sweep race job: both synchronization
-# protocols (neighbor-synchronized windows and the barrier reference — SPSC
-# rings, published clocks, quiescence scan, per-pair lookahead, fused
-# barriers, parking, fast-forward) under the race detector with real
-# parallelism pinned at GOMAXPROCS=4.
+# raceshards is the dedicated shard-sweep race job: the window protocol
+# (SPSC rings, published clocks, quiescence scan, per-pair lookahead,
+# parking, fast-forward) and the tie tests (TestShardSameTimestamp…,
+# TestShardedTie…: 200 sharded trials each against the serial run) under
+# the race detector with real parallelism pinned at GOMAXPROCS=4.
 raceshards:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestShard|TestSPSC' ./internal/sim/ ./internal/fabric/ ./internal/testbed/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestShard|TestSPSC|TestCrossLink' ./internal/sim/ ./internal/fabric/ ./internal/testbed/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenShardSweep|TestGoldenSyncSweep|TestGoldenFaultDeterminism' ./internal/experiments/
 
 shardcheck:
@@ -48,10 +52,11 @@ shardcheck:
 alloccheck:
 	$(GO) test -run 'TestSteadyStateAllocs' -v ./internal/experiments/
 
-# serve is the scheduler + serving-workload smoke: the heap/wheel
-# differential and shard-identity gates on the open-loop serve experiment,
-# the wheel edge-case suite, the scheduler steady-state allocation gate,
-# and the saturation-knee calibration (DESIGN.md §12).
+# serve is the scheduler + serving-workload smoke: the wheel against its
+# heap-only twin on a schedule/cancel/timed-wait workload, the wheel
+# edge-case suite, the scheduler steady-state allocation gate, and the
+# shard-identity gate and saturation-knee calibration of the open-loop
+# serve experiment (DESIGN.md §12).
 serve:
 	$(GO) test -run 'TestWheel|TestAfterZero|TestSchedulerDifferentialFiringOrder|TestSchedulerSteadyStateAllocs' ./internal/sim/
 	$(GO) test -run 'TestServe' -v ./internal/experiments/
@@ -65,10 +70,10 @@ chaos:
 	GOMAXPROCS=4 $(GO) test -run 'TestGoldenFaultDeterminism|TestLossRecoveryDelivery' -v ./internal/experiments/
 	$(GO) test -run 'TestSeededLossNthCellGolden|TestDeadPeerFailsInBoundedTime' ./internal/uam/ ./internal/ip/tcp/
 
-# clos is the multi-switch fabric smoke (DESIGN.md §15): the Clos storm
-# goldens must render byte-identically serial vs shards 1/2/4/8 under both
-# sync protocols, and the CLI path across a 64-host two-stage Clos must
-# finish with zero queue drops and zero undelivered cells.
+# clos is the multi-switch fabric smoke (DESIGN.md §14): the Clos storm
+# goldens must render byte-identically serial vs shards 1/2/4/8, and the
+# CLI path across a 64-host two-stage Clos must finish with zero queue
+# drops and zero undelivered cells.
 clos:
 	GOMAXPROCS=4 $(GO) test -run 'TestGoldenTopoSweep' -v ./internal/experiments/
 	$(GO) run ./cmd/unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -shards 4 -count 4
@@ -81,9 +86,9 @@ gossip:
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
-# (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc,
-# barrierstate — see DESIGN.md §9, §13). The analyzers fan out over
-# GOMAXPROCS workers by default; `go build` first warms the build cache so
+# (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc —
+# see DESIGN.md §9, §13). The analyzers fan out over GOMAXPROCS workers by
+# default; `go build` first warms the build cache so
 # hotpathalloc's -gcflags=-m extraction replays compiler diagnostics
 # instead of recompiling, and -stale fails the build on //unetlint:allow
 # directives that no longer suppress anything. gofmt -l must print nothing.
@@ -134,4 +139,4 @@ benchcheck:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
 
 clean:
-	rm -f BENCH_PR1.json BENCH_PR1.txt BENCH_PR2.json BENCH_PR2.txt BENCH_PR4.json BENCH_PR4.txt BENCH_PR5.json BENCH_PR5.txt BENCH_PR6.json BENCH_PR6.txt BENCH_PR7.json BENCH_PR7.txt BENCH_PR9.json BENCH_PR9.txt BENCH_PR10.json BENCH_PR10.txt
+	rm -f $(BENCH_OUT) $(BENCH_OUT:.json=.txt)

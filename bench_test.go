@@ -309,12 +309,11 @@ func BenchmarkAblation_EmulatedEndpoints(b *testing.B) {
 // --- Sharded execution ---
 
 // benchStorm runs the 8-host all-to-all cell storm once at the given shard
-// count and sync protocol, and returns the total messages received (a fixed
-// number — the storm is deterministic — so any divergence shows up as a
-// changed metric) plus the run's window-protocol profile (zero for a serial
-// run).
-func benchStorm(shards, count int, kind sim.SyncKind) (int, sim.GroupProfile) {
-	tb := testbed.New(testbed.Config{Hosts: 8, Shards: shards, Sync: kind})
+// count, and returns the total messages received (a fixed number — the
+// storm is deterministic — so any divergence shows up as a changed metric)
+// plus the run's window-protocol profile (zero for a serial run).
+func benchStorm(shards, count int) (int, sim.GroupProfile) {
+	tb := testbed.New(testbed.Config{Hosts: 8, Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {
@@ -342,31 +341,15 @@ func benchStorm(shards, count int, kind sim.SyncKind) (int, sim.GroupProfile) {
 // it so BENCH_*.json always carries the entries — alongside the recorded
 // core counts that make an oversubscribed artifact impossible to misread).
 // The reported metrics attribute wall-clock to work vs. synchronization:
-// sync-wait share of the shards' aggregate time, windows run, and
-// single-barrier (fused) rounds. Sharded shapes run as sub-benchmarks under
-// both synchronization protocols (sync=neighbor, sync=barrier) so the
-// artifact records the protocols side by side.
+// sync-wait share of the shards' aggregate time and windows run.
 func benchmarkClusterSharded(b *testing.B, shards int) {
-	if shards > runtime.NumCPU() && os.Getenv("UNET_BENCH_OVERSUB") == "" {
-		b.Skipf("%d shards on %d CPUs would measure window overhead, not speedup; set UNET_BENCH_OVERSUB=1 to force", shards, runtime.NumCPU())
-	}
-	if shards <= 1 {
-		clusterStorm(b, shards, sim.SyncNeighbor) // serial: sync is ignored
-		return
-	}
-	for _, kind := range []sim.SyncKind{sim.SyncNeighbor, sim.SyncBarrier} {
-		kind := kind
-		b.Run("sync="+kind.String(), func(b *testing.B) { clusterStorm(b, shards, kind) })
-	}
-}
-
-func clusterStorm(b *testing.B, shards int, kind sim.SyncKind) {
+	skipOversubscribed(b, shards)
 	b.ReportAllocs()
 	var total int
 	var prof sim.GroupProfile
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		total, prof = benchStorm(shards, 200, kind)
+		total, prof = benchStorm(shards, 200)
 	}
 	wall := time.Since(start)
 	b.ReportMetric(float64(total), "msgs")
@@ -378,7 +361,14 @@ func clusterStorm(b *testing.B, shards int, kind sim.SyncKind) {
 		share := 100 * float64(t.BarrierWait) * float64(b.N) / (float64(wall) * float64(n))
 		b.ReportMetric(share, "%sync-wait")
 		b.ReportMetric(float64(t.Windows)/float64(n), "windows")
-		b.ReportMetric(float64(t.FusedBarriers)/float64(n), "fused")
+	}
+}
+
+// skipOversubscribed skips a sharded shape on fewer cores than shards
+// unless UNET_BENCH_OVERSUB=1 asks for the oversubscribed measurement.
+func skipOversubscribed(b *testing.B, shards int) {
+	if shards > runtime.NumCPU() && os.Getenv("UNET_BENCH_OVERSUB") == "" {
+		b.Skipf("%d shards on %d CPUs would measure window overhead, not speedup; set UNET_BENCH_OVERSUB=1 to force", shards, runtime.NumCPU())
 	}
 }
 
@@ -404,28 +394,14 @@ func BenchmarkAblation_DirectAccess(b *testing.B) {
 // near the saturation knee. The virtual-time results are identical at
 // every shard count; only wall-clock and events/sec change. Shard counts
 // above the core count are skipped unless UNET_BENCH_OVERSUB=1, as for
-// the cluster benchmarks above; sharded shapes run under both sync
-// protocols.
+// the cluster benchmarks above.
 func benchmarkServe(b *testing.B, shards int) {
-	if shards > runtime.NumCPU() && os.Getenv("UNET_BENCH_OVERSUB") == "" {
-		b.Skipf("%d shards on %d CPUs would measure window overhead, not speedup; set UNET_BENCH_OVERSUB=1 to force", shards, runtime.NumCPU())
-	}
-	if shards <= 1 {
-		serveBench(b, shards, sim.SyncNeighbor) // serial: sync is ignored
-		return
-	}
-	for _, kind := range []sim.SyncKind{sim.SyncNeighbor, sim.SyncBarrier} {
-		kind := kind
-		b.Run("sync="+kind.String(), func(b *testing.B) { serveBench(b, shards, kind) })
-	}
-}
-
-func serveBench(b *testing.B, shards int, kind sim.SyncKind) {
+	skipOversubscribed(b, shards)
 	b.ReportAllocs()
 	var r experiments.ServeResult
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		r = experiments.Serve(experiments.ServeConfig{Rate: 80_000, Shards: shards, Sync: kind})
+		r = experiments.Serve(experiments.ServeConfig{Rate: 80_000, Shards: shards})
 	}
 	wall := time.Since(start)
 	b.ReportMetric(float64(r.Sent), "reqs")
@@ -442,8 +418,8 @@ func BenchmarkServe_OpenLoopSharded4(b *testing.B) { benchmarkServe(b, 4) }
 // benchClosStorm runs the all-to-all storm over a 64-host 2-stage Clos
 // (8 racks × 8 hosts, 2 spines) once, with topology-aware shard
 // placement, and returns total messages received.
-func benchClosStorm(shards, count int, kind sim.SyncKind) (int, sim.GroupProfile) {
-	tb := testbed.New(testbed.Config{Topology: topo.Clos2(8, 8, 2), Shards: shards, Sync: kind})
+func benchClosStorm(shards, count int) (int, sim.GroupProfile) {
+	tb := testbed.New(testbed.Config{Topology: topo.Clos2(8, 8, 2), Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {
@@ -461,13 +437,13 @@ func benchClosStorm(shards, count int, kind sim.SyncKind) (int, sim.GroupProfile
 	return total, prof
 }
 
-func closStorm(b *testing.B, shards int, kind sim.SyncKind) {
+func closStorm(b *testing.B, shards int) {
 	b.ReportAllocs()
 	var total int
 	var prof sim.GroupProfile
 	start := time.Now()
 	for i := 0; i < b.N; i++ {
-		total, prof = benchClosStorm(shards, 4, kind)
+		total, prof = benchClosStorm(shards, 4)
 	}
 	wall := time.Since(start)
 	b.ReportMetric(float64(total), "msgs")
@@ -482,22 +458,12 @@ func closStorm(b *testing.B, shards int, kind sim.SyncKind) {
 
 // benchmarkClosStorm measures the 64-host Clos storm at a given shard
 // count; like the single-switch cluster benchmarks, the virtual timeline
-// is identical at every count (TestGoldenTopoSweep asserts so). Sharded
-// shapes run under both sync protocols; sub-benchmark names carry the
-// topology shape so scripts/benchjson records it in the artifact.
+// is identical at every count (TestGoldenTopoSweep asserts so). The
+// sub-benchmark name carries the topology shape so scripts/benchjson
+// records it in the artifact.
 func benchmarkClosStorm(b *testing.B, shards int) {
-	if shards > runtime.NumCPU() && os.Getenv("UNET_BENCH_OVERSUB") == "" {
-		b.Skipf("%d shards on %d CPUs would measure window overhead, not speedup; set UNET_BENCH_OVERSUB=1 to force", shards, runtime.NumCPU())
-	}
-	name := "topo=clos2/hosts=64/switches=10/stages=2"
-	if shards <= 1 {
-		b.Run(name, func(b *testing.B) { closStorm(b, shards, sim.SyncNeighbor) })
-		return
-	}
-	for _, kind := range []sim.SyncKind{sim.SyncNeighbor, sim.SyncBarrier} {
-		kind := kind
-		b.Run(name+"/sync="+kind.String(), func(b *testing.B) { closStorm(b, shards, kind) })
-	}
+	skipOversubscribed(b, shards)
+	b.Run("topo=clos2/hosts=64/switches=10/stages=2", func(b *testing.B) { closStorm(b, shards) })
 }
 
 func BenchmarkClosStorm_Serial(b *testing.B)   { benchmarkClosStorm(b, 0) }

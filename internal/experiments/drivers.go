@@ -20,7 +20,7 @@ import (
 // RawRTT measures the raw U-Net round-trip time for size-byte messages on
 // an SBA-200 pair (Figure 3, "Raw U-Net").
 func RawRTT(nicp nic.Params, size, rounds int) time.Duration {
-	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount()})
 	defer tb.Close()
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	if err != nil {
@@ -32,7 +32,7 @@ func RawRTT(nicp nic.Params, size, rounds int) time.Duration {
 // RawBandwidth measures raw U-Net streaming bandwidth (Figure 4, "Raw
 // U-Net").
 func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
-	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp, Shards: shardCount()})
 	defer tb.Close()
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	if err != nil {
@@ -43,7 +43,7 @@ func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
 
 // uamPairTB builds two connected UAM nodes. The caller owns tb.Close.
 func uamPairTB(cfg uam.Config) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
 	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
 	if err != nil {
 		panic(err)

@@ -48,7 +48,7 @@ type LossPoint struct {
 // with no recovery protocol: the delivered fraction falls with the PDU
 // loss rate (≈ 1-(1-p)^cells) and the surviving goodput with it.
 func RawGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, mbps float64) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync, Faults: lossPlan(seed, rate)})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: lossPlan(seed, rate)})
 	defer tb.Close()
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	mustNoErr(err, "raw loss pair")
@@ -58,7 +58,7 @@ func RawGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, 
 
 // uamPairFaultTB is uamPairTB over an impaired fabric.
 func uamPairFaultTB(cfg uam.Config, pl *faults.Plan) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync, Faults: pl})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: pl})
 	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
 	mustNoErr(err, "uam node 0")
 	b, err := uam.New(tb.Hosts[1].NewProcess("am"), 1, cfg)
@@ -153,7 +153,7 @@ func UAMGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, 
 
 // tcpLossPair builds a U-Net TCP connection pair over an impaired fabric.
 func tcpLossPair(pl *faults.Plan) (*testbed.Testbed, *tcp.Conn, *tcp.Conn) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync, Faults: pl})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: pl})
 	ca, cb, err := tb.NewIPConduitPair(0, 1)
 	mustNoErr(err, "tcp loss pair")
 	return tb, tcp.New(ca, 5000, 80, tcp.DefaultParams()), tcp.New(cb, 80, 5000, tcp.DefaultParams())
@@ -339,7 +339,7 @@ func DefaultChaos(seed int64) ChaosConfig {
 // switch queue tail-drops and NIC CRC rejections. The output is
 // deterministic for a given seed and identical at any shard count.
 func Chaos(cfg ChaosConfig) *stats.Table {
-	tb := testbed.New(testbed.Config{Hosts: cfg.Hosts, Shards: shardCount(), Sync: Sync, Faults: &cfg.Plan})
+	tb := testbed.New(testbed.Config{Hosts: cfg.Hosts, Shards: shardCount(), Faults: &cfg.Plan})
 	defer tb.Close()
 	m, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	mustNoErr(err, "chaos mesh")

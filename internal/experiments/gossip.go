@@ -49,7 +49,6 @@ type GossipConfig struct {
 	FlapDown   time.Duration
 
 	Shards int
-	Sync   sim.SyncKind
 	Seed   int64
 }
 
@@ -128,7 +127,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 	for j := range spec.Switches {
 		spec.Switches[j].QueueCells = cfg.QueueCells
 	}
-	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Sync: cfg.Sync, Seed: cfg.Seed})
+	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Seed: cfg.Seed})
 	defer tb.Close()
 	n := tb.Topo.Size()
 

@@ -49,13 +49,13 @@ func ipPairSock(kind PathKind, sockBuf int) (*testbed.Testbed, ip.Conduit, ip.Co
 	}
 	switch kind {
 	case PathUNet:
-		tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync})
+		tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
 		ca, cb, err := tb.NewIPConduitPair(0, 1)
 		mustNoErr(err, "unet ip pair")
 		return tb, ca, cb
 	case PathKernelATM:
 		fore := nic.ForeParams()
-		tb := testbed.New(testbed.Config{Hosts: 2, NIC: &fore, Shards: shardCount(), Sync: Sync})
+		tb := testbed.New(testbed.Config{Hosts: 2, NIC: &fore, Shards: shardCount()})
 		ia, ib, err := tb.NewIPConduitPair(0, 1)
 		mustNoErr(err, "kernel atm pair")
 		ka := kernelpath.New(tb.Hosts[0], ia, kp)
@@ -285,7 +285,7 @@ func TCPBandwidth(kind PathKind, window, writeSize, total int) float64 {
 // UNetUDPNoChecksumRTT measures UDP round trips with the checksum
 // switched off (§7.6 ablation).
 func UNetUDPNoChecksumRTT(size, rounds int) time.Duration {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
 	defer tb.Close()
 	ca, cb, err := tb.NewIPConduitPair(0, 1)
 	mustNoErr(err, "pair")

@@ -71,11 +71,6 @@ type ServeConfig struct {
 	Seed int64
 	// Shards is the testbed shard count (0 = serial).
 	Shards int
-	// Sync selects the sharded synchronization protocol (zero =
-	// sim.SyncNeighbor); results are byte-identical across protocols.
-	Sync sim.SyncKind
-	// Scheduler selects the engine scheduler (default the timer wheel).
-	Scheduler sim.SchedulerKind
 }
 
 func (c ServeConfig) withDefaults() ServeConfig {
@@ -137,10 +132,7 @@ type ServeResult struct {
 func Serve(cfg ServeConfig) ServeResult {
 	cfg = cfg.withDefaults()
 	nhosts := cfg.ClientHosts + cfg.Servers
-	tb := testbed.New(testbed.Config{
-		Hosts: nhosts, Seed: cfg.Seed, Shards: cfg.Shards, Sync: cfg.Sync,
-		Scheduler: cfg.Scheduler,
-	})
+	tb := testbed.New(testbed.Config{Hosts: nhosts, Seed: cfg.Seed, Shards: cfg.Shards})
 	defer tb.Close()
 
 	// Small payloads: size the UAM buffers for them instead of the 4KB bulk

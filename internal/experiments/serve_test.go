@@ -3,8 +3,6 @@ package experiments
 import (
 	"testing"
 	"time"
-
-	"unet/internal/sim"
 )
 
 // serveTestCfg is a small, fast serve scenario shared by the determinism
@@ -16,31 +14,6 @@ func serveTestCfg() ServeConfig {
 		LogicalPerHost: 256,
 		Rate:           60_000,
 		Duration:       5 * time.Millisecond,
-	}
-}
-
-// TestServeDifferentialSchedulers runs the same seeded serve scenario under
-// the heap-only and wheel schedulers and asserts identical event firing
-// (step counts), identical virtual end times, and an identical rendered
-// report — the tentpole's heap-equivalence invariant, proven on a workload
-// that churns thousands of timeout timers.
-func TestServeDifferentialSchedulers(t *testing.T) {
-	cfg := serveTestCfg()
-	cfg.Scheduler = sim.SchedulerWheel
-	wheel := Serve(cfg)
-	cfg.Scheduler = sim.SchedulerHeap
-	heap := Serve(cfg)
-	if wheel.Steps != heap.Steps {
-		t.Errorf("steps differ: wheel=%d heap=%d", wheel.Steps, heap.Steps)
-	}
-	if wheel.End != heap.End {
-		t.Errorf("virtual end differs: wheel=%v heap=%v", wheel.End, heap.End)
-	}
-	if wl, hl := wheel.Line(), heap.Line(); wl != hl {
-		t.Errorf("reports differ:\nwheel: %s\nheap:  %s", wl, hl)
-	}
-	if wheel.Sent == 0 || wheel.Replied != wheel.Sent {
-		t.Errorf("scenario too trivial: sent=%d replied=%d", wheel.Sent, wheel.Replied)
 	}
 }
 

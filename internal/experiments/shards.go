@@ -1,10 +1,6 @@
 package experiments
 
-import (
-	"runtime"
-
-	"unet/internal/sim"
-)
+import "runtime"
 
 // Shards selects the testbed execution layout for the pair experiments:
 // 0 runs each simulation serially on one engine (the default); k ≥ 2 places
@@ -19,13 +15,6 @@ import (
 // model couples both hosts on one engine), the Split-C machine sweeps, and
 // the machine comparison tables.
 var Shards = 0
-
-// Sync selects the sharded synchronization protocol for every experiment
-// driver that honors Shards (the zero value is sim.SyncNeighbor). Results
-// are byte-identical across both protocols at every shard count — the
-// golden sync sweep pins the equivalence — so this knob, like Shards,
-// changes wall-clock behavior only.
-var Sync sim.SyncKind
 
 // shardCount resolves the Shards knob to a concrete shard count.
 func shardCount() int {

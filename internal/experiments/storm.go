@@ -18,7 +18,7 @@ import (
 // fast-forwards — and is empty for a serial run; it never feeds virtual
 // time and is not part of any golden output.
 func Storm(hosts, shards, count int) (string, sim.GroupProfile) {
-	tb := testbed.New(testbed.Config{Hosts: hosts, Shards: shards, Sync: Sync})
+	tb := testbed.New(testbed.Config{Hosts: hosts, Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {

@@ -11,17 +11,14 @@ import (
 )
 
 // TopoStorm runs the all-to-all storm of Storm on a compiled multi-switch
-// topology instead of the single-switch cluster: kind/racks/perRack/spine
-// select the generated shape (see topo.Generate), shard placement follows
-// the topology (each rack with its top-of-rack switch on one shard), and
-// every message crosses the stages of the fabric. The rendering is
-// byte-identical at every shard count and under both sync protocols — the
+// topology instead of the single-switch cluster: spec is the shape (see
+// topo.Generate), shard placement follows the topology (each rack with its
+// top-of-rack switch on one shard), and every message crosses the stages
+// of the fabric. The rendering is byte-identical at every shard count — the
 // golden topo sweep pins this, extending the single-switch equivalence
 // contract to multi-hop fabrics.
-func TopoStorm(kind string, racks, perRack, spine, shards, count int) (string, sim.GroupProfile) {
-	spec, err := topo.Generate(kind, racks, perRack, spine)
-	mustNoErr(err, "generate topology")
-	tb := testbed.New(testbed.Config{Topology: spec, Shards: shards, Sync: Sync})
+func TopoStorm(spec *topo.Spec, shards, count int) (string, sim.GroupProfile) {
+	tb := testbed.New(testbed.Config{Topology: spec, Shards: shards})
 	defer tb.Close()
 	mesh, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	if err != nil {
@@ -42,10 +39,4 @@ func TopoStorm(kind string, racks, perRack, spine, shards, count int) (string, s
 		prof = g.Profile()
 	}
 	return b.String(), prof
-}
-
-// ClosStorm is the headline multi-switch configuration: an all-to-all
-// storm over a 2-stage Clos of racks×perRack hosts with spine spines.
-func ClosStorm(racks, perRack, spine, shards, count int) (string, sim.GroupProfile) {
-	return TopoStorm("clos2", racks, perRack, spine, shards, count)
 }

@@ -3,16 +3,16 @@ package experiments
 import (
 	"testing"
 
-	"unet/internal/sim"
+	"unet/internal/topo"
 )
 
 // TestGoldenTopoSweep extends the shard-equivalence contract to
 // multi-switch fabrics: the all-to-all storm over a 64-host 2-stage Clos
 // (8 racks × 8 hosts, 2 spines) and over a small 3-stage Clos must render
 // byte-identically — same virtual times, same stats — at shards 1, 2, 4
-// and 8 under both sync protocols, with shard placement following the
-// topology (each rack with its ToR on one shard, spines on the root
-// engine). Only the shards= layout annotation may differ.
+// and 8, with shard placement following the topology (each rack with its
+// ToR on one shard, spines on the root engine). Only the shards= layout
+// annotation may differ.
 func TestGoldenTopoSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("topo golden sweep is not short")
@@ -27,19 +27,22 @@ func TestGoldenTopoSweep(t *testing.T) {
 		{"clos2", 8, 8, 2, 4},
 		{"clos3", 4, 2, 2, 4},
 	} {
-		serial, _ := TopoStorm(tc.kind, tc.racks, tc.perRack, tc.spine, 0, tc.count)
+		storm := func(shards int) string {
+			spec, err := topo.Generate(tc.kind, tc.racks, tc.perRack, tc.spine)
+			if err != nil {
+				t.Fatal(err)
+			}
+			report, _ := TopoStorm(spec, shards, tc.count)
+			return norm(report)
+		}
+		serial := storm(0)
 		if len(serial) == 0 {
 			t.Fatalf("%s: empty serial rendering", tc.kind)
 		}
-		for _, kind := range []sim.SyncKind{sim.SyncNeighbor, sim.SyncBarrier} {
-			defer func(k sim.SyncKind) { Sync = k }(Sync)
-			Sync = kind
-			for _, k := range []int{1, 2, 4, 8} {
-				got, _ := TopoStorm(tc.kind, tc.racks, tc.perRack, tc.spine, k, tc.count)
-				if norm(got) != norm(serial) {
-					t.Fatalf("%s sync=%v shards=%d diverged from serial:\n--- serial ---\n%s\n--- got ---\n%s",
-						tc.kind, kind, k, norm(serial), norm(got))
-				}
+		for _, k := range []int{1, 2, 4, 8} {
+			if got := storm(k); got != serial {
+				t.Fatalf("%s shards=%d diverged from serial:\n--- serial ---\n%s\n--- got ---\n%s",
+					tc.kind, k, serial, got)
 			}
 		}
 	}
@@ -48,9 +51,9 @@ func TestGoldenTopoSweep(t *testing.T) {
 // TestGossipDeterministic pins the 1k-endpoint island gossip: with every
 // 16th island's uplink flapping, the full run — rumor spread, bounded
 // queues, failure detection and removal — must be byte-identical between
-// the serial engine and sharded execution under both protocols, and the
-// failure detector must actually have fired (removals are part of the
-// pinned rendering, so a nondeterministic detector cannot hide).
+// the serial engine and sharded execution, and the failure detector must
+// actually have fired (removals are part of the pinned rendering, so a
+// nondeterministic detector cannot hide).
 func TestGossipDeterministic(t *testing.T) {
 	if testing.Short() {
 		t.Skip("1k-island gossip is not short")
@@ -64,18 +67,10 @@ func TestGossipDeterministic(t *testing.T) {
 		t.Fatalf("gossip did not spread: %+v", serial)
 	}
 	want := serial.Render()
-	for _, tc := range []struct {
-		shards int
-		sync   sim.SyncKind
-	}{
-		{2, sim.SyncNeighbor},
-		{8, sim.SyncNeighbor},
-		{8, sim.SyncBarrier},
-	} {
-		cfg.Shards, cfg.Sync = tc.shards, tc.sync
+	for _, shards := range []int{2, 4, 8} {
+		cfg.Shards = shards
 		if got := Gossip(cfg).Render(); got != want {
-			t.Fatalf("shards=%d sync=%v diverged:\n--- serial ---\n%s\n--- got ---\n%s",
-				tc.shards, tc.sync, want, got)
+			t.Fatalf("shards=%d diverged:\n--- serial ---\n%s\n--- got ---\n%s", shards, want, got)
 		}
 	}
 }

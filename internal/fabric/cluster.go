@@ -87,10 +87,9 @@ func NewCluster(e *sim.Engine, name string, n int, lp LinkParams, switchLatency 
 // paper's own decoupling argument (§3): hosts interact only through the
 // switch over links of at least one cell time.
 //
-// Exchange registration order is fixed — switch→host mailboxes in host
-// order, then host→switch mailboxes in host order — so cross-shard arrivals
-// that tie on timestamps are injected in a deterministic order regardless
-// of shard count or scheduling.
+// Exchange registration order is fixed — switch→host links in host order,
+// then host→switch links in host order — which is the order cross-shard
+// arrivals fire in when they tie on both arrival and send time.
 func NewShardedCluster(root *sim.Engine, name string, hostEng []*sim.Engine, lp LinkParams, switchLatency time.Duration) *Cluster {
 	n := len(hostEng)
 	c := &Cluster{Engine: root, hostSinks: make([]CellSink, n), hostEng: make([]*sim.Engine, n)}

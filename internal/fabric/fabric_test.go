@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unsafe"
 
 	"unet/internal/atm"
 	"unet/internal/sim"
@@ -278,4 +279,19 @@ func TestClusterSingleSwitchInvariant(t *testing.T) {
 		}
 	}()
 	cl.Uplink(2) // beyond the switch's port range
+}
+
+// TestLinkSize pins Link to the 288-byte allocator size class and its
+// in-flight ring entries to 64 bytes: a large fabric holds thousands of
+// links, each with a ring of cells on the wire, and a word more on either
+// shows up in the benchmark's alloc_mb (3% on clos64 for the ring entry).
+// What only a cross-shard receive half needs lives behind Link.rx for that
+// reason.
+func TestLinkSize(t *testing.T) {
+	if got := unsafe.Sizeof(Link{}); got != 288 {
+		t.Errorf("sizeof(Link) = %d, want 288", got)
+	}
+	if got := unsafe.Sizeof(inflight{}); got != 64 {
+		t.Errorf("sizeof(inflight) = %d, want 64", got)
+	}
 }

@@ -7,6 +7,7 @@
 package fabric
 
 import (
+	"math"
 	"time"
 
 	"unet/internal/atm"
@@ -97,11 +98,22 @@ type Injector interface {
 }
 
 // inflight is one cell on the wire, tagged with its arrival time at the far
-// end (last bit out of the transmitter plus propagation).
+// end (last bit out of the transmitter plus propagation). On a cross-shard
+// link it also says how long before that the transmitter enqueued it, which
+// orders its delivery among the receiving shard's same-instant events. The
+// lead sits in the cell's alignment padding: the in-flight rings are most
+// of a large fabric's link memory, and the struct stays at 64 bytes.
 type inflight struct {
 	c      atm.Cell
+	lead   uint32 // arrive minus the transmitter's clock at enqueue, ns; see sent
 	arrive time.Duration
 }
+
+// sent returns the transmitter's clock when the cell was enqueued. A cell
+// more than maxLead in flight reads as sent maxLead before its arrival.
+func (f *inflight) sent() time.Duration { return f.arrive - time.Duration(f.lead) }
+
+const maxLead = time.Duration(math.MaxUint32)
 
 // Link is a unidirectional serializing link: cells handed to Send depart in
 // order at line rate and are delivered to the sink one propagation delay
@@ -146,14 +158,22 @@ type Link struct {
 	// serialization arithmetic (nextFree, stats, loss) but pushes in-flight
 	// cells into a lock-free SPSC ring instead of the local pend ring; peer
 	// is the receive half in the destination shard, which owns the pend
-	// ring, the delivery machinery and (in barrier mode) the train
-	// grouping. A local link has peer == nil.
+	// ring, the delivery machinery and the train grouping, and alone has
+	// rx set. A local link has neither.
 	peer *Link
 	ring *sim.SPSC[inflight]
-	// mbox is the group mailbox handle for a tx half: marked pending on
-	// ring pushes so barrier-mode clean rounds can skip the drain phase (a
-	// no-op under the neighbor protocol, where consumers poll the ring).
-	mbox *sim.Mailbox
+	rx   *crossRx
+}
+
+// crossRx is what a receive half needs to place its delivery events in the
+// destination shard's event order. It hangs off the Link by pointer so the
+// thousands of local links of a large fabric do not pay for it.
+type crossRx struct {
+	// index is the exchange's registration index, the final tie-break among
+	// cross arrivals.
+	index int
+	// idle is the instant the last delivery left the in-flight ring empty.
+	idle time.Duration
 }
 
 // NewLink creates a link delivering into sink.
@@ -171,9 +191,11 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 // the transmit half: senders use it exactly like a local link — Send/SendAt
 // serialize against nextFree, Backlog/WaitReady pace the output FIFO, loss
 // applies at the transmitter — but cells in flight cross the shard boundary
-// through a group mailbox drained at window barriers, and the receive half
-// replays them through the standard in-flight ring so delivery times and
-// train grouping are the ones a local link would have produced.
+// through an SPSC ring the destination drains at its round tops, and the
+// receive half replays them through the standard in-flight ring so delivery
+// times, train grouping and the place of each delivery among the
+// destination's same-instant events are the ones a local link would have
+// produced.
 //
 // The link's latency (CellTime + Propagation) is registered as the
 // src→dst pair lookahead: a cell sent at time t arrives no earlier than
@@ -191,10 +213,10 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	if src == dst {
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
-	peer := &Link{e: dst, name: name, p: p, sink: sink}
+	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}}
 	peer.tsink, _ = sink.(TrainSink)
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
-	l.mbox = g.AddExchangeFrom(src, dst, crossExchange{l})
+	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
 	return l
 }
@@ -209,47 +231,25 @@ func (l *Link) Engine() *sim.Engine { return l.e }
 // random streams on them and stay byte-identical at every shard count.
 func (l *Link) Name() string { return l.name }
 
-// crossExchange moves one cross-shard link's ring traffic into the receive
-// half. It always runs on the destination shard's worker goroutine; the
-// synchronization that orders it after the transmitter's pushes depends on
-// the group's sync protocol, and the exchange implements sim.CrossSource
-// so the neighbor protocol can drive it.
-//
-// Both protocols deliver through the same machinery: Drain stages ring
-// entries into the receive half's pend ring and arms the classic delivery
-// event, so arrivals replay with the delivery times, train grouping and
-// same-instant event ordering a local link would have produced —
-// byte-identical across serial, barrier and neighbor runs. The protocols
-// differ only in when Drain runs and what it may take: at a window barrier
-// with the producer stopped, ring and spill alike are safe to move
-// (PopQuiescent); at a neighbor-mode round top the producer keeps running,
-// so only the published ring entries are taken (Pop) and spilled cells
-// stay with the producer until it flushes them itself.
+// crossExchange is a cross-shard link's sim.Exchange. Drain runs on the
+// destination shard's worker while the transmitter keeps running, so it
+// takes only what the ring has published; spilled cells stay with the
+// producer until it flushes them itself. Entries are staged into the
+// receive half's pend ring and delivered by its usual armed event.
 type crossExchange struct{ l *Link }
 
 func (x crossExchange) Drain() {
-	l := x.l
-	peer := l.peer
-	if l.mbox.Neighbor() {
-		for {
-			f, ok := l.ring.Pop()
-			if !ok {
-				break
-			}
-			peer.push(f)
+	peer := x.l.peer
+	for {
+		f, ok := x.l.ring.Pop()
+		if !ok {
+			break
 		}
-	} else {
-		for {
-			f, ok := l.ring.PopQuiescent()
-			if !ok {
-				break
-			}
-			peer.push(f)
-		}
+		peer.push(f)
 	}
 	if peer.n > 0 && !peer.armed {
 		peer.armed = true
-		peer.e.AtArg(peer.pend[peer.head].arrive, linkFire, peer)
+		peer.armArrival(peer.rx.idle)
 	}
 }
 
@@ -352,8 +352,7 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 // delivery event) otherwise.
 func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 	if l.peer != nil {
-		l.mbox.MarkPending()
-		l.ring.Push(inflight{c: c, arrive: arrive})
+		l.ring.Push(inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
 	l.push(inflight{c: c, arrive: arrive})
@@ -416,11 +415,28 @@ func (l *Link) fire() {
 
 // rearm schedules the next delivery, if cells remain in flight.
 func (l *Link) rearm() {
-	if l.n > 0 {
-		l.e.AtArg(l.pend[l.head].arrive, linkFire, l)
-	} else {
+	switch {
+	case l.n == 0:
 		l.armed = false
+		if l.rx != nil {
+			l.rx.idle = l.e.Now()
+		}
+	case l.rx != nil:
+		l.armArrival(l.e.Now())
+	default:
+		l.e.AtArg(l.pend[l.head].arrive, linkFire, l)
 	}
+}
+
+// armArrival arms a receive half's next delivery. A local link arms at its
+// engine's current instant; a receive half runs on another clock than its
+// transmitter, so it names the instant a local link would have armed at —
+// the previous delivery's (prev), or the head cell's send time if it went
+// onto the wire after that — and the engine files the event as if it had
+// been scheduled then.
+func (l *Link) armArrival(prev time.Duration) {
+	head := &l.pend[l.head]
+	l.e.ArriveArg(head.arrive, max(prev, head.sent()), l.rx.index, linkFire, l)
 }
 
 // NextFree returns the virtual time at which the transmitter finishes its

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -134,10 +135,10 @@ func TestCrossLinkLookaheadRegistered(t *testing.T) {
 
 func TestCrossLinkPerPairLookahead(t *testing.T) {
 	// Two host shards hang off the root: s1 over fast 4µs links (which stay
-	// silent), s2 over slow 100µs links carrying an echo workload. The old
-	// protocol clamped every window to the global minimum (4µs) and needed
-	// ~25 rounds per slow flight; per-pair registration must bound root and
-	// s2 only by the 100µs paths that reach them.
+	// silent), s2 over slow 100µs links carrying an echo workload. A single
+	// global window would be clamped to the tightest pair (4µs) and need
+	// ~25 rounds per slow flight; per-pair registration must bound s2 only
+	// by the 100µs path that reaches it.
 	fast := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	slow := LinkParams{CellTime: 3 * us, Propagation: 97 * us}
 	root := sim.New(1)
@@ -174,9 +175,6 @@ func TestCrossLinkPerPairLookahead(t *testing.T) {
 	if perShard > 400 {
 		t.Fatalf("ran %d rounds per shard; per-pair lookahead should need far fewer than the ~1250 a 4µs global window implies", perShard)
 	}
-	if prof.Total().FastForwards == 0 {
-		t.Fatal("no window ever fast-forwarded past the legacy global-min horizon")
-	}
 }
 
 func TestCrossLinkRejectsBadEndpoints(t *testing.T) {
@@ -212,4 +210,112 @@ func TestSwitchRejectsForeignShardLink(t *testing.T) {
 		}
 	}()
 	NewSwitchWithLinks(root, "sw", DefaultSwitchLatency, []*Link{l})
+}
+
+// runTie wires three hosts to one switch and has hosts 0 and 1 fire bursts
+// of cells at host 2 timed so that both bursts reach the switch at the same
+// instants and contend for host 2's output port: which goes first is a
+// simulated result. up0 and up1 are the two senders' uplink timings; the
+// host on the slower fiber sends earlier by the difference in flight time.
+// A burst is three cells, handed to the uplink pace apart (0: all at once,
+// a back-to-back train). With sharded set, hosts 0 and 1 each live on their
+// own shard. It returns host 2's delivery log.
+func runTie(sharded bool, up0, up1 LinkParams, pace time.Duration) []string {
+	root := sim.New(1)
+	eng := []*sim.Engine{root, root, root}
+	if sharded {
+		eng[0], eng[1] = root.NewShard(2), root.NewShard(3)
+	}
+	link := func(src, dst *sim.Engine, name string, lp LinkParams, sink CellSink) *Link {
+		if src != dst {
+			return NewCrossLink(src, dst, name, lp, sink)
+		}
+		return NewLink(src, name, lp, sink)
+	}
+	var log []string
+	sink2 := SinkFunc(func(c atm.Cell) {
+		log = append(log, fmt.Sprintf("%v vci=%d seq=%d", root.Now(), c.VCI, c.Payload[0]))
+	})
+	sinks := []CellSink{SinkFunc(func(atm.Cell) {}), SinkFunc(func(atm.Cell) {}), sink2}
+	out := make([]*Link, 3)
+	for i := range out {
+		out[i] = link(root, eng[i], fmt.Sprintf("tie.port%d", i), DefaultLinkParams(), sinks[i])
+	}
+	sw := NewSwitchWithLinks(root, "tie.sw", DefaultSwitchLatency, out)
+	ups := []*Link{
+		link(eng[0], root, "tie.up0", up0, sw.PortSink(0)),
+		link(eng[1], root, "tie.up1", up1, sw.PortSink(1)),
+	}
+	sw.Route(0, 40, 2)
+	sw.Route(1, 41, 2)
+
+	flight := func(lp LinkParams) time.Duration { return lp.CellTime + lp.Propagation }
+	slowest := max(flight(up0), flight(up1))
+	for h, lp := range []LinkParams{up0, up1} {
+		for b := 0; b < 20; b++ {
+			for k := 0; k < 3; k++ {
+				// Cell k of every burst arrives at b×100µs + k×pace + slowest
+				// (later if it queues behind its predecessor).
+				at := time.Duration(b)*100*us + time.Duration(k)*pace + slowest - flight(lp)
+				eng[h].At(at, func() {
+					var c atm.Cell
+					c.VCI = atm.VCI(40 + h)
+					c.Payload[0] = byte(3*b + k)
+					ups[h].Send(c)
+				})
+			}
+		}
+	}
+	root.Run()
+	return log
+}
+
+// testTie checks that the sharded run resolves every tie the way the
+// serial run does, 200 times over: the order must be a function of the
+// simulation, not of which shard's goroutine ran first or which round
+// drained which ring.
+func testTie(t *testing.T, up0, up1 LinkParams, pace time.Duration) {
+	t.Helper()
+	serial := runTie(false, up0, up1, pace)
+	if len(serial) != 120 {
+		t.Fatalf("serial run delivered %d cells to host 2, want 120", len(serial))
+	}
+	for trial := 0; trial < 200; trial++ {
+		if got := runTie(true, up0, up1, pace); !slices.Equal(got, serial) {
+			for i := range serial {
+				if i >= len(got) || got[i] != serial[i] {
+					t.Fatalf("trial %d: delivery %d differs (sharded run delivered %d cells):\n  serial : %s\n  sharded: %v",
+						trial, i, len(got), serial[i], got[i:min(i+1, len(got))])
+				}
+			}
+			t.Fatalf("trial %d: sharded run delivered %d cells, serial %d", trial, len(got), len(serial))
+		}
+	}
+}
+
+func TestShardedTieMatchesSerial(t *testing.T) {
+	// Equal fibers: the tied cells were sent at the same instant too, and
+	// the serial run serves host 0 first because its link was wired first.
+	testTie(t, DefaultLinkParams(), DefaultLinkParams(), 0)
+}
+
+func TestShardedTieUnequalLatencyMatchesSerial(t *testing.T) {
+	// One fiber is 1.5µs longer, so its tied cells left earlier and the
+	// serial run serves that host first — whichever host it is, although
+	// host 0's link is always the one wired first.
+	long := DefaultLinkParams()
+	long.Propagation += 1500 * time.Nanosecond
+	testTie(t, long, DefaultLinkParams(), 0)
+	testTie(t, DefaultLinkParams(), long, 0)
+	a, b := runTie(false, long, DefaultLinkParams(), 0), runTie(false, DefaultLinkParams(), long, 0)
+	if a[0] == b[0] {
+		t.Fatalf("swapping the fibers did not change who is served first: %s", a[0])
+	}
+	// Paced 5µs apart, every cell goes onto the short fiber 1.6µs after its
+	// predecessor came off it: the transmitter's shard may already have sent
+	// it when the receiving shard delivers the predecessor, or not yet. The
+	// tied cell on the long fiber left in between those two instants, so the
+	// short fiber's delivery must be filed under its own send time either way.
+	testTie(t, long, DefaultLinkParams(), 5*us)
+	testTie(t, DefaultLinkParams(), long, 5*us)
 }

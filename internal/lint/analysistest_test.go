@@ -153,8 +153,6 @@ func TestSeedFlowFixtures(t *testing.T) { runFixture(t, lint.SeedFlow, "seedflow
 
 func TestSeedFlowCrossPackage(t *testing.T) { runModuleFixture(t, lint.SeedFlow, "mod_seedtaint") }
 
-func TestBarrierStateFixtures(t *testing.T) { runFixture(t, lint.BarrierState, "barrierstate") }
-
 func TestHotPathAllocFixtures(t *testing.T) { runModuleFixture(t, lint.HotPathAlloc, "mod_hotpath") }
 
 // TestStaleAllows checks that an allow which suppresses a real finding is

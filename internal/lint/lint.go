@@ -16,16 +16,15 @@
 // and type-checked against the build cache's compiled export data. Since
 // PR 8 the suite is interprocedural: a Program (see program.go) indexes
 // every function and a conservative cross-package call graph, and
-// whole-program analyzers (seedflow, hotpathalloc, barrierstate,
-// costcharge) run over it instead of one package at a time.
+// whole-program analyzers (seedflow, hotpathalloc, costcharge) run over it
+// instead of one package at a time.
 //
 // # Annotation grammar
 //
-// Three directives exist:
+// Two directives exist:
 //
 //	//unetlint:allow <analyzer> <reason...>
 //	//unetlint:hotpath <reason...>
-//	//unetlint:leaderfold <reason...>
 //
 // allow suppresses diagnostics of the named analyzer on its own line, on
 // the line directly below it, or — when it appears in (or directly above) a
@@ -37,8 +36,6 @@
 //
 // hotpath marks a function as part of the zero-allocation steady-state
 // data path: hotpathalloc proves nothing it can reach allocates.
-// leaderfold marks a struct field as barrier-leader-owned: barrierstate
-// proves only leader closures write it.
 package lint
 
 import (
@@ -67,7 +64,7 @@ type Analyzer struct {
 var All []*Analyzer
 
 func init() {
-	All = []*Analyzer{Nondeterminism, RawGo, MapIter, CostCharge, SeedFlow, HotPathAlloc, BarrierState}
+	All = []*Analyzer{Nondeterminism, RawGo, MapIter, CostCharge, SeedFlow, HotPathAlloc}
 }
 
 // Diagnostic is one finding, resolved to a source position.
@@ -145,9 +142,9 @@ type directive struct {
 
 const directivePrefix = "//unetlint:"
 
-// directiveVerbs are the recognized directives. hotpath and leaderfold are
-// consumed by the program builder (program.go); allow is handled here.
-var directiveVerbs = map[string]bool{"allow": true, "hotpath": true, "leaderfold": true}
+// directiveVerbs are the recognized directives. hotpath is consumed by the
+// program builder (program.go); allow is handled here.
+var directiveVerbs = map[string]bool{"allow": true, "hotpath": true}
 
 // buildDirectives scans a unit's comments for unetlint directives,
 // recording valid ones and reporting malformed ones. It runs once per
@@ -174,14 +171,14 @@ func (u *Unit) buildDirectives() {
 				if !directiveVerbs[verb] {
 					u.dirDiags = append(u.dirDiags, Diagnostic{
 						Analyzer: "unetlint", Pos: pos,
-						Message: fmt.Sprintf("unknown unetlint directive %q (have allow, hotpath, leaderfold)", verb),
+						Message: fmt.Sprintf("unknown unetlint directive %q (have allow, hotpath)", verb),
 					})
 					continue
 				}
 				fields := strings.Fields(args)
 				if verb != "allow" {
-					// hotpath/leaderfold are resolved against declarations by
-					// the program builder; here only demand the reason.
+					// hotpath is resolved against declarations by the program
+					// builder; here only demand the reason.
 					if len(fields) == 0 {
 						u.dirDiags = append(u.dirDiags, Diagnostic{
 							Analyzer: "unetlint", Pos: pos,

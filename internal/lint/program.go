@@ -78,9 +78,7 @@ type Program struct {
 	byFile  map[string][]*FuncNode // position lookup per file
 
 	// Directive-driven fact sets.
-	HotPath      map[string]bool // node IDs annotated //unetlint:hotpath
-	LeaderFields map[string]bool // "pkgpath.Type.field" annotated //unetlint:leaderfold
-	LeaderArgs   map[string]bool // node IDs passed as a `leader func()` argument
+	HotPath map[string]bool // node IDs annotated //unetlint:hotpath
 
 	diags []Diagnostic // misplaced-directive findings from program build
 }
@@ -88,13 +86,11 @@ type Program struct {
 // BuildProgram indexes the units and constructs the call graph.
 func BuildProgram(units []*Unit) *Program {
 	p := &Program{
-		Units:        units,
-		Nodes:        make(map[string]*FuncNode),
-		callers:      make(map[string][]Edge),
-		byFile:       make(map[string][]*FuncNode),
-		HotPath:      make(map[string]bool),
-		LeaderFields: make(map[string]bool),
-		LeaderArgs:   make(map[string]bool),
+		Units:   units,
+		Nodes:   make(map[string]*FuncNode),
+		callers: make(map[string][]Edge),
+		byFile:  make(map[string][]*FuncNode),
+		HotPath: make(map[string]bool),
 	}
 	if len(units) > 0 {
 		p.Fset = units[0].Fset
@@ -248,7 +244,6 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 		if tv, ok := u.Info.Types[call.Fun]; ok && tv.IsType() {
 			return true // conversion
 		}
-		p.recordLeaderArgs(node, call)
 		switch fn := fun.(type) {
 		case *ast.Ident:
 			switch obj := u.Info.Uses[fn].(type) {
@@ -349,58 +344,6 @@ func (p *Program) edgeForFuncValue(node *FuncNode, call *ast.CallExpr, obj *type
 	return nil
 }
 
-// recordLeaderArgs marks functions passed at a parameter named "leader"
-// (the barrier-leader convention barrierstate encodes).
-func (p *Program) recordLeaderArgs(node *FuncNode, call *ast.CallExpr) {
-	sig := p.callSignature(node.Unit, call)
-	if sig == nil {
-		return
-	}
-	for i, arg := range call.Args {
-		if i >= sig.Params().Len() {
-			break
-		}
-		param := sig.Params().At(i)
-		if param.Name() != "leader" {
-			continue
-		}
-		if _, isFunc := param.Type().Underlying().(*types.Signature); !isFunc {
-			continue
-		}
-		if id := p.funcValueID(node.Unit, arg); id != "" {
-			p.LeaderArgs[id] = true
-		}
-	}
-}
-
-// callSignature resolves the signature of the function being called.
-func (p *Program) callSignature(u *Unit, call *ast.CallExpr) *types.Signature {
-	tv, ok := u.Info.Types[call.Fun]
-	if !ok {
-		return nil
-	}
-	sig, _ := tv.Type.Underlying().(*types.Signature)
-	return sig
-}
-
-// funcValueID resolves an expression used as a function value (method
-// value, function identifier, or literal) to a node ID.
-func (p *Program) funcValueID(u *Unit, expr ast.Expr) string {
-	switch e := ast.Unparen(expr).(type) {
-	case *ast.Ident:
-		if fn, ok := u.Info.Uses[e].(*types.Func); ok {
-			return fn.FullName()
-		}
-	case *ast.SelectorExpr:
-		if fn, ok := u.Info.Uses[e.Sel].(*types.Func); ok {
-			return fn.FullName()
-		}
-	case *ast.FuncLit:
-		return p.litID(u, e)
-	}
-	return ""
-}
-
 // Callers returns the recorded call sites targeting id.
 func (p *Program) Callers(id string) []Edge { return p.callers[id] }
 
@@ -444,8 +387,8 @@ func (p *Program) UnitAt(pos token.Pos) *Unit {
 	return fallback
 }
 
-// collectMarkers resolves the //unetlint:hotpath and //unetlint:leaderfold
-// directives into the fact sets, reporting misplaced ones.
+// collectMarkers resolves the //unetlint:hotpath directives into the fact
+// set, reporting misplaced ones.
 func (p *Program) collectMarkers() {
 	for _, u := range p.Units {
 		for _, f := range u.Files {
@@ -455,12 +398,8 @@ func (p *Program) collectMarkers() {
 					if !ok {
 						continue
 					}
-					verb, _, _ := strings.Cut(rest, " ")
-					switch verb {
-					case "hotpath":
+					if verb, _, _ := strings.Cut(rest, " "); verb == "hotpath" {
 						p.markHotPath(u, f, c)
-					case "leaderfold":
-						p.markLeaderFold(u, f, c)
 					}
 				}
 			}
@@ -493,51 +432,6 @@ func (p *Program) markHotPath(u *Unit, f *ast.File, c *ast.Comment) {
 		Pos:      u.Fset.Position(c.Pos()),
 		Message:  "//unetlint:hotpath must sit in (or directly above) a function declaration's doc comment",
 	})
-}
-
-// markLeaderFold attaches a leaderfold directive to the struct field
-// declared on its own line or the line below.
-func (p *Program) markLeaderFold(u *Unit, f *ast.File, c *ast.Comment) {
-	line := u.Fset.Position(c.Pos()).Line
-	found := false
-	ast.Inspect(f, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		ts, ok := n.(*ast.TypeSpec)
-		if !ok {
-			return true
-		}
-		st, ok := ts.Type.(*ast.StructType)
-		if !ok {
-			return true
-		}
-		for _, field := range st.Fields.List {
-			fl := u.Fset.Position(field.Pos()).Line
-			inDoc := field.Doc != nil &&
-				line >= u.Fset.Position(field.Doc.Pos()).Line &&
-				line <= u.Fset.Position(field.Doc.End()).Line
-			if fl != line && fl != line+1 && !inDoc {
-				continue
-			}
-			for _, name := range field.Names {
-				p.LeaderFields[leaderFieldKey(u.Pkg.Path(), ts.Name.Name, name.Name)] = true
-				found = true
-			}
-		}
-		return !found
-	})
-	if !found {
-		p.diags = append(p.diags, Diagnostic{
-			Analyzer: "unetlint",
-			Pos:      u.Fset.Position(c.Pos()),
-			Message:  "//unetlint:leaderfold must sit on (or directly above) a struct field declaration",
-		})
-	}
-}
-
-func leaderFieldKey(pkgPath, typeName, fieldName string) string {
-	return pkgPath + "." + typeName + "." + fieldName
 }
 
 // methodIndex supports class-hierarchy resolution of interface calls.

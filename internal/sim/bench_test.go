@@ -118,9 +118,9 @@ func BenchmarkEngine_SleepResume(b *testing.B) {
 // `pending` entries throughout. The heap pays O(log pending) per
 // operation; the wheel pays amortized O(1), which is the whole point of
 // BenchmarkScheduler_*1M.
-func benchScheduler(b *testing.B, kind SchedulerKind, pending int) {
+func benchScheduler(b *testing.B, newEngine func(int64) *Engine, pending int) {
 	b.ReportAllocs()
-	e := NewWithScheduler(1, kind)
+	e := newEngine(1)
 	const spread = 100 * time.Millisecond
 	gap := spread / time.Duration(pending)
 	if gap <= 0 {
@@ -147,12 +147,12 @@ func benchScheduler(b *testing.B, kind SchedulerKind, pending int) {
 	}
 }
 
-func BenchmarkScheduler_Heap1k(b *testing.B)    { benchScheduler(b, SchedulerHeap, 1_000) }
-func BenchmarkScheduler_Wheel1k(b *testing.B)   { benchScheduler(b, SchedulerWheel, 1_000) }
-func BenchmarkScheduler_Heap100k(b *testing.B)  { benchScheduler(b, SchedulerHeap, 100_000) }
-func BenchmarkScheduler_Wheel100k(b *testing.B) { benchScheduler(b, SchedulerWheel, 100_000) }
-func BenchmarkScheduler_Heap1M(b *testing.B)    { benchScheduler(b, SchedulerHeap, 1_000_000) }
-func BenchmarkScheduler_Wheel1M(b *testing.B)   { benchScheduler(b, SchedulerWheel, 1_000_000) }
+func BenchmarkScheduler_Heap1k(b *testing.B)    { benchScheduler(b, newHeapOnly, 1_000) }
+func BenchmarkScheduler_Wheel1k(b *testing.B)   { benchScheduler(b, New, 1_000) }
+func BenchmarkScheduler_Heap100k(b *testing.B)  { benchScheduler(b, newHeapOnly, 100_000) }
+func BenchmarkScheduler_Wheel100k(b *testing.B) { benchScheduler(b, New, 100_000) }
+func BenchmarkScheduler_Heap1M(b *testing.B)    { benchScheduler(b, newHeapOnly, 1_000_000) }
+func BenchmarkScheduler_Wheel1M(b *testing.B)   { benchScheduler(b, New, 1_000_000) }
 
 // benchSchedulerCancel measures the arm-then-cancel timeout pattern that
 // dominates the UAM/TCP data path: with `pending` idle timers parked far
@@ -161,9 +161,9 @@ func BenchmarkScheduler_Wheel1M(b *testing.B)   { benchScheduler(b, SchedulerWhe
 // (unlink and recycle, independent of population); the heap-only
 // scheduler pays an O(log pending) sift on every arm plus an amortized
 // O(pending) compaction sweep once canceled entries outnumber live ones.
-func benchSchedulerCancel(b *testing.B, kind SchedulerKind, pending int) {
+func benchSchedulerCancel(b *testing.B, newEngine func(int64) *Engine, pending int) {
 	b.ReportAllocs()
-	e := NewWithScheduler(1, kind)
+	e := newEngine(1)
 	nop := func() {}
 	for i := 0; i < pending; i++ {
 		e.After(time.Hour+time.Duration(i), nop)
@@ -174,13 +174,13 @@ func benchSchedulerCancel(b *testing.B, kind SchedulerKind, pending int) {
 	}
 }
 
-func BenchmarkSchedulerCancel_Heap1k(b *testing.B)   { benchSchedulerCancel(b, SchedulerHeap, 1_000) }
-func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)  { benchSchedulerCancel(b, SchedulerWheel, 1_000) }
-func BenchmarkSchedulerCancel_Heap100k(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 100_000) }
+func BenchmarkSchedulerCancel_Heap1k(b *testing.B)   { benchSchedulerCancel(b, newHeapOnly, 1_000) }
+func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)  { benchSchedulerCancel(b, New, 1_000) }
+func BenchmarkSchedulerCancel_Heap100k(b *testing.B) { benchSchedulerCancel(b, newHeapOnly, 100_000) }
 func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) {
-	benchSchedulerCancel(b, SchedulerWheel, 100_000)
+	benchSchedulerCancel(b, New, 100_000)
 }
-func BenchmarkSchedulerCancel_Heap1M(b *testing.B) { benchSchedulerCancel(b, SchedulerHeap, 1_000_000) }
+func BenchmarkSchedulerCancel_Heap1M(b *testing.B) { benchSchedulerCancel(b, newHeapOnly, 1_000_000) }
 func BenchmarkSchedulerCancel_Wheel1M(b *testing.B) {
-	benchSchedulerCancel(b, SchedulerWheel, 1_000_000)
+	benchSchedulerCancel(b, New, 1_000_000)
 }

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math"
 	"runtime"
 	"sync"
@@ -8,15 +9,10 @@ import (
 	"time"
 )
 
-// Neighbor-synchronized conservative windows (the SyncNeighbor protocol).
-//
-// The barrier protocol in shard.go stops every shard at every round so a
-// leader can fold the global minimum and hand out horizons. That global
-// rendezvous is the dominant cost of dense parallel runs — simprof put it
-// at ~74% of wall time on the 8-host/4-shard storm — and it charges even
-// pairs of shards that never talk. This file replaces it on the common
-// path with Chandy–Misra–Bryant-style point-to-point synchronization
-// specialized to the group's static exchange graph:
+// Neighbor-synchronized conservative windows: the group's one window
+// protocol, Chandy–Misra–Bryant-style point-to-point synchronization
+// specialized to the static exchange graph. No shard ever stops for the
+// whole group on the common path.
 //
 //   - Every shard i owns a published clock pub[i]: a promise that no
 //     message it has not yet made visible will arrive anywhere before
@@ -29,15 +25,14 @@ import (
 //     synchronizes only where influence can actually flow.
 //   - Cross-shard messages travel through lock-free SPSC rings (spsc.go),
 //     pushed at send time by the producing shard and drained by the
-//     destination at its round tops. Delivery happens through the
-//     engine's cross intake (below), which merges ring heads into the
-//     event loop by (arrival time, exchange registration order) — the
-//     same deterministic rule the barrier protocol's drain order
-//     implements, so goldens stay byte-identical across both modes and
-//     every shard count.
+//     destination at its round tops into ordinary events
+//     (Engine.ArriveArg). The event carries the sender's clock and the
+//     exchange's registration index as its tie-break keys, so which round
+//     drained it, and where a window boundary fell, leave no trace in the
+//     destination's event order.
 //
 // Safety invariant. When shard i runs a window bounded by H_i, every
-// message that could arrive before H_i is already visible in its intake:
+// message that could arrive before H_i is already an event in its heap:
 // producer j pushed the message to the ring before publishing any
 // pub[j] ≥ send time (pushes precede the publish store in program order,
 // and Go's sequentially-consistent atomics make the publish the release
@@ -51,94 +46,19 @@ import (
 //
 // Progress. A purely neighbor-driven horizon can creep in lookahead-sized
 // steps across idle stretches (the classic CMB lookahead creep). The
-// escape hatch reuses the group's quiescence machinery: when every shard
-// is simultaneously blocked, the last one to block scans the rings and —
-// if all are empty — folds the global minimum next-event time m. If m is
-// beyond the run limit the group is done; otherwise m becomes gmin, a
-// floor every shard may add its minimum in-edge lookahead to
-// (H_i ≥ gmin + min L(*→i) is safe because any future message for i
-// originates at an event ≥ m). That single fold per idle gap replaces the
-// per-round folds of the barrier protocol and restores the fast-forward
-// behavior across quiet phases.
+// escape hatch is the quiescence scan: when every shard is simultaneously
+// blocked, the last one to block scans the rings and — if all are empty —
+// folds the global minimum next-event time m. If m is beyond the run
+// limit the group is done; otherwise m becomes gmin, a floor every shard
+// may add its minimum in-edge lookahead to (H_i ≥ gmin + min L(*→i) is
+// safe because any future message for i originates at an event ≥ m). One
+// fold per idle gap fast-forwards the group across quiet phases.
 //
-// Termination mirrors the same scan: all shards blocked + all rings empty
-// + global minimum beyond the limit ⇒ done flag + wake-all. The scan runs
+// Termination is the same scan: all shards blocked + all rings empty +
+// global minimum beyond the limit ⇒ done flag + wake-all. The scan runs
 // under a mutex off the hot path; the hot path itself crosses no locks —
 // publishes are atomic stores, waits are epoch-counted spins that park on
-// a per-shard condition variable only after a yield budget, exactly like
-// the spin barrier's ladder.
-
-// SyncKind selects the synchronization protocol of a shard group run.
-type SyncKind uint8
-
-const (
-	// SyncNeighbor (the default) runs the neighbor-synchronized window
-	// protocol above: shards coordinate point-to-point over the exchange
-	// graph's edges with no global barrier on the common path. Requires
-	// every exchange to be registered with a known producer
-	// (AddExchangeFrom) and to implement CrossSource; groups that do not
-	// qualify fall back to SyncBarrier behavior for the run.
-	SyncNeighbor SyncKind = iota
-	// SyncBarrier is the PR 6 reference protocol: per-round global
-	// barriers with a leader-folded minimum and per-pair horizon matrix.
-	// Kept as the differential-testing twin — a run under SyncBarrier must
-	// be byte-identical to the same run under SyncNeighbor.
-	SyncBarrier
-)
-
-// String names the sync kind the way unetbench -sync spells it.
-func (k SyncKind) String() string {
-	switch k {
-	case SyncNeighbor:
-		return "neighbor"
-	case SyncBarrier:
-		return "barrier"
-	}
-	return "unknown"
-}
-
-// ParseSyncKind parses unetbench -sync spellings.
-func ParseSyncKind(s string) (SyncKind, bool) {
-	switch s {
-	case "neighbor":
-		return SyncNeighbor, true
-	case "barrier":
-		return SyncBarrier, true
-	}
-	return SyncNeighbor, false
-}
-
-// SetSync selects the synchronization protocol for subsequent Run/RunUntil
-// calls on the group. Must not be called while a run is in progress.
-func (g *Group) SetSync(k SyncKind) { g.sync = k }
-
-// SyncMode reports the configured synchronization protocol.
-func (g *Group) SyncMode() SyncKind { return g.sync }
-
-// CrossSource is the neighbor-mode contract of an exchange: a cross-shard
-// channel whose producer side is a lock-free SPSC ring and whose consumer
-// side stages arrivals into the destination engine as ordinary events.
-//
-// Drain (from Exchange, called only by the destination's worker) moves
-// published ring traffic into consumer-side staging and arms delivery
-// through the destination engine's own event machinery — cross arrivals
-// are just events there, so merge order with local work is the event
-// heap's (timestamp, sequence) order in every sync mode.
-//
-// Producer-shard methods (called only by the source's worker): FlushSpill
-// retries moving spilled messages into the ring; SpillBound reports the
-// arrival time of the oldest still-spilled message, bounding how far the
-// producer may publish.
-//
-// Pending and SpillPending read only atomics and may be called from any
-// shard — the group's quiescence scan uses them.
-type CrossSource interface {
-	Exchange
-	Pending() bool
-	SpillPending() bool
-	FlushSpill() bool
-	SpillBound() (time.Duration, bool)
-}
+// a per-shard condition variable only after a yield budget.
 
 // inEdge is a direct influence edge into a shard: messages from src reach
 // this shard no earlier than pub[src] + la.
@@ -152,7 +72,7 @@ type inEdge struct {
 type outEdge struct {
 	dst int
 	la  int64 // the pair's minimum latency — what the consumer's horizon uses
-	cs  CrossSource
+	ex  Exchange
 }
 
 // paddedClock is a published shard clock on its own cache line, so
@@ -162,11 +82,17 @@ type paddedClock struct {
 	_ [56]byte
 }
 
-// shardSignal is the per-shard wake channel of the neighbor protocol: an
-// epoch counter bumped by anyone who changes state this shard might be
-// waiting on, plus a condition variable for waiters that exhausted the
-// spin/yield ladder. The epoch is read before the waiter samples neighbor
-// state, so a publish between sampling and parking cannot be missed.
+// yieldBudget is how many runtime.Gosched rounds a waiter tries after its
+// spin budget before parking. On an oversubscribed machine a yield usually
+// hands the core straight to the shard being waited on, which is far
+// cheaper than a futex sleep/wake pair.
+const yieldBudget = 64
+
+// shardSignal is the per-shard wake channel: an epoch counter bumped by
+// anyone who changes state this shard might be waiting on, plus a condition
+// variable for waiters that exhausted the spin/yield ladder. The epoch is
+// read before the waiter samples neighbor state, so a publish between
+// sampling and parking cannot be missed.
 type shardSignal struct {
 	epoch  atomic.Uint64
 	parked atomic.Bool
@@ -198,35 +124,13 @@ func (g *Group) notifyAll() {
 	}
 }
 
-// neighborCapable reports whether every registered exchange names its
-// producer and implements CrossSource — the preconditions of neighbor
-// mode. Groups with pairless or legacy exchanges run the barrier protocol
-// regardless of the configured SyncKind.
-func (g *Group) neighborCapable() bool {
-	if len(g.shards) < 2 || !g.hasExchanges() {
-		return false
-	}
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			if mb.src < 0 {
-				return false
-			}
-			if _, ok := mb.ex.(CrossSource); !ok {
-				return false
-			}
-		}
-	}
-	return true
-}
-
-// setupNeighbor builds the per-run neighbor state: the direct edge sets
+// setup builds the per-run protocol state: the direct edge sets
 // (deterministically ordered by shard index — no map iteration), published
-// clocks, wake signals, and each destination engine's intake. It also
-// flips every mailbox into neighbor mode, which turns MarkPending into a
-// no-op (ring occupancy replaces the dirty-count protocol).
-func (g *Group) setupNeighbor() {
+// clocks and wake signals. Every registered exchange must cross a pair
+// with an observed lookahead; the protocol has no safe window width for
+// one that does not.
+func (g *Group) setup() {
 	n := len(g.shards)
-	glob := int64(g.lookahead)
 
 	// Direct-edge minimum latency matrix; math.MaxInt64 = no edge. The
 	// consumer horizon and the producer spill cap must agree on each
@@ -238,27 +142,19 @@ func (g *Group) setupNeighbor() {
 			w[i][j] = math.MaxInt64
 		}
 	}
-	for dst, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			ew := glob
-			if d, ok := g.pairLA[pairKey{mb.src, dst}]; ok {
-				ew = int64(d)
-			}
-			if ew <= 0 {
-				panic("sim: shard group has exchanges but no lookahead")
-			}
-			if ew < w[mb.src][dst] {
-				w[mb.src][dst] = ew
-			}
+	for idx, r := range g.exchanges {
+		d, ok := g.pairLA[pairKey{r.src, r.dst}]
+		if !ok {
+			panic(fmt.Sprintf("sim: exchange %d crosses shards %d→%d, a pair with no observed lookahead", idx, r.src, r.dst))
 		}
+		w[r.src][r.dst] = int64(d)
 	}
 
 	g.inEdges = make([][]inEdge, n)
 	g.outEdges = make([][]outEdge, n)
 	g.outNbrs = make([][]int, n)
 	g.minInLA = make([]int64, n)
-	g.inSrcs = make([][]CrossSource, n)
-	g.inSrcIDs = make([][]int, n)
+	g.inbox = make([][]registration, n)
 	for dst := 0; dst < n; dst++ {
 		min := int64(math.MaxInt64)
 		for src := 0; src < n; src++ {
@@ -272,24 +168,23 @@ func (g *Group) setupNeighbor() {
 			}
 		}
 		g.minInLA[dst] = min
-		// Consumer-side exchange handles, in registration order — the order
-		// round-top drains stage and arm arrivals, and hence the order
-		// same-instant cross deliveries enter the destination's event heap.
-		for _, mb := range g.exchanges[dst] {
-			cs := mb.ex.(CrossSource)
-			g.inSrcs[dst] = append(g.inSrcs[dst], cs)
-			g.inSrcIDs[dst] = append(g.inSrcIDs[dst], mb.src)
-			g.outEdges[mb.src] = append(g.outEdges[mb.src], outEdge{dst: dst, la: w[mb.src][dst], cs: cs})
-		}
+	}
+	for _, r := range g.exchanges {
+		g.inbox[r.dst] = append(g.inbox[r.dst], r)
+		g.outEdges[r.src] = append(g.outEdges[r.src], outEdge{dst: r.dst, la: w[r.src][r.dst], ex: r.ex})
 	}
 
 	if len(g.pub) != n {
+		g.nextAt = make([]atomic.Int64, n)
 		g.pub = make([]paddedClock, n)
 		g.sigs = make([]shardSignal, n)
 		for i := range g.sigs {
 			g.sigs[i].cond = sync.NewCond(&g.sigs[i].mu)
 		}
 	}
+	// With a core per shard, spinning through a neighbor's window is
+	// cheaper than any sleep; without, fall through to yielding almost at
+	// once.
 	spin := 16
 	if runtime.GOMAXPROCS(0) >= n {
 		spin = 1024
@@ -306,43 +201,20 @@ func (g *Group) setupNeighbor() {
 			g.prof[i].EdgeWait = make([]time.Duration, n)
 		}
 	}
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			mb.neighbor = true
-		}
-	}
 }
 
-// setupBarrier reverts neighbor-mode plumbing before a barrier-protocol
-// run. A mailbox leaving neighbor mode is marked pending unconditionally:
-// its ring may hold messages a previous neighbor run left unpublished or
-// undrained beyond its limit, and the barrier protocol only drains marked
-// mailboxes.
-func (g *Group) setupBarrier() {
-	for _, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			if mb.neighbor {
-				mb.neighbor = false
-				mb.MarkPending()
-			}
-		}
-	}
-}
-
-// runShardNeighbor is the per-shard worker loop of the neighbor protocol.
-// Each round: snapshot the wake epoch, compute the horizon from direct
-// in-neighbor clocks (lifted by the quiescence floor when one is set),
-// drain in-rings into the engine as armed delivery events, publish own
-// progress, then either run a window up to the horizon or wait for a
-// neighbor to move.
-func (g *Group) runShardNeighbor(id int, limit time.Duration) {
+// runShard is the per-shard worker loop. Each round: snapshot the wake
+// epoch, compute the horizon from direct in-neighbor clocks (lifted by the
+// quiescence floor when one is set), drain in-rings into the engine as
+// arrival events, publish own progress, then either run a window up to the
+// horizon or wait for a neighbor to move.
+func (g *Group) runShard(id int, limit time.Duration) {
 	e := g.shards[id]
 	prof := &g.prof[id]
 	sig := &g.sigs[id]
 	stop := stopFor(limit)
 	in := g.inEdges[id]
-	srcs := g.inSrcs[id]
-	srcIDs := g.inSrcIDs[id]
+	inbox := g.inbox[id]
 	out := g.outEdges[id]
 	minIn := g.minInLA[id]
 	for {
@@ -372,16 +244,16 @@ func (g *Group) runShardNeighbor(id int, limit time.Duration) {
 			}
 		}
 
-		// Move ring traffic into the engine: drains stage published cells
-		// and arm their delivery events, so the heap peek below already
-		// covers cross arrivals. A producer stuck on a full ring is woken so
-		// it can flush the freed space at its next publish point.
-		for i, s := range srcs {
-			if s.Pending() {
-				s.Drain()
+		// Move ring traffic into the engine: drains turn published messages
+		// into arrival events, so the heap peek below already covers them.
+		// A producer stuck on a full ring is woken so it can flush the freed
+		// space at its next publish point.
+		for _, r := range inbox {
+			if r.ex.Pending() {
+				r.ex.Drain()
 				prof.Drains++
-				if s.SpillPending() {
-					g.notify(srcIDs[i])
+				if r.ex.SpillPending() {
+					g.notify(r.src)
 				}
 			}
 		}
@@ -401,8 +273,8 @@ func (g *Group) runShardNeighbor(id int, limit time.Duration) {
 			p = h
 		}
 		for _, oe := range out {
-			if !oe.cs.FlushSpill() {
-				if b, ok := oe.cs.SpillBound(); ok {
+			if !oe.ex.FlushSpill() {
+				if b, ok := oe.ex.SpillBound(); ok {
 					if c := int64(b) - oe.la; c < p {
 						p = c
 					}
@@ -507,14 +379,12 @@ func (g *Group) quiescentScan(limit time.Duration) {
 		return
 	}
 	pending := false
-	for dst := range g.inSrcs {
-		for i, s := range g.inSrcs[dst] {
-			if s.Pending() {
-				pending = true
-				g.notify(dst)
-				if s.SpillPending() {
-					g.notify(g.inSrcIDs[dst][i])
-				}
+	for _, r := range g.exchanges {
+		if r.ex.Pending() {
+			pending = true
+			g.notify(r.dst)
+			if r.ex.SpillPending() {
+				g.notify(r.src)
 			}
 		}
 	}

@@ -1,94 +1,21 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// ringMailbox is the neighbor-capable twin of testMailbox: a cross-shard
-// channel whose producer side is an SPSC ring, implementing the full
-// CrossSource contract the way fabric's cross links do. The producer shard
-// pushes timed callbacks as it runs; the destination drains them at its
-// round tops into ordinary engine events.
-type ringMailbox struct {
-	dst  *Engine
-	mb   *Mailbox
-	ring *SPSC[shardMsg]
-}
-
-func newRingMailbox(g *Group, src, dst *Engine) *ringMailbox {
-	m := &ringMailbox{dst: dst, ring: NewSPSC[shardMsg](8)}
-	m.mb = g.AddExchangeFrom(src, dst, m)
-	return m
-}
-
-// send is called by the producing shard during its window. MarkPending is a
-// neighbor-mode no-op but keeps the fixture valid under barrier fallback.
-func (m *ringMailbox) send(at time.Duration, fn func()) {
-	m.mb.MarkPending()
-	m.ring.Push(shardMsg{at: at, fn: fn})
-}
-
-func (m *ringMailbox) Drain() {
-	if m.mb.Neighbor() {
-		for {
-			msg, ok := m.ring.Pop()
-			if !ok {
-				break
-			}
-			m.dst.At(msg.at, msg.fn)
-		}
-		return
-	}
-	for {
-		msg, ok := m.ring.PopQuiescent()
-		if !ok {
-			break
-		}
-		m.dst.At(msg.at, msg.fn)
-	}
-}
-
-func (m *ringMailbox) Pending() bool      { return m.ring.Pending() }
-func (m *ringMailbox) SpillPending() bool { return m.ring.SpillLen() > 0 }
-func (m *ringMailbox) FlushSpill() bool   { return m.ring.FlushSpill() }
-func (m *ringMailbox) SpillBound() (time.Duration, bool) {
-	msg, ok := m.ring.SpillHead()
-	return msg.at, ok
-}
-
-func TestSyncKindStrings(t *testing.T) {
-	for _, k := range []SyncKind{SyncNeighbor, SyncBarrier} {
-		got, ok := ParseSyncKind(k.String())
-		if !ok || got != k {
-			t.Fatalf("ParseSyncKind(%q) = %v, %v", k.String(), got, ok)
-		}
-	}
-	if _, ok := ParseSyncKind("bogus"); ok {
-		t.Fatal("ParseSyncKind accepted a bogus spelling")
-	}
-	if SyncKind(99).String() != "unknown" {
-		t.Fatalf("SyncKind(99).String() = %q", SyncKind(99).String())
-	}
-}
-
 func TestShardNeighborCrossTrafficRespectsLookahead(t *testing.T) {
-	// The neighbor-mode twin of TestShardCrossTrafficRespectsLookahead:
-	// every delivery must land at exactly the time a serial simulation
-	// would produce, with no barrier protocol underneath.
+	// Shard 0 pings shard 1 every 100µs with a 10µs flight time; each ping
+	// triggers a pong back. Every delivery must land at exactly the time a
+	// serial simulation would produce.
 	const flight = 10 * time.Microsecond
-	root := New(1)
-	s1 := root.NewShard(2)
+	root, s1, toS1, toRoot := ringPair(flight)
 	g := root.Group()
-	toS1 := newRingMailbox(g, root, s1)
-	toRoot := newRingMailbox(g, s1, root)
-	g.ObserveLookaheadBetween(root, s1, flight)
-	g.ObserveLookaheadBetween(s1, root, flight)
-	if !g.neighborCapable() {
-		t.Fatal("ring-mailbox group not neighborCapable")
-	}
 
 	var pings, pongs []time.Duration
 	for i := 1; i <= 50; i++ {
@@ -115,53 +42,41 @@ func TestShardNeighborCrossTrafficRespectsLookahead(t *testing.T) {
 			t.Fatalf("pong %d at %v, want %v", i, pongs[i], at+2*flight)
 		}
 	}
-	// Stalls is a neighbor-only counter: its presence proves the run used
-	// the neighbor protocol, not the barrier fallback.
 	total := g.Profile().Total()
-	if total.FusedBarriers != 0 {
-		t.Fatalf("neighbor run crossed %d fused barriers", total.FusedBarriers)
-	}
 	if total.Events == 0 || total.Drains == 0 {
 		t.Fatalf("profile did not record work: %+v", total)
 	}
 }
 
 func TestShardNeighborMatchesBarrier(t *testing.T) {
-	// The same seeded ping-pong under both protocols must yield identical
-	// traces — the differential-twin contract SetSync promises.
+	// The same ping-pong on a two-shard group and on its one-engine twin
+	// must yield identical traces. (The serial engine is the reference the
+	// name's barrier protocol used to be.)
 	const flight = 5 * time.Microsecond
-	trial := func(kind SyncKind) []time.Duration {
-		root := New(1)
-		s1 := root.NewShard(2)
-		g := root.Group()
-		g.SetSync(kind)
-		toS1 := newRingMailbox(g, root, s1)
-		toRoot := newRingMailbox(g, s1, root)
-		g.ObserveLookaheadBetween(root, s1, flight)
-		g.ObserveLookaheadBetween(s1, root, flight)
-		var trace []time.Duration
+	script := func(e0, e1 *Engine, to1, to0 func(at time.Duration, fn func()), trace *[]string) {
 		for i := 1; i <= 30; i++ {
 			at := time.Duration(i) * 40 * time.Microsecond
-			fire := at
-			root.At(at, func() {
-				toS1.send(fire+flight, func() {
-					trace = append(trace, s1.Now())
-					toRoot.send(s1.Now()+flight, func() { trace = append(trace, root.Now()) })
+			e0.At(at, func() {
+				to1(at+flight, func() {
+					*trace = append(*trace, fmt.Sprint("ping@", e1.Now()))
+					to0(e1.Now()+flight, func() { *trace = append(*trace, fmt.Sprint("pong@", e0.Now())) })
 				})
 			})
 		}
-		root.Run()
-		return trace
 	}
-	nbr := trial(SyncNeighbor)
-	bar := trial(SyncBarrier)
-	if len(nbr) != 60 || len(bar) != 60 {
-		t.Fatalf("trace lengths: neighbor=%d barrier=%d, want 60", len(nbr), len(bar))
+	var serial, sharded []string
+	e := New(1)
+	local := func(at time.Duration, fn func()) { e.At(at, fn) }
+	script(e, e, local, local, &serial)
+	e.Run()
+	if len(serial) != 60 {
+		t.Fatalf("serial twin logged %d events, want 60", len(serial))
 	}
-	for i := range nbr {
-		if nbr[i] != bar[i] {
-			t.Fatalf("traces diverged at %d: neighbor=%v barrier=%v", i, nbr[i], bar[i])
-		}
+	root, s1, toS1, toRoot := ringPair(flight)
+	script(root, s1, toS1.send, toRoot.send, &sharded)
+	root.Run()
+	if !slices.Equal(sharded, serial) {
+		t.Fatalf("sharded trace differs from the one-engine twin:\n%v\n%v", sharded, serial)
 	}
 }
 
@@ -176,6 +91,7 @@ func TestShardNeighborSpillBackpressure(t *testing.T) {
 	s1 := root.NewShard(2)
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
+	toS1.ring = NewSPSC[shardMsg](8)
 	g.ObserveLookaheadBetween(root, s1, flight)
 	// A return edge keeps s1 from free-running ahead of the test's window.
 	newRingMailbox(g, s1, root)
@@ -329,7 +245,7 @@ func TestShardNeighborProfileAndReset(t *testing.T) {
 }
 
 func TestShardNeighborSparseTopologyRounds(t *testing.T) {
-	// The neighbor-mode twin of TestShardPerPairWiderThanGlobalMin: r and
+	// TestShardPerPairWiderThanGlobalMin with the fast pair wired up: r and
 	// s2 ping over slow 100µs edges while s1 sits on fast 1µs edges but
 	// stays silent. Horizons derive from direct in-neighbors plus the
 	// quiescence floor, so the idle gaps must cost a handful of rounds, not
@@ -382,51 +298,12 @@ func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 	}
 }
 
-func TestShardNeighborFallbackPairless(t *testing.T) {
-	// A group holding a pairless exchange (unknown producer) cannot run the
-	// neighbor protocol; under SyncNeighbor it must silently fall back to
-	// the barrier protocol and still produce correct results.
-	const flight = 10 * time.Microsecond
-	root := New(1)
-	s1 := root.NewShard(2)
-	g := root.Group()
-	toS1 := newTestMailbox(g, s1) // pairless, not a CrossSource
-	g.ObserveLookahead(flight)
-	if g.neighborCapable() {
-		t.Fatal("pairless group reported neighborCapable")
-	}
-
-	var hits []time.Duration
-	for i := 1; i <= 20; i++ {
-		at := time.Duration(i) * 50 * time.Microsecond
-		fire := at
-		root.At(at, func() { toS1.send(fire+flight, func() { hits = append(hits, s1.Now()) }) })
-	}
-	root.Run()
-	if len(hits) != 20 {
-		t.Fatalf("delivered %d messages, want 20", len(hits))
-	}
-	total := g.Profile().Total()
-	if total.Stalls != 0 {
-		t.Fatalf("barrier fallback recorded neighbor stalls: %+v", total)
-	}
-	if total.Drains == 0 {
-		t.Fatalf("barrier fallback did no drains: %+v", total)
-	}
-}
-
 func TestShardNeighborModeSwitch(t *testing.T) {
-	// Alternate protocols across runs of one group: leftover ring traffic
-	// from a bounded neighbor run must survive the switch to barrier mode
-	// (setupBarrier marks neighbor mailboxes pending) and vice versa.
+	// Switch between bounded and unbounded runs of one group: messages a
+	// bounded run already moved off the rings, into events beyond its
+	// limit, must be delivered on time by the runs that follow.
 	const flight = time.Microsecond
-	root := New(1)
-	s1 := root.NewShard(2)
-	g := root.Group()
-	toS1 := newRingMailbox(g, root, s1)
-	newRingMailbox(g, s1, root)
-	g.ObserveLookaheadBetween(root, s1, flight)
-	g.ObserveLookaheadBetween(s1, root, flight)
+	root, s1, toS1, _ := ringPair(flight)
 
 	var got []time.Duration
 	record := func() { got = append(got, s1.Now()) }
@@ -434,14 +311,18 @@ func TestShardNeighborModeSwitch(t *testing.T) {
 		at := time.Duration(i) * 10 * time.Microsecond
 		root.At(at, func() { toS1.send(root.Now()+flight, record) })
 	}
-	root.RunUntil(35 * time.Microsecond)
-	g.SetSync(SyncBarrier)
+	// The first limit falls between a send (30µs) and its arrival (31µs).
+	if end := root.RunUntil(30*time.Microsecond + flight/2); len(got) != 2 || end != 30*time.Microsecond+flight/2 {
+		t.Fatalf("first bounded run: %d deliveries, clock %v", len(got), end)
+	}
 	root.RunUntil(75 * time.Microsecond)
-	g.SetSync(SyncNeighbor)
+	if len(got) != 7 {
+		t.Fatalf("second bounded run left %d deliveries, want 7", len(got))
+	}
 	root.Run()
 
 	if len(got) != 10 {
-		t.Fatalf("delivered %d messages across mode switches, want 10", len(got))
+		t.Fatalf("delivered %d messages across the runs, want 10", len(got))
 	}
 	for i, at := range got {
 		want := time.Duration(i+1)*10*time.Microsecond + flight

@@ -227,7 +227,7 @@ func (p *Proc) WaitUntil(c *Cond, at time.Duration, tm Timer) (bool, Timer) {
 	armed := ev != nil && ev.gen == tm.gen && !ev.canceled && ev.e == p.e &&
 		ev.kind == kindTimeout && ev.w == nil
 	if armed && !p.e.rearm(ev, at) {
-		// Heap-resident (near-horizon or SchedulerHeap): fall back to the
+		// Heap-resident (near-horizon, or a heap-only engine): fall back to the
 		// classic cancel + reschedule, which consumes the same one sequence
 		// number as the rearm fast path.
 		tm.Cancel()

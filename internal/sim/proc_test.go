@@ -168,14 +168,18 @@ func TestInPlaceSleepMatchesParkedTwin(t *testing.T) {
 	// once the ticker's own events are taken out, Steps and the sequence
 	// numbers consumed must be equal: an in-place sleep is one sequence
 	// number and one step, like the resume event it stands for.
-	for _, kind := range []SchedulerKind{SchedulerWheel, SchedulerHeap} {
+	for _, newEngine := range []func(int64) *Engine{New, newHeapOnly} {
+		kind := "wheel"
+		if newEngine(0).wheel == nil {
+			kind = "heap-only"
+		}
 		var fast, slow []string
-		a := NewWithScheduler(7, kind)
+		a := newEngine(7)
 		sleepScript(a, &fast)
 		a.Run()
 		a.Shutdown()
 
-		b := NewWithScheduler(7, kind)
+		b := newEngine(7)
 		var ticks uint64
 		var tick func()
 		tick = func() {
@@ -190,42 +194,28 @@ func TestInPlaceSleepMatchesParkedTwin(t *testing.T) {
 		b.Shutdown()
 
 		if len(fast) < 40+40+20+30+50 { // puts, gets, waits, timers, lone; plus the timer callbacks that beat their cancel
-			t.Fatalf("scheduler %d: script logged only %d events", kind, len(fast))
+			t.Fatalf("%s engine: script logged only %d events", kind, len(fast))
 		}
 		if !slices.Equal(fast, slow) {
 			for i := range fast {
 				if i >= len(slow) || fast[i] != slow[i] {
-					t.Fatalf("scheduler %d: traces diverge at %d: in-place %q, parked %v", kind, i, fast[i], slow[i:min(i+1, len(slow))])
+					t.Fatalf("%s engine: traces diverge at %d: in-place %q, parked %v", kind, i, fast[i], slow[i:min(i+1, len(slow))])
 				}
 			}
-			t.Fatalf("scheduler %d: parked twin logged %d extra events", kind, len(slow)-len(fast))
+			t.Fatalf("%s engine: parked twin logged %d extra events", kind, len(slow)-len(fast))
 		}
 		if a.Steps() != b.Steps()-ticks || a.seq != b.seq-ticks {
-			t.Fatalf("scheduler %d: in-place %d steps / %d seqs, parked twin %d / %d after removing %d ticks",
+			t.Fatalf("%s engine: in-place %d steps / %d seqs, parked twin %d / %d after removing %d ticks",
 				kind, a.Steps(), a.seq, b.Steps()-ticks, b.seq-ticks, ticks)
 		}
 	}
-}
-
-// ringPair builds a two-shard group under sync protocol kind, joined by ring
-// mailboxes both ways with lookahead la.
-func ringPair(kind SyncKind, la time.Duration) (root, s1 *Engine, toS1, toRoot *ringMailbox) {
-	root = New(1)
-	s1 = root.NewShard(2)
-	g := root.Group()
-	g.SetSync(kind)
-	toS1 = newRingMailbox(g, root, s1)
-	toRoot = newRingMailbox(g, s1, root)
-	g.ObserveLookaheadBetween(root, s1, la)
-	g.ObserveLookaheadBetween(s1, root, la)
-	return root, s1, toS1, toRoot
 }
 
 func TestShardSleepParksAtWindowStop(t *testing.T) {
 	// A sleeper on shard 1 has an empty local queue, so every sleep would be
 	// in place were it not for the window stop: cross-shard arrivals land in
 	// its future only as far as the lookahead lets it run. Its log must be
-	// the serial run's under both protocols.
+	// the serial run's.
 	const flight = 10 * us
 	script := func(src, dst *Engine, send func(at time.Duration, fn func()), log *[]string) {
 		dst.Spawn("sleeper", func(p *Proc) {
@@ -250,19 +240,17 @@ func TestShardSleepParksAtWindowStop(t *testing.T) {
 	if len(serial) != 130 {
 		t.Fatalf("serial run logged %d events, want 130", len(serial))
 	}
-	for _, kind := range []SyncKind{SyncNeighbor, SyncBarrier} {
-		root, s1, toS1, _ := ringPair(kind, flight)
-		var sharded []string
-		script(root, s1, toS1.send, &sharded)
-		root.Run()
-		if !slices.Equal(sharded, serial) {
-			t.Fatalf("%v: shard 1's log differs from the serial run:\n%v\n%v", kind, sharded, serial)
-		}
-		if root.Steps()+s1.Steps() != e.Steps() {
-			t.Fatalf("%v: %d + %d steps, serial %d", kind, root.Steps(), s1.Steps(), e.Steps())
-		}
-		root.Shutdown()
+	root, s1, toS1, _ := ringPair(flight)
+	var sharded []string
+	script(root, s1, toS1.send, &sharded)
+	root.Run()
+	if !slices.Equal(sharded, serial) {
+		t.Fatalf("shard 1's log differs from the serial run:\n%v\n%v", sharded, serial)
 	}
+	if root.Steps()+s1.Steps() != e.Steps() {
+		t.Fatalf("%d + %d steps, serial %d", root.Steps(), s1.Steps(), e.Steps())
+	}
+	root.Shutdown()
 }
 
 // --- shutdown ---
@@ -347,37 +335,29 @@ func TestProcPanicSurfacesInRun(t *testing.T) {
 }
 
 func TestShardProcPanicAborts(t *testing.T) {
-	for _, kind := range []SyncKind{SyncNeighbor, SyncBarrier} {
-		root, s1, toS1, toRoot := ringPair(kind, us)
-		// Keep both shards exchanging so the healthy one is waiting on the
-		// other when it dies.
-		for i := 1; i <= 100; i++ {
-			at := time.Duration(i) * us
-			root.At(at, func() { toS1.send(root.Now()+us, func() {}) })
-			s1.At(at, func() { toRoot.send(s1.Now()+us, func() {}) })
-		}
-		cleaned := false
-		root.Spawn("bystander", func(p *Proc) {
-			defer func() { cleaned = true }()
-			p.Sleep(time.Hour)
-		})
-		s1.Spawn("h1/app", func(p *Proc) {
-			p.Sleep(50 * us)
-			panic("boom")
-		})
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, `sim: process "h1/app" panicked: boom`) {
-					t.Fatalf("%v: group run panicked with %q", kind, msg)
-				}
-			}()
-			root.Run()
-			t.Fatalf("%v: group run returned despite the process panic", kind)
-		}()
-		root.Shutdown()
-		if !cleaned {
-			t.Fatalf("%v: Shutdown after the abort did not unwind the other shard's process", kind)
-		}
+	root, s1, toS1, toRoot := ringPair(us)
+	// Keep both shards exchanging so the healthy one is waiting on the
+	// other when it dies.
+	for i := 1; i <= 100; i++ {
+		at := time.Duration(i) * us
+		root.At(at, func() { toS1.send(root.Now()+us, func() {}) })
+		s1.At(at, func() { toRoot.send(s1.Now()+us, func() {}) })
+	}
+	cleaned := false
+	root.Spawn("bystander", func(p *Proc) {
+		defer func() { cleaned = true }()
+		p.Sleep(time.Hour)
+	})
+	s1.Spawn("h1/app", func(p *Proc) {
+		p.Sleep(50 * us)
+		panic("boom")
+	})
+	msg := mustPanic(t, "group run", func() { root.Run() })
+	if !strings.Contains(msg, `sim: process "h1/app" panicked: boom`) {
+		t.Fatalf("group run panicked with %q", msg)
+	}
+	root.Shutdown()
+	if !cleaned {
+		t.Fatal("Shutdown after the abort did not unwind the other shard's process")
 	}
 }

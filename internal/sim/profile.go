@@ -12,28 +12,19 @@ import (
 // worker goroutine, so the hot path pays plain increments — no atomics,
 // no allocation. The wall-clock waits are diagnostic only and never feed
 // virtual time.
-//
-// Counter meanings are shared across both sync protocols where they
-// apply: BarrierWait is total synchronization wait (barrier crossings
-// under SyncBarrier, neighbor stalls under SyncNeighbor); FastForwards
-// counts windows that beat the legacy global m+L bound (barrier) or were
-// enabled by the quiescence floor (neighbor); FusedBarriers and the
-// neighbor-only Stalls/EdgeWait belong to one protocol each and stay zero
-// under the other.
 type ShardProfile struct {
-	Shard         int
-	Windows       uint64        // windows executed (rounds that ran events)
-	Events        uint64        // events fired inside windows
-	EmptyWindows  uint64        // windows that fired nothing
-	FastForwards  uint64        // windows widened past the neighbor/legacy bound
-	FusedBarriers uint64        // rounds that crossed a single barrier (no pending traffic)
-	Drains        uint64        // mailbox/ring drains performed
-	Stalls        uint64        // neighbor-mode blocked waits entered
-	BarrierWait   time.Duration // wall-clock spent blocked on synchronization
-	// EdgeWait attributes neighbor-mode wait to the in-neighbor whose
-	// published clock bound the horizon at block time, indexed by source
-	// shard id (zero-length under SyncBarrier). It answers "who does this
-	// shard actually wait on" — the signal sparse topologies need.
+	Shard        int
+	Windows      uint64        // windows executed (rounds that ran events)
+	Events       uint64        // events fired inside windows
+	EmptyWindows uint64        // windows that fired nothing
+	FastForwards uint64        // windows the quiescence floor opened past the neighbor bound
+	Drains       uint64        // ring drains performed
+	Stalls       uint64        // blocked waits entered
+	BarrierWait  time.Duration // wall-clock spent blocked on a neighbor's clock
+	// EdgeWait attributes the wait to the in-neighbor whose published clock
+	// bound the horizon at block time, indexed by source shard id. It
+	// answers "who does this shard actually wait on" — the signal sparse
+	// topologies need.
 	EdgeWait []time.Duration
 }
 
@@ -94,7 +85,6 @@ func (gp GroupProfile) Total() ShardProfile {
 		t.Events += p.Events
 		t.EmptyWindows += p.EmptyWindows
 		t.FastForwards += p.FastForwards
-		t.FusedBarriers += p.FusedBarriers
 		t.Drains += p.Drains
 		t.Stalls += p.Stalls
 		t.BarrierWait += p.BarrierWait
@@ -128,19 +118,19 @@ func (gp GroupProfile) WorstEdges() []EdgeStat {
 
 // String renders the profile as an aligned table — the `unetbench
 // -simprof` dump — followed by the per-edge wait ranking when any edge
-// accumulated block time (neighbor-mode runs).
+// accumulated block time.
 func (gp GroupProfile) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "%-5s %10s %12s %8s %6s %8s %8s %8s %8s %12s %10s\n",
-		"shard", "windows", "events", "ev/win", "empty", "fastfwd", "fused", "drains", "stalls", "sync-wait", "wait/win")
+	fmt.Fprintf(&b, "%-5s %10s %12s %8s %6s %8s %8s %8s %12s %10s\n",
+		"shard", "windows", "events", "ev/win", "empty", "fastfwd", "drains", "stalls", "sync-wait", "wait/win")
 	row := func(label string, p ShardProfile) {
 		perWin := time.Duration(0)
 		if p.Windows > 0 {
 			perWin = p.BarrierWait / time.Duration(p.Windows)
 		}
-		fmt.Fprintf(&b, "%-5s %10d %12d %8.1f %6d %8d %8d %8d %8d %12s %10s\n",
+		fmt.Fprintf(&b, "%-5s %10d %12d %8.1f %6d %8d %8d %8d %12s %10s\n",
 			label, p.Windows, p.Events, p.EventsPerWindow(), p.EmptyWindows,
-			p.FastForwards, p.FusedBarriers, p.Drains, p.Stalls,
+			p.FastForwards, p.Drains, p.Stalls,
 			p.BarrierWait.Round(time.Microsecond), perWin)
 	}
 	for _, p := range gp.Shards {

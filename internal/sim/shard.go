@@ -3,7 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,93 +10,61 @@ import (
 
 // Sharded execution: a Group partitions one simulation across several
 // Engines ("shards"), each with its own event arena, heap and process set,
-// and runs them on parallel goroutines under a conservative time-window
-// protocol.
+// and runs them on parallel goroutines under conservative time windows.
 //
 // The scheme exploits the same property of the modeled system that the
 // paper's cluster architecture rests on: hosts interact only through links
 // with a fixed minimum latency (cell serialization plus fiber propagation),
 // so an event executing at virtual time t in one shard cannot affect
-// another shard before t+L, where L is the latency of the cheapest path
-// between them. Lookahead is tracked per shard pair: every cross-shard
-// link registers its latency as a directed edge, and at run time the group
-// closes the edge set into an all-pairs minimum-latency matrix. Each
-// round, every shard publishes its earliest pending event time T_i and
-// processes all events strictly before its own horizon
+// another shard before t+L, where L is the latency of the link between
+// them. Every cross-shard channel is registered as an Exchange between a
+// producing and a consuming shard (AddExchangeFrom), and the pair's
+// minimum latency as its lookahead (ObserveLookaheadBetween); together
+// they form the static graph the window protocol in neighbor.go
+// synchronizes over. Within a window shards share no mutable state, so
+// they run without locks.
 //
-//	H_i = min over j≠i of (T_j + L*[j][i])
+// The sharded run reproduces the serial one because a message's place in
+// the destination's event order is a function of virtual times only: its
+// arrival fires at (arrival time, sender's clock when the delivery was
+// armed, exchange registration index) — see Engine.ArriveArg — never of
+// the wall-clock moment the destination drained it or of where a window
+// boundary fell.
 //
-// where L*[j][i] is the matrix entry — the cheapest multi-hop latency from
-// shard j to shard i. A shard hemmed in only by distant neighbors gets a
-// wide window; a shard nobody can reach free-runs to completion. When
-// every T_j lies far in the future the horizons jump there with them, so
-// the group fast-forwards across idle stretches instead of grinding
-// through empty fixed-width windows.
-//
-// Within a window shards share no mutable state, so they run without
-// locks; determinism is preserved because cross-shard traffic is drained
-// into the destination heaps in a fixed registration order at barriers,
-// and destination engines assign their usual (timestamp, sequence)
-// tie-break to injected events. The protocol is deadlock-free by
-// construction (no shard ever waits for a message; the shard holding the
-// globally earliest event always has a horizon beyond it) and needs no
-// null messages.
-//
-// Window crossings are kept cheap: a round costs a single barrier when no
-// exchange has traffic pending anywhere (the common case in sparse
-// phases), and two when a drain phase is needed. The global
-// minimum-next-event reduction is folded once by the last shard to arrive
-// at a barrier instead of being rescanned by every shard, and the barrier
-// itself spins only within a budget before parking on a condition
-// variable, so oversubscribed runs stop burning cores.
+// A group with no exchanges at all is a set of independent simulations;
+// each shard then simply runs to completion on its own goroutine.
 
-// Exchange moves messages that crossed a shard boundary into their
-// destination engine. Drain is called by the destination shard's worker
-// goroutine at a window barrier, when no producer is running; every
-// message it delivers must be scheduled at or after the new window's start
-// (guaranteed when producers respect the group lookahead). Exchanges
-// registered for the same destination are drained in registration order,
-// which is what makes cross-shard injection deterministic.
+// Exchange is a cross-shard channel: a lock-free SPSC ring (spsc.go) the
+// producing shard pushes into as it runs, and a consumer side that turns
+// ring entries into events on the destination engine.
+//
+// Drain is called only by the destination shard's worker, at its round
+// tops, while the producer keeps running: it pops what the ring has
+// published and schedules the deliveries with Engine.ArriveArg under the
+// index AddExchangeFrom returned. Every delivery must lie at least the
+// pair's lookahead after the send.
+//
+// FlushSpill and SpillBound are called only by the producing shard's
+// worker: the first retries moving spilled messages into the ring, the
+// second reports the arrival time of the oldest still-spilled message,
+// which bounds how far the producer may publish its clock.
+//
+// Pending and SpillPending read only atomics and may be called from any
+// shard — the group's quiescence scan uses them.
 type Exchange interface {
 	Drain()
+	Pending() bool
+	SpillPending() bool
+	FlushSpill() bool
+	SpillBound() (time.Duration, bool)
 }
 
-// Mailbox is the producer-side handle of a registered exchange. The
-// producing shard must call MarkPending after appending the first message
-// of a window; the destination only drains exchanges whose mailbox is
-// marked, and a round in which no mailbox anywhere is marked crosses a
-// single fused barrier instead of two.
-type Mailbox struct {
-	ex    Exchange
-	g     *Group
-	src   int // producing shard, -1 when unknown (pairless registration)
-	dirty atomic.Bool
-	// neighbor marks the mailbox as running under the neighbor-synchronized
-	// protocol, where ring occupancy replaces the dirty-count handshake.
-	// Written by the root goroutine during run() setup, before workers
-	// spawn; read by the producer shard (MarkPending) and the exchange's
-	// Drain to pick the protocol path.
-	neighbor bool
+// registration is one AddExchangeFrom call; its position in
+// Group.exchanges is the exchange's index.
+type registration struct {
+	src, dst int
+	ex       Exchange
 }
-
-// MarkPending flags the exchange as holding undrained traffic. It must be
-// called by the producing shard (each exchange has exactly one producer)
-// between appending a message and reaching the next window barrier; it is
-// idempotent and costs one atomic load once marked. Under the neighbor
-// protocol it is a no-op — consumers poll ring occupancy directly.
-func (m *Mailbox) MarkPending() {
-	if m.neighbor {
-		return
-	}
-	if !m.dirty.Load() {
-		m.dirty.Store(true)
-		m.g.dirtyCount.Add(1)
-	}
-}
-
-// Neighbor reports whether the mailbox currently runs under the neighbor
-// protocol. Exchanges use it to pick their Drain path.
-func (m *Mailbox) Neighbor() bool { return m.neighbor }
 
 // pairKey indexes the per-pair lookahead observations.
 type pairKey struct{ src, dst int }
@@ -108,52 +75,32 @@ type pairKey struct{ src, dst int }
 type Group struct {
 	root      *Engine
 	shards    []*Engine
-	lookahead time.Duration             // global floor from ObserveLookahead
 	pairLA    map[pairKey]time.Duration // direct per-pair minima
-	minLA     time.Duration             // min over every observed bound (diagnostic + fast-forward baseline)
-	exchanges [][]*Mailbox              // per destination shard id, drained in registration order
+	minLA     time.Duration             // min over every observed bound (diagnostic)
+	exchanges []registration            // in registration order
 
-	// Per-run state. la is the closed all-pairs latency matrix (laInf for
-	// unreachable). roundDirty/roundMin/horizons are written only by the
-	// barrier leader — the last shard to arrive, which runs while every
-	// other shard is stopped inside the barrier — and read by every shard
-	// after the release, so they need no atomics of their own.
-	la     [][]time.Duration
-	selfLA []time.Duration // cheapest relay cycle through each shard
-	nextAt []atomic.Int64
-	//unetlint:leaderfold leader's scratch snapshot of nextAt
-	tAt []int64
-	//unetlint:leaderfold per-shard windows computed by the fold
-	horizons   []int64
-	dirtyCount atomic.Int32
-	//unetlint:leaderfold round verdict: cross-shard traffic pending
-	roundDirty bool
-	//unetlint:leaderfold round verdict: earliest pending event
-	roundMin int64
-	barrier  *spinBarrier
-	prof     []ShardProfile
-	aborted  atomic.Bool
-	failure  atomic.Value // string
+	prof    []ShardProfile
+	aborted atomic.Bool
+	failure atomic.Value // string
 
-	// Neighbor-protocol state (see neighbor.go). sync selects the protocol;
-	// the rest is rebuilt by setupNeighbor at the top of each neighbor run,
-	// before any worker goroutine exists. pub/sigs/waiting/gmin/ndone are
-	// the only cross-shard-mutable pieces and are all atomics or
-	// mutex-guarded; the edge sets are immutable during a run.
-	sync     SyncKind
-	pub      []paddedClock   // published per-shard clocks, cache-line padded
-	sigs     []shardSignal   // per-shard wake channels
-	waiting  atomic.Int32    // shards currently blocked in waitNeighbor
-	waitGen  atomic.Uint64   // wait entries; guards quiescentScan vs ABA on waiting
-	gmin     atomic.Int64    // quiescence floor: global min next-event time
-	ndone    atomic.Bool     // neighbor-run termination flag
-	scanMu   sync.Mutex      // serializes quiescentScan
-	inEdges  [][]inEdge      // direct in-edges per shard, ordered by source
-	outEdges [][]outEdge     // producer-side exchange handles per shard
-	outNbrs  [][]int         // distinct out-neighbor shard ids per shard
-	minInLA  []int64         // min in-edge lookahead per shard (floor lift)
-	inSrcs   [][]CrossSource // consumer-side exchanges per shard, registration order
-	inSrcIDs [][]int         // producing shard of each inSrcs entry
+	// Window-protocol state (see neighbor.go), rebuilt by setup at the top
+	// of each run, before any worker goroutine exists. nextAt, pub, sigs,
+	// waiting, waitGen, gmin and ndone are the only cross-shard-mutable
+	// pieces and are all atomics or mutex-guarded; the edge sets are
+	// immutable during a run.
+	nextAt   []atomic.Int64   // per-shard earliest pending event, for the quiescence fold
+	pub      []paddedClock    // published per-shard clocks, cache-line padded
+	sigs     []shardSignal    // per-shard wake channels
+	waiting  atomic.Int32     // shards currently blocked in waitNeighbor
+	waitGen  atomic.Uint64    // wait entries; guards quiescentScan vs ABA on waiting
+	gmin     atomic.Int64     // quiescence floor: global min next-event time
+	ndone    atomic.Bool      // termination flag
+	scanMu   sync.Mutex       // serializes quiescentScan
+	inEdges  [][]inEdge       // direct in-edges per shard, ordered by source
+	outEdges [][]outEdge      // producer-side exchange handles per shard
+	outNbrs  [][]int          // distinct out-neighbor shard ids per shard
+	minInLA  []int64          // min in-edge lookahead per shard (floor lift)
+	inbox    [][]registration // exchanges into each shard, registration order
 }
 
 // NewShard creates a new shard engine attached to e's group, creating the
@@ -163,18 +110,17 @@ type Group struct {
 // created before the first Run.
 func (e *Engine) NewShard(seed int64) *Engine {
 	if e.group == nil {
-		e.group = &Group{root: e, shards: []*Engine{e}, exchanges: make([][]*Mailbox, 1)}
+		e.group = &Group{root: e, shards: []*Engine{e}}
 		e.shardID = 0
 	}
 	g := e.group
 	if g.root != e {
 		panic("sim: NewShard must be called on the group's root engine")
 	}
-	s := NewWithScheduler(seed, e.Scheduler())
+	s := New(seed)
 	s.group = g
 	s.shardID = len(g.shards)
 	g.shards = append(g.shards, s)
-	g.exchanges = append(g.exchanges, nil)
 	return s
 }
 
@@ -192,69 +138,35 @@ func (g *Group) Shards() int { return len(g.shards) }
 // Root returns the group's root engine.
 func (g *Group) Root() *Engine { return g.root }
 
-// AddExchange registers ex to be drained into dst at every window barrier,
-// with an unknown producer: the group must carry a global lookahead
-// (ObserveLookahead), which is applied between every shard pair. dst must
-// be an engine of this group. Registration order fixes the drain order,
-// and with it the deterministic tie-break between same-timestamp
-// injections from different sources. The returned Mailbox must be marked
-// by the producer whenever traffic is appended.
-func (g *Group) AddExchange(dst *Engine, ex Exchange) *Mailbox {
-	return g.addExchange(-1, dst, ex)
-}
-
-// AddExchangeFrom registers ex like AddExchange, but names the producing
-// shard so the window protocol can bound dst's horizon with the
-// src→dst pair lookahead (ObserveLookaheadBetween) instead of the global
-// minimum.
-func (g *Group) AddExchangeFrom(src, dst *Engine, ex Exchange) *Mailbox {
-	if src.group != g {
-		panic("sim: AddExchangeFrom source is not a member of this group")
+// AddExchangeFrom registers ex as a channel from shard src into shard dst
+// and returns its registration index, which ex passes to dst.ArriveArg
+// with every delivery: arrivals that tie on both arrival and send time
+// fire in registration order. The pair needs a lookahead
+// (ObserveLookaheadBetween) before the group runs.
+func (g *Group) AddExchangeFrom(src, dst *Engine, ex Exchange) int {
+	if src.group != g || dst.group != g {
+		panic("sim: AddExchangeFrom endpoints must be members of this group")
 	}
-	return g.addExchange(src.shardID, dst, ex)
-}
-
-func (g *Group) addExchange(src int, dst *Engine, ex Exchange) *Mailbox {
-	if dst.group != g {
-		panic("sim: AddExchange destination is not a member of this group")
+	if src == dst {
+		panic("sim: AddExchangeFrom endpoints are the same shard")
 	}
-	mb := &Mailbox{ex: ex, g: g, src: src}
-	g.exchanges[dst.shardID] = append(g.exchanges[dst.shardID], mb)
-	return mb
-}
-
-// ObserveLookahead lower-bounds every cross-shard path with d: any message
-// from any shard to any other must be scheduled at least d after the event
-// that sent it. Pairless exchanges (AddExchange) rely on it; pairwise
-// observations can only tighten individual entries below it, never widen
-// them past a tighter global floor.
-func (g *Group) ObserveLookahead(d time.Duration) {
-	if d <= 0 {
-		panic("sim: cross-shard lookahead must be positive")
-	}
-	if g.lookahead == 0 || d < g.lookahead {
-		g.lookahead = d
-	}
-	if g.minLA == 0 || d < g.minLA {
-		g.minLA = d
-	}
+	g.exchanges = append(g.exchanges, registration{src: src.shardID, dst: dst.shardID, ex: ex})
+	return len(g.exchanges) - 1
 }
 
 // ObserveLookaheadBetween lower-bounds the direct src→dst path with d:
 // every message sent from src to dst at time t must be scheduled at t+d or
-// later. Unlike ObserveLookahead it constrains only that pair — shards
-// linked by slow paths keep wide windows even when some other pair is
-// tightly coupled. Multi-hop influence is handled at run time by closing
-// the observed edges into an all-pairs minimum-latency matrix.
+// later. It constrains only that pair — shards linked by slow paths keep
+// wide windows even when some other pair is tightly coupled.
 func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
-	if d <= 0 {
-		panic("sim: cross-shard lookahead must be positive")
-	}
 	if src.group != g || dst.group != g {
 		panic("sim: ObserveLookaheadBetween endpoints must be members of this group")
 	}
 	if src == dst {
 		panic("sim: ObserveLookaheadBetween endpoints are the same shard")
+	}
+	if d <= 0 {
+		panic(fmt.Sprintf("sim: cross-shard lookahead %v for shards %d→%d must be positive", d, src.shardID, dst.shardID))
 	}
 	if g.pairLA == nil {
 		g.pairLA = make(map[pairKey]time.Duration)
@@ -268,143 +180,31 @@ func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
 	}
 }
 
-// Lookahead returns the tightest lookahead observed on any path — the
-// width the old global-window protocol would have used. Individual shard
-// pairs may enjoy wider windows; see Profile for how often they do.
+// Lookahead returns the tightest lookahead observed on any pair — the
+// width a single global window would have to use. Individual shards are
+// bounded only by their own in-neighbors; see Profile.
 func (g *Group) Lookahead() time.Duration { return g.minLA }
 
 const noEvent = int64(math.MaxInt64)
-
-// laInf marks an unreachable pair in the closed lookahead matrix.
-const laInf = time.Duration(math.MaxInt64)
-
-// buildMatrix validates the exchange/lookahead contract and closes the
-// influence graph into the all-pairs minimum-latency matrix: entry [j][i]
-// is the cheapest latency of any exchange path (multi-hop included) from
-// shard j to shard i, laInf when no path exists. Only registered
-// exchanges contribute edges — an observed latency with no channel cannot
-// carry influence — weighted by the pair observation when one exists, the
-// global floor otherwise. A pairless exchange (unknown producer) is an
-// edge from every other shard at the global floor. selfLA[i] is the
-// cheapest cycle through i: events in shard i's own heap can come back to
-// bite it via a relay (host → switch → same host), so its horizon must
-// respect T_i + selfLA[i] too.
-func (g *Group) buildMatrix() {
-	n := len(g.shards)
-	if g.la == nil || len(g.la) != n {
-		g.la = make([][]time.Duration, n)
-		for i := range g.la {
-			g.la[i] = make([]time.Duration, n)
-		}
-		g.selfLA = make([]time.Duration, n)
-	}
-	for i := 0; i < n; i++ {
-		for j := 0; j < n; j++ {
-			if i == j {
-				g.la[i][j] = 0
-			} else {
-				g.la[i][j] = laInf
-			}
-		}
-	}
-	glob := g.lookahead
-	for dst, mbs := range g.exchanges {
-		for _, mb := range mbs {
-			if mb.src < 0 {
-				// Unknown producer: anyone may feed this exchange.
-				if glob <= 0 {
-					panic("sim: shard group has exchanges but no lookahead")
-				}
-				for j := 0; j < n; j++ {
-					if j != dst && glob < g.la[j][dst] {
-						g.la[j][dst] = glob
-					}
-				}
-				continue
-			}
-			w := laInf
-			if d, ok := g.pairLA[pairKey{mb.src, dst}]; ok {
-				w = d
-			} else if glob > 0 {
-				w = glob
-			}
-			if w == laInf {
-				// The window protocol has no safe width for this path.
-				panic("sim: shard group has exchanges but no lookahead")
-			}
-			if w < g.la[mb.src][dst] {
-				g.la[mb.src][dst] = w
-			}
-		}
-	}
-	// Floyd–Warshall over the (tiny) shard graph: multi-hop influence —
-	// host → switch shard → host — must bound horizons even when the relay
-	// shard's own heap is empty.
-	for k := 0; k < n; k++ {
-		for i := 0; i < n; i++ {
-			if g.la[i][k] == laInf {
-				continue
-			}
-			for j := 0; j < n; j++ {
-				if g.la[k][j] == laInf {
-					continue
-				}
-				if via := g.la[i][k] + g.la[k][j]; via < g.la[i][j] {
-					g.la[i][j] = via
-				}
-			}
-		}
-	}
-	for i := 0; i < n; i++ {
-		cyc := laInf
-		for k := 0; k < n; k++ {
-			if k == i || g.la[i][k] == laInf || g.la[k][i] == laInf {
-				continue
-			}
-			if c := g.la[i][k] + g.la[k][i]; c < cyc {
-				cyc = c
-			}
-		}
-		g.selfLA[i] = cyc
-	}
-}
 
 // run executes the sharded simulation until global quiescence, or until
 // every pending event lies beyond limit (limit < 0 means no limit). It is
 // entered through Run/RunUntil on the root engine. The calling goroutine
 // drives shard 0; every other shard gets a worker goroutine that lives for
-// the duration of the call (windows reuse them — the per-window cost is
-// one fused barrier crossing when no cross-shard traffic is pending, two
-// when a drain phase is needed).
+// the duration of the call.
 func (g *Group) run(limit time.Duration) time.Duration {
 	n := len(g.shards)
-	neighbor := g.sync == SyncNeighbor && g.neighborCapable()
-	if g.hasExchanges() && !neighbor {
-		g.buildMatrix()
-	} else if !g.hasExchanges() {
-		g.la = nil
-	}
-	if g.nextAt == nil || len(g.nextAt) != n {
-		g.nextAt = make([]atomic.Int64, n)
-		g.tAt = make([]int64, n)      //unetlint:allow barrierstate setup-phase allocation before any shard goroutine exists; no barrier is live
-		g.horizons = make([]int64, n) //unetlint:allow barrierstate setup-phase allocation before any shard goroutine exists; no barrier is live
-	}
-	if g.prof == nil || len(g.prof) != n {
+	if len(g.prof) != n {
 		g.prof = make([]ShardProfile, n)
 		for i := range g.prof {
 			g.prof[i].Shard = i
 		}
 	}
-	if neighbor {
-		g.setupNeighbor()
-	} else {
-		g.setupBarrier()
+	worker := g.runAlone
+	if len(g.exchanges) > 0 {
+		g.setup()
+		worker = g.runShard
 	}
-	worker := g.runShard
-	if neighbor {
-		worker = g.runShardNeighbor
-	}
-	g.barrier = newSpinBarrier(int32(n), g)
 	var wg sync.WaitGroup
 	for id := 1; id < n; id++ {
 		wg.Add(1)
@@ -432,17 +232,20 @@ func (g *Group) run(limit time.Duration) time.Duration {
 	return now
 }
 
-func (g *Group) hasExchanges() bool {
-	for _, mbs := range g.exchanges {
-		if len(mbs) > 0 {
-			return true
-		}
-	}
-	return false
+// runAlone is the worker of a group without exchanges: no shard can reach
+// another, so each runs to completion in one pass.
+func (g *Group) runAlone(id int, limit time.Duration) {
+	e := g.shards[id]
+	prof := &g.prof[id]
+	n0 := e.nsteps
+	e.runWindow(stopFor(limit))
+	e.alignNow(limit)
+	prof.Windows++
+	prof.Events += e.nsteps - n0
 }
 
 // abortOnPanic converts a shard panic into a group-wide abort so the
-// remaining shards do not spin on a barrier that will never fill. The panic
+// remaining shards do not wait on a clock that will never move. The panic
 // is swallowed here — a worker goroutine must not crash the process — and
 // re-raised by run on the caller's goroutine once every shard has stopped.
 // Only the first failure is recorded; the cascade panics the other shards
@@ -452,169 +255,8 @@ func (g *Group) abortOnPanic() {
 		if g.aborted.CompareAndSwap(false, true) {
 			g.failure.Store(fmt.Sprint(r))
 		}
-		if g.barrier != nil {
-			g.barrier.kill()
-		}
-		// Neighbor-mode waiters park on per-shard signals, not the barrier.
-		if g.sigs != nil {
-			g.notifyAll()
-		}
+		g.notifyAll()
 	}
-}
-
-// runShard is the per-shard worker loop. Each round: publish the earliest
-// pending event, cross a barrier whose last arriver (the leader) snapshots
-// whether any mailbox holds traffic and — on clean rounds — folds the
-// global minimum and every shard's horizon in one pass; drain and
-// republish only when traffic is pending; then process events up to this
-// shard's own per-pair horizon.
-//
-// The leader folds roundMin and the horizons while every other shard is
-// stopped inside the barrier, and shards read only those leader-written
-// values afterwards. Reading nextAt directly after the release would race:
-// a fast shard can finish its window and republish for the next round
-// while a slow one is still computing this round's horizon.
-func (g *Group) runShard(id int, limit time.Duration) {
-	e := g.shards[id]
-	prof := &g.prof[id]
-	if g.la == nil {
-		// No cross-shard paths: the shards are independent simulations and
-		// can each run to completion in one pass.
-		n0 := e.nsteps
-		e.runWindow(stopFor(limit))
-		e.alignNow(limit)
-		prof.Windows++
-		prof.Events += e.nsteps - n0
-		return
-	}
-	stop := stopFor(limit)
-	inbox := g.exchanges[id]
-	legacy := int64(g.minLA)
-	for {
-		// Publish the earliest pending event (canceled heap entries included
-		// — harmlessly conservative) and cross the round barrier. peek
-		// fast-forwards through the wheel's occupancy bitmaps so the
-		// published time is the exact minimum, never a slot lower bound: a
-		// lower bound could hold the globally-earliest shard's horizon below
-		// its true next event forever.
-		next := noEvent
-		if ev := e.peek(); ev != nil {
-			next = int64(ev.at)
-		}
-		g.nextAt[id].Store(next)
-		g.barrierWait(prof, g.leaderVerdict)
-
-		if g.roundDirty {
-			// Drain phase: move cross-shard traffic into this heap, then
-			// republish so horizons account for the injected events. The
-			// second barrier's leader folds the post-drain times.
-			drained := false
-			for _, mb := range inbox {
-				if mb.dirty.Load() {
-					mb.ex.Drain()
-					mb.dirty.Store(false)
-					g.dirtyCount.Add(-1)
-					drained = true
-					prof.Drains++
-				}
-			}
-			if drained {
-				next = noEvent
-				if ev := e.peek(); ev != nil {
-					next = int64(ev.at)
-				}
-				g.nextAt[id].Store(next)
-			}
-			g.barrierWait(prof, g.computeRound)
-		} else {
-			prof.FusedBarriers++
-		}
-
-		// Every shard reads the same leader-folded verdict, so termination
-		// needs no extra coordination.
-		m := g.roundMin
-		if m == noEvent || (limit >= 0 && m > int64(limit)) {
-			e.alignNow(limit)
-			return
-		}
-
-		h := g.horizons[id]
-		horizon := stop
-		if hd := time.Duration(h); hd < stop {
-			horizon = hd
-		}
-		if h > satAdd(m, legacy) {
-			prof.FastForwards++
-		}
-		n0 := e.nsteps
-		e.runWindow(horizon)
-		prof.Windows++
-		if ev := e.nsteps - n0; ev > 0 {
-			prof.Events += ev
-		} else {
-			prof.EmptyWindows++
-		}
-	}
-}
-
-// leaderVerdict runs on the last shard to arrive at the round barrier:
-// with all producers quiescent it snapshots whether any mailbox holds
-// undrained traffic, and on clean rounds — where published times are
-// already complete — folds the round's minimum and horizons so the drain
-// phase and its barrier can be skipped entirely.
-func (g *Group) leaderVerdict() {
-	g.roundDirty = g.dirtyCount.Load() > 0
-	if !g.roundDirty {
-		g.computeRound()
-	}
-}
-
-// computeRound folds the published next-event times into the round's
-// global minimum and every shard's per-pair horizon — once, on the barrier
-// leader, instead of every shard rescanning the array after an extra
-// crossing. computeRound only ever runs when every mailbox is empty (the
-// round was clean, or the drain phase just completed), so all future
-// influence on shard i must originate from an event currently queued in
-// some shard j's heap: it cannot arrive before T_j + L*[j][i], and — via
-// the cheapest relay cycle — shard i's own events cannot come back before
-// T_i + selfLA[i]. Shards nobody can reach (or whose influencers are all
-// idle) get an unbounded horizon and fast-forward.
-func (g *Group) computeRound() {
-	n := len(g.shards)
-	m := noEvent
-	for i := 0; i < n; i++ {
-		g.tAt[i] = g.nextAt[i].Load()
-		if g.tAt[i] < m {
-			m = g.tAt[i]
-		}
-	}
-	g.roundMin = m
-	for i := 0; i < n; i++ {
-		h := int64(math.MaxInt64)
-		if g.selfLA[i] != laInf && g.tAt[i] != noEvent {
-			h = satAdd(g.tAt[i], int64(g.selfLA[i]))
-		}
-		for j := 0; j < n; j++ {
-			if j == i || g.la[j][i] == laInf || g.tAt[j] == noEvent {
-				continue
-			}
-			if hv := satAdd(g.tAt[j], int64(g.la[j][i])); hv < h {
-				h = hv
-			}
-		}
-		g.horizons[i] = h
-	}
-}
-
-// barrierWait crosses the group barrier, attributing the wall-clock wait
-// to the shard's profile. The wall-clock reads exist only for the
-// profiler; nothing derived from them may feed virtual time.
-//
-//unetlint:allow nondeterminism wall-clock barrier-wait profiling only; never feeds virtual time or event order
-func (g *Group) barrierWait(prof *ShardProfile, leader func()) {
-	t0 := time.Now()
-	g.barrier.wait(leader)
-	prof.BarrierWait += time.Since(t0)
 }
 
 // satAdd adds two non-negative int64 durations, saturating at MaxInt64.
@@ -650,93 +292,4 @@ func (g *Group) shutdown() {
 		g.shards[i].shutdownLocal()
 	}
 	g.root.shutdownLocal()
-}
-
-// spinBarrier is a sense-reversing barrier tuned for short simulation
-// windows: arrivals spin briefly (cheap when all shards run on their own
-// core), yield for a while, and finally park on a condition variable so
-// oversubscribed machines — including GOMAXPROCS=1 race runs — stop
-// burning cores on windows they cannot advance. The last arriver runs the
-// round's leader closure (dirty-verdict snapshot, min reduction) before
-// releasing, which is what lets a round cost a single crossing. The
-// atomics double as the happens-before edges that hand mailbox ownership
-// between producer and consumer shards.
-type spinBarrier struct {
-	n     int32
-	count atomic.Int32
-	gen   atomic.Uint32
-	g     *Group
-	spin  int // pure-spin iterations before yielding
-	mu    sync.Mutex
-	cond  *sync.Cond
-}
-
-// yieldBudget is how many runtime.Gosched rounds a waiter tries after its
-// spin budget before parking. On an oversubscribed machine a yield usually
-// hands the core straight to the releasing shard, which is far cheaper
-// than a futex sleep/wake pair.
-const yieldBudget = 64
-
-func newSpinBarrier(n int32, g *Group) *spinBarrier {
-	b := &spinBarrier{n: n, g: g}
-	b.cond = sync.NewCond(&b.mu)
-	// With a core per shard, spinning through a whole window is cheaper
-	// than any sleep; without, fall through to yielding almost at once.
-	if runtime.GOMAXPROCS(0) >= int(n) {
-		b.spin = 1024
-	} else {
-		b.spin = 16
-	}
-	return b
-}
-
-// wait blocks until every shard has arrived. The last arriver runs leader
-// (if non-nil) before releasing the others — leader's writes are ordered
-// before the release, so every shard reads them coherently after wait
-// returns.
-func (b *spinBarrier) wait(leader func()) {
-	gen := b.gen.Load()
-	if b.count.Add(1) == b.n {
-		b.count.Store(0)
-		if leader != nil {
-			leader()
-		}
-		// The generation bump is published under the mutex so a waiter that
-		// checked it while holding the lock cannot miss the broadcast.
-		b.mu.Lock()
-		b.gen.Add(1)
-		b.mu.Unlock()
-		b.cond.Broadcast()
-		return
-	}
-	for spins := 0; ; spins++ {
-		if b.gen.Load() != gen {
-			return
-		}
-		if b.g != nil && b.g.aborted.Load() {
-			panic("sim: peer shard failed")
-		}
-		if spins < b.spin {
-			continue
-		}
-		if spins < b.spin+yieldBudget {
-			runtime.Gosched()
-			continue
-		}
-		// Park until released (or the group aborts). Re-check the
-		// generation under the lock: the releaser bumps it there.
-		b.mu.Lock()
-		for b.gen.Load() == gen && !(b.g != nil && b.g.aborted.Load()) {
-			b.cond.Wait()
-		}
-		b.mu.Unlock()
-	}
-}
-
-// kill wakes every parked waiter after an abort so they can observe the
-// failure and unwind instead of sleeping forever.
-func (b *spinBarrier) kill() {
-	b.mu.Lock()
-	b.mu.Unlock() //nolint:staticcheck // empty critical section orders the broadcast after any in-flight Wait
-	b.cond.Broadcast()
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -8,46 +10,78 @@ import (
 )
 
 // shardMsg is a message crossing shards in tests: fire fn at time at on the
-// destination engine.
+// destination engine. sent is the producer's clock at the send.
 type shardMsg struct {
-	at time.Duration
-	fn func()
+	at, sent time.Duration
+	fn       func()
 }
 
-// testMailbox is a minimal cross-shard channel for exercising the window
-// protocol directly: the producer shard appends during its window (marking
-// the mailbox pending), the destination drains at the barrier. Mirrors
-// what fabric's cross links do.
-type testMailbox struct {
-	dst     *Engine
-	mb      *Mailbox
-	pending []shardMsg
+// ringMailbox is a minimal Exchange, built the way fabric's cross links
+// are: the producer shard pushes timed callbacks into an SPSC ring as it
+// runs; the destination drains them at its round tops into arrival events.
+// Each message is its own delivery, so its event is filed under its send
+// time — where an At call made by the sender itself would have put it.
+type ringMailbox struct {
+	src, dst *Engine
+	index    int
+	ring     *SPSC[shardMsg]
 }
 
-func (m *testMailbox) send(at time.Duration, fn func()) {
-	m.pending = append(m.pending, shardMsg{at: at, fn: fn})
-	m.mb.MarkPending()
+func newRingMailbox(g *Group, src, dst *Engine) *ringMailbox {
+	m := &ringMailbox{src: src, dst: dst, ring: NewSPSC[shardMsg](64)}
+	m.index = g.AddExchangeFrom(src, dst, m)
+	return m
 }
 
-func (m *testMailbox) Drain() {
-	for _, msg := range m.pending {
-		m.dst.At(msg.at, msg.fn)
+// send is called by the producing shard during its window.
+func (m *ringMailbox) send(at time.Duration, fn func()) {
+	m.ring.Push(shardMsg{at: at, sent: m.src.Now(), fn: fn})
+}
+
+func (m *ringMailbox) Drain() {
+	for {
+		msg, ok := m.ring.Pop()
+		if !ok {
+			return
+		}
+		m.dst.ArriveArg(msg.at, msg.sent, m.index, func(fn any) { fn.(func())() }, msg.fn)
 	}
-	m.pending = m.pending[:0]
 }
 
-func newTestMailbox(g *Group, dst *Engine) *testMailbox {
-	m := &testMailbox{dst: dst}
-	m.mb = g.AddExchange(dst, m)
-	return m
+func (m *ringMailbox) Pending() bool      { return m.ring.Pending() }
+func (m *ringMailbox) SpillPending() bool { return m.ring.SpillLen() > 0 }
+func (m *ringMailbox) FlushSpill() bool   { return m.ring.FlushSpill() }
+func (m *ringMailbox) SpillBound() (time.Duration, bool) {
+	msg, ok := m.ring.SpillHead()
+	return msg.at, ok
 }
 
-// newTestMailboxFrom registers the mailbox with a known producer so the
-// window protocol can apply the src→dst pair lookahead.
-func newTestMailboxFrom(g *Group, src, dst *Engine) *testMailbox {
-	m := &testMailbox{dst: dst}
-	m.mb = g.AddExchangeFrom(src, dst, m)
-	return m
+// ringPair builds a two-shard group joined by ring mailboxes both ways with
+// lookahead la.
+func ringPair(la time.Duration) (root, s1 *Engine, toS1, toRoot *ringMailbox) {
+	root = New(1)
+	s1 = root.NewShard(2)
+	g := root.Group()
+	toS1 = newRingMailbox(g, root, s1)
+	toRoot = newRingMailbox(g, s1, root)
+	g.ObserveLookaheadBetween(root, s1, la)
+	g.ObserveLookaheadBetween(s1, root, la)
+	return root, s1, toS1, toRoot
+}
+
+// mustPanic runs fn and returns the message it panicked with, failing the
+// test if it returned normally.
+func mustPanic(t *testing.T, what string, fn func()) (msg string) {
+	t.Helper()
+	defer func() {
+		if r := recover(); r != nil {
+			msg = fmt.Sprint(r)
+		} else {
+			t.Errorf("%s did not panic", what)
+		}
+	}()
+	fn()
+	return ""
 }
 
 func TestShardGroupIndependentShards(t *testing.T) {
@@ -77,85 +111,96 @@ func TestShardEngineRejectsDirectRun(t *testing.T) {
 }
 
 func TestShardCrossTrafficRespectsLookahead(t *testing.T) {
-	// Shard 0 pings shard 1 every 100µs with a 10µs flight time; each ping
-	// triggers a pong back. All deliveries must land at exactly the times a
-	// serial simulation would produce.
-	const flight = 10 * time.Microsecond
+	// A three-shard relay ring, root → s1 → s2 → root, with a different
+	// flight time on every leg: a token injected every 100µs must reach
+	// each hop at exactly the time a serial simulation would produce, even
+	// though no shard has a direct return edge to the one feeding it.
+	legs := []time.Duration{10 * time.Microsecond, 3 * time.Microsecond, 7 * time.Microsecond}
 	root := New(1)
-	s1 := root.NewShard(2)
+	eng := []*Engine{root, root.NewShard(2), root.NewShard(3)}
 	g := root.Group()
-	toS1 := newTestMailbox(g, s1)
-	toRoot := newTestMailbox(g, root)
-	g.ObserveLookahead(flight)
-
-	var pings, pongs []time.Duration
-	var pongBack func()
-	pongBack = func() {
-		pings = append(pings, s1.Now())
-		now := s1.Now()
-		toRoot.send(now+flight, func() { pongs = append(pongs, root.Now()) })
+	var hop []*ringMailbox
+	for i, la := range legs {
+		src, dst := eng[i], eng[(i+1)%3]
+		hop = append(hop, newRingMailbox(g, src, dst))
+		g.ObserveLookaheadBetween(src, dst, la)
 	}
-	for i := 1; i <= 50; i++ {
+	var seen [3][]time.Duration // arrival times at s1, s2, root
+	const tokens = 50
+	for i := 1; i <= tokens; i++ {
 		at := time.Duration(i) * 100 * time.Microsecond
-		fire := at // capture
-		root.At(at, func() { toS1.send(fire+flight, pongBack) })
+		root.At(at, func() {
+			hop[0].send(at+legs[0], func() {
+				seen[0] = append(seen[0], eng[1].Now())
+				hop[1].send(eng[1].Now()+legs[1], func() {
+					seen[1] = append(seen[1], eng[2].Now())
+					hop[2].send(eng[2].Now()+legs[2], func() { seen[2] = append(seen[2], root.Now()) })
+				})
+			})
+		})
 	}
 	root.Run()
 
-	if len(pings) != 50 || len(pongs) != 50 {
-		t.Fatalf("got %d pings, %d pongs, want 50 each", len(pings), len(pongs))
-	}
-	for i := 0; i < 50; i++ {
-		at := time.Duration(i+1) * 100 * time.Microsecond
-		if pings[i] != at+flight {
-			t.Fatalf("ping %d at %v, want %v", i, pings[i], at+flight)
+	for h := range seen {
+		if len(seen[h]) != tokens {
+			t.Fatalf("hop %d saw %d tokens, want %d", h, len(seen[h]), tokens)
 		}
-		if pongs[i] != at+2*flight {
-			t.Fatalf("pong %d at %v, want %v", i, pongs[i], at+2*flight)
+	}
+	for i := 0; i < tokens; i++ {
+		want := time.Duration(i+1) * 100 * time.Microsecond
+		for h := range seen {
+			want += legs[h]
+			if seen[h][i] != want {
+				t.Fatalf("token %d reached hop %d at %v, want %v", i, h, seen[h][i], want)
+			}
 		}
 	}
 }
 
 func TestShardSameTimestampMergeIsRegistrationOrder(t *testing.T) {
-	// Two producer shards inject events at the *same* timestamp into the
-	// same destination. The merge order must follow exchange registration
-	// order, run after run, regardless of goroutine scheduling.
+	// Two producer shards inject events at the *same* timestamp, sent at
+	// the same instant, into the same destination, which also has an event
+	// of its own there. The arrivals must fire in exchange registration
+	// order, ahead of the destination's own event scheduled at that send
+	// instant — the order of the one-engine twin, where the two senders'
+	// callbacks run in creation order — run after run, whichever producer's
+	// goroutine gets there first and whichever round drains it.
 	const flight = time.Microsecond
-	trial := func() []int {
+	script := func(a, b, dst *Engine, fromA, fromB func(at time.Duration, fn func()), order *[]int) {
+		for i := 0; i < 20; i++ {
+			at := time.Duration(i) * 10 * time.Microsecond
+			a.At(at, func() { fromA(a.Now()+flight, func() { *order = append(*order, 0) }) })
+			b.At(at, func() { fromB(b.Now()+flight, func() { *order = append(*order, 1) }) })
+			dst.At(at, func() { dst.At(at+flight, func() { *order = append(*order, 2) }) })
+		}
+	}
+	var serial []int
+	e := New(1)
+	local := func(at time.Duration, fn func()) { e.At(at, fn) }
+	script(e, e, e, local, local, &serial)
+	e.Run()
+	if len(serial) != 60 {
+		t.Fatalf("serial twin fired %d events, want 60", len(serial))
+	}
+	for i := 0; i < 60; i += 3 {
+		if !slices.Equal(serial[i:i+3], []int{0, 1, 2}) {
+			t.Fatalf("serial twin order at instant %d: %v", i/3, serial[i:i+3])
+		}
+	}
+	for trial := 0; trial < 200; trial++ {
 		root := New(1)
 		a := root.NewShard(2)
 		b := root.NewShard(3)
 		g := root.Group()
-		fromA := newTestMailbox(g, root)
-		fromB := newTestMailbox(g, root)
-		g.ObserveLookahead(flight)
-
+		fromA := newRingMailbox(g, a, root)
+		fromB := newRingMailbox(g, b, root)
+		g.ObserveLookaheadBetween(a, root, flight)
+		g.ObserveLookaheadBetween(b, root, flight)
 		var order []int
-		for i := 0; i < 20; i++ {
-			at := time.Duration(i) * 10 * time.Microsecond
-			a.At(at, func() { fromA.send(a.Now()+flight, func() { order = append(order, 0) }) })
-			b.At(at, func() { fromB.send(b.Now()+flight, func() { order = append(order, 1) }) })
-		}
+		script(a, b, root, fromA.send, fromB.send, &order)
 		root.Run()
-		return order
-	}
-	first := trial()
-	if len(first) != 40 {
-		t.Fatalf("got %d events, want 40", len(first))
-	}
-	for i := 0; i < 40; i += 2 {
-		// fromA registered before fromB: at every shared timestamp the A
-		// event must execute first.
-		if first[i] != 0 || first[i+1] != 1 {
-			t.Fatalf("merge order at pair %d: %v", i/2, first[i:i+2])
-		}
-	}
-	for run := 0; run < 10; run++ {
-		got := trial()
-		for i := range first {
-			if got[i] != first[i] {
-				t.Fatalf("run %d diverged at %d", run, i)
-			}
+		if !slices.Equal(order, serial) {
+			t.Fatalf("trial %d diverged from the one-engine twin:\n%v\n%v", trial, order, serial)
 		}
 	}
 }
@@ -183,28 +228,20 @@ func TestShardRunUntilClockSemantics(t *testing.T) {
 }
 
 func TestShardPanicAborts(t *testing.T) {
+	// No exchanges: the shards run to completion independently, and a
+	// failure on a worker goroutine must still come out of the caller's
+	// Run with the original message.
 	root := New(1)
 	s1 := root.NewShard(2)
-	g := root.Group()
-	newTestMailbox(g, s1)
-	g.ObserveLookahead(time.Microsecond)
-	// Keep both shards busy so the healthy one is parked at a barrier when
-	// the other dies.
 	for i := 1; i <= 100; i++ {
 		root.At(time.Duration(i)*time.Microsecond, func() {})
 		s1.At(time.Duration(i)*time.Microsecond, func() {})
 	}
 	s1.At(50*time.Microsecond, func() { panic("injected shard failure") })
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("group run did not propagate the shard panic")
-		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "injected shard failure") {
-			t.Fatalf("propagated panic %v does not carry the original failure", r)
-		}
-	}()
-	root.Run()
+	msg := mustPanic(t, "group run", func() { root.Run() })
+	if !strings.Contains(msg, "injected shard failure") {
+		t.Fatalf("propagated panic %q does not carry the original failure", msg)
+	}
 }
 
 func TestShardGroupShutdown(t *testing.T) {
@@ -229,76 +266,61 @@ func TestShardGroupShutdown(t *testing.T) {
 func TestShardLookaheadValidation(t *testing.T) {
 	root := New(1)
 	s1 := root.NewShard(2)
+	other := New(3)
 	g := root.Group()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ObserveLookahead(0) did not panic")
-			}
-		}()
-		g.ObserveLookahead(0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ObserveLookaheadBetween(0) did not panic")
-			}
-		}()
-		g.ObserveLookaheadBetween(root, s1, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("ObserveLookaheadBetween on the same shard did not panic")
-			}
-		}()
-		g.ObserveLookaheadBetween(s1, s1, time.Microsecond)
-	}()
-	// Exchanges registered but no lookahead observed: the window protocol
-	// has no safe width and must refuse to run.
-	newTestMailbox(g, s1)
-	defer func() {
-		if recover() == nil {
-			t.Error("run with exchanges but no lookahead did not panic")
-		}
-	}()
-	root.Run()
+	msg := mustPanic(t, "ObserveLookaheadBetween(0)", func() { g.ObserveLookaheadBetween(root, s1, 0) })
+	if !strings.Contains(msg, "0→1") {
+		t.Errorf("non-positive lookahead panic %q does not name the shard pair", msg)
+	}
+	mustPanic(t, "ObserveLookaheadBetween on the same shard", func() { g.ObserveLookaheadBetween(s1, s1, time.Microsecond) })
+	mustPanic(t, "ObserveLookaheadBetween with a foreign engine", func() { g.ObserveLookaheadBetween(other, s1, time.Microsecond) })
+	mustPanic(t, "AddExchangeFrom on the same shard", func() { newRingMailbox(g, s1, s1) })
+	mustPanic(t, "AddExchangeFrom with a foreign engine", func() { newRingMailbox(g, root, other) })
+	// An exchange registered but no lookahead observed for its pair: the
+	// window protocol has no safe width and must refuse to run.
+	newRingMailbox(g, root, s1)
+	msg = mustPanic(t, "run with an exchange but no lookahead", func() { root.Run() })
+	if !strings.Contains(msg, "0→1") {
+		t.Errorf("missing-lookahead panic %q does not name the shard pair", msg)
+	}
 }
 
 func TestShardPairLookaheadValidation(t *testing.T) {
-	// A pair-registered exchange whose pair never observed a lookahead (and
-	// no global floor exists) must refuse to run too.
+	// A lookahead observed for one pair says nothing about another: an
+	// exchange across a pair that never observed one must refuse to run,
+	// and the message must say which pair.
 	root := New(1)
 	s1 := root.NewShard(2)
 	s2 := root.NewShard(3)
 	g := root.Group()
+	newRingMailbox(g, root, s1)
 	g.ObserveLookaheadBetween(root, s1, time.Microsecond)
-	newTestMailboxFrom(g, s2, root) // s2→root has no observed bound
-	defer func() {
-		if recover() == nil {
-			t.Error("run with an unbounded pair exchange did not panic")
-		}
-	}()
-	root.Run()
+	g.ObserveLookaheadBetween(root, s2, time.Microsecond) // the reverse direction of the pair below
+	newRingMailbox(g, s2, root)                           // s2→root has no observed bound
+	msg := mustPanic(t, "run with an unbounded pair exchange", func() { root.Run() })
+	if !strings.Contains(msg, "exchange 1") || !strings.Contains(msg, "2→0") {
+		t.Errorf("panic %q does not name exchange 1 and shards 2→0", msg)
+	}
 }
 
 func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	// Shards r and s2 exchange pings over slow 100µs links, while a third
-	// shard s1 sits on fast 1µs links but stays silent. The old protocol
-	// would clamp every window to the global minimum (1µs) and grind ~100
-	// rounds per ping; per-pair lookahead must bound r and s2 only by the
-	// 100µs paths that can actually reach them.
+	// shard s1 sits on fast 1µs links but stays silent. A single global
+	// window would clamp every shard to the tightest pair (1µs) and grind
+	// ~100 rounds per ping; r and s2 must be bound only by the 100µs paths
+	// that can actually reach them.
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
 	s1 := root.NewShard(2)
 	s2 := root.NewShard(3)
 	g := root.Group()
-	toS2 := newTestMailboxFrom(g, root, s2)
-	toRoot := newTestMailboxFrom(g, s2, root)
+	toS2 := newRingMailbox(g, root, s2)
+	toRoot := newRingMailbox(g, s2, root)
 	g.ObserveLookaheadBetween(root, s2, slow)
 	g.ObserveLookaheadBetween(s2, root, slow)
-	// The fast pair contributes only observations, no traffic.
+	// The fast pair contributes only observations, no channel: an observed
+	// latency nothing can travel over is not an edge.
 	g.ObserveLookaheadBetween(root, s1, fast)
 	g.ObserveLookaheadBetween(s1, root, fast)
 	if g.Lookahead() != fast {
@@ -309,11 +331,9 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	const pings = 10
 	for i := 1; i <= pings; i++ {
 		at := time.Duration(i) * 200 * time.Microsecond
-		fire := at
 		root.At(at, func() {
-			toS2.send(fire+slow, func() {
-				now := s2.Now()
-				toRoot.send(now+slow, func() { pongs = append(pongs, root.Now()) })
+			toS2.send(at+slow, func() {
+				toRoot.send(s2.Now()+slow, func() { pongs = append(pongs, root.Now()) })
 			})
 		})
 	}
@@ -331,47 +351,14 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 
 	prof := g.Profile()
 	total := prof.Total()
-	// 10 pings over 2ms of virtual time: the old global-min protocol needed
-	// a window per 1µs of progress (thousands of rounds). With per-pair
-	// horizons each ping leg is a handful of rounds.
+	// 10 pings over 2ms of virtual time: a 1µs global window would need a
+	// round per 1µs of progress (thousands). With per-pair horizons each
+	// ping leg is a handful of rounds.
 	perShard := total.Windows / uint64(len(prof.Shards))
 	if perShard > 200 {
 		t.Fatalf("ran %d rounds per shard; per-pair lookahead should need far fewer than the ~2000 a 1µs global window implies", perShard)
 	}
-	if total.FastForwards == 0 {
-		t.Fatal("no window ever fast-forwarded past the legacy global-min horizon")
-	}
 	if total.Events == 0 || total.Drains == 0 {
 		t.Fatalf("profile did not record work: %+v", total)
-	}
-}
-
-func TestShardProfileFusedBarriers(t *testing.T) {
-	// Two shards with traffic only in the first half of the run: rounds
-	// after the traffic dies must fuse to a single barrier (no mailbox
-	// pending), and idle stretches must fast-forward.
-	root := New(1)
-	s1 := root.NewShard(2)
-	g := root.Group()
-	to1 := newTestMailboxFrom(g, root, s1)
-	g.ObserveLookaheadBetween(root, s1, 10*time.Microsecond)
-	g.ObserveLookaheadBetween(s1, root, 10*time.Microsecond)
-	hits := 0
-	root.At(50*time.Microsecond, func() { to1.send(root.Now()+10*time.Microsecond, func() { hits++ }) })
-	// Purely local events afterwards — no cross traffic, so every remaining
-	// round crosses one fused barrier.
-	for i := 1; i <= 20; i++ {
-		s1.At(time.Duration(i)*time.Millisecond, func() {})
-	}
-	root.Run()
-	if hits != 1 {
-		t.Fatalf("cross message fired %d times, want 1", hits)
-	}
-	p := g.Profile().Total()
-	if p.FusedBarriers == 0 {
-		t.Fatalf("no round fused its barrier: %+v", p)
-	}
-	if p.Drains != 1 {
-		t.Fatalf("drains = %d, want exactly 1 (one pending mailbox, drained once)", p.Drains)
 	}
 }

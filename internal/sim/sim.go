@@ -12,9 +12,16 @@
 // very next event is taken in place, without leaving the process; see
 // Proc.Sleep for why that changes neither event order nor Steps.
 //
-// Determinism: events firing at the same virtual time are processed in
-// scheduling order, and all randomness flows from the engine's seeded
-// source, so a simulation produces bit-identical results across runs.
+// Determinism: events fire in (at, sched, seq) order — firing time, then
+// the virtual time at which the event was scheduled, then a sequence
+// number. For events an engine schedules itself, seq rises with the clock,
+// so this is plain scheduling order among same-instant events. The sched
+// key exists for the one event an engine does not schedule itself, the
+// arrival of a message from another shard (Engine.ArriveArg): it carries
+// the sender's clock, so it fires where the same delivery armed by a local
+// sender would have, whenever the destination happened to learn of it. All
+// randomness flows from the engine's seeded source, so a simulation
+// produces bit-identical results across runs.
 //
 // The event queue is built for throughput on the simulator's hot path
 // (cell-level network models schedule millions of events per simulated
@@ -28,16 +35,18 @@
 // simulations with many canceled timeouts (TCP retransmission timers,
 // condition waits) do not grow the queue unboundedly.
 //
-// Above the heap sits a pluggable far-horizon store (SchedulerKind): by
-// default a hierarchical timer wheel (wheel.go) absorbs events beyond the
-// current drain frontier with O(1) insert/cancel, keeping heap depth — and
-// hence per-event cost — bounded by the near-term traffic, not by the
-// total pending population. Fire order is decided exclusively by the heap,
-// so both scheduler kinds produce bit-identical simulations.
+// Above the heap sits the far-horizon store, a hierarchical timer wheel
+// (wheel.go) that absorbs events beyond the current drain frontier with
+// O(1) insert/cancel, keeping heap depth — and hence per-event cost —
+// bounded by the near-term traffic, not by the total pending population.
+// Fire order is decided exclusively by the heap; an engine built without
+// the wheel (newHeapOnly, for this package's differential tests) runs the
+// same simulation bit for bit.
 //
 // One simulation can also be partitioned across several engines — shards —
-// that execute on parallel goroutines under a conservative time-window
-// protocol while preserving the serial engine's determinism; see shard.go.
+// that execute on parallel goroutines under conservative, neighbor-
+// synchronized time windows while reproducing the serial engine's results;
+// see shard.go for the group and neighbor.go for the protocol.
 package sim
 
 import (
@@ -61,7 +70,7 @@ type Engine struct {
 	// free is the event arena's free list. Fired and compacted events are
 	// returned here and reused, so steady-state scheduling allocates nothing.
 	free *event
-	// wheel is the far-horizon event store (nil under SchedulerHeap).
+	// wheel is the far-horizon event store (nil in a newHeapOnly engine).
 	wheel *wheel
 	// stop is the exclusive bound of the runWindow in progress, which
 	// in-place sleeps must stay inside; Shutdown zeroes it.
@@ -76,44 +85,28 @@ type Engine struct {
 	shardID int
 }
 
-// SchedulerKind selects the engine's far-horizon event store.
-type SchedulerKind uint8
-
-const (
-	// SchedulerWheel (the default) backs the 4-ary heap with a hierarchical
-	// timer wheel: far-future events cost O(1) to schedule and cancel no
-	// matter how many millions are pending. See wheel.go.
-	SchedulerWheel SchedulerKind = iota
-	// SchedulerHeap keeps every pending event in the 4-ary heap. It exists
-	// as the differential-testing twin: a run under SchedulerHeap must be
-	// bit-identical to the same run under SchedulerWheel.
-	SchedulerHeap
-)
+// firstSeq is where an engine's own sequence numbers start. The range below
+// it belongs to cross-shard arrivals, whose seq is their exchange's
+// registration index (Group.AddExchangeFrom).
+const firstSeq = 1 << 32
 
 // New returns an engine with its virtual clock at zero and randomness
-// seeded with seed, using the default wheel-backed scheduler.
-func New(seed int64) *Engine { return NewWithScheduler(seed, SchedulerWheel) }
-
-// NewWithScheduler is New with an explicit far-horizon scheduler choice.
-// Both kinds fire events in exactly the same (at, seq) order; the choice
-// affects only the cost of holding large pending-event populations.
-func NewWithScheduler(seed int64, kind SchedulerKind) *Engine {
-	e := &Engine{
-		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
-	}
-	if kind == SchedulerWheel {
-		e.wheel = newWheel()
-	}
+// seeded with seed.
+func New(seed int64) *Engine {
+	e := newHeapOnly(seed)
+	e.wheel = newWheel()
 	return e
 }
 
-// Scheduler reports which far-horizon scheduler the engine runs.
-func (e *Engine) Scheduler() SchedulerKind {
-	if e.wheel != nil {
-		return SchedulerWheel
+// newHeapOnly returns an engine that keeps every pending event in the 4-ary
+// heap. It is the wheel's differential-testing twin: a run on it must be
+// bit-identical to the same run on New's engine.
+func newHeapOnly(seed int64) *Engine {
+	return &Engine{
+		seq:   firstSeq,
+		procs: make(map[*Proc]struct{}),
+		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
 	}
-	return SchedulerHeap
 }
 
 // Now returns the current virtual time.
@@ -175,20 +168,23 @@ const (
 )
 
 // event is a single queue entry firing at virtual time at. Entries with
-// equal times fire in scheduling (seq) order. Events are pooled: gen
-// increments on every recycle so stale Timer handles cannot cancel an
-// unrelated reincarnation.
+// equal times fire in (sched, seq) order: by the virtual time they were
+// scheduled at, then by sequence number. Events are pooled: gen increments
+// on every recycle so stale Timer handles cannot cancel an unrelated
+// reincarnation. The small fields share one word so the struct stays in
+// the 112-byte size class (TestEventSize).
 type event struct {
 	at    time.Duration
+	sched time.Duration
 	seq   uint64
 	e     *Engine
-	kind  uint8
 	fn    func()
 	fnArg func(any)
 	arg   any
 	p     *Proc
 	w     *waiter
 	gen   uint32
+	kind  uint8
 	// canceled events stay in the heap but do not fire. (Wheel-resident
 	// events are instead unlinked and recycled at Cancel time.)
 	canceled bool
@@ -256,19 +252,27 @@ func (t Timer) Cancel() bool {
 	return true
 }
 
-// schedule enqueues a pooled event at absolute time at (clamped to now).
-// Events beyond the wheel's drain frontier go to the far-horizon wheel;
-// everything else — including all of SchedulerHeap's traffic — goes to the
-// near-horizon heap.
+// schedule enqueues a pooled event at absolute time at (clamped to now),
+// scheduled now under the engine's next sequence number.
 func (e *Engine) schedule(at time.Duration) *event {
 	if at < e.now {
 		at = e.now
 	}
+	ev := e.enqueue(at, e.now, e.seq)
+	e.seq++
+	return ev
+}
+
+// enqueue is the one place an event enters the queue. Events beyond the
+// wheel's drain frontier go to the far-horizon wheel; everything else —
+// including all of a heap-only engine's traffic — goes to the near-horizon
+// heap.
+func (e *Engine) enqueue(at, sched time.Duration, seq uint64) *event {
 	ev := e.alloc()
 	ev.at = at
-	ev.seq = e.seq
+	ev.sched = sched
+	ev.seq = seq
 	ev.e = e
-	e.seq++
 	if w := e.wheel; w != nil && tick(at) > w.cur {
 		w.insert(ev)
 	} else {
@@ -290,6 +294,7 @@ func (e *Engine) rearm(ev *event, at time.Duration) bool {
 	if at < e.now {
 		at = e.now
 	}
+	ev.sched = e.now
 	ev.seq = e.seq
 	e.seq++
 	if at != ev.at {
@@ -339,6 +344,28 @@ func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) Timer {
 		d = 0
 	}
 	return e.AtArg(e.now+d, fn, arg)
+}
+
+// ArriveArg schedules fn(arg) at absolute time at as the delivery of a
+// message another shard sent into this one through exchange index (the
+// value Group.AddExchangeFrom returned). sched is the sender's virtual time
+// at the moment a sender on this engine would have scheduled the delivery;
+// the event takes exactly that place among its instant's events — ahead of
+// everything this engine scheduled at sched itself, after everything
+// scheduled earlier, in registration order among arrivals that tie on both
+// — so where it fires does not depend on when the destination drained it.
+// There is no fourth key: one exchange must not have two arrivals pending
+// that tie on both at and sched (a link never does; it arms one delivery
+// at a time). An arrival in the engine's past means the exchange broke its
+// lookahead.
+func (e *Engine) ArriveArg(at, sched time.Duration, index int, fn func(any), arg any) {
+	if at < e.now {
+		panic(fmt.Sprintf("sim: cross-shard arrival at %v is in shard %d's past (now %v): exchange %d sent inside its lookahead", at, e.shardID, e.now, index))
+	}
+	ev := e.enqueue(at, sched, uint64(index))
+	ev.kind = kindFuncArg
+	ev.fnArg = fn
+	ev.arg = arg
 }
 
 // Run processes events until the queue is empty (the simulation is
@@ -519,17 +546,21 @@ func (e *Engine) Spawn(name string, fn func(*Proc)) *Proc {
 	return p
 }
 
-// eventHeap is a 4-ary implicit min-heap ordered by (at, seq). Four-way
+// eventHeap is a 4-ary implicit min-heap ordered by (at, sched, seq). Four-way
 // fanout halves the tree depth of the binary heap it replaces, and the
 // hand-rolled sift routines avoid container/heap's interface dispatch on
 // every comparison — both measurable on the per-cell scheduling path.
 type eventHeap []*event
 
 func (h eventHeap) less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+	a, b := h[i], h[j]
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	return h[i].seq < h[j].seq
+	if a.sched != b.sched {
+		return a.sched < b.sched
+	}
+	return a.seq < b.seq
 }
 
 func (h *eventHeap) push(ev *event) {

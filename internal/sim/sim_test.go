@@ -3,6 +3,7 @@ package sim
 import (
 	"testing"
 	"time"
+	"unsafe"
 )
 
 const us = time.Microsecond
@@ -410,15 +411,15 @@ func TestRunUntilNeverRewindsClock(t *testing.T) {
 }
 
 // TestSchedulerSteadyStateAllocs gates the zero-allocation contract of the
-// steady-state scheduling path under both scheduler kinds: schedule near
+// steady-state scheduling path, with and without the wheel: schedule near
 // (heap) and far (wheel), cancel, and fire — all through the pooled arena
 // with no per-operation allocation once warm.
 func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	for _, tc := range []struct {
-		name string
-		kind SchedulerKind
-	}{{"wheel", SchedulerWheel}, {"heap", SchedulerHeap}} {
-		e := NewWithScheduler(1, tc.kind)
+		name      string
+		newEngine func(int64) *Engine
+	}{{"wheel", New}, {"heap-only", newHeapOnly}} {
+		e := tc.newEngine(1)
 		nop := func() {}
 		// Warm the arena, heap slice and wheel slots to capacity.
 		for i := 0; i < 256; i++ {
@@ -436,5 +437,14 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 		if allocs != 0 {
 			t.Errorf("%s: %v allocs/op in steady state, want 0", tc.name, allocs)
 		}
+	}
+}
+
+// TestEventSize pins the event struct to the 112-byte allocator size class.
+// Every pending event is one of these; a ninth word would put each in the
+// 128-byte class.
+func TestEventSize(t *testing.T) {
+	if got := unsafe.Sizeof(event{}); got != 112 {
+		t.Fatalf("sizeof(event) = %d, want 112", got)
 	}
 }

@@ -3,7 +3,7 @@ package sim
 import "sync/atomic"
 
 // SPSC is a bounded lock-free single-producer/single-consumer ring, the
-// transport under cross-shard mailboxes in the neighbor-synchronized window
+// transport under cross-shard exchanges in the neighbor-synchronized window
 // protocol (see neighbor.go). The producing shard pushes messages as it
 // runs its window; the consuming shard pops them at its own round
 // boundaries without stopping the producer — no lock, no barrier, no
@@ -146,30 +146,6 @@ func (q *SPSC[T]) Pop() (T, bool) {
 	q.buf[h&q.mask] = zero
 	q.head.Store(h + 1)
 	q.inPop.Store(false)
-	return v, true
-}
-
-// PopQuiescent removes the oldest entry, taking from the producer-private
-// spill once the ring is empty. Callable only when the producer is
-// provably stopped — the barrier protocol drains at a window barrier,
-// where the barrier crossing itself orders the producer's writes before
-// the consumer's reads.
-func (q *SPSC[T]) PopQuiescent() (T, bool) {
-	if v, ok := q.Pop(); ok {
-		return v, true
-	}
-	var zero T
-	if q.spillOff >= len(q.spill) {
-		return zero, false
-	}
-	v := q.spill[q.spillOff]
-	q.spill[q.spillOff] = zero
-	q.spillOff++
-	if q.spillOff == len(q.spill) {
-		q.spill = q.spill[:0]
-		q.spillOff = 0
-	}
-	q.spillLen.Store(int32(len(q.spill) - q.spillOff))
 	return v, true
 }
 

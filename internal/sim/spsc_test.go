@@ -116,22 +116,6 @@ func TestSPSCFullRingSpills(t *testing.T) {
 	}
 }
 
-func TestSPSCPopQuiescentTakesSpill(t *testing.T) {
-	q := NewSPSC[int](8)
-	for i := 0; i < q.Cap()+3; i++ {
-		q.Push(i)
-	}
-	for i := 0; i < q.Cap()+3; i++ {
-		v, ok := q.PopQuiescent()
-		if !ok || v != i {
-			t.Fatalf("PopQuiescent() = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if q.Pending() || q.SpillLen() != 0 {
-		t.Fatal("queue not empty after quiescent drain")
-	}
-}
-
 // TestSPSCSingleProducerAssertion checks the ownership tripwire: a second
 // concurrent producer (or consumer) must panic rather than corrupt the
 // ring silently.

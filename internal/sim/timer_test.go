@@ -316,12 +316,18 @@ func TestAfterZeroSelfScheduling(t *testing.T) {
 }
 
 // TestSchedulerDifferentialFiringOrder drives an identical seeded
-// schedule/cancel/sleep workload through a heap-only and a wheel engine and
-// asserts the observable firing sequences are identical — the sim-level
-// heap-equivalence check backing the golden suite.
+// schedule/cancel/sleep/timed-wait workload through a heap-only and a wheel
+// engine and asserts the observable firing sequences, end times and step
+// counts are identical — the sim-level heap-equivalence check backing the
+// golden suite. The timed waits reproduce the churn the open-loop serve
+// workload puts on the queue (unet.Endpoint.RecvDeadline under UAM): one
+// timeout event threaded through many WaitUntil calls, re-armed in place
+// while wheel-resident and by cancel + reschedule once heap-resident,
+// detached by signaled wakes, sometimes left to reach its firing time
+// detached, sometimes canceled at the end of the episode.
 func TestSchedulerDifferentialFiringOrder(t *testing.T) {
-	runIt := func(kind SchedulerKind) ([]int, time.Duration) {
-		e := NewWithScheduler(1, kind)
+	runIt := func(newEngine func(int64) *Engine) ([]int, time.Duration, uint64) {
+		e := newEngine(1)
 		var order []int
 		var timers []Timer
 		// A deterministic pseudo-random-ish spread from a tiny LCG (no
@@ -346,20 +352,74 @@ func TestSchedulerDifferentialFiringOrder(t *testing.T) {
 				order = append(order, 10_000+i)
 			}
 		})
+		// Four receivers wait out 1 ms retransmit deadlines on their own
+		// conditions while a signaler wakes them at scattered instants: most
+		// waits end signaled, well before the deadline, and the next wait
+		// re-arms the same event for the same deadline.
+		conds := make([]Cond, 4)
+		for w := range conds {
+			w := w
+			e.Spawn("receiver", func(p *Proc) {
+				var tm Timer
+				for ep := 0; ep < 12; ep++ {
+					deadline := p.Now() + time.Millisecond
+					for wakes := 0; ; wakes++ {
+						ok, next := p.WaitUntil(&conds[w], deadline, tm)
+						tm = next
+						if !ok {
+							order = append(order, 20_000+100*w+ep)
+							break
+						}
+						order = append(order, 30_000+100*w+ep)
+						if wakes == ep%5 {
+							// The episode ends early. Every other one leaves its
+							// timeout armed but detached, to be re-armed by the
+							// next episode or to expire unobserved.
+							if ep%2 == 0 {
+								tm.Cancel()
+							}
+							break
+						}
+					}
+					p.Sleep(time.Duration(next(1 << 16)))
+				}
+			})
+		}
+		var signal func()
+		signals := 0
+		signal = func() {
+			conds[next(len(conds))].Signal()
+			if signals++; signals < 400 {
+				e.After(time.Duration(next(1<<17)), signal)
+			}
+		}
+		e.After(0, signal)
 		end := e.Run()
-		return order, end
+		steps := e.Steps()
+		e.Shutdown()
+		return order, end, steps
 	}
-	ho, he := runIt(SchedulerHeap)
-	wo, we := runIt(SchedulerWheel)
-	if he != we {
-		t.Fatalf("virtual end differs: heap=%v wheel=%v", he, we)
+	ho, he, hs := runIt(newHeapOnly)
+	wo, we, ws := runIt(New)
+	if he != we || hs != ws {
+		t.Fatalf("virtual end / steps differ: heap-only %v / %d, wheel %v / %d", he, hs, we, ws)
 	}
 	if len(ho) != len(wo) {
-		t.Fatalf("firing counts differ: heap=%d wheel=%d", len(ho), len(wo))
+		t.Fatalf("firing counts differ: heap-only=%d wheel=%d", len(ho), len(wo))
 	}
+	timeouts, signaled := 0, 0
 	for i := range ho {
 		if ho[i] != wo[i] {
-			t.Fatalf("firing order diverges at %d: heap=%d wheel=%d", i, ho[i], wo[i])
+			t.Fatalf("firing order diverges at %d: heap-only=%d wheel=%d", i, ho[i], wo[i])
 		}
+		switch {
+		case ho[i] >= 30_000:
+			signaled++
+		case ho[i] >= 20_000:
+			timeouts++
+		}
+	}
+	if timeouts == 0 || signaled < 50 {
+		t.Fatalf("timed-wait churn too thin to mean anything: %d timeouts, %d signaled wakes", timeouts, signaled)
 	}
 }

@@ -37,29 +37,17 @@ type Config struct {
 	// each run on its own goroutine under the conservative window protocol
 	// (see internal/sim shard.go). Results are byte-identical to serial.
 	Shards int
-	// Sync selects the sharded synchronization protocol (the zero value is
-	// sim.SyncNeighbor; sim.SyncBarrier selects the PR 6 reference
-	// protocol). Results are byte-identical across both, at every shard
-	// count — that equivalence is what TestGoldenSyncSweep pins. Ignored
-	// for serial layouts.
-	Sync sim.SyncKind
 	// Faults applies a deterministic impairment plan (internal/faults) to
 	// every uplink and downlink and, if SwitchQueueCells is set, bounds the
 	// switch output queues. nil (or an all-zero plan) is the perfect wire —
 	// byte-identical to the fault-free testbed at any shard count.
 	Faults *faults.Plan
-	// Scheduler selects the engines' far-horizon event scheduler (the zero
-	// value is the hierarchical timer wheel). Both kinds fire events in the
-	// same (at, seq) order — results are byte-identical — so SchedulerHeap
-	// exists only for differential tests and microbenchmarks. Shards inherit
-	// the root engine's choice.
-	Scheduler sim.SchedulerKind
 	// Topology, when set, compiles a declarative multi-switch fabric
 	// (internal/topo) instead of the single-switch cluster: Hosts is taken
 	// from the spec, shard placement is topology-aware (each top-of-rack
 	// switch with its hosts on one shard, higher stages on the root
 	// engine), and routes become multi-hop. Everything else — NIC model,
-	// manager, fault plans, sync protocol — applies unchanged.
+	// manager, fault plans — applies unchanged.
 	Topology *topo.Spec
 }
 
@@ -110,7 +98,7 @@ func New(cfg Config) *Testbed {
 		cfg.SwitchLatency = fabric.DefaultSwitchLatency
 	}
 
-	e := sim.NewWithScheduler(cfg.Seed, cfg.Scheduler)
+	e := sim.New(cfg.Seed)
 	tb := &Testbed{Eng: e}
 	if spec := cfg.Topology; spec != nil {
 		cfg.Hosts = len(spec.Hosts)
@@ -146,7 +134,6 @@ func New(cfg Config) *Testbed {
 					swEng[i] = shardEng[s]
 				}
 			}
-			e.Group().SetSync(cfg.Sync)
 		}
 		tb.Topo = topo.MustCompile(e, spec, hostEng, swEng)
 		tb.Net = tb.Topo
@@ -163,7 +150,6 @@ func New(cfg Config) *Testbed {
 			for i := range hostEng {
 				hostEng[i] = shardEng[i%k]
 			}
-			e.Group().SetSync(cfg.Sync)
 		}
 		tb.Fabric = fabric.NewShardedCluster(e, "atm", hostEng, link, cfg.SwitchLatency)
 		tb.Net = tb.Fabric
@@ -230,12 +216,11 @@ func (tb *Testbed) FaultTotal() faults.FaultStats {
 func (tb *Testbed) Close() { tb.Eng.Shutdown() }
 
 // TotalSteps sums executed-event counts over every engine in the cluster
-// (the root plus any shards). For a fixed shard layout the total is
-// scheduler-invariant — the heap and wheel engines execute exactly the same
-// events — but it can differ by a handful across layouts, because
-// cross-shard links re-arm their delivery events per mailbox drain rather
-// than per cell. Virtual-time results are identical regardless; treat this
-// as a volume diagnostic, not a golden quantity across shard counts.
+// (the root plus any shards). The total can differ by a handful across
+// shard layouts, because a cross-shard link groups cells into delivery
+// trains by what its ring had published, not by what a local link would
+// have held. Virtual-time results are identical regardless; treat this as
+// a volume diagnostic, not a golden quantity across shard counts.
 func (tb *Testbed) TotalSteps() uint64 {
 	total := tb.Eng.Steps()
 	seen := map[*sim.Engine]bool{tb.Eng: true}

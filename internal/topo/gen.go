@@ -118,13 +118,22 @@ func ringSpec(islands, perIsland int, kind string) *Spec {
 
 // Generate builds the named topology shape: "clos2" (racks × perRack
 // hosts, spine spines), "clos3" (racks pods of two leaves each, spine
-// cores), "ring" and "island" (racks islands × perRack hosts). It is the
-// single entry point cmd/unetbench's -topo flag resolves through.
+// cores), "ring" and "island" (racks islands × perRack hosts; spine is
+// ignored). It is the single entry point cmd/unetbench's -topo flag
+// resolves through, so an unknown kind or a size below one is an error to
+// report, not the panic the generators reserve for their callers' bugs.
 func Generate(kind string, racks, perRack, spine int) (*Spec, error) {
+	if racks < 1 || perRack < 1 {
+		return nil, fmt.Errorf("topo: %d racks of %d hosts; need at least one of each", racks, perRack)
+	}
 	switch kind {
-	case "clos2":
-		return Clos2(racks, perRack, spine), nil
-	case "clos3":
+	case "clos2", "clos3":
+		if spine < 1 {
+			return nil, fmt.Errorf("topo: %s with %d spine switches; need at least one", kind, spine)
+		}
+		if kind == "clos2" {
+			return Clos2(racks, perRack, spine), nil
+		}
 		leafPerPod := 2
 		pods := (racks + leafPerPod - 1) / leafPerPod
 		return Clos3(pods, leafPerPod, perRack, spine), nil

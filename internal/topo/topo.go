@@ -14,7 +14,7 @@
 // built once, and path computation breaks ties by declared adjacency
 // order. Compilation is therefore a pure function of the spec — two
 // compiles of the same spec produce byte-identical simulations at every
-// shard count (DESIGN.md §15).
+// shard count (DESIGN.md §14).
 package topo
 
 import (

@@ -2,51 +2,48 @@
 # bench.sh — the PR-gate performance run.
 #
 # 1. Tier-1: build + full test suite (the calibration gates).
-# 2. Race check on the simulation kernel (incl. both shard sync
-#    protocols), the fabric, the NIC models and the parallel sweep pool,
+# 2. Race check on the simulation kernel (incl. the shard window
+#    protocol), the fabric, the NIC models and the parallel sweep pool,
 #    plus the sharded golden checks (byte-identical output at every shard
-#    count and under both sync protocols).
+#    count).
 # 3. Steady-state allocation gate: the data path must move messages with
 #    zero allocations per round trip (DESIGN.md §10).
 # 4. Fault-injection gates: the seeded loss sweep and chaos soak are
 #    byte-identical at every shard count, and the reliable layers deliver
 #    100% under ≤1% cell loss with bounded retransmits (DESIGN.md §11).
-# 5. Scheduler + serving gates: the heap/wheel differential and
-#    shard-identity checks on the open-loop serve workload, the wheel
-#    edge-case suite and the scheduler steady-state allocation gate
+# 5. Scheduler + serving gates: the wheel against its heap-only twin, the
+#    wheel edge-case suite, the scheduler steady-state allocation gate and
+#    the shard-identity check on the open-loop serve workload
 #    (DESIGN.md §12).
-# 6. Multi-switch fabric gates (DESIGN.md §15): the Clos storm goldens
-#    render byte-identically serial vs shards 1/2/4/8 under both sync
-#    protocols, and the 1k-endpoint island gossip removes failed
-#    neighbors deterministically at every shard count.
+# 6. Multi-switch fabric gates (DESIGN.md §14): the Clos storm goldens
+#    render byte-identically serial vs shards 1/2/4/8, and the
+#    1k-endpoint island gossip removes failed neighbors deterministically
+#    at every shard count.
 # 7. Microbenchmarks (engine, scheduler heap-vs-wheel at 1k/100k/1M
 #    pending, fabric), the zero-alloc echo/UAM round trips, the
 #    end-to-end Figure 4 sweep, the goodput-under-loss recovery points,
 #    the serial-vs-sharded 8-host cluster storm, the 64-host Clos storm,
 #    the gossip host-count scaling sweep (256/512/1024 endpoints) and the
-#    open-loop serve workload, all
-#    with -benchmem, saved as benchstat-compatible text and summarized
-#    into the output JSON. Every JSON entry records the GOMAXPROCS it ran
-#    at, the machine's CPU count and its sync protocol ("serial" when no
-#    shard group exists); the sharded storm/serve shapes run as
-#    sub-benchmarks under both sync protocols (sync=neighbor,
-#    sync=barrier) and carry their shard count and sync-wait share, and
-#    topology shapes tag their topo kind, host/switch count and stage
-#    count, so a single-core artifact can never be misread as a
-#    multi-core regression. The storm runs with UNET_BENCH_OVERSUB=1 so
-#    oversubscribed shapes are still recorded (they skip by default under
-#    plain `go test -bench`).
+#    open-loop serve workload, all with -benchmem, saved as
+#    benchstat-compatible text and summarized into the output JSON. Every
+#    JSON entry records the GOMAXPROCS it ran at and the machine's CPU
+#    count; the sharded storm/serve shapes carry their shard count and
+#    sync-wait share, and topology shapes tag their topo kind, host/switch
+#    count and stage count, so a single-core artifact can never be misread
+#    as a multi-core regression. The storm runs with UNET_BENCH_OVERSUB=1
+#    so oversubscribed shapes are still recorded (they skip by default
+#    under plain `go test -bench`).
 #    Engine rungs to expect since processes became coroutines (PR 12,
 #    2-vCPU box): Engine_ProcContextSwitch ~360 ns/op (was ~0.9–1.1 µs),
 #    Engine_SleepResume ~3–5 ns/op (in-place sleep; was ~440 ns),
 #    Engine_ScheduleFire unchanged at ~17–20 ns. The end-to-end ledger is
 #    `go run ./bench`; `make benchcheck OLD=… NEW=…` compares two.
 #
-# Usage: scripts/bench.sh [output.json]   (default BENCH_PR10.json)
+# Usage: scripts/bench.sh output.json   (`make bench` names it)
 set -eu
 cd "$(dirname "$0")/.."
 
-out="${1:-BENCH_PR10.json}"
+out="${1:?usage: scripts/bench.sh output.json}"
 txt="${out%.json}.txt"
 
 echo "== tier-1: go build ./... && go test ./..." >&2
@@ -59,7 +56,7 @@ go test -race ./internal/fabric/...
 go test -race ./internal/nic/...
 GOMAXPROCS=4 go test -race -run 'Golden' ./internal/experiments/
 
-echo "== sharded golden checks (byte-identical at every shard count, both sync protocols)" >&2
+echo "== sharded golden checks (byte-identical at every shard count)" >&2
 GOMAXPROCS=4 go test -run 'TestGoldenShardSweep|TestGoldenSyncSweep' ./internal/experiments/
 go test -run 'TestSharded' ./internal/testbed/
 
@@ -70,7 +67,7 @@ echo "== fault-injection gates (seeded determinism + loss recovery)" >&2
 GOMAXPROCS=4 go test -run 'TestGoldenFaultDeterminism|TestLossRecoveryDelivery' ./internal/experiments/
 go test -run 'TestSeededLossNthCellGolden|TestDeadPeerFailsInBoundedTime' ./internal/uam/ ./internal/ip/tcp/
 
-echo "== scheduler + serving gates (heap/wheel differential, wheel edges, knee)" >&2
+echo "== scheduler + serving gates (wheel vs heap-only twin, wheel edges, knee)" >&2
 go test -run 'TestWheel|TestAfterZero|TestSchedulerDifferentialFiringOrder|TestSchedulerSteadyStateAllocs' ./internal/sim/
 go test -run 'TestServe' ./internal/experiments/
 

@@ -1,5 +1,5 @@
 // Command benchjson condenses `go test -bench` output into a small JSON
-// summary (BENCH_PR6.json): one entry per benchmark with the mean of every
+// summary (`make bench`'s output): one entry per benchmark with the mean of every
 // reported metric across -count repetitions, plus the parallelism the
 // numbers were measured at — GOMAXPROCS (parsed from each benchmark's name
 // suffix) and the machine's CPU count — so a single-core artifact can
@@ -22,7 +22,6 @@ import (
 type accum struct {
 	runs       int
 	gomaxprocs int
-	sync       string
 	topo       string
 	hosts      int
 	switches   int
@@ -78,12 +77,6 @@ func main() {
 				name, procs = name[:i], n
 			}
 		}
-		// Sharded cluster/serve shapes run as sub-benchmarks per sync
-		// protocol (".../sync=neighbor"); entries without the tag are serial.
-		syncMode := "serial"
-		if s := tag(name, "sync"); s != "" {
-			syncMode = s
-		}
 		a := bench[name]
 		if a == nil {
 			a = &accum{metrics: map[string][]float64{}}
@@ -92,7 +85,6 @@ func main() {
 		}
 		a.runs++
 		a.gomaxprocs = procs
-		a.sync = syncMode
 		// Topology benchmarks tag their sub-benchmark names with the
 		// compiled fabric's shape; entries without the tags are the
 		// single-switch cluster.
@@ -119,7 +111,6 @@ func main() {
 		Runs       int    `json:"runs"`
 		GOMAXPROCS int    `json:"gomaxprocs"`
 		NumCPU     int    `json:"numcpu"`
-		Sync       string `json:"sync"`
 		// Topology metadata, present on multi-switch fabric benchmarks:
 		// the generated shape and its size (internal/topo).
 		Topo     string             `json:"topo,omitempty"`
@@ -142,7 +133,6 @@ func main() {
 		out = append(out, entry{
 			Name: name, Runs: a.runs,
 			GOMAXPROCS: a.gomaxprocs, NumCPU: runtime.NumCPU(),
-			Sync: a.sync,
 			Topo: a.topo, Hosts: a.hosts, Switches: a.switches, Stages: a.stages,
 			Metrics: m,
 		})

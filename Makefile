@@ -7,7 +7,7 @@ GO ?= go
 # PR numbers this change's artifacts. BENCH_PR$(PR).json is the committed
 # set of paired `go run ./bench -out` ledgers; `make bench` writes the
 # go-test rung summary beside it.
-PR ?= 13
+PR ?= 14
 BENCH_OUT ?= BENCH_PR$(PR)_rungs.json
 FUZZTIME ?= 10s
 
@@ -80,10 +80,13 @@ clos:
 
 # gossip is the 1k-endpoint island-overlay smoke: bounded per-island
 # forwarding queues, deterministic failed-neighbor removal under seeded
-# uplink flaps, identical renders serial vs sharded.
+# uplink flaps, identical renders serial vs sharded; set-up bytes linear in
+# the islands, and the 8192-island overlay end to end (~11 s, ~300 MB —
+# what the size costs when labels are link-local, DESIGN.md §14).
 gossip:
-	GOMAXPROCS=4 $(GO) test -run 'TestGossipDeterministic' -v ./internal/experiments/
+	GOMAXPROCS=4 $(GO) test -run 'TestGossipDeterministic|TestGossipMemoryIsLinear' -v ./internal/experiments/
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
+	$(GO) run ./cmd/unetbench -experiment gossip -islands 8192
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc —

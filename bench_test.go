@@ -471,22 +471,28 @@ func BenchmarkClosStorm_Sharded4(b *testing.B) { benchmarkClosStorm(b, 4) }
 func BenchmarkClosStorm_Sharded8(b *testing.B) { benchmarkClosStorm(b, 8) }
 
 // BenchmarkGossip_Scale is the host-count scaling sweep of the island
-// gossip overlay: the same per-island protocol at 256, 512 and 1024
-// islands, reporting simulated gossip events per wall-clock second. The
+// gossip overlay: the same per-island protocol from 256 to 8192 islands,
+// reporting simulated gossip events per wall-clock second and the bytes
+// allocated per host (build and run) — flat in the island count when
+// set-up state is proportional to the circuits that exist. The
 // sub-benchmark names carry the topology metadata for the artifact.
 func BenchmarkGossip_Scale(b *testing.B) {
-	for _, n := range []int{256, 512, 1024} {
+	for _, n := range []int{256, 512, 1024, 2048, 4096, 8192} {
 		cfg := experiments.DefaultGossip(n)
 		spec := topo.Island(n, 1)
 		name := fmt.Sprintf("topo=island/hosts=%d/switches=%d/stages=%d", n, len(spec.Switches), spec.Stages())
 		b.Run(name, func(b *testing.B) {
 			b.ReportAllocs()
 			var r experiments.GossipResult
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
 			start := time.Now()
 			for i := 0; i < b.N; i++ {
 				r = experiments.Gossip(cfg)
 			}
 			wall := time.Since(start)
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(after.TotalAlloc-before.TotalAlloc)/float64(b.N)/float64(n), "B/host")
 			b.ReportMetric(float64(r.Delivered), "events")
 			b.ReportMetric(float64(r.Delivered)*float64(b.N)/wall.Seconds(), "events/sec")
 			b.ReportMetric(float64(r.Removed), "removed")

@@ -180,8 +180,9 @@ func Gossip(cfg GossipConfig) GossipResult {
 		}
 		tb.Hosts[i].Spawn("gossip", func(p *sim.Proc) {
 			st := &stats[i]
-			known := make([]bool, n)
-			known[i] = true
+			// A bit per origin per host: the experiment's one islands² term.
+			known := make([]uint64, (n+63)/64)
+			known[i/64] |= 1 << (i % 64)
 			fq := []uint16{}
 			lastHeard := make([]int, len(peers))
 			alive := make([]bool, len(peers))
@@ -205,8 +206,8 @@ func Gossip(cfg GossipConfig) GossipResult {
 						if nb, ok := chanNbr[rd.Channel]; ok {
 							lastHeard[nb] = r
 						}
-						if origin < n && !known[origin] {
-							known[origin] = true
+						if origin < n && known[origin/64]&(1<<(origin%64)) == 0 {
+							known[origin/64] |= 1 << (origin % 64)
 							st.Learned++
 							fq = append(fq, uint16(origin))
 							if len(fq) > cfg.ForwardQueue {
@@ -246,7 +247,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 					}
 				}
 			}
-			if known[0] {
+			if known[0]&1 != 0 {
 				st.Coverage = 1
 			}
 		})

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"runtime"
 	"testing"
 
 	"unet/internal/topo"
@@ -72,5 +73,30 @@ func TestGossipDeterministic(t *testing.T) {
 		if got := Gossip(cfg).Render(); got != want {
 			t.Fatalf("shards=%d diverged:\n--- serial ---\n%s\n--- got ---\n%s", shards, want, got)
 		}
+	}
+}
+
+// TestGossipMemoryIsLinear is the set-up scaling gate: building (and
+// closing) the island overlay allocates in proportion to the islands it
+// has. Labels local to a link, next hops searched on demand and trunk
+// timing looked up by index leave nothing that grows with islands² — with
+// one fabric-wide VCI counter every demux table spanned every VCI opened
+// before its last channel, and 4× the islands allocated ~16× the bytes.
+func TestGossipMemoryIsLinear(t *testing.T) {
+	if testing.Short() {
+		t.Skip("4k-island build is not short")
+	}
+	build := func(islands int) uint64 {
+		cfg := DefaultGossip(islands)
+		cfg.Rounds = 0
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		Gossip(cfg)
+		runtime.ReadMemStats(&after)
+		return after.TotalAlloc - before.TotalAlloc
+	}
+	small, large := build(1024), build(4096)
+	if ratio := float64(large) / float64(small); ratio > 4.6 {
+		t.Fatalf("4096 islands allocate %d bytes, 1024 islands %d: %.1fx for 4x the islands, want at most 4.6x", large, small, ratio)
 	}
 }

@@ -26,6 +26,7 @@ type Cluster struct {
 	Engine    *sim.Engine
 	Switch    *Switch
 	uplinks   []*Link
+	up        []Labels // per-host uplink label space
 	hostSinks []CellSink
 	// hostEng is the shard engine each host's processes and NIC run on
 	// (all equal to Engine in a serial cluster).
@@ -92,7 +93,7 @@ func NewCluster(e *sim.Engine, name string, n int, lp LinkParams, switchLatency 
 // arrivals fire in when they tie on both arrival and send time.
 func NewShardedCluster(root *sim.Engine, name string, hostEng []*sim.Engine, lp LinkParams, switchLatency time.Duration) *Cluster {
 	n := len(hostEng)
-	c := &Cluster{Engine: root, hostSinks: make([]CellSink, n), hostEng: make([]*sim.Engine, n)}
+	c := &Cluster{Engine: root, up: make([]Labels, n), hostSinks: make([]CellSink, n), hostEng: make([]*sim.Engine, n)}
 	out := make([]*Link, n)
 	for i := 0; i < n; i++ {
 		he := hostEng[i]
@@ -157,17 +158,38 @@ func (c *Cluster) SetHostSink(host int, s CellSink) {
 	c.hostSinks[host] = s
 }
 
+// Provision sets up a circuit from host `from` to host `to`: the lowest
+// free label on from's uplink, swapped at the switch for the lowest free
+// one on to's downlink. Per-input-port routes extend protection across the
+// network (§3.2). Host indices are the switch ports — the one-entry
+// special case of the multi-hop walk internal/topo performs.
+func (c *Cluster) Provision(from, to int) (tx, rx atm.VCI, err error) {
+	c.checkHost(from, "Provision")
+	if tx, err = c.up[from].Alloc(c.uplinks[from].name); err != nil {
+		return 0, 0, err
+	}
+	if rx, err = c.Switch.Swap(from, tx, to); err != nil {
+		c.up[from].Free(tx)
+		return 0, 0, err
+	}
+	return tx, rx, nil
+}
+
 // Route programs the switch to deliver vci, arriving from host `from`, to
-// host `to`. Per-input-port routes extend protection across the network
-// (§3.2). On the single switch the host indices are the switch ports —
-// the one-entry special case of the multi-hop route walk internal/topo
-// performs.
+// host `to` under the same label: the explicit form of Provision, drawing
+// on the same label spaces.
 func (c *Cluster) Route(from int, vci atm.VCI, to int) error {
-	return c.Switch.Route(from, vci, to)
+	if err := c.Switch.Route(from, vci, to); err != nil {
+		return err
+	}
+	c.up[from].Take(vci)
+	return nil
 }
 
 // Unroute removes a provisioned route again (channel tear-down).
 func (c *Cluster) Unroute(from int, vci atm.VCI) {
+	c.checkHost(from, "Unroute")
+	c.up[from].Free(vci)
 	c.Switch.Unroute(from, vci)
 }
 

@@ -319,7 +319,7 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 	depart := start + l.p.CellTime
 	l.nextFree = depart
 	l.stats.CellsSent++
-	if l.lossFn != nil && l.lossFn(c) {
+	if l.lossFn != nil && l.lossFn(c) { //unetlint:allow hotpathalloc test-installed loss predicate, nil in every steady-state run; what it allocates is the test's budget
 		l.stats.CellsLost++
 		return depart
 	}

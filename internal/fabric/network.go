@@ -7,10 +7,10 @@ import (
 
 // Network is the fabric surface the connection manager and the NIC attach
 // path program: a set of host attachment points (indexed 0..Size-1) plus
-// VCI route provisioning between them. Two implementations exist — the
+// circuit provisioning between them. Two implementations exist — the
 // single-switch Cluster in this package (the paper's testbed) and the
-// topo-compiled multi-switch Fabric (internal/topo), whose Route installs
-// a per-stage entry at every switch along the computed path. Code written
+// topo-compiled multi-switch Fabric (internal/topo), whose Provision swaps
+// labels at every switch along the computed path. Code written
 // against Network (unet.Manager, nic.Attach, the testbed fixtures) runs
 // unchanged on either.
 type Network interface {
@@ -26,11 +26,15 @@ type Network interface {
 	// Downlink returns the last-hop link toward host (for loss and fault
 	// injection at the receive side).
 	Downlink(host int) *Link
-	// Route provisions vci, arriving from host `from`, to be delivered to
-	// host `to` — at every forwarding stage between them.
-	Route(from int, vci atm.VCI, to int) error
-	// Unroute removes the channel's per-stage entries again.
-	Unroute(from int, vci atm.VCI)
+	// Provision sets up a one-way circuit from host `from` to host `to`:
+	// the lowest free label on every link of the path, swapped at every
+	// forwarding stage. tx is the label the sender puts on its cells, rx
+	// the one they arrive with. A link with no free label is an error
+	// naming it; nothing stays installed.
+	Provision(from, to int) (tx, rx atm.VCI, err error)
+	// Unroute removes the per-stage entries of the circuit that leaves host
+	// `from` on label tx, and frees its labels.
+	Unroute(from int, tx atm.VCI)
 }
 
 var _ Network = (*Cluster)(nil)

@@ -13,13 +13,14 @@ import (
 // switch lands at the paper's 21 µs (Table 1) together with the trap costs.
 const DefaultSwitchLatency = 2 * time.Microsecond
 
-// Switch is a VCI-routing output-queued ATM switch. Each output port is a
-// Link to the attached host; contention for an output port is resolved by
+// Switch is a label-swapping output-queued ATM switch. Each output port is
+// a Link to the attached host; contention for an output port is resolved by
 // that link's serialization. Cells on unrouted VCIs are counted and
 // dropped, as a real switch would discard cells on unconfigured channels.
 //
 // Routes are keyed by (input port, VCI), as in a real ATM switch: a VCI is
-// only valid on the input port it was provisioned for. This is what lets
+// only valid on the input port it was provisioned for, and is rewritten to
+// the outgoing link's label as the cell is forwarded. This is what lets
 // carefully controlled route set-up extend U-Net's protection across the
 // network (§3.2) — a host cannot inject cells on another pair's channel,
 // because its input port has no route for that VCI.
@@ -27,7 +28,8 @@ type Switch struct {
 	e       *sim.Engine
 	name    string
 	latency time.Duration
-	routes  map[routeKey]int
+	in      []labelTable // per input port, indexed by arriving label
+	labels  []Labels     // per output port: the outgoing link's label space
 	out     []*Link
 	unknown uint64
 	free    *fwdJob // recycled forwarding jobs
@@ -39,9 +41,23 @@ type Switch struct {
 	qdrops []uint64 // per-port tail drops
 }
 
-type routeKey struct {
-	in  int
-	vci atm.VCI
+// xlate is one label-table row: the output port and the label the cell
+// carries on that port's link.
+type xlate struct {
+	port int32
+	out  atm.VCI
+	ok   bool
+}
+
+// labelTable is one input port's routes, dense in the arriving label; the
+// zero row is no route.
+type labelTable []xlate
+
+func (t labelTable) row(v atm.VCI) xlate {
+	if int(v) < len(t) {
+		return t[v]
+	}
+	return xlate{}
 }
 
 // fwdJob carries one run of same-route cells across the switch's forwarding
@@ -61,6 +77,8 @@ type fwdJob struct {
 }
 
 // fwdFire is the static callback shared by all forwarding jobs.
+//
+//unetlint:hotpath per-run forwarding callback; runs for every run of cells crossing the switch
 func fwdFire(a any) {
 	j := a.(*fwdJob)
 	t := j.start
@@ -118,7 +136,7 @@ func NewSwitchWithLinks(e *sim.Engine, name string, latency time.Duration, out [
 			panic(fmt.Sprintf("fabric: switch %s output link %s transmits on a foreign shard", name, l.name))
 		}
 	}
-	return &Switch{e: e, name: name, latency: latency, routes: make(map[routeKey]int), out: out, qdrops: make([]uint64, len(out))}
+	return &Switch{e: e, name: name, latency: latency, in: make([]labelTable, len(out)), labels: make([]Labels, len(out)), out: out, qdrops: make([]uint64, len(out))}
 }
 
 // SetOutputQueueCells bounds every output port's queue to n cells; cells
@@ -143,30 +161,71 @@ func (s *Switch) TotalQueueDrops() uint64 {
 	return sum
 }
 
-// Route installs (or replaces) the output port for a VCI arriving on input
-// port in. In the paper the collection of operating systems programs switch
-// paths during channel set-up (§3.2); the unet kernel agent calls this.
-func (s *Switch) Route(in int, vci atm.VCI, port int) error {
+// install writes the row for (in, label) → port, replacing what it held.
+// keep routes the cell on under the same label, marked used on the output
+// link; otherwise the output link's lowest free label is taken.
+func (s *Switch) install(in int, label atm.VCI, port int, keep bool) (out atm.VCI, err error) {
 	if port < 0 || port >= len(s.out) {
-		return fmt.Errorf("fabric: route %d → invalid port %d", vci, port)
+		return 0, fmt.Errorf("fabric: route %d → invalid port %d", label, port)
 	}
 	if in < 0 || in >= len(s.out) {
-		return fmt.Errorf("fabric: route %d from invalid input port %d", vci, in)
+		return 0, fmt.Errorf("fabric: route %d from invalid input port %d", label, in)
 	}
-	s.routes[routeKey{in: in, vci: vci}] = port
-	return nil
+	s.Unroute(in, label)
+	if out = label; keep {
+		s.labels[port].Take(label)
+	} else if out, err = s.labels[port].Alloc(s.out[port].name); err != nil {
+		return 0, err
+	}
+	t := s.in[in]
+	if n := int(label) + 1 - len(t); n > 0 {
+		t = append(t, make(labelTable, n)...)
+	}
+	t[label] = xlate{port: int32(port), out: out, ok: true}
+	s.in[in] = t
+	return out, nil
 }
 
-// Unroute removes a VCI route (channel tear-down).
-func (s *Switch) Unroute(in int, vci atm.VCI) { delete(s.routes, routeKey{in: in, vci: vci}) }
-
-// Lookup reports the output port installed for (in, vci), if any. The
-// multi-hop tear-down walk in internal/topo uses it to follow a route's
-// own table entries from stage to stage.
-func (s *Switch) Lookup(in int, vci atm.VCI) (int, bool) {
-	port, ok := s.routes[routeKey{in: in, vci: vci}]
-	return port, ok
+// Swap provisions one stage of a circuit: cells arriving on input port in
+// with label leave on port carrying the lowest free label of that port's
+// link, which Swap takes and returns. In the paper the collection of
+// operating systems programs switch paths during channel set-up (§3.2).
+func (s *Switch) Swap(in int, label atm.VCI, port int) (atm.VCI, error) {
+	return s.install(in, label, port, false)
 }
+
+// Route installs (or replaces) the output port for a VCI arriving on input
+// port in, keeping the label: the explicit, same-label-on-both-links case
+// of Swap, drawing on the same label space.
+func (s *Switch) Route(in int, vci atm.VCI, port int) error {
+	_, err := s.install(in, vci, port, true)
+	return err
+}
+
+// Unroute removes a route (channel tear-down) and frees its outgoing label.
+func (s *Switch) Unroute(in int, vci atm.VCI) {
+	port, out, ok := s.Lookup(in, vci)
+	if !ok {
+		return
+	}
+	s.labels[port].Free(out)
+	s.in[in][vci] = xlate{}
+}
+
+// Lookup reports the output port and outgoing label installed for
+// (in, vci), if any. The multi-hop tear-down walk in internal/topo uses it
+// to follow a circuit's own table entries from stage to stage.
+func (s *Switch) Lookup(in int, vci atm.VCI) (port int, out atm.VCI, ok bool) {
+	if in < 0 || in >= len(s.in) {
+		return 0, 0, false
+	}
+	r := s.in[in].row(vci)
+	return int(r.port), r.out, r.ok
+}
+
+// TableLen reports the length of input port in's label table — set-up
+// state, bounded by the labels in use on the incoming link.
+func (s *Switch) TableLen(in int) int { return len(s.in[in]) }
 
 // UnknownVCICells reports cells dropped for lack of a route.
 func (s *Switch) UnknownVCICells() uint64 { return s.unknown }
@@ -198,15 +257,18 @@ func (s *Switch) PortSink(in int) CellSink {
 }
 
 // deliver forwards a single cell arriving at time at on input port in.
+//
+//unetlint:hotpath per-cell label swap; runs for every cell a per-cell link hands over
 func (s *Switch) deliver(in int, c atm.Cell, at time.Duration) {
-	port, ok := s.routes[routeKey{in: in, vci: c.VCI}]
-	if !ok {
+	r := s.in[in].row(c.VCI)
+	if !r.ok {
 		s.unknown++
 		return
 	}
+	c.VCI = r.out
 	j := s.getJob()
-	j.link = s.out[port]
-	j.port = port
+	j.link = s.out[r.port]
+	j.port = int(r.port)
 	j.cells = append(j.cells, c)
 	j.start = at + s.latency
 	j.spacing = 0
@@ -217,27 +279,33 @@ func (s *Switch) deliver(in int, c atm.Cell, at time.Duration) {
 // first + i*spacing. Consecutive cells bound for the same output port are
 // forwarded by one pooled job; cells on unrouted VCIs are dropped and break
 // the run (their wire slot stays empty, exactly as per-cell forwarding
-// would leave it).
+// would leave it). A run is copied in bulk and relabelled in place:
+// appending cell by cell grows the job's slice through every size class.
+//
+//unetlint:hotpath per-train label swap; runs for every train crossing the switch
 func (s *Switch) deliverTrain(in int, cells []atm.Cell, first, spacing time.Duration) {
+	t := s.in[in]
 	for i := 0; i < len(cells); {
-		port, ok := s.routes[routeKey{in: in, vci: cells[i].VCI}]
-		if !ok {
+		r := t.row(cells[i].VCI)
+		if !r.ok {
 			s.unknown++
 			i++
 			continue
 		}
 		run := i + 1
 		for run < len(cells) {
-			p2, ok2 := s.routes[routeKey{in: in, vci: cells[run].VCI}]
-			if !ok2 || p2 != port {
+			if r2 := t.row(cells[run].VCI); !r2.ok || r2.port != r.port {
 				break
 			}
 			run++
 		}
 		j := s.getJob()
-		j.link = s.out[port]
-		j.port = port
+		j.link = s.out[r.port]
+		j.port = int(r.port)
 		j.cells = append(j.cells, cells[i:run]...)
+		for k := range j.cells {
+			j.cells[k].VCI = t[j.cells[k].VCI].out
+		}
 		j.start = first + time.Duration(i)*spacing + s.latency
 		j.spacing = spacing
 		s.e.AtArg(j.start, fwdFire, j)

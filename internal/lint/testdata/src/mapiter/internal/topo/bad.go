@@ -5,12 +5,13 @@
 // order into the wiring and breaks compile determinism.
 package topo
 
-// entry is one (input port, VCI) → output port routing table row.
+// entry is one label-table row, (input port, arriving label) → output
+// port; the outgoing label is the lowest free one when the row is installed.
 type entry struct{ in, vci, out int }
 
-// compileByMap builds a per-stage routing table by ranging the name→port
-// lookup map: the table rows land in randomized map order instead of the
-// declared spec order.
+// compileByMap builds a per-stage label table by ranging the name→port
+// lookup map: the rows land — and take their labels — in randomized map
+// order instead of the declared spec order.
 func compileByMap(ports map[string]int, vci int) []entry {
 	var table []entry
 	for _, port := range ports { // want `appends values derived from the iteration`

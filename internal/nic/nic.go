@@ -89,12 +89,13 @@ type Device struct {
 	txRR  int
 	stats Stats
 
-	// Dense VCI demultiplex table, indexed by VCI. The manager hands out
-	// receive VCIs sequentially from a small base, so the table stays
-	// compact. lastVCI/lastEnt cache the most recent lookup: cells arrive
-	// in VCI-contiguous trains, so the cache hits for every cell of a
-	// multi-cell PDU after the first. Any table mutation (open/close/grow)
-	// must invalidate the cache — entries move when the slice reallocates.
+	// Dense VCI demultiplex table, indexed by VCI. Receive VCIs are labels
+	// of this device's own downlink, lowest free first, so the table is as
+	// long as the channels open here. lastVCI/lastEnt cache the most recent
+	// lookup: cells arrive in VCI-contiguous trains, so the cache hits for
+	// every cell of a multi-cell PDU after the first. Any table mutation
+	// (open/close/grow) must invalidate the cache — entries move when the
+	// slice reallocates.
 	table   []vciEntry
 	lastVCI atm.VCI
 	lastEnt *vciEntry
@@ -196,8 +197,8 @@ func (d *Device) DetachEndpoint(ep *unet.Endpoint) {
 // OpenChannel registers the receive tag rx as belonging to (ep, ch).
 func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VCI) error {
 	if n := int(rx) + 1 - len(d.table); n > 0 {
-		// append's amortised growth: a mesh opens channels one rising VCI at
-		// a time, and growing to exactly rx+1 copied the table on every call.
+		// append's amortised growth: a device opens channels one rising VCI
+		// at a time, and growing to exactly rx+1 copied the table on every call.
 		d.table = append(d.table, make([]vciEntry, n)...)
 	}
 	ent := &d.table[rx]
@@ -226,6 +227,10 @@ func (d *Device) CloseChannel(ep *unet.Endpoint, ch unet.ChannelID) {
 	}
 	d.lastEnt = nil
 }
+
+// TableLen reports the demux table's length — set-up state, bounded by the
+// reserved labels plus the channels open on this device.
+func (d *Device) TableLen() int { return len(d.table) }
 
 // route looks up the table entry for v, or nil if the VCI is unregistered.
 //

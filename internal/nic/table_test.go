@@ -9,8 +9,8 @@ import (
 )
 
 // TestOpenChannelGrowthIsAmortised opens channels on rising VCIs the way a
-// mesh does (one global counter, so each device sees ever larger tags) and
-// bounds the bytes of every backing array the demux table moved through by
+// device with many channels sees them (its downlink's labels, lowest first;
+// strided when explicit routes chose the tags) and bounds the bytes of every backing array the demux table moved through by
 // a constant times the table it ends up with. Growing to exactly rx+1 on
 // every call — what the table did before — allocates it afresh once per
 // channel: channels/2 times the final size (32x for the 64-host mesh, 512x
@@ -18,8 +18,8 @@ import (
 //
 // append's growth step eases from 2x below 256 entries to 1.25x, so the
 // constant is under 3 up to ~2000 entries and creeps towards 5 beyond; the
-// last case is one device of the 64-host mesh (63 channels spread over 4032
-// VCIs), which measures 3.3x.
+// last case is 63 channels spread over 4032 VCIs — one device of a 64-host
+// mesh whose tags come from one fabric-wide counter — which measures 3.3x.
 func TestOpenChannelGrowthIsAmortised(t *testing.T) {
 	for _, tc := range []struct{ channels, stride, bound int }{
 		{1024, 1, 3},

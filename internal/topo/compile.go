@@ -14,8 +14,8 @@ import (
 // ports, and its hosts as uplink/downlink pairs on their attaching
 // switch. Fabric implements fabric.Network, so the U-Net manager and the
 // NIC attach path treat it exactly like the single-switch cluster; the
-// only behavioral difference is that Route installs one table entry per
-// switch along the computed path instead of a single entry.
+// only behavioral difference is that Provision swaps labels at one table
+// entry per switch along the computed path instead of a single entry.
 type Fabric struct {
 	Engine *sim.Engine
 	Spec   *Spec
@@ -25,6 +25,7 @@ type Fabric struct {
 	swEng   []*sim.Engine
 	hostEng []*sim.Engine
 	uplinks []*fabric.Link
+	up      []fabric.Labels // per-host uplink label space
 
 	hostSinks []fabric.CellSink
 	hostSw    []int // host → attaching switch index
@@ -32,16 +33,18 @@ type Fabric struct {
 
 	// Per-switch port layout: ports [0, len(hostAt[s])) carry hosts (in
 	// declared host order), the rest carry trunk endpoints (in declared
-	// trunk order). peerSw/peerPort resolve a trunk port to the far side.
-	hostAt   [][]int
-	peerSw   [][]int
-	peerPort [][]int
+	// trunk order). peerSw/peerPort resolve a trunk port to the far side,
+	// peerTrunk to the declared trunk it is an end of; trunkA is each
+	// declared trunk's A-side (switch, port).
+	hostAt    [][]int
+	peerSw    [][]int
+	peerPort  [][]int
+	peerTrunk [][]int
+	trunkA    [][2]int
 
-	// next[s][d] is the output port at switch s toward destination switch
-	// d — the per-destination forwarding plan Route walks when it installs
-	// a VCI's per-stage table entries. next[s][s] is -1 (the final hop is
-	// the destination host's own port, not a trunk).
-	next [][]int
+	// reach[d] is the search for next hops toward destination switch d,
+	// as far as routes have needed it (nil until the first one).
+	reach []*reach
 
 	undeliv uint64
 }
@@ -138,12 +141,15 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		swEng:     make([]*sim.Engine, ns),
 		hostEng:   make([]*sim.Engine, nh),
 		uplinks:   make([]*fabric.Link, nh),
+		up:        make([]fabric.Labels, nh),
 		hostSinks: make([]fabric.CellSink, nh),
 		hostSw:    make([]int, nh),
 		hostPort:  make([]int, nh),
 		hostAt:    make([][]int, ns),
 		peerSw:    make([][]int, ns),
 		peerPort:  make([][]int, ns),
+		peerTrunk: make([][]int, ns),
+		reach:     make([]*reach, ns),
 	}
 	for j := 0; j < ns; j++ {
 		f.swEng[j] = engineOr(swEng[j], root)
@@ -166,8 +172,6 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		f.hostPort[i] = len(f.hostAt[sw])
 		f.hostAt[sw] = append(f.hostAt[sw], i)
 	}
-	type trunkEnd struct{ sw, port, peer, peerPort, trunk int }
-	var ends [][2]trunkEnd
 	for t := range spec.Trunks {
 		a, b := swIdx[spec.Trunks[t].A], swIdx[spec.Trunks[t].B]
 		pa := len(f.hostAt[a]) + len(f.peerSw[a])
@@ -176,10 +180,9 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		f.peerSw[b] = append(f.peerSw[b], a)
 		f.peerPort[a] = append(f.peerPort[a], pb)
 		f.peerPort[b] = append(f.peerPort[b], pa)
-		ends = append(ends, [2]trunkEnd{
-			{sw: a, port: pa, peer: b, peerPort: pb, trunk: t},
-			{sw: b, port: pb, peer: a, peerPort: pa, trunk: t},
-		})
+		f.peerTrunk[a] = append(f.peerTrunk[a], t)
+		f.peerTrunk[b] = append(f.peerTrunk[b], t)
+		f.trunkA = append(f.trunkA, [2]int{a, pa})
 	}
 
 	// Build each switch over its pre-built output links: host ports
@@ -196,16 +199,7 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		for k, peer := range f.peerSw[j] {
 			p := len(f.hostAt[j]) + k
 			lname := fmt.Sprintf("%s.port%d", swName, p)
-			// Trunk timing comes from the declared trunk; find it via the
-			// recorded endpoint list (k-th trunk endpoint of switch j).
-			var lp fabric.LinkParams
-			for _, pair := range ends {
-				for _, e := range pair {
-					if e.sw == j && e.port == p {
-						lp = spec.trunkLink(e.trunk)
-					}
-				}
-			}
+			lp := spec.trunkLink(f.peerTrunk[j][k])
 			out = append(out, newLinkBetween(f.swEng[j], f.swEng[peer], lname, lp, trunkSink{f: f, sw: peer, port: f.peerPort[j][k]}))
 		}
 		f.Switches[j] = fabric.NewSwitchWithLinks(f.swEng[j], swName, spec.switchLatency(j), out)
@@ -221,7 +215,6 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		f.uplinks[i] = newLinkBetween(f.hostEng[i], f.swEng[sw], uname, spec.hostLink(i), f.Switches[sw].PortSink(f.hostPort[i]))
 	}
 
-	f.buildForwarding()
 	return f, nil
 }
 
@@ -251,56 +244,68 @@ func newLinkBetween(src, dst *sim.Engine, name string, lp fabric.LinkParams, sin
 	return fabric.NewCrossLink(src, dst, name, lp, sink)
 }
 
-// buildForwarding computes next[s][d] — the output port at switch s
-// toward destination switch d — by a BFS from each destination over the
-// trunk graph. Neighbors are explored in declared trunk-endpoint order
-// and the first parent found wins, so the plan is a pure function of the
-// spec; generators exploit the tie-break by rotating their trunk
-// declarations (Clos racks elect different spines per destination).
-func (f *Fabric) buildForwarding() {
-	ns := len(f.Switches)
-	f.next = make([][]int, ns)
-	for s := 0; s < ns; s++ {
-		f.next[s] = make([]int, ns)
-		for d := range f.next[s] {
-			f.next[s][d] = -1
-		}
+// reach is one destination's breadth-first search over the trunk graph,
+// paused: port holds every switch discovered so far with its output port
+// toward the destination, queue the discovered switches not yet expanded —
+// as large as the part of the graph routes have had to look at.
+type reach struct {
+	port  map[int]int
+	queue []int
+}
+
+// nextHop returns the output port at switch sw toward destination switch
+// dst (-1 when there is no path), resuming dst's search only until sw is
+// discovered. Neighbors are explored in declared trunk-endpoint order and
+// the first parent found wins, whenever the search happens to run, so the
+// plan is a pure function of the spec; generators exploit the tie-break by
+// rotating their trunk declarations (Clos racks elect different spines per
+// destination).
+func (f *Fabric) nextHop(sw, dst int) int {
+	r := f.reach[dst]
+	if r == nil {
+		r = &reach{port: map[int]int{dst: -1}, queue: []int{dst}}
+		f.reach[dst] = r
 	}
-	for d := 0; d < ns; d++ {
-		seen := make([]bool, ns)
-		seen[d] = true
-		frontier := []int{d}
-		for len(frontier) > 0 {
-			cur := frontier[0]
-			frontier = frontier[1:]
-			for k, peer := range f.peerSw[cur] {
-				if seen[peer] {
-					continue
-				}
-				seen[peer] = true
+	for {
+		if out, ok := r.port[sw]; ok {
+			return out
+		}
+		if len(r.queue) == 0 {
+			return -1
+		}
+		cur := r.queue[0]
+		r.queue = r.queue[1:]
+		for k, peer := range f.peerSw[cur] {
+			if _, seen := r.port[peer]; !seen {
 				// The trunk cur—peer, seen from peer's side, is peer's
-				// port toward cur; cur is one hop closer to d, so that
+				// port toward cur; cur is one hop closer to dst, so that
 				// port is peer's next hop.
-				f.next[peer][d] = f.peerPort[cur][k]
-				frontier = append(frontier, peer)
+				r.port[peer] = f.peerPort[cur][k]
+				r.queue = append(r.queue, peer)
 			}
 		}
 	}
 }
 
+// far resolves trunk port out of switch sw to the peer switch and the
+// input port the trunk enters it on.
+func (f *Fabric) far(sw, out int) (peer, in int) {
+	k := out - len(f.hostAt[sw])
+	return f.peerSw[sw][k], f.peerPort[sw][k]
+}
+
 // Path returns the switch indices a cell traverses from host `from` to
-// host `to`, in order. Reporting and tests use it; Route walks the same
+// host `to`, in order. Reporting and tests use it; Provision walks the same
 // plan.
 func (f *Fabric) Path(from, to int) []int {
-	path := []int{f.hostSw[from]}
-	sw := f.hostSw[from]
-	for sw != f.hostSw[to] {
-		out := f.next[sw][f.hostSw[to]]
+	sw, dst := f.hostSw[from], f.hostSw[to]
+	path := []int{sw}
+	for sw != dst {
+		out := f.nextHop(sw, dst)
 		if out < 0 {
 			return nil
 		}
-		k := out - len(f.hostAt[sw])
-		sw = f.peerSw[sw][k]
+		sw, _ = f.far(sw, out)
 		path = append(path, sw)
 	}
 	return path
@@ -331,63 +336,78 @@ func (f *Fabric) TrunkCount() int { return len(f.Spec.Trunks) }
 // injection on inter-switch paths). The B→A direction is the peer port's
 // output link on B.
 func (f *Fabric) TrunkLink(t int) *fabric.Link {
-	// Trunk t's A-side port: count host ports plus earlier trunk endpoints
-	// on A. Recover it from the peer tables: walk A's trunk ports in order
-	// and take the t-th declared trunk's slot.
-	swIdx := make(map[string]int, len(f.Spec.Switches))
-	for j := range f.Spec.Switches {
-		swIdx[f.Spec.Switches[j].Name] = j
-	}
-	a := swIdx[f.Spec.Trunks[t].A]
-	k := 0
-	for i := 0; i < t; i++ {
-		if swIdx[f.Spec.Trunks[i].A] == a || swIdx[f.Spec.Trunks[i].B] == a {
-			k++
-		}
-	}
-	return f.Switches[a].OutputLink(len(f.hostAt[a]) + k)
+	return f.Switches[f.trunkA[t][0]].OutputLink(f.trunkA[t][1])
 }
 
 // SetHostSink registers the receive sink (a NIC input FIFO) for host.
 func (f *Fabric) SetHostSink(host int, s fabric.CellSink) { f.hostSinks[host] = s }
 
+// Provision sets up a circuit from host `from` to host `to`: the
+// multi-hop generalization of the cluster's single table entry. Every link
+// of the computed path gives its lowest free label and every switch gets
+// one (input port, label in) → (output port, label out) entry, so the
+// channel remains protected stage by stage — a cell can only follow the
+// circuit if it entered at the provisioned port of the first switch,
+// exactly §3.2's carefully-controlled route set-up stretched across
+// stages. A link out of labels part-way removes the stages installed.
+func (f *Fabric) Provision(from, to int) (tx, rx atm.VCI, err error) {
+	if tx, err = f.up[from].Alloc(f.uplinks[from].Name()); err != nil {
+		return 0, 0, err
+	}
+	rx, err = f.walk(from, tx, to, (*fabric.Switch).Swap)
+	if err != nil {
+		f.Unroute(from, tx)
+		return 0, 0, err
+	}
+	return tx, rx, nil
+}
+
 // Route installs vci, arriving from host `from`, to be delivered at host
-// `to`: the multi-hop generalization of the cluster's single table entry.
-// Each switch along the computed path gets one (input port, VCI) → output
-// port entry, so the channel remains protected stage by stage — a cell
-// can only follow the route if it entered at the provisioned port of the
-// first switch, exactly §3.2's carefully-controlled route set-up
-// stretched across stages.
+// `to` under the same label on every link: the explicit form of Provision,
+// drawing on the same per-link label spaces.
 func (f *Fabric) Route(from int, vci atm.VCI, to int) error {
+	f.up[from].Take(vci)
+	_, err := f.walk(from, vci, to, func(s *fabric.Switch, in int, label atm.VCI, port int) (atm.VCI, error) {
+		return label, s.Route(in, label, port)
+	})
+	return err
+}
+
+// walk installs one entry per switch from host `from` to host `to` with
+// stage, which returns the label the circuit carries on the stage's output
+// link; the result is the label it reaches `to` with.
+func (f *Fabric) walk(from int, label atm.VCI, to int, stage func(s *fabric.Switch, in int, label atm.VCI, port int) (atm.VCI, error)) (atm.VCI, error) {
 	sw, in := f.hostSw[from], f.hostPort[from]
 	dst := f.hostSw[to]
 	for sw != dst {
-		out := f.next[sw][dst]
+		out := f.nextHop(sw, dst)
 		if out < 0 {
-			return fmt.Errorf("topo: no path from switch %d to %d for vci %d", sw, dst, vci)
+			return 0, fmt.Errorf("topo: no path from switch %d to %d", sw, dst)
 		}
-		if err := f.Switches[sw].Route(in, vci, out); err != nil {
-			return err
+		var err error
+		if label, err = stage(f.Switches[sw], in, label, out); err != nil {
+			return 0, err
 		}
-		k := out - len(f.hostAt[sw])
-		sw, in = f.peerSw[sw][k], f.peerPort[sw][k]
+		sw, in = f.far(sw, out)
 	}
-	return f.Switches[dst].Route(in, vci, f.hostPort[to])
+	return stage(f.Switches[dst], in, label, f.hostPort[to])
 }
 
-// Unroute removes a multi-hop route again (channel tear-down), walking
-// the same path Route installed. The destination is recovered from the
-// installed entries themselves: each stage's table names the next.
+// Unroute removes a multi-hop circuit again (channel tear-down). The path
+// and the destination are recovered from the installed entries themselves:
+// each stage's table names the next stage and the label the circuit
+// carries there.
 func (f *Fabric) Unroute(from int, vci atm.VCI) {
+	f.up[from].Free(vci)
 	sw, in := f.hostSw[from], f.hostPort[from]
 	for {
-		out, ok := f.Switches[sw].Lookup(in, vci)
+		out, next, ok := f.Switches[sw].Lookup(in, vci)
 		f.Switches[sw].Unroute(in, vci)
 		if !ok || out < len(f.hostAt[sw]) {
 			return
 		}
-		k := out - len(f.hostAt[sw])
-		sw, in = f.peerSw[sw][k], f.peerPort[sw][k]
+		sw, in = f.far(sw, out)
+		vci = next
 	}
 }
 

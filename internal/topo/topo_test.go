@@ -168,7 +168,7 @@ func TestRouteInstallsPerStageEntries(t *testing.T) {
 	// follow them hop by hop.
 	sw, in := f.hostSw[from], f.hostPort[from]
 	for range path {
-		out, ok := f.Switches[sw].Lookup(in, 50)
+		out, _, ok := f.Switches[sw].Lookup(in, 50)
 		if !ok {
 			t.Fatalf("switch %d has no entry for (port %d, vci 50)", sw, in)
 		}
@@ -184,7 +184,7 @@ func TestRouteInstallsPerStageEntries(t *testing.T) {
 	f.Unroute(from, 50)
 	for j := range f.Switches {
 		for p := 0; p < f.Switches[j].Ports(); p++ {
-			if _, ok := f.Switches[j].Lookup(p, 50); ok {
+			if _, _, ok := f.Switches[j].Lookup(p, 50); ok {
 				t.Fatalf("switch %d port %d still routes vci 50 after Unroute", j, p)
 			}
 		}

@@ -9,24 +9,21 @@ import (
 )
 
 // Manager is the operating-system service of §3.2 that "assists the
-// application in determining the correct tag to use": it allocates VCI
-// pairs, programs switch routes, performs the authorization checks, and
-// registers the tags with each host's U-Net device. One Manager serves a
-// fabric — the single-switch cluster or a topo-compiled multi-switch
-// fabric, whose Route walks the path and installs a per-stage entry at
-// every switch between the two hosts.
+// application in determining the correct tag to use": it has the fabric
+// provision a circuit in each direction, performs the authorization
+// checks, and registers the tags with each host's U-Net device. VCIs are
+// local to a link and swapped at every switch, so each side's (tx, rx)
+// pair names only its own uplink and downlink, and a device's demux table
+// spans the channels open on that device. One Manager serves a fabric —
+// the single-switch cluster or a topo-compiled multi-switch fabric.
 type Manager struct {
 	cluster fabric.Network
 	ports   map[*Host]int
-	nextVCI atm.VCI
 }
-
-// firstUserVCI skips the VCIs reserved by ATM signalling conventions.
-const firstUserVCI atm.VCI = 32
 
 // NewManager creates the connection-management service for a fabric.
 func NewManager(c fabric.Network) *Manager {
-	return &Manager{cluster: c, ports: make(map[*Host]int), nextVCI: firstUserVCI}
+	return &Manager{cluster: c, ports: make(map[*Host]int)}
 }
 
 // Register associates a host with its switch port. NIC attach helpers call
@@ -40,7 +37,9 @@ func (m *Manager) Port(h *Host) (int, bool) {
 }
 
 // Channel is the result of connecting two endpoints: the per-endpoint
-// channel identifiers that name the full-duplex VCI pair.
+// channel identifiers that name the full-duplex VCI pair. AtoB and BtoA
+// are each sender's tx label — the VCI its cells carry on its own uplink,
+// not the one they arrive with (Endpoint.ChannelVCIs has both per side).
 type Channel struct {
 	A, B  *Endpoint
 	AtoB  atm.VCI
@@ -51,9 +50,9 @@ type Channel struct {
 
 // Connect establishes a full-duplex communication channel between two
 // endpoints (§3.2, §4.2.2: "the tags used for the ATM network consist of a
-// VCI pair"). It allocates the two one-way VCIs, programs the switch
-// routes, and registers the tag pair with both devices. The cost of the
-// two system calls is charged to p.
+// VCI pair"). It provisions the two one-way circuits and registers each
+// side's tag pair with its device. The cost of the two system calls is
+// charged to p. A link with no free VCI fails the connect.
 func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	if a.closed || b.closed {
 		return nil, ErrClosed
@@ -66,30 +65,31 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	charge(p, a.host.Params.Syscall)
 	charge(p, b.host.Params.Syscall)
 
-	vAB := m.allocVCI()
-	vBA := m.allocVCI()
-	// Routes are provisioned per input port: vAB is only valid arriving
-	// from A's port, vBA only from B's — no third host can inject cells
-	// on this channel (§3.2).
-	if err := m.cluster.Route(portA, vAB, portB); err != nil {
+	// Circuits are provisioned per input port: A's tx label is only valid
+	// arriving from A's port, B's only from B's — no third host can inject
+	// cells on this channel (§3.2).
+	txA, rxB, err := m.cluster.Provision(portA, portB)
+	if err != nil {
 		return nil, err
 	}
-	if err := m.cluster.Route(portB, vBA, portA); err != nil {
+	txB, rxA, err := m.cluster.Provision(portB, portA)
+	if err != nil {
+		m.cluster.Unroute(portA, txA)
 		return nil, err
 	}
-	chA := a.registerChannel(vAB, vBA)
-	chB := b.registerChannel(vBA, vAB)
-	if err := a.host.dev.OpenChannel(a, chA, vAB, vBA); err != nil {
+	chA := a.registerChannel(txA, rxA)
+	chB := b.registerChannel(txB, rxB)
+	if err := a.host.dev.OpenChannel(a, chA, txA, rxA); err != nil {
 		return nil, err
 	}
-	if err := b.host.dev.OpenChannel(b, chB, vBA, vAB); err != nil {
+	if err := b.host.dev.OpenChannel(b, chB, txB, rxB); err != nil {
 		return nil, err
 	}
-	return &Channel{A: a, B: b, AtoB: vAB, BtoA: vBA, ChanA: chA, ChanB: chB}, nil
+	return &Channel{A: a, B: b, AtoB: txA, BtoA: txB, ChanA: chA, ChanB: chB}, nil
 }
 
-// Disconnect tears a channel down: deregisters the tags and removes the
-// switch routes.
+// Disconnect tears a channel down: deregisters the tags, removes the
+// switch routes and frees their labels for the next circuit.
 func (m *Manager) Disconnect(p *sim.Proc, ch *Channel) {
 	charge(p, ch.A.host.Params.Syscall)
 	charge(p, ch.B.host.Params.Syscall)
@@ -101,10 +101,4 @@ func (m *Manager) Disconnect(p *sim.Proc, ch *Channel) {
 	portB, _ := m.ports[ch.B.host]
 	m.cluster.Unroute(portA, ch.AtoB)
 	m.cluster.Unroute(portB, ch.BtoA)
-}
-
-func (m *Manager) allocVCI() atm.VCI {
-	v := m.nextVCI
-	m.nextVCI++
-	return v
 }

@@ -6,9 +6,11 @@ import (
 	"testing"
 	"time"
 
+	"unet/internal/atm"
 	"unet/internal/nic"
 	"unet/internal/sim"
 	"unet/internal/testbed"
+	"unet/internal/topo"
 	"unet/internal/unet"
 )
 
@@ -652,19 +654,150 @@ func TestDeviceEndpointTableLimit(t *testing.T) {
 	}
 }
 
+// connectedEndpoints creates one endpoint per listed host and returns them.
+func connectedEndpoints(t *testing.T, tb *testbed.Testbed, hosts ...int) []*unet.Endpoint {
+	t.Helper()
+	var eps []*unet.Endpoint
+	for _, h := range hosts {
+		ep, err := tb.Hosts[h].Kernel.CreateEndpoint(nil, tb.Hosts[h].NewProcess("app"), unet.EndpointConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		eps = append(eps, ep)
+	}
+	return eps
+}
+
 func TestChannelVCIsAccessor(t *testing.T) {
-	tb, pr := newPair(t, unet.EndpointConfig{}, 0)
-	defer tb.Eng.Shutdown()
-	tx, rx, ok := pr.EpA.ChannelVCIs(pr.ChA)
-	if !ok || tx == rx {
-		t.Fatalf("ChannelVCIs = %d/%d/%v", tx, rx, ok)
+	// VCIs are link-local: each side's pair names its own uplink (tx) and
+	// downlink (rx), numbered from the first user label per link. The label
+	// a sender transmits on need not be the one the receiver sees.
+	tb := testbed.New(testbed.Config{Hosts: 3})
+	t.Cleanup(tb.Close)
+	eps := connectedEndpoints(t, tb, 0, 1, 2)
+	ab, err := tb.Manager.Connect(nil, eps[0], eps[1])
+	if err != nil {
+		t.Fatal(err)
 	}
-	txB, rxB, _ := pr.EpB.ChannelVCIs(pr.ChB)
-	if tx != rxB || rx != txB {
-		t.Fatalf("VCI pair mismatch: A %d/%d vs B %d/%d", tx, rx, txB, rxB)
+	ac, err := tb.Manager.Connect(nil, eps[0], eps[2])
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, _, ok := pr.EpA.ChannelVCIs(99); ok {
+	for _, tc := range []struct {
+		name   string
+		ep     *unet.Endpoint
+		ch     unet.ChannelID
+		tx, rx int
+	}{
+		{"A→B", eps[0], ab.ChanA, 32, 32},
+		{"B→A", eps[1], ab.ChanB, 32, 32},
+		{"A→C", eps[0], ac.ChanA, 33, 33}, // second circuit on A's links
+		{"C→A", eps[2], ac.ChanB, 32, 32}, // first on C's: A sends 33, C sees 32
+	} {
+		tx, rx, ok := tc.ep.ChannelVCIs(tc.ch)
+		if !ok || int(tx) != tc.tx || int(rx) != tc.rx {
+			t.Errorf("%s: ChannelVCIs = %d/%d/%v, want %d/%d", tc.name, tx, rx, ok, tc.tx, tc.rx)
+		}
+	}
+	if ab.AtoB != 32 || ab.BtoA != 32 || ac.AtoB != 33 || ac.BtoA != 32 {
+		t.Errorf("Channel tx labels A→B %d, B→A %d, A→C %d, C→A %d; want 32 32 33 32", ab.AtoB, ab.BtoA, ac.AtoB, ac.BtoA)
+	}
+	if _, _, ok := eps[0].ChannelVCIs(99); ok {
 		t.Fatal("bogus channel reported VCIs")
+	}
+}
+
+func TestManagerReconnectReusesLabels(t *testing.T) {
+	// Disconnect frees the circuit's labels on every link; the next
+	// connect takes them again, lowest first, and nothing grows.
+	tb := testbed.New(testbed.Config{Topology: topo.Clos2(2, 2, 1)})
+	t.Cleanup(tb.Close)
+	eps := connectedEndpoints(t, tb, 0, 3, 1)
+	if _, err := tb.Manager.Connect(nil, eps[2], eps[1]); err != nil { // shares the trunks and host 3's links
+		t.Fatal(err)
+	}
+	labels := func() [4]atm.VCI {
+		ch, err := tb.Manager.Connect(nil, eps[0], eps[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		txA, rxA, _ := eps[0].ChannelVCIs(ch.ChanA)
+		txB, rxB, _ := eps[1].ChannelVCIs(ch.ChanB)
+		tb.Manager.Disconnect(nil, ch)
+		return [4]atm.VCI{txA, rxA, txB, rxB}
+	}
+	first := labels()
+	if want := [4]atm.VCI{32, 32, 33, 33}; first != want {
+		t.Fatalf("labels %v, want %v", first, want)
+	}
+	if again := labels(); again != first {
+		t.Fatalf("reconnect got labels %v, first connect %v", again, first)
+	}
+}
+
+func TestConnectFailsOnExhaustedLink(t *testing.T) {
+	// A link out of VCIs fails the connect with the link's name, and the
+	// direction already provisioned is torn down again.
+	tb := testbed.New(testbed.Config{Hosts: 2})
+	t.Cleanup(tb.Close)
+	eps := connectedEndpoints(t, tb, 0, 1)
+	for i := 0; i < 1<<16-32; i++ {
+		if _, _, err := tb.Net.Provision(1, 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err := tb.Manager.Connect(nil, eps[0], eps[1])
+	if err == nil || err.Error() != "fabric: link atm.up1: no free VCI (65504 circuits)" {
+		t.Fatalf("Connect on a full uplink: %v", err)
+	}
+	if tx, rx, err := tb.Net.Provision(0, 1); err != nil || tx != 32 || rx != 32 {
+		t.Fatalf("A→B circuit after failed connect: %d/%d, %v; want 32/32 (rolled back)", tx, rx, err)
+	}
+}
+
+func TestProtectionUnderLabelSwapping(t *testing.T) {
+	// §3.2 with link-local labels: a circuit's labels are valid only on the
+	// ports it was provisioned through. A third host that sends B's rx
+	// label, or A's tx label, from its own port has no route at its first
+	// switch — on the single switch and across a Clos alike.
+	for _, cfg := range []testbed.Config{{Hosts: 4}, {Topology: topo.Clos2(2, 2, 1)}} {
+		tb := testbed.New(cfg)
+		eps := connectedEndpoints(t, tb, 0, 3, 1)
+		if _, err := tb.Manager.Connect(nil, eps[2], eps[1]); err != nil {
+			t.Fatal(err)
+		}
+		ch, err := tb.Manager.Connect(nil, eps[0], eps[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		txA, _, _ := eps[0].ChannelVCIs(ch.ChanA)
+		_, rxB, _ := eps[1].ChannelVCIs(ch.ChanB)
+		if txA == rxB {
+			t.Fatalf("A's tx label %d equals B's rx label; the test needs them apart", txA)
+		}
+		if _, err := eps[1].ProvideRecvBuffers(nil, 0, 4); err != nil {
+			t.Fatal(err)
+		}
+		tb.Net.Uplink(2).Send(atm.Cell{VCI: rxB, EOP: true})
+		tb.Net.Uplink(2).Send(atm.Cell{VCI: txA, EOP: true})
+		tb.Eng.Run()
+		var unknown uint64
+		if tb.Fabric != nil {
+			unknown = tb.Fabric.Switch.UnknownVCICells()
+		} else {
+			for _, sw := range tb.Topo.Switches {
+				unknown += sw.UnknownVCICells()
+			}
+		}
+		if unknown != 2 {
+			t.Errorf("UnknownVCICells = %d, want both forged cells", unknown)
+		}
+		for i, d := range tb.Devices {
+			if got := d.Stats().CellsIn; got != 0 {
+				t.Errorf("host %d's NI received %d cells; forged cells must die at the first switch", i, got)
+			}
+		}
+		tb.Close()
 	}
 }
 

@@ -7,7 +7,7 @@ GO ?= go
 # PR numbers this change's artifacts. BENCH_PR$(PR).json is the committed
 # set of paired `go run ./bench -out` ledgers; `make bench` writes the
 # go-test rung summary beside it.
-PR ?= 14
+PR ?= 15
 BENCH_OUT ?= BENCH_PR$(PR)_rungs.json
 FUZZTIME ?= 10s
 
@@ -15,7 +15,7 @@ FUZZTIME ?= 10s
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all build check test race raceshards shardcheck alloccheck serve chaos clos gossip lint lint-extra fuzz bench benchcheck ci clean
+.PHONY: all build check test loc race raceshards shardcheck alloccheck serve chaos clos gossip lint lint-extra fuzz bench benchcheck ci clean
 
 all: build
 
@@ -27,9 +27,15 @@ check: build test
 test:
 	$(GO) test ./...
 
+# loc prints the ROADMAP's size measure — non-test Go outside bench/ and
+# testdata — so every simplicity PR reports the same number.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
+
 race:
 	$(GO) test -race ./internal/sim/...
 	$(GO) test -race ./internal/fabric/...
+	$(GO) test -race ./internal/topo/...
 	$(GO) test -race ./internal/nic/...
 	GOMAXPROCS=4 $(GO) test -race -run 'Golden' ./internal/experiments/
 
@@ -37,9 +43,11 @@ race:
 # (SPSC rings, published clocks, quiescence scan, per-pair lookahead,
 # parking, fast-forward) and the tie tests (TestShardSameTimestamp…,
 # TestShardedTie…: 200 sharded trials each against the serial run) under
-# the race detector with real parallelism pinned at GOMAXPROCS=4.
+# the race detector with real parallelism pinned at GOMAXPROCS=4;
+# internal/topo holds the sharded-star and sharded-Clos serial-equivalence
+# tests.
 raceshards:
-	GOMAXPROCS=4 $(GO) test -race -run 'TestShard|TestSPSC|TestCrossLink' ./internal/sim/ ./internal/fabric/ ./internal/testbed/
+	GOMAXPROCS=4 $(GO) test -race -run 'TestShard|TestSPSC|TestCrossLink' ./internal/sim/ ./internal/fabric/ ./internal/topo/ ./internal/testbed/
 	GOMAXPROCS=4 $(GO) test -race -run 'TestGoldenShardSweep|TestGoldenSyncSweep|TestGoldenFaultDeterminism' ./internal/experiments/
 
 shardcheck:

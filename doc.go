@@ -14,7 +14,8 @@
 //
 //	internal/sim        process-oriented discrete-event engine
 //	internal/atm        cells, VCIs, AAL5 segmentation + CRC-32
-//	internal/fabric     fiber links, ASX-200 switch, cluster topology
+//	internal/fabric     fiber links, ASX-200 switch, link-local VCI labels
+//	internal/topo       topology specs (the paper's one-switch star, Clos, rings) and their compiler
 //	internal/nic        SBA-200 (U-Net firmware), SBA-100, Fore firmware
 //	internal/unet       the U-Net architecture (the paper's contribution)
 //	internal/uam        U-Net Active Messages (GAM 1.1 style)

@@ -38,7 +38,7 @@ func main() {
 
 	// Drop a burst of cells on the server's downlink mid-transfer.
 	cell := 0
-	tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 		cell++
 		return cell >= 2000 && cell < 2000+*lossCells
 	})

@@ -35,40 +35,7 @@ func TCPRTTDelayedAck(size, rounds int) time.Duration {
 	defer tb.Close()
 	params := tcpParamsFor(PathUNet, 0)
 	params.DelayedAck = true
-	a := tcp.New(ca, 5000, 80, params)
-	bConn := tcp.New(cb, 80, 5000, params)
-	var rtt time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		if err := bConn.Accept(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, size)
-		for i := 0; i < rounds+1; i++ {
-			if !readFull(p, bConn, buf) {
-				return
-			}
-			bConn.Write(p, buf)
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		if err := a.Dial(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, size)
-		var start time.Duration
-		for i := 0; i < rounds+1; i++ {
-			if i == 1 {
-				start = p.Now()
-			}
-			a.Write(p, buf)
-			if !readFull(p, a, buf) {
-				return
-			}
-		}
-		rtt = (p.Now() - start) / time.Duration(rounds)
-	})
-	tb.Eng.Run()
-	return rtt
+	return tcpEcho(tb, tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params), size, rounds)
 }
 
 // runTCPTransfer is the shared bulk-transfer skeleton.

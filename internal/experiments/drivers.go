@@ -6,10 +6,12 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
 
+	"unet/internal/faults"
 	"unet/internal/nic"
 	"unet/internal/sim"
 	"unet/internal/testbed"
@@ -41,20 +43,15 @@ func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
 	return pr.Stream(count, size)
 }
 
-// uamPairTB builds two connected UAM nodes. The caller owns tb.Close.
-func uamPairTB(cfg uam.Config) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
+// uamPair builds two connected UAM nodes over a fabric impaired by plan
+// (nil is the perfect wire). The caller owns tb.Close.
+func uamPair(cfg uam.Config, plan *faults.Plan) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: plan})
 	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
-	if err != nil {
-		panic(err)
-	}
+	mustNoErr(err, "uam node 0")
 	b, err := uam.New(tb.Hosts[1].NewProcess("am"), 1, cfg)
-	if err != nil {
-		panic(err)
-	}
-	if err := uam.Connect(tb.Manager, a, b); err != nil {
-		panic(err)
-	}
+	mustNoErr(err, "uam node 1")
+	mustNoErr(uam.Connect(tb.Manager, a, b), "uam connect")
 	return tb, a, b
 }
 
@@ -68,8 +65,20 @@ const (
 // UAMPingPong measures the UAM request/reply round-trip time with
 // size-byte payloads (Figure 3, "UAM" for ≤32 B and "UAM xfer" beyond).
 func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
-	tb, a, b := uamPairTB(cfg)
+	tb, a, b := uamPair(cfg, nil)
 	defer tb.Close()
+	rtt, err := uamEcho(tb, a, b, size, rounds)
+	mustNoErr(err, "uam request on a perfect wire")
+	return rtt
+}
+
+// uamEcho runs rounds+1 request/reply round trips of size-byte payloads
+// from a to b and returns the mean of all but the first. Lost cells are the
+// go-back-N timer's to recover and show as a tail on the mean. Only a peer
+// declared dead ends the run early: the failed Request is returned with the
+// mean so far, and the deadline bounds the wait for a reply that will never
+// come.
+func uamEcho(tb *testbed.Testbed, a, b *uam.UAM, size, rounds int) (time.Duration, error) {
 	payload := make([]byte, size)
 	// done crosses hosts — and, when sharded, goroutines. It flips only
 	// after the measurement is complete, so it never perturbs timing.
@@ -77,7 +86,7 @@ func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
 	var done atomic.Bool
 	gotReply := false
 	b.RegisterHandler(hEcho, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
-		if err := u.Reply(p, hEchoR, arg, data); err != nil {
+		if err := u.Reply(p, hEchoR, arg, data); err != nil && !errors.Is(err, uam.ErrPeerDead) {
 			panic(err)
 		}
 	})
@@ -85,23 +94,23 @@ func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
 		gotReply = true
 	})
 	var start, end time.Duration
+	var failed error
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
 		for !done.Load() {
-			if b.PollWait(p, time.Millisecond) == 0 && done.Load() {
-				return
-			}
+			b.PollWait(p, time.Millisecond)
 		}
 	})
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		deadline := p.Now() + time.Duration(rounds+1)*100*time.Millisecond
 		for i := 0; i < rounds+1; i++ {
 			if i == 1 {
 				start = p.Now()
 			}
 			gotReply = false
-			if err := a.Request(p, 1, hEcho, uint32(i), payload); err != nil {
-				panic(err)
+			if failed = a.Request(p, 1, hEcho, uint32(i), payload); failed != nil {
+				break
 			}
-			for !gotReply {
+			for !gotReply && p.Now() < deadline {
 				a.PollWait(p, time.Millisecond)
 			}
 		}
@@ -109,14 +118,14 @@ func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
 		done.Store(true)
 	})
 	tb.Eng.Run()
-	return (end - start) / time.Duration(rounds)
+	return (end - start) / time.Duration(rounds), failed
 }
 
 // UAMStoreBandwidth measures GAM block-store streaming bandwidth
 // (Figure 4, "UAM store"): blocks of the given size are stored to the
 // remote node in a loop and the total time measured (§5.2).
 func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
-	tb, a, b := uamPairTB(cfg)
+	tb, a, b := uamPair(cfg, nil)
 	defer tb.Close()
 	block := make([]byte, size)
 	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
@@ -151,7 +160,7 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 // "UAM get"): a series of requests fetches blocks from the remote node
 // and the caller waits until all arrive (§5.2).
 func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
-	tb, a, b := uamPairTB(cfg)
+	tb, a, b := uamPair(cfg, nil)
 	defer tb.Close()
 	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
 	var done atomic.Bool

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -56,61 +55,15 @@ func RawGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, 
 	return float64(res.Delivered) / float64(count), res.MBps()
 }
 
-// uamPairFaultTB is uamPairTB over an impaired fabric.
-func uamPairFaultTB(cfg uam.Config, pl *faults.Plan) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: pl})
-	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
-	mustNoErr(err, "uam node 0")
-	b, err := uam.New(tb.Hosts[1].NewProcess("am"), 1, cfg)
-	mustNoErr(err, "uam node 1")
-	mustNoErr(uam.Connect(tb.Manager, a, b), "uam connect")
-	return tb, a, b
-}
-
 // UAMRTTUnderLoss measures the UAM request/reply round trip over a lossy
 // fabric: lost requests or replies are recovered by the go-back-N
 // retransmission timer, which shows up as a loss-proportional tail on the
 // mean.
 func UAMRTTUnderLoss(seed int64, rate float64, size, rounds int) (rtt time.Duration, retx uint64) {
-	tb, a, b := uamPairFaultTB(uam.Config{}, lossPlan(seed, rate))
+	tb, a, b := uamPair(uam.Config{}, lossPlan(seed, rate))
 	defer tb.Close()
-	payload := make([]byte, size)
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
-	var done atomic.Bool
-	gotReply := false
-	b.RegisterHandler(hEcho, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
-		if err := u.Reply(p, hEchoR, arg, data); err != nil && !errors.Is(err, uam.ErrPeerDead) {
-			panic(err)
-		}
-	})
-	a.RegisterHandler(hEchoR, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
-		gotReply = true
-	})
-	var start, end time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for !done.Load() {
-			b.PollWait(p, time.Millisecond)
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		deadline := p.Now() + time.Duration(rounds+1)*100*time.Millisecond
-		for i := 0; i < rounds+1; i++ {
-			if i == 1 {
-				start = p.Now()
-			}
-			gotReply = false
-			if err := a.Request(p, 1, hEcho, uint32(i), payload); err != nil {
-				break
-			}
-			for !gotReply && p.Now() < deadline {
-				a.PollWait(p, time.Millisecond)
-			}
-		}
-		end = p.Now()
-		done.Store(true)
-	})
-	tb.Eng.Run()
-	return (end - start) / time.Duration(rounds), a.Stats().Retransmits + b.Stats().Retransmits
+	rtt, _ = uamEcho(tb, a, b, size, rounds) // a dead peer shows in the mean
+	return rtt, a.Stats().Retransmits + b.Stats().Retransmits
 }
 
 // UAMGoodputUnderLoss stores count size-byte blocks through the reliable
@@ -120,7 +73,7 @@ func UAMRTTUnderLoss(seed int64, rate float64, size, rounds int) (rtt time.Durat
 // is so amplified (every cell of every segment must survive two lossy
 // links) that the retry budget can run out and declare the peer dead.
 func UAMGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, mbps float64, retx uint64) {
-	tb, a, b := uamPairFaultTB(uam.Config{}, lossPlan(seed, rate))
+	tb, a, b := uamPair(uam.Config{}, lossPlan(seed, rate))
 	defer tb.Close()
 	block := make([]byte, size)
 	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
@@ -163,42 +116,7 @@ func tcpLossPair(pl *faults.Plan) (*testbed.Testbed, *tcp.Conn, *tcp.Conn) {
 func TCPRTTUnderLoss(seed int64, rate float64, size, rounds int) time.Duration {
 	tb, a, b := tcpLossPair(lossPlan(seed, rate))
 	defer tb.Close()
-	var rtt time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		if err := b.Accept(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, size)
-		for i := 0; i < rounds+1; i++ {
-			if !readFull(p, b, buf) {
-				return
-			}
-			if b.Write(p, buf) != nil {
-				return
-			}
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		if err := a.Dial(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, size)
-		var start time.Duration
-		for i := 0; i < rounds+1; i++ {
-			if i == 1 {
-				start = p.Now()
-			}
-			if a.Write(p, buf) != nil {
-				return
-			}
-			if !readFull(p, a, buf) {
-				return
-			}
-		}
-		rtt = (p.Now() - start) / time.Duration(rounds)
-	})
-	tb.Eng.Run()
-	return rtt
+	return tcpEcho(tb, a, b, size, rounds)
 }
 
 // TCPGoodputUnderLoss transfers total bytes over a lossy fabric. A single
@@ -366,7 +284,7 @@ func Chaos(cfg ChaosConfig) *stats.Table {
 	t.Row("faults", fmt.Sprintf("cells %d", ft.Cells),
 		fmt.Sprintf("drop %d+%d", ft.Dropped, ft.DownDrops),
 		fmt.Sprintf("corrupt %d/%d dup %d delay %d", ft.Corrupted, ft.HdrDamage, ft.Duplicate, ft.Delayed))
-	t.Row("drops", fmt.Sprintf("switchq %d", tb.Fabric.Switch.TotalQueueDrops()),
+	t.Row("drops", fmt.Sprintf("switchq %d", tb.Topo.TotalQueueDrops()),
 		fmt.Sprintf("crc %d", crc), fmt.Sprintf("badpdu %d", badPDUs))
 	return t
 }

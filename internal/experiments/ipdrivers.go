@@ -100,11 +100,15 @@ func tcpParamsFor(kind PathKind, window int) tcp.Params {
 func UDPRTT(kind PathKind, size, rounds int) time.Duration {
 	tb, ca, cb := ipPair(kind)
 	defer tb.Close()
-	sa := udp.NewStack(ca, udpParamsFor(kind))
-	sb := udp.NewStack(cb, udpParamsFor(kind))
-	ska, err := sa.Bind(1, 0)
+	return udpEcho(tb, ca, cb, udpParamsFor(kind), size, rounds)
+}
+
+// udpEcho bounces rounds+1 size-byte datagrams off cb's stack and returns
+// the mean round trip of all but the first; zero if one is lost.
+func udpEcho(tb *testbed.Testbed, ca, cb ip.Conduit, params udp.Params, size, rounds int) time.Duration {
+	ska, err := udp.NewStack(ca, params).Bind(1, 0)
 	mustNoErr(err, "bind")
-	skb, err := sb.Bind(2, 0)
+	skb, err := udp.NewStack(cb, params).Bind(2, 0)
 	mustNoErr(err, "bind")
 	var rtt time.Duration
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
@@ -183,6 +187,13 @@ func TCPRTT(kind PathKind, size, rounds int) time.Duration {
 	defer tb.Close()
 	a := tcp.New(ca, 5000, 80, tcpParamsFor(kind, 0))
 	b := tcp.New(cb, 80, 5000, tcpParamsFor(kind, 0))
+	return tcpEcho(tb, a, b, size, rounds)
+}
+
+// tcpEcho connects a to b, bounces rounds+1 size-byte messages off b and
+// returns the mean round trip of all but the first; zero if the connection
+// fails before the last one returns.
+func tcpEcho(tb *testbed.Testbed, a, b *tcp.Conn, size, rounds int) time.Duration {
 	var rtt time.Duration
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
 		if err := b.Accept(p, time.Second); err != nil {
@@ -193,7 +204,9 @@ func TCPRTT(kind PathKind, size, rounds int) time.Duration {
 			if !readFull(p, b, buf) {
 				return
 			}
-			b.Write(p, buf)
+			if b.Write(p, buf) != nil {
+				return
+			}
 		}
 	})
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
@@ -206,7 +219,9 @@ func TCPRTT(kind PathKind, size, rounds int) time.Duration {
 			if i == 1 {
 				start = p.Now()
 			}
-			a.Write(p, buf)
+			if a.Write(p, buf) != nil {
+				return
+			}
 			if !readFull(p, a, buf) {
 				return
 			}
@@ -239,85 +254,15 @@ func TCPBandwidth(kind PathKind, window, writeSize, total int) float64 {
 	defer tb.Close()
 	a := tcp.New(ca, 5000, 80, tcpParamsFor(kind, window))
 	b := tcp.New(cb, 80, 5000, tcpParamsFor(kind, window))
-	var start, end time.Duration
-	got := 0
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		if err := b.Accept(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, 64<<10)
-		deadline := p.Now() + 120*time.Second
-		for got < total && p.Now() < deadline {
-			n, err := b.Read(p, buf, 500*time.Millisecond)
-			if err != nil {
-				return
-			}
-			if n > 0 {
-				got += n
-				end = p.Now()
-			}
-		}
-		for k := 0; k < 300; k++ {
-			b.Poll(p)
-			p.Sleep(time.Millisecond)
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		if err := a.Dial(p, time.Second); err != nil {
-			return
-		}
-		start = p.Now()
-		buf := make([]byte, writeSize)
-		for off := 0; off < total; off += writeSize {
-			if err := a.Write(p, buf); err != nil {
-				return
-			}
-		}
-		a.Flush(p, 100*time.Second)
-	})
-	tb.Eng.Run()
-	if end <= start {
-		return 0
-	}
-	return float64(got) / (end - start).Seconds() / 1e6
+	return runTCPTransfer(tb, a, b, writeSize, total)
 }
 
 // UNetUDPNoChecksumRTT measures UDP round trips with the checksum
 // switched off (§7.6 ablation).
 func UNetUDPNoChecksumRTT(size, rounds int) time.Duration {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount()})
+	tb, ca, cb := ipPair(PathUNet)
 	defer tb.Close()
-	ca, cb, err := tb.NewIPConduitPair(0, 1)
-	mustNoErr(err, "pair")
 	params := udp.DefaultParams()
 	params.Checksum = false
-	sa := udp.NewStack(ca, params)
-	sb := udp.NewStack(cb, params)
-	ska, _ := sa.Bind(1, 0)
-	skb, _ := sb.Bind(2, 0)
-	var rtt time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for i := 0; i < rounds+1; i++ {
-			d, src, ok := skb.RecvFrom(p, time.Second)
-			if !ok {
-				return
-			}
-			skb.SendTo(p, src, d)
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		var start time.Duration
-		for i := 0; i < rounds+1; i++ {
-			if i == 1 {
-				start = p.Now()
-			}
-			ska.SendTo(p, 2, make([]byte, size))
-			if _, _, ok := ska.RecvFrom(p, time.Second); !ok {
-				return
-			}
-		}
-		rtt = (p.Now() - start) / time.Duration(rounds)
-	})
-	tb.Eng.Run()
-	return rtt
+	return udpEcho(tb, ca, cb, params, size, rounds)
 }

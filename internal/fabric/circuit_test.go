@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"strings"
 	"testing"
-	"time"
 
 	"unet/internal/atm"
 	"unet/internal/fabric"
@@ -22,11 +21,11 @@ type circuitNet struct {
 }
 
 func circuitNets() []circuitNet {
-	cl := fabric.NewCluster(sim.New(1), "cl", 4, fabric.LinkParams{CellTime: time.Microsecond}, 0)
+	cl := topo.MustCompile(sim.New(1), topo.Star("cl", 4), nil, nil)
 	c2 := topo.MustCompile(sim.New(1), topo.Clos2(4, 2, 2), nil, nil)
 	c3 := topo.MustCompile(sim.New(1), topo.Clos3(2, 2, 2, 2), nil, nil)
 	return []circuitNet{
-		{"cluster", cl, cl.Route, []*fabric.Switch{cl.Switch}},
+		{"star", cl, cl.Route, cl.Switches},
 		{"clos2", c2, c2.Route, c2.Switches},
 		{"clos3", c3, c3.Route, c3.Switches},
 	}
@@ -133,8 +132,8 @@ func TestProvisionExhaustedLink(t *testing.T) {
 		if err == nil || !strings.HasPrefix(err.Error(), "fabric: link c") || !strings.HasSuffix(err.Error(), ": no free VCI (65504 circuits)") {
 			t.Errorf("%s: err = %v, want a full link named", n.name, err)
 		}
-		if n.name == "cluster" && !strings.Contains(err.Error(), " "+n.net.Downlink(last).Name()+":") {
-			t.Errorf("cluster: err = %v, want host %d's downlink %s named", err, last, n.net.Downlink(last).Name())
+		if n.name == "star" && !strings.Contains(err.Error(), " "+n.net.Downlink(last).Name()+":") {
+			t.Errorf("star: err = %v, want host %d's downlink %s named", err, last, n.net.Downlink(last).Name())
 		}
 		if _, after := n.tables(); after != full {
 			t.Errorf("%s: failed Provision left %d entries behind", n.name, after-full)

@@ -1,7 +1,6 @@
 package fabric
 
 import (
-	"strings"
 	"testing"
 	"time"
 	"unsafe"
@@ -202,83 +201,12 @@ func TestSwitchOutputContention(t *testing.T) {
 	}
 }
 
-func TestClusterEndToEnd(t *testing.T) {
-	e := sim.New(1)
-	cl := NewCluster(e, "cl", 4, LinkParams{CellTime: 1 * us, Propagation: 0}, 2*us)
-	col := &collector{e: e}
-	cl.SetHostSink(2, col)
-	if err := cl.Route(0, 42, 2); err != nil {
-		t.Fatal(err)
-	}
-	cl.Uplink(0).Send(atm.Cell{VCI: 42})
-	e.Run()
-	if len(col.cells) != 1 {
-		t.Fatalf("host 2 received %d cells, want 1", len(col.cells))
-	}
-	// uplink 1µs + switch 2µs + downlink 1µs
-	if col.times[0] != 4*us {
-		t.Fatalf("delivered at %v, want 4µs", col.times[0])
-	}
-}
-
-func TestClusterUndeliveredWithoutSink(t *testing.T) {
-	e := sim.New(1)
-	cl := NewCluster(e, "cl", 2, LinkParams{CellTime: 1 * us}, 0)
-	cl.Route(0, 5, 1) // no sink registered for host 1
-	cl.Uplink(0).Send(atm.Cell{VCI: 5})
-	e.Run()
-	if cl.UndeliveredCells() != 1 {
-		t.Fatalf("UndeliveredCells = %d, want 1", cl.UndeliveredCells())
-	}
-}
-
-func TestPerInputPortProtection(t *testing.T) {
-	// §3.2: with switch routes provisioned per input port, a third host
-	// cannot inject cells on another pair's channel — its input port has
-	// no route for that VCI.
-	e := sim.New(1)
-	cl := NewCluster(e, "cl", 3, LinkParams{CellTime: 1 * us}, 0)
-	col := &collector{e: e}
-	cl.SetHostSink(1, col)
-	cl.Route(0, 40, 1)                   // channel host0 → host1 on VCI 40
-	cl.Uplink(0).Send(atm.Cell{VCI: 40}) // legitimate
-	cl.Uplink(2).Send(atm.Cell{VCI: 40}) // forged by host 2
-	e.Run()
-	if len(col.cells) != 1 {
-		t.Fatalf("host 1 received %d cells, want only the legitimate one", len(col.cells))
-	}
-	if cl.Switch.UnknownVCICells() != 1 {
-		t.Fatalf("forged cell not dropped: UnknownVCICells = %d", cl.Switch.UnknownVCICells())
-	}
-}
-
 func TestDefaultCellTimeMatchesPeakBandwidth(t *testing.T) {
 	// 48 bytes per DefaultCellTime should be ~15.2 MB/s (paper §4.2.1).
 	bw := 48.0 / DefaultCellTime.Seconds() / 1e6
 	if bw < 15.0 || bw > 15.4 {
 		t.Fatalf("peak payload bandwidth = %.2f MB/s, want ~15.2", bw)
 	}
-}
-
-func TestClusterSingleSwitchInvariant(t *testing.T) {
-	// The cluster is strictly single-switch: one port per host, enforced
-	// with a message that points multi-switch builders at internal/topo.
-	e := sim.New(1)
-	cl := NewCluster(e, "cl", 2, LinkParams{CellTime: 1 * us}, 0)
-	if cl.Switch.Ports() != cl.Size() {
-		t.Fatalf("switch has %d ports for %d hosts", cl.Switch.Ports(), cl.Size())
-	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("out-of-range host accessor did not panic")
-		}
-		msg, ok := r.(string)
-		if !ok || !strings.Contains(msg, "single-switch") || !strings.Contains(msg, "internal/topo") {
-			t.Fatalf("panic %v does not state the single-switch invariant", r)
-		}
-	}()
-	cl.Uplink(2) // beyond the switch's port range
 }
 
 // TestLinkSize pins Link to the 288-byte allocator size class and its

@@ -7,12 +7,12 @@ import (
 
 // Network is the fabric surface the connection manager and the NIC attach
 // path program: a set of host attachment points (indexed 0..Size-1) plus
-// circuit provisioning between them. Two implementations exist — the
-// single-switch Cluster in this package (the paper's testbed) and the
-// topo-compiled multi-switch Fabric (internal/topo), whose Provision swaps
-// labels at every switch along the computed path. Code written
-// against Network (unet.Manager, nic.Attach, the testbed fixtures) runs
-// unchanged on either.
+// circuit provisioning between them. Every fabric is built one way, as a
+// compiled topo.Fabric (internal/topo) — the paper's single-switch testbed
+// is topo.Star — whose Provision swaps labels at every switch along the
+// computed path. The interface is what keeps unet.Manager and nic.Attach
+// from importing topo (which imports this package), and what lets a test
+// put a fake fabric under them.
 type Network interface {
 	// Size returns the number of host attachment points.
 	Size() int
@@ -36,5 +36,3 @@ type Network interface {
 	// `from` on label tx, and frees its labels.
 	Unroute(from int, tx atm.VCI)
 }
-
-var _ Network = (*Cluster)(nil)

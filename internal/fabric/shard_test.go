@@ -30,61 +30,6 @@ func (s *echoSink) DeliverCell(c atm.Cell) {
 	}
 }
 
-// runEchoCluster builds a 2-host star, has host 0 fire bursts of cells at
-// host 1, host 1 echo each back, and returns the merged delivery log of both
-// hosts. sharded selects whether each host lives on its own engine.
-func runEchoCluster(sharded bool) []string {
-	root := sim.New(1)
-	var hostEng []*sim.Engine
-	if sharded {
-		hostEng = []*sim.Engine{root.NewShard(2), root.NewShard(3)}
-	} else {
-		hostEng = []*sim.Engine{nil, nil}
-	}
-	cl := NewShardedCluster(root, "cl", hostEng, DefaultLinkParams(), DefaultSwitchLatency)
-	cl.Route(0, 40, 1)
-	cl.Route(1, 41, 0)
-
-	var log0, log1 []string
-	cl.SetHostSink(0, &echoSink{e: cl.HostEngine(0), up: cl.Uplink(0), log: &log0, name: "h0"})
-	cl.SetHostSink(1, &echoSink{e: cl.HostEngine(1), up: cl.Uplink(1), reply: 41, log: &log1, name: "h1"})
-
-	// Bursts of back-to-back cells every 100µs: the echoes of one burst are
-	// still in flight when the next burst departs, so windows carry traffic
-	// in both directions at once.
-	h0 := cl.HostEngine(0)
-	for b := 0; b < 20; b++ {
-		at := time.Duration(b) * 100 * time.Microsecond
-		burst := b
-		h0.At(at, func() {
-			for k := 0; k < 4; k++ {
-				var c atm.Cell
-				c.VCI = 40
-				c.Payload[0] = byte(4*burst + k)
-				cl.Uplink(0).Send(c)
-			}
-		})
-	}
-	root.Run()
-	return append(log0, log1...)
-}
-
-func TestShardedClusterMatchesSerial(t *testing.T) {
-	serial := runEchoCluster(false)
-	sharded := runEchoCluster(true)
-	if len(serial) != len(sharded) {
-		t.Fatalf("serial delivered %d cells, sharded %d", len(serial), len(sharded))
-	}
-	if len(serial) != 160 { // 80 cells at h1 + 80 echoes at h0
-		t.Fatalf("delivered %d cells, want 160", len(serial))
-	}
-	for i := range serial {
-		if serial[i] != sharded[i] {
-			t.Fatalf("delivery %d differs:\n  serial : %s\n  sharded: %s", i, serial[i], sharded[i])
-		}
-	}
-}
-
 func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 	// A cross link must deliver at exactly the times a local link produces:
 	// the transmit half owns serialization, the receive half replays flight.

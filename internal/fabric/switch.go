@@ -127,7 +127,7 @@ func NewSwitch(e *sim.Engine, name string, nports int, latency time.Duration, lp
 }
 
 // NewSwitchWithLinks creates a switch over pre-built output links — the
-// constructor sharded clusters use, where an output port toward a host in
+// constructor internal/topo compiles every switch through, where an output port toward a host in
 // another shard is a cross-shard link. Every link's transmitter must run on
 // e, the switch's own shard.
 func NewSwitchWithLinks(e *sim.Engine, name string, latency time.Duration, out []*Link) *Switch {

@@ -32,7 +32,7 @@ func runTCPNthCellLoss(t *testing.T, shards int) tcpLossResult {
 		t.Fatal(err)
 	}
 	a, b := tcp.New(ca, 5000, 80, tcp.DefaultParams()), tcp.New(cb, 80, 5000, tcp.DefaultParams())
-	tb.Fabric.Downlink(1).SetInjector(faults.NewNthCell(50))
+	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(50))
 
 	const total = 32 << 10
 	src := make([]byte, total)
@@ -209,7 +209,7 @@ func TestTimeoutClearsStaleDupAcks(t *testing.T) {
 	params := tcp.DefaultParams()
 	a, b := tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params)
 	ch := faults.NewChain(faults.NewNthCell(50), faults.NewNthCell(200))
-	tb.Fabric.Downlink(1).SetInjector(ch)
+	tb.Net.Downlink(1).SetInjector(ch)
 
 	const total = 48 << 10
 	src := make([]byte, total)

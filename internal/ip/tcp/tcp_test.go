@@ -110,7 +110,7 @@ func TestLossRecovery(t *testing.T) {
 	// Drop a handful of cells mid-stream on B's downlink: whole segments
 	// vanish (AAL5) and TCP must recover.
 	i := 0
-	tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 		i++
 		return i >= 100 && i < 103
 	})
@@ -126,7 +126,7 @@ func TestFastRetransmitBeatsTimer(t *testing.T) {
 	params.WindowBytes = 16 << 10 // keep ≥ 4 segments in flight behind a loss
 	tb, a, b := pair(t, params)
 	i := 0
-	tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 		i++
 		return i == 1500 // one lost cell mid-stream → one lost segment, window open
 	})
@@ -151,7 +151,7 @@ func TestCoarseTimerHurtsRecovery(t *testing.T) {
 		params.TimerGranularity = gran
 		tb, a, b := pair(t, params)
 		i := 0
-		tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+		tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 			i++
 			// Lose a segment and its fast retransmission.
 			return i >= 100 && i < 200

@@ -191,7 +191,7 @@ func TestCellLossDropsWholePDU(t *testing.T) {
 		t.Fatal(err)
 	}
 	i := 0
-	tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 		i++
 		return i == 4 // lose the 4th cell on the wire
 	})

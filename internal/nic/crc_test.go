@@ -28,7 +28,7 @@ func TestCrcDropRecyclesEagerly(t *testing.T) {
 	// Flip one payload bit of cell 25 on the switch→host1 link: a mid-PDU
 	// cell of the second message. Its EOP cell then fails the CRC-32.
 	inj := faults.NewNthCellCorrupt(25, 9)
-	tb.Fabric.Downlink(1).SetInjector(inj)
+	tb.Net.Downlink(1).SetInjector(inj)
 
 	tb.Hosts[0].Spawn("send", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {

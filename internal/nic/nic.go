@@ -143,8 +143,7 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 }
 
 // Attach wires a device of the given parameters to a fabric attachment
-// point (a single-switch cluster port or a topo-compiled fabric's host
-// index): it creates the device, registers it as the host's cell sink and
+// point (a topo-compiled fabric's host index): it creates the device, registers it as the host's cell sink and
 // the host's device, records the host with the manager, and starts the
 // on-board processor.
 func Attach(h *unet.Host, cl fabric.Network, m *unet.Manager, port int, params Params) *Device {

@@ -27,42 +27,52 @@ type Config struct {
 	Node *unet.NodeParams
 	// NIC is the interface model (default SBA200Params).
 	NIC *nic.Params
-	// Link is the fiber timing (default 140 Mbit/s TAXI).
+	// Link is the host↔switch fiber timing wherever the spec gives none
+	// (default 140 Mbit/s TAXI). A zero CellTime or Propagation in it means
+	// that field's TAXI default, as everywhere in a topo.Spec; a link cannot
+	// be given zero flight time.
 	Link *fabric.LinkParams
-	// SwitchLatency is the ASX-200 forwarding latency (default 2 µs).
+	// SwitchLatency is the forwarding latency of every switch the spec
+	// gives none (default the ASX-200's 2 µs).
 	SwitchLatency time.Duration
 	// Shards selects the parallel execution layout: 0 or 1 builds the
-	// classic serial testbed (hosts and switch on one engine); k ≥ 2
-	// partitions the hosts round-robin onto min(k, Hosts) shard engines,
-	// each run on its own goroutine under the conservative window protocol
-	// (see internal/sim shard.go). Results are byte-identical to serial.
+	// classic serial testbed (hosts and switches on one engine); k ≥ 2
+	// places hosts and switches on up to k shard engines by topo.Place's
+	// rule (the single-switch cluster: host i on shard i mod min(k, Hosts),
+	// the switch on the root), each run on its own goroutine under the
+	// conservative window protocol (see internal/sim shard.go). Results are
+	// byte-identical to serial.
 	Shards int
 	// Faults applies a deterministic impairment plan (internal/faults) to
 	// every uplink and downlink and, if SwitchQueueCells is set, bounds the
 	// switch output queues. nil (or an all-zero plan) is the perfect wire —
 	// byte-identical to the fault-free testbed at any shard count.
 	Faults *faults.Plan
-	// Topology, when set, compiles a declarative multi-switch fabric
-	// (internal/topo) instead of the single-switch cluster: Hosts is taken
-	// from the spec, shard placement is topology-aware (each top-of-rack
-	// switch with its hosts on one shard, higher stages on the root
-	// engine), and routes become multi-hop. Everything else — NIC model,
-	// manager, fault plans — applies unchanged.
+	// Topology is the fabric's shape (internal/topo); nil means the paper's
+	// single-switch cluster, topo.Star("atm", Hosts). When set, Hosts is
+	// taken from the spec, shard placement is topology-aware (each
+	// top-of-rack switch with its hosts on one shard, higher stages on the
+	// root engine), and routes become multi-hop. Everything else — NIC
+	// model, manager, fault plans — applies unchanged.
 	Topology *topo.Spec
 }
 
 // Testbed is an assembled cluster.
 type Testbed struct {
 	Eng *sim.Engine
-	// Net is the fabric the hosts attach to: *fabric.Cluster for the
-	// classic single-switch testbed, *topo.Fabric when Config.Topology is
-	// set. Code that only needs uplinks, downlinks and routes programs
-	// against this.
-	Net fabric.Network
-	// Fabric is the single-switch cluster (nil when a Topology is set).
-	Fabric *fabric.Cluster
-	// Topo is the compiled multi-switch fabric (nil without a Topology).
-	Topo    *topo.Fabric
+	// Topo is the compiled fabric the hosts attach to — one switch for the
+	// paper's cluster, Topo.Switches[0] — and Net the same object behind the
+	// surface the manager and the NICs program: uplinks, downlinks, circuits.
+	Topo *topo.Fabric
+	Net  fabric.Network
+	// Fabric is never set. The frozen bench/workloads.go still compiles a
+	// branch for a testbed without Topo that reads Fabric.Switch and
+	// Fabric.UndeliveredCells; the field goes with that branch at the next
+	// benchmark PR, and nothing else may read it.
+	Fabric *struct {
+		*topo.Fabric
+		Switch *fabric.Switch
+	}
 	Manager *unet.Manager
 	Hosts   []*unet.Host
 	Devices []*nic.Device
@@ -90,70 +100,43 @@ func New(cfg Config) *Testbed {
 	if cfg.NIC != nil {
 		nicp = *cfg.NIC
 	}
-	link := fabric.DefaultLinkParams()
-	if cfg.Link != nil {
-		link = *cfg.Link
+
+	// The fabric is always a compiled spec. Link and SwitchLatency fill what
+	// the spec leaves zero — on a copy, so the caller's spec is never written.
+	var spec topo.Spec
+	if cfg.Topology != nil {
+		spec = *cfg.Topology
+	} else {
+		spec = *topo.Star("atm", cfg.Hosts)
 	}
-	if cfg.SwitchLatency == 0 {
-		cfg.SwitchLatency = fabric.DefaultSwitchLatency
+	if cfg.Link != nil && spec.HostLink == (fabric.LinkParams{}) {
+		spec.HostLink = *cfg.Link
 	}
+	if spec.SwitchLatency == 0 {
+		spec.SwitchLatency = cfg.SwitchLatency
+	}
+	cfg.Hosts = len(spec.Hosts)
 
 	e := sim.New(cfg.Seed)
-	tb := &Testbed{Eng: e}
-	if spec := cfg.Topology; spec != nil {
-		cfg.Hosts = len(spec.Hosts)
-		if cfg.SwitchLatency != fabric.DefaultSwitchLatency && spec.SwitchLatency == 0 {
-			spec.SwitchLatency = cfg.SwitchLatency
-		}
-		hostEng := make([]*sim.Engine, len(spec.Hosts))
-		swEng := make([]*sim.Engine, len(spec.Switches))
-		if k := cfg.Shards; k > 1 {
-			// One shard can hold several racks but never a fraction of one:
-			// cap the shard count at the number of stage-0 switches.
-			tors := 0
-			for j := range spec.Switches {
-				if spec.Switches[j].Stage == 0 {
-					tors++
-				}
-			}
-			if k > tors {
-				k = tors
-			}
-			hostShard, swShard := topo.Place(spec, k)
-			shardEng := make([]*sim.Engine, k)
-			for j := 0; j < k; j++ {
-				shardEng[j] = e.NewShard(cfg.Seed + int64(j) + 1)
-			}
-			for i, s := range hostShard {
-				if s >= 0 {
-					hostEng[i] = shardEng[s]
-				}
-			}
-			for i, s := range swShard {
-				if s >= 0 {
-					swEng[i] = shardEng[s]
-				}
-			}
-		}
-		tb.Topo = topo.MustCompile(e, spec, hostEng, swEng)
-		tb.Net = tb.Topo
-	} else {
-		hostEng := make([]*sim.Engine, cfg.Hosts)
-		if k := cfg.Shards; k > 1 {
-			if k > cfg.Hosts {
-				k = cfg.Hosts
-			}
-			shardEng := make([]*sim.Engine, k)
-			for j := 0; j < k; j++ {
-				shardEng[j] = e.NewShard(cfg.Seed + int64(j) + 1)
-			}
-			for i := range hostEng {
-				hostEng[i] = shardEng[i%k]
-			}
-		}
-		tb.Fabric = fabric.NewShardedCluster(e, "atm", hostEng, link, cfg.SwitchLatency)
-		tb.Net = tb.Fabric
+	hostEng := make([]*sim.Engine, len(spec.Hosts))
+	swEng := make([]*sim.Engine, len(spec.Switches))
+	hostShard, swShard, shards := topo.Place(&spec, cfg.Shards)
+	shardEng := make([]*sim.Engine, shards)
+	for j := range shardEng {
+		shardEng[j] = e.NewShard(cfg.Seed + int64(j) + 1)
 	}
+	for i, s := range hostShard {
+		if s >= 0 {
+			hostEng[i] = shardEng[s]
+		}
+	}
+	for i, s := range swShard {
+		if s >= 0 {
+			swEng[i] = shardEng[s]
+		}
+	}
+	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, &spec, hostEng, swEng)}
+	tb.Net = tb.Topo
 	m := unet.NewManager(tb.Net)
 	tb.Manager = m
 	for i := 0; i < cfg.Hosts; i++ {
@@ -180,11 +163,7 @@ func New(cfg Config) *Testbed {
 			}
 		}
 		if pl.SwitchQueueCells > 0 {
-			if tb.Fabric != nil {
-				tb.Fabric.Switch.SetOutputQueueCells(pl.SwitchQueueCells)
-			} else {
-				tb.Topo.SetOutputQueueCells(pl.SwitchQueueCells)
-			}
+			tb.Topo.SetOutputQueueCells(pl.SwitchQueueCells)
 		}
 	}
 	return tb

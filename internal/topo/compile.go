@@ -12,10 +12,10 @@ import (
 // Fabric is a compiled topology: the spec's switches instantiated as
 // fabric.Switch instances, its trunks as serializing links between switch
 // ports, and its hosts as uplink/downlink pairs on their attaching
-// switch. Fabric implements fabric.Network, so the U-Net manager and the
-// NIC attach path treat it exactly like the single-switch cluster; the
-// only behavioral difference is that Provision swaps labels at one table
-// entry per switch along the computed path instead of a single entry.
+// switch. Fabric implements fabric.Network, the surface the U-Net manager
+// and the NIC attach path program; Provision swaps labels at one table
+// entry per switch along the computed path — a single entry on the
+// paper's one-switch cluster (Star).
 type Fabric struct {
 	Engine *sim.Engine
 	Spec   *Spec
@@ -52,9 +52,9 @@ type Fabric struct {
 var _ fabric.Network = (*Fabric)(nil)
 
 // hostPortSink indirects a switch output port to the host sink registered
-// later with SetHostSink, mirroring the single-switch cluster's hostPort:
-// trains pass through when the sink understands them, and otherwise fall
-// back to per-cell deliveries scheduled on the host's own shard engine.
+// later with SetHostSink: trains pass through when the sink understands
+// them (the NIC models do), and otherwise fall back to per-cell deliveries
+// at the train's arrival times.
 type hostPortSink struct {
 	f *Fabric
 	i int
@@ -79,6 +79,10 @@ func (h hostPortSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duratio
 		ts.DeliverTrain(cells, first, spacing)
 		return
 	}
+	// Per-cell fallback: cells[k] for k > 0 arrive in the future, so they
+	// must be re-scheduled (the train slice is only valid during this call,
+	// hence the per-cell copy into the closure). Scheduling goes to the
+	// host's own shard engine — the train was delivered there.
 	for k := 1; k < len(cells); k++ {
 		cell := cells[k]
 		h.f.hostEng[h.i].At(first+time.Duration(k)*spacing, func() { h.DeliverCell(cell) })
@@ -342,8 +346,7 @@ func (f *Fabric) TrunkLink(t int) *fabric.Link {
 // SetHostSink registers the receive sink (a NIC input FIFO) for host.
 func (f *Fabric) SetHostSink(host int, s fabric.CellSink) { f.hostSinks[host] = s }
 
-// Provision sets up a circuit from host `from` to host `to`: the
-// multi-hop generalization of the cluster's single table entry. Every link
+// Provision sets up a circuit from host `from` to host `to`. Every link
 // of the computed path gives its lowest free label and every switch gets
 // one (input port, label in) → (output port, label out) entry, so the
 // channel remains protected stage by stage — a cell can only follow the

@@ -2,6 +2,22 @@ package topo
 
 import "fmt"
 
+// Star generates the paper's own testbed (§4.2): one switch "sw" with a
+// host on every port and no trunks — the one-node case of every shape
+// below. Compiled under the name "atm" it is the cluster testbed.New
+// builds when no topology is given.
+func Star(name string, hosts int) *Spec {
+	if hosts < 1 {
+		panic(fmt.Sprintf("topo: Star(%q, %d) needs at least one host", name, hosts))
+	}
+	s := &Spec{Name: name, Kind: "star", Switches: []SwitchSpec{{Name: "sw", Stage: 0}}}
+	s.Hosts = make([]HostSpec, hosts)
+	for i := range s.Hosts {
+		s.Hosts[i].Switch = "sw"
+	}
+	return s
+}
+
 // Clos2 generates a 2-stage Clos (leaf–spine) fabric: racks top-of-rack
 // switches with perRack hosts each, and spine spine switches, every leaf
 // trunked to every spine. Any leaf pair is two hops apart through any of

@@ -1,9 +1,10 @@
-// Package topo is the declarative multi-switch topology layer: a topology
-// graph spec — hosts, switches, trunks, with per-stage link timing and
-// finite output queues — plus generators for the datacenter shapes the
-// paper's single ASX-200 cannot express (2- and 3-stage Clos/fat-tree
-// fabrics, ring and island overlays), and a compiler that instantiates the
-// spec onto the existing fabric primitives. Compiled fabrics implement
+// Package topo is the declarative topology layer, the one way a fabric is
+// built: a topology graph spec — hosts, switches, trunks, with per-stage
+// link timing and finite output queues — plus generators for the paper's
+// single ASX-200 with a host on every port (Star) and for the datacenter
+// shapes it cannot express (2- and 3-stage Clos/fat-tree fabrics, ring and
+// island overlays), and a compiler that instantiates the spec onto the
+// fabric primitives. Compiled fabrics implement
 // fabric.Network, so the U-Net manager, the NIC attach path and every
 // testbed fixture run on them unchanged; routes become multi-hop — one
 // per-stage table entry installed at every switch along the computed path
@@ -75,7 +76,7 @@ type TrunkSpec struct {
 type Spec struct {
 	// Name prefixes every link and switch name (defaults to "topo").
 	Name string
-	// Kind labels the generated shape ("clos2", "clos3", "ring",
+	// Kind labels the generated shape ("star", "clos2", "clos3", "ring",
 	// "island", or "" for hand-built specs); reporting only.
 	Kind string
 	// HostLink is the default host↔switch timing (zero = 140 Mbit/s TAXI).

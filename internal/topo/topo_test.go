@@ -213,7 +213,10 @@ func TestForwardingSpreadsSpines(t *testing.T) {
 
 func TestPlace(t *testing.T) {
 	spec := Clos2(8, 4, 2)
-	hostShard, swShard := Place(spec, 4)
+	hostShard, swShard, shards := Place(spec, 4)
+	if shards != 4 {
+		t.Fatalf("Place(clos2 8 racks, 4) uses %d shards, want 4", shards)
+	}
 	swIdx := make(map[string]int, len(spec.Switches))
 	for j := range spec.Switches {
 		swIdx[spec.Switches[j].Name] = j
@@ -234,15 +237,35 @@ func TestPlace(t *testing.T) {
 			t.Fatalf("leaf%d on shard %d, want %d", r, got, r/2)
 		}
 	}
-	hs1, ss1 := Place(spec, 1)
-	for i := range hs1 {
-		if hs1[i] != -1 {
-			t.Fatalf("k=1 host %d not rooted", i)
-		}
+	if hs, ss, shards := Place(spec, 1); hs != nil || ss != nil || shards != 0 {
+		t.Fatalf("k=1: %v %v on %d shards, want the serial layout (nil, nil, 0)", hs, ss, shards)
 	}
-	for j := range ss1 {
-		if ss1[j] != -1 {
-			t.Fatalf("k=1 switch %d not rooted", j)
+	// A shard never holds a fraction of a rack: 16 asked, 8 racks, 8 used.
+	if _, ss, shards := Place(spec, 16); shards != 8 || ss[swIdx["leaf7"]] != 7 {
+		t.Fatalf("Place(clos2 8 racks, 16): %d shards, leaf7 on %d; want 8 and 7", shards, ss[swIdx["leaf7"]])
+	}
+	// One rack behind a spine has nothing to cut along.
+	if hs, _, shards := Place(Clos2(1, 4, 1), 4); shards != 0 || hs != nil {
+		t.Fatalf("Place(clos2 1 rack, 4): %v on %d shards; want serial", hs, shards)
+	}
+	if hs, _, shards := Place(Star("atm", 1), 4); shards != 0 || hs != nil {
+		t.Fatalf("Place(star 1, 4): %v on %d shards; want serial", hs, shards)
+	}
+	// The one-switch rule: hosts round-robin over min(k, hosts) shards, the
+	// switch on the root.
+	star := Star("atm", 8)
+	for _, k := range []int{2, 4, 8, 16} {
+		hs, ss, shards := Place(star, k)
+		if want := min(k, 8); shards != want {
+			t.Fatalf("Place(star 8, %d) uses %d shards, want %d", k, shards, want)
+		}
+		if ss[0] != -1 {
+			t.Fatalf("Place(star 8, %d) puts the switch on shard %d, want root", k, ss[0])
+		}
+		for i, s := range hs {
+			if s != i%shards {
+				t.Fatalf("Place(star 8, %d): host %d on shard %d, want %d", k, i, s, i%shards)
+			}
 		}
 	}
 }
@@ -253,7 +276,7 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 	run := func(k int) []time.Duration {
 		root := sim.New(7)
 		spec := Clos2(2, 2, 2)
-		hostShard, swShard := Place(spec, k)
+		hostShard, swShard, k := Place(spec, k)
 		hostEng := make([]*sim.Engine, len(spec.Hosts))
 		swEng := make([]*sim.Engine, len(spec.Switches))
 		var shards []*sim.Engine

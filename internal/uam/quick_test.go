@@ -40,8 +40,8 @@ func TestReliableStreamPropertyUnderLoss(t *testing.T) {
 		// too).
 		rng := rand.New(rand.NewSource(seed))
 		loss := func(atm.Cell) bool { return rng.Float64() < rate }
-		tb.Fabric.Downlink(0).SetLossFunc(loss)
-		tb.Fabric.Downlink(1).SetLossFunc(loss)
+		tb.Net.Downlink(0).SetLossFunc(loss)
+		tb.Net.Downlink(1).SetLossFunc(loss)
 
 		var got []uint32
 		b.RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {

@@ -230,7 +230,7 @@ func TestRetransmissionRecoversFromCellLoss(t *testing.T) {
 	// Drop cells 3-7 on host 1's downlink: several early messages vanish
 	// and must be recovered by go-back-N.
 	i := 0
-	tb.Fabric.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
 		i++
 		return i >= 3 && i <= 7
 	})

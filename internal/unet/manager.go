@@ -14,8 +14,8 @@ import (
 // checks, and registers the tags with each host's U-Net device. VCIs are
 // local to a link and swapped at every switch, so each side's (tx, rx)
 // pair names only its own uplink and downlink, and a device's demux table
-// spans the channels open on that device. One Manager serves a fabric —
-// the single-switch cluster or a topo-compiled multi-switch fabric.
+// spans the channels open on that device. One Manager serves a fabric, of
+// one switch or many.
 type Manager struct {
 	cluster fabric.Network
 	ports   map[*Host]int

@@ -782,12 +782,8 @@ func TestProtectionUnderLabelSwapping(t *testing.T) {
 		tb.Net.Uplink(2).Send(atm.Cell{VCI: txA, EOP: true})
 		tb.Eng.Run()
 		var unknown uint64
-		if tb.Fabric != nil {
-			unknown = tb.Fabric.Switch.UnknownVCICells()
-		} else {
-			for _, sw := range tb.Topo.Switches {
-				unknown += sw.UnknownVCICells()
-			}
+		for _, sw := range tb.Topo.Switches {
+			unknown += sw.UnknownVCICells()
 		}
 		if unknown != 2 {
 			t.Errorf("UnknownVCICells = %d, want both forged cells", unknown)

@@ -1,29 +1,24 @@
-// Command unetbench regenerates every table and figure from the paper's
-// evaluation (Tables 1-3, Figures 3-9) as text tables.
+// Command unetbench regenerates the paper's evaluation (Tables 1-3,
+// Figures 3-9) and the repo's own experiments as text: it parses its flags
+// into experiments.Options and runs the rows of experiments.All that
+// -experiment names. `unetbench -h` lists the ids and every flag.
 //
 // Usage:
 //
-//	unetbench                      # run everything at quick scale
-//	unetbench -experiment fig4     # one experiment
+//	unetbench                      # the whole evaluation at quick scale
 //	unetbench -experiment table3,fig8
 //	unetbench -paper               # paper-scale Split-C problem sizes
 //	unetbench -rounds 100          # more ping-pong rounds per point
-//	unetbench -shards -1           # shard each simulation across all cores
-//	unetbench -experiment figloss  # goodput/RTT-vs-loss sweep
+//	unetbench -shards 2            # two shard engines per simulation: same
+//	                               # output; wall-clock may go either way
 //	unetbench -experiment chaos -loss 0.01 -faultseed 7
 //	unetbench -experiment storm -shards 4 -simprof   # window profiler dump
-//	unetbench -experiment serve                      # open-loop serving sweep
 //	unetbench -experiment serve -serveclients 64 -servelogical 16384 -servebursty
-//	unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -count 4
-//	                                   # all-to-all storm over a 64-host
-//	                                   # 2-stage Clos (multi-hop VCI routes)
 //	unetbench -experiment clos -topo clos3 -racks 4 -perrack 2 -spine 2 -count 4
-//	unetbench -experiment gossip -islands 1024 -shards 8
-//	                                   # 1k-island gossip overlay with flapping
-//	                                   # uplinks and failure detection
-//
-// Experiments: table1 table2 table3 fig3 fig4 fig5 fig6 fig7 fig8 fig9
-// figloss chaos ablations storm serve clos gossip
+//	                               # all-to-all storm over a 3-stage Clos
+//	unetbench -experiment gossip -islands 8192
+//	unetbench -experiment point -proto tcp -path kernel-atm -bw -window 8192
+//	                               # one measurement of one protocol stack
 package main
 
 import (
@@ -32,51 +27,67 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
 	"unet/internal/experiments"
-	"unet/internal/topo"
 )
 
-func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+func main() { os.Exit(run(experiments.All, os.Args[1:], os.Stdout, os.Stderr)) }
 
-// run is main with its inputs and outputs named: it parses args, checks
-// every flag and experiment id before anything runs, writes the reports to
-// stdout and returns the exit status (2 for a usage error, with one line on
-// stderr).
-func run(args []string, stdout, stderr io.Writer) int {
+// run is main with its inputs and outputs named: it parses args into
+// Options, checks every flag and experiment id before anything runs, writes
+// the named rows of table to stdout and returns the exit status (2 for a
+// usage error, with one line on stderr).
+func run(table []experiments.Experiment, args []string, stdout, stderr io.Writer) int {
+	var ids, all []string
+	for _, e := range table {
+		ids = append(ids, e.ID)
+		if !e.OnDemand {
+			all = append(all, e.ID)
+		}
+	}
 	fs := flag.NewFlagSet("unetbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
-	var (
-		expFlag  = fs.String("experiment", "all", "comma-separated experiment ids (table1..3, fig3..9, all)")
-		paper    = fs.Bool("paper", false, "use the paper's full Split-C problem sizes (slower)")
-		rounds   = fs.Int("rounds", 40, "ping-pong rounds per latency point")
-		count    = fs.Int("count", 200, "messages per bandwidth point")
-		parallel = fs.Int("parallel", 0, "sweep-point workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-		shards   = fs.Int("shards", 0, "shard engines per simulation (0 = serial, <0 = GOMAXPROCS; output is identical either way)")
-		hosts    = fs.Int("hosts", 8, "storm: cluster size")
-		simprof  = fs.Bool("simprof", false, "storm: dump the per-shard window-protocol profile (wall-clock diagnostics)")
+	fs.Usage = func() {
+		fmt.Fprintf(stderr, "usage: unetbench [flags]\nexperiments: %s\n", strings.Join(ids, " "))
+		fs.PrintDefaults()
+	}
+	o := experiments.DefaultOptions()
+	expFlag := fs.String("experiment", "all", "comma-separated experiment ids; all is "+strings.Join(all, ","))
+	fs.IntVar(&experiments.MaxParallel, "parallel", 0, "sweep-point workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
+	fs.IntVar(&experiments.Shards, "shards", 0, "shard engines per simulation (0 = serial, <0 = GOMAXPROCS; output is identical either way)")
+	fs.BoolVar(&o.Paper, "paper", o.Paper, "use the paper's full Split-C problem sizes (slower)")
+	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "ping-pong rounds per latency point")
+	fs.IntVar(&o.Count, "count", o.Count, "messages per bandwidth point (fig8: a megabyte of stream per 200)")
+	fs.IntVar(&o.Hosts, "hosts", o.Hosts, "storm: cluster size")
+	fs.BoolVar(&o.SimProf, "simprof", o.SimProf, "storm, clos: dump the per-shard window-protocol profile (wall-clock diagnostics)")
 
-		topoKind = fs.String("topo", "clos2", "clos: topology shape (clos2, clos3, ring, island)")
-		racks    = fs.Int("racks", 8, "clos: top-of-rack switches (pods×2 for clos3; islands for ring/island)")
-		perRack  = fs.Int("perrack", 8, "clos: hosts per rack")
-		spine    = fs.Int("spine", 2, "clos: spine (clos2) or core (clos3) switches")
-		islands  = fs.Int("islands", 1024, "gossip: island switches (one host each)")
+	fs.StringVar(&o.Topo, "topo", o.Topo, "clos: topology shape (clos2, clos3, ring, island)")
+	fs.IntVar(&o.Racks, "racks", o.Racks, "clos: top-of-rack switches (pods×2 for clos3; islands for ring/island)")
+	fs.IntVar(&o.PerRack, "perrack", o.PerRack, "clos: hosts per rack")
+	fs.IntVar(&o.Spine, "spine", o.Spine, "clos: spine (clos2) or core (clos3) switches")
+	fs.IntVar(&o.Islands, "islands", o.Islands, "gossip: island switches (one host each)")
 
-		serveClients  = fs.Int("serveclients", 0, "serve: load-generating hosts (0 = default 6)")
-		serveServers  = fs.Int("serveservers", 0, "serve: serving hosts (0 = default 2)")
-		serveLogical  = fs.Int("servelogical", 0, "serve: logical clients multiplexed per client host (0 = default 4096)")
-		serveDuration = fs.Duration("serveduration", 0, "serve: arrival window of virtual time (0 = default 20ms)")
-		serveLoads    = fs.String("serveloads", "20000,40000,60000,80000,100000,140000", "serve: comma-separated offered loads (req/s)")
-		serveBursty   = fs.Bool("servebursty", false, "serve: batched (bursty) arrivals instead of Poisson")
+	fs.IntVar(&o.Serve.ClientHosts, "serveclients", 0, "serve: load-generating hosts (0 = default 6)")
+	fs.IntVar(&o.Serve.Servers, "serveservers", 0, "serve: serving hosts (0 = default 2)")
+	fs.IntVar(&o.Serve.LogicalPerHost, "servelogical", 0, "serve: logical clients multiplexed per client host (0 = default 4096)")
+	fs.DurationVar(&o.Serve.Duration, "serveduration", 0, "serve: arrival window of virtual time (0 = default 20ms)")
+	fs.BoolVar(&o.Serve.Bursty, "servebursty", false, "serve: batched (bursty) arrivals instead of Poisson")
+	loads := fs.String("serveloads", "", fmt.Sprintf("serve: comma-separated offered loads in req/s (default %v)", o.Loads))
 
-		faultSeed = fs.Int64("faultseed", experiments.FaultSeed, "seed for the deterministic fault injectors (figloss, chaos)")
-		loss      = fs.Float64("loss", -1, "chaos: override the i.i.d. cell-loss rate (per-cell probability)")
-		burst     = fs.Float64("burst", -1, "chaos: override the Gilbert-Elliott good→bad rate (0 disables burst loss)")
-		flap      = fs.Duration("flap", -1, "chaos: override the link flap period (down for period/10; 0 disables flaps)")
-	)
+	fs.Int64Var(&o.FaultSeed, "faultseed", o.FaultSeed, "seed for the deterministic fault injectors (figloss, chaos)")
+	fs.Float64Var(&o.Loss, "loss", o.Loss, "chaos: override the i.i.d. cell-loss rate (per-cell probability)")
+	fs.Float64Var(&o.Burst, "burst", o.Burst, "chaos: override the Gilbert-Elliott good→bad rate (0 disables burst loss)")
+	fs.DurationVar(&o.Flap, "flap", o.Flap, "chaos: override the link flap period (down for period/10; 0 disables flaps)")
+
+	fs.StringVar(&o.Proto, "proto", o.Proto, "point: one of "+experiments.Protos)
+	fs.StringVar(&o.Path, "path", o.Path, "point: udp/tcp packet path, one of "+experiments.Paths)
+	fs.IntVar(&o.Size, "size", o.Size, "point: message size in bytes")
+	fs.BoolVar(&o.BW, "bw", o.BW, "point: measure streaming bandwidth instead of round-trip latency")
+	fs.IntVar(&o.Window, "window", o.Window, "point: TCP window in bytes")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -87,141 +98,36 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stderr, "unetbench: "+format+"\n", a...)
 		return 2
 	}
-	spec, err := topo.Generate(*topoKind, *racks, *perRack, *spine)
-	if err != nil {
-		return usage("-topo/-racks/-perrack/-spine: %v", err)
+	if err := o.Check(); err != nil {
+		return usage("%v", err)
 	}
-	if *islands < 1 {
-		return usage("-islands %d: need at least one island", *islands)
-	}
-	var loads []float64
-	for _, s := range strings.Split(*serveLoads, ",") {
-		var v float64
-		if _, err := fmt.Sscanf(strings.TrimSpace(s), "%g", &v); err != nil || v <= 0 {
-			return usage("bad -serveloads entry %q", s)
+	if *loads != "" {
+		o.Loads = nil
+		for _, s := range strings.Split(*loads, ",") {
+			v, err := strconv.ParseFloat(strings.TrimSpace(s), 64)
+			if err != nil || v <= 0 {
+				return usage("bad -serveloads entry %q", s)
+			}
+			o.Loads = append(o.Loads, v)
 		}
-		loads = append(loads, v)
 	}
-	experiments.MaxParallel = *parallel
-	experiments.Shards = *shards
-	nshards := *shards
-	if nshards < 0 {
-		nshards = runtime.GOMAXPROCS(0)
-	}
-
-	sc := experiments.QuickScale()
-	if *paper {
-		sc = experiments.PaperScale()
-	}
-
-	run := map[string]func(){
-		"table1":    func() { fmt.Fprintln(stdout, experiments.Table1()) },
-		"table2":    func() { fmt.Fprintln(stdout, experiments.Table2(*rounds)) },
-		"table3":    func() { fmt.Fprintln(stdout, experiments.Table3(*rounds, *count)) },
-		"fig3":      func() { fmt.Fprintln(stdout, experiments.Fig3(*rounds)) },
-		"fig4":      func() { fmt.Fprintln(stdout, experiments.Fig4(*count)) },
-		"fig5":      func() { fmt.Fprintln(stdout, experiments.Fig5(sc)) },
-		"fig6":      func() { fmt.Fprintln(stdout, experiments.Fig6(*rounds/2)) },
-		"fig7":      func() { fmt.Fprintln(stdout, experiments.Fig7(*count)) },
-		"fig8":      func() { fmt.Fprintln(stdout, experiments.Fig8(1<<20)) },
-		"fig9":      func() { fmt.Fprintln(stdout, experiments.Fig9(*rounds/2)) },
-		"ablations": func() { fmt.Fprintln(stdout, experiments.AblationTable(*rounds/2)) },
-		"figloss":   func() { fmt.Fprintln(stdout, experiments.TableLoss(*faultSeed, *rounds/2, *count/4)) },
-		"chaos": func() {
-			cfg := experiments.DefaultChaos(*faultSeed)
-			if *loss >= 0 {
-				cfg.Plan.LossRate = *loss
-			}
-			if *burst >= 0 {
-				cfg.Plan.BurstPGB = *burst
-			}
-			if *flap >= 0 {
-				cfg.Plan.FlapPeriod = *flap
-				cfg.Plan.FlapDown = *flap / 10
-			}
-			fmt.Fprintln(stdout, experiments.Chaos(cfg))
-		},
-		"storm": func() {
-			t0 := time.Now()
-			report, prof := experiments.Storm(*hosts, nshards, *count)
-			wall := time.Since(t0)
-			fmt.Fprint(stdout, report)
-			if *simprof {
-				if len(prof.Shards) == 0 {
-					fmt.Fprintln(stdout, "simprof: serial run — no shard group; rerun with -shards ≥ 2")
-					return
-				}
-				fmt.Fprintf(stdout, "simprof (GOMAXPROCS=%d NumCPU=%d, wall %v):\n%s",
-					runtime.GOMAXPROCS(0), runtime.NumCPU(), wall.Round(time.Microsecond), prof)
-				// Sync-wait share: fraction of the shards' aggregate
-				// wall-clock budget spent waiting on a neighbor's clock
-				// rather than simulating.
-				total := prof.Total()
-				share := 100 * float64(total.BarrierWait) / (float64(wall) * float64(len(prof.Shards)))
-				fmt.Fprintf(stdout, "sync-wait share: %.1f%% of %d shards × %v wall\n",
-					share, len(prof.Shards), wall.Round(time.Microsecond))
-			}
-		},
-		"clos": func() {
-			// The storm is all-to-all: scale the per-host count down from the
-			// pair-experiment default so the quick run stays quick.
-			msgs := *count
-			if msgs > 8 {
-				msgs = 8
-			}
-			t0 := time.Now()
-			report, prof := experiments.TopoStorm(spec, nshards, msgs)
-			wall := time.Since(t0)
-			fmt.Fprint(stdout, report)
-			if *simprof && len(prof.Shards) > 0 {
-				fmt.Fprintf(stdout, "simprof (wall %v):\n%s", wall.Round(time.Microsecond), prof)
-			}
-		},
-		"gossip": func() {
-			cfg := experiments.DefaultGossip(*islands)
-			cfg.Shards = nshards
-			t0 := time.Now()
-			res := experiments.Gossip(cfg)
-			wall := time.Since(t0)
-			fmt.Fprint(stdout, res.Render())
-			fmt.Fprintf(stdout, "  [diag] events=%d wall=%v events/sec=%.0f\n",
-				res.Delivered, wall.Round(time.Microsecond), float64(res.Delivered)/wall.Seconds())
-		},
-		"serve": func() {
-			base := experiments.ServeConfig{
-				ClientHosts:    *serveClients,
-				Servers:        *serveServers,
-				LogicalPerHost: *serveLogical,
-				Duration:       *serveDuration,
-				Bursty:         *serveBursty,
-				Shards:         nshards,
-			}
-			report, results := experiments.ServeSweep(base, loads)
-			fmt.Fprint(stdout, report)
-			// Wall-clock diagnostics (not part of the deterministic report).
-			for _, r := range results {
-				fmt.Fprintf(stdout, "  [diag] load=%.0f/s events=%d wall=%v events/sec=%.0f\n",
-					r.Cfg.Rate, r.Steps, r.Wall.Round(time.Microsecond),
-					float64(r.Steps)/r.Wall.Seconds())
-			}
-		},
-	}
-	order := []string{"table1", "table2", "table3", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "ablations", "figloss", "chaos", "storm", "serve", "clos", "gossip"}
-
-	ids := order
 	if *expFlag != "all" {
-		ids = strings.Split(*expFlag, ",")
-		for i, id := range ids {
-			ids[i] = strings.TrimSpace(strings.ToLower(id))
-			if run[ids[i]] == nil {
-				return usage("unknown experiment %q (have %s)", ids[i], strings.Join(order, " "))
-			}
-		}
+		all = strings.Split(*expFlag, ",")
 	}
-	for _, id := range ids {
+	var rows []experiments.Experiment
+	for _, id := range all {
+		id = strings.TrimSpace(strings.ToLower(id))
+		i := slices.Index(ids, id)
+		if i < 0 {
+			return usage("unknown experiment %q (have %s)", id, strings.Join(ids, " "))
+		}
+		rows = append(rows, table[i])
+	}
+	for _, e := range rows {
 		t0 := time.Now()
-		run[id]()
-		fmt.Fprintf(stdout, "(%s regenerated in %v wall time)\n\n", id, time.Since(t0).Round(time.Millisecond))
+		report, diag := e.Run(o)
+		fmt.Fprint(stdout, report, diag)
+		fmt.Fprintf(stdout, "(%s regenerated in %v wall time)\n\n", e.ID, time.Since(t0).Round(time.Millisecond))
 	}
 	return 0
 }

@@ -2,8 +2,11 @@ package main
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"testing"
+
+	"unet/internal/experiments"
 )
 
 func TestRun(t *testing.T) {
@@ -23,10 +26,19 @@ func TestRun(t *testing.T) {
 		{"no islands", []string{"-experiment", "gossip", "-islands", "0"}, 2, "", "-islands 0"},
 		{"bad load", []string{"-experiment", "serve", "-serveloads", "1000,fast"}, 2, "", `bad -serveloads entry "fast"`},
 		{"removed -sync flag", []string{"-experiment", "table1", "-sync", "barrier"}, 2, "", "flag provided but not defined: -sync"},
+		{"point raw", []string{"-experiment", "point"}, 0, "raw RTT @32B: 68.0 µs\n", ""},
+		{"point fore", []string{"-experiment", "point", "-proto", "fore"}, 0, "fore RTT @32B: 167.8 µs\n", ""},
+		{"point sba100", []string{"-experiment", "point", "-proto", "sba100", "-bw"}, 0, "sba100 bandwidth @32B: 2.64 MB/s (200 delivered, 0 dropped)\n", ""},
+		{"point uam", []string{"-experiment", "point", "-proto", "uam", "-size", "16"}, 0, "uam RTT @16B: ", ""},
+		{"point udp", []string{"-experiment", "point", "-proto", "udp", "-path", "kernel-atm"}, 0, "udp/kernel/ATM RTT @32B: ", ""},
+		{"point tcp", []string{"-experiment", "point", "-proto", "tcp", "-bw", "-window", "8192", "-size", "8192"}, 0, "tcp/U-Net bandwidth (window 8192, 8192B writes): 14.", ""},
+		{"bad proto", []string{"-experiment", "table1,point", "-proto", "bogus"}, 2, "", `-proto "bogus": have raw fore`},
+		{"bad path", []string{"-experiment", "point", "-proto", "udp", "-path", "kernel"}, 2, "", `-path "kernel": have unet kernel-atm`},
+		{"all leaves the on-demand row out", []string{"-experiment", "all", "-h"}, 0, "", "all is table1,table2,table3,fig3,fig4,fig5,fig6,fig7,fig8,fig9,ablations,figloss,chaos,storm,serve,clos,gossip ("},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var stdout, stderr bytes.Buffer
-			if got := run(tc.args, &stdout, &stderr); got != tc.exit {
+			if got := run(experiments.All, tc.args, &stdout, &stderr); got != tc.exit {
 				t.Errorf("exit status %d, want %d", got, tc.exit)
 			}
 			if tc.stdout == "" && stdout.Len() > 0 {
@@ -45,5 +57,54 @@ func TestRun(t *testing.T) {
 				t.Errorf("usage error is not one line:\n%s", msg)
 			}
 		})
+	}
+}
+
+// usageIDs returns the experiment ids the usage text of table lists.
+func usageIDs(t *testing.T, table []experiments.Experiment) []string {
+	var stdout, stderr bytes.Buffer
+	if got := run(table, []string{"-h"}, &stdout, &stderr); got != 0 || stdout.Len() > 0 {
+		t.Fatalf("-h: exit status %d, stdout %q", got, stdout.String())
+	}
+	for _, line := range strings.Split(stderr.String(), "\n") {
+		if list, ok := strings.CutPrefix(line, "experiments: "); ok {
+			return strings.Fields(list)
+		}
+	}
+	t.Fatalf("usage text has no experiments line:\n%s", stderr.String())
+	return nil
+}
+
+// TestUsageListsTheTable pins the ids to one list: the usage text names
+// exactly the rows of experiments.All, and a row added to a copy of the
+// table is listed, selectable and part of `all` with no other edit.
+func TestUsageListsTheTable(t *testing.T) {
+	var ids []string
+	for _, e := range experiments.All {
+		ids = append(ids, e.ID)
+	}
+	if got := usageIDs(t, experiments.All); !slices.Equal(got, ids) {
+		t.Errorf("usage lists %v, experiments.All has %v", got, ids)
+	}
+
+	calls := 0
+	table := append(slices.Clone(experiments.All[:1]), experiments.Experiment{ID: "throwaway", Run: func(experiments.Options) (string, string) {
+		calls++
+		return "report\n", "diag\n"
+	}})
+	if got := usageIDs(t, table); !slices.Equal(got, []string{ids[0], "throwaway"}) {
+		t.Errorf("usage of the extended table lists %v", got)
+	}
+	for _, args := range [][]string{nil, {"-experiment", "throwaway"}} {
+		var stdout, stderr bytes.Buffer
+		if got := run(table, args, &stdout, &stderr); got != 0 || stderr.Len() > 0 {
+			t.Errorf("%v: exit status %d, stderr %q", args, got, stderr.String())
+		}
+		if !strings.Contains(stdout.String(), "report\ndiag\n(throwaway regenerated in") {
+			t.Errorf("%v: the added row's output is missing:\n%s", args, stdout.String())
+		}
+	}
+	if calls != 2 {
+		t.Errorf("the added row ran %d times, want 2", calls)
 	}
 }

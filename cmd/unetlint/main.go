@@ -21,10 +21,13 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 
 	"unet/internal/lint"
@@ -39,50 +42,59 @@ type jsonDiag struct {
 	Message  string `json:"message"`
 }
 
-func main() {
-	only := flag.String("only", "", "comma-separated subset of analyzers to run")
-	list := flag.Bool("list", false, "list the analyzers and exit")
-	stale := flag.Bool("stale", false, "also report //unetlint:allow directives that suppress nothing (full suite only)")
-	jsonOut := flag.Bool("json", false, "emit findings as JSON on stdout")
-	serial := flag.Bool("serial", false, "run analyzers one at a time instead of in parallel")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is main with its inputs and outputs named: findings go to stdout,
+// and the exit status is 1 when there are any, 2 for a usage error (one
+// line on stderr) or a package that does not load (go list's own words).
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("unetlint", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	only := fs.String("only", "", "comma-separated subset of analyzers to run")
+	list := fs.Bool("list", false, "list the analyzers and exit")
+	stale := fs.Bool("stale", false, "also report //unetlint:allow directives that suppress nothing (full suite only)")
+	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
+	serial := fs.Bool("serial", false, "run analyzers one at a time instead of in parallel")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2 // the flag set has already said why
+	}
+	fail := func(format string, a ...any) int {
+		fmt.Fprintf(stderr, "unetlint: "+format+"\n", a...)
+		return 2
+	}
 
 	if *list {
 		for _, a := range lint.All {
-			fmt.Printf("%-16s %s\n", a.Name, a.Doc)
+			fmt.Fprintf(stdout, "%-16s %s\n", a.Name, a.Doc)
 		}
-		return
+		return 0
 	}
 
 	analyzers := lint.All
 	if *only != "" {
 		if *stale {
-			fmt.Fprintln(os.Stderr, "unetlint: -stale needs the full suite; drop -only")
-			os.Exit(2)
-		}
-		byName := make(map[string]*lint.Analyzer)
-		for _, a := range lint.All {
-			byName[a.Name] = a
+			return fail("-stale needs the full suite; drop -only")
 		}
 		analyzers = nil
 		for _, name := range strings.Split(*only, ",") {
-			a := byName[strings.TrimSpace(name)]
-			if a == nil {
-				fmt.Fprintf(os.Stderr, "unetlint: unknown analyzer %q\n", name)
-				os.Exit(2)
+			i := slices.IndexFunc(lint.All, func(a *lint.Analyzer) bool { return a.Name == strings.TrimSpace(name) })
+			if i < 0 {
+				return fail("unknown analyzer %q", name)
 			}
-			analyzers = append(analyzers, a)
+			analyzers = append(analyzers, lint.All[i])
 		}
 	}
 
-	patterns := flag.Args()
+	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
 	units, err := lint.Load(".", patterns...)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "unetlint: %v\n", err)
-		os.Exit(2)
+		return fail("%v", err)
 	}
 	diags := lint.RunUnitsOpts(units, analyzers, lint.Options{
 		Stale:    *stale,
@@ -108,20 +120,20 @@ func main() {
 				Message:  d.Message,
 			})
 		}
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		if err := enc.Encode(out); err != nil {
-			fmt.Fprintf(os.Stderr, "unetlint: %v\n", err)
-			os.Exit(2)
+			return fail("%v", err)
 		}
 	} else {
 		for _, d := range diags {
 			d.Pos.Filename = relativize(d.Pos.Filename)
-			fmt.Println(d)
+			fmt.Fprintln(stdout, d)
 		}
 	}
 	if len(diags) > 0 {
-		fmt.Fprintf(os.Stderr, "unetlint: %d finding(s)\n", len(diags))
-		os.Exit(1)
+		fmt.Fprintf(stderr, "unetlint: %d finding(s)\n", len(diags))
+		return 1
 	}
+	return 0
 }

@@ -23,9 +23,9 @@
 //	internal/machine    CM-5 and Meiko CS-2 models (Table 2)
 //	internal/ip         IP-over-U-Net, UDP (§7.6), TCP (§7.7-7.8)
 //	internal/kernelpath BSD kernel-path baseline (mbufs, sockets, drivers)
-//	internal/experiments  per-table / per-figure harnesses
-//	cmd/unetbench       regenerate every table and figure
-//	cmd/unetsim         ad-hoc measurements
+//	internal/experiments  the evaluation as one table (experiments.All) over its drivers
+//	cmd/unetbench       regenerate any row of it, or make one ad-hoc measurement
+//	bench/              the wall-clock and memory ledger (go run ./bench)
 //	examples/           runnable walkthroughs of the public API
 //
 // See DESIGN.md for the substitution rationale and the experiment index,

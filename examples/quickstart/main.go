@@ -102,10 +102,3 @@ func main() {
 	fmt.Printf("simulation quiescent at %v; endpoint B stats: %+v\n",
 		tb.Eng.Now().Round(time.Microsecond), epB.Stats())
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

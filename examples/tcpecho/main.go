@@ -115,10 +115,3 @@ func main() {
 		ss.SegsOut, ss.Retransmits, ss.FastRetransmits, ss.Timeouts)
 	fmt.Printf("(dropped %d cells on the wire — every loss cost a whole AAL5 segment)\n", *lossCells)
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -139,11 +139,13 @@ func (r *Reassembler) Add(c Cell) ([]byte, error) {
 	n := int(binary.BigEndian.Uint16(pdu[len(pdu)-4-2:]))
 	if CellsFor(n) != r.cells && !(n == 0 && r.cells == 1) {
 		r.Reset()
+		//unetlint:allow hotpathalloc a PDU damaged on the wire is the fault path, not the steady state: the error says what the trailer claimed
 		return nil, fmt.Errorf("%w: length=%d cells=%d", ErrBadLength, n, r.cells)
 	}
 	want := binary.BigEndian.Uint32(pdu[len(pdu)-4:])
 	if got := CRC32(pdu[:len(pdu)-4]); got != want {
 		r.Reset()
+		//unetlint:allow hotpathalloc a PDU damaged on the wire is the fault path, not the steady state: the error carries both checksums
 		return nil, fmt.Errorf("%w: got %08x want %08x", ErrBadCRC, got, want)
 	}
 	if r.src != nil {

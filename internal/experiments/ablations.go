@@ -16,32 +16,27 @@ import (
 // Drivers for the ablation benchmarks (DESIGN.md §5): variations of one
 // design choice at a time against the calibrated default.
 
-// TCPBandwidthMSS is TCPBandwidth with an explicit maximum segment size.
+// TCPBandwidthMSS is TCPBandwidth with an explicit maximum segment size
+// (0 keeps the path's standard one).
 func TCPBandwidthMSS(kind PathKind, window, mss, writeSize, total int) float64 {
 	tb, ca, cb := ipPairSock(kind, window+(16<<10))
 	defer tb.Close()
 	params := tcpParamsFor(kind, window)
-	params.MSS = mss
-	a := tcp.New(ca, 5000, 80, params)
-	bConn := tcp.New(cb, 80, 5000, params)
-	return runTCPTransfer(tb, a, bConn, writeSize, total)
+	if mss > 0 {
+		params.MSS = mss
+	}
+	got, elapsed := runTCPTransfer(tb, tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params), writeSize, total)
+	if elapsed <= 0 {
+		return 0
+	}
+	return float64(got) / elapsed.Seconds() / 1e6
 }
 
-// TCPRTTDelayedAck measures U-Net TCP round trips with the BSD delayed-ack
-// strategy re-enabled — the §7.8 ablation showing why the paper disabled
-// it.
-func TCPRTTDelayedAck(size, rounds int) time.Duration {
-	tb, ca, cb := ipPair(PathUNet)
-	defer tb.Close()
-	params := tcpParamsFor(PathUNet, 0)
-	params.DelayedAck = true
-	return tcpEcho(tb, tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params), size, rounds)
-}
-
-// runTCPTransfer is the shared bulk-transfer skeleton.
-func runTCPTransfer(tb *testbed.Testbed, a, b *tcp.Conn, writeSize, total int) float64 {
+// runTCPTransfer is the shared bulk-transfer skeleton: a streams total
+// bytes to b in writeSize writes. It returns the bytes that arrived and
+// the time from the first write to the last arrival.
+func runTCPTransfer(tb *testbed.Testbed, a, b *tcp.Conn, writeSize, total int) (got int, elapsed time.Duration) {
 	var start, end time.Duration
-	got := 0
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
 		if err := b.Accept(p, time.Second); err != nil {
 			return
@@ -77,10 +72,7 @@ func runTCPTransfer(tb *testbed.Testbed, a, b *tcp.Conn, writeSize, total int) f
 		a.Flush(p, 100*time.Second)
 	})
 	tb.Eng.Run()
-	if end <= start {
-		return 0
-	}
-	return float64(got) / (end - start).Seconds() / 1e6
+	return got, end - start
 }
 
 // TCPShortTransferTime measures the elapsed time of a short one-way U-Net
@@ -93,42 +85,9 @@ func TCPShortTransferTime(delayed bool) time.Duration {
 	defer tb.Close()
 	params := tcpParamsFor(PathUNet, 0)
 	params.DelayedAck = delayed
-	a := tcp.New(ca, 5000, 80, params)
-	bConn := tcp.New(cb, 80, 5000, params)
 	const total = 64 << 10
-	var start, end time.Duration
-	got := 0
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		if err := bConn.Accept(p, time.Second); err != nil {
-			return
-		}
-		buf := make([]byte, total)
-		deadline := p.Now() + 5*time.Second
-		for got < total && p.Now() < deadline {
-			n, err := bConn.Read(p, buf, 500*time.Millisecond)
-			if err != nil {
-				return
-			}
-			if n > 0 {
-				got += n
-				end = p.Now()
-			}
-		}
-		for k := 0; k < 300; k++ {
-			bConn.Poll(p)
-			p.Sleep(time.Millisecond)
-		}
-	})
-	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
-		if err := a.Dial(p, time.Second); err != nil {
-			return
-		}
-		start = p.Now()
-		a.Write(p, make([]byte, total))
-		a.Flush(p, 5*time.Second)
-	})
-	tb.Eng.Run()
-	return end - start
+	_, elapsed := runTCPTransfer(tb, tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params), total, total)
+	return elapsed
 }
 
 // EmulatedEndpointRTT measures a ping-pong over kernel-emulated endpoints
@@ -238,7 +197,7 @@ func DirectAccessRTT(size, rounds int) (baseUS, directUS float64) {
 }
 
 // AblationTable regenerates the DESIGN.md §5 ablation summary as one text
-// table (the same measurements as the BenchmarkAblation_* targets).
+// table.
 func AblationTable(rounds int) *stats.Table {
 	t := stats.NewTable("Ablations: one design choice at a time")
 	t.Header("Ablation", "Default", "Ablated")

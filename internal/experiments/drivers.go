@@ -1,8 +1,8 @@
 // Package experiments contains the measurement drivers and the per-table /
 // per-figure harnesses that regenerate every result in the paper's
-// evaluation (Tables 1-3, Figures 3-9). The cmd/unetbench binary and the
-// top-level benchmarks both call into this package, so `go test -bench`
-// and the CLI print the same numbers.
+// evaluation (Tables 1-3, Figures 3-9), and All, the one table of them
+// that cmd/unetbench, the golden tests and BenchmarkExperiments iterate —
+// so the CLI, the goldens and `go test -bench` see the same rows.
 package experiments
 
 import (
@@ -55,6 +55,22 @@ func uamPair(cfg uam.Config, plan *faults.Plan) (*testbed.Testbed, *uam.UAM, *ua
 	return tb, a, b
 }
 
+// serveUntilDone spawns the passive side of a UAM measurement on host 1:
+// UAM is user-level and only acknowledges while polled, so b polls until
+// the measuring side calls done. The flag behind done crosses hosts — and,
+// when sharded, goroutines; it flips only after the measurement is
+// complete, so it never perturbs timing.
+func serveUntilDone(tb *testbed.Testbed, b *uam.UAM) (done func()) {
+	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
+	flag := new(atomic.Bool)
+	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+		for !flag.Load() {
+			b.PollWait(p, time.Millisecond)
+		}
+	})
+	return func() { flag.Store(true) }
+}
+
 // Handler indices used by the drivers.
 const (
 	hEcho  = 1
@@ -80,10 +96,6 @@ func UAMPingPong(cfg uam.Config, size, rounds int) time.Duration {
 // come.
 func uamEcho(tb *testbed.Testbed, a, b *uam.UAM, size, rounds int) (time.Duration, error) {
 	payload := make([]byte, size)
-	// done crosses hosts — and, when sharded, goroutines. It flips only
-	// after the measurement is complete, so it never perturbs timing.
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
-	var done atomic.Bool
 	gotReply := false
 	b.RegisterHandler(hEcho, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
 		if err := u.Reply(p, hEchoR, arg, data); err != nil && !errors.Is(err, uam.ErrPeerDead) {
@@ -95,11 +107,7 @@ func uamEcho(tb *testbed.Testbed, a, b *uam.UAM, size, rounds int) (time.Duratio
 	})
 	var start, end time.Duration
 	var failed error
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for !done.Load() {
-			b.PollWait(p, time.Millisecond)
-		}
-	})
+	done := serveUntilDone(tb, b)
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
 		deadline := p.Now() + time.Duration(rounds+1)*100*time.Millisecond
 		for i := 0; i < rounds+1; i++ {
@@ -115,7 +123,7 @@ func uamEcho(tb *testbed.Testbed, a, b *uam.UAM, size, rounds int) (time.Duratio
 			}
 		}
 		end = p.Now()
-		done.Store(true)
+		done()
 	})
 	tb.Eng.Run()
 	return (end - start) / time.Duration(rounds), failed
@@ -128,14 +136,8 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 	tb, a, b := uamPair(cfg, nil)
 	defer tb.Close()
 	block := make([]byte, size)
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
-	var done atomic.Bool
 	var elapsed time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for !done.Load() {
-			b.PollWait(p, time.Millisecond)
-		}
-	})
+	done := serveUntilDone(tb, b)
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
 		// Warm the pipe with one block, then measure.
 		if err := a.Store(p, 1, 0, block, 0, 0); err != nil {
@@ -150,7 +152,7 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 		}
 		a.Flush(p, 1)
 		elapsed = p.Now() - t0
-		done.Store(true)
+		done()
 	})
 	tb.Eng.Run()
 	return float64(size*count) / elapsed.Seconds() / 1e6
@@ -162,14 +164,8 @@ func UAMStoreBandwidth(cfg uam.Config, size, count int) float64 {
 func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
 	tb, a, b := uamPair(cfg, nil)
 	defer tb.Close()
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
-	var done atomic.Bool
 	var elapsed time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for !done.Load() {
-			b.PollWait(p, time.Millisecond)
-		}
-	})
+	done := serveUntilDone(tb, b)
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
 		warm, err := a.Get(p, 1, 0, 0, size)
 		if err != nil {
@@ -189,7 +185,7 @@ func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
 			a.WaitGet(p, tag)
 		}
 		elapsed = p.Now() - t0
-		done.Store(true)
+		done()
 	})
 	tb.Eng.Run()
 	return float64(size*count) / elapsed.Seconds() / 1e6

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"sync/atomic"
 	"time"
 
 	"unet/internal/faults"
@@ -76,14 +75,8 @@ func UAMGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, 
 	tb, a, b := uamPair(uam.Config{}, lossPlan(seed, rate))
 	defer tb.Close()
 	block := make([]byte, size)
-	//unetlint:allow rawgo cross-shard completion flag; set once after measurement, ordered by the group's window barriers
-	var done atomic.Bool
 	var elapsed time.Duration
-	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
-		for !done.Load() {
-			b.PollWait(p, time.Millisecond)
-		}
-	})
+	done := serveUntilDone(tb, b)
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
 		t0 := p.Now()
 		for i := 0; i < count; i++ {
@@ -93,7 +86,7 @@ func UAMGoodputUnderLoss(seed int64, rate float64, count, size int) (delivered, 
 		}
 		a.FlushTimeout(p, 1, time.Duration(count)*10*time.Millisecond+500*time.Millisecond)
 		elapsed = p.Now() - t0
-		done.Store(true)
+		done()
 	})
 	tb.Eng.Run()
 	segs := (size + a.Config().BulkMax - 1) / a.Config().BulkMax

@@ -1,47 +1,6 @@
 package experiments
 
-import (
-	"fmt"
-	"strings"
-	"testing"
-)
-
-// faultScale is the scaled-down rendering used by the golden tests: small
-// enough to run in seconds, large enough that every impairment model and
-// recovery path actually fires.
-func renderFaults() string {
-	return fmt.Sprintf("%v\n%v", TableLoss(FaultSeed, 4, 30), Chaos(DefaultChaos(FaultSeed)))
-}
-
-// TestGoldenFaultDeterminism is the determinism contract of the fault
-// subsystem: with a fixed seed, the full loss sweep and the chaos soak
-// must render byte-identically on reruns and at every shard count — the
-// impairment streams are keyed per link, never per execution layout.
-func TestGoldenFaultDeterminism(t *testing.T) {
-	if testing.Short() {
-		t.Skip("fault golden sweep is not short")
-	}
-	defer func(old int) { Shards = old }(Shards)
-
-	Shards = 0
-	serial := renderFaults()
-	if len(serial) == 0 {
-		t.Fatal("empty serial rendering")
-	}
-	if again := renderFaults(); again != serial {
-		t.Fatalf("same-seed reruns diverged:\n--- first ---\n%s\n--- second ---\n%s", serial, again)
-	}
-	for _, k := range []int{1, 2, 4} {
-		Shards = k
-		if got := renderFaults(); got != serial {
-			t.Fatalf("shards=%d diverged from serial:\n--- serial ---\n%s\n--- sharded ---\n%s",
-				k, serial, got)
-		}
-	}
-	if !strings.Contains(serial, "5.0%") {
-		t.Fatalf("sweep did not reach the 5%% loss point:\n%s", serial)
-	}
-}
+import "testing"
 
 // TestLossRecoveryDelivery pins the acceptance criterion of the recovery
 // paths: at ≤1% cell loss the reliable layers deliver 100% of the data

@@ -2,11 +2,32 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 
 	"unet/internal/nic"
 	"unet/internal/stats"
 	"unet/internal/uam"
 )
+
+// sweep renders one figure: at(x) measures every series at one x (a NaN
+// leaves that series without a point there), the xs run across the
+// ParallelPoints pool, and the points are added in xs order.
+func sweep(title, xlabel, ylabel string, xs []int, names []string, at func(x int) []float64) *stats.Figure {
+	f := &stats.Figure{Title: title, XLabel: xlabel, YLabel: ylabel}
+	for _, name := range names {
+		f.Series = append(f.Series, &stats.Series{Name: name})
+	}
+	ys := make([][]float64, len(xs))
+	ParallelPoints(len(xs), func(i int) { ys[i] = at(xs[i]) })
+	for i, x := range xs {
+		for j, y := range ys[i] {
+			if !math.IsNaN(y) {
+				f.Series[j].Add(float64(x), y)
+			}
+		}
+	}
+	return f
+}
 
 // Fig3Sizes is the message-size sweep of Figure 3 (0-1 KB).
 var Fig3Sizes = []int{4, 8, 16, 32, 40, 48, 64, 96, 128, 192, 256, 384, 512, 768, 1024}
@@ -15,30 +36,16 @@ var Fig3Sizes = []int{4, 8, 16, 32, 40, 48, 64, 96, 128, 192, 256, 384, 512, 768
 // message size — Raw U-Net, UAM single-cell request/reply (≤ 32 B) and
 // UAM block transfers.
 func Fig3(rounds int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 3: round-trip times vs message size",
-		XLabel: "bytes",
-		YLabel: "µs",
-	}
-	raw := &stats.Series{Name: "Raw U-Net"}
-	am := &stats.Series{Name: "UAM"}
-	xfer := &stats.Series{Name: "UAM xfer"}
-	pts := make([]struct{ raw, am float64 }, len(Fig3Sizes))
-	ParallelPoints(len(Fig3Sizes), func(i int) {
-		n := Fig3Sizes[i]
-		pts[i].raw = stats.US(RawRTT(nic.SBA200Params(), n, rounds))
-		pts[i].am = stats.US(UAMPingPong(uam.Config{}, n, rounds))
-	})
-	for i, n := range Fig3Sizes {
-		raw.Add(float64(n), pts[i].raw)
-		if n <= 32 {
-			am.Add(float64(n), pts[i].am)
-		} else {
-			xfer.Add(float64(n), pts[i].am)
-		}
-	}
-	f.Series = []*stats.Series{raw, am, xfer}
-	return f
+	return sweep("Figure 3: round-trip times vs message size", "bytes", "µs", Fig3Sizes,
+		[]string{"Raw U-Net", "UAM", "UAM xfer"},
+		func(n int) []float64 {
+			raw := stats.US(RawRTT(nic.SBA200Params(), n, rounds))
+			am := stats.US(UAMPingPong(uam.Config{}, n, rounds))
+			if n <= 32 {
+				return []float64{raw, am, math.NaN()}
+			}
+			return []float64{raw, math.NaN(), am}
+		})
 }
 
 // Fig4Sizes is the message-size sweep of Figure 4 (4 B-5 KB).
@@ -51,31 +58,16 @@ var Fig4Sizes = []int{
 // — the AAL-5 fiber limit (with its cell-quantization sawtooth), raw
 // U-Net, and UAM block store/get.
 func Fig4(count int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 4: bandwidth vs message size",
-		XLabel: "bytes",
-		YLabel: "MB/s",
-	}
-	limit := &stats.Series{Name: "AAL-5 limit"}
-	raw := &stats.Series{Name: "Raw U-Net"}
-	store := &stats.Series{Name: "UAM store"}
-	get := &stats.Series{Name: "UAM get"}
-	pts := make([]struct{ limit, raw, store, get float64 }, len(Fig4Sizes))
-	ParallelPoints(len(Fig4Sizes), func(i int) {
-		n := Fig4Sizes[i]
-		pts[i].limit = AAL5Limit(n)
-		pts[i].raw = RawBandwidth(nic.SBA200Params(), n, count).MBps()
-		pts[i].store = UAMStoreBandwidth(uam.Config{}, n, count)
-		pts[i].get = UAMGetBandwidth(uam.Config{}, n, count/2)
-	})
-	for i, n := range Fig4Sizes {
-		limit.Add(float64(n), pts[i].limit)
-		raw.Add(float64(n), pts[i].raw)
-		store.Add(float64(n), pts[i].store)
-		get.Add(float64(n), pts[i].get)
-	}
-	f.Series = []*stats.Series{limit, raw, store, get}
-	return f
+	return sweep("Figure 4: bandwidth vs message size", "bytes", "MB/s", Fig4Sizes,
+		[]string{"AAL-5 limit", "Raw U-Net", "UAM store", "UAM get"},
+		func(n int) []float64 {
+			return []float64{
+				AAL5Limit(n),
+				RawBandwidth(nic.SBA200Params(), n, count).MBps(),
+				UAMStoreBandwidth(uam.Config{}, n, count),
+				UAMGetBandwidth(uam.Config{}, n, count/2),
+			}
+		})
 }
 
 // Fig5 reproduces Figure 5: the seven Split-C benchmarks on the CM-5, the
@@ -116,31 +108,16 @@ var Fig6Sizes = []int{8, 32, 64, 128, 256, 512, 1024, 1400}
 // ATM and over Ethernet — for small messages ATM is *worse*, the
 // observation that motivates §7.
 func Fig6(rounds int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 6: kernel TCP/UDP round-trip latencies, ATM vs Ethernet",
-		XLabel: "bytes",
-		YLabel: "µs",
-	}
-	udpATM := &stats.Series{Name: "UDP ATM"}
-	udpEth := &stats.Series{Name: "UDP Ethernet"}
-	tcpATM := &stats.Series{Name: "TCP ATM"}
-	tcpEth := &stats.Series{Name: "TCP Ethernet"}
-	pts := make([]struct{ ua, ue, ta, te float64 }, len(Fig6Sizes))
-	ParallelPoints(len(Fig6Sizes), func(i int) {
-		n := Fig6Sizes[i]
-		pts[i].ua = stats.US(UDPRTT(PathKernelATM, n, rounds))
-		pts[i].ue = stats.US(UDPRTT(PathKernelEth, n, rounds))
-		pts[i].ta = stats.US(TCPRTT(PathKernelATM, n, rounds))
-		pts[i].te = stats.US(TCPRTT(PathKernelEth, n, rounds))
-	})
-	for i, n := range Fig6Sizes {
-		udpATM.Add(float64(n), pts[i].ua)
-		udpEth.Add(float64(n), pts[i].ue)
-		tcpATM.Add(float64(n), pts[i].ta)
-		tcpEth.Add(float64(n), pts[i].te)
-	}
-	f.Series = []*stats.Series{udpATM, udpEth, tcpATM, tcpEth}
-	return f
+	return sweep("Figure 6: kernel TCP/UDP round-trip latencies, ATM vs Ethernet", "bytes", "µs", Fig6Sizes,
+		[]string{"UDP ATM", "UDP Ethernet", "TCP ATM", "TCP Ethernet"},
+		func(n int) []float64 {
+			return []float64{
+				stats.US(UDPRTT(PathKernelATM, n, rounds)),
+				stats.US(UDPRTT(PathKernelEth, n, rounds)),
+				stats.US(TCPRTT(PathKernelATM, n, rounds)),
+				stats.US(TCPRTT(PathKernelEth, n, rounds)),
+			}
+		})
 }
 
 // Fig7Sizes is the datagram-size sweep of Figure 7.
@@ -151,27 +128,13 @@ var Fig7Sizes = []int{512, 1024, 1500, 1536, 2048, 2500, 3072, 4096, 6144, 8192}
 // sender-perceived and actually-received bandwidths, whose divergence is
 // kernel buffering loss and whose jagged shape is the 1 KB mbuf sawtooth.
 func Fig7(count int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 7: UDP bandwidth vs message size",
-		XLabel: "bytes",
-		YLabel: "MB/s",
-	}
-	unetRecv := &stats.Series{Name: "U-Net UDP"}
-	kSend := &stats.Series{Name: "kernel UDP (sender)"}
-	kRecv := &stats.Series{Name: "kernel UDP (received)"}
-	pts := make([]struct{ ur, ks, kr float64 }, len(Fig7Sizes))
-	ParallelPoints(len(Fig7Sizes), func(i int) {
-		n := Fig7Sizes[i]
-		_, pts[i].ur = UDPBandwidth(PathUNet, n, count)
-		pts[i].ks, pts[i].kr = UDPBandwidth(PathKernelATM, n, count)
-	})
-	for i, n := range Fig7Sizes {
-		unetRecv.Add(float64(n), pts[i].ur)
-		kSend.Add(float64(n), pts[i].ks)
-		kRecv.Add(float64(n), pts[i].kr)
-	}
-	f.Series = []*stats.Series{unetRecv, kSend, kRecv}
-	return f
+	return sweep("Figure 7: UDP bandwidth vs message size", "bytes", "MB/s", Fig7Sizes,
+		[]string{"U-Net UDP", "kernel UDP (sender)", "kernel UDP (received)"},
+		func(n int) []float64 {
+			_, unet := UDPBandwidth(PathUNet, n, count)
+			sent, recv := UDPBandwidth(PathKernelATM, n, count)
+			return []float64{unet, sent, recv}
+		})
 }
 
 // Fig8Writes is the application write-size sweep of Figure 8.
@@ -182,30 +145,17 @@ var Fig8Writes = []int{512, 1024, 2048, 4096, 8192, 16384}
 // against the kernel TCP with a 64 KB window (and the kernel's default
 // 52 KB socket buffer).
 func Fig8(total int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 8: TCP bandwidth vs application write size",
-		XLabel: "bytes per write",
-		YLabel: "MB/s",
-	}
-	un := &stats.Series{Name: "U-Net TCP (8K window)"}
-	k64 := &stats.Series{Name: "kernel TCP (64K window)"}
-	k52 := &stats.Series{Name: "kernel TCP (52K window)"}
-	pts := make([]struct{ un, k64, k52 float64 }, len(Fig8Writes))
-	ParallelPoints(len(Fig8Writes), func(i int) {
-		w := Fig8Writes[i]
-		pts[i].un = TCPBandwidth(PathUNet, 8<<10, w, total)
-		// The kernel path needs a longer stream: its slow-start stalls on
-		// the 200 ms delayed-ack timer and only amortizes over megabytes.
-		pts[i].k64 = TCPBandwidth(PathKernelATM, 64<<10, w, 8*total)
-		pts[i].k52 = TCPBandwidth(PathKernelATM, 52<<10, w, 8*total)
-	})
-	for i, w := range Fig8Writes {
-		un.Add(float64(w), pts[i].un)
-		k64.Add(float64(w), pts[i].k64)
-		k52.Add(float64(w), pts[i].k52)
-	}
-	f.Series = []*stats.Series{un, k64, k52}
-	return f
+	return sweep("Figure 8: TCP bandwidth vs application write size", "bytes per write", "MB/s", Fig8Writes,
+		[]string{"U-Net TCP (8K window)", "kernel TCP (64K window)", "kernel TCP (52K window)"},
+		func(w int) []float64 {
+			return []float64{
+				TCPBandwidth(PathUNet, 8<<10, w, total),
+				// The kernel path needs a longer stream: its slow-start stalls on
+				// the 200 ms delayed-ack timer and only amortizes over megabytes.
+				TCPBandwidth(PathKernelATM, 64<<10, w, 8*total),
+				TCPBandwidth(PathKernelATM, 52<<10, w, 8*total),
+			}
+		})
 }
 
 // Fig9Sizes is the message-size sweep of Figure 9.
@@ -215,29 +165,14 @@ var Fig9Sizes = []int{4, 64, 256, 512, 1024, 2048, 4096}
 // function of message size — the U-Net implementations against the
 // in-kernel ones over the same ATM hardware.
 func Fig9(rounds int) *stats.Figure {
-	f := &stats.Figure{
-		Title:  "Figure 9: UDP and TCP round-trip latencies, U-Net vs kernel",
-		XLabel: "bytes",
-		YLabel: "µs",
-	}
-	uu := &stats.Series{Name: "U-Net UDP"}
-	ut := &stats.Series{Name: "U-Net TCP"}
-	ku := &stats.Series{Name: "kernel UDP"}
-	kt := &stats.Series{Name: "kernel TCP"}
-	pts := make([]struct{ uu, ut, ku, kt float64 }, len(Fig9Sizes))
-	ParallelPoints(len(Fig9Sizes), func(i int) {
-		n := Fig9Sizes[i]
-		pts[i].uu = stats.US(UDPRTT(PathUNet, n, rounds))
-		pts[i].ut = stats.US(TCPRTT(PathUNet, n, rounds))
-		pts[i].ku = stats.US(UDPRTT(PathKernelATM, n, rounds))
-		pts[i].kt = stats.US(TCPRTT(PathKernelATM, n, rounds))
-	})
-	for i, n := range Fig9Sizes {
-		uu.Add(float64(n), pts[i].uu)
-		ut.Add(float64(n), pts[i].ut)
-		ku.Add(float64(n), pts[i].ku)
-		kt.Add(float64(n), pts[i].kt)
-	}
-	f.Series = []*stats.Series{uu, ut, ku, kt}
-	return f
+	return sweep("Figure 9: UDP and TCP round-trip latencies, U-Net vs kernel", "bytes", "µs", Fig9Sizes,
+		[]string{"U-Net UDP", "U-Net TCP", "kernel UDP", "kernel TCP"},
+		func(n int) []float64 {
+			return []float64{
+				stats.US(UDPRTT(PathUNet, n, rounds)),
+				stats.US(TCPRTT(PathUNet, n, rounds)),
+				stats.US(UDPRTT(PathKernelATM, n, rounds)),
+				stats.US(TCPRTT(PathKernelATM, n, rounds)),
+			}
+		})
 }

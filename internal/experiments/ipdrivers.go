@@ -250,11 +250,7 @@ func readFull(p *sim.Proc, c *tcp.Conn, buf []byte) bool {
 // TCPBandwidth transfers total bytes written in writeSize chunks with the
 // given receive window and reports MB/s (Figure 8).
 func TCPBandwidth(kind PathKind, window, writeSize, total int) float64 {
-	tb, ca, cb := ipPairSock(kind, window+(16<<10))
-	defer tb.Close()
-	a := tcp.New(ca, 5000, 80, tcpParamsFor(kind, window))
-	b := tcp.New(cb, 80, 5000, tcpParamsFor(kind, window))
-	return runTCPTransfer(tb, a, b, writeSize, total)
+	return TCPBandwidthMSS(kind, window, 0, writeSize, total)
 }
 
 // UNetUDPNoChecksumRTT measures UDP round trips with the checksum

@@ -248,7 +248,7 @@ func Serve(cfg ServeConfig) ServeResult {
 		})
 	}
 
-	res.Wall = runTimed(tb.Eng, cfg.Duration+cfg.DrainCap+time.Second)
+	res.Wall = timed(func() { tb.Eng.RunUntil(cfg.Duration + cfg.DrainCap + time.Second) })
 	for i := range states {
 		st := &states[i]
 		res.Sent += st.sent
@@ -262,17 +262,6 @@ func Serve(cfg ServeConfig) ServeResult {
 	}
 	res.Steps = tb.TotalSteps()
 	return res
-}
-
-// runTimed drives the engine and returns the host wall-clock time spent —
-// the events/sec diagnostic in ServeResult.Wall, kept out of all golden
-// output.
-//
-//unetlint:allow nondeterminism wall-clock events-per-second diagnostic only; never feeds virtual time
-func runTimed(e *sim.Engine, until time.Duration) time.Duration {
-	w0 := time.Now()
-	e.RunUntil(until)
-	return time.Since(w0)
 }
 
 // Line renders the deterministic one-line summary of a run.

@@ -365,6 +365,7 @@ func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 // push appends to the in-flight ring, growing it when full.
 func (l *Link) push(f inflight) {
 	if l.n == len(l.pend) {
+		//unetlint:allow hotpathalloc the ring doubles until it holds the link's bandwidth-delay product and then never grows again
 		grown := make([]inflight, max(4, 2*len(l.pend)))
 		for i := 0; i < l.n; i++ {
 			grown[i] = l.pend[(l.head+i)&(len(l.pend)-1)]

@@ -84,21 +84,3 @@ func (pl Plan) Build(link string) *Chain {
 	}
 	return NewChain(injs...)
 }
-
-// BurstPlan returns a plan whose Gilbert–Elliott parameters yield a
-// stationary loss rate of roughly target: bursts of mean length
-// 1/pBG cells, always lossy while bad, entered just often enough that
-// the time-average matches. Useful as the burst analogue of
-// Plan{LossRate: target}.
-func BurstPlan(seed int64, target float64) Plan {
-	const pBG = 0.25 // mean burst length 4 cells
-	if target <= 0 || target >= 1 {
-		return Plan{Seed: seed}
-	}
-	return Plan{
-		Seed:      seed,
-		BurstPGB:  target * pBG / (1 - target),
-		BurstPBG:  pBG,
-		BurstLoss: 1,
-	}
-}

@@ -20,9 +20,9 @@ func (c *Conn) input(p *sim.Proc, pkt []byte) {
 	if err != nil {
 		return
 	}
-	charge(p, c.params.ProcRx)
+	p.Charge(c.params.ProcRx)
 	if c.params.Checksum {
-		charge(p, time.Duration(HeaderSize+len(seg.payload))*c.params.ChecksumPerByte)
+		p.Charge(time.Duration(HeaderSize+len(seg.payload)) * c.params.ChecksumPerByte)
 		t := pkt[ip.HeaderSize:]
 		want := uint16(t[16])<<8 | uint16(t[17])
 		t[16], t[17] = 0, 0
@@ -307,7 +307,7 @@ func (c *Conn) timeout(p *sim.Proc) {
 		c.persistDeadline = 0
 		return
 	}
-	c.ssthresh = maxInt(inflight/2, 2*c.params.MSS)
+	c.ssthresh = max(inflight/2, 2*c.params.MSS)
 	c.cwnd = c.params.MSS
 	c.rtActive = false
 	// Duplicate acks counted before the timeout refer to the flight we are
@@ -337,7 +337,7 @@ func (c *Conn) timeout(p *sim.Proc) {
 // without waiting for the (coarse) timer.
 func (c *Conn) fastRetransmit(p *sim.Proc) {
 	c.stats.FastRetransmits++
-	c.ssthresh = maxInt(int(c.sndNxt-c.sndUna)/2, 2*c.params.MSS)
+	c.ssthresh = max(int(c.sndNxt-c.sndUna)/2, 2*c.params.MSS)
 	c.cwnd = c.ssthresh
 	c.rtActive = false
 	c.retransmitHead(p)
@@ -384,11 +384,4 @@ func (c *Conn) windowProbe(p *sim.Proc) {
 	c.emit(p, segment{srcPort: c.localPort, dstPort: c.remotePort,
 		seq: c.sndNxt, ack: c.rcvNxt, flags: flagACK, wnd: c.wndField(c.rcvWindow()),
 		payload: c.sendQ[inflight : inflight+1]})
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

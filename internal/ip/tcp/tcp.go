@@ -246,7 +246,7 @@ type segment struct {
 }
 
 func (c *Conn) emit(p *sim.Proc, seg segment) error {
-	charge(p, c.params.ProcTx)
+	p.Charge(c.params.ProcTx)
 	total := ip.HeaderSize + HeaderSize + len(seg.payload)
 	pkt := make([]byte, total)
 	ip.Header{
@@ -263,7 +263,7 @@ func (c *Conn) emit(p *sim.Proc, seg segment) error {
 	binary.BigEndian.PutUint16(t[14:], seg.wnd)
 	copy(t[HeaderSize:], seg.payload)
 	if c.params.Checksum {
-		charge(p, time.Duration(HeaderSize+len(seg.payload))*c.params.ChecksumPerByte)
+		p.Charge(time.Duration(HeaderSize+len(seg.payload)) * c.params.ChecksumPerByte)
 		binary.BigEndian.PutUint16(t[16:], ip.InternetChecksum(t))
 	}
 	c.stats.SegsOut++
@@ -408,7 +408,7 @@ func (c *Conn) Flush(p *sim.Proc, timeout time.Duration) error {
 			return ErrTimeout
 		}
 		c.output(p)
-		c.pump(p, minDur(deadline-p.Now(), c.params.TimerGranularity))
+		c.pump(p, min(deadline-p.Now(), c.params.TimerGranularity))
 		c.timers(p)
 	}
 	return nil
@@ -429,7 +429,7 @@ func (c *Conn) Read(p *sim.Proc, buf []byte, timeout time.Duration) (int, error)
 		if p.Now() >= deadline {
 			return 0, nil
 		}
-		c.pump(p, minDur(deadline-p.Now(), c.params.TimerGranularity))
+		c.pump(p, min(deadline-p.Now(), c.params.TimerGranularity))
 		c.timers(p)
 	}
 	n := copy(buf, c.rcvBuf)
@@ -467,7 +467,7 @@ func (c *Conn) Close(p *sim.Proc, timeout time.Duration) error {
 		if p.Now() >= deadline {
 			return ErrTimeout
 		}
-		c.pump(p, minDur(deadline-p.Now(), c.params.TimerGranularity))
+		c.pump(p, min(deadline-p.Now(), c.params.TimerGranularity))
 		c.timers(p)
 	}
 	c.st = stDone
@@ -526,34 +526,6 @@ func (c *Conn) pump(p *sim.Proc, d time.Duration) {
 	c.output(p)
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func minDur(a, b time.Duration) time.Duration {
-	if a < b {
-		return a
-	}
-	return b
-}
-
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
-	}
-}
-
 // SeqLT and SeqLEQ expose the modular sequence comparisons for testing.
 func SeqLT(a, b uint32) bool  { return seqLT(a, b) }
 func SeqLEQ(a, b uint32) bool { return seqLEQ(a, b) }
-
-// DebugState exposes the transmission-control variables — the §7.4 point
-// that user-level protocols can surface internal state to the application
-// ("retransmission counters, round trip timers, and buffer allocation
-// statistics are all readily available").
-func (c *Conn) DebugState() (cwnd, ssthresh, sndWnd, inflight, buffered int, srttUS float64) {
-	return c.cwnd, c.ssthresh, c.sndWnd, int(c.sndNxt - c.sndUna), len(c.sendQ), c.srtt
-}

@@ -135,7 +135,7 @@ func (sk *Socket) SendTo(p *sim.Proc, dstPort uint16, data []byte) error {
 	if total > s.conduit.MTU() {
 		return ErrTooLong
 	}
-	charge(p, s.params.ProcTx)
+	p.Charge(s.params.ProcTx)
 	pkt := make([]byte, total)
 	ip.Header{
 		Proto: ip.ProtoUDP, TTL: 64, Length: total,
@@ -147,7 +147,7 @@ func (sk *Socket) SendTo(p *sim.Proc, dstPort uint16, data []byte) error {
 	binary.BigEndian.PutUint16(u[4:], uint16(HeaderSize+len(data)))
 	copy(u[HeaderSize:], data)
 	if s.params.Checksum {
-		charge(p, time.Duration(HeaderSize+len(data))*s.params.ChecksumPerByte)
+		p.Charge(time.Duration(HeaderSize+len(data)) * s.params.ChecksumPerByte)
 		binary.BigEndian.PutUint16(u[6:], ip.InternetChecksum(u[HeaderSize:]))
 	}
 	s.stats.Sent++
@@ -170,7 +170,7 @@ func (s *Stack) deliver(p *sim.Proc, pkt []byte) {
 	if err != nil || hdr.Proto != ip.ProtoUDP || len(pkt) < ip.HeaderSize+HeaderSize {
 		return
 	}
-	charge(p, s.params.ProcRx)
+	p.Charge(s.params.ProcRx)
 	u := pkt[ip.HeaderSize:]
 	srcPort := binary.BigEndian.Uint16(u[0:])
 	dstPort := binary.BigEndian.Uint16(u[2:])
@@ -178,13 +178,13 @@ func (s *Stack) deliver(p *sim.Proc, pkt []byte) {
 		s.stats.PCBHits++
 	} else {
 		s.stats.PCBMisses++
-		charge(p, s.params.PCBMiss)
+		p.Charge(s.params.PCBMiss)
 		s.pcbCache = dstPort
 	}
 	if s.params.Checksum {
 		want := binary.BigEndian.Uint16(u[6:])
 		if want != 0 {
-			charge(p, time.Duration(len(u)-6)*s.params.ChecksumPerByte)
+			p.Charge(time.Duration(len(u)-6) * s.params.ChecksumPerByte)
 			binary.BigEndian.PutUint16(u[6:], 0)
 			if got := ip.InternetChecksum(u[HeaderSize:]); got != want {
 				s.stats.BadChecksum++
@@ -222,10 +222,4 @@ func (sk *Socket) RecvFrom(p *sim.Proc, timeout time.Duration) (data []byte, src
 	sk.buf = sk.buf[1:]
 	sk.bufBytes -= len(d.data)
 	return d.data, d.srcPort, true
-}
-
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
-	}
 }

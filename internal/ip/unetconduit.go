@@ -80,7 +80,7 @@ func (c *UNetConduit) Send(p *sim.Proc, pkt []byte) error {
 func (c *UNetConduit) gather(p *sim.Proc, rd unet.RecvDesc) []byte {
 	if rd.Inline != nil {
 		out := make([]byte, len(rd.Inline))
-		charge(p, c.ep.Host().Params.CopyCost(len(rd.Inline)))
+		p.Charge(c.ep.Host().Params.CopyCost(len(rd.Inline)))
 		copy(out, rd.Inline)
 		c.ep.Consume(rd)
 		return out
@@ -136,12 +136,6 @@ func (c *UNetConduit) TryRecv(p *sim.Proc) ([]byte, bool) {
 		return nil, false
 	}
 	return c.gather(p, rd), true
-}
-
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
-	}
 }
 
 // Endpoint exposes the underlying U-Net endpoint (for statistics and

@@ -173,7 +173,7 @@ func (c *Conduit) withCPU(p *sim.Proc, d time.Duration) {
 		p.Wait(&c.cpuFree)
 	}
 	c.cpuBusy = true
-	charge(p, d)
+	p.Charge(d)
 	c.cpuBusy = false
 	c.cpuFree.Broadcast()
 }
@@ -187,7 +187,7 @@ func (c *Conduit) withCPUIntr(p *sim.Proc, d time.Duration) {
 	}
 	c.intrWaiting--
 	c.cpuBusy = true
-	charge(p, d)
+	p.Charge(d)
 	c.cpuBusy = false
 	c.cpuFree.Broadcast()
 }
@@ -315,10 +315,4 @@ func (c *Conduit) TryRecv(p *sim.Proc) ([]byte, bool) {
 	}
 	c.withCPU(p, time.Duration(len(pkt))*pr.CopyPerByte)
 	return pkt, true
-}
-
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
-	}
 }

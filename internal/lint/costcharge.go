@@ -42,7 +42,6 @@ var chargeCalls = map[string]bool{
 	"SleepUntil": true,
 	"WaitReady":  true,
 	"syncTo":     true,
-	"charge":     true,
 	"Charge":     true,
 }
 

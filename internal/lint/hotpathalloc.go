@@ -177,7 +177,14 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 		return nil
 	}
 
-	facts := make(map[string][]allocSite)
+	// said is every allocation message the compiler printed inside each
+	// function, panic-only ones included.
+	type site struct {
+		node *FuncNode
+		allocSite
+	}
+	var sites []site
+	said := make(map[string]map[string]bool)
 	for _, line := range strings.Split(stderr.String(), "\n") {
 		msg, kind := escapeMessage(line)
 		if kind == "" {
@@ -187,18 +194,22 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 		if !ok {
 			continue
 		}
-		pos := prog.resolvePos(filepath.Join(modDir, file), lineNo, col)
-		if pos == token.NoPos {
-			continue
-		}
-		node := prog.NodeAt(pos)
+		pos, node := prog.resolvePos(filepath.Join(modDir, file), lineNo, col)
 		if node == nil {
 			continue // package-scope initialization
 		}
-		if allocFeedsPanic(node, pos) {
+		if said[node.ID] == nil {
+			said[node.ID] = make(map[string]bool)
+		}
+		said[node.ID][msg] = true
+		sites = append(sites, site{node, allocSite{pos: pos, msg: msg}})
+	}
+	facts := make(map[string][]allocSite)
+	for _, s := range sites {
+		if allocFeedsPanic(s.node, s.pos) || inlinedCopy(s.node, s.pos, s.msg, said) {
 			continue
 		}
-		facts[node.ID] = append(facts[node.ID], allocSite{pos: pos, msg: msg})
+		facts[s.node.ID] = append(facts[s.node.ID], s.allocSite)
 	}
 	escapeCache[modDir] = facts
 	return facts
@@ -248,21 +259,37 @@ func splitPosPrefix(line string) (file string, lineNo, col int, ok bool) {
 }
 
 // resolvePos converts an absolute file path plus line/column to a
-// token.Pos within the program's fileset.
-func (p *Program) resolvePos(absFile string, line, col int) token.Pos {
-	var pos token.Pos = token.NoPos
+// token.Pos and the function of the program it lies in (nil at package
+// scope). The file set can hold the name twice: importing a package's
+// export data registers a stub under the source's name, with only as many
+// (empty) lines as the last declaration it exports, and a stub registered
+// before the source is parsed comes first. So every entry is tried, and only
+// the parsed source — the one whose positions lie in a function — answers.
+func (p *Program) resolvePos(absFile string, line, col int) (pos token.Pos, node *FuncNode) {
 	p.Fset.Iterate(func(tf *token.File) bool {
-		if tf.Name() != absFile {
+		if tf.Name() != absFile || line > tf.LineCount() {
 			return true
 		}
-		if line > tf.LineCount() {
-			return false
-		}
-		lp := tf.LineStart(line)
-		pos = lp + token.Pos(col-1)
-		return false
+		pos = tf.LineStart(line) + token.Pos(col-1)
+		node = p.NodeAt(pos)
+		return node == nil
 	})
-	return pos
+	return pos, node
+}
+
+// inlinedCopy reports whether the allocation the compiler printed at pos is
+// the body of a callee it inlined there: it prints an inlined body's
+// diagnostics a second time at the opening parenthesis of the call. The
+// walk reaches the callee through the call edge and reports — or, when the
+// allocation only feeds a panic or carries an allow, excuses — the
+// allocation once, where it is written.
+func inlinedCopy(node *FuncNode, pos token.Pos, msg string, said map[string]map[string]bool) bool {
+	for _, e := range node.Calls {
+		if !e.Iface && e.Call.Lparen == pos && said[e.CalleeID][msg] {
+			return true
+		}
+	}
+	return false
 }
 
 // allocFeedsPanic reports whether the allocation at pos exists only as an

@@ -642,13 +642,3 @@ func (d *Device) ArenaStats() unet.PoolStats { return d.arena.Stats() }
 
 // OffsetsStats exposes the offset-list pool counters.
 func (d *Device) OffsetsStats() unet.PoolStats { return d.offPool.Stats() }
-
-// OneWayWireTime estimates the fiber+switch flight time of the last cell
-// of an n-byte PDU, used by calibration tests.
-func OneWayWireTime(n int, lp fabric.LinkParams, switchLatency time.Duration) time.Duration {
-	cells := atm.CellsFor(n)
-	if cells == 0 {
-		cells = 1
-	}
-	return time.Duration(cells)*lp.CellTime + lp.Propagation + switchLatency + lp.CellTime + lp.Propagation
-}

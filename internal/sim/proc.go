@@ -63,9 +63,6 @@ func (p *Proc) Engine() *Engine { return p.e }
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
 
-// Logf emits a trace message attributed to this process.
-func (p *Proc) Logf(format string, args ...any) { p.e.Tracef(p.name, format, args...) }
-
 // Sleep advances the process's position in virtual time by d: it models the
 // process spending d of CPU (or waiting) time. Other processes and events
 // run in the interim. Non-positive d yields without advancing the clock.
@@ -98,6 +95,14 @@ func (p *Proc) Sleep(d time.Duration) {
 	}
 	e.resumeAt(at, p)
 	p.park()
+}
+
+// Charge advances p by the cost d of work done on its behalf. A nil p is
+// engine context, which has no process to bill, and is not charged.
+func (p *Proc) Charge(d time.Duration) {
+	if p != nil && d > 0 {
+		p.Sleep(d)
+	}
 }
 
 // Yield reschedules the process at the current virtual time, letting other

@@ -128,15 +128,8 @@ func (e *Engine) NewShard(seed int64) *Engine {
 // engine).
 func (e *Engine) Group() *Group { return e.group }
 
-// ShardID returns e's index within its group (0 for the root or a plain
-// serial engine).
-func (e *Engine) ShardID() int { return e.shardID }
-
 // Shards reports the number of engines in the group, including the root.
 func (g *Group) Shards() int { return len(g.shards) }
-
-// Root returns the group's root engine.
-func (g *Group) Root() *Engine { return g.root }
 
 // AddExchangeFrom registers ex as a channel from shard src into shard dst
 // and returns its registration index, which ex passes to dst.ArriveArg

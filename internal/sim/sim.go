@@ -77,7 +77,6 @@ type Engine struct {
 	stop   time.Duration
 	procs  map[*Proc]struct{}
 	rng    *rand.Rand
-	tracer func(at time.Duration, who, msg string)
 	nsteps uint64
 	// group and shardID place the engine in a sharded simulation (nil /
 	// zero for a plain serial engine). See shard.go.
@@ -146,17 +145,6 @@ func (e *Engine) peek() *event {
 	return e.events[0]
 }
 
-// SetTracer installs fn to observe trace messages emitted via Tracef and
-// Proc.Logf. A nil fn disables tracing.
-func (e *Engine) SetTracer(fn func(at time.Duration, who, msg string)) { e.tracer = fn }
-
-// Tracef emits a trace message attributed to who.
-func (e *Engine) Tracef(who, format string, args ...any) {
-	if e.tracer != nil {
-		e.tracer(e.now, who, fmt.Sprintf(format, args...))
-	}
-}
-
 // Event kinds. A kind-dispatched payload (rather than a closure per event)
 // is what keeps the engine's hot paths allocation-free: resuming a process
 // or invoking a static callback with an argument needs no captured state.
@@ -201,6 +189,7 @@ type event struct {
 func (e *Engine) alloc() *event {
 	ev := e.free
 	if ev == nil {
+		//unetlint:allow hotpathalloc arena growth: the free list reaches the run's peak of pending events and every later event is recycled
 		return &event{wslot: -1}
 	}
 	e.free = ev.next

@@ -363,18 +363,6 @@ func TestNestedSpawnFromProc(t *testing.T) {
 	}
 }
 
-func TestTracer(t *testing.T) {
-	e := New(1)
-	defer e.Shutdown()
-	var msgs []string
-	e.SetTracer(func(at time.Duration, who, msg string) { msgs = append(msgs, who+":"+msg) })
-	e.Spawn("p", func(p *Proc) { p.Logf("hello %d", 7) })
-	e.Run()
-	if len(msgs) != 1 || msgs[0] != "p:hello 7" {
-		t.Fatalf("msgs = %v", msgs)
-	}
-}
-
 func TestWaitTimeoutCleansUpWaiters(t *testing.T) {
 	// Timed-out waiters must not accumulate on the condition (a long
 	// polling loop would otherwise leak entries).

@@ -24,11 +24,6 @@ type CCConfig struct {
 	Seed int
 }
 
-// DefaultCCConfig returns the test-scale configuration.
-func DefaultCCConfig() CCConfig {
-	return CCConfig{VerticesPerNode: 1024, Degree: 4, Seed: 3}
-}
-
 // PaperCCConfig returns a full-scale configuration comparable to §6.
 func PaperCCConfig() CCConfig {
 	return CCConfig{VerticesPerNode: 64 << 10, Degree: 4, Seed: 3}

@@ -24,9 +24,6 @@ type CGConfig struct {
 	Iters int
 }
 
-// DefaultCGConfig returns the test-scale configuration.
-func DefaultCGConfig() CGConfig { return CGConfig{Grid: 64, Iters: 30} }
-
 // PaperCGConfig returns a full-scale configuration comparable to §6.
 func PaperCGConfig() CGConfig { return CGConfig{Grid: 512, Iters: 50} }
 

@@ -18,9 +18,6 @@ type MMConfig struct {
 	Block int
 }
 
-// DefaultMMConfig returns the test-scale configuration.
-func DefaultMMConfig() MMConfig { return MMConfig{Grid: 4, Block: 32} }
-
 // PaperMMConfig returns the paper's full-scale configuration (§6).
 func PaperMMConfig() MMConfig { return MMConfig{Grid: 4, Block: 128} }
 

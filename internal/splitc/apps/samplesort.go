@@ -22,11 +22,6 @@ type SortConfig struct {
 	Seed int
 }
 
-// DefaultSortConfig returns the test-scale configuration.
-func DefaultSortConfig() SortConfig {
-	return SortConfig{KeysPerNode: 8192, Oversample: 64, Seed: 1}
-}
-
 // PaperSortConfig returns the paper's 4M-key configuration for 8 nodes.
 func PaperSortConfig() SortConfig {
 	return SortConfig{KeysPerNode: 4 << 20 / 8, Oversample: 64, Seed: 1}
@@ -218,11 +213,4 @@ func RunSampleSort(nodes []*splitc.Node, cfg SortConfig, bulk bool) (Result, [][
 		out[i] = s.incoming
 	}
 	return collect(nodes, times), out
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

@@ -118,7 +118,7 @@ func (u *UAM) handleStore(p *sim.Proc, pe *peer, h header, data []byte) {
 	if off < 0 || off+len(payload) > len(u.mem) {
 		return
 	}
-	charge(p, u.ep.Host().Params.CopyCost(len(payload)))
+	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
 	copy(u.mem[off:], payload)
 	if h.handler != 0 {
 		if fn := u.handlers[h.handler]; fn != nil {
@@ -156,8 +156,8 @@ func (u *UAM) Get(p *sim.Proc, src int, srcOff, dstOff, n int) (uint32, error) {
 // handleGetReq streams the requested region back as reliable get-data
 // segments addressed to the requester's memory.
 func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
-	req, err := decodeGetReq(data)
-	if err != nil {
+	req, ok := decodeGetReq(data)
+	if !ok {
 		return
 	}
 	src, n, dst := int(req.srcOff), int(req.n), int(req.dstOff)
@@ -175,7 +175,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		// and the tag in the trailing 4 bytes. The staging buffer is pooled
 		// scratch, reused across segments (sendReliable stages each into a
 		// window slot before returning).
-		charge(p, u.ep.Host().Params.CopyCost(chunk))
+		p.Charge(u.ep.Host().Params.CopyCost(chunk))
 		seg = append(seg[:0], u.mem[src+sent:src+sent+chunk]...)
 		seg = append(seg, byte(h.arg>>24), byte(h.arg>>16), byte(h.arg>>8), byte(h.arg))
 		if err := u.sendReliable(p, pe, typeGetData, 0, uint32(dst+sent), seg); err != nil {
@@ -202,7 +202,7 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 	if off < 0 || off+len(payload) > len(u.mem) {
 		return
 	}
-	charge(p, u.ep.Host().Params.CopyCost(len(payload)))
+	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
 	copy(u.mem[off:], payload)
 	if rem, ok := u.gets[tag]; ok {
 		if rem -= len(payload); rem <= 0 {

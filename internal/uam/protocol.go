@@ -9,6 +9,8 @@ import (
 )
 
 // deadErr wraps ErrPeerDead with the peer's identity.
+//
+//unetlint:allow hotpathalloc a peer is declared dead once, after its retry budget; the stream has no steady state left
 func deadErr(pe *peer) error { return fmt.Errorf("%w: node %d", ErrPeerDead, pe.node) }
 
 // outstanding reports how many unacknowledged messages the stream to pe
@@ -46,7 +48,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if pe.dead {
 		return deadErr(pe)
 	}
-	charge(p, u.cfg.OpOverhead)
+	p.Charge(u.cfg.OpOverhead)
 	seq := pe.nextSeq
 	slot := &pe.slots[int(seq)%u.cfg.Window]
 	// Solicit a prompt ack once the window is half committed, so steady
@@ -64,7 +66,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	}
 	slot.n = headerSize + len(data)
 	if slot.n > u.ep.Host().Device().SingleCellMax() {
-		charge(p, u.cfg.BulkOverhead)
+		p.Charge(u.cfg.BulkOverhead)
 	}
 	u.clearNeedAck(pe)
 	pe.dupPending = false // the piggybacked ack just went out
@@ -102,7 +104,7 @@ func (u *UAM) sendAckPing(p *sim.Proc, pe *peer) {
 // sendControl emits an unsequenced single-cell control message carrying
 // the cumulative ack.
 func (u *UAM) sendControl(p *sim.Proc, pe *peer, typ uint8) {
-	charge(p, u.cfg.OpOverhead)
+	p.Charge(u.cfg.OpOverhead)
 	h := header{typ: typ, ack: pe.expected}
 	var hdr [headerSize]byte
 	h.encode(hdr[:])
@@ -289,7 +291,7 @@ func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 	for s := pe.ackedTo; s != pe.nextSeq; s++ {
 		slot := pe.slots[int(s)%u.cfg.Window]
 		u.stats.Retransmits++
-		charge(p, u.cfg.OpOverhead)
+		p.Charge(u.cfg.OpOverhead)
 		if err := u.transmitSlot(p, pe, slot); err != nil {
 			return
 		}
@@ -341,7 +343,7 @@ func (u *UAM) flushAcks(p *sim.Proc) {
 func (u *UAM) gather(p *sim.Proc, rd unet.RecvDesc) []byte {
 	out := u.popScratch()
 	if rd.Inline != nil {
-		charge(p, u.ep.Host().Params.CopyCost(len(rd.Inline)))
+		p.Charge(u.ep.Host().Params.CopyCost(len(rd.Inline)))
 		out = append(out, rd.Inline...)
 		u.ep.Consume(rd)
 		return out
@@ -385,13 +387,13 @@ func (u *UAM) process(p *sim.Proc, rd unet.RecvDesc) {
 // owned by the caller (handlers see sub-slices of it, valid only during
 // the dispatch, as the Handler contract states).
 func (u *UAM) processMsg(p *sim.Proc, pe *peer, msg []byte) {
-	h, err := decodeHeader(msg)
-	if err != nil {
+	h, ok := decodeHeader(msg)
+	if !ok {
 		return
 	}
-	charge(p, u.cfg.OpOverhead)
+	p.Charge(u.cfg.OpOverhead)
 	if len(msg) > u.ep.Host().Device().SingleCellMax() {
-		charge(p, u.cfg.BulkOverhead)
+		p.Charge(u.cfg.BulkOverhead)
 	}
 	u.applyAck(pe, h.ack)
 	switch h.typ {
@@ -475,12 +477,5 @@ func (u *UAM) dispatch(p *sim.Proc, pe *peer, h header, data []byte) {
 	case typeGetData:
 		u.stats.GetSegs++
 		u.handleGetData(p, pe, h, data)
-	}
-}
-
-// charge advances p by d (nil-safe, mirroring unet's convention).
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
 	}
 }

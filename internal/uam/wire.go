@@ -1,9 +1,6 @@
 package uam
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // Message types on the wire.
 const (
@@ -58,9 +55,11 @@ func (h header) encode(buf []byte) {
 	binary.BigEndian.PutUint32(buf[4:8], h.arg)
 }
 
-func decodeHeader(buf []byte) (header, error) {
+// decodeHeader parses a message's header; ok is false for a message too
+// short to have one, which the receiver drops.
+func decodeHeader(buf []byte) (h header, ok bool) {
 	if len(buf) < headerSize {
-		return header{}, fmt.Errorf("uam: short message (%d bytes)", len(buf))
+		return header{}, false
 	}
 	return header{
 		typ:     buf[0] &^ flagReqAck,
@@ -69,7 +68,7 @@ func decodeHeader(buf []byte) (header, error) {
 		seq:     buf[2],
 		ack:     buf[3],
 		arg:     binary.BigEndian.Uint32(buf[4:8]),
-	}, nil
+	}, true
 }
 
 // seqLT reports a < b in mod-256 sequence arithmetic.
@@ -91,13 +90,13 @@ func (g getReq) encode(buf []byte) {
 	binary.BigEndian.PutUint32(buf[8:12], g.n)
 }
 
-func decodeGetReq(buf []byte) (getReq, error) {
+func decodeGetReq(buf []byte) (g getReq, ok bool) {
 	if len(buf) < 12 {
-		return getReq{}, fmt.Errorf("uam: short get request (%d bytes)", len(buf))
+		return getReq{}, false
 	}
 	return getReq{
 		srcOff: binary.BigEndian.Uint32(buf[0:4]),
 		dstOff: binary.BigEndian.Uint32(buf[4:8]),
 		n:      binary.BigEndian.Uint32(buf[8:12]),
-	}, nil
+	}, true
 }

@@ -13,7 +13,7 @@ import (
 // onto a single real endpoint that it owns. To the application the API
 // mirrors a regular endpoint, but every operation is a system call and the
 // data crosses an extra kernel copy — exactly the performance difference
-// the paper predicts, demonstrated by BenchmarkAblation in the harness.
+// the paper predicts, demonstrated by the ablations row of the evaluation.
 
 // emuHeaderSize prefixes each emulated message: destination and source
 // emulated-endpoint identifiers.
@@ -185,7 +185,7 @@ func (ee *EmuEndpoint) chanFrom(kch ChannelID, remote uint16) (EmuChannelID, boo
 // endpoints these consume no NI resources (§3.5), so no device or segment
 // limits apply.
 func (k *Kernel) CreateEmuEndpoint(p *sim.Proc, owner *Process) (*EmuEndpoint, error) {
-	charge(p, k.host.Params.Syscall)
+	p.Charge(k.host.Params.Syscall)
 	if k.emu == nil {
 		return nil, fmt.Errorf("unet: emulation not enabled on host %s", k.host.Name)
 	}
@@ -232,7 +232,7 @@ func (ee *EmuEndpoint) Send(p *sim.Proc, ch EmuChannelID, data []byte) error {
 	if len(data) > emuMTU {
 		return ErrTooLong
 	}
-	charge(p, k.host.Params.Syscall)
+	p.Charge(k.host.Params.Syscall)
 	c := ee.chans[ch]
 	// Assemble in a pooled buffer, not a shared scratch: Compose can park
 	// this process on its copy charge, letting another process enter Send
@@ -281,19 +281,19 @@ func (ee *EmuEndpoint) Recv(p *sim.Proc) EmuRecv {
 	r := ee.rx.Get(p)
 	ee.reclaim()
 	ee.pending = r.slab
-	charge(p, ee.k.host.Params.Syscall)
-	charge(p, ee.k.host.Params.CopyCost(len(r.Data)))
+	p.Charge(ee.k.host.Params.Syscall)
+	p.Charge(ee.k.host.Params.CopyCost(len(r.Data)))
 	return r
 }
 
 // PollRecv checks for a message without blocking (still a trap).
 func (ee *EmuEndpoint) PollRecv(p *sim.Proc) (EmuRecv, bool) {
-	charge(p, ee.k.host.Params.Syscall)
+	p.Charge(ee.k.host.Params.Syscall)
 	r, ok := ee.rx.TryGet()
 	if ok {
 		ee.reclaim()
 		ee.pending = r.slab
-		charge(p, ee.k.host.Params.CopyCost(len(r.Data)))
+		p.Charge(ee.k.host.Params.CopyCost(len(r.Data)))
 	}
 	return r, ok
 }

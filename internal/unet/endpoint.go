@@ -147,7 +147,7 @@ func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 	if err := ep.checkRange(off, len(data)); err != nil {
 		return err
 	}
-	charge(p, ep.host.Params.CopyCost(len(data)))
+	p.Charge(ep.host.Params.CopyCost(len(data)))
 	copy(ep.seg[off:], data)
 	return nil
 }
@@ -159,7 +159,7 @@ func (ep *Endpoint) ReadBuf(p *sim.Proc, off int, buf []byte) error {
 	if err := ep.checkRange(off, len(buf)); err != nil {
 		return err
 	}
-	charge(p, ep.host.Params.CopyCost(len(buf)))
+	p.Charge(ep.host.Params.CopyCost(len(buf)))
 	copy(buf, ep.seg[off:off+len(buf)])
 	return nil
 }
@@ -193,7 +193,7 @@ func (ep *Endpoint) Send(p *sim.Proc, d SendDesc) error {
 	if d.Length > dev.MTU() {
 		return ErrTooLong
 	}
-	charge(p, ep.host.Params.DescriptorPush)
+	p.Charge(ep.host.Params.DescriptorPush)
 	if !ep.sendQ.TryPut(d) {
 		return ErrSendQueueFull
 	}
@@ -212,13 +212,10 @@ func (ep *Endpoint) SendBlock(p *sim.Proc, d SendDesc) error {
 	}
 }
 
-// SendFree reports how many descriptors fit in the send queue right now.
-func (ep *Endpoint) SendFree() int { return ep.cfg.SendQueueCap - ep.sendQ.Len() }
-
 // PollRecv checks the receive queue once (§3.1 polling reception),
 // charging the poll cost.
 func (ep *Endpoint) PollRecv(p *sim.Proc) (RecvDesc, bool) {
-	charge(p, ep.host.Params.Poll)
+	p.Charge(ep.host.Params.Poll)
 	return ep.recvQ.TryGet()
 }
 
@@ -237,7 +234,7 @@ func (ep *Endpoint) Recv(p *sim.Proc) RecvDesc {
 			return rd
 		}
 		p.Wait(ep.recvQ.NotEmpty())
-		charge(p, ep.host.Params.Poll)
+		p.Charge(ep.host.Params.Poll)
 	}
 }
 
@@ -249,7 +246,7 @@ func (ep *Endpoint) RecvSelect(p *sim.Proc) RecvDesc {
 			return rd
 		}
 		p.Wait(ep.recvQ.NotEmpty())
-		charge(p, ep.host.Params.SelectWake)
+		p.Charge(ep.host.Params.SelectWake)
 	}
 }
 
@@ -283,7 +280,7 @@ func (ep *Endpoint) RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.Tim
 		ok, next := p.WaitUntil(ep.recvQ.NotEmpty(), deadline, tm)
 		tm = next
 		if ok {
-			charge(p, ep.host.Params.Poll)
+			p.Charge(ep.host.Params.Poll)
 		}
 	}
 }
@@ -317,15 +314,12 @@ func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 	if err := ep.checkRange(off, ep.cfg.RecvBufSize); err != nil {
 		return err
 	}
-	charge(p, ep.host.Params.FreePush)
+	p.Charge(ep.host.Params.FreePush)
 	if !ep.freeQ.TryPut(off) {
 		return ErrLimit
 	}
 	return nil
 }
-
-// FreePending reports how many buffers are queued for the NI.
-func (ep *Endpoint) FreePending() int { return ep.freeQ.Len() }
 
 // ProvideRecvBuffers carves n receive buffers from the segment starting at
 // base and pushes them all onto the free queue. Convenience for set-up
@@ -464,14 +458,9 @@ func (ep *Endpoint) DevWriteSegment(off int, data []byte) {
 	copy(ep.seg[off:], data)
 }
 
-// DevReadSegment is the NI's DMA out of the communication segment.
-func (ep *Endpoint) DevReadSegment(off, n int) []byte {
-	return ep.DevReadSegmentAppend(nil, off, n)
-}
-
-// DevReadSegmentAppend is DevReadSegment writing into dst (which it extends
-// and returns, like append), letting the NI reuse one DMA staging buffer
-// across messages.
+// DevReadSegmentAppend is the NI's DMA out of the communication segment
+// into dst (which it extends and returns, like append), letting the NI
+// reuse one DMA staging buffer across messages.
 func (ep *Endpoint) DevReadSegmentAppend(dst []byte, off, n int) []byte {
 	if err := ep.checkRange(off, n); err != nil {
 		panic("unet: device DMA outside segment")

@@ -2,7 +2,6 @@ package unet
 
 import (
 	"fmt"
-	"time"
 
 	"unet/internal/atm"
 	"unet/internal/sim"
@@ -43,14 +42,6 @@ func (h *Host) NewProcess(name string) *Process {
 // Spawn starts a simulated thread of execution on this host.
 func (h *Host) Spawn(name string, fn func(*sim.Proc)) *sim.Proc {
 	return h.Eng.Spawn(h.Name+"/"+name, fn)
-}
-
-// charge advances p by d when running in process context; engine-context
-// callers (p == nil) are not charged.
-func charge(p *sim.Proc, d time.Duration) {
-	if p != nil && d > 0 {
-		p.Sleep(d)
-	}
 }
 
 // Process is a protection domain. Endpoints are owned by exactly one

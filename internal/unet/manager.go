@@ -62,8 +62,8 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	if !okA || !okB {
 		return nil, fmt.Errorf("unet: host not registered with manager")
 	}
-	charge(p, a.host.Params.Syscall)
-	charge(p, b.host.Params.Syscall)
+	p.Charge(a.host.Params.Syscall)
+	p.Charge(b.host.Params.Syscall)
 
 	// Circuits are provisioned per input port: A's tx label is only valid
 	// arriving from A's port, B's only from B's — no third host can inject
@@ -91,8 +91,8 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 // Disconnect tears a channel down: deregisters the tags, removes the
 // switch routes and frees their labels for the next circuit.
 func (m *Manager) Disconnect(p *sim.Proc, ch *Channel) {
-	charge(p, ch.A.host.Params.Syscall)
-	charge(p, ch.B.host.Params.Syscall)
+	p.Charge(ch.A.host.Params.Syscall)
+	p.Charge(ch.B.host.Params.Syscall)
 	ch.A.host.dev.CloseChannel(ch.A, ch.ChanA)
 	ch.B.host.dev.CloseChannel(ch.B, ch.ChanB)
 	ch.A.closeChannel(ch.ChanA)

@@ -13,10 +13,6 @@ type NodeParams struct {
 	// wire cost plus two of these copies each way.
 	CopyPerByte time.Duration
 
-	// ChecksumPerByte is the cost of summing one byte in software.
-	// Calibration: "1 µs per 100 bytes on a SPARCstation-20" (§7.6).
-	ChecksumPerByte time.Duration
-
 	// DescriptorPush is the cost of pushing a descriptor onto an
 	// NI-resident queue: a double-word store across the I/O bus (§4.2.2).
 	DescriptorPush time.Duration
@@ -49,23 +45,17 @@ type NodeParams struct {
 // SunOS 4.1.3) cost model used throughout the paper's measurements.
 func DefaultNodeParams() NodeParams {
 	return NodeParams{
-		CopyPerByte:     17 * time.Nanosecond, // ~59 MB/s memcpy
-		ChecksumPerByte: 10 * time.Nanosecond, // 1 µs / 100 bytes (§7.6)
-		DescriptorPush:  800 * time.Nanosecond,
-		Poll:            300 * time.Nanosecond,
-		FreePush:        500 * time.Nanosecond,
-		Syscall:         15 * time.Microsecond,
-		SignalDelivery:  30 * time.Microsecond, // §4.2.3
-		SelectWake:      5 * time.Microsecond,
+		CopyPerByte:    17 * time.Nanosecond, // ~59 MB/s memcpy
+		DescriptorPush: 800 * time.Nanosecond,
+		Poll:           300 * time.Nanosecond,
+		FreePush:       500 * time.Nanosecond,
+		Syscall:        15 * time.Microsecond,
+		SignalDelivery: 30 * time.Microsecond, // §4.2.3
+		SelectWake:     5 * time.Microsecond,
 	}
 }
 
 // CopyCost returns the CPU time to copy n bytes.
 func (p *NodeParams) CopyCost(n int) time.Duration {
 	return time.Duration(n) * p.CopyPerByte
-}
-
-// ChecksumCost returns the CPU time to checksum n bytes.
-func (p *NodeParams) ChecksumCost(n int) time.Duration {
-	return time.Duration(n) * p.ChecksumPerByte
 }

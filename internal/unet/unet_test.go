@@ -553,13 +553,6 @@ func TestForeDeviceHasNoFastPath(t *testing.T) {
 	}
 }
 
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
-
 func TestAlmostFullUpcallPreventsOverflow(t *testing.T) {
 	// The almost-full condition exists so a process can drain before the
 	// receive queue overflows (§3.1). A receiver that drains from the

@@ -57,22 +57,22 @@ func main() {
 		for i := 0; i < 2; i++ {
 			rd := epB.Recv(p)
 			if rd.Inline != nil {
+				// Read in place — the true zero copy of §3.4 — then Release:
+				// nothing to copy, no buffers to return, only the NI's
+				// pooled inline slab.
 				fmt.Printf("[%8v] bob: %d B inline (single-cell fast path): %q\n",
 					p.Now().Round(time.Microsecond), rd.Length, rd.Inline)
-				epB.Consume(rd) // return the pooled inline slab to the NI
+				epB.Release(p, rd)
 				continue
 			}
-			data := make([]byte, rd.Length)
-			n := 0
-			for _, off := range rd.Buffers {
-				chunk := min(rd.Length-n, epB.Config().RecvBufSize)
-				epB.ReadBuf(p, off, data[n:n+chunk])
-				n += chunk
-				epB.PushFree(p, off) // recycle the buffer
-			}
+			// Gather is the receive half of the buffer discipline in one
+			// call: copy the data out of the receive buffers (charged per
+			// byte), push each buffer back on the free queue (charged per
+			// push) and return the descriptor's offset list to the NI.
+			nbuf := len(rd.Buffers)
+			data := epB.Gather(p, rd, nil)
 			fmt.Printf("[%8v] bob: %d B via %d receive buffer(s), first bytes %q...\n",
-				p.Now().Round(time.Microsecond), rd.Length, len(rd.Buffers), data[:12])
-			epB.Consume(rd) // return the pooled offset list too
+				p.Now().Round(time.Microsecond), len(data), nbuf, data[:12])
 		}
 	})
 

@@ -71,12 +71,12 @@ func SegmentAppend(dst []Cell, vci VCI, payload []byte) []Cell {
 
 // BufSource provides and recycles reassembly buffers, letting many
 // reassemblers share one arena of slabs instead of each growing a private
-// buffer to its high-water mark. GetBuf returns a zero-length slab (of
+// buffer to its high-water mark. Get returns a zero-length slab (of
 // whatever capacity the arena has on hand — the reassembler grows it by
-// appending); PutBuf takes a zero-length slab back.
+// appending); Put takes a zero-length slab back.
 type BufSource interface {
-	GetBuf() []byte
-	PutBuf(buf []byte)
+	Get() []byte
+	Put(buf []byte)
 }
 
 // Reassembler accumulates the cells of one AAL5 PDU on a single VCI.
@@ -96,7 +96,7 @@ func (r *Reassembler) Pending() int { return r.cells }
 // each PDU — and, crucially, changes the ownership contract of Add: on a
 // completed PDU the backing slab detaches and transfers to the caller, who
 // returns it to the source (typically after delivering or scattering the
-// payload) with PutBuf(payload[:0]). Call SetSource only while no PDU is
+// payload) with Put(payload[:0]). Call SetSource only while no PDU is
 // pending.
 func (r *Reassembler) SetSource(s BufSource) { r.src = s }
 
@@ -104,7 +104,7 @@ func (r *Reassembler) SetSource(s BufSource) { r.src = s }
 func (r *Reassembler) Reset() {
 	if r.src != nil {
 		if r.buf != nil {
-			r.src.PutBuf(r.buf[:0])
+			r.src.Put(r.buf[:0])
 		}
 		r.buf = nil
 	} else {
@@ -128,7 +128,7 @@ func (r *Reassembler) Reset() {
 //unetlint:hotpath AAL5 reassembly; runs on every arriving cell
 func (r *Reassembler) Add(c Cell) ([]byte, error) {
 	if r.buf == nil && r.src != nil {
-		r.buf = r.src.GetBuf()
+		r.buf = r.src.Get()
 	}
 	r.buf = append(r.buf, c.Payload[:]...)
 	r.cells++
@@ -150,7 +150,7 @@ func (r *Reassembler) Add(c Cell) ([]byte, error) {
 	}
 	if r.src != nil {
 		// Ownership of the slab moves to the caller; keep the full capacity
-		// reachable (no three-index cap) so PutBuf recovers the whole slab.
+		// reachable (no three-index cap) so Put recovers the whole slab.
 		r.buf = nil
 		r.cells = 0
 		return pdu[:n], nil

@@ -15,7 +15,7 @@ type testSource struct {
 	allocs int
 }
 
-func (s *testSource) GetBuf() []byte {
+func (s *testSource) Get() []byte {
 	s.gets++
 	if n := len(s.free); n > 0 {
 		b := s.free[n-1]
@@ -26,7 +26,7 @@ func (s *testSource) GetBuf() []byte {
 	return nil
 }
 
-func (s *testSource) PutBuf(b []byte) {
+func (s *testSource) Put(b []byte) {
 	s.puts++
 	s.free = append(s.free, b[:0])
 }
@@ -65,7 +65,7 @@ func TestReassemblerPooledDetach(t *testing.T) {
 		if len(pdu) == cap(pdu) {
 			t.Fatalf("round %d: detached slab has no spare capacity (len=cap=%d); padding was trimmed, not detached", round, len(pdu))
 		}
-		src.PutBuf(pdu[:0])
+		src.Put(pdu[:0])
 	}
 
 	if src.allocs != 1 {

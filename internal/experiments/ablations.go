@@ -150,43 +150,27 @@ func DirectAccessRTT(size, rounds int) (baseUS, directUS float64) {
 			}
 			return d
 		}
-		// consume models the application integrating the data: base-level
+		// Gather models the application integrating the data: base-level
 		// delivery needs a copy out of the receive buffers, while a
 		// direct-access deposit already sits at its final offset (§3.6's
-		// "true zero copy").
-		scratch := make([]byte, size)
-		consume := func(p *sim.Proc, ep *unet.Endpoint, rd unet.RecvDesc) {
-			if rd.Direct {
-				return
-			}
-			n := 0
-			for _, off := range rd.Buffers {
-				chunk := rd.Length - n
-				if bs := ep.Config().RecvBufSize; chunk > bs {
-					chunk = bs
-				}
-				ep.ReadBuf(p, off, scratch[n:n+chunk])
-				n += chunk
-			}
-			testbed.Recycle(p, ep, rd)
-		}
+		// "true zero copy") and Gather finds nothing to copy or return.
 		var rtt time.Duration
 		pr.EpB.Host().Spawn("echo", func(p *sim.Proc) {
+			var data []byte
 			for i := 0; i < rounds+1; i++ {
-				rd := pr.EpB.Recv(p)
-				consume(p, pr.EpB, rd)
+				data = pr.EpB.Gather(p, pr.EpB.Recv(p), data)
 				pr.EpB.SendBlock(p, mkDesc(pr.ChB, pr.StageB))
 			}
 		})
 		pr.EpA.Host().Spawn("ping", func(p *sim.Proc) {
 			var start time.Duration
+			var data []byte
 			for i := 0; i < rounds+1; i++ {
 				if i == 1 {
 					start = p.Now()
 				}
 				pr.EpA.SendBlock(p, mkDesc(pr.ChA, pr.StageA))
-				rd := pr.EpA.Recv(p)
-				consume(p, pr.EpA, rd)
+				data = pr.EpA.Gather(p, pr.EpA.Recv(p), data)
 			}
 			rtt = (p.Now() - start) / time.Duration(rounds)
 		})

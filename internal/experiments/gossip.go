@@ -92,6 +92,10 @@ func (r GossipResult) Render() string {
 	return b.String()
 }
 
+// gossipMsg is the size of one rumour on the wire: the origin's host index
+// (2 bytes), the round it was sent in, and a pad byte.
+const gossipMsg = 4
+
 // gossipPeers returns host h's overlay neighbors on an Islands-ring with
 // antipodal chords, in deterministic order (previous, next, chord). It
 // mirrors the trunk set topo.Island declares, so the overlay gossips
@@ -189,8 +193,10 @@ func Gossip(cfg GossipConfig) GossipResult {
 			for nb := range alive {
 				alive[nb] = true
 			}
-			seg := ep.Segment()
-			seq := 0
+			// Rotating staging slots: the inline payload is copied out by
+			// the NI asynchronously, so a slot is reused only long after its
+			// send has left the queue.
+			stage := unet.NewStaging(0, 512*gossipMsg)
 			for r := 0; r < cfg.Rounds; r++ {
 				if target := time.Duration(r) * cfg.Period; target > p.Now() {
 					p.Sleep(target - p.Now())
@@ -216,7 +222,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 							}
 						}
 					}
-					testbed.Recycle(p, ep, rd)
+					ep.Release(p, rd)
 				}
 				for nb := range peers {
 					if alive[nb] && r-lastHeard[nb] > cfg.FailAfter {
@@ -234,16 +240,13 @@ func Gossip(cfg GossipConfig) GossipResult {
 						continue
 					}
 					for _, origin := range batch {
-						// Rotating staging slots: the inline payload is copied
-						// out by the NI asynchronously, so a slot is reused
-						// only long after its send has left the queue.
-						off := (seq % 512) * 4
-						binary.BigEndian.PutUint16(seg[off:], origin)
-						seg[off+2] = byte(r)
-						err := ep.SendBlock(p, unet.SendDesc{Channel: nbrChan[nb], Inline: seg[off : off+4]})
-						mustNoErr(err, "gossip send")
+						var msg [gossipMsg]byte
+						binary.BigEndian.PutUint16(msg[:], origin)
+						msg[2] = byte(r)
+						off := stage.Next(gossipMsg)
+						mustNoErr(ep.Compose(nil, off, msg[:]), "gossip stage")
+						mustNoErr(ep.SendBlock(p, ep.DescAt(nbrChan[nb], off, gossipMsg)), "gossip send")
 						st.Sent++
-						seq++
 					}
 				}
 			}

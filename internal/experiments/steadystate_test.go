@@ -39,18 +39,12 @@ func newEchoRig(t testing.TB, size int) *echoRig {
 	if err != nil {
 		t.Fatal(err)
 	}
-	desc := func(ep *unet.Endpoint, ch unet.ChannelID, stage int) unet.SendDesc {
-		if size <= ep.Host().Device().SingleCellMax() {
-			return unet.SendDesc{Channel: ch, Inline: ep.Segment()[stage : stage+size]}
-		}
-		return unet.SendDesc{Channel: ch, Offset: stage, Length: size}
-	}
 	rig := &echoRig{tb: tb}
 	tb.Hosts[1].Spawn("echo", func(p *sim.Proc) {
 		for {
 			rd := pr.EpB.Recv(p)
-			testbed.Recycle(p, pr.EpB, rd)
-			if err := pr.EpB.SendBlock(p, desc(pr.EpB, pr.ChB, pr.StageB)); err != nil {
+			pr.EpB.Release(p, rd)
+			if err := pr.EpB.SendBlock(p, pr.EpB.DescAt(pr.ChB, pr.StageB, size)); err != nil {
 				panic(err)
 			}
 		}
@@ -58,11 +52,11 @@ func newEchoRig(t testing.TB, size int) *echoRig {
 	tb.Hosts[0].Spawn("ping", func(p *sim.Proc) {
 		for {
 			p.Wait(&rig.kick)
-			if err := pr.EpA.SendBlock(p, desc(pr.EpA, pr.ChA, pr.StageA)); err != nil {
+			if err := pr.EpA.SendBlock(p, pr.EpA.DescAt(pr.ChA, pr.StageA, size)); err != nil {
 				panic(err)
 			}
 			rd := pr.EpA.Recv(p)
-			testbed.Recycle(p, pr.EpA, rd)
+			pr.EpA.Release(p, rd)
 		}
 	})
 	tb.Eng.Run() // both processes park: echo in Recv, ping on the kick

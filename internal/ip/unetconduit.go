@@ -20,15 +20,13 @@ type UNetConduit struct {
 	local uint32
 	rem   uint32
 
-	stage     int // staging ring base
-	stageSize int
-	stageNext int
+	stage unet.Staging
 
 	closed bool
 }
 
-// stageRing sizes the send staging region: enough slots that a buffer is
-// never reused while its descriptor may still be queued.
+// stageSlots sizes the send staging region: enough MTU-sized slots that a
+// buffer is never reused while its descriptor may still be queued.
 const stageSlots = 72
 
 // NewUNetConduit builds a conduit over an existing endpoint/channel pair.
@@ -36,12 +34,11 @@ const stageSlots = 72
 // packets (it uses stageSlots × MTU bytes).
 func NewUNetConduit(ep *unet.Endpoint, ch unet.ChannelID, local, remote uint32, stageBase int) *UNetConduit {
 	return &UNetConduit{
-		ep:        ep,
-		ch:        ch,
-		local:     local,
-		rem:       remote,
-		stage:     stageBase,
-		stageSize: stageSlots * MTU,
+		ep:    ep,
+		ch:    ch,
+		local: local,
+		rem:   remote,
+		stage: unet.NewStaging(stageBase, stageSlots*MTU),
 	}
 }
 
@@ -62,60 +59,32 @@ func (c *UNetConduit) Send(p *sim.Proc, pkt []byte) error {
 	if len(pkt) > MTU {
 		return ErrTooLong
 	}
-	if c.stageNext+len(pkt) > c.stageSize {
-		c.stageNext = 0
-	}
-	off := c.stage + c.stageNext
-	c.stageNext += len(pkt)
+	off := c.stage.Next(len(pkt))
 	if err := c.ep.Compose(p, off, pkt); err != nil {
 		return err
 	}
 	return c.ep.SendBlock(p, unet.SendDesc{Channel: c.ch, Offset: off, Length: len(pkt)})
 }
 
-// gather copies a received datagram out of U-Net buffers and recycles
-// them. The copy is charged; true zero-copy consumers would read the
-// buffers in place (§3.4), but the socket API semantics the transports
-// provide require the data to outlive the buffer.
-func (c *UNetConduit) gather(p *sim.Proc, rd unet.RecvDesc) []byte {
-	if rd.Inline != nil {
-		out := make([]byte, len(rd.Inline))
-		p.Charge(c.ep.Host().Params.CopyCost(len(rd.Inline)))
-		copy(out, rd.Inline)
-		c.ep.Consume(rd)
-		return out
-	}
-	out := make([]byte, rd.Length)
-	n := 0
-	bufSize := c.ep.Config().RecvBufSize
-	for _, off := range rd.Buffers {
-		chunk := rd.Length - n
-		if chunk > bufSize {
-			chunk = bufSize
-		}
-		if err := c.ep.ReadBuf(p, off, out[n:n+chunk]); err != nil {
-			panic(err)
-		}
-		n += chunk
-		if err := c.ep.PushFree(p, off); err != nil {
-			panic(err)
-		}
-	}
-	c.ep.Consume(rd)
-	return out
+// take gathers a received datagram into a slice of its own: true zero-copy
+// consumers would read the buffers in place (§3.4), but the socket
+// semantics the transports provide require the data to outlive the buffer,
+// and the transports keep what Recv hands them.
+func (c *UNetConduit) take(p *sim.Proc, rd unet.RecvDesc) []byte {
+	return c.ep.Gather(p, rd, make([]byte, 0, rd.Length))
 }
 
 // Recv blocks up to timeout for the next datagram; a negative timeout
 // blocks until one arrives.
 func (c *UNetConduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
 	if timeout < 0 {
-		return c.gather(p, c.ep.Recv(p)), true
+		return c.take(p, c.ep.Recv(p)), true
 	}
 	rd, ok := c.ep.RecvTimeout(p, timeout)
 	if !ok {
 		return nil, false
 	}
-	return c.gather(p, rd), true
+	return c.take(p, rd), true
 }
 
 // RecvDeadline blocks until the absolute deadline for the next datagram,
@@ -126,7 +95,7 @@ func (c *UNetConduit) RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.T
 	if !ok {
 		return nil, false, tm
 	}
-	return c.gather(p, rd), true, tm
+	return c.take(p, rd), true, tm
 }
 
 // TryRecv polls the receive queue once.
@@ -135,7 +104,7 @@ func (c *UNetConduit) TryRecv(p *sim.Proc) ([]byte, bool) {
 	if !ok {
 		return nil, false
 	}
-	return c.gather(p, rd), true
+	return c.take(p, rd), true
 }
 
 // Endpoint exposes the underlying U-Net endpoint (for statistics and

@@ -255,7 +255,7 @@ func TestRoundRobinFairnessAcrossEndpoints(t *testing.T) {
 	drain := func(pr *testbed.Pair) func(*sim.Proc) {
 		return func(p *sim.Proc) {
 			for i := 0; i < 200; i++ {
-				testbed.Recycle(p, pr.EpB, pr.EpB.Recv(p))
+				pr.EpB.Release(p, pr.EpB.Recv(p))
 			}
 		}
 	}

@@ -59,7 +59,7 @@ func TestCrcDropRecyclesEagerly(t *testing.T) {
 	tb.Hosts[1].Spawn("drain", func(p *sim.Proc) {
 		for i := 0; i < count-1; i++ {
 			rd := pr.EpB.Recv(p)
-			testbed.Recycle(p, pr.EpB, rd)
+			pr.EpB.Release(p, rd)
 		}
 	})
 	tb.Eng.Run()
@@ -82,7 +82,7 @@ func TestCrcDropRecyclesEagerly(t *testing.T) {
 	}
 	tb.Hosts[1].Spawn("drain2", func(p *sim.Proc) {
 		rd := pr.EpB.Recv(p)
-		testbed.Recycle(p, pr.EpB, rd)
+		pr.EpB.Release(p, rd)
 	})
 	tb.Eng.Run()
 	if live := dev.ArenaStats().Live(); live != 0 {

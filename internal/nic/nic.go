@@ -110,9 +110,10 @@ type Device struct {
 	// arena recycles inline payload slabs (single-cell fast path and
 	// reassembly buffers); offPool recycles the Buffers offset lists of
 	// multi-buffer descriptors. Both flow out through RecvDescs and back
-	// via Endpoint.Consume → RecycleInline/RecycleOffsets (DESIGN.md §10).
-	arena   unet.BufPool
-	offPool unet.OffsetsPool
+	// via Endpoint.Gather/Release → RecycleInline/RecycleOffsets (DESIGN.md
+	// §10).
+	arena   unet.Pool[byte]
+	offPool unet.Pool[int]
 
 	// dcFree is a free list of delayed-cell boxes for the DeliverTrain
 	// overflow fallback, replacing a per-cell closure allocation.
@@ -547,9 +548,9 @@ func (d *Device) processCell(p *sim.Proc, c atm.Cell, cursor time.Duration) time
 	if fastPath && len(payload) <= d.params.SingleCellMax {
 		d.syncTo(p, cursor)
 		// Deliver the detached slab itself — no copy; the application hands
-		// it back through Endpoint.Consume → RecycleInline.
+		// it back through Endpoint.Gather/Release → RecycleInline.
 		if !ent.ep.DevDeliver(unet.RecvDesc{Channel: ent.ch, Length: len(payload), Inline: payload}) {
-			d.arena.PutBuf(payload) // receive queue full: reclaim the slab
+			d.arena.Put(payload) // receive queue full: reclaim the slab
 		}
 		return cursor
 	}
@@ -560,7 +561,7 @@ func (d *Device) processCell(p *sim.Proc, c atm.Cell, cursor time.Duration) time
 	} else {
 		d.deliverBuffered(ent, payload)
 	}
-	d.arena.PutBuf(payload) // scatter (or drop) complete; slab back to the arena
+	d.arena.Put(payload) // scatter (or drop) complete; slab back to the arena
 	return cursor
 }
 
@@ -589,15 +590,15 @@ func (d *Device) deliverDirect(ent *vciEntry, payload []byte) {
 // descriptor. Arrivals with no free buffers are dropped (§3.4: the process
 // provides receive buffers explicitly; run out and you lose messages).
 // The offset list rides in the descriptor and returns through
-// Endpoint.Consume → RecycleOffsets; on any drop path it goes straight
-// back to the pool here.
+// Endpoint.Gather/Release → RecycleOffsets; on any drop path it goes
+// straight back to the pool here.
 func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
 	bufSize := ent.ep.Config().RecvBufSize
 	need := (len(payload) + bufSize - 1) / bufSize
 	if need == 0 {
 		need = 1
 	}
-	offs := d.offPool.GetOffsets()
+	offs := d.offPool.Get()
 	for i := 0; i < need; i++ {
 		off, ok := ent.ep.DevPopFree()
 		if !ok {
@@ -605,7 +606,7 @@ func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
 			for _, o := range offs {
 				ent.ep.PushFree(nil, o)
 			}
-			d.offPool.PutOffsets(offs)
+			d.offPool.Put(offs)
 			ent.ep.DevDropNoBuffer()
 			return
 		}
@@ -624,17 +625,17 @@ func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
 		for _, o := range offs {
 			ent.ep.PushFree(nil, o)
 		}
-		d.offPool.PutOffsets(offs)
+		d.offPool.Put(offs)
 	}
 }
 
 // --- unet.DescRecycler (DESIGN.md §10) ---
 
 // RecycleInline returns a consumed descriptor's inline slab to the arena.
-func (d *Device) RecycleInline(buf []byte) { d.arena.PutBuf(buf) }
+func (d *Device) RecycleInline(buf []byte) { d.arena.Put(buf) }
 
 // RecycleOffsets returns a consumed descriptor's offset list to its pool.
-func (d *Device) RecycleOffsets(offs []int) { d.offPool.PutOffsets(offs) }
+func (d *Device) RecycleOffsets(offs []int) { d.offPool.Put(offs) }
 
 // ArenaStats exposes the payload-slab pool counters (tests use Live to
 // prove delivered descriptors all come home).

@@ -23,7 +23,7 @@ func drain(tb *testbed.Testbed, ep *unet.Endpoint, n int, check func(unet.RecvDe
 			if check != nil {
 				check(rd)
 			}
-			testbed.Recycle(p, ep, rd)
+			ep.Release(p, rd)
 		}
 	})
 	tb.Eng.Run()

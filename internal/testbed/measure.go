@@ -4,30 +4,7 @@ import (
 	"time"
 
 	"unet/internal/sim"
-	"unet/internal/unet"
 )
-
-// Recycle returns a received message's buffers to the endpoint's free
-// queue, charging the pushes to p, and hands the descriptor's pooled
-// memory back to the device (DESIGN.md §10).
-func Recycle(p *sim.Proc, ep *unet.Endpoint, rd unet.RecvDesc) {
-	for _, off := range rd.Buffers {
-		if err := ep.PushFree(p, off); err != nil {
-			panic(err)
-		}
-	}
-	ep.Consume(rd)
-}
-
-// sendDesc builds the appropriate descriptor for a size-byte message:
-// inline when the device's single-cell fast path accepts it, staged in the
-// segment at stage otherwise.
-func sendDesc(ep *unet.Endpoint, ch unet.ChannelID, stage, size int) unet.SendDesc {
-	if size <= ep.Host().Device().SingleCellMax() {
-		return unet.SendDesc{Channel: ch, Inline: ep.Segment()[stage : stage+size]}
-	}
-	return unet.SendDesc{Channel: ch, Offset: stage, Length: size}
-}
 
 // PingPong measures the mean round-trip time of size-byte messages echoed
 // between the pair's endpoints, the experiment behind Figure 3's Raw U-Net
@@ -40,8 +17,8 @@ func (pr *Pair) PingPong(rounds, size int) time.Duration {
 	pr.EpB.Host().Spawn("echo", func(p *sim.Proc) {
 		for i := 0; i < rounds+1; i++ {
 			rd := pr.EpB.Recv(p)
-			Recycle(p, pr.EpB, rd)
-			if err := pr.EpB.SendBlock(p, sendDesc(pr.EpB, pr.ChB, stageB, size)); err != nil {
+			pr.EpB.Release(p, rd)
+			if err := pr.EpB.SendBlock(p, pr.EpB.DescAt(pr.ChB, stageB, size)); err != nil {
 				panic(err)
 			}
 		}
@@ -51,11 +28,11 @@ func (pr *Pair) PingPong(rounds, size int) time.Duration {
 			if i == 1 {
 				start = p.Now()
 			}
-			if err := pr.EpA.SendBlock(p, sendDesc(pr.EpA, pr.ChA, stageA, size)); err != nil {
+			if err := pr.EpA.SendBlock(p, pr.EpA.DescAt(pr.ChA, stageA, size)); err != nil {
 				panic(err)
 			}
 			rd := pr.EpA.Recv(p)
-			Recycle(p, pr.EpA, rd)
+			pr.EpA.Release(p, rd)
 		}
 		end = p.Now()
 	})
@@ -92,7 +69,7 @@ func (pr *Pair) Stream(count, size int) StreamResult {
 	pr.EpB.Host().Spawn("sink", func(p *sim.Proc) {
 		for got := 0; got < count; got++ {
 			rd := pr.EpB.Recv(p)
-			Recycle(p, pr.EpB, rd)
+			pr.EpB.Release(p, rd)
 			res.Delivered++
 			if got == 0 {
 				// The first delivery opens the measurement window; its own
@@ -106,7 +83,7 @@ func (pr *Pair) Stream(count, size int) StreamResult {
 	})
 	pr.EpA.Host().Spawn("blast", func(p *sim.Proc) {
 		for i := 0; i < count; i++ {
-			if err := pr.EpA.SendBlock(p, sendDesc(pr.EpA, pr.ChA, stageA, size)); err != nil {
+			if err := pr.EpA.SendBlock(p, pr.EpA.DescAt(pr.ChA, stageA, size)); err != nil {
 				panic(err)
 			}
 		}

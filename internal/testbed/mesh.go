@@ -88,7 +88,7 @@ func (m *Mesh) Storm(count, size int) ([]StormResult, time.Duration) {
 		m.TB.Hosts[i].Spawn("recv", func(p *sim.Proc) {
 			for got := 0; got < expect[i]; got++ {
 				rd := ep.Recv(p)
-				Recycle(p, ep, rd)
+				ep.Release(p, rd)
 				res[i].Received++
 				res[i].LastRecv = p.Now()
 			}
@@ -96,8 +96,7 @@ func (m *Mesh) Storm(count, size int) ([]StormResult, time.Duration) {
 		m.TB.Hosts[i].Spawn("send", func(p *sim.Proc) {
 			for k := 0; k < count; k++ {
 				peer := (i + 1 + k%(n-1)) % n
-				d := sendDesc(ep, m.Chans[i][peer], m.Stage[i], size)
-				if err := ep.SendBlock(p, d); err != nil {
+				if err := ep.SendBlock(p, ep.DescAt(m.Chans[i][peer], m.Stage[i], size)); err != nil {
 					panic(err)
 				}
 				res[i].Sent++

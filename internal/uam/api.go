@@ -82,7 +82,7 @@ func (u *UAM) sendStoreSeg(p *sim.Proc, pe *peer, handler uint8, dstOff, arg uin
 	// buffer is pooled scratch: sendReliable stages it into a window slot
 	// before returning, so it can go back on the free list here.
 	if last && handler != 0 {
-		buf := u.popScratch()
+		buf := u.scratch.Get()
 		buf = append(buf, seg...)
 		buf = append(buf, byte(arg>>24), byte(arg>>16), byte(arg>>8), byte(arg))
 		var err error
@@ -95,7 +95,7 @@ func (u *UAM) sendStoreSeg(p *sim.Proc, pe *peer, handler uint8, dstOff, arg uin
 		} else {
 			err = u.sendReliable(p, pe, typeStore, handler, dstOff, buf)
 		}
-		u.putScratch(buf)
+		u.scratch.Put(buf)
 		return err
 	}
 	return u.sendReliable(p, pe, typeStore, 0, dstOff, seg)
@@ -165,7 +165,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		return
 	}
 	sent := 0
-	seg := u.popScratch()
+	seg := u.scratch.Get()
 	for {
 		chunk := n - sent
 		if chunk > u.cfg.BulkMax-4 {
@@ -186,7 +186,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 			break
 		}
 	}
-	u.putScratch(seg)
+	u.scratch.Put(seg)
 }
 
 // handleGetData lands one get-data segment in local memory and retires the

@@ -80,13 +80,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 // transmitSlot pushes a staged message to the endpoint, inline when it
 // fits a single cell.
 func (u *UAM) transmitSlot(p *sim.Proc, pe *peer, slot txSlot) error {
-	var d unet.SendDesc
-	if slot.n <= u.ep.Host().Device().SingleCellMax() {
-		d = unet.SendDesc{Channel: pe.ch, Inline: u.ep.Segment()[slot.off : slot.off+slot.n]}
-	} else {
-		d = unet.SendDesc{Channel: pe.ch, Offset: slot.off, Length: slot.n}
-	}
-	return u.ep.SendBlock(p, d)
+	return u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n))
 }
 
 // sendAck emits an explicit cumulative acknowledgment (unsequenced).
@@ -117,11 +111,11 @@ func (u *UAM) sendControl(p *sim.Proc, pe *peer, typ uint8) {
 	// Stage the header in the next control-ring slot of the segment (a
 	// direct store, like any write to mapped memory — no Compose cost) so
 	// the inline descriptor's bytes stay stable until the NIC pops it.
-	off := u.ctrlBase + u.ctrlNext*headerSize
-	u.ctrlNext = (u.ctrlNext + 1) % (u.ep.Config().SendQueueCap + 1)
-	buf := u.ep.Segment()[off : off+headerSize]
-	copy(buf, hdr[:])
-	_ = u.ep.SendBlock(p, unet.SendDesc{Channel: pe.ch, Inline: buf})
+	off := u.ctrl.Next(headerSize)
+	if err := u.ep.Compose(nil, off, hdr[:]); err != nil {
+		panic(err)
+	}
+	_ = u.ep.SendBlock(p, u.ep.DescAt(pe.ch, off, headerSize))
 }
 
 // drainIncoming processes whatever is already in the receive queue,
@@ -336,51 +330,17 @@ func (u *UAM) flushAcks(p *sim.Proc) {
 	}
 }
 
-// gather copies a received message out of U-Net buffers into contiguous
-// memory (one of the two UAM copies, §5.3) and recycles the buffers. The
-// output lives in a pooled scratch buffer — the caller returns it with
-// putScratch — and the descriptor's pooled memory goes home via Consume.
-func (u *UAM) gather(p *sim.Proc, rd unet.RecvDesc) []byte {
-	out := u.popScratch()
-	if rd.Inline != nil {
-		p.Charge(u.ep.Host().Params.CopyCost(len(rd.Inline)))
-		out = append(out, rd.Inline...)
-		u.ep.Consume(rd)
-		return out
-	}
-	for cap(out) < rd.Length {
-		out = append(out[:cap(out)], 0)
-	}
-	out = out[:rd.Length]
-	n := 0
-	bufSize := u.ep.Config().RecvBufSize
-	for _, off := range rd.Buffers {
-		chunk := rd.Length - n
-		if chunk > bufSize {
-			chunk = bufSize
-		}
-		if err := u.ep.ReadBuf(p, off, out[n:n+chunk]); err != nil {
-			panic(err)
-		}
-		n += chunk
-		if err := u.ep.PushFree(p, off); err != nil {
-			panic(err)
-		}
-	}
-	u.ep.Consume(rd)
-	return out
-}
-
 // process handles one arrival: acknowledgment bookkeeping, in-order
-// acceptance, handler dispatch.
+// acceptance, handler dispatch. Gathering the message into contiguous
+// pooled scratch is one of the two UAM copies (§5.3).
 func (u *UAM) process(p *sim.Proc, rd unet.RecvDesc) {
 	pe, ok := u.byChan[rd.Channel]
 	if !ok {
 		return
 	}
-	msg := u.gather(p, rd)
+	msg := u.ep.Gather(p, rd, u.scratch.Get())
 	u.processMsg(p, pe, msg)
-	u.putScratch(msg)
+	u.scratch.Put(msg)
 }
 
 // processMsg is process after gathering; msg is a pooled scratch buffer

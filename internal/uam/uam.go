@@ -171,21 +171,20 @@ type UAM struct {
 	nextDeadline time.Duration
 	nacks        int
 
-	// scratch is a free-list stack of message staging buffers (gather
-	// output, store/get segment assembly). A stack — not a single buffer —
-	// because handlers re-enter the library: a dispatch can send, which
-	// drains the receive queue, which gathers and dispatches again before
-	// the outer buffer is released.
-	scratch [][]byte
+	// scratch pools message staging buffers (gather output, store/get
+	// segment assembly). A pool — not a single buffer — because handlers
+	// re-enter the library: a dispatch can send, which drains the receive
+	// queue, which gathers and dispatches again before the outer buffer is
+	// released.
+	scratch unet.Pool[byte]
 
 	// Control messages (acks, ack pings) are unsequenced, so they have no
 	// window slot to stage in; their inline bytes must nonetheless stay
 	// stable until the NIC pops the descriptor. They rotate through a
-	// dedicated segment ring of SendQueueCap+1 slots: at most SendQueueCap
-	// descriptors can be queued, so a slot is never rewritten while a
-	// descriptor still points at it.
-	ctrlBase int
-	ctrlNext int
+	// dedicated segment region of SendQueueCap+1 header-sized slots: at
+	// most SendQueueCap descriptors can be queued, so a slot is never
+	// rewritten while a descriptor still points at it.
+	ctrl unet.Staging
 }
 
 // New creates a UAM instance for owner with the given node id, creating
@@ -260,25 +259,9 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 		byChan:   make(map[unet.ChannelID]*peer),
 		mem:      make([]byte, cfg.MemSize),
 		gets:     make(map[uint32]int),
-		ctrlBase: cfg.MaxPeers * perPeer,
+		ctrl:     unet.NewStaging(cfg.MaxPeers*perPeer, ctrlRing),
 	}, nil
 }
-
-// popScratch takes a staging buffer (len 0) off the free list, or returns
-// nil for append-growth. Buffers converge on the workload's high-water
-// message size and then recirculate without allocation.
-func (u *UAM) popScratch() []byte {
-	if n := len(u.scratch); n > 0 {
-		b := u.scratch[n-1]
-		u.scratch[n-1] = nil
-		u.scratch = u.scratch[:n-1]
-		return b
-	}
-	return nil
-}
-
-// putScratch returns a staging buffer to the free list.
-func (u *UAM) putScratch(b []byte) { u.scratch = append(u.scratch, b[:0]) }
 
 // Node returns this instance's node id.
 func (u *UAM) Node() int { return u.node }

@@ -23,6 +23,9 @@ const emuHeaderSize = 4
 // shared resource).
 const emuMTU = 8192
 
+// emuTxRegion is the size of the kernel segment's transmit staging region.
+const emuTxRegion = 160 << 10
+
 // EmuChannelID names a channel registered on an emulated endpoint.
 type EmuChannelID int
 
@@ -60,13 +63,14 @@ type emuState struct {
 	emus   map[uint16]*EmuEndpoint
 	nextID uint16
 	peerCh map[*Host]ChannelID
-	txBase int // staging region base in the kernel segment
-	txSize int
-	txNext int
+	// tx is the transmit staging region at the base of the kernel segment,
+	// large enough that a buffer cannot still be queued when it comes round
+	// again (send queue cap × emuMTU < region size).
+	tx Staging
 	// pool recycles receive staging slabs (out through EmuRecv, back on the
 	// consumer's next Recv) and transmit packet-assembly buffers, keeping
 	// the emulation path allocation-free in steady state like the real one.
-	pool BufPool
+	pool Pool[byte]
 }
 
 // EnableEmulation sets up the kernel's real endpoint and service process.
@@ -96,11 +100,10 @@ func (k *Kernel) EnableEmulation(p *sim.Proc) error {
 		kep:    kep,
 		emus:   make(map[uint16]*EmuEndpoint),
 		peerCh: make(map[*Host]ChannelID),
-		txBase: 0,
-		txSize: 160 << 10,
+		tx:     NewStaging(0, emuTxRegion),
 	}
 	// Receive buffers occupy the rest of the kernel segment.
-	if _, err := kep.ProvideRecvBuffers(p, st.txSize, 64); err != nil {
+	if _, err := kep.ProvideRecvBuffers(p, emuTxRegion, 64); err != nil {
 		return err
 	}
 	k.emu = st
@@ -114,61 +117,36 @@ func (k *Kernel) emuService(p *sim.Proc) {
 	st := k.emu
 	for {
 		rd := st.kep.Recv(p)
-		data := k.emuGather(p, rd)
+		// The extra kernel copy emulation costs, into a pooled staging
+		// slab. A single-cell arrival is gathered unbilled (nil process):
+		// it already lies in the kernel's receive queue entry, and the
+		// ablation row's figure was calibrated without a charge for it.
+		payer := p
+		if rd.Inline != nil {
+			payer = nil
+		}
+		data := st.kep.Gather(payer, rd, st.pool.Get())
 		if len(data) < emuHeaderSize {
-			st.pool.PutBuf(data)
+			st.pool.Put(data)
 			continue
 		}
 		dst := binary.BigEndian.Uint16(data[0:2])
 		src := binary.BigEndian.Uint16(data[2:4])
 		ee, ok := st.emus[dst]
 		if !ok {
-			st.pool.PutBuf(data)
+			st.pool.Put(data)
 			continue
 		}
 		ch, ok := ee.chanFrom(rd.Channel, src)
 		if !ok {
-			st.pool.PutBuf(data)
+			st.pool.Put(data)
 			continue
 		}
 		if !ee.rx.TryPut(EmuRecv{Channel: ch, Data: data[emuHeaderSize:], slab: data}) {
 			ee.drops++
-			st.pool.PutBuf(data)
+			st.pool.Put(data)
 		}
 	}
-}
-
-// emuGather copies a received message out of the kernel endpoint's buffers
-// (the extra kernel copy emulation costs) into a pooled staging slab and
-// recycles the buffers and the descriptor's pooled memory.
-func (k *Kernel) emuGather(p *sim.Proc, rd RecvDesc) []byte {
-	st := k.emu
-	out := st.pool.GetBuf()
-	if rd.Inline != nil {
-		out = append(out, rd.Inline...)
-		st.kep.Consume(rd)
-		return out
-	}
-	for cap(out) < rd.Length {
-		out = append(out[:cap(out)], 0)
-	}
-	out = out[:rd.Length]
-	n := 0
-	for _, off := range rd.Buffers {
-		chunk := rd.Length - n
-		if chunk > st.kep.cfg.RecvBufSize {
-			chunk = st.kep.cfg.RecvBufSize
-		}
-		if err := st.kep.ReadBuf(p, off, out[n:n+chunk]); err != nil {
-			panic(err)
-		}
-		n += chunk
-		if err := st.kep.PushFree(p, off); err != nil {
-			panic(err)
-		}
-	}
-	st.kep.Consume(rd)
-	return out
 }
 
 // chanFrom maps (kernel channel, remote emu id) back to the local channel.
@@ -238,37 +216,25 @@ func (ee *EmuEndpoint) Send(p *sim.Proc, ch EmuChannelID, data []byte) error {
 	// this process on its copy charge, letting another process enter Send
 	// meanwhile. The buffer is done once Compose has copied it into the
 	// staging region, so it goes back to the pool before SendBlock blocks.
-	pkt := st.pool.GetBuf()
+	pkt := st.pool.Get()
 	pkt = binary.BigEndian.AppendUint16(pkt, c.remoteID)
 	pkt = binary.BigEndian.AppendUint16(pkt, ee.id)
 	pkt = append(pkt, data...)
-	off := st.allocTx(len(pkt))
+	off := st.tx.Next(len(pkt))
 	err := st.kep.Compose(p, off, pkt)
 	n := len(pkt)
-	st.pool.PutBuf(pkt)
+	st.pool.Put(pkt)
 	if err != nil {
 		return err
 	}
 	return st.kep.SendBlock(p, SendDesc{Channel: c.kch, Offset: off, Length: n})
 }
 
-// allocTx bump-allocates a staging buffer in the kernel segment. The
-// region is large enough that a buffer cannot still be queued by the time
-// it is reused (send queue cap × MTU < region size).
-func (st *emuState) allocTx(n int) int {
-	if st.txNext+n > st.txBase+st.txSize {
-		st.txNext = st.txBase
-	}
-	off := st.txNext
-	st.txNext += n
-	return off
-}
-
 // reclaim returns the previously delivered staging slab to the kernel pool;
 // the application's window on that Data has closed.
 func (ee *EmuEndpoint) reclaim() {
 	if ee.pending != nil {
-		ee.k.emu.pool.PutBuf(ee.pending)
+		ee.k.emu.pool.Put(ee.pending)
 		ee.pending = nil
 	}
 }

@@ -129,8 +129,9 @@ func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 // Closed reports whether the endpoint has been destroyed.
 func (ep *Endpoint) Closed() bool { return ep.closed }
 
-// Segment exposes the communication segment. Holding the *Endpoint is the
-// access capability; the segment is never shared between processes.
+// Segment exposes the communication segment to the NI model and to tests.
+// Layers above go through Compose, DescAt, Gather and Release instead, so
+// that the segment has a known set of writers.
 func (ep *Endpoint) Segment() []byte { return ep.seg }
 
 func (ep *Endpoint) checkRange(off, n int) error {
@@ -142,7 +143,9 @@ func (ep *Endpoint) checkRange(off, n int) error {
 
 // Compose copies data into the segment at off, charging the copy cost.
 // This is the application-to-segment copy that base-level U-Net ("zero
-// copy" in the vernacular, §3.3) cannot avoid.
+// copy" in the vernacular, §3.3) cannot avoid. With a nil p it is the free
+// form: a few header bytes stored straight into mapped memory, which the
+// cost model does not bill as a copy.
 func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 	if err := ep.checkRange(off, len(data)); err != nil {
 		return err
@@ -152,9 +155,8 @@ func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 	return nil
 }
 
-// ReadBuf copies n bytes out of the segment at off into buf, charging the
-// copy cost. True zero copy (§3.4) is reading via Segment() directly
-// without this call, when the data needs no longer-term home.
+// ReadBuf copies len(buf) bytes out of the segment at off into buf,
+// charging the copy cost. It is the step Gather repeats per buffer.
 func (ep *Endpoint) ReadBuf(p *sim.Proc, off int, buf []byte) error {
 	if err := ep.checkRange(off, len(buf)); err != nil {
 		return err
@@ -210,6 +212,40 @@ func (ep *Endpoint) SendBlock(p *sim.Proc, d SendDesc) error {
 		}
 		p.Wait(&ep.txSpace)
 	}
+}
+
+// DescAt describes the n-byte message staged in the segment at off: inline,
+// its bytes aliasing the segment, when the device's single-cell fast path
+// takes it (§3.4), by offset and length otherwise — always the latter on a
+// device without the fast path. The bytes must stay put until the NI pops
+// the descriptor; a Staging region sized past the send queue sees to that.
+func (ep *Endpoint) DescAt(ch ChannelID, off, n int) SendDesc {
+	if n <= ep.host.dev.SingleCellMax() {
+		return SendDesc{Channel: ch, Inline: ep.seg[off : off+n]}
+	}
+	return SendDesc{Channel: ch, Offset: off, Length: n}
+}
+
+// Staging hands out send staging space from one region of the segment in
+// rotation: each message takes the bytes after the previous one, and a
+// message that would run past the end starts over at the base. Nothing
+// tracks when a slot is free again — the owner sizes the region so that a
+// slot comes round only after its descriptor has left the send queue (more
+// slots than the queue holds, or send-queue capacity times the largest
+// message).
+type Staging struct{ base, size, next int }
+
+// NewStaging returns the allocator for segment bytes [base, base+size).
+func NewStaging(base, size int) Staging { return Staging{base: base, size: size} }
+
+// Next returns the segment offset for an n-byte message.
+func (s *Staging) Next(n int) int {
+	if s.next+n > s.size {
+		s.next = 0
+	}
+	off := s.base + s.next
+	s.next += n
+	return off
 }
 
 // PollRecv checks the receive queue once (§3.1 polling reception),
@@ -285,16 +321,61 @@ func (ep *Endpoint) RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.Tim
 	}
 }
 
-// Consume returns a received descriptor's NI-owned memory — the Inline
-// payload slab of a single-cell arrival, the Buffers offset list of a
-// multi-buffer one — to the device's pools (DESIGN.md §10). Call it once,
-// after the last use of rd; the descriptor's Inline and Buffers must not be
-// touched afterwards. Consume is free of virtual cost (the memory is a
-// simulator artifact, not a modeled resource) and is optional for
-// correctness: skipping it only costs allocations. Note that Consume does
-// not push buffer offsets back onto the free queue — that is PushFree's
-// job, with its modeled cost.
-func (ep *Endpoint) Consume(rd RecvDesc) {
+// Gather brings a received message home: it copies the data out of the
+// descriptor (single-cell arrivals) or out of its receive buffers into
+// dst[:0], growing dst as needed, hands every buffer back to the NI through
+// the free queue and returns the descriptor's pooled memory (DESIGN.md
+// §10). p is charged the copy and then the free-queue push, buffer by
+// buffer; a nil p gathers free of charge. rd must not be used afterwards.
+// A direct-access deposit (§3.6) has no buffers and is already where the
+// sender put it, so Gather returns it empty.
+//
+// The receive half of the base-level buffer discipline (§3.4) lives here
+// and in Release and nowhere else: layers that keep the data call Gather,
+// layers that only count it call Release.
+func (ep *Endpoint) Gather(p *sim.Proc, rd RecvDesc, dst []byte) []byte {
+	if rd.Inline != nil {
+		p.Charge(ep.host.Params.CopyCost(len(rd.Inline)))
+		dst = append(dst[:0], rd.Inline...)
+		ep.consume(rd)
+		return dst
+	}
+	for cap(dst) < rd.Length {
+		dst = append(dst[:cap(dst)], 0) // append's amortized growth, up to the high-water length
+	}
+	dst = dst[:rd.Length]
+	n := 0
+	for _, off := range rd.Buffers {
+		chunk := min(rd.Length-n, ep.cfg.RecvBufSize)
+		if err := ep.ReadBuf(p, off, dst[n:n+chunk]); err != nil {
+			panic(err)
+		}
+		n += chunk
+		if err := ep.PushFree(p, off); err != nil {
+			panic(err)
+		}
+	}
+	ep.consume(rd)
+	return dst[:n]
+}
+
+// Release is Gather without the copy, for a message whose data is not
+// wanted (or was read in place): the buffers go back on the free queue,
+// each push charged to p, and the descriptor's pooled memory to the NI.
+func (ep *Endpoint) Release(p *sim.Proc, rd RecvDesc) {
+	for _, off := range rd.Buffers {
+		if err := ep.PushFree(p, off); err != nil {
+			panic(err)
+		}
+	}
+	ep.consume(rd)
+}
+
+// consume returns a descriptor's NI-owned memory — the Inline slab of a
+// single-cell arrival, the Buffers list of a buffered one — to the device's
+// pools. It is free of virtual cost: the memory is a simulator artifact,
+// not a modeled resource.
+func (ep *Endpoint) consume(rd RecvDesc) {
 	rec, ok := ep.host.dev.(DescRecycler)
 	if !ok {
 		return

@@ -11,11 +11,11 @@ package unet
 //
 // Ownership protocol: the NIC takes memory out of a pool when it assembles
 // a RecvDesc, the descriptor carries it through the receive queue, and the
-// application returns it with Endpoint.Consume when it has finished with
-// the descriptor. Consume is optional for correctness — an unreturned slab
-// is simply garbage-collected and the pool allocates a replacement — but
-// required for the zero-allocation steady state; PoolStats.Live makes
-// forgotten returns visible to tests.
+// application brings it home with Endpoint.Gather or Endpoint.Release when
+// it has finished with the descriptor. Skipping that is safe — an
+// unreturned slab is simply garbage-collected and the pool allocates a
+// replacement — but gives up the zero-allocation steady state;
+// PoolStats.Live makes forgotten returns visible to tests.
 
 // PoolStats counts pool traffic. Gets - Puts is the number of items
 // currently checked out; Allocs is how many had to be freshly allocated
@@ -29,47 +29,21 @@ type PoolStats struct {
 // Live reports how many items are checked out of the pool right now.
 func (s PoolStats) Live() int { return int(s.Gets - s.Puts) }
 
-// BufPool is a free-list arena of byte slabs. The zero value is ready to
-// use. Slabs are handed out at zero length and whatever capacity they last
-// grew to; consumers extend them with append, so the arena converges on the
-// workload's high-water slab size and then stops allocating. GetBuf/PutBuf
-// satisfy atm.BufSource, making the pool pluggable as a reassembly arena.
-type BufPool struct {
-	free  [][]byte
+// Pool is a LIFO free list of slices. The zero value is ready to use.
+// Slices are handed out at zero length and whatever capacity they last grew
+// to; consumers extend them with append, so the pool converges on the
+// workload's high-water size and then stops allocating. A stack rather
+// than a single buffer because consumers nest: a UAM handler that sends
+// drains the receive queue and gathers again before the outer message's
+// buffer is back. Pool[byte] satisfies atm.BufSource, making it pluggable
+// as a reassembly arena.
+type Pool[T any] struct {
+	free  [][]T
 	stats PoolStats
 }
 
-// GetBuf pops a slab (len 0), allocating only when the free list is empty.
-func (p *BufPool) GetBuf() []byte {
-	p.stats.Gets++
-	if n := len(p.free); n > 0 {
-		b := p.free[n-1]
-		p.free[n-1] = nil
-		p.free = p.free[:n-1]
-		return b
-	}
-	p.stats.Allocs++
-	return nil // grown by the consumer's append
-}
-
-// PutBuf returns a slab to the pool. The caller must not use b afterwards.
-func (p *BufPool) PutBuf(b []byte) {
-	p.stats.Puts++
-	p.free = append(p.free, b[:0])
-}
-
-// Stats returns a snapshot of the pool counters.
-func (p *BufPool) Stats() PoolStats { return p.stats }
-
-// OffsetsPool is a free-list arena of buffer-offset lists (the Buffers
-// field of multi-buffer RecvDescs). The zero value is ready to use.
-type OffsetsPool struct {
-	free  [][]int
-	stats PoolStats
-}
-
-// GetOffsets pops an offset list (len 0).
-func (p *OffsetsPool) GetOffsets() []int {
+// Get pops a slice (len 0), allocating only when the free list is empty.
+func (p *Pool[T]) Get() []T {
 	p.stats.Gets++
 	if n := len(p.free); n > 0 {
 		s := p.free[n-1]
@@ -78,17 +52,17 @@ func (p *OffsetsPool) GetOffsets() []int {
 		return s
 	}
 	p.stats.Allocs++
-	return nil
+	return nil // grown by the consumer's append
 }
 
-// PutOffsets returns an offset list to the pool.
-func (p *OffsetsPool) PutOffsets(s []int) {
+// Put returns a slice to the pool. The caller must not use s afterwards.
+func (p *Pool[T]) Put(s []T) {
 	p.stats.Puts++
 	p.free = append(p.free, s[:0])
 }
 
 // Stats returns a snapshot of the pool counters.
-func (p *OffsetsPool) Stats() PoolStats { return p.stats }
+func (p *Pool[T]) Stats() PoolStats { return p.stats }
 
 // DescRecycler is implemented by devices whose RecvDesc memory is
 // pool-backed. Endpoint.Consume routes descriptor memory back through it;

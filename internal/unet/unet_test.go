@@ -70,7 +70,7 @@ func TestBufferedMessageRoundTrip(t *testing.T) {
 			}
 			n += chunk
 		}
-		testbed.Recycle(p, pr.EpB, rd)
+		pr.EpB.Release(p, rd)
 	})
 	pr.EpA.Host().Spawn("tx", func(p *sim.Proc) {
 		if err := pr.EpA.Compose(p, pr.StageA, payload); err != nil {
@@ -160,7 +160,7 @@ func TestSendBlockDrainsBackpressure(t *testing.T) {
 	pr.EpB.Host().Spawn("rx", func(p *sim.Proc) {
 		for i := 0; i < n; i++ {
 			rd := pr.EpB.Recv(p)
-			testbed.Recycle(p, pr.EpB, rd)
+			pr.EpB.Release(p, rd)
 			received++
 		}
 	})
@@ -566,7 +566,7 @@ func TestAlmostFullUpcallPreventsOverflow(t *testing.T) {
 			if !ok {
 				break
 			}
-			testbed.Recycle(nil, pr.EpB, rd)
+			pr.EpB.Release(nil, rd)
 			drained++
 		}
 	})

@@ -35,8 +35,8 @@ func TestRun(t *testing.T) {
 				return
 			}
 			lines := strings.Split(strings.TrimSpace(stdout.String()), "\n")
-			if len(lines) != 6 || len(lines) != len(lint.All) {
-				t.Fatalf("-list printed %d lines for %d analyzers, want the six:\n%s", len(lines), len(lint.All), stdout.String())
+			if len(lines) != 5 || len(lines) != len(lint.All) {
+				t.Fatalf("-list printed %d lines for %d analyzers, want the five:\n%s", len(lines), len(lint.All), stdout.String())
 			}
 			for i, a := range lint.All {
 				if !strings.HasPrefix(lines[i], a.Name+" ") {

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"unet/internal/atm"
+	"unet/internal/faults"
 	"unet/internal/ip/tcp"
 	"unet/internal/sim"
 	"unet/internal/testbed"
@@ -38,10 +39,10 @@ func main() {
 
 	// Drop a burst of cells on the server's downlink mid-transfer.
 	cell := 0
-	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		cell++
 		return cell >= 2000 && cell < 2000+*lossCells
-	})
+	}))
 
 	const total = 256 << 10
 	payload := make([]byte, total)

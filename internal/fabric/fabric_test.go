@@ -96,11 +96,17 @@ func TestLinkBacklogAndWaitReady(t *testing.T) {
 	}
 }
 
+// dropIf is the smallest Injector: it drops the cells the predicate picks.
+// (Package faults has the real models; it imports this package.)
+type dropIf func(atm.Cell) bool
+
+func (f dropIf) Judge(c *atm.Cell, depart time.Duration) Verdict { return Verdict{Drop: f(*c)} }
+
 func TestLinkLossRate(t *testing.T) {
 	e := sim.New(7)
 	col := &collector{e: e}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
-	l.SetLossRate(0.5)
+	l.SetInjector(dropIf(func(atm.Cell) bool { return e.Rand().Float64() < 0.5 }))
 	const n = 2000
 	for i := 0; i < n; i++ {
 		l.Send(atm.Cell{})
@@ -123,7 +129,7 @@ func TestLinkDeterministicLoss(t *testing.T) {
 	col := &collector{e: e}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
 	i := 0
-	l.SetLossFunc(func(atm.Cell) bool { i++; return i == 2 })
+	l.SetInjector(dropIf(func(atm.Cell) bool { i++; return i == 2 }))
 	for j := 0; j < 3; j++ {
 		l.Send(atm.Cell{VCI: atm.VCI(j)})
 	}
@@ -216,8 +222,8 @@ func TestDefaultCellTimeMatchesPeakBandwidth(t *testing.T) {
 // What only a cross-shard receive half needs lives behind Link.rx for that
 // reason.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got != 288 {
-		t.Errorf("sizeof(Link) = %d, want 288", got)
+	if got := unsafe.Sizeof(Link{}); got > 288 {
+		t.Errorf("sizeof(Link) = %d, want at most 288", got)
 	}
 	if got := unsafe.Sizeof(inflight{}); got != 64 {
 		t.Errorf("sizeof(inflight) = %d, want 64", got)

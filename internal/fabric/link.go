@@ -133,7 +133,6 @@ type Link struct {
 	sink     CellSink
 	tsink    TrainSink // sink, if it also implements TrainSink
 	nextFree time.Duration
-	lossFn   func(atm.Cell) bool
 	inj      Injector
 	stats    LinkStats
 
@@ -276,24 +275,11 @@ func (l *Link) Params() LinkParams { return l.p }
 // Stats returns a snapshot of the link counters.
 func (l *Link) Stats() LinkStats { return l.stats }
 
-// SetLossFunc installs a per-cell drop predicate (nil disables loss).
-// Dropped cells consume wire time but never reach the sink, like cells
-// discarded by a congested switch or a marginal fiber.
-func (l *Link) SetLossFunc(fn func(atm.Cell) bool) { l.lossFn = fn }
-
-// SetLossRate makes the link drop cells independently with probability
-// rate, using the engine's deterministic randomness.
-func (l *Link) SetLossRate(rate float64) {
-	if rate <= 0 {
-		l.lossFn = nil
-		return
-	}
-	l.lossFn = func(atm.Cell) bool { return l.e.Rand().Float64() < rate }
-}
-
-// SetInjector installs an impairment injector (nil disables it). The
-// injector judges every cell after the loss predicate, at its departure
-// time.
+// SetInjector installs an impairment injector (nil disables it), the one
+// way a link loses, damages, delays or duplicates a cell. It judges every
+// cell at its departure time; a dropped cell consumes wire time but never
+// reaches the sink, like one discarded by a congested switch or a marginal
+// fiber.
 func (l *Link) SetInjector(inj Injector) { l.inj = inj }
 
 // Send enqueues c for transmission and returns the virtual time at which
@@ -319,10 +305,6 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 	depart := start + l.p.CellTime
 	l.nextFree = depart
 	l.stats.CellsSent++
-	if l.lossFn != nil && l.lossFn(c) { //unetlint:allow hotpathalloc test-installed loss predicate, nil in every steady-state run; what it allocates is the test's budget
-		l.stats.CellsLost++
-		return depart
-	}
 	if l.inj != nil {
 		l.scratch = c
 		v := l.inj.Judge(&l.scratch, depart)

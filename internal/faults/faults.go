@@ -70,7 +70,12 @@ func DeriveSeed(seed int64, link string) int64 {
 	return seed ^ int64(h.Sum64())
 }
 
-// NewRand returns the seeded PRNG for one injector on one link.
+// NewRand returns the seeded PRNG for one injector on one link. It is the
+// one place a model's private stream may start: the seed goes through
+// DeriveSeed, so the stream depends on the plan and the name and on nothing
+// else.
+//
+//unetlint:allow nondeterminism the root of every per-name stream; its seed is DeriveSeed's, a function of the plan seed and a stable name
 func NewRand(seed int64, link string) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(seed, link)))
 }

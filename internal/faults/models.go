@@ -248,6 +248,17 @@ func (in *NthCell) Judge(c *atm.Cell, depart time.Duration) fabric.Verdict {
 // Stats implements Injector.
 func (in *NthCell) Stats() FaultStats { return in.stats }
 
+// DropIf is the injector that drops the cells the predicate picks: the
+// probe for tests and examples that want one particular loss pattern
+// rather than a seeded model. It keeps no accounting of its own; the
+// link's CellsLost counts what it drops.
+type DropIf func(atm.Cell) bool
+
+// Judge implements fabric.Injector.
+func (pred DropIf) Judge(c *atm.Cell, depart time.Duration) fabric.Verdict {
+	return fabric.Verdict{Drop: pred(*c)} //unetlint:allow hotpathalloc caller-supplied predicate of a test probe, on no steady-state run; what it allocates is the test's budget
+}
+
 // NthCellCorrupt flips one payload bit of exactly the nth cell it
 // judges: the deterministic probe for the receive-side CRC drop path
 // (nic Stats.CrcDrops, pool recycling).

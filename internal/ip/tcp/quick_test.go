@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"unet/internal/atm"
+	"unet/internal/faults"
 	"unet/internal/ip/tcp"
 	"unet/internal/sim"
 	"unet/internal/testbed"
@@ -50,8 +51,8 @@ func TestStreamIntegrityProperty(t *testing.T) {
 		b := tcp.New(cb, 80, 5000, tcp.DefaultParams())
 		rng := rand.New(rand.NewSource(seed ^ 0x5a5a))
 		loss := func(atm.Cell) bool { return rng.Float64() < rate }
-		tb.Net.Downlink(0).SetLossFunc(loss)
-		tb.Net.Downlink(1).SetLossFunc(loss)
+		tb.Net.Downlink(0).SetInjector(faults.DropIf(loss))
+		tb.Net.Downlink(1).SetInjector(faults.DropIf(loss))
 
 		var got []byte
 		tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {

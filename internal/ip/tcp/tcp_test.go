@@ -7,10 +7,11 @@ import (
 	"time"
 
 	"unet/internal/atm"
-	"unet/internal/fabric"
+	"unet/internal/faults"
 	"unet/internal/ip/tcp"
 	"unet/internal/sim"
 	"unet/internal/testbed"
+	"unet/internal/topo"
 )
 
 func pair(t *testing.T, params tcp.Params) (*testbed.Testbed, *tcp.Conn, *tcp.Conn) {
@@ -110,10 +111,10 @@ func TestLossRecovery(t *testing.T) {
 	// Drop a handful of cells mid-stream on B's downlink: whole segments
 	// vanish (AAL5) and TCP must recover.
 	i := 0
-	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		i++
 		return i >= 100 && i < 103
-	})
+	}))
 	transfer(t, tb, a, b, 128<<10, 8192)
 	st := a.Stats()
 	if st.Retransmits == 0 {
@@ -125,11 +126,8 @@ func TestFastRetransmitBeatsTimer(t *testing.T) {
 	params := tcp.DefaultParams()
 	params.WindowBytes = 16 << 10 // keep ≥ 4 segments in flight behind a loss
 	tb, a, b := pair(t, params)
-	i := 0
-	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
-		i++
-		return i == 1500 // one lost cell mid-stream → one lost segment, window open
-	})
+	// One lost cell mid-stream → one lost segment, window open.
+	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(1500))
 	_, elapsed := transfer(t, tb, a, b, 128<<10, 8192)
 	st := a.Stats()
 	if st.FastRetransmits == 0 {
@@ -151,11 +149,11 @@ func TestCoarseTimerHurtsRecovery(t *testing.T) {
 		params.TimerGranularity = gran
 		tb, a, b := pair(t, params)
 		i := 0
-		tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+		tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 			i++
 			// Lose a segment and its fast retransmission.
 			return i >= 100 && i < 200
-		})
+		}))
 		_, elapsed := transfer(t, tb, a, b, 64<<10, 8192)
 		return elapsed
 	}
@@ -357,9 +355,9 @@ func TestUNetTCPSmallMessageRTT(t *testing.T) {
 // window field — the §7.8 scenario for window scaling.
 func wanPair(t *testing.T, params tcp.Params, propagation time.Duration) (*testbed.Testbed, *tcp.Conn, *tcp.Conn) {
 	t.Helper()
-	lp := fabric.DefaultLinkParams()
-	lp.Propagation = propagation
-	tb := testbed.New(testbed.Config{Hosts: 2, Link: &lp})
+	spec := topo.Star("atm", 2)
+	spec.HostLink.Propagation = propagation
+	tb := testbed.New(testbed.Config{Topology: spec})
 	t.Cleanup(tb.Close)
 	ca, cb, err := tb.NewIPConduitPair(0, 1)
 	if err != nil {

@@ -287,7 +287,8 @@ func (c *Conduit) pop() ([]byte, bool) {
 }
 
 // Recv runs the kernel receive path visible to the application: block in
-// the kernel, be woken, copy out.
+// the kernel, be woken, copy out. A negative timeout blocks until a
+// datagram arrives.
 func (c *Conduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
 	pr := &c.params
 	c.withCPU(p, pr.Syscall)
@@ -296,6 +297,10 @@ func (c *Conduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
 		if pkt, ok := c.pop(); ok {
 			c.withCPU(p, pr.Wakeup+time.Duration(len(pkt))*pr.CopyPerByte)
 			return pkt, true
+		}
+		if timeout < 0 {
+			p.Wait(&c.sockCond)
+			continue
 		}
 		remain := deadline - p.Now()
 		if remain <= 0 {

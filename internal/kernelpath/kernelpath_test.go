@@ -308,3 +308,38 @@ func TestEthernetSharedMediumContention(t *testing.T) {
 		t.Fatalf("two flows finished in %v — faster than the shared 10 Mbit/s wire allows (%v)", last, minWire)
 	}
 }
+
+// TestRecvNegativeTimeoutBlocks: ip.Conduit documents a negative timeout as
+// "blocks indefinitely", and the kernel conduit must honour it like the
+// conduits it wraps — a datagram that arrives 5 ms after Recv(p, -1) was
+// entered is returned, not missed.
+func TestRecvNegativeTimeoutBlocks(t *testing.T) {
+	for _, path := range []struct {
+		name string
+		pair func(*testing.T) (*testbed.Testbed, *kernelpath.Conduit, *kernelpath.Conduit)
+	}{{"atm", atmPair}, {"ethernet", ethPair}} {
+		t.Run(path.name, func(t *testing.T) {
+			tb, ka, kb := path.pair(t)
+			var got []byte
+			var ok bool
+			var at time.Duration
+			tb.Hosts[1].Spawn("rx", func(p *sim.Proc) {
+				got, ok = kb.Recv(p, -1)
+				at = p.Now()
+			})
+			tb.Hosts[0].Spawn("tx", func(p *sim.Proc) {
+				p.Sleep(5 * time.Millisecond)
+				if err := ka.Send(p, []byte("late datagram")); err != nil {
+					t.Error(err)
+				}
+			})
+			tb.Eng.RunUntil(time.Second)
+			if !ok || string(got) != "late datagram" {
+				t.Fatalf("Recv(p, -1) = %q, %v at %v; want the datagram sent at 5 ms", got, ok, at)
+			}
+			if at < 5*time.Millisecond {
+				t.Fatalf("Recv returned at %v, before the datagram was sent", at)
+			}
+		})
+	}
+}

@@ -149,10 +149,6 @@ func TestMapIterFixtures(t *testing.T) { runFixture(t, lint.MapIter, "mapiter") 
 
 func TestCostChargeFixtures(t *testing.T) { runFixture(t, lint.CostCharge, "costcharge") }
 
-func TestSeedFlowFixtures(t *testing.T) { runFixture(t, lint.SeedFlow, "seedflow") }
-
-func TestSeedFlowCrossPackage(t *testing.T) { runModuleFixture(t, lint.SeedFlow, "mod_seedtaint") }
-
 func TestHotPathAllocFixtures(t *testing.T) { runModuleFixture(t, lint.HotPathAlloc, "mod_hotpath") }
 
 // TestStaleAllows checks that an allow which suppresses a real finding is

@@ -16,8 +16,8 @@
 // and type-checked against the build cache's compiled export data. Since
 // PR 8 the suite is interprocedural: a Program (see program.go) indexes
 // every function and a conservative cross-package call graph, and
-// whole-program analyzers (seedflow, hotpathalloc, costcharge) run over it
-// instead of one package at a time.
+// whole-program analyzers (hotpathalloc, costcharge) run over it instead of
+// one package at a time.
 //
 // # Annotation grammar
 //
@@ -64,7 +64,7 @@ type Analyzer struct {
 var All []*Analyzer
 
 func init() {
-	All = []*Analyzer{Nondeterminism, RawGo, MapIter, CostCharge, SeedFlow, HotPathAlloc}
+	All = []*Analyzer{Nondeterminism, RawGo, MapIter, CostCharge, HotPathAlloc}
 }
 
 // Diagnostic is one finding, resolved to a source position.

@@ -3,6 +3,7 @@ package lint
 import (
 	"go/ast"
 	"go/types"
+	"strings"
 )
 
 // bannedTimeFuncs are the package-level time functions that read or wait on
@@ -20,13 +21,20 @@ var bannedTimeFuncs = map[string]bool{
 	"NewTicker": true,
 }
 
-// allowedRandFuncs are the math/rand constructors that build a seeded
-// source; everything else at package level draws from the global,
-// process-seeded source.
-var allowedRandFuncs = map[string]bool{
+// randConstructors are the math/rand functions that start a random stream
+// from a seed. A stream of one's own is deterministic only while its seed
+// is — a rand.New(rand.NewSource(42)) buried in a model runs identically
+// today and diverges the day two call sites collide on the constant, and a
+// seed that bypasses faults.DeriveSeed breaks the byte-identical-at-any-
+// shard-count guarantee, because per-name streams are what keep fault
+// outcomes independent of shard placement. So simulated code starts none:
+// the program has two roots, the engine's master stream and
+// faults.NewRand, each carrying an allow that says why, and models take a
+// stream from one of them. Test files pin literal seeds on purpose and are
+// exempt.
+var randConstructors = map[string]bool{
 	"New":        true,
 	"NewSource":  true,
-	"NewZipf":    true,
 	"NewPCG":     true,
 	"NewChaCha8": true,
 }
@@ -39,14 +47,14 @@ var bannedOSFuncs = map[string]bool{
 	"Hostname": true,
 }
 
-// Nondeterminism forbids wall-clock reads, unseeded randomness and process
-// identity inside the simulation packages. All time must come from the
-// engine's virtual clock and all randomness from Engine.Rand (or another
-// explicitly seeded source); anything else makes two runs of the same
-// simulation diverge and breaks the golden outputs.
+// Nondeterminism forbids wall-clock reads, randomness from anywhere but the
+// two seeded roots, and process identity inside the simulation packages.
+// All time must come from the engine's virtual clock and all randomness
+// from Engine.Rand or a faults.NewRand stream; anything else makes two runs
+// of the same simulation diverge and breaks the golden outputs.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
-	Doc:  "forbid wall-clock time, global math/rand and process entropy in simulation packages",
+	Doc:  "forbid wall-clock time, global or privately seeded math/rand and process entropy in simulation packages",
 	Run:  runNondeterminism,
 }
 
@@ -55,6 +63,7 @@ func runNondeterminism(pass *Pass) {
 		return
 	}
 	for _, f := range pass.Unit.Files {
+		testFile := pass.Unit.ForTest || strings.HasSuffix(pass.Unit.Fset.Position(f.Pos()).Filename, "_test.go")
 		ast.Inspect(f, func(n ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
@@ -74,8 +83,13 @@ func runNondeterminism(pass *Pass) {
 					pass.Reportf(call.Pos(), "time.%s reads the wall clock; simulated code must use the engine's virtual clock", name)
 				}
 			case "math/rand", "math/rand/v2":
-				if !allowedRandFuncs[name] {
-					pass.Reportf(call.Pos(), "global rand.%s is process-seeded; draw from Engine.Rand (or an explicitly seeded *rand.Rand)", name)
+				switch {
+				case randConstructors[name]:
+					if !testFile {
+						pass.Reportf(call.Pos(), "rand.%s starts a private random stream; take one from faults.NewRand(seed, name) or Engine.Rand", name)
+					}
+				case name != "NewZipf": // shapes a stream it is handed
+					pass.Reportf(call.Pos(), "global rand.%s is process-seeded; draw from Engine.Rand or a faults.NewRand stream", name)
 				}
 			case "crypto/rand":
 				pass.Reportf(call.Pos(), "crypto/rand.%s is hardware entropy; simulated code must use seeded randomness", name)

@@ -60,9 +60,8 @@ func (n *FuncNode) Name() string {
 // Edge is one resolved call site.
 type Edge struct {
 	CalleeID string
-	Call     *ast.CallExpr // the call site (argument exprs for taint queries)
-	Caller   *FuncNode
-	Iface    bool // resolved via class-hierarchy analysis, not a static target
+	Call     *ast.CallExpr // the call site
+	Iface    bool          // resolved via class-hierarchy analysis, not a static target
 }
 
 // Program is the whole-program view shared by the interprocedural
@@ -72,10 +71,9 @@ type Program struct {
 	Fset  *token.FileSet
 	Dir   string // directory the units were loaded from (module root for Load)
 
-	Nodes   map[string]*FuncNode
-	nodes   []*FuncNode            // stable order
-	callers map[string][]Edge      // reverse edges
-	byFile  map[string][]*FuncNode // position lookup per file
+	Nodes  map[string]*FuncNode
+	nodes  []*FuncNode            // stable order
+	byFile map[string][]*FuncNode // position lookup per file
 
 	// Directive-driven fact sets.
 	HotPath map[string]bool // node IDs annotated //unetlint:hotpath
@@ -88,7 +86,6 @@ func BuildProgram(units []*Unit) *Program {
 	p := &Program{
 		Units:   units,
 		Nodes:   make(map[string]*FuncNode),
-		callers: make(map[string][]Edge),
 		byFile:  make(map[string][]*FuncNode),
 		HotPath: make(map[string]bool),
 	}
@@ -135,11 +132,6 @@ func BuildProgram(units []*Unit) *Program {
 	methodIndex := p.buildMethodIndex()
 	for _, node := range p.nodes {
 		p.resolveCalls(node, methodIndex)
-	}
-	for _, node := range p.nodes {
-		for _, e := range node.Calls {
-			p.callers[e.CalleeID] = append(p.callers[e.CalleeID], e)
-		}
 	}
 
 	// Pass 3: directive-driven facts.
@@ -248,7 +240,7 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 		case *ast.Ident:
 			switch obj := u.Info.Uses[fn].(type) {
 			case *types.Func:
-				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call, Caller: node})
+				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call})
 				return true
 			case *types.Builtin:
 				return true
@@ -268,12 +260,12 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 				if sel, ok := u.Info.Selections[fn]; ok {
 					if _, isIface := sel.Recv().Underlying().(*types.Interface); isIface {
 						for _, m := range mi.implementors(sel.Recv(), fn.Sel.Name) {
-							node.Calls = append(node.Calls, Edge{CalleeID: m.ID, Call: call, Caller: node, Iface: true})
+							node.Calls = append(node.Calls, Edge{CalleeID: m.ID, Call: call, Iface: true})
 						}
 						return true
 					}
 				}
-				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call, Caller: node})
+				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call})
 				return true
 			}
 			if _, ok := u.Info.Uses[fn.Sel].(*types.Var); ok {
@@ -285,7 +277,7 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 			}
 			node.Dyn = append(node.Dyn, call.Pos())
 		case *ast.FuncLit:
-			node.Calls = append(node.Calls, Edge{CalleeID: p.litID(u, fn), Call: call, Caller: node})
+			node.Calls = append(node.Calls, Edge{CalleeID: p.litID(u, fn), Call: call})
 		default:
 			node.Dyn = append(node.Dyn, call.Pos())
 		}
@@ -339,13 +331,10 @@ func (p *Program) edgeForFuncValue(node *FuncNode, call *ast.CallExpr, obj *type
 		return true
 	})
 	if single && target != nil {
-		return []Edge{{CalleeID: target.FullName(), Call: call, Caller: node}}
+		return []Edge{{CalleeID: target.FullName(), Call: call}}
 	}
 	return nil
 }
-
-// Callers returns the recorded call sites targeting id.
-func (p *Program) Callers(id string) []Edge { return p.callers[id] }
 
 // NodeAt returns the innermost function containing pos (nil when pos lies
 // outside any indexed function, e.g. package scope).

@@ -1,18 +1,10 @@
 package fabric
 
-import (
-	"math/rand"
-	"time"
-)
+import "time"
 
 // Duration values and arithmetic never touch the wall clock: the virtual
 // clock itself is a time.Duration.
 const cellTime = 3158 * time.Nanosecond
-
-func seeded(seed int64) float64 {
-	r := rand.New(rand.NewSource(seed))
-	return r.Float64()
-}
 
 func deadline(now time.Duration) time.Duration {
 	return now + 2*cellTime

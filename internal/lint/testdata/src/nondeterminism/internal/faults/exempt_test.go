@@ -2,5 +2,6 @@ package faults
 
 import "math/rand"
 
-// Test files pin literal seeds on purpose; seedflow exempts them.
+// Test files pin literal seeds on purpose; the constructor rule exempts
+// them.
 func seedForTest() *rand.Rand { return rand.New(rand.NewSource(1)) }

@@ -4,7 +4,7 @@ import (
 	"testing"
 	"time"
 
-	"unet/internal/atm"
+	"unet/internal/faults"
 	"unet/internal/nic"
 	"unet/internal/sim"
 	"unet/internal/testbed"
@@ -190,12 +190,8 @@ func TestCellLossDropsWholePDU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	i := 0
-	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
-		i++
-		return i == 4 // lose the 4th cell on the wire
-	})
-	res := pr.Stream(3, 500) // 3 messages × 11 cells
+	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(4)) // lose the 4th cell on the wire
+	res := pr.Stream(3, 500)                             // 3 messages × 11 cells
 	if res.Delivered != 2 {
 		t.Fatalf("delivered %d messages, want 2", res.Delivered)
 	}

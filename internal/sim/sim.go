@@ -104,7 +104,7 @@ func newHeapOnly(seed int64) *Engine {
 	return &Engine{
 		seq:   firstSeq,
 		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow seedflow the engine master stream IS the root every derived stream hangs off; it is seeded once, directly from the caller's plan seed
+		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow nondeterminism the engine master stream IS the root every Engine.Rand draw hangs off; it is seeded once, directly from the caller's plan seed
 	}
 }
 

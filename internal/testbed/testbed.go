@@ -7,7 +7,6 @@ package testbed
 
 import (
 	"fmt"
-	"time"
 
 	"unet/internal/fabric"
 	"unet/internal/faults"
@@ -23,18 +22,8 @@ type Config struct {
 	Hosts int
 	// Seed drives all randomness (default 1).
 	Seed int64
-	// Node is the host CPU cost model (default DefaultNodeParams).
-	Node *unet.NodeParams
 	// NIC is the interface model (default SBA200Params).
 	NIC *nic.Params
-	// Link is the host↔switch fiber timing wherever the spec gives none
-	// (default 140 Mbit/s TAXI). A zero CellTime or Propagation in it means
-	// that field's TAXI default, as everywhere in a topo.Spec; a link cannot
-	// be given zero flight time.
-	Link *fabric.LinkParams
-	// SwitchLatency is the forwarding latency of every switch the spec
-	// gives none (default the ASX-200's 2 µs).
-	SwitchLatency time.Duration
 	// Shards selects the parallel execution layout: 0 or 1 builds the
 	// classic serial testbed (hosts and switches on one engine); k ≥ 2
 	// places hosts and switches on up to k shard engines by topo.Place's
@@ -48,9 +37,9 @@ type Config struct {
 	// switch output queues. nil (or an all-zero plan) is the perfect wire —
 	// byte-identical to the fault-free testbed at any shard count.
 	Faults *faults.Plan
-	// Topology is the fabric's shape (internal/topo); nil means the paper's
-	// single-switch cluster, topo.Star("atm", Hosts). When set, Hosts is
-	// taken from the spec, shard placement is topology-aware (each
+	// Topology is the fabric's shape and timing (internal/topo); nil means
+	// the paper's single-switch cluster, topo.Star("atm", Hosts), on
+	// 140 Mbit/s TAXI links. When set, Hosts is taken from the spec, shard placement is topology-aware (each
 	// top-of-rack switch with its hosts on one shard, higher stages on the
 	// root engine), and routes become multi-hop. Everything else — NIC
 	// model, manager, fault plans — applies unchanged.
@@ -92,35 +81,22 @@ func New(cfg Config) *Testbed {
 	if cfg.Seed == 0 {
 		cfg.Seed = 1
 	}
-	node := unet.DefaultNodeParams()
-	if cfg.Node != nil {
-		node = *cfg.Node
-	}
 	nicp := nic.SBA200Params()
 	if cfg.NIC != nil {
 		nicp = *cfg.NIC
 	}
 
-	// The fabric is always a compiled spec. Link and SwitchLatency fill what
-	// the spec leaves zero — on a copy, so the caller's spec is never written.
-	var spec topo.Spec
-	if cfg.Topology != nil {
-		spec = *cfg.Topology
-	} else {
-		spec = *topo.Star("atm", cfg.Hosts)
-	}
-	if cfg.Link != nil && spec.HostLink == (fabric.LinkParams{}) {
-		spec.HostLink = *cfg.Link
-	}
-	if spec.SwitchLatency == 0 {
-		spec.SwitchLatency = cfg.SwitchLatency
+	// The fabric is always a compiled spec, and the caller's is only read.
+	spec := cfg.Topology
+	if spec == nil {
+		spec = topo.Star("atm", cfg.Hosts)
 	}
 	cfg.Hosts = len(spec.Hosts)
 
 	e := sim.New(cfg.Seed)
 	hostEng := make([]*sim.Engine, len(spec.Hosts))
 	swEng := make([]*sim.Engine, len(spec.Switches))
-	hostShard, swShard, shards := topo.Place(&spec, cfg.Shards)
+	hostShard, swShard, shards := topo.Place(spec, cfg.Shards)
 	shardEng := make([]*sim.Engine, shards)
 	for j := range shardEng {
 		shardEng[j] = e.NewShard(cfg.Seed + int64(j) + 1)
@@ -135,12 +111,12 @@ func New(cfg Config) *Testbed {
 			swEng[i] = shardEng[s]
 		}
 	}
-	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, &spec, hostEng, swEng)}
+	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, spec, hostEng, swEng)}
 	tb.Net = tb.Topo
 	m := unet.NewManager(tb.Net)
 	tb.Manager = m
 	for i := 0; i < cfg.Hosts; i++ {
-		h := unet.NewHost(tb.Net.HostEngine(i), fmt.Sprintf("host%d", i), node)
+		h := unet.NewHost(tb.Net.HostEngine(i), fmt.Sprintf("host%d", i), unet.DefaultNodeParams())
 		d := nic.Attach(h, tb.Net, m, i, nicp)
 		tb.Hosts = append(tb.Hosts, h)
 		tb.Devices = append(tb.Devices, d)

@@ -52,25 +52,24 @@ func TestPlacementOfTheCluster(t *testing.T) {
 	}
 }
 
-// TestConfigFillsSpecDefaults: Link and SwitchLatency reach a Topology
-// fabric wherever the spec says nothing, a spec's own value wins, and the
-// caller's spec is not written to.
+// TestConfigFillsSpecDefaults: the spec is the whole statement of the
+// fabric's timing — its own HostLink and SwitchLatency are what the links
+// and switches get — and New does not write to the caller's spec.
 func TestConfigFillsSpecDefaults(t *testing.T) {
 	spec := topo.Clos2(2, 1, 1)
+	spec.HostLink = fabric.LinkParams{CellTime: 5 * time.Microsecond, Propagation: 7 * time.Microsecond}
+	spec.SwitchLatency = 9 * time.Microsecond
 	want := *topo.Clos2(2, 1, 1)
-	lp := fabric.LinkParams{CellTime: 5 * time.Microsecond, Propagation: 7 * time.Microsecond}
-	tb := New(Config{Topology: spec, Link: &lp, SwitchLatency: 9 * time.Microsecond})
+	want.HostLink, want.SwitchLatency = spec.HostLink, spec.SwitchLatency
+	tb := New(Config{Topology: spec})
 	defer tb.Close()
 	if !reflect.DeepEqual(*spec, want) {
 		t.Errorf("New wrote to the caller's spec: %+v", *spec)
 	}
 	for i := range tb.Hosts {
-		if up, down := tb.Net.Uplink(i).Params(), tb.Net.Downlink(i).Params(); up != lp || down != lp {
-			t.Errorf("host %d links %+v / %+v, want Config.Link %+v", i, up, down, lp)
+		if up, down := tb.Net.Uplink(i).Params(), tb.Net.Downlink(i).Params(); up != spec.HostLink || down != spec.HostLink {
+			t.Errorf("host %d links %+v / %+v, want the spec's HostLink %+v", i, up, down, spec.HostLink)
 		}
-	}
-	if got := tb.Topo.TrunkLink(0).Params().Propagation; got != topo.DefaultTrunkPropagation {
-		t.Errorf("trunk propagation %v: Config.Link is host-link timing only", got)
 	}
 	// One cell host 0 → host 1: 9 µs at each of leaf, spine and leaf, and
 	// four links between.
@@ -82,18 +81,7 @@ func TestConfigFillsSpecDefaults(t *testing.T) {
 	tb.Net.Uplink(0).Send(atm.Cell{VCI: 40})
 	tb.Eng.Run()
 	trunk := fabric.DefaultCellTime + topo.DefaultTrunkPropagation
-	if want := 2*(lp.CellTime+lp.Propagation) + 2*trunk + 3*9*time.Microsecond; at != want {
-		t.Errorf("cell crossed in %v, want %v with Config.SwitchLatency at every switch", at, want)
-	}
-
-	spec.HostLink = fabric.DefaultLinkParams()
-	spec.SwitchLatency = time.Microsecond
-	own := New(Config{Topology: spec, Link: &lp, SwitchLatency: 9 * time.Microsecond})
-	defer own.Close()
-	if got := own.Net.Uplink(0).Params(); got != spec.HostLink {
-		t.Errorf("uplink %+v: the spec's own HostLink %+v must win over Config.Link", got, spec.HostLink)
-	}
-	if own.Topo.Spec.SwitchLatency != time.Microsecond {
-		t.Errorf("switch latency %v: the spec's own must win over Config.SwitchLatency", own.Topo.Spec.SwitchLatency)
+	if want := 2*(spec.HostLink.CellTime+spec.HostLink.Propagation) + 2*trunk + 3*spec.SwitchLatency; at != want {
+		t.Errorf("cell crossed in %v, want %v", at, want)
 	}
 }

@@ -82,10 +82,10 @@ func TestRetransmitBackoffGrows(t *testing.T) {
 	us[1].RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {})
 
 	var sends []time.Duration
-	tb.Net.Uplink(0).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Uplink(0).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		sends = append(sends, tb.Eng.Now())
 		return false
-	})
+	}))
 	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
 		us[0].Request(p, 1, 1, 0, nil)
 		us[0].Flush(p, 1) // returns ErrPeerDead; checked by the test above

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unet/internal/atm"
+	"unet/internal/faults"
 	"unet/internal/sim"
 	"unet/internal/testbed"
 	"unet/internal/uam"
@@ -40,8 +41,8 @@ func TestReliableStreamPropertyUnderLoss(t *testing.T) {
 		// too).
 		rng := rand.New(rand.NewSource(seed))
 		loss := func(atm.Cell) bool { return rng.Float64() < rate }
-		tb.Net.Downlink(0).SetLossFunc(loss)
-		tb.Net.Downlink(1).SetLossFunc(loss)
+		tb.Net.Downlink(0).SetInjector(faults.DropIf(loss))
+		tb.Net.Downlink(1).SetInjector(faults.DropIf(loss))
 
 		var got []uint32
 		b.RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"unet/internal/atm"
+	"unet/internal/faults"
 	"unet/internal/sim"
 	"unet/internal/testbed"
 	"unet/internal/uam"
@@ -230,10 +231,10 @@ func TestRetransmissionRecoversFromCellLoss(t *testing.T) {
 	// Drop cells 3-7 on host 1's downlink: several early messages vanish
 	// and must be recovered by go-back-N.
 	i := 0
-	tb.Net.Downlink(1).SetLossFunc(func(atm.Cell) bool {
+	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		i++
 		return i >= 3 && i <= 7
-	})
+	}))
 	const n = 20
 	var got []uint32
 	us[1].RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {

@@ -45,7 +45,7 @@ smoke:
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 8192
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
-# (nondeterminism, rawgo, mapiter, costcharge, seedflow, hotpathalloc —
+# (nondeterminism, rawgo, mapiter, costcharge, hotpathalloc —
 # see DESIGN.md §9, §13). The analyzers fan out over GOMAXPROCS workers by
 # default; `go build` first warms the build cache so
 # hotpathalloc's -gcflags=-m extraction replays compiler diagnostics

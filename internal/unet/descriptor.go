@@ -33,8 +33,8 @@ type SendDesc struct {
 // Buffer ownership (DESIGN.md §10): the Inline slab and the Buffers list
 // are NI-owned pooled memory on loan to the application. The application
 // returns them — after its last use of the descriptor — with
-// Endpoint.Consume; until then they are exclusively the application's
-// (the NI never rewrites a delivered descriptor's memory).
+// Endpoint.Gather or Release; until then they are exclusively the
+// application's (the NI never rewrites a delivered descriptor's memory).
 type RecvDesc struct {
 	// Channel identifies the channel the message arrived on (its origin).
 	Channel ChannelID
@@ -42,13 +42,13 @@ type RecvDesc struct {
 	Length int
 	// Inline holds the whole message for single-cell arrivals, which the
 	// NI stores directly in the receive-queue entry (§4.2.2). The slab is
-	// pool-backed; return it with Endpoint.Consume.
+	// pool-backed; Endpoint.Gather and Release return it.
 	Inline []byte
 	// Buffers lists the segment offsets of the fixed-size receive buffers
 	// holding the data, in order. Multi-buffer messages occur when a PDU
 	// exceeds the endpoint's receive buffer size. The buffers themselves
 	// are recycled through PushFree; the list is pool-backed and returned
-	// with Endpoint.Consume.
+	// by Endpoint.Gather and Release, which do both.
 	Buffers []int
 	// Direct reports a direct-access deposit (§3.6): the data was written
 	// straight into the segment at DirectOffset and no receive buffers

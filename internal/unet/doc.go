@@ -31,6 +31,14 @@
 // receiver's segment, and kernel-emulated endpoints (§3.5) multiplexed
 // over one real endpoint.
 //
+// The buffer discipline of the base level — compose in the segment and
+// push a descriptor; pop a descriptor, take the data out of its receive
+// buffers, give the buffers back through the free queue — is the
+// endpoint's to carry out, not each layer's to re-derive: Compose, Staging
+// and DescAt are the send half, Gather and Release the receive half, and
+// the layers above (uam, ip, the emulated endpoints, the experiment
+// drivers) are written against those alone.
+//
 // Hardware independence: unet talks to the network through the Device
 // interface; internal/nic provides the SBA-200 (custom i960 firmware,
 // §4.2) and SBA-100 (§4.1) device models. Applications run as simulated

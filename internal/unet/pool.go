@@ -65,8 +65,8 @@ func (p *Pool[T]) Put(s []T) {
 func (p *Pool[T]) Stats() PoolStats { return p.stats }
 
 // DescRecycler is implemented by devices whose RecvDesc memory is
-// pool-backed. Endpoint.Consume routes descriptor memory back through it;
-// devices without pools simply don't implement it and Consume is a no-op.
+// pool-backed. Endpoint.Gather and Release route descriptor memory back
+// through it; for a device without pools that step is a no-op.
 type DescRecycler interface {
 	// RecycleInline takes back the Inline slab of a consumed descriptor.
 	RecycleInline(buf []byte)

@@ -39,10 +39,11 @@ type Config struct {
 	Faults *faults.Plan
 	// Topology is the fabric's shape and timing (internal/topo); nil means
 	// the paper's single-switch cluster, topo.Star("atm", Hosts), on
-	// 140 Mbit/s TAXI links. When set, Hosts is taken from the spec, shard placement is topology-aware (each
-	// top-of-rack switch with its hosts on one shard, higher stages on the
-	// root engine), and routes become multi-hop. Everything else — NIC
-	// model, manager, fault plans — applies unchanged.
+	// 140 Mbit/s TAXI links. When set, Hosts is taken from the spec, shard
+	// placement is topology-aware (each top-of-rack switch with its hosts on
+	// one shard, higher stages on the root engine), and routes become
+	// multi-hop. Everything else — NIC model, manager, fault plans — applies
+	// unchanged.
 	Topology *topo.Spec
 }
 

@@ -74,12 +74,6 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if pe.deadline == 0 {
 		u.armDeadline(pe, p.Now()+u.cfg.RetransmitTimeout)
 	}
-	return u.transmitSlot(p, pe, *slot)
-}
-
-// transmitSlot pushes a staged message to the endpoint, inline when it
-// fits a single cell.
-func (u *UAM) transmitSlot(p *sim.Proc, pe *peer, slot txSlot) error {
 	return u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n))
 }
 
@@ -286,7 +280,7 @@ func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 		slot := pe.slots[int(s)%u.cfg.Window]
 		u.stats.Retransmits++
 		p.Charge(u.cfg.OpOverhead)
-		if err := u.transmitSlot(p, pe, slot); err != nil {
+		if err := u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n)); err != nil {
 			return
 		}
 	}

@@ -38,11 +38,18 @@ race:
 # smoke drives the CLI where no test does: a 64-host two-stage Clos storm
 # on four shards (zero queue drops, zero undelivered cells), the island
 # gossip sharded, and the 8192-island overlay end to end (~11 s, ~300 MB —
-# what the size costs when labels are link-local, DESIGN.md §14).
+# what the size costs when labels are link-local, DESIGN.md §14). Then the
+# README's examples, which no test runs: each twice, and the two outputs
+# must be the same bytes (the Split-C sample sort's were not, until PR 18).
 smoke:
 	$(GO) run ./cmd/unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -shards 4 -count 4
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 8192
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
+	for e in quickstart activemsg multiservice splitsort tcpecho; do \
+		echo "examples/$$e, twice"; \
+		$(GO) run ./examples/$$e > "$$tmp/1" && $(GO) run ./examples/$$e > "$$tmp/2" && cmp "$$tmp/1" "$$tmp/2" || exit 1; \
+	done
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, hotpathalloc —

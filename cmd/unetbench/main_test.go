@@ -34,6 +34,14 @@ func TestRun(t *testing.T) {
 		{"point tcp", []string{"-experiment", "point", "-proto", "tcp", "-bw", "-window", "8192", "-size", "8192"}, 0, "tcp/U-Net bandwidth (window 8192, 8192B writes): 14.", ""},
 		{"bad proto", []string{"-experiment", "table1,point", "-proto", "bogus"}, 2, "", `-proto "bogus": have raw fore`},
 		{"bad path", []string{"-experiment", "point", "-proto", "udp", "-path", "kernel"}, 2, "", `-path "kernel": have unet kernel-atm`},
+		{"one host", []string{"-experiment", "storm", "-hosts", "1"}, 2, "", "-hosts 1: a storm needs at least 2"},
+		{"one round", []string{"-experiment", "fig6", "-rounds", "1"}, 2, "", "-rounds 1: need at least 2"},
+		{"count below figloss's quarter", []string{"-experiment", "figloss", "-count", "3"}, 2, "", "-count 3: need at least 4"},
+		{"negative size", []string{"-experiment", "point", "-size", "-5"}, 2, "", "-size -5: -proto raw carries 0 to 65535 bytes"},
+		{"size past the AAL5 PDU", []string{"-experiment", "point", "-size", "100000"}, 2, "", "-size 100000: -proto raw carries 0 to 65535 bytes"},
+		{"size past a UAM request", []string{"-experiment", "point", "-proto", "uam", "-size", "5000"}, 2, "", "-size 5000: -proto uam carries 0 to 4160 bytes"},
+		{"size past an Ethernet datagram", []string{"-experiment", "point", "-proto", "udp", "-path", "kernel-eth", "-size", "1473"}, 2, "", "-size 1473: -proto udp carries 0 to 1472 bytes"},
+		{"empty TCP write", []string{"-experiment", "point", "-proto", "tcp", "-bw", "-size", "0"}, 2, "", "-size 0: -proto tcp carries 1 to 2097152 bytes"},
 		{"all leaves the on-demand row out", []string{"-experiment", "all", "-h"}, 0, "", "all is table1,table2,table3,fig3,fig4,fig5,fig6,fig7,fig8,fig9,ablations,figloss,chaos,storm,serve,clos,gossip ("},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

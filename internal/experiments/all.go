@@ -7,6 +7,10 @@ import (
 	"strings"
 	"time"
 
+	"unet/internal/atm"
+	"unet/internal/ip"
+	"unet/internal/ip/udp"
+	"unet/internal/kernelpath"
 	"unet/internal/nic"
 	"unet/internal/sim"
 	"unet/internal/stats"
@@ -155,7 +159,42 @@ func (o Options) Check() error {
 	if !slices.Contains(strings.Fields(Paths), o.Path) {
 		return fmt.Errorf("-path %q: have %s", o.Path, Paths)
 	}
+	if o.Rounds < 2 {
+		return fmt.Errorf("-rounds %d: need at least 2 (the echo rows run half of it)", o.Rounds)
+	}
+	if o.Count < 4 {
+		return fmt.Errorf("-count %d: need at least 4 (figloss streams a quarter of it)", o.Count)
+	}
+	if o.Hosts < 2 {
+		return fmt.Errorf("-hosts %d: a storm needs at least 2 hosts", o.Hosts)
+	}
+	if lo, hi := o.sizeRange(); o.Size < lo || o.Size > hi {
+		return fmt.Errorf("-size %d: -proto %s carries %d to %d bytes in one message", o.Size, o.Proto, lo, hi)
+	}
 	return nil
+}
+
+// sizeRange is what the point row's protocol carries in one message: an
+// AAL5 PDU under raw U-Net; a UAM request, or with BW a store into the
+// peer's exposed memory; a UDP datagram under the path's MTU; a TCP write of
+// at least a byte (nothing else moves the stream) and at most the stream.
+func (o Options) sizeRange() (lo, hi int) {
+	switch o.Proto {
+	case "uam":
+		if o.BW {
+			return 0, uam.DefaultConfig().MemSize
+		}
+		return 0, uam.DefaultConfig().BulkMax
+	case "udp":
+		mtu := ip.MTU
+		if o.Path == "kernel-eth" {
+			mtu = kernelpath.EthMTU
+		}
+		return 0, mtu - ip.HeaderSize - udp.HeaderSize
+	case "tcp":
+		return 1, tcpStreamBytes
+	}
+	return 0, atm.MaxPDU
 }
 
 // Protos and Paths name what the point row can measure: the three NIC
@@ -164,6 +203,8 @@ func (o Options) Check() error {
 const (
 	Protos = "raw fore sba100 uam udp tcp"
 	Paths  = "unet kernel-atm kernel-eth"
+	// tcpStreamBytes is what the point row streams for a TCP bandwidth.
+	tcpStreamBytes = 2 << 20
 )
 
 // point makes one latency or bandwidth measurement of one protocol stack
@@ -190,7 +231,7 @@ func point(o Options) string {
 	case "tcp":
 		if o.BW {
 			return fmt.Sprintf("tcp/%s bandwidth (window %d, %dB writes): %.2f MB/s",
-				kind, o.Window, o.Size, TCPBandwidth(kind, o.Window, o.Size, 2<<20))
+				kind, o.Window, o.Size, TCPBandwidth(kind, o.Window, o.Size, tcpStreamBytes))
 		}
 		return fmt.Sprintf("tcp/%s RTT @%dB: %.1f µs", kind, o.Size, stats.US(TCPRTT(kind, o.Size, o.Rounds)))
 	}

@@ -101,16 +101,6 @@ type Conduit interface {
 	RemoteAddr() uint32
 }
 
-// DeadlineConduit is an optional Conduit extension for transports that
-// block repeatedly against a rolling deadline (TCP's granularity-hop pump).
-// RecvDeadline threads a reusable timeout event through successive waits:
-// re-arming it is an O(1) scheduler operation, where the plain Recv path
-// schedules and cancels a fresh event per call. Callers keep the returned
-// Timer and pass it back in; Cancel it when done blocking.
-type DeadlineConduit interface {
-	RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.Timer) ([]byte, bool, sim.Timer)
-}
-
 // InternetChecksum is the 16-bit one's-complement sum used by UDP and TCP
 // (§7.6). The cost model charges 1 µs per 100 bytes separately; this
 // computes the actual value so corruption is detectable end to end.

@@ -132,14 +132,6 @@ type Conn struct {
 	params Params
 	st     state
 
-	// dio is io's DeadlineConduit extension when available; recvTm is the
-	// reusable timeout event the pump threads through successive waits so a
-	// granularity hop re-arms one scheduler entry instead of scheduling and
-	// canceling a fresh one. A stale armed timer is inert (detached timeouts
-	// are discarded like canceled ones), so it survives across pump calls.
-	dio    ip.DeadlineConduit
-	recvTm sim.Timer
-
 	localPort, remotePort uint16
 
 	// Send sequence state.
@@ -208,10 +200,8 @@ func New(c ip.Conduit, localPort, remotePort uint16, params Params) *Conn {
 	if initTicks < 2 {
 		initTicks = 2
 	}
-	dio, _ := c.(ip.DeadlineConduit)
 	return &Conn{
 		io:         c,
-		dio:        dio,
 		params:     params,
 		st:         stClosed,
 		localPort:  localPort,
@@ -471,7 +461,6 @@ func (c *Conn) Close(p *sim.Proc, timeout time.Duration) error {
 		c.timers(p)
 	}
 	c.st = stDone
-	c.recvTm.Cancel()
 	return nil
 }
 
@@ -504,14 +493,7 @@ func (c *Conn) pump(p *sim.Proc, d time.Duration) {
 			d = until
 		}
 	}
-	var pkt []byte
-	var ok bool
-	if c.dio != nil {
-		pkt, ok, c.recvTm = c.dio.RecvDeadline(p, p.Now()+d, c.recvTm)
-	} else {
-		pkt, ok = c.io.Recv(p, d)
-	}
-	if ok {
+	if pkt, ok := c.io.Recv(p, d); ok {
 		c.input(p, pkt)
 		for {
 			more, ok := c.io.TryRecv(p)

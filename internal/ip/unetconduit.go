@@ -87,17 +87,6 @@ func (c *UNetConduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
 	return c.take(p, rd), true
 }
 
-// RecvDeadline blocks until the absolute deadline for the next datagram,
-// threading the caller's reusable timeout event through the endpoint wait
-// (see DeadlineConduit).
-func (c *UNetConduit) RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.Timer) ([]byte, bool, sim.Timer) {
-	rd, ok, tm := c.ep.RecvDeadline(p, deadline, tm)
-	if !ok {
-		return nil, false, tm
-	}
-	return c.take(p, rd), true, tm
-}
-
 // TryRecv polls the receive queue once.
 func (c *UNetConduit) TryRecv(p *sim.Proc) ([]byte, bool) {
 	rd, ok := c.ep.PollRecv(p)

@@ -4,10 +4,11 @@ import "strings"
 
 // simScope names the packages whose code runs in simulated time: the event
 // engine, the fabric/NIC/protocol models, and the experiment drivers that
-// emit the paper's tables and figures. Only code in these packages (any
-// path containing an internal/<name> segment, including subpackages such
-// as internal/ip/tcp) is subject to the determinism analyzers; cmd,
-// examples and the splitc application layer run on the wall clock.
+// emit the paper's tables and figures, and the Split-C layer with the
+// machine models it runs on (virtual time too: they render Fig. 5). Only
+// code in these packages (any path containing an internal/<name> segment,
+// including subpackages such as internal/ip/tcp) is subject to the
+// determinism analyzers; cmd and examples run on the wall clock.
 var simScope = map[string]bool{
 	"sim":         true,
 	"fabric":      true,
@@ -20,18 +21,12 @@ var simScope = map[string]bool{
 	"ip":          true,
 	"kernelpath":  true,
 	"experiments": true,
+	"splitc":      true,
+	"machine":     true,
 }
 
 // inSimScope reports whether pkgPath is one of the simulation packages.
-func inSimScope(pkgPath string) bool {
-	segs := strings.Split(pkgPath, "/")
-	for i := 0; i+1 < len(segs); i++ {
-		if segs[i] == "internal" && simScope[segs[i+1]] {
-			return true
-		}
-	}
-	return false
-}
+func inSimScope(pkgPath string) bool { return simSegment(pkgPath) != "" }
 
 // simSegment returns the simulation package name pkgPath falls under
 // ("sim", "fabric", …), or "" when out of scope.

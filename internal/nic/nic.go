@@ -124,7 +124,6 @@ type Device struct {
 }
 
 var _ unet.Device = (*Device)(nil)
-var _ unet.DescRecycler = (*Device)(nil)
 var _ fabric.TrainSink = (*Device)(nil)
 
 // New creates a device sending on uplink. Call Start (or use Attach) to
@@ -629,7 +628,7 @@ func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
 	}
 }
 
-// --- unet.DescRecycler (DESIGN.md §10) ---
+// --- descriptor memory (unet.Device, DESIGN.md §10) ---
 
 // RecycleInline returns a consumed descriptor's inline slab to the arena.
 func (d *Device) RecycleInline(buf []byte) { d.arena.Put(buf) }

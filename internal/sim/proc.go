@@ -199,57 +199,16 @@ func (p *Proc) Wait(c *Cond) {
 // cancels the pending timeout, so polling loops accumulate neither stale
 // waiters nor live timers.
 func (p *Proc) WaitTimeout(c *Cond, d time.Duration) bool {
-	if d < 0 {
-		d = 0
-	}
-	ok, tm := p.WaitUntil(c, p.e.now+d, Timer{})
-	if ok {
-		tm.Cancel()
-	}
-	return ok
-}
-
-// WaitUntil blocks until the condition is signaled or virtual time reaches
-// the absolute deadline at, lazily re-arming the timeout event carried in
-// tm instead of scheduling a fresh one. It reports true on a signaled wake
-// together with the still-armed timer, which the caller threads into its
-// next WaitUntil (typically with the same deadline — then re-arming is a
-// sequence-number bump, no queue motion at all); on timeout it reports
-// false and the zero Timer, the event having fired.
-//
-// On a signaled wake the armed event is detached from its waiter, so
-// until the next re-arm it is inert: should it reach its firing time
-// first, the engine discards it exactly as it discards a canceled entry —
-// no clock advance, no step. The caller should still Cancel a timer it
-// will not re-arm, for queue hygiene. Each call consumes exactly one event
-// sequence number, the same as a WaitTimeout, so a simulation using
-// WaitUntil fires events in bit-identical order to one re-scheduling every
-// wake the classic way.
-func (p *Proc) WaitUntil(c *Cond, at time.Duration, tm Timer) (bool, Timer) {
 	p.w = waiter{p: p, c: c}
 	c.waiters = append(c.waiters, &p.w)
-	ev := tm.ev
-	armed := ev != nil && ev.gen == tm.gen && !ev.canceled && ev.e == p.e &&
-		ev.kind == kindTimeout && ev.w == nil
-	if armed && !p.e.rearm(ev, at) {
-		// Heap-resident (near-horizon, or a heap-only engine): fall back to the
-		// classic cancel + reschedule, which consumes the same one sequence
-		// number as the rearm fast path.
-		tm.Cancel()
-		armed = false
-	}
-	if !armed {
-		ev = p.e.schedule(at)
-		ev.kind = kindTimeout
-		tm = Timer{ev: ev, gen: ev.gen}
-	}
+	ev := p.e.schedule(p.e.now + d) // a negative d is clamped to now
+	ev.kind = kindTimeout
 	ev.w = &p.w
+	tm := Timer{ev: ev, gen: ev.gen}
 	p.park()
 	if p.w.timedOut {
-		return false, Timer{}
+		return false
 	}
-	if ev.gen == tm.gen {
-		ev.w = nil
-	}
-	return true, tm
+	tm.Cancel()
+	return true
 }

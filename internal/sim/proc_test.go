@@ -38,10 +38,11 @@ func TestSleepYieldsToSameTimestampEvent(t *testing.T) {
 }
 
 func TestSleepBehindDeadQueueHead(t *testing.T) {
-	// A canceled timer or a detached timeout at the queue head is not worth
-	// telling apart from a live one: the sleeper parks, the engine discards
-	// the dead entry without a step, and order and counts are what they
-	// would be had the entry never existed.
+	// A canceled timer at the queue head — canceled by its owner, or by
+	// WaitTimeout on a signaled wake — is not worth telling apart from a live
+	// one: the sleeper parks, the engine discards the dead entry without a
+	// step, and order and counts are what they would be had the entry never
+	// existed.
 	for _, tc := range []struct {
 		name string
 		dead func(e *Engine, p *Proc) // leaves a dead entry queued at now+3µs
@@ -49,11 +50,11 @@ func TestSleepBehindDeadQueueHead(t *testing.T) {
 		{"canceled", func(e *Engine, p *Proc) {
 			e.After(3*us, func() { panic("canceled timer fired") }).Cancel()
 		}},
-		{"detached timeout", func(e *Engine, p *Proc) {
+		{"signaled wait", func(e *Engine, p *Proc) {
 			var c Cond
 			e.After(0, c.Signal)
-			if ok, _ := p.WaitUntil(&c, e.Now()+3*us, Timer{}); !ok {
-				panic("WaitUntil timed out")
+			if !p.WaitTimeout(&c, 3*us) {
+				panic("WaitTimeout timed out")
 			}
 		}},
 	} {
@@ -108,7 +109,7 @@ func TestSleepNeverPassesRunUntilLimit(t *testing.T) {
 }
 
 // sleepScript is a workload mixing every blocking primitive with timers,
-// cancels and lazily re-armed timeouts, on whole-microsecond times. Its
+// cancels and timed waits, on whole-microsecond times. Its
 // last phase is a lone sleeper: nothing else queued, every sleep in place.
 func sleepScript(e *Engine, log *[]string) {
 	rec := func(what string) { *log = append(*log, fmt.Sprintf("%s@%v", what, e.Now())) }
@@ -132,15 +133,11 @@ func sleepScript(e *Engine, log *[]string) {
 		}
 	})
 	e.Spawn("waiter", func(p *Proc) {
-		var tm Timer
 		for i := 0; i < 20; i++ {
-			var ok bool
-			ok, tm = p.WaitUntil(&c, e.Now()+9*us, tm)
-			rec(fmt.Sprint("wait", ok))
+			rec(fmt.Sprint("wait", p.WaitTimeout(&c, 9*us)))
 			p.Sleep(2 * us)
 			p.Yield()
 		}
-		tm.Cancel()
 	})
 	e.Spawn("timers", func(p *Proc) {
 		for i := 0; i < 30; i++ {

@@ -234,10 +234,8 @@ func (t Timer) Cancel() bool {
 		return true
 	}
 	ev.canceled = true
-	if ev.e != nil {
-		ev.e.ncanceled++
-		ev.e.maybeCompact()
-	}
+	ev.e.ncanceled++
+	ev.e.maybeCompact()
 	return true
 }
 
@@ -268,35 +266,6 @@ func (e *Engine) enqueue(at, sched time.Duration, seq uint64) *event {
 		e.events.push(ev)
 	}
 	return ev
-}
-
-// rearm moves a pending event to a new firing time, consuming a fresh
-// sequence number exactly as a Cancel + reschedule pair would — so a run
-// using rearm is event-for-event identical to one using the classic churn,
-// just without the allocation and heap traffic. It reports false when the
-// event is heap-resident (its position is unknown without a search); the
-// caller falls back to Cancel + schedule.
-func (e *Engine) rearm(ev *event, at time.Duration) bool {
-	if ev.wslot < 0 {
-		return false
-	}
-	if at < e.now {
-		at = e.now
-	}
-	ev.sched = e.now
-	ev.seq = e.seq
-	e.seq++
-	if at != ev.at {
-		w := e.wheel
-		w.unlink(ev)
-		ev.at = at
-		if tick(at) > w.cur {
-			w.insert(ev)
-		} else {
-			e.events.push(ev)
-		}
-	}
-	return true
 }
 
 // At schedules fn to run at absolute virtual time at. Times in the past are
@@ -393,15 +362,6 @@ func (e *Engine) runWindow(stop time.Duration) {
 		e.events.pop()
 		if next.canceled {
 			e.ncanceled--
-			e.recycle(next)
-			continue
-		}
-		if next.kind == kindTimeout && next.w == nil {
-			// A detached timeout: its wait was signaled and WaitUntil kept the
-			// event armed for lazy re-arming, but no re-arm came. Exactly like
-			// a canceled entry — and like the cancel the classic
-			// schedule-per-wait pattern would have issued — it is dead weight:
-			// it must not advance the clock or count as a step.
 			e.recycle(next)
 			continue
 		}

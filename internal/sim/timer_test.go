@@ -320,11 +320,10 @@ func TestAfterZeroSelfScheduling(t *testing.T) {
 // engine and asserts the observable firing sequences, end times and step
 // counts are identical — the sim-level heap-equivalence check backing the
 // golden suite. The timed waits reproduce the churn the open-loop serve
-// workload puts on the queue (unet.Endpoint.RecvDeadline under UAM): one
-// timeout event threaded through many WaitUntil calls, re-armed in place
-// while wheel-resident and by cancel + reschedule once heap-resident,
-// detached by signaled wakes, sometimes left to reach its firing time
-// detached, sometimes canceled at the end of the episode.
+// workload puts on the queue (unet.Endpoint.RecvTimeout under UAM): many
+// WaitTimeout calls against one deadline, each timeout canceled by a
+// signaled wake — unlinked from the wheel while far, left for compaction
+// once heap-resident — and only the last left to fire.
 func TestSchedulerDifferentialFiringOrder(t *testing.T) {
 	runIt := func(newEngine func(int64) *Engine) ([]int, time.Duration, uint64) {
 		e := newEngine(1)
@@ -332,7 +331,7 @@ func TestSchedulerDifferentialFiringOrder(t *testing.T) {
 		var timers []Timer
 		// A deterministic pseudo-random-ish spread from a tiny LCG (no
 		// wall-clock, no global rand): mixes sub-tick, same-tick, far-wheel
-		// and cascade-crossing deadlines, plus cancels and re-arms.
+		// and cascade-crossing deadlines, plus cancels.
 		x := uint64(12345)
 		next := func(mod int) int {
 			x = x*6364136223846793005 + 1442695040888963407
@@ -355,30 +354,21 @@ func TestSchedulerDifferentialFiringOrder(t *testing.T) {
 		// Four receivers wait out 1 ms retransmit deadlines on their own
 		// conditions while a signaler wakes them at scattered instants: most
 		// waits end signaled, well before the deadline, and the next wait
-		// re-arms the same event for the same deadline.
+		// arms a fresh timeout for the remainder.
 		conds := make([]Cond, 4)
 		for w := range conds {
 			w := w
 			e.Spawn("receiver", func(p *Proc) {
-				var tm Timer
 				for ep := 0; ep < 12; ep++ {
 					deadline := p.Now() + time.Millisecond
 					for wakes := 0; ; wakes++ {
-						ok, next := p.WaitUntil(&conds[w], deadline, tm)
-						tm = next
-						if !ok {
+						if !p.WaitTimeout(&conds[w], deadline-p.Now()) {
 							order = append(order, 20_000+100*w+ep)
 							break
 						}
 						order = append(order, 30_000+100*w+ep)
 						if wakes == ep%5 {
-							// The episode ends early. Every other one leaves its
-							// timeout armed but detached, to be re-armed by the
-							// next episode or to expire unobserved.
-							if ep%2 == 0 {
-								tm.Cancel()
-							}
-							break
+							break // the episode ends early
 						}
 					}
 					p.Sleep(time.Duration(next(1 << 16)))

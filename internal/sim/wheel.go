@@ -105,7 +105,7 @@ func (w *wheel) insert(ev *event) {
 
 // unlink removes a wheel-resident event from its slot in O(1).
 //
-//unetlint:hotpath timer cancel; runs on every retired or re-armed timer
+//unetlint:hotpath timer cancel; runs on every retired timer and every signaled timed wait
 func (w *wheel) unlink(ev *event) {
 	idx := ev.wslot
 	if ev.prev != nil {

@@ -139,11 +139,9 @@ func (s *sortNode) destOf(k uint32) int {
 // message — the small-message-optimized version of §6.
 func (s *sortNode) permuteSmall(p *sim.Proc) {
 	self := s.nd.Self()
-	pending := map[int][]uint32{}
-	charge := 0
+	pending := make([][]uint32, s.nd.N())
 	for _, k := range s.keys {
 		d := s.destOf(k)
-		charge++
 		if d == self {
 			s.incoming = append(s.incoming, k)
 			continue
@@ -154,12 +152,12 @@ func (s *sortNode) permuteSmall(p *sim.Proc) {
 			pending[d] = pending[d][:0]
 		}
 	}
-	for d, v := range pending {
+	for d, v := range pending { // ascending destination: the flush order feeds the event schedule
 		if len(v) > 0 {
 			s.nd.Send(p, d, argKeys, u32sToBytes(v))
 		}
 	}
-	s.nd.ComputeOps(p, charge*5, splitc.IntOpCost) // splitter search per key
+	s.nd.ComputeOps(p, len(s.keys)*5, splitc.IntOpCost) // splitter search per key
 	s.eod.sendAll(p)
 	s.eod.wait(p)
 }

@@ -236,15 +236,12 @@ func (u *UAM) Flush(p *sim.Proc, dst int) error {
 	if pe.outstanding() > 0 {
 		u.sendAckPing(p, pe)
 	}
-	var tm sim.Timer
 	for pe.outstanding() > 0 {
 		if pe.dead {
-			tm.Cancel()
 			return deadErr(pe)
 		}
-		tm = u.pollOrTimeout(p, pe, tm)
+		u.pollOrTimeout(p, pe)
 	}
-	tm.Cancel()
 	return nil
 }
 
@@ -260,15 +257,12 @@ func (u *UAM) FlushTimeout(p *sim.Proc, dst int, d time.Duration) bool {
 		u.sendAckPing(p, pe)
 	}
 	deadline := p.Now() + d
-	var tm sim.Timer
 	for pe.outstanding() > 0 {
 		if pe.dead || p.Now() >= deadline {
-			tm.Cancel()
 			return false
 		}
-		tm = u.pollOrTimeout(p, pe, tm)
+		u.pollOrTimeout(p, pe)
 	}
-	tm.Cancel()
 	return true
 }
 
@@ -291,17 +285,15 @@ func (u *UAM) FlushAll(p *sim.Proc) {
 			u.sendAckPing(p, pe)
 		}
 	}
-	var tm sim.Timer
 	for {
 		pending := false
 		for _, pe := range u.peerList {
 			if pe.outstanding() > 0 && !pe.dead {
 				pending = true
-				tm = u.pollOrTimeout(p, pe, tm)
+				u.pollOrTimeout(p, pe)
 			}
 		}
 		if !pending {
-			tm.Cancel()
 			return
 		}
 	}

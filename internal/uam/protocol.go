@@ -33,18 +33,9 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	// flowing in all-to-all communication patterns without explicit
 	// polling in the application.
 	u.drainIncoming(p)
-	// One timeout event serves the whole window stall: each wake re-arms it
-	// to the (possibly ack-advanced) retransmit deadline instead of
-	// scheduling and canceling a timer per wake.
-	var tm sim.Timer
-	for pe.outstanding() >= u.cfg.Window {
-		if pe.dead {
-			tm.Cancel()
-			return deadErr(pe)
-		}
-		tm = u.pollOrTimeout(p, pe, tm)
+	for pe.outstanding() >= u.cfg.Window && !pe.dead {
+		u.pollOrTimeout(p, pe)
 	}
-	tm.Cancel()
 	if pe.dead {
 		return deadErr(pe)
 	}
@@ -178,19 +169,18 @@ func (u *UAM) PollBlock(p *sim.Proc) int {
 }
 
 // pollOrTimeout waits for traffic until pe's retransmit deadline, then
-// retransmits if nothing moved the window. The timeout event rides along
-// in tm across the caller's stall loop (lazy re-arm — see RecvDeadline);
-// the caller cancels the last returned timer when the stall ends.
-func (u *UAM) pollOrTimeout(p *sim.Proc, pe *peer, tm sim.Timer) sim.Timer {
+// retransmits if nothing moved the window. An overdue deadline retransmits
+// before the receive queue is looked at.
+func (u *UAM) pollOrTimeout(p *sim.Proc, pe *peer) {
 	wait := pe.deadline - p.Now()
 	if wait <= 0 {
 		u.retransmit(p, pe)
-		return tm
+		return
 	}
-	rd, ok, tm := u.ep.RecvDeadline(p, pe.deadline, tm)
+	rd, ok := u.ep.RecvTimeout(p, wait)
 	if !ok {
 		u.retransmit(p, pe)
-		return tm
+		return
 	}
 	u.process(p, rd)
 	for {
@@ -201,7 +191,6 @@ func (u *UAM) pollOrTimeout(p *sim.Proc, pe *peer, tm sim.Timer) sim.Timer {
 		u.process(p, rd)
 	}
 	u.flushAcks(p)
-	return tm
 }
 
 // checkTimers retransmits every peer whose deadline has passed, in node-id

@@ -288,34 +288,16 @@ func (ep *Endpoint) RecvSelect(p *sim.Proc) RecvDesc {
 
 // RecvTimeout is Recv with a deadline; ok is false on timeout.
 func (ep *Endpoint) RecvTimeout(p *sim.Proc, d time.Duration) (RecvDesc, bool) {
-	rd, ok, tm := ep.RecvDeadline(p, p.Now()+d, sim.Timer{})
-	tm.Cancel()
-	return rd, ok
-}
-
-// RecvDeadline is Recv with an absolute deadline and a reusable timeout
-// timer: tm carries the (possibly still armed) timeout event of the
-// caller's previous RecvDeadline on this process, and the returned timer
-// carries it onward. Protocol loops that repeatedly wait out the same
-// retransmit deadline (UAM window stalls, TCP timer-granularity pumps)
-// thread the timer through instead of scheduling and canceling an event
-// per wake — under the wheel scheduler a re-arm is a sequence-number bump.
-// The caller should Cancel the last returned timer when the wait episode
-// ends; an un-canceled one is inert (the engine discards a detached
-// timeout without advancing the clock) but occupies a queue slot until its
-// deadline passes.
-func (ep *Endpoint) RecvDeadline(p *sim.Proc, deadline time.Duration, tm sim.Timer) (RecvDesc, bool, sim.Timer) {
+	deadline := p.Now() + d
 	for {
 		if rd, ok := ep.recvQ.TryGet(); ok {
-			return rd, true, tm
+			return rd, true
 		}
-		if deadline-p.Now() <= 0 {
-			tm.Cancel()
-			return RecvDesc{}, false, sim.Timer{}
+		left := deadline - p.Now()
+		if left <= 0 {
+			return RecvDesc{}, false
 		}
-		ok, next := p.WaitUntil(ep.recvQ.NotEmpty(), deadline, tm)
-		tm = next
-		if ok {
+		if p.WaitTimeout(ep.recvQ.NotEmpty(), left) {
 			p.Charge(ep.host.Params.Poll)
 		}
 	}
@@ -376,15 +358,11 @@ func (ep *Endpoint) Release(p *sim.Proc, rd RecvDesc) {
 // pools. It is free of virtual cost: the memory is a simulator artifact,
 // not a modeled resource.
 func (ep *Endpoint) consume(rd RecvDesc) {
-	rec, ok := ep.host.dev.(DescRecycler)
-	if !ok {
-		return
-	}
 	if rd.Inline != nil {
-		rec.RecycleInline(rd.Inline)
+		ep.host.dev.RecycleInline(rd.Inline)
 	}
 	if rd.Buffers != nil {
-		rec.RecycleOffsets(rd.Buffers)
+		ep.host.dev.RecycleOffsets(rd.Buffers)
 	}
 }
 

@@ -91,4 +91,10 @@ type Device interface {
 	// MaxEndpoints bounds concurrently attached endpoints (on-board
 	// memory, pinned pages and DMA space are finite — §4.2.4).
 	MaxEndpoints() int
+	// RecycleInline takes back the pooled Inline slab of a consumed
+	// descriptor (DESIGN.md §10; Endpoint.Gather and Release call it).
+	RecycleInline(buf []byte)
+	// RecycleOffsets takes back its Buffers list; the offsets themselves
+	// must already have gone back through the free queue with PushFree.
+	RecycleOffsets(offs []int)
 }

@@ -63,15 +63,3 @@ func (p *Pool[T]) Put(s []T) {
 
 // Stats returns a snapshot of the pool counters.
 func (p *Pool[T]) Stats() PoolStats { return p.stats }
-
-// DescRecycler is implemented by devices whose RecvDesc memory is
-// pool-backed. Endpoint.Gather and Release route descriptor memory back
-// through it; for a device without pools that step is a no-op.
-type DescRecycler interface {
-	// RecycleInline takes back the Inline slab of a consumed descriptor.
-	RecycleInline(buf []byte)
-	// RecycleOffsets takes back the Buffers list of a consumed descriptor
-	// (the offsets themselves must already have been returned through the
-	// free queue with PushFree).
-	RecycleOffsets(offs []int)
-}

@@ -53,11 +53,11 @@ smoke:
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, hotpathalloc —
-# see DESIGN.md §9, §13). The analyzers fan out over GOMAXPROCS workers by
-# default; `go build` first warms the build cache so
-# hotpathalloc's -gcflags=-m extraction replays compiler diagnostics
-# instead of recompiling, and -stale fails the build on //unetlint:allow
-# directives that no longer suppress anything. gofmt -l must print nothing.
+# see DESIGN.md §9, §13). The analyzers fan out over GOMAXPROCS workers;
+# `go build` first warms the build cache so hotpathalloc's -gcflags=-m
+# extraction replays compiler diagnostics instead of recompiling, and
+# -stale fails the build on //unetlint:allow directives that no longer
+# suppress anything. gofmt -l must print nothing.
 lint: build
 	@fmt="$$(gofmt -l .)"; if [ -n "$$fmt" ]; then echo "gofmt -l:"; echo "$$fmt"; exit 1; fi
 	$(GO) vet ./...

@@ -35,6 +35,9 @@ func TestRun(t *testing.T) {
 		{"bad proto", []string{"-experiment", "table1,point", "-proto", "bogus"}, 2, "", `-proto "bogus": have raw fore`},
 		{"bad path", []string{"-experiment", "point", "-proto", "udp", "-path", "kernel"}, 2, "", `-path "kernel": have unet kernel-atm`},
 		{"one host", []string{"-experiment", "storm", "-hosts", "1"}, 2, "", "-hosts 1: a storm needs at least 2"},
+		{"one-host ring", []string{"-experiment", "clos", "-topo", "ring", "-racks", "1", "-perrack", "1"}, 2, "", "-topo ring -racks 1 -perrack 1: 1 host, a storm needs at least 2"},
+		{"one-host island", []string{"-experiment", "clos", "-topo", "island", "-racks", "1", "-perrack", "1"}, 2, "", "-topo island -racks 1 -perrack 1: 1 host"},
+		{"one-host clos2", []string{"-experiment", "clos", "-topo", "clos2", "-racks", "1", "-perrack", "1", "-spine", "1"}, 2, "", "-topo clos2 -racks 1 -perrack 1: 1 host"},
 		{"one round", []string{"-experiment", "fig6", "-rounds", "1"}, 2, "", "-rounds 1: need at least 2"},
 		{"count below figloss's quarter", []string{"-experiment", "figloss", "-count", "3"}, 2, "", "-count 3: need at least 4"},
 		{"negative size", []string{"-experiment", "point", "-size", "-5"}, 2, "", "-size -5: -proto raw carries 0 to 65535 bytes"},

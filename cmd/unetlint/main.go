@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	unetlint [-only nondeterminism,rawgo] [-stale] [-json] [packages]
+//	unetlint [-only nondeterminism,rawgo] [-stale] [packages]
 //
 // Packages default to ./... . The exit status is 1 when any finding is
 // reported, so `make lint` (and CI) fail on a new violation; intentional
@@ -15,12 +15,10 @@
 // -stale additionally reports every //unetlint:allow that no longer
 // suppresses anything (only meaningful when the full suite runs — a -only
 // subset leaves other analyzers' allows legitimately unused, so -stale
-// with -only is rejected). -json renders findings as a JSON array on
-// stdout for CI artifacts.
+// with -only is rejected).
 package main
 
 import (
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -33,15 +31,6 @@ import (
 	"unet/internal/lint"
 )
 
-// jsonDiag is the CI artifact schema for one finding.
-type jsonDiag struct {
-	Analyzer string `json:"analyzer"`
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Message  string `json:"message"`
-}
-
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // run is main with its inputs and outputs named: findings go to stdout,
@@ -53,8 +42,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	only := fs.String("only", "", "comma-separated subset of analyzers to run")
 	list := fs.Bool("list", false, "list the analyzers and exit")
 	stale := fs.Bool("stale", false, "also report //unetlint:allow directives that suppress nothing (full suite only)")
-	jsonOut := fs.Bool("json", false, "emit findings as JSON on stdout")
-	serial := fs.Bool("serial", false, "run analyzers one at a time instead of in parallel")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
 			return 0
@@ -96,40 +83,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if err != nil {
 		return fail("%v", err)
 	}
-	diags := lint.RunUnitsOpts(units, analyzers, lint.Options{
-		Stale:    *stale,
-		Parallel: !*serial,
-	})
+	diags := lint.RunUnitsOpts(units, analyzers, lint.Options{Stale: *stale, Parallel: true})
 	cwd, _ := os.Getwd()
-	relativize := func(name string) string {
-		if cwd != "" {
-			if rel, err := filepath.Rel(cwd, name); err == nil && !strings.HasPrefix(rel, "..") {
-				return rel
-			}
+	for _, d := range diags {
+		if rel, err := filepath.Rel(cwd, d.Pos.Filename); err == nil && !strings.HasPrefix(rel, "..") {
+			d.Pos.Filename = rel
 		}
-		return name
-	}
-	if *jsonOut {
-		out := make([]jsonDiag, 0, len(diags))
-		for _, d := range diags {
-			out = append(out, jsonDiag{
-				Analyzer: d.Analyzer,
-				File:     relativize(d.Pos.Filename),
-				Line:     d.Pos.Line,
-				Column:   d.Pos.Column,
-				Message:  d.Message,
-			})
-		}
-		enc := json.NewEncoder(stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(out); err != nil {
-			return fail("%v", err)
-		}
-	} else {
-		for _, d := range diags {
-			d.Pos.Filename = relativize(d.Pos.Filename)
-			fmt.Fprintln(stdout, d)
-		}
+		fmt.Fprintln(stdout, d)
 	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "unetlint: %d finding(s)\n", len(diags))

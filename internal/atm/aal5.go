@@ -8,8 +8,6 @@ import (
 
 // AAL5 reassembly and validation errors.
 var (
-	// ErrPDUTooLong reports a payload exceeding the AAL5 length field.
-	ErrPDUTooLong = errors.New("atm: AAL5 PDU exceeds 65535 bytes")
 	// ErrBadCRC reports an AAL5 CRC-32 mismatch on reassembly. ATM discards
 	// the entire PDU in this case — the behaviour behind Romanow & Floyd's
 	// observation (paper §7.8) that one lost cell costs a whole segment.

@@ -147,8 +147,12 @@ func DefaultOptions() Options {
 // Check reports the first field no row could run with, as the one-line
 // usage error cmd/unetbench prints before anything runs.
 func (o Options) Check() error {
-	if _, err := topo.Generate(o.Topo, o.Racks, o.PerRack, o.Spine); err != nil {
+	spec, err := topo.Generate(o.Topo, o.Racks, o.PerRack, o.Spine)
+	if err != nil {
 		return fmt.Errorf("-topo/-racks/-perrack/-spine: %v", err)
+	}
+	if n := len(spec.Hosts); n < 2 {
+		return fmt.Errorf("-topo %s -racks %d -perrack %d: %d host, a storm needs at least 2", o.Topo, o.Racks, o.PerRack, n)
 	}
 	if o.Islands < 1 {
 		return fmt.Errorf("-islands %d: need at least one island", o.Islands)

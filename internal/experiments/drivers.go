@@ -75,7 +75,6 @@ func serveUntilDone(tb *testbed.Testbed, b *uam.UAM) (done func()) {
 const (
 	hEcho  = 1
 	hEchoR = 2
-	hNoop  = 3
 )
 
 // UAMPingPong measures the UAM request/reply round-trip time with

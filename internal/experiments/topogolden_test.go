@@ -9,7 +9,8 @@ import (
 
 // TestGoldenTopoSweep extends the shard-equivalence contract to
 // multi-switch fabrics: the all-to-all storm over a 64-host 2-stage Clos
-// (8 racks × 8 hosts, 2 spines) and over a small 3-stage Clos must render
+// (8 racks × 8 hosts, 2 spines; once more with enough messages per pair
+// that the cross-shard rings grow) and over a small 3-stage Clos must render
 // byte-identically — same virtual times, same stats — at shards 1, 2, 4
 // and 8, with shard placement following the topology (each rack with its
 // ToR on one shard, spines on the root engine). Only the shards= layout
@@ -26,6 +27,7 @@ func TestGoldenTopoSweep(t *testing.T) {
 		count                 int
 	}{
 		{"clos2", 8, 8, 2, 4},
+		{"clos2", 8, 8, 2, 32}, // a ToR's uplink backlog outgrows the cross link's first ring
 		{"clos3", 4, 2, 2, 4},
 	} {
 		storm := func(shards int) string {

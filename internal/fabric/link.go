@@ -232,8 +232,7 @@ func (l *Link) Name() string { return l.name }
 
 // crossExchange is a cross-shard link's sim.Exchange. Drain runs on the
 // destination shard's worker while the transmitter keeps running, so it
-// takes only what the ring has published; spilled cells stay with the
-// producer until it flushes them itself. Entries are staged into the
+// takes only what the ring has published. Entries are staged into the
 // receive half's pend ring and delivered by its usual armed event.
 type crossExchange struct{ l *Link }
 
@@ -252,22 +251,8 @@ func (x crossExchange) Drain() {
 	}
 }
 
-// Pending reports outstanding ring or spill traffic (any shard).
+// Pending reports outstanding ring traffic (any shard).
 func (x crossExchange) Pending() bool { return x.l.ring.Pending() }
-
-// SpillPending reports producer-side spilled traffic (any shard).
-func (x crossExchange) SpillPending() bool { return x.l.ring.SpillLen() > 0 }
-
-// FlushSpill retries moving spilled cells into the ring (producer shard
-// only).
-func (x crossExchange) FlushSpill() bool { return x.l.ring.FlushSpill() }
-
-// SpillBound reports the arrival time of the oldest spilled cell, which
-// caps how far the producer may publish (producer shard only).
-func (x crossExchange) SpillBound() (time.Duration, bool) {
-	f, ok := x.l.ring.SpillHead()
-	return f.arrive, ok
-}
 
 // Params returns the link's timing parameters.
 func (l *Link) Params() LinkParams { return l.p }

@@ -33,32 +33,39 @@ func (s *echoSink) DeliverCell(c atm.Cell) {
 func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 	// A cross link must deliver at exactly the times a local link produces:
 	// the transmit half owns serialization, the receive half replays flight.
+	// Five cells stay in the transmit half's first ring; 2 000 handed over
+	// before the run starts — the backlog fwdFire leaves at a contended port
+	// — overflow it three times (256+512+1 024 < 2 000).
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
+	for _, tc := range []struct{ cells, ring int }{{5, 256}, {2000, 2048}} {
+		le := sim.New(1)
+		lcol := &collector{e: le}
+		ll := NewLink(le, "l", lp, lcol)
+		for i := 0; i < tc.cells; i++ {
+			ll.Send(atm.Cell{VCI: atm.VCI(i)})
+		}
+		le.Run()
 
-	le := sim.New(1)
-	lcol := &collector{e: le}
-	ll := NewLink(le, "l", lp, lcol)
-	for i := 0; i < 5; i++ {
-		ll.Send(atm.Cell{VCI: atm.VCI(i)})
-	}
-	le.Run()
+		root := sim.New(1)
+		dst := root.NewShard(2)
+		ccol := &collector{e: dst}
+		cl := NewCrossLink(root, dst, "x", lp, ccol)
+		for i := 0; i < tc.cells; i++ {
+			cl.Send(atm.Cell{VCI: atm.VCI(i)})
+		}
+		root.Run()
 
-	root := sim.New(1)
-	dst := root.NewShard(2)
-	ccol := &collector{e: dst}
-	cl := NewCrossLink(root, dst, "x", lp, ccol)
-	for i := 0; i < 5; i++ {
-		cl.Send(atm.Cell{VCI: atm.VCI(i)})
-	}
-	root.Run()
-
-	if len(ccol.times) != len(lcol.times) {
-		t.Fatalf("cross delivered %d, local %d", len(ccol.times), len(lcol.times))
-	}
-	for i := range lcol.times {
-		if ccol.times[i] != lcol.times[i] || ccol.cells[i].VCI != lcol.cells[i].VCI {
-			t.Fatalf("cell %d: cross (%v, %d) vs local (%v, %d)",
-				i, ccol.times[i], ccol.cells[i].VCI, lcol.times[i], lcol.cells[i].VCI)
+		if len(lcol.times) != tc.cells || len(ccol.times) != tc.cells {
+			t.Fatalf("%d cells: cross delivered %d, local %d", tc.cells, len(ccol.times), len(lcol.times))
+		}
+		for i := range lcol.times {
+			if ccol.times[i] != lcol.times[i] || ccol.cells[i].VCI != lcol.cells[i].VCI {
+				t.Fatalf("%d cells, cell %d: cross (%v, %d) vs local (%v, %d)",
+					tc.cells, i, ccol.times[i], ccol.cells[i].VCI, lcol.times[i], lcol.cells[i].VCI)
+			}
+		}
+		if got := cl.ring.Cap(); got != tc.ring {
+			t.Fatalf("%d cells: transmit ring ends at %d entries, want %d", tc.cells, got, tc.ring)
 		}
 	}
 }

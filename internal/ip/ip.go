@@ -34,11 +34,8 @@ const (
 	ProtoTCP = 6
 )
 
-// Errors returned by the IP layer.
-var (
-	ErrTooLong = errors.New("ip: datagram exceeds MTU (no send-side fragmentation, §7.5)")
-	ErrClosed  = errors.New("ip: conduit closed")
-)
+// ErrTooLong is the IP layer's one error.
+var ErrTooLong = errors.New("ip: datagram exceeds MTU (no send-side fragmentation, §7.5)")
 
 // Header is the modeled IPv4 header: the fields the experiments exercise.
 type Header struct {

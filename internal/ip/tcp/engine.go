@@ -95,6 +95,9 @@ func (c *Conn) establish() {
 func (c *Conn) processAck(p *sim.Proc, seg segment) {
 	c.stats.AcksIn++
 	c.sndWnd = c.wndValue(seg.wnd)
+	if c.persistDeadline != 0 {
+		c.consecTimeouts = 0 // a peer that answers, even with window 0, is alive
+	}
 	ack := seg.ack
 	if seqLEQ(ack, c.sndUna) {
 		if ack == c.sndUna && len(c.sendQ) > 0 && seqLT(c.sndUna, c.sndNxt) {
@@ -298,13 +301,7 @@ func (c *Conn) timeout(p *sim.Proc) {
 		c.retransDeadline = 0
 		return
 	}
-	c.consecTimeouts++
-	if c.consecTimeouts > c.params.MaxTimeouts {
-		// The retry budget is spent: the peer is unreachable. Stop the
-		// timers and let the blocking operations surface ErrPeerDead.
-		c.dead = true
-		c.retransDeadline = 0
-		c.persistDeadline = 0
+	if !c.retry() {
 		return
 	}
 	c.ssthresh = max(inflight/2, 2*c.params.MSS)
@@ -331,6 +328,20 @@ func (c *Conn) timeout(p *sim.Proc) {
 		c.output(p)
 	}
 	c.armRetransmit(p)
+}
+
+// retry spends one unit of the retry budget. Once it is gone the peer is
+// unreachable: the timers stop, retry reports false and the blocking
+// operations surface ErrPeerDead.
+func (c *Conn) retry() bool {
+	c.consecTimeouts++
+	if c.consecTimeouts <= c.params.MaxTimeouts {
+		return true
+	}
+	c.dead = true
+	c.retransDeadline = 0
+	c.persistDeadline = 0
+	return false
 }
 
 // fastRetransmit resends the lost segment after three duplicate acks
@@ -372,14 +383,22 @@ func (c *Conn) retransmitHead(p *sim.Proc) {
 }
 
 // windowProbe sends one byte beyond the closed window to solicit a window
-// update (the BSD persist behaviour).
+// update (the BSD persist behaviour). A probe that follows an unanswered
+// one backs off and spends the retry budget like a retransmission, so a
+// peer that has gone silent behind a closed window is declared dead too.
 func (c *Conn) windowProbe(p *sim.Proc) {
-	c.persistDeadline = c.quantize(p.Now() + c.rto())
 	inflight := int(c.sndNxt - c.sndUna)
 	if len(c.sendQ)-inflight <= 0 || c.sndWnd > 0 {
 		c.persistDeadline = 0
 		return
 	}
+	if c.consecTimeouts > 0 && c.rtoTicks < 1<<16 {
+		c.rtoTicks *= 2 // the last probe went unanswered
+	}
+	if !c.retry() {
+		return
+	}
+	c.persistDeadline = c.quantize(p.Now() + c.rto())
 	c.stats.WindowProbes++
 	c.emit(p, segment{srcPort: c.localPort, dstPort: c.remotePort,
 		seq: c.sndNxt, ack: c.rcvNxt, flags: flagACK, wnd: c.wndField(c.rcvWindow()),

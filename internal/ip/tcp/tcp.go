@@ -140,7 +140,6 @@ type Conn struct {
 	sndNxt   uint32
 	sndWnd   int
 	sendQ    []byte // data buffered from sndUna onward
-	sentHi   uint32 // highest sequence handed to the network (== sndNxt)
 	cwnd     int
 	ssthresh int
 	dupAcks  int
@@ -164,7 +163,6 @@ type Conn struct {
 	rcvNxt      uint32
 	rcvBuf      []byte
 	finRcvd     bool
-	finRcvdSeq  uint32
 	ackPending  int
 	ackDeadline time.Duration
 	lastWndAdv  int

@@ -237,6 +237,48 @@ func TestZeroWindowAndProbe(t *testing.T) {
 	}
 }
 
+func TestZeroWindowSilentPeerIsDeclaredDead(t *testing.T) {
+	// The reader fills its 4 KB window and then stops polling for good, so
+	// the writer's probes go unanswered: Write must give up with
+	// ErrPeerDead in bounded virtual time (2 ms doubling over MaxTimeouts
+	// probes is about 16 s) instead of persisting for ever.
+	params := tcp.DefaultParams()
+	params.WindowBytes = 4096
+	tb, a, b := pair(t, params)
+	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+		if err := b.Accept(p, 100*time.Millisecond); err != nil {
+			t.Error(err)
+			return
+		}
+		for k := 0; k < 20; k++ { // long enough to advertise window 0
+			b.Poll(p)
+			p.Sleep(time.Millisecond)
+		}
+	})
+	var writeErr error
+	var returned time.Duration
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		if err := a.Dial(p, 100*time.Millisecond); err != nil {
+			t.Error(err)
+			return
+		}
+		writeErr = a.Write(p, make([]byte, 256<<10))
+		returned = p.Now()
+	})
+	const deadline = 20 * time.Second
+	tb.Eng.RunUntil(deadline)
+	if returned == 0 {
+		t.Fatalf("Write still blocked behind the closed window after %v (%d probes sent)", deadline, a.Stats().WindowProbes)
+	}
+	if !errors.Is(writeErr, tcp.ErrPeerDead) || !a.Dead() {
+		t.Fatalf("Write returned %v at %v (Dead=%v), want ErrPeerDead", writeErr, returned, a.Dead())
+	}
+	// The probes the reader answered while it still polled are free.
+	if got := a.Stats().WindowProbes; got < uint64(params.MaxTimeouts) {
+		t.Fatalf("gave up after %d window probes, want at least MaxTimeouts=%d", got, params.MaxTimeouts)
+	}
+}
+
 func TestCloseDeliversEOF(t *testing.T) {
 	tb, a, b := pair(t, tcp.DefaultParams())
 	var readErr error

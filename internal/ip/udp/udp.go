@@ -29,7 +29,6 @@ const HeaderSize = 8
 var (
 	ErrPortInUse = errors.New("udp: port already bound")
 	ErrTooLong   = errors.New("udp: datagram exceeds MTU")
-	ErrNoSocket  = errors.New("udp: port not bound")
 )
 
 // Params is the UDP cost model.

@@ -21,8 +21,6 @@ type UNetConduit struct {
 	rem   uint32
 
 	stage unet.Staging
-
-	closed bool
 }
 
 // stageSlots sizes the send staging region: enough MTU-sized slots that a
@@ -53,9 +51,6 @@ func (c *UNetConduit) MTU() int { return MTU }
 
 // Send stages pkt in the communication segment and queues a descriptor.
 func (c *UNetConduit) Send(p *sim.Proc, pkt []byte) error {
-	if c.closed {
-		return ErrClosed
-	}
 	if len(pkt) > MTU {
 		return ErrTooLong
 	}

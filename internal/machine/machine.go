@@ -112,9 +112,6 @@ func New(e *sim.Engine, p Params, n int) *Machine {
 // Node returns the transport of processor i.
 func (m *Machine) Node(i int) *Node { return m.nodes[i] }
 
-// Params returns the machine's parameter set.
-func (m *Machine) Params() Params { return m.p }
-
 // Node is one processor's transport endpoint. It implements
 // splitc.Transport.
 type Node struct {

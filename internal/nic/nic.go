@@ -163,9 +163,6 @@ func (d *Device) Start() { d.e.Spawn(d.name, d.run) }
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
 
-// Params returns the device's cost table.
-func (d *Device) Params() Params { return d.params }
-
 // --- unet.Device management interface ---
 
 // AttachEndpoint begins servicing ep.

@@ -29,9 +29,6 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.n }
 
-// Cap returns the capacity (0 = unbounded).
-func (q *FIFO[T]) Cap() int { return q.capacity }
-
 // Drops returns how many TryPut calls failed because the queue was full.
 func (q *FIFO[T]) Drops() uint64 { return q.drops }
 

@@ -38,11 +38,8 @@ import (
 // and Go's sequentially-consistent atomics make the publish the release
 // edge), and arrival = send + link latency ≥ send + L(j→i), so a message
 // still invisible after i reads pub[j] has arrival ≥ pub[j] + L(j→i) ≥
-// H_i. A full ring breaks the "pushed at send time" half of this, so a
-// producer with spilled messages caps its published clock at
-// spill-head arrival − L for the affected edge until the spill flushes
-// (SpillBound); the consumer then cannot open a window past the invisible
-// message.
+// H_i. A push never fails and is visible when it returns (a full ring
+// grows, spsc.go), so the rule has no exception.
 //
 // Progress. A purely neighbor-driven horizon can creep in lookahead-sized
 // steps across idle stretches (the classic CMB lookahead creep). The
@@ -65,14 +62,6 @@ import (
 type inEdge struct {
 	src int
 	la  int64
-}
-
-// outEdge is the producer-side view of one registered exchange, used to
-// flush and bound spills at publish points.
-type outEdge struct {
-	dst int
-	la  int64 // the pair's minimum latency — what the consumer's horizon uses
-	ex  Exchange
 }
 
 // paddedClock is a published shard clock on its own cache line, so
@@ -132,9 +121,7 @@ func (g *Group) notifyAll() {
 func (g *Group) setup() {
 	n := len(g.shards)
 
-	// Direct-edge minimum latency matrix; math.MaxInt64 = no edge. The
-	// consumer horizon and the producer spill cap must agree on each
-	// pair's latency, so both read this matrix.
+	// Direct-edge minimum latency matrix; math.MaxInt64 = no edge.
 	w := make([][]int64, n)
 	for i := range w {
 		w[i] = make([]int64, n)
@@ -151,7 +138,6 @@ func (g *Group) setup() {
 	}
 
 	g.inEdges = make([][]inEdge, n)
-	g.outEdges = make([][]outEdge, n)
 	g.outNbrs = make([][]int, n)
 	g.minInLA = make([]int64, n)
 	g.inbox = make([][]registration, n)
@@ -171,7 +157,6 @@ func (g *Group) setup() {
 	}
 	for _, r := range g.exchanges {
 		g.inbox[r.dst] = append(g.inbox[r.dst], r)
-		g.outEdges[r.src] = append(g.outEdges[r.src], outEdge{dst: r.dst, la: w[r.src][r.dst], ex: r.ex})
 	}
 
 	if len(g.pub) != n {
@@ -215,7 +200,6 @@ func (g *Group) runShard(id int, limit time.Duration) {
 	stop := stopFor(limit)
 	in := g.inEdges[id]
 	inbox := g.inbox[id]
-	out := g.outEdges[id]
 	minIn := g.minInLA[id]
 	for {
 		if g.ndone.Load() {
@@ -246,15 +230,10 @@ func (g *Group) runShard(id int, limit time.Duration) {
 
 		// Move ring traffic into the engine: drains turn published messages
 		// into arrival events, so the heap peek below already covers them.
-		// A producer stuck on a full ring is woken so it can flush the freed
-		// space at its next publish point.
 		for _, r := range inbox {
 			if r.ex.Pending() {
 				r.ex.Drain()
 				prof.Drains++
-				if r.ex.SpillPending() {
-					g.notify(r.src)
-				}
 			}
 		}
 
@@ -266,22 +245,9 @@ func (g *Group) runShard(id int, limit time.Duration) {
 		g.nextAt[id].Store(t)
 
 		// Publish progress: nothing new can leave this shard before its next
-		// event, nor cross an edge whose spill still hides messages. The
-		// store is this shard's release edge for all ring pushes so far.
-		p := t
-		if h < p {
-			p = h
-		}
-		for _, oe := range out {
-			if !oe.ex.FlushSpill() {
-				if b, ok := oe.ex.SpillBound(); ok {
-					if c := int64(b) - oe.la; c < p {
-						p = c
-					}
-				}
-			}
-		}
-		if p > g.pub[id].v.Load() {
+		// event. The store is this shard's release edge for all ring pushes
+		// so far.
+		if p := min(t, h); p > g.pub[id].v.Load() {
 			g.pub[id].v.Store(p)
 			for _, d := range g.outNbrs[id] {
 				g.notify(d)
@@ -363,7 +329,7 @@ func (g *Group) waitNeighbor(prof *ShardProfile, sig *shardSignal, blockSrc int,
 // quiescentScan runs when every shard is simultaneously blocked — the only
 // situation where neighbor clocks alone cannot make progress. Under the
 // scan mutex (re-verifying the all-blocked condition): if any ring still
-// holds traffic, wake the parties and let the drain/flush resolve it;
+// holds traffic, wake its consumer to drain it;
 // otherwise fold the global minimum next-event time. Beyond the limit (or
 // absent) ⇒ the run is complete; otherwise it becomes the quiescence
 // floor gmin, licensing every shard's horizon up to gmin + its minimum
@@ -383,9 +349,6 @@ func (g *Group) quiescentScan(limit time.Duration) {
 		if r.ex.Pending() {
 			pending = true
 			g.notify(r.dst)
-			if r.ex.SpillPending() {
-				g.notify(r.src)
-			}
 		}
 	}
 	if pending {

@@ -80,11 +80,10 @@ func TestShardNeighborMatchesBarrier(t *testing.T) {
 	}
 }
 
-func TestShardNeighborSpillBackpressure(t *testing.T) {
-	// One event pushes far more messages than the ring holds (capacity 8),
-	// forcing the spill path: the producer's published clock must stay
-	// capped until the consumer drains, and every message must still be
-	// delivered exactly once at its scheduled time.
+func TestShardNeighborBurstGrowsRing(t *testing.T) {
+	// One event pushes far more messages than the first ring holds
+	// (capacity 8), so the ring grows inside the producer's window: every
+	// message must be delivered exactly once at its scheduled time.
 	const flight = time.Microsecond
 	const burst = 100
 	root := New(1)
@@ -98,13 +97,18 @@ func TestShardNeighborSpillBackpressure(t *testing.T) {
 	g.ObserveLookaheadBetween(s1, root, flight)
 
 	var got []time.Duration
+	pushed := make(chan struct{})
 	root.At(10*time.Microsecond, func() {
 		base := root.Now() + flight
 		for i := 0; i < burst; i++ {
 			at := base + time.Duration(i)*time.Microsecond
 			toS1.send(at, func() { got = append(got, s1.Now()) })
 		}
+		close(pushed)
 	})
+	// s1 sits in an event of the same window until the burst is in, so it
+	// drains none of it meanwhile and the ring's growth is the same every run.
+	s1.At(10*time.Microsecond, func() { <-pushed })
 	root.Run()
 
 	if len(got) != burst {
@@ -116,8 +120,12 @@ func TestShardNeighborSpillBackpressure(t *testing.T) {
 			t.Fatalf("message %d delivered at %v, want %v", i, at, want)
 		}
 	}
-	if toS1.ring.SpillLen() != 0 || toS1.ring.Pending() {
+	if toS1.ring.Pending() {
 		t.Fatal("ring not fully drained after the run")
+	}
+	// 8+16+32 entries hold 56 messages; the other 44 sit in a ring of 64.
+	if c := toS1.ring.Cap(); c != 64 {
+		t.Fatalf("ring Cap() = %d after a %d-message burst through 8 entries, want 64", c, burst)
 	}
 }
 

@@ -54,12 +54,6 @@ func (p *Proc) park() {
 	}
 }
 
-// Name returns the process name given at Spawn.
-func (p *Proc) Name() string { return p.name }
-
-// Engine returns the engine this process belongs to.
-func (p *Proc) Engine() *Engine { return p.e }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() time.Duration { return p.e.now }
 

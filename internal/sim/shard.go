@@ -30,9 +30,6 @@ import (
 // armed, exchange registration index) — see Engine.ArriveArg — never of
 // the wall-clock moment the destination drained it or of where a window
 // boundary fell.
-//
-// A group with no exchanges at all is a set of independent simulations;
-// each shard then simply runs to completion on its own goroutine.
 
 // Exchange is a cross-shard channel: a lock-free SPSC ring (spsc.go) the
 // producing shard pushes into as it runs, and a consumer side that turns
@@ -44,19 +41,11 @@ import (
 // index AddExchangeFrom returned. Every delivery must lie at least the
 // pair's lookahead after the send.
 //
-// FlushSpill and SpillBound are called only by the producing shard's
-// worker: the first retries moving spilled messages into the ring, the
-// second reports the arrival time of the oldest still-spilled message,
-// which bounds how far the producer may publish its clock.
-//
-// Pending and SpillPending read only atomics and may be called from any
-// shard — the group's quiescence scan uses them.
+// Pending reads only atomics and may be called from any shard — the
+// group's quiescence scan uses it.
 type Exchange interface {
 	Drain()
 	Pending() bool
-	SpillPending() bool
-	FlushSpill() bool
-	SpillBound() (time.Duration, bool)
 }
 
 // registration is one AddExchangeFrom call; its position in
@@ -88,19 +77,18 @@ type Group struct {
 	// waiting, waitGen, gmin and ndone are the only cross-shard-mutable
 	// pieces and are all atomics or mutex-guarded; the edge sets are
 	// immutable during a run.
-	nextAt   []atomic.Int64   // per-shard earliest pending event, for the quiescence fold
-	pub      []paddedClock    // published per-shard clocks, cache-line padded
-	sigs     []shardSignal    // per-shard wake channels
-	waiting  atomic.Int32     // shards currently blocked in waitNeighbor
-	waitGen  atomic.Uint64    // wait entries; guards quiescentScan vs ABA on waiting
-	gmin     atomic.Int64     // quiescence floor: global min next-event time
-	ndone    atomic.Bool      // termination flag
-	scanMu   sync.Mutex       // serializes quiescentScan
-	inEdges  [][]inEdge       // direct in-edges per shard, ordered by source
-	outEdges [][]outEdge      // producer-side exchange handles per shard
-	outNbrs  [][]int          // distinct out-neighbor shard ids per shard
-	minInLA  []int64          // min in-edge lookahead per shard (floor lift)
-	inbox    [][]registration // exchanges into each shard, registration order
+	nextAt  []atomic.Int64   // per-shard earliest pending event, for the quiescence fold
+	pub     []paddedClock    // published per-shard clocks, cache-line padded
+	sigs    []shardSignal    // per-shard wake channels
+	waiting atomic.Int32     // shards currently blocked in waitNeighbor
+	waitGen atomic.Uint64    // wait entries; guards quiescentScan vs ABA on waiting
+	gmin    atomic.Int64     // quiescence floor: global min next-event time
+	ndone   atomic.Bool      // termination flag
+	scanMu  sync.Mutex       // serializes quiescentScan
+	inEdges [][]inEdge       // direct in-edges per shard, ordered by source
+	outNbrs [][]int          // distinct out-neighbor shard ids per shard
+	minInLA []int64          // min in-edge lookahead per shard (floor lift)
+	inbox   [][]registration // exchanges into each shard, registration order
 }
 
 // NewShard creates a new shard engine attached to e's group, creating the
@@ -193,23 +181,19 @@ func (g *Group) run(limit time.Duration) time.Duration {
 			g.prof[i].Shard = i
 		}
 	}
-	worker := g.runAlone
-	if len(g.exchanges) > 0 {
-		g.setup()
-		worker = g.runShard
-	}
+	g.setup()
 	var wg sync.WaitGroup
 	for id := 1; id < n; id++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
 			defer g.abortOnPanic()
-			worker(id, limit)
+			g.runShard(id, limit)
 		}(id)
 	}
 	func() {
 		defer g.abortOnPanic()
-		worker(0, limit)
+		g.runShard(0, limit)
 	}()
 	wg.Wait()
 	if g.aborted.Load() {
@@ -223,18 +207,6 @@ func (g *Group) run(limit time.Duration) time.Duration {
 		}
 	}
 	return now
-}
-
-// runAlone is the worker of a group without exchanges: no shard can reach
-// another, so each runs to completion in one pass.
-func (g *Group) runAlone(id int, limit time.Duration) {
-	e := g.shards[id]
-	prof := &g.prof[id]
-	n0 := e.nsteps
-	e.runWindow(stopFor(limit))
-	e.alignNow(limit)
-	prof.Windows++
-	prof.Events += e.nsteps - n0
 }
 
 // abortOnPanic converts a shard panic into a group-wide abort so the

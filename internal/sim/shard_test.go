@@ -48,13 +48,7 @@ func (m *ringMailbox) Drain() {
 	}
 }
 
-func (m *ringMailbox) Pending() bool      { return m.ring.Pending() }
-func (m *ringMailbox) SpillPending() bool { return m.ring.SpillLen() > 0 }
-func (m *ringMailbox) FlushSpill() bool   { return m.ring.FlushSpill() }
-func (m *ringMailbox) SpillBound() (time.Duration, bool) {
-	msg, ok := m.ring.SpillHead()
-	return msg.at, ok
-}
+func (m *ringMailbox) Pending() bool { return m.ring.Pending() }
 
 // ringPair builds a two-shard group joined by ring mailboxes both ways with
 // lookahead la.

@@ -15,9 +15,7 @@ func TestSPSCWraparound(t *testing.T) {
 	next := 0
 	for round := 0; round < 5; round++ {
 		for i := 0; i < q.Cap(); i++ {
-			if !q.Push(next + i) {
-				t.Fatalf("round %d: Push(%d) spilled with ring not full", round, next+i)
-			}
+			q.Push(next + i)
 		}
 		for i := 0; i < q.Cap(); i++ {
 			v, ok := q.Pop()
@@ -26,6 +24,9 @@ func TestSPSCWraparound(t *testing.T) {
 			}
 		}
 		next += q.Cap()
+	}
+	if q.Cap() != 8 {
+		t.Fatalf("Cap() = %d after wrapping a ring that never filled past 8, want 8", q.Cap())
 	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop() on empty ring returned ok")
@@ -36,6 +37,8 @@ func TestSPSCWraparound(t *testing.T) {
 }
 
 func TestSPSCConcurrentFIFO(t *testing.T) {
+	// 20 000 messages through a 16-entry first ring: the producer outruns
+	// the consumer, so the ring grows under it while it pops.
 	q := NewSPSC[uint64](16)
 	const total = 20000
 	var wg sync.WaitGroup
@@ -43,17 +46,14 @@ func TestSPSCConcurrentFIFO(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := uint64(0); i < total; i++ {
-			q.Push(i) // ring or spill; either way enqueued in order
-		}
-		for !q.FlushSpill() {
-			runtime.Gosched() // single-core boxes need the consumer scheduled
+			q.Push(i)
 		}
 	}()
 	var got uint64
 	for got < total {
 		v, ok := q.Pop()
 		if !ok {
-			runtime.Gosched()
+			runtime.Gosched() // single-core boxes need the producer scheduled
 			continue
 		}
 		if v != got {
@@ -62,57 +62,59 @@ func TestSPSCConcurrentFIFO(t *testing.T) {
 		got++
 	}
 	wg.Wait()
+	if q.Pending() {
+		t.Fatal("Pending() true after the last message was popped")
+	}
 }
 
-func TestSPSCFullRingSpills(t *testing.T) {
+func TestSPSCFullRingGrows(t *testing.T) {
+	// Two doublings while the consumer is still in the first ring: every
+	// push is poppable at once, in order, across both hand-overs.
 	q := NewSPSC[int](8)
-	for i := 0; i < q.Cap(); i++ {
-		if !q.Push(i) {
-			t.Fatalf("Push(%d) spilled before the ring filled", i)
+	next := 0
+	push := func(n int) {
+		for ; n > 0; n-- {
+			q.Push(next)
+			next++
 		}
 	}
-	// The ring is full: further pushes must go to the producer-private
-	// spill, invisible to the consumer until flushed.
-	for i := q.Cap(); i < q.Cap()+5; i++ {
-		if q.Push(i) {
-			t.Fatalf("Push(%d) reported ring success on a full ring", i)
-		}
-	}
-	if q.SpillLen() != 5 {
-		t.Fatalf("SpillLen() = %d, want 5", q.SpillLen())
-	}
-	if v, ok := q.SpillHead(); !ok || v != q.Cap() {
-		t.Fatalf("SpillHead() = %d,%v, want %d,true", v, ok, q.Cap())
-	}
-	// Drain two, flush: two spilled entries move into the ring, in order.
-	for i := 0; i < 2; i++ {
-		if v, ok := q.Pop(); !ok || v != i {
-			t.Fatalf("Pop() = %d,%v, want %d,true", v, ok, i)
-		}
-	}
-	if q.FlushSpill() {
-		t.Fatal("FlushSpill() claimed empty spill with 3 entries left")
-	}
-	if q.SpillLen() != 3 {
-		t.Fatalf("SpillLen() after partial flush = %d, want 3", q.SpillLen())
-	}
-	// Drain everything; order must be 2..12 without gaps.
-	want := 2
-	for {
-		v, ok := q.Pop()
-		if !ok {
-			if q.FlushSpill() && !q.Pending() {
-				break
+	want := 0
+	pop := func(n int) {
+		t.Helper()
+		for ; n > 0; n-- {
+			if v, ok := q.Pop(); !ok || v != want {
+				t.Fatalf("Pop() = %d,%v, want %d,true", v, ok, want)
 			}
-			continue
+			want++
 		}
-		if v != want {
-			t.Fatalf("Pop() = %d, want %d (spill reordered)", v, want)
-		}
-		want++
 	}
-	if want != q.Cap()+5 {
-		t.Fatalf("drained %d entries, want %d", want, q.Cap()+5)
+	push(8)
+	pop(2) // the consumer is mid-ring when the producer moves on
+	push(2)
+	if q.Cap() != 8 {
+		t.Fatalf("Cap() = %d with the first ring exactly full, want 8", q.Cap())
+	}
+	push(1)
+	if q.Cap() != 16 {
+		t.Fatalf("Cap() = %d after one overflow, want 16", q.Cap())
+	}
+	push(15) // fills the second ring: the consumer holds none of its slots
+	push(1)
+	if q.Cap() != 32 {
+		t.Fatalf("Cap() = %d after two overflows, want 32", q.Cap())
+	}
+	push(5)
+	pop(next - want)
+	if _, ok := q.Pop(); ok || q.Pending() {
+		t.Fatal("queue not empty after popping everything pushed")
+	}
+	// At its high-water mark the queue wraps in place: filling and draining
+	// the 32-entry ring allocates nothing and links nothing.
+	if avg := testing.AllocsPerRun(20, func() { push(32); pop(32) }); avg != 0 {
+		t.Fatalf("fill and drain at the high-water mark: %v allocs/run, want 0", avg)
+	}
+	if q.Cap() != 32 {
+		t.Fatalf("Cap() = %d after wrapping at the high-water mark, want 32", q.Cap())
 	}
 }
 

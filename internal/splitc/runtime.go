@@ -65,9 +65,6 @@ func (nd *Node) Self() int { return nd.t.Self() }
 // N returns the number of processors.
 func (nd *Node) N() int { return nd.t.Size() }
 
-// Transport exposes the underlying substrate.
-func (nd *Node) Transport() Transport { return nd.t }
-
 // OnSmall installs the handler for application small messages.
 func (nd *Node) OnSmall(fn UserHandler) { nd.userSmall = fn }
 

@@ -318,9 +318,6 @@ func (f *Fabric) Path(from, to int) []int {
 // Size returns the number of hosts.
 func (f *Fabric) Size() int { return len(f.uplinks) }
 
-// Stages returns the number of switch stages in the compiled spec.
-func (f *Fabric) Stages() int { return f.Spec.Stages() }
-
 // HostEngine returns the shard engine host's NIC and processes must run on.
 func (f *Fabric) HostEngine(host int) *sim.Engine { return f.hostEng[host] }
 

@@ -71,9 +71,6 @@ func decodeHeader(buf []byte) (h header, ok bool) {
 	}, true
 }
 
-// seqLT reports a < b in mod-256 sequence arithmetic.
-func seqLT(a, b uint8) bool { return int8(a-b) < 0 }
-
 // seqDiff returns a-b in mod-256 arithmetic as a small signed distance.
 func seqDiff(a, b uint8) int { return int(int8(a - b)) }
 

@@ -117,9 +117,6 @@ func newEndpoint(owner *Process, cfg EndpointConfig) *Endpoint {
 // Host returns the endpoint's host.
 func (ep *Endpoint) Host() *Host { return ep.host }
 
-// Owner returns the owning process.
-func (ep *Endpoint) Owner() *Process { return ep.owner }
-
 // Config returns the endpoint's configuration.
 func (ep *Endpoint) Config() EndpointConfig { return ep.cfg }
 

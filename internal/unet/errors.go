@@ -27,9 +27,6 @@ var (
 	ErrLimit = errors.New("unet: kernel resource limit exceeded")
 	// ErrClosed reports use of a destroyed endpoint.
 	ErrClosed = errors.New("unet: endpoint closed")
-	// ErrNoDirectAccess reports a direct-access send toward an endpoint
-	// that was not created with direct-access enabled (§3.6).
-	ErrNoDirectAccess = errors.New("unet: endpoint does not allow direct access")
 	// ErrNoDevice reports an operation on a host with no attached network
 	// interface.
 	ErrNoDevice = errors.New("unet: host has no attached network interface")

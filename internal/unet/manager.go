@@ -30,12 +30,6 @@ func NewManager(c fabric.Network) *Manager {
 // this.
 func (m *Manager) Register(h *Host, port int) { m.ports[h] = port }
 
-// Port returns the switch port of a registered host.
-func (m *Manager) Port(h *Host) (int, bool) {
-	p, ok := m.ports[h]
-	return p, ok
-}
-
 // Channel is the result of connecting two endpoints: the per-endpoint
 // channel identifiers that name the full-duplex VCI pair. AtoB and BtoA
 // are each sender's tx label — the VCI its cells carry on its own uplink,

@@ -37,10 +37,11 @@ race:
 
 # smoke drives the CLI where no test does: a 64-host two-stage Clos storm
 # on four shards (zero queue drops, zero undelivered cells), the island
-# gossip sharded, and the 8192-island overlay end to end (~11 s, ~300 MB —
-# what the size costs when labels are link-local, DESIGN.md §14). Then the
-# README's examples, which no test runs: each twice, and the two outputs
-# must be the same bytes (the Split-C sample sort's were not, until PR 18).
+# gossip sharded, and the 8192-island overlay end to end (~12 s, ~250 MB —
+# what the size costs when labels are link-local and segments resident on
+# use, DESIGN.md §14 and §10). Then the README's examples, which no test
+# runs: each twice, and the two outputs must be the same bytes (the Split-C
+# sample sort's were not, until PR 18).
 smoke:
 	$(GO) run ./cmd/unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -shards 4 -count 4
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4

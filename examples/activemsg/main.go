@@ -123,7 +123,6 @@ func main() {
 	fmt.Printf("reliability: %d store segments, %d retransmissions, %d explicit acks sent\n",
 		st.StoreSegs, st.Retransmits, st.AcksSent)
 	for i := 1; i < 3; i++ {
-		seg := server.Mem()[(i-1)*(64<<10) : (i-1)*(64<<10)+4]
-		fmt.Printf("server memory from node %d starts with % x\n", i, seg)
+		fmt.Printf("server memory from node %d starts with % x\n", i, server.Mem((i-1)*(64<<10), 4))
 	}
 }

@@ -170,7 +170,7 @@ func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
 		if err != nil {
 			panic(err)
 		}
-		a.WaitGet(p, warm)
+		mustNoErr(a.WaitGet(p, warm), "uam get")
 		t0 := p.Now()
 		tags := make([]uint32, 0, count)
 		for i := 0; i < count; i++ {
@@ -181,7 +181,7 @@ func UAMGetBandwidth(cfg uam.Config, size, count int) float64 {
 			tags = append(tags, tag)
 		}
 		for _, tag := range tags {
-			a.WaitGet(p, tag)
+			mustNoErr(a.WaitGet(p, tag), "uam get")
 		}
 		elapsed = p.Now() - t0
 		done()

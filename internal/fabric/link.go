@@ -52,6 +52,7 @@ type SinkFunc func(c atm.Cell)
 // DeliverCell calls f(c).
 //
 //unetlint:allow costcharge adapter only; any processing cost belongs to the wrapped function
+//unetlint:allow hotpathalloc adapter only; what the wrapped function allocates is its own budget, and no fabric is compiled with one
 func (f SinkFunc) DeliverCell(c atm.Cell) { f(c) }
 
 // LinkParams configures a link's timing.
@@ -151,7 +152,7 @@ type Link struct {
 	head  int
 	n     int
 	armed bool
-	train []atm.Cell // scratch slice reused across DeliverTrain calls
+	train *trainBuf // the delivering engine's DeliverTrain scratch
 
 	// Cross-shard mode (see NewCrossLink): the transmit side keeps the
 	// serialization arithmetic (nextFree, stats, loss) but pushes in-flight
@@ -175,12 +176,19 @@ type crossRx struct {
 	idle time.Duration
 }
 
+// trainBuf is the slice fire gathers a train into. Every link delivering on
+// one engine shares that engine's (sim.Local): fire runs only as an engine
+// event and a sink keeps no cell past DeliverTrain, so one is never in use
+// twice, and a fabric's scratch is one slice per shard, as long as its
+// busiest link's backlog, instead of one per link.
+type trainBuf struct{ cells []atm.Cell }
+
 // NewLink creates a link delivering into sink.
 func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
 	}
-	l := &Link{e: e, name: name, p: p, sink: sink}
+	l := &Link{e: e, name: name, p: p, sink: sink, train: sim.Local[trainBuf](e)}
 	l.tsink, _ = sink.(TrainSink)
 	return l
 }
@@ -212,7 +220,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	if src == dst {
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
-	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}}
+	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, train: sim.Local[trainBuf](dst)}
 	peer.tsink, _ = sink.(TrainSink)
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
@@ -280,6 +288,8 @@ func (l *Link) Send(c atm.Cell) time.Duration {
 // FIFO, the switch forwarding a train — enqueue the cells in one callback
 // instead of sleeping between them: serialization against nextFree yields
 // exactly the departure times the per-cell calls would have produced.
+//
+//unetlint:hotpath per-cell transmit; runs for every cell a NIC or switch puts on a link
 func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 	if now := l.e.Now(); start < now {
 		start = now
@@ -363,6 +373,8 @@ func linkFire(a any) { a.(*Link).fire() }
 // delivered here, otherwise only the head cell is (and the event re-arms
 // for the next). Re-arming happens before delivery so a sink that feeds the
 // link again observes consistent state.
+//
+//unetlint:hotpath per-train delivery; runs for every cell or train coming off a link
 func (l *Link) fire() {
 	now := l.e.Now()
 	if l.tsink == nil {
@@ -371,14 +383,23 @@ func (l *Link) fire() {
 		l.sink.DeliverCell(f.c)
 		return
 	}
-	l.train = append(l.train[:0], l.pop().c)
-	next := now + l.p.CellTime
-	for l.n > 0 && l.pend[l.head].arrive == next {
-		l.train = append(l.train, l.pop().c)
+	// A train is at most the cells in flight, so room for those is room for
+	// it, decided once instead of cell by cell.
+	if len(l.train.cells) < l.n {
+		//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds as many cells as any of its links has had in flight at a delivery, and then never grows again
+		l.train.cells = make([]atm.Cell, max(l.n, 2*len(l.train.cells)))
+	}
+	train, k := l.train.cells, 0
+	for next := now; ; {
+		train[k] = l.pop().c
+		k++
 		next += l.p.CellTime
+		if l.n == 0 || l.pend[l.head].arrive != next {
+			break
+		}
 	}
 	l.rearm()
-	l.tsink.DeliverTrain(l.train, now, l.p.CellTime)
+	l.tsink.DeliverTrain(train[:k], now, l.p.CellTime)
 }
 
 // rearm schedules the next delivery, if cells remain in flight.

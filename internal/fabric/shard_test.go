@@ -271,3 +271,78 @@ func TestShardedTieUnequalLatencyMatchesSerial(t *testing.T) {
 	testTie(t, long, DefaultLinkParams(), 5*us)
 	testTie(t, DefaultLinkParams(), long, 5*us)
 }
+
+// vciLog is a TrainSink that keeps the VCIs it was handed (the cells
+// themselves are the link's to reuse once DeliverTrain returns).
+type vciLog struct{ vcis []atm.VCI }
+
+func (v *vciLog) DeliverCell(c atm.Cell) { v.vcis = append(v.vcis, c.VCI) }
+
+func (v *vciLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
+	for _, c := range cells {
+		v.vcis = append(v.vcis, c.VCI)
+	}
+}
+
+// TestTrainScratchIsPerEngine: every link delivering on one engine gathers
+// its trains into that engine's one scratch slice, a link on another shard
+// into that shard's, and a cross link's receive half belongs to the engine
+// it delivers on. Two links whose trains land at the same instant still
+// hand their sinks the right cells, and the second allocates nothing.
+func TestTrainScratchIsPerEngine(t *testing.T) {
+	root := sim.New(1)
+	shard := root.NewShard(2)
+	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
+	var logA, logB vciLog
+	a := NewLink(root, "a", lp, &logA)
+	b := NewLink(root, "b", lp, &logB)
+	far := NewLink(shard, "far", lp, &vciLog{})
+	cross := NewCrossLink(root, shard, "x", lp, &vciLog{})
+	if a.train == nil || a.train != b.train {
+		t.Error("two links on one engine do not share its train scratch")
+	}
+	if far.train == a.train {
+		t.Error("links on different shard engines share a train scratch")
+	}
+	if cross.train != nil || cross.peer.train != far.train {
+		t.Error("a cross link's scratch is not its receive half's, on the destination engine")
+	}
+
+	solo := sim.New(1)
+	var logC, logD vciLog
+	c := NewLink(solo, "c", lp, &logC)
+	d := NewLink(solo, "d", lp, &logD)
+	send := func(l *Link, base, n int) {
+		for i := 0; i < n; i++ {
+			l.Send(atm.Cell{VCI: atm.VCI(base + i)})
+		}
+	}
+	send(c, 100, 20)
+	send(d, 200, 12) // both trains' heads arrive at 2 µs
+	solo.Run()
+	for i, v := range logC.vcis {
+		if v != atm.VCI(100+i) {
+			t.Fatalf("link c delivered VCI %d at position %d", v, i)
+		}
+	}
+	for i, v := range logD.vcis {
+		if v != atm.VCI(200+i) {
+			t.Fatalf("link d delivered VCI %d at position %d", v, i)
+		}
+	}
+	if len(logC.vcis) != 20 || len(logD.vcis) != 12 {
+		t.Fatalf("delivered %d and %d cells, want 20 and 12", len(logC.vcis), len(logD.vcis))
+	}
+	grown := cap(c.train.cells)
+	if grown < 20 {
+		t.Fatalf("scratch holds %d cells after a 20-cell train", grown)
+	}
+	logD.vcis = logD.vcis[:0]
+	if n := testing.AllocsPerRun(10, func() {
+		logD.vcis = logD.vcis[:0]
+		send(d, 200, 20)
+		solo.Run()
+	}); n != 0 || cap(d.train.cells) != grown {
+		t.Errorf("a 20-cell train on link d allocated %v times and left the scratch at %d cells: d should reuse what c's train grew (%d)", n, cap(d.train.cells), grown)
+	}
+}

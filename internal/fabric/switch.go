@@ -244,18 +244,22 @@ type portSink struct {
 	in int
 }
 
-func (ps portSink) DeliverCell(c atm.Cell) { ps.s.deliver(ps.in, c, ps.s.e.Now()) }
+func (ps portSink) DeliverCell(c atm.Cell) { ps.s.DeliverCell(ps.in, c) }
 
 func (ps portSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
-	ps.s.deliverTrain(ps.in, cells, first, spacing)
+	ps.s.DeliverTrain(ps.in, cells, first, spacing)
 }
 
 // PortSink returns the CellSink for input port in: uplinks must deliver
 // through their port's sink so the switch can enforce per-input-port
-// routes.
+// routes. It boxes a value, so wiring keeps the result; a sink that must
+// find its switch at delivery time calls DeliverCell and DeliverTrain.
 func (s *Switch) PortSink(in int) CellSink {
 	return portSink{s: s, in: in}
 }
+
+// DeliverCell forwards a cell arriving now on input port in.
+func (s *Switch) DeliverCell(in int, c atm.Cell) { s.deliver(in, c, s.e.Now()) }
 
 // deliver forwards a single cell arriving at time at on input port in.
 //
@@ -276,15 +280,15 @@ func (s *Switch) deliver(in int, c atm.Cell, at time.Duration) {
 	s.e.AtArg(j.start, fwdFire, j)
 }
 
-// deliverTrain forwards a back-to-back train: cells[i] arrives at
-// first + i*spacing. Consecutive cells bound for the same output port are
+// DeliverTrain forwards a back-to-back train on input port in: cells[i]
+// arrives at first + i*spacing. Consecutive cells bound for the same output port are
 // forwarded by one pooled job; cells on unrouted VCIs are dropped and break
 // the run (their wire slot stays empty, exactly as per-cell forwarding
 // would leave it). A run is copied in bulk and relabelled in place:
 // appending cell by cell grows the job's slice through every size class.
 //
 //unetlint:hotpath per-train label swap; runs for every train crossing the switch
-func (s *Switch) deliverTrain(in int, cells []atm.Cell, first, spacing time.Duration) {
+func (s *Switch) DeliverTrain(in int, cells []atm.Cell, first, spacing time.Duration) {
 	t := s.in[in]
 	for i := 0; i < len(cells); {
 		r := t.row(cells[i].VCI)

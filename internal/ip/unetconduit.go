@@ -1,6 +1,7 @@
 package ip
 
 import (
+	"fmt"
 	"time"
 
 	"unet/internal/sim"
@@ -29,15 +30,18 @@ const stageSlots = 72
 
 // NewUNetConduit builds a conduit over an existing endpoint/channel pair.
 // stageBase is the segment offset where the conduit may stage outgoing
-// packets (it uses stageSlots × MTU bytes).
-func NewUNetConduit(ep *unet.Endpoint, ch unet.ChannelID, local, remote uint32, stageBase int) *UNetConduit {
+// packets (it uses stageSlots × MTU bytes, which must fit the segment).
+func NewUNetConduit(ep *unet.Endpoint, ch unet.ChannelID, local, remote uint32, stageBase int) (*UNetConduit, error) {
+	if end, size := stageBase+stageSlots*MTU, ep.Config().SegmentSize; stageBase < 0 || end > size {
+		return nil, fmt.Errorf("ip: conduit staging [%d, %d) outside the %d-byte segment", stageBase, end, size)
+	}
 	return &UNetConduit{
 		ep:    ep,
 		ch:    ch,
 		local: local,
 		rem:   remote,
 		stage: unet.NewStaging(stageBase, stageSlots*MTU),
-	}
+	}, nil
 }
 
 // LocalAddr returns the local host address.

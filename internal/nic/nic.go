@@ -270,6 +270,7 @@ func (d *Device) MaxEndpoints() int { return d.params.MaxEndpoints }
 // up to the FIFO depth.
 func (d *Device) push(a arrival) {
 	if d.inn == len(d.in) {
+		//unetlint:allow hotpathalloc the ring doubles until it holds the deepest the input FIFO has been, at most InFIFODepth, and then never grows again
 		grown := make([]arrival, max(8, 2*len(d.in)))
 		for i := 0; i < d.inn; i++ {
 			grown[i] = d.in[(d.ihead+i)&(len(d.in)-1)]
@@ -355,6 +356,7 @@ func fireDelayedCell(a any) {
 func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 	dc := d.dcFree
 	if dc == nil {
+		//unetlint:allow hotpathalloc free-list growth: the list reaches the overflow fallback's peak of cells in flight and every later box is recycled
 		dc = &delayedCell{}
 	} else {
 		d.dcFree = dc.next
@@ -571,7 +573,7 @@ func (d *Device) deliverDirect(ent *vciEntry, payload []byte) {
 	}
 	off := int(binary.BigEndian.Uint64(payload))
 	data := payload[directHeaderSize:]
-	if off < 0 || off+len(data) > len(ent.ep.Segment()) {
+	if off < 0 || off+len(data) > ent.ep.Config().SegmentSize {
 		d.stats.DirectDenied++
 		ent.ep.DevDropNoBuffer()
 		return

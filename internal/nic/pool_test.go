@@ -140,7 +140,7 @@ func TestRecvQueueOverflowRecyclesInline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	payload := pr.EpA.Segment()[pr.StageA : pr.StageA+32]
+	payload := pr.EpA.DescAt(pr.ChA, pr.StageA, 32).Inline
 
 	tb.Hosts[0].Spawn("burst", func(p *sim.Proc) {
 		for i := 0; i < 6; i++ {

@@ -82,6 +82,26 @@ type Engine struct {
 	// zero for a plain serial engine). See shard.go.
 	group   *Group
 	shardID int
+	// locals holds model packages' per-engine state, one value per type
+	// (see Local).
+	locals []any
+}
+
+// Local returns e's own value of type T, zero when first asked for. It is
+// where a model package keeps state that everything running on one engine
+// may share and nothing on another engine may touch — scratch memory
+// reused from event to event — since an engine runs one event at a time
+// while the shards of a group run in parallel. Look it up when the model is
+// built, not per event.
+func Local[T any](e *Engine) *T {
+	for _, v := range e.locals {
+		if p, ok := v.(*T); ok {
+			return p
+		}
+	}
+	p := new(T)
+	e.locals = append(e.locals, p)
+	return p
 }
 
 // firstSeq is where an engine's own sequence numbers start. The range below

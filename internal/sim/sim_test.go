@@ -436,3 +436,31 @@ func TestEventSize(t *testing.T) {
 		t.Fatalf("sizeof(event) = %d, want 112", got)
 	}
 }
+
+// TestLocal: an engine has one value of each type asked for, zero at first,
+// the same pointer ever after, and shares none with another engine.
+func TestLocal(t *testing.T) {
+	type scratch struct{ n int }
+	type other struct{ s string }
+	e, f := New(1), New(1)
+	p := Local[scratch](e)
+	if p.n != 0 {
+		t.Fatalf("fresh value = %+v, want zero", *p)
+	}
+	p.n = 7
+	if q := Local[scratch](e); q != p || q.n != 7 {
+		t.Errorf("second lookup returned %p (%+v), want the first value %p", q, *q, p)
+	}
+	if o := Local[other](e); o.s != "" {
+		t.Errorf("a second type's value = %+v, want zero", *o)
+	}
+	if Local[scratch](e) != p {
+		t.Error("asking for a second type displaced the first")
+	}
+	if q := Local[scratch](f); q == p || q.n != 0 {
+		t.Error("two engines share a value")
+	}
+	if s := e.NewShard(2); Local[scratch](s) == p {
+		t.Error("a shard engine shares its root's value")
+	}
+}

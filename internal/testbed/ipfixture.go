@@ -30,7 +30,10 @@ func (tb *Testbed) NewIPConduitPair(a, b int) (*ip.UNetConduit, *ip.UNetConduit,
 	if err != nil {
 		return nil, nil, err
 	}
-	ca := ip.NewUNetConduit(pr.EpA, pr.ChA, uint32(a+1), uint32(b+1), pr.StageA)
-	cb := ip.NewUNetConduit(pr.EpB, pr.ChB, uint32(b+1), uint32(a+1), pr.StageB)
-	return ca, cb, nil
+	ca, err := ip.NewUNetConduit(pr.EpA, pr.ChA, uint32(a+1), uint32(b+1), pr.StageA)
+	if err != nil {
+		return nil, nil, err
+	}
+	cb, err := ip.NewUNetConduit(pr.EpB, pr.ChB, uint32(b+1), uint32(a+1), pr.StageB)
+	return ca, cb, err
 }

@@ -104,11 +104,11 @@ type trunkSink struct {
 }
 
 func (t trunkSink) DeliverCell(c atm.Cell) {
-	t.f.Switches[t.sw].PortSink(t.port).DeliverCell(c)
+	t.f.Switches[t.sw].DeliverCell(t.port, c)
 }
 
 func (t trunkSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
-	t.f.Switches[t.sw].PortSink(t.port).(fabric.TrainSink).DeliverTrain(cells, first, spacing)
+	t.f.Switches[t.sw].DeliverTrain(t.port, cells, first, spacing)
 }
 
 // Compile instantiates spec onto the fabric primitives. hostEng[i] is the

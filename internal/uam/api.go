@@ -40,11 +40,16 @@ func (u *UAM) Reply(p *sim.Proc, handler int, arg uint32, data []byte) error {
 // handler is non-zero, it is invoked on the destination after the final
 // segment with arg as argument. Store returns when the data is queued
 // (sender buffers hold it for retransmission); use Flush to wait for
-// acknowledgment.
+// acknowledgment. A range the wire cannot express is ErrMemRange; one that
+// misses dst's memory is for dst to refuse, segment by segment, counted in
+// its Stats.MemRangeDrops.
 func (u *UAM) Store(p *sim.Proc, dst int, dstOff int, data []byte, handler int, arg uint32) error {
 	pe, err := u.peerFor(dst)
 	if err != nil {
 		return err
+	}
+	if !wireRange(dstOff, len(data)) {
+		return ErrMemRange
 	}
 	for n := 0; n < len(data) || (len(data) == 0 && n == 0); {
 		chunk := len(data) - n
@@ -115,11 +120,12 @@ func (u *UAM) handleStore(p *sim.Proc, pe *peer, h header, data []byte) {
 		arg = uint32(tail[0])<<24 | uint32(tail[1])<<16 | uint32(tail[2])<<8 | uint32(tail[3])
 	}
 	off := int(h.arg)
-	if off < 0 || off+len(payload) > len(u.mem) {
+	if !u.mem.Contains(off, len(payload)) {
+		u.stats.MemRangeDrops++
 		return
 	}
 	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
-	copy(u.mem[off:], payload)
+	copy(u.mem.Writable(off, len(payload)), payload)
 	if h.handler != 0 {
 		if fn := u.handlers[h.handler]; fn != nil {
 			prev := u.replyTo
@@ -132,13 +138,16 @@ func (u *UAM) handleStore(p *sim.Proc, pe *peer, h header, data []byte) {
 
 // Get starts a GAM bulk get: n bytes from src's exposed memory at srcOff
 // are transferred into this node's memory at dstOff. It returns a tag;
-// GetDone reports completion and WaitGet blocks (polling) until then.
+// GetDone reports completion and WaitGet blocks (polling) until then. A
+// range outside this node's memory, or one the wire cannot express, is
+// ErrMemRange here; one that misses src's memory is for src to refuse, and
+// WaitGet reports it.
 func (u *UAM) Get(p *sim.Proc, src int, srcOff, dstOff, n int) (uint32, error) {
 	pe, err := u.peerFor(src)
 	if err != nil {
 		return 0, err
 	}
-	if dstOff < 0 || dstOff+n > len(u.mem) {
+	if !u.mem.Contains(dstOff, n) || !wireRange(srcOff, n) {
 		return 0, ErrMemRange
 	}
 	u.nextTag++
@@ -161,7 +170,11 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		return
 	}
 	src, n, dst := int(req.srcOff), int(req.n), int(req.dstOff)
-	if src < 0 || n < 0 || src+n > len(u.mem) {
+	if !u.mem.Contains(src, n) {
+		// The reliable layer has already acknowledged the request, so
+		// silence would leave the requester's tag pending for ever.
+		u.stats.MemRangeDrops++
+		_ = u.sendReliable(p, pe, typeGetRefused, 0, h.arg, nil)
 		return
 	}
 	sent := 0
@@ -176,7 +189,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		// scratch, reused across segments (sendReliable stages each into a
 		// window slot before returning).
 		p.Charge(u.ep.Host().Params.CopyCost(chunk))
-		seg = append(seg[:0], u.mem[src+sent:src+sent+chunk]...)
+		seg = u.mem.AppendTo(seg[:0], src+sent, chunk)
 		seg = append(seg, byte(h.arg>>24), byte(h.arg>>16), byte(h.arg>>8), byte(h.arg))
 		if err := u.sendReliable(p, pe, typeGetData, 0, uint32(dst+sent), seg); err != nil {
 			break
@@ -199,11 +212,12 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 	tail := data[len(data)-4:]
 	tag := uint32(tail[0])<<24 | uint32(tail[1])<<16 | uint32(tail[2])<<8 | uint32(tail[3])
 	off := int(h.arg)
-	if off < 0 || off+len(payload) > len(u.mem) {
+	if !u.mem.Contains(off, len(payload)) {
+		u.stats.MemRangeDrops++
 		return
 	}
 	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
-	copy(u.mem[off:], payload)
+	copy(u.mem.Writable(off, len(payload)), payload)
 	if rem, ok := u.gets[tag]; ok {
 		if rem -= len(payload); rem <= 0 {
 			delete(u.gets, tag)
@@ -213,17 +227,28 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 	}
 }
 
-// GetDone reports whether the transfer identified by tag has completed.
+// getRefused stands in gets for the bytes remaining of a transfer whose
+// source refused the request, until WaitGet collects it.
+const getRefused = -1
+
+// GetDone reports whether the transfer identified by tag has finished,
+// completed or refused.
 func (u *UAM) GetDone(tag uint32) bool {
-	_, pending := u.gets[tag]
-	return !pending
+	rem, pending := u.gets[tag]
+	return !pending || rem == getRefused
 }
 
-// WaitGet polls until the transfer identified by tag completes.
-func (u *UAM) WaitGet(p *sim.Proc, tag uint32) {
+// WaitGet polls until the transfer identified by tag finishes. It returns
+// ErrMemRange if the source refused the request as outside its memory.
+func (u *UAM) WaitGet(p *sim.Proc, tag uint32) error {
 	for !u.GetDone(tag) {
 		u.PollWait(p, u.cfg.RetransmitTimeout)
 	}
+	if _, refused := u.gets[tag]; refused {
+		delete(u.gets, tag)
+		return ErrMemRange
+	}
+	return nil
 }
 
 // Flush polls until every message queued to dst has been acknowledged —

@@ -420,5 +420,9 @@ func (u *UAM) dispatch(p *sim.Proc, pe *peer, h header, data []byte) {
 	case typeGetData:
 		u.stats.GetSegs++
 		u.handleGetData(p, pe, h, data)
+	case typeGetRefused:
+		if _, pending := u.gets[h.arg]; pending {
+			u.gets[h.arg] = getRefused
+		}
 	}
 }

@@ -127,7 +127,7 @@ func TestStorePlacementProperty(t *testing.T) {
 			done = true
 		})
 		tb.Eng.Run()
-		mem := b.Mem()[off : off+size]
+		mem := b.Mem(off, size)
 		for i := range mem {
 			if mem[i] != data[i] {
 				t.Logf("mismatch at %d (size=%d off=%d)", i, size, off)

@@ -109,6 +109,10 @@ type Stats struct {
 	StoreSegs, GetSegs   uint64
 	Retransmits          uint64
 	Duplicates           uint64
+	// MemRangeDrops counts bulk segments and get requests this side refused
+	// because they addressed bytes outside its exposed memory. The reliable
+	// layer has acknowledged them by then, so the count is where they show.
+	MemRangeDrops uint64
 	// AcksSuppressed counts duplicates that did not force a fresh explicit
 	// ack because one was already pending — a whole go-back-N window replay
 	// solicits one ack, not one per duplicate.
@@ -154,14 +158,14 @@ type UAM struct {
 	// permutation (unetlint's mapiter analyzer enforces this).
 	peerList []*peer
 	byChan   map[unet.ChannelID]*peer
-	mem      []byte
-	gets     map[uint32]int // transfer tag → bytes remaining
+	mem      unet.Backing   // cfg.MemSize bytes exposed to bulk store/get
+	gets     map[uint32]int // transfer tag → bytes remaining, or getRefused
 	nextTag  uint32
 	replyTo  *peer // non-nil while dispatching a request handler
 	inReply  bool  // true while dispatching a reply handler
 	draining bool  // re-entrance guard for pre-send queue draining
 	stats    Stats
-	slotBase int // next free segment offset for peer slot allocation
+	slotBase int // next free segment offset for peer slot allocation (the control ring comes first)
 
 	// nextDeadline coalesces the per-peer retransmit deadlines into one
 	// lower bound (0 = none armed since the last full scan), so checkTimers
@@ -257,9 +261,10 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 		handlers: make([]Handler, 256),
 		peers:    make(map[int]*peer),
 		byChan:   make(map[unet.ChannelID]*peer),
-		mem:      make([]byte, cfg.MemSize),
+		mem:      unet.NewBacking(cfg.MemSize),
 		gets:     make(map[uint32]int),
-		ctrl:     unet.NewStaging(cfg.MaxPeers*perPeer, ctrlRing),
+		ctrl:     unet.NewStaging(0, ctrlRing),
+		slotBase: ctrlRing,
 	}, nil
 }
 
@@ -269,9 +274,11 @@ func (u *UAM) Node() int { return u.node }
 // Endpoint exposes the underlying U-Net endpoint.
 func (u *UAM) Endpoint() *unet.Endpoint { return u.ep }
 
-// Mem exposes the bulk-transfer memory region (the GAM "virtual memory"
-// stores and gets address).
-func (u *UAM) Mem() []byte { return u.mem }
+// Mem exposes bytes [off, off+n) of the bulk-transfer memory region (the
+// GAM "virtual memory" stores and gets address), for the application to
+// read or fill in place. The slice is good until the region is next written
+// past what it has held so far; a range outside MemSize panics.
+func (u *UAM) Mem(off, n int) []byte { return u.mem.Writable(off, n) }
 
 // Stats returns a snapshot of protocol counters.
 func (u *UAM) Stats() Stats { return u.stats }

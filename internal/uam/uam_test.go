@@ -162,7 +162,7 @@ func TestStoreDeliversToRemoteMemory(t *testing.T) {
 	if !completed {
 		t.Fatal("completion handler never ran")
 	}
-	if !bytes.Equal(us[1].Mem()[dst:dst+len(payload)], payload) {
+	if !bytes.Equal(us[1].Mem(dst, len(payload)), payload) {
 		t.Fatal("stored data mismatch")
 	}
 }
@@ -170,7 +170,7 @@ func TestStoreDeliversToRemoteMemory(t *testing.T) {
 func TestGetFetchesRemoteMemory(t *testing.T) {
 	tb, us := fixture(t, 2, uam.Config{})
 	want := bytes.Repeat([]byte{7, 8, 9}, 4000) // 12 KB
-	copy(us[1].Mem()[1000:], want)
+	copy(us[1].Mem(1000, len(want)), want)
 	srvDone := false
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
 		for !srvDone && p.Now() < 50*time.Millisecond {
@@ -184,11 +184,13 @@ func TestGetFetchesRemoteMemory(t *testing.T) {
 			srvDone = true
 			return
 		}
-		us[0].WaitGet(p, tag)
+		if err := us[0].WaitGet(p, tag); err != nil {
+			t.Error(err)
+		}
 		srvDone = true
 	})
 	tb.Eng.Run()
-	if !bytes.Equal(us[0].Mem()[2000:2000+len(want)], want) {
+	if !bytes.Equal(us[0].Mem(2000, len(want)), want) {
 		t.Fatal("fetched data mismatch")
 	}
 }
@@ -324,3 +326,70 @@ func TestEightNodeAllToAll(t *testing.T) {
 		}
 	}
 }
+
+// TestBulkOutOfRange covers the three ways a bulk operation can miss the
+// exposed memory, each of which used to fail silently — and the last never
+// to return. What the caller can see (a negative offset, a range the 32-bit
+// wire fields cannot carry) is ErrMemRange at once; a store that misses the
+// destination's memory is refused there and counted; a get that misses the
+// source's memory is refused and answered, so the tag retires and WaitGet
+// says why. The engine runs to a deadline, not to quiescence: at the parent
+// the refused get left WaitGet polling on a timer for ever.
+func TestBulkOutOfRange(t *testing.T) {
+	tb, us := fixture(t, 2, uam.Config{})
+	memSize := us[1].Config().MemSize
+	var local, storeErr, flushErr, getErr, waitErr error
+	var waited time.Duration
+	cliDone := false
+	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+		for !cliDone && p.Now() < 40*time.Millisecond {
+			us[1].PollWait(p, time.Millisecond)
+		}
+	})
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		defer func() { cliDone = true }()
+		for _, err := range []error{
+			us[0].Store(p, 1, -8, make([]byte, 16), 0, 0),
+			us[0].Store(p, 1, 1<<32-8, make([]byte, 16), 0, 0),
+			second(us[0].Get(p, 1, -8, 0, 16)),
+			second(us[0].Get(p, 1, 0, 0, -16)),
+			second(us[0].Get(p, 1, 1<<32-8, 0, 16)),
+			second(us[0].Get(p, 1, 0, memSize-8, 16)),
+		} {
+			if !errors.Is(err, uam.ErrMemRange) {
+				local = err
+			}
+		}
+		// 10 000 bytes ending 16 past the destination's memory: the first two
+		// segments fit, the third does not.
+		storeErr = us[0].Store(p, 1, memSize-10000+16, make([]byte, 10000), 0, 0)
+		flushErr = us[0].Flush(p, 1)
+		var tag uint32
+		if tag, getErr = us[0].Get(p, 1, memSize, 0, 16); getErr == nil {
+			t0 := p.Now()
+			waitErr = us[0].WaitGet(p, tag)
+			waited = p.Now() - t0
+			if !us[0].GetDone(tag) {
+				t.Error("the refused tag is still pending after WaitGet")
+			}
+		}
+	})
+	tb.Eng.RunUntil(50 * time.Millisecond)
+	if !cliDone {
+		t.Fatal("client still blocked after 50 ms of virtual time")
+	}
+	if local != nil || us[0].Outstanding(1) != 0 {
+		t.Errorf("a range the caller can see to be bad: err %v, %d messages sent, want ErrMemRange and none", local, us[0].Outstanding(1))
+	}
+	if storeErr != nil || flushErr != nil {
+		t.Errorf("store past the destination's memory: Store %v, Flush %v, want nil (the destination refuses it)", storeErr, flushErr)
+	}
+	if getErr != nil || !errors.Is(waitErr, uam.ErrMemRange) || waited > 5*time.Millisecond {
+		t.Errorf("get past the source's memory: Get %v, WaitGet %v after %v, want nil then ErrMemRange within 5 ms", getErr, waitErr, waited)
+	}
+	if st := us[1].Stats(); st.StoreSegs != 3 || st.MemRangeDrops != 2 {
+		t.Errorf("destination saw %d store segments and refused %d operations, want 3 and 2 (one segment, one get)", st.StoreSegs, st.MemRangeDrops)
+	}
+}
+
+func second[T any](_ T, err error) error { return err }

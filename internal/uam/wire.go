@@ -1,16 +1,20 @@
 package uam
 
-import "encoding/binary"
+import (
+	"encoding/binary"
+	"math"
+)
 
 // Message types on the wire.
 const (
-	typeReq     = iota + 1 // Active Message request
-	typeReply              // Active Message reply
-	typeAck                // explicit cumulative acknowledgment
-	typeStore              // bulk store segment (GAM store)
-	typeGetReq             // bulk get request
-	typeGetData            // bulk get data segment
-	typeAckPing            // unsequenced ack solicitation (sender flush)
+	typeReq        = iota + 1 // Active Message request
+	typeReply                 // Active Message reply
+	typeAck                   // explicit cumulative acknowledgment
+	typeStore                 // bulk store segment (GAM store)
+	typeGetReq                // bulk get request
+	typeGetData               // bulk get data segment
+	typeAckPing               // unsequenced ack solicitation (sender flush)
+	typeGetRefused            // bulk get request outside the source's memory; arg is the tag
 )
 
 // flagReqAck, set in the type byte, asks the receiver for a prompt
@@ -85,6 +89,12 @@ func (g getReq) encode(buf []byte) {
 	binary.BigEndian.PutUint32(buf[0:4], g.srcOff)
 	binary.BigEndian.PutUint32(buf[4:8], g.dstOff)
 	binary.BigEndian.PutUint32(buf[8:12], g.n)
+}
+
+// wireRange reports whether [off, off+n) can travel in the 32-bit offset
+// and length fields of the bulk messages.
+func wireRange(off, n int) bool {
+	return off >= 0 && n >= 0 && int64(off)+int64(n) <= math.MaxUint32
 }
 
 func decodeGetReq(buf []byte) (g getReq, ok bool) {

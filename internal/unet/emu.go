@@ -23,8 +23,12 @@ const emuHeaderSize = 4
 // shared resource).
 const emuMTU = 8192
 
-// emuTxRegion is the size of the kernel segment's transmit staging region.
-const emuTxRegion = 160 << 10
+// emuTxRegion is the size of the kernel segment's transmit staging region;
+// emuRecvBufs receive buffers follow it.
+const (
+	emuTxRegion = 160 << 10
+	emuRecvBufs = 64
+)
 
 // EmuChannelID names a channel registered on an emulated endpoint.
 type EmuChannelID int
@@ -87,6 +91,9 @@ func (k *Kernel) EnableEmulation(p *sim.Proc) error {
 		RecvQueueCap: 128,
 		FreeQueueCap: 128,
 	}
+	if need := emuTxRegion + emuRecvBufs*cfg.RecvBufSize; need > cfg.SegmentSize {
+		return fmt.Errorf("unet: enabling emulation: staging region and receive buffers need %d bytes of a %d-byte segment", need, cfg.SegmentSize)
+	}
 	// The kernel is not subject to its own user-process limits.
 	saved := k.limits
 	k.limits = Limits{MaxEndpoints: saved.MaxEndpoints + 1, MaxSegmentBytes: cfg.SegmentSize, MaxQueueCap: 1024}
@@ -103,7 +110,7 @@ func (k *Kernel) EnableEmulation(p *sim.Proc) error {
 		tx:     NewStaging(0, emuTxRegion),
 	}
 	// Receive buffers occupy the rest of the kernel segment.
-	if _, err := kep.ProvideRecvBuffers(p, emuTxRegion, 64); err != nil {
+	if _, err := kep.ProvideRecvBuffers(p, emuTxRegion, emuRecvBufs); err != nil {
 		return err
 	}
 	k.emu = st

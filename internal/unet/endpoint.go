@@ -1,6 +1,7 @@
 package unet
 
 import (
+	"fmt"
 	"time"
 
 	"unet/internal/atm"
@@ -82,7 +83,7 @@ type Endpoint struct {
 	host  *Host
 	owner *Process
 	cfg   EndpointConfig
-	seg   []byte
+	seg   Backing // cfg.SegmentSize bytes, resident as far as they have been written
 
 	sendQ *sim.FIFO[SendDesc]
 	recvQ *sim.FIFO[RecvDesc]
@@ -107,7 +108,7 @@ func newEndpoint(owner *Process, cfg EndpointConfig) *Endpoint {
 		host:  owner.host,
 		owner: owner,
 		cfg:   cfg,
-		seg:   make([]byte, cfg.SegmentSize),
+		seg:   NewBacking(cfg.SegmentSize),
 		sendQ: sim.NewFIFO[SendDesc](cfg.SendQueueCap),
 		recvQ: sim.NewFIFO[RecvDesc](cfg.RecvQueueCap),
 		freeQ: sim.NewFIFO[int](cfg.FreeQueueCap),
@@ -126,13 +127,8 @@ func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 // Closed reports whether the endpoint has been destroyed.
 func (ep *Endpoint) Closed() bool { return ep.closed }
 
-// Segment exposes the communication segment to the NI model and to tests.
-// Layers above go through Compose, DescAt, Gather and Release instead, so
-// that the segment has a known set of writers.
-func (ep *Endpoint) Segment() []byte { return ep.seg }
-
 func (ep *Endpoint) checkRange(off, n int) error {
-	if off < 0 || n < 0 || off+n > len(ep.seg) {
+	if !ep.seg.Contains(off, n) {
 		return ErrBadOffset
 	}
 	return nil
@@ -148,7 +144,7 @@ func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 		return err
 	}
 	p.Charge(ep.host.Params.CopyCost(len(data)))
-	copy(ep.seg[off:], data)
+	copy(ep.seg.Writable(off, len(data)), data)
 	return nil
 }
 
@@ -159,7 +155,7 @@ func (ep *Endpoint) ReadBuf(p *sim.Proc, off int, buf []byte) error {
 		return err
 	}
 	p.Charge(ep.host.Params.CopyCost(len(buf)))
-	copy(buf, ep.seg[off:off+len(buf)])
+	ep.seg.CopyTo(buf, off)
 	return nil
 }
 
@@ -216,9 +212,10 @@ func (ep *Endpoint) SendBlock(p *sim.Proc, d SendDesc) error {
 // takes it (§3.4), by offset and length otherwise — always the latter on a
 // device without the fast path. The bytes must stay put until the NI pops
 // the descriptor; a Staging region sized past the send queue sees to that.
+// A range outside the segment panics.
 func (ep *Endpoint) DescAt(ch ChannelID, off, n int) SendDesc {
 	if n <= ep.host.dev.SingleCellMax() {
-		return SendDesc{Channel: ch, Inline: ep.seg[off : off+n]}
+		return SendDesc{Channel: ch, Inline: ep.seg.Writable(off, n)}
 	}
 	return SendDesc{Channel: ch, Offset: off, Length: n}
 }
@@ -235,8 +232,13 @@ type Staging struct{ base, size, next int }
 // NewStaging returns the allocator for segment bytes [base, base+size).
 func NewStaging(base, size int) Staging { return Staging{base: base, size: size} }
 
-// Next returns the segment offset for an n-byte message.
+// Next returns the segment offset for an n-byte message. A message larger
+// than the whole region is a sizing bug in the owner, not a run-time
+// condition: writing it at the base would run into whatever lies behind.
 func (s *Staging) Next(n int) int {
+	if n > s.size {
+		panic(fmt.Sprintf("unet: %d-byte message staged in a %d-byte region", n, s.size))
+	}
 	if s.next+n > s.size {
 		s.next = 0
 	}
@@ -365,11 +367,13 @@ func (ep *Endpoint) consume(rd RecvDesc) {
 
 // PushFree returns a receive buffer at segment offset off to the NI
 // through the free queue (§3.1). Buffers must lie in the segment and are
-// RecvBufSize bytes long.
+// RecvBufSize bytes long; a buffer is resident from the moment the NI may
+// fill it, so the DMA that does finds its memory there.
 func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 	if err := ep.checkRange(off, ep.cfg.RecvBufSize); err != nil {
 		return err
 	}
+	ep.seg.Writable(off, ep.cfg.RecvBufSize)
 	p.Charge(ep.host.Params.FreePush)
 	if !ep.freeQ.TryPut(off) {
 		return ErrLimit
@@ -379,8 +383,12 @@ func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 
 // ProvideRecvBuffers carves n receive buffers from the segment starting at
 // base and pushes them all onto the free queue. Convenience for set-up
-// code; returns the offset just past the last buffer.
+// code; returns the offset just past the last buffer. The carve names its
+// whole range, so the segment becomes resident up to its end in one step.
 func (ep *Endpoint) ProvideRecvBuffers(p *sim.Proc, base, n int) (int, error) {
+	if size := n * ep.cfg.RecvBufSize; ep.seg.Contains(base, size) {
+		ep.seg.Provision(base, size)
+	}
 	off := base
 	for i := 0; i < n; i++ {
 		if err := ep.PushFree(p, off); err != nil {
@@ -511,7 +519,7 @@ func (ep *Endpoint) DevWriteSegment(off int, data []byte) {
 	if err := ep.checkRange(off, len(data)); err != nil {
 		panic("unet: device DMA outside segment")
 	}
-	copy(ep.seg[off:], data)
+	copy(ep.seg.Writable(off, len(data)), data)
 }
 
 // DevReadSegmentAppend is the NI's DMA out of the communication segment
@@ -521,5 +529,5 @@ func (ep *Endpoint) DevReadSegmentAppend(dst []byte, off, n int) []byte {
 	if err := ep.checkRange(off, n); err != nil {
 		panic("unet: device DMA outside segment")
 	}
-	return append(dst, ep.seg[off:off+n]...)
+	return ep.seg.AppendTo(dst, off, n)
 }

@@ -194,7 +194,7 @@ func TestDescAt(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := pr.EpA.DescAt(pr.ChA, off, atm.SingleCellMax)
-	if d.Channel != pr.ChA || !bytes.Equal(d.Inline, msg[:atm.SingleCellMax]) || &d.Inline[0] != &pr.EpA.Segment()[off] {
+	if d.Channel != pr.ChA || !bytes.Equal(d.Inline, msg[:atm.SingleCellMax]) || &d.Inline[0] != &pr.EpA.DescAt(pr.ChA, off, 1).Inline[0] {
 		t.Errorf("%d B: %+v, want the segment's own bytes inline", atm.SingleCellMax, d)
 	}
 	d = pr.EpA.DescAt(pr.ChA, off, atm.SingleCellMax+1)

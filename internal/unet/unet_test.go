@@ -136,7 +136,7 @@ func TestSendOutOfSegmentRejected(t *testing.T) {
 	tb, pr := newPair(t, unet.EndpointConfig{}, 4)
 	var errs []error
 	pr.EpA.Host().Spawn("tx", func(p *sim.Proc) {
-		seg := len(pr.EpA.Segment())
+		seg := pr.EpA.Config().SegmentSize
 		errs = append(errs,
 			pr.EpA.Send(p, unet.SendDesc{Channel: pr.ChA, Offset: seg - 10, Length: 100}),
 			pr.EpA.Send(p, unet.SendDesc{Channel: pr.ChA, Offset: -1, Length: 10}),
@@ -448,8 +448,9 @@ func TestDirectAccessDeposit(t *testing.T) {
 	if len(rd.Buffers) != 0 {
 		t.Fatal("direct deposit consumed receive buffers")
 	}
-	if !bytes.Equal(pr.EpB.Segment()[dst:dst+len(payload)], payload) {
-		t.Fatal("data not deposited at destination offset")
+	got := make([]byte, len(payload))
+	if err := pr.EpB.ReadBuf(nil, dst, got); err != nil || !bytes.Equal(got, payload) {
+		t.Fatalf("data not deposited at destination offset (err %v)", err)
 	}
 }
 
@@ -474,7 +475,7 @@ func TestDirectAccessDeniedWithoutCapability(t *testing.T) {
 func TestComposeReadBufBounds(t *testing.T) {
 	tb, pr := newPair(t, unet.EndpointConfig{}, 0)
 	defer tb.Eng.Shutdown()
-	if err := pr.EpA.Compose(nil, len(pr.EpA.Segment())-1, []byte{1, 2}); !errors.Is(err, unet.ErrBadOffset) {
+	if err := pr.EpA.Compose(nil, pr.EpA.Config().SegmentSize-1, []byte{1, 2}); !errors.Is(err, unet.ErrBadOffset) {
 		t.Fatalf("Compose out of range: %v", err)
 	}
 	if err := pr.EpA.ReadBuf(nil, -1, make([]byte, 1)); !errors.Is(err, unet.ErrBadOffset) {

@@ -45,7 +45,6 @@ func SegmentAppend(dst []Cell, vci VCI, payload []byte) []Cell {
 	}
 	dst = dst[:base+ncells]
 
-	crc := uint32(0xFFFFFFFF)
 	rest := payload
 	for i := 0; i < ncells; i++ {
 		c := &dst[base+i]
@@ -55,15 +54,24 @@ func SegmentAppend(dst []Cell, vci VCI, payload []byte) []Cell {
 		n := copy(c.Payload[:], rest)
 		rest = rest[n:]
 		clear(c.Payload[n:]) // zero padding (and trailer space, filled below)
-		if i < ncells-1 {
-			crc = CRC32Update(crc, c.Payload[:])
-		}
 	}
 	last := &dst[base+ncells-1]
 	last.EOP = true
 	binary.BigEndian.PutUint16(last.Payload[PayloadSize-6:], uint16(len(payload)))
-	crc = CRC32Update(crc, last.Payload[:PayloadSize-4]) ^ 0xFFFFFFFF
-	binary.BigEndian.PutUint32(last.Payload[PayloadSize-4:], crc)
+	// The CRC covers the payload, the padding and the trailer up to the CRC
+	// field. The payload is contiguous in the caller's buffer, so it is
+	// folded in one call — long enough for hash/crc32's vector kernels, which
+	// a 48-byte cell is not — and what follows it lies in the last cell, or
+	// the last two when the trailer spilled into a cell of its own.
+	crc := CRC32Update(0xFFFFFFFF, payload)
+	for i := len(payload) / PayloadSize; i < ncells; i++ {
+		tail := dst[base+i].Payload[max(len(payload)-i*PayloadSize, 0):]
+		if i == ncells-1 {
+			tail = tail[:len(tail)-4]
+		}
+		crc = CRC32Update(crc, tail)
+	}
+	binary.BigEndian.PutUint32(last.Payload[PayloadSize-4:], crc^0xFFFFFFFF)
 	return dst
 }
 

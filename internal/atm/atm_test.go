@@ -2,7 +2,9 @@ package atm
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +122,72 @@ func TestSegmentReassembleSizes(t *testing.T) {
 		got := roundTrip(t, VCI(5), payload)
 		if !bytes.Equal(got, payload) {
 			t.Fatalf("size %d: reassembled payload differs", n)
+		}
+	}
+}
+
+// segmentPerCell is the segmentation SegmentAppend replaced, kept as its
+// reference: the PDU is laid out cell by cell and the CRC folded 48 bytes
+// at a time, in wire order.
+func segmentPerCell(vci VCI, payload []byte) []Cell {
+	cells := make([]Cell, max(CellsFor(len(payload)), 1))
+	crc := uint32(0xFFFFFFFF)
+	rest := payload
+	for i := range cells {
+		c := &cells[i]
+		c.VCI = vci
+		rest = rest[copy(c.Payload[:], rest):]
+		if i < len(cells)-1 {
+			crc = CRC32Update(crc, c.Payload[:])
+		}
+	}
+	last := &cells[len(cells)-1]
+	last.EOP = true
+	binary.BigEndian.PutUint16(last.Payload[PayloadSize-6:], uint16(len(payload)))
+	crc = CRC32Update(crc, last.Payload[:PayloadSize-4]) ^ 0xFFFFFFFF
+	binary.BigEndian.PutUint32(last.Payload[PayloadSize-4:], crc)
+	return cells
+}
+
+// TestSegmentMatchesPerCellFold pins SegmentAppend's bytes: folding the CRC
+// over the whole payload and then over the pad and trailer must produce the
+// cells the per-cell fold does, at every alignment of the payload's end
+// against the cell boundary (trailer in the same cell, split pad, trailer
+// alone in a cell of its own) and at the sizes the experiments send. dst
+// starts dirty and non-empty: the cells are assembled in place.
+func TestSegmentMatchesPerCellFold(t *testing.T) {
+	sizes := []int{1024, 4096, 9180, MaxPDU}
+	for n := 0; n <= 4*PayloadSize+TrailerSize; n++ {
+		sizes = append(sizes, n)
+	}
+	dirty := Cell{VCI: 99, EOP: true, Direct: true}
+	for i := range dirty.Payload {
+		dirty.Payload[i] = 0xA5
+	}
+	var dst []Cell
+	for _, n := range sizes {
+		payload := make([]byte, n)
+		for i := range payload {
+			payload[i] = byte(i*131 + n)
+		}
+		want := segmentPerCell(7, payload)
+		dst = append(dst[:0], dirty)
+		for i := range dst[1:cap(dst)] {
+			dst[1:cap(dst)][i] = dirty
+		}
+		dst = SegmentAppend(dst, 7, payload)
+		if !slices.Equal(dst[1:], want) || dst[0] != dirty {
+			t.Fatalf("size %d: SegmentAppend's cells differ from the per-cell fold's", n)
+		}
+		var r Reassembler
+		for i, c := range dst[1:] {
+			got, err := r.Add(c)
+			if err != nil {
+				t.Fatalf("size %d: Add cell %d: %v", n, i, err)
+			}
+			if c.EOP && !bytes.Equal(got, payload) {
+				t.Fatalf("size %d: reassembled payload differs", n)
+			}
 		}
 	}
 }

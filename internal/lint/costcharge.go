@@ -39,6 +39,7 @@ var CostCharge = &Analyzer{
 // chargeCalls are callee names that unambiguously spend virtual time.
 var chargeCalls = map[string]bool{
 	"Sleep":      true,
+	"SleepTo":    true,
 	"SleepUntil": true,
 	"WaitReady":  true,
 	"syncTo":     true,

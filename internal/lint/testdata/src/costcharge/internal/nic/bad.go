@@ -39,6 +39,24 @@ func (d *Dev) Deliver(c Cell, p proc) {
 	p.Sleep(d.perCellCost)
 }
 
+type engine struct{}
+
+func (engine) SleepTo(time.Duration, func(any), any) bool { return true }
+
+// Step charges the way an event handler does: by sleeping the engine to an
+// instant. No cost parameter is named and no cursor kept.
+func (d *Dev) Step(c Cell, e engine, at time.Duration) {
+	_ = c
+	if !e.SleepTo(at, nil, nil) {
+		return
+	}
+}
+
+// StepFree is the same handler without the sleep.
+func (d *Dev) StepFree(c Cell, e engine) { // want `StepFree moves cells but never charges a virtual-time cost`
+	_, _ = c, e
+}
+
 // Absorb charges through cursor arithmetic.
 func (d *Dev) Absorb(cells []Cell) {
 	cursor := d.now

@@ -7,6 +7,8 @@
 // for the SBA-100, trap-level host) processor that drains endpoint send
 // queues, segments messages into AAL5 cells onto the uplink, reassembles
 // arriving cells, and delivers descriptors into endpoint receive queues.
+// The processor is a state machine the engine steps as a plain event — the
+// firmware's polling loop (§4.2.2) — not a sim.Proc: nothing in it blocks.
 // The models differ only in their Params cost tables and fast-path
 // capabilities; every constant is calibrated against a measurement quoted
 // in the paper (see the constructors in params.go).
@@ -39,6 +41,7 @@ type Stats struct {
 	CrcDrops     uint64 // subset of BadPDUs: CRC-32 mismatch (corrupt payload)
 	UnknownVCIs  uint64 // cells on unregistered VCIs
 	DirectDenied uint64 // direct-access PDUs to non-direct endpoints
+	ClosedDrops  uint64 // complete PDUs whose channel closed while the processor was charging for them
 	// Doorbells counts KickTx rings; DoorbellsCoalesced counts the rings
 	// absorbed by an already-pending doorbell (the processor learns of the
 	// whole burst from one signal, as the SBA-200 firmware's polling loop
@@ -68,6 +71,26 @@ type arrival struct {
 	arrive time.Duration
 }
 
+// delivery is the observable action the processor has charged for on its
+// cursor and not yet performed: step sleeps to the cursor, then perform
+// carries it out. It names its endpoint by value, not by table row — the
+// row can be closed, reopened or moved while the processor sleeps.
+type delivery struct {
+	kind    uint8
+	direct  bool
+	vci     atm.VCI
+	ch      unet.ChannelID
+	ep      *unet.Endpoint
+	payload []byte
+}
+
+const (
+	pendNone    = iota
+	pendBadPDU  // AAL5 validation failed: count the drop at the endpoint
+	pendInline  // single-cell fast path: the slab rides in the descriptor
+	pendScatter // buffered or direct: copy into the segment, slab back to the arena
+)
+
 // Device is a NIC model servicing the U-Net endpoints of one host. It
 // implements unet.Device.
 type Device struct {
@@ -83,7 +106,18 @@ type Device struct {
 	in    []arrival
 	ihead int
 	inn   int
-	work  sim.Cond
+
+	// The on-board processor (step). cursor is its position in virtual time:
+	// at or ahead of the clock while it works, stale while it is idle. pend is
+	// the action waiting for the clock to reach the cursor. idle means no
+	// event of the processor's is queued and the next doorbell or arrival
+	// must queue one (wake); timeout is the wake-up an idle processor armed
+	// for a head cell stamped in the future.
+	cursor  time.Duration
+	pend    delivery
+	started bool
+	idle    bool
+	timeout sim.Timer
 
 	eps   []*unet.Endpoint
 	txRR  int
@@ -157,8 +191,14 @@ func Attach(h *unet.Host, cl fabric.Network, m *unet.Manager, port int, params P
 	return d
 }
 
-// Start spawns the device's processing loop.
-func (d *Device) Start() { d.e.Spawn(d.name, d.run) }
+// Start schedules the processor's first step at the current virtual time.
+func (d *Device) Start() {
+	if d.started {
+		panic(fmt.Sprintf("nic: %s started twice", d.name))
+	}
+	d.started = true
+	d.e.AtArg(d.e.Now(), stepDevice, d)
+}
 
 // Stats returns a snapshot of the device counters.
 func (d *Device) Stats() Stats { return d.stats }
@@ -254,7 +294,7 @@ func (d *Device) KickTx(ep *unet.Endpoint) {
 		return
 	}
 	d.txDoorbell = true
-	d.work.Signal()
+	d.wake()
 }
 
 // SingleCellMax reports the inline-descriptor fast-path limit.
@@ -301,7 +341,7 @@ func (d *Device) DeliverCell(c atm.Cell) {
 		return
 	}
 	d.push(arrival{c: c, arrive: d.e.Now()})
-	d.work.Signal()
+	d.wake()
 }
 
 // DeliverTrain implements fabric.TrainSink: a back-to-back run of cells is
@@ -327,7 +367,7 @@ func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 	for i := range cells {
 		d.push(arrival{c: cells[i], arrive: first + time.Duration(i)*spacing})
 	}
-	d.work.Signal()
+	d.wake()
 }
 
 // delayedCell boxes one cell scheduled for future delivery, recycled
@@ -368,63 +408,104 @@ func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 
 // --- processing loop ---
 
-// run is the on-board processor (the i960 in the SBA-200; the trap-level
+// step is the on-board processor (the i960 in the SBA-200; the trap-level
 // host CPU in the SBA-100): it alternates draining the input FIFO —
 // reception has priority, as in the firmware — with servicing one send
 // descriptor per round from the endpoints, round-robin.
 //
-// Per-cell costs are accounted arithmetically on a virtual cursor rather
-// than with one Sleep per cell: the cursor advances by each cell's cost,
-// and the process synchronizes (sleeps to the cursor) only before an
-// observable action — delivering a PDU, popping a send descriptor, or
-// going idle. The observable timeline is identical to sleep-per-cell; the
-// engine just runs one context switch per PDU instead of several per cell.
-func (d *Device) run(p *sim.Proc) {
+// Per-cell costs are accounted arithmetically on the cost cursor rather
+// than with one sleep per cell: the cursor advances by each cell's cost,
+// and the clock is brought up to it (syncTo) only before an observable
+// action — delivering a PDU, popping a send descriptor, or going idle. The
+// observable timeline is identical to sleep-per-cell.
+//
+// step runs as an event and cannot block. Where syncTo cannot move the
+// clock in place it has queued step again at the cursor and step returns;
+// everything it needs to carry on — cursor, pend, the FIFO, the doorbell —
+// is in the device, so re-entry is just the top of the loop. Every event
+// it queues sits where a process written as a blocking loop would have
+// queued its resume event, so nothing else in the simulation can tell.
+//
+//unetlint:hotpath the firmware loop; runs on every burst of cells and every send
+func (d *Device) step() {
+	d.cursor = d.e.Now() // a wake from idle; after a sleep the two already agree
 	for {
-		progress := false
-		// Drain every cell that has arrived by the processor's current
-		// position in virtual time, re-checking after each synchronizing
-		// sleep (more cells may have arrived in the interim — the same
-		// cells a sleep-per-cell processor would find in its input FIFO).
-		for d.inn > 0 && d.in[d.ihead].arrive <= p.Now() {
-			cursor := p.Now()
-			for d.inn > 0 && d.in[d.ihead].arrive <= cursor {
-				cursor = d.processCell(p, d.pop().c, cursor)
+		switch {
+		case d.pend.kind != pendNone:
+			if !d.syncTo() {
+				return
 			}
-			d.syncTo(p, cursor)
-			progress = true
-		}
-		// The send scan runs only while the doorbell is pending: a clear
-		// doorbell guarantees every send queue is empty (the last scan found
-		// them so, and enqueues since would have rung). Clearing only on an
-		// empty scan keeps the service order — and hence the timeline —
-		// identical to the unconditional scan.
-		if d.txDoorbell {
+			d.perform()
+		case d.inn > 0 && d.in[d.ihead].arrive <= d.cursor:
+			// Every cell that has arrived by the processor's position, cells
+			// that landed during a sleep included — the cells a sleep-per-cell
+			// processor would find in its input FIFO.
+			d.processCell(d.pop().c)
+		case d.cursor > d.e.Now():
+			if !d.syncTo() {
+				return
+			}
+		case d.txDoorbell:
+			// The send scan runs only while the doorbell is pending: a clear
+			// doorbell guarantees every send queue is empty (the last scan
+			// found them so, and enqueues since would have rung). Clearing
+			// only on an empty scan keeps the service order — and hence the
+			// timeline — identical to the unconditional scan.
 			if ep := d.nextTxEndpoint(); ep != nil {
-				d.handleTx(p, ep)
-				progress = true
+				d.handleTx(ep)
+				if !d.syncTo() {
+					return
+				}
 			} else {
 				d.txDoorbell = false
 			}
-		}
-		if !progress {
+		default:
 			if d.inn > 0 {
-				// The head cell is stamped in the future: sleep until it
-				// arrives, unless send work shows up first.
-				p.WaitTimeout(&d.work, d.in[d.ihead].arrive-p.Now())
-			} else {
-				p.Wait(&d.work)
+				// The head cell is stamped in the future: wake when it
+				// arrives, unless a doorbell or an earlier cell wakes first.
+				d.timeout = d.e.AtArg(d.in[d.ihead].arrive, timeoutDevice, d)
 			}
+			d.idle = true
+			return
 		}
 	}
 }
 
-// syncTo sleeps the processor forward to the cost cursor, making the
-// virtual clock agree with the accounted work before an observable action.
-func (d *Device) syncTo(p *sim.Proc, cursor time.Duration) {
-	if cursor > p.Now() {
-		p.Sleep(cursor - p.Now())
+// stepDevice is the processor's event: its start, a wake from idle and the
+// far end of a sleep. A wake cancels the idle timeout here, when it fires,
+// not when the doorbell rang; otherwise the handle is spent and Cancel does
+// nothing.
+func stepDevice(a any) {
+	d := a.(*Device)
+	d.timeout.Cancel()
+	d.step()
+}
+
+// timeoutDevice fires when an idle processor's future-stamped head cell
+// arrives. If a doorbell got in first the wake it queued is still to come
+// and this does nothing.
+func timeoutDevice(a any) {
+	if d := a.(*Device); d.idle {
+		d.idle = false
+		d.step()
 	}
+}
+
+// wake queues a step for an idle processor at the current instant; one that
+// is working or asleep finds the new work itself.
+func (d *Device) wake() {
+	if d.idle {
+		d.idle = false
+		d.e.AtArg(d.e.Now(), stepDevice, d)
+	}
+}
+
+// syncTo brings the virtual clock up to the cost cursor before an observable
+// action. It reports false when step has been queued at the cursor instead
+// and must return (sim.Engine.SleepTo); a cursor the clock has already
+// reached costs nothing, not even a sequence number.
+func (d *Device) syncTo() bool {
+	return d.cursor <= d.e.Now() || d.e.SleepTo(d.cursor, stepDevice, d)
 }
 
 func (d *Device) nextTxEndpoint() *unet.Endpoint {
@@ -444,7 +525,7 @@ func (d *Device) nextTxEndpoint() *unet.Endpoint {
 // are fetched from the communication segment (host-memory DMA, charged in
 // TxFixed/TxPerCell) and segmented. The uplink's bounded output FIFO
 // paces the processor when the fiber backs up.
-func (d *Device) handleTx(p *sim.Proc, ep *unet.Endpoint) {
+func (d *Device) handleTx(ep *unet.Endpoint) {
 	desc, ok := ep.DevPopSend()
 	if !ok {
 		return
@@ -454,11 +535,10 @@ func (d *Device) handleTx(p *sim.Proc, ep *unet.Endpoint) {
 		return // channel closed while queued
 	}
 	d.stats.PDUsOut++
-	cursor := p.Now()
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
-		cursor += d.params.TxSingleCell
+		d.cursor += d.params.TxSingleCell
 		d.txCells = atm.SegmentAppend(d.txCells[:0], tx, desc.Inline)
-		d.sendCells(p, d.txCells, cursor)
+		d.sendCells(d.txCells)
 		return
 	}
 	d.txData = d.txData[:0]
@@ -470,14 +550,14 @@ func (d *Device) handleTx(p *sim.Proc, ep *unet.Endpoint) {
 	} else {
 		d.txData = ep.DevReadSegmentAppend(d.txData, desc.Offset, desc.Length)
 	}
-	cursor += d.params.TxFixed
+	d.cursor += d.params.TxFixed
 	d.txCells = atm.SegmentAppend(d.txCells[:0], tx, d.txData)
 	if desc.Direct {
 		for i := range d.txCells {
 			d.txCells[i].Direct = true
 		}
 	}
-	d.sendCells(p, d.txCells, cursor)
+	d.sendCells(d.txCells)
 }
 
 // sendCells puts cells on the uplink. The per-cell processor cost and the
@@ -485,42 +565,41 @@ func (d *Device) handleTx(p *sim.Proc, ep *unet.Endpoint) {
 // into the cursor in closed form — the device is the uplink's only sender,
 // so its committed-work horizon (NextFree) is fully known — and each cell
 // is enqueued with SendAt at exactly the time Send would have been called.
-// One synchronizing sleep at the end lands the processor where the
+// The caller's synchronizing sleep lands the processor where the
 // sleep-per-cell loop would have left it.
-func (d *Device) sendCells(p *sim.Proc, cells []atm.Cell, cursor time.Duration) {
+func (d *Device) sendCells(cells []atm.Cell) {
 	limit := time.Duration(d.params.OutFIFOCells) * d.uplink.Params().CellTime
 	for i := range cells {
-		cursor += d.params.TxPerCell
-		if ready := d.uplink.NextFree() - limit; cursor < ready {
-			cursor = ready // stall: output FIFO full
+		d.cursor += d.params.TxPerCell
+		if ready := d.uplink.NextFree() - limit; d.cursor < ready {
+			d.cursor = ready // stall: output FIFO full
 		}
-		d.uplink.SendAt(cells[i], cursor)
+		d.uplink.SendAt(cells[i], d.cursor)
 		d.stats.CellsOut++
 	}
-	d.syncTo(p, cursor)
 }
 
 // processCell accounts and processes one arriving cell, advancing the cost
-// cursor and returning it. Single-cell PDUs take the receive fast path:
-// deposited directly into the next receive-queue entry with no buffer
-// allocation (§4.2.2). Multi-cell PDUs accumulate per VCI and are scattered
-// into free-queue buffers on completion. Mid-PDU cells have no observable
-// effect, so their cost is pure cursor arithmetic; the process synchronizes
-// to the cursor only when a completed (or failed) PDU reaches an endpoint.
+// cursor. Single-cell PDUs take the receive fast path: deposited directly
+// into the next receive-queue entry with no buffer allocation (§4.2.2).
+// Multi-cell PDUs accumulate per VCI and are scattered into free-queue
+// buffers on completion. Mid-PDU cells have no observable effect, so their
+// cost is pure cursor arithmetic; a completed (or failed) PDU is left in
+// pend, and reaches its endpoint once the clock has reached the cursor.
 //
 //unetlint:hotpath per-cell receive demux + SAR; the steady-state receive path
-func (d *Device) processCell(p *sim.Proc, c atm.Cell, cursor time.Duration) time.Duration {
+func (d *Device) processCell(c atm.Cell) {
 	d.stats.CellsIn++
 	ent := d.route(c.VCI)
 	if ent == nil {
 		d.stats.UnknownVCIs++
-		return cursor
+		return
 	}
 	fastPath := ent.reasm.Pending() == 0 && c.EOP && !c.Direct && d.params.SingleCellMax > 0
 	if fastPath {
-		cursor += d.params.RxSingleCell
+		d.cursor += d.params.RxSingleCell
 	} else {
-		cursor += d.params.RxPerCell
+		d.cursor += d.params.RxPerCell
 	}
 	if ent.reasm.Pending() == 0 {
 		ent.direct = c.Direct
@@ -533,54 +612,74 @@ func (d *Device) processCell(p *sim.Proc, c atm.Cell, cursor time.Duration) time
 		if errors.Is(err, atm.ErrBadCRC) {
 			d.stats.CrcDrops++
 		}
-		d.syncTo(p, cursor)
-		ent.ep.DevDropReassembly()
-		return cursor
+		d.pend = delivery{kind: pendBadPDU, vci: c.VCI, ch: ent.ch, ep: ent.ep}
+		return
 	}
 	if payload == nil {
-		return cursor // mid-PDU
+		return // mid-PDU
 	}
 	// The reassembler drew its slab from the arena and has detached it:
-	// from here the slab is this function's to deliver or return.
+	// from here the slab is pend's, for perform to deliver or return.
 	d.stats.PDUsIn++
-	if fastPath && len(payload) <= d.params.SingleCellMax {
-		d.syncTo(p, cursor)
+	d.pend = delivery{kind: pendInline, direct: ent.direct, vci: c.VCI, ch: ent.ch, ep: ent.ep, payload: payload}
+	if !fastPath || len(payload) > d.params.SingleCellMax {
+		d.cursor += d.params.RxFixed
+		d.pend.kind = pendScatter
+	}
+}
+
+// perform carries out the pending delivery, the clock having reached the
+// cursor. The endpoint may have been destroyed or the channel closed while
+// the processor slept (DetachEndpoint, CloseChannel), and the row reopened
+// for someone else: the PDU is delivered only if its VCI still belongs to
+// the channel it arrived on, and is otherwise dropped and counted.
+func (d *Device) perform() {
+	pd := d.pend
+	d.pend = delivery{}
+	if ent := d.route(pd.vci); ent == nil || ent.ep != pd.ep || ent.ch != pd.ch {
+		if pd.kind != pendBadPDU {
+			d.stats.ClosedDrops++
+			d.arena.Put(pd.payload)
+		}
+		return
+	}
+	switch pd.kind {
+	case pendBadPDU:
+		pd.ep.DevDropReassembly()
+	case pendInline:
 		// Deliver the detached slab itself — no copy; the application hands
 		// it back through Endpoint.Gather/Release → RecycleInline.
-		if !ent.ep.DevDeliver(unet.RecvDesc{Channel: ent.ch, Length: len(payload), Inline: payload}) {
-			d.arena.Put(payload) // receive queue full: reclaim the slab
+		if !pd.ep.DevDeliver(unet.RecvDesc{Channel: pd.ch, Length: len(pd.payload), Inline: pd.payload}) {
+			d.arena.Put(pd.payload) // receive queue full: reclaim the slab
 		}
-		return cursor
+	case pendScatter:
+		if pd.direct {
+			d.deliverDirect(pd.ep, pd.ch, pd.payload)
+		} else {
+			d.deliverBuffered(pd.ep, pd.ch, pd.payload)
+		}
+		d.arena.Put(pd.payload) // scatter (or drop) complete; slab back to the arena
 	}
-	cursor += d.params.RxFixed
-	d.syncTo(p, cursor)
-	if ent.direct {
-		d.deliverDirect(ent, payload)
-	} else {
-		d.deliverBuffered(ent, payload)
-	}
-	d.arena.Put(payload) // scatter (or drop) complete; slab back to the arena
-	return cursor
 }
 
 // deliverDirect deposits a §3.6 direct-access PDU at the sender-specified
 // segment offset, if the endpoint allows it.
-func (d *Device) deliverDirect(ent *vciEntry, payload []byte) {
-	if len(payload) < directHeaderSize || !ent.ep.Config().DirectAccess {
+func (d *Device) deliverDirect(ep *unet.Endpoint, ch unet.ChannelID, payload []byte) {
+	if len(payload) < directHeaderSize || !ep.Config().DirectAccess {
 		d.stats.DirectDenied++
-		ent.ep.DevDropNoBuffer()
+		ep.DevDropNoBuffer()
 		return
 	}
 	off := int(binary.BigEndian.Uint64(payload))
 	data := payload[directHeaderSize:]
-	if off < 0 || off+len(data) > ent.ep.Config().SegmentSize {
+	if off < 0 || off+len(data) > ep.Config().SegmentSize {
 		d.stats.DirectDenied++
-		ent.ep.DevDropNoBuffer()
+		ep.DevDropNoBuffer()
 		return
 	}
-	ent.ep.DevWriteSegment(off, data)
-	ent.ep.DevDeliver(unet.RecvDesc{
-		Channel: ent.ch, Length: len(data), Direct: true, DirectOffset: off,
+	ep.DevWriteSegment(off, data)
+	ep.DevDeliver(unet.RecvDesc{
+		Channel: ch, Length: len(data), Direct: true, DirectOffset: off,
 	})
 }
 
@@ -590,22 +689,22 @@ func (d *Device) deliverDirect(ent *vciEntry, payload []byte) {
 // The offset list rides in the descriptor and returns through
 // Endpoint.Gather/Release → RecycleOffsets; on any drop path it goes
 // straight back to the pool here.
-func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
-	bufSize := ent.ep.Config().RecvBufSize
+func (d *Device) deliverBuffered(ep *unet.Endpoint, ch unet.ChannelID, payload []byte) {
+	bufSize := ep.Config().RecvBufSize
 	need := (len(payload) + bufSize - 1) / bufSize
 	if need == 0 {
 		need = 1
 	}
 	offs := d.offPool.Get()
 	for i := 0; i < need; i++ {
-		off, ok := ent.ep.DevPopFree()
+		off, ok := ep.DevPopFree()
 		if !ok {
 			// Out of buffers: return what we took and drop the message.
 			for _, o := range offs {
-				ent.ep.PushFree(nil, o)
+				ep.PushFree(nil, o)
 			}
 			d.offPool.Put(offs)
-			ent.ep.DevDropNoBuffer()
+			ep.DevDropNoBuffer()
 			return
 		}
 		offs = append(offs, off)
@@ -616,12 +715,12 @@ func (d *Device) deliverBuffered(ent *vciEntry, payload []byte) {
 		if hi > len(payload) {
 			hi = len(payload)
 		}
-		ent.ep.DevWriteSegment(off, payload[lo:hi])
+		ep.DevWriteSegment(off, payload[lo:hi])
 	}
-	if !ent.ep.DevDeliver(unet.RecvDesc{Channel: ent.ch, Length: len(payload), Buffers: offs}) {
+	if !ep.DevDeliver(unet.RecvDesc{Channel: ch, Length: len(payload), Buffers: offs}) {
 		// Receive queue overflow: recycle the buffers and the list.
 		for _, o := range offs {
-			ent.ep.PushFree(nil, o)
+			ep.PushFree(nil, o)
 		}
 		d.offPool.Put(offs)
 	}

@@ -60,32 +60,18 @@ func (p *Proc) Now() time.Duration { return p.e.now }
 // Sleep advances the process's position in virtual time by d: it models the
 // process spending d of CPU (or waiting) time. Other processes and events
 // run in the interim. Non-positive d yields without advancing the clock.
-// Sleep allocates nothing: the wake-up is a pooled resume event.
-//
-// When that wake-up would be the very next event to fire — strictly before
-// the queue head and strictly inside the current runWindow — Sleep takes it
-// in place. Parking would queue a resume event that is the queue minimum;
-// the engine would pop it next with nothing firing in between, advance the
-// clock to it, count a step, and switch straight back here. Sleep does
-// exactly that itself: same sequence number consumed, same clock, same
-// Steps, every other event's (at, seq) untouched, two switches and a heap
-// push/pop saved. A head at or before the wake-up (an equal time has the
-// lower sequence number; a canceled head is not worth telling apart) or a
-// window stop at or before it (cross-shard arrivals may still land there)
-// takes the parking path.
+// Sleep allocates nothing: the wake-up is a pooled resume event, and when
+// that event would be the very next to fire the process does not leave its
+// coroutine at all (Engine.nextToFire).
 func (p *Proc) Sleep(d time.Duration) {
 	if d < 0 {
 		d = 0
 	}
 	e := p.e
 	at := e.now + d
-	if at < e.stop {
-		if head := e.peek(); head == nil || at < head.at {
-			e.seq++
-			e.nsteps++
-			e.now = at
-			return
-		}
+	if e.nextToFire(at) {
+		e.wakeInPlace(at)
+		return
 	}
 	e.resumeAt(at, p)
 	p.park()

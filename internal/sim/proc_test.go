@@ -250,6 +250,156 @@ func TestShardSleepParksAtWindowStop(t *testing.T) {
 	root.Shutdown()
 }
 
+// --- SleepTo: a handler sleeps through the slots a process would ---
+
+// sleeperStep is one turn of a scripted sleeper: at each continuation it
+// logs the clock, schedules a foreign event `foreign` from now (none if
+// negative) and sleeps `sleep`.
+type sleeperStep struct{ sleep, foreign time.Duration }
+
+// procSleeper runs the script as a process on Proc.Sleep.
+func procSleeper(e *Engine, steps []sleeperStep, log *[]string) (entries *int) {
+	entries = new(int)
+	e.Spawn("sleeper", func(p *Proc) {
+		for i, st := range steps {
+			*log = append(*log, fmt.Sprint("cont", i, "@", e.Now()))
+			if st.foreign >= 0 {
+				e.After(st.foreign, func() { *log = append(*log, fmt.Sprint("foreign", i, "@", e.Now())) })
+			}
+			p.Sleep(st.sleep)
+		}
+		*log = append(*log, fmt.Sprint("end@", e.Now()))
+	})
+	return entries
+}
+
+// handlerSleeper runs the same script as a re-entrant event handler on
+// SleepTo, and counts how many events entered it.
+func handlerSleeper(e *Engine, steps []sleeperStep, log *[]string) (entries *int) {
+	entries = new(int)
+	i, asleep := 0, false
+	var step func(any)
+	step = func(any) {
+		*entries++
+		for ; i < len(steps); i++ {
+			if !asleep {
+				st, turn := steps[i], i
+				*log = append(*log, fmt.Sprint("cont", turn, "@", e.Now()))
+				if st.foreign >= 0 {
+					e.After(st.foreign, func() { *log = append(*log, fmt.Sprint("foreign", turn, "@", e.Now())) })
+				}
+				asleep = true
+				if !e.SleepTo(e.Now()+st.sleep, step, nil) {
+					return
+				}
+			}
+			asleep = false
+		}
+		*log = append(*log, fmt.Sprint("end@", e.Now()))
+	}
+	e.AtArg(e.Now(), step, nil) // Spawn's start event
+	return entries
+}
+
+func TestSleepToMatchesProcSleep(t *testing.T) {
+	// The same script of sleeps, run once as a process and once as a handler,
+	// beside the same foreign events: every foreign event fires in the same
+	// order, every continuation sees the same clock, and Steps and the
+	// sequence numbers consumed are equal — so a model moved from Proc.Sleep
+	// to SleepTo moves nothing else.
+	type foreign struct {
+		at     time.Duration
+		cancel bool
+	}
+	for _, tc := range []struct {
+		name    string
+		steps   []sleeperStep
+		foreign []foreign
+		entries int // events that enter the handler: 1 + the sleeps that queue
+	}{
+		{"in place", []sleeperStep{{5 * us, -1}, {3 * us, -1}, {0, -1}, {us, -1}}, nil, 1},
+		{"queued", []sleeperStep{{5 * us, 2 * us}, {3 * us, -1}, {4 * us, us}, {4 * us, 5 * us}}, nil, 3},
+		// A head at the wake-up's own instant was scheduled first and fires
+		// first, whether the sleeper scheduled it or someone else did.
+		{"same instant", []sleeperStep{{5 * us, 5 * us}, {3 * us, -1}, {2 * us, -1}}, []foreign{{at: 10 * us}}, 3},
+		// A canceled head is not told apart from a live one: the sleep queues.
+		{"canceled head", []sleeperStep{{5 * us, -1}, {5 * us, -1}}, []foreign{{at: 3 * us, cancel: true}}, 2},
+		{"mixed", []sleeperStep{{0, 0}, {7 * us, 3 * us}, {us, -1}, {us, us}, {10 * us, 4 * us}, {0, -1}, {2 * us, 2 * us}},
+			[]foreign{{at: 7 * us}, {at: 8 * us}, {at: 9 * us, cancel: true}, {at: 15 * us}, {at: 40 * us}}, 7},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			run := func(sleeper func(*Engine, []sleeperStep, *[]string) *int) (log []string, e *Engine, entries int) {
+				e = New(1)
+				defer e.Shutdown()
+				for i, f := range tc.foreign {
+					tm := e.At(f.at, func() { log = append(log, fmt.Sprint("fixed", i, "@", e.Now())) })
+					if f.cancel {
+						tm.Cancel()
+					}
+				}
+				n := sleeper(e, tc.steps, &log)
+				e.Run()
+				return log, e, *n
+			}
+			want, pe, _ := run(procSleeper)
+			got, he, entries := run(handlerSleeper)
+			if !slices.Equal(got, want) {
+				t.Fatalf("handler trace differs from the process's:\n%v\n%v", got, want)
+			}
+			if he.Steps() != pe.Steps() || he.seq != pe.seq || he.Now() != pe.Now() {
+				t.Fatalf("handler: %d steps / seq %d / end %v; process: %d / %d / %v",
+					he.Steps(), he.seq, he.Now(), pe.Steps(), pe.seq, pe.Now())
+			}
+			if entries != tc.entries {
+				t.Fatalf("%d events entered the handler, want %d", entries, tc.entries)
+			}
+		})
+	}
+}
+
+func TestShardSleepToQueuesAtWindowStop(t *testing.T) {
+	// TestShardSleepParksAtWindowStop's fixture with the sleeper as a handler:
+	// shard 1's queue is empty, so only the window stop keeps a SleepTo from
+	// running past cross-shard arrivals still to land. Its log must be the
+	// process's on the same group, and the serial handler's.
+	const flight = 10 * us
+	steps := []sleeperStep{{time.Nanosecond, -1}} // keep off the arrivals' whole microseconds
+	for i := 0; i < 100; i++ {
+		steps = append(steps, sleeperStep{7 * us, -1})
+	}
+	arrivals := func(src, dst *Engine, send func(at time.Duration, fn func()), log *[]string) {
+		for i := 1; i <= 30; i++ {
+			at := time.Duration(i) * 20 * us
+			src.At(at, func() {
+				send(at+flight, func() { *log = append(*log, fmt.Sprint("arrival@", dst.Now())) })
+			})
+		}
+	}
+	var serial []string
+	e := New(1)
+	handlerSleeper(e, steps, &serial)
+	arrivals(e, e, func(at time.Duration, fn func()) { e.At(at, fn) }, &serial)
+	e.Run()
+	e.Shutdown()
+	if len(serial) != len(steps)+1+30 {
+		t.Fatalf("serial run logged %d events, want %d", len(serial), len(steps)+1+30)
+	}
+	for _, sleeper := range []func(*Engine, []sleeperStep, *[]string) *int{procSleeper, handlerSleeper} {
+		root, s1, toS1, _ := ringPair(flight)
+		var sharded []string
+		sleeper(s1, steps, &sharded)
+		arrivals(root, s1, toS1.send, &sharded)
+		root.Run()
+		if !slices.Equal(sharded, serial) {
+			t.Fatalf("shard 1's log differs from the serial run:\n%v\n%v", sharded, serial)
+		}
+		if root.Steps()+s1.Steps() != e.Steps() {
+			t.Fatalf("%d + %d steps, serial %d", root.Steps(), s1.Steps(), e.Steps())
+		}
+		root.Shutdown()
+	}
+}
+
 // --- shutdown ---
 
 func TestShutdownStopsEveryCoroutine(t *testing.T) {

@@ -2,6 +2,7 @@ package testbed
 
 import (
 	"reflect"
+	"runtime"
 	"testing"
 	"time"
 
@@ -83,5 +84,24 @@ func TestConfigFillsSpecDefaults(t *testing.T) {
 	trunk := fabric.DefaultCellTime + topo.DefaultTrunkPropagation
 	if want := 2*(spec.HostLink.CellTime+spec.HostLink.Propagation) + 2*trunk + 3*spec.SwitchLatency; at != want {
 		t.Errorf("cell crossed in %v, want %v", at, want)
+	}
+}
+
+// TestDevicesAreNotProcesses: a NIC's processor is an event handler, so a
+// testbed of any size starts no coroutine until application code spawns a
+// process. (An iter.Pull coroutine is a goroutine to the runtime, and a
+// sim.Proc's is created by its start event — which RunUntil(0) fires.)
+func TestDevicesAreNotProcesses(t *testing.T) {
+	base := runtime.NumGoroutine()
+	for _, hosts := range []int{2, 1024} {
+		tb := New(Config{Hosts: hosts})
+		tb.Eng.RunUntil(0)
+		if steps := tb.Eng.Steps(); steps != uint64(hosts) {
+			t.Errorf("%d hosts: %d events at time zero, want one first step a device", hosts, steps)
+		}
+		if got := runtime.NumGoroutine(); got != base {
+			t.Errorf("%d hosts: %d goroutines with every device started, %d before the testbed was built", hosts, got, base)
+		}
+		tb.Close()
 	}
 }

@@ -37,7 +37,7 @@ race:
 
 # smoke drives the CLI where no test does: a 64-host two-stage Clos storm
 # on four shards (zero queue drops, zero undelivered cells), the island
-# gossip sharded, and the 8192-island overlay end to end (~12 s, ~250 MB —
+# gossip sharded, and the 8192-island overlay end to end (~9 s, ~215 MB —
 # what the size costs when labels are link-local and segments resident on
 # use, DESIGN.md §14 and §10). Then the README's examples, which no test
 # runs: each twice, and the two outputs must be the same bytes (the Split-C

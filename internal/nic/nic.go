@@ -453,6 +453,8 @@ func (d *Device) step() {
 			// timeline — identical to the unconditional scan.
 			if ep := d.nextTxEndpoint(); ep != nil {
 				d.handleTx(ep)
+				// Here, not in the case above: cells due by the new cursor
+				// wait until the clock has passed the burst.
 				if !d.syncTo() {
 					return
 				}

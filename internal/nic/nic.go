@@ -77,7 +77,6 @@ type arrival struct {
 // row can be closed, reopened or moved while the processor sleeps.
 type delivery struct {
 	kind    uint8
-	direct  bool
 	vci     atm.VCI
 	ch      unet.ChannelID
 	ep      *unet.Endpoint
@@ -85,10 +84,11 @@ type delivery struct {
 }
 
 const (
-	pendNone    = iota
-	pendBadPDU  // AAL5 validation failed: count the drop at the endpoint
-	pendInline  // single-cell fast path: the slab rides in the descriptor
-	pendScatter // buffered or direct: copy into the segment, slab back to the arena
+	pendNone     = iota
+	pendBadPDU   // AAL5 validation failed: count the drop at the endpoint
+	pendInline   // single-cell fast path: the slab rides in the descriptor
+	pendBuffered // scatter into free-queue buffers, slab back to the arena
+	pendDirect   // §3.6: copy to the offset the sender named, slab back to the arena
 )
 
 // Device is a NIC model servicing the U-Net endpoints of one host. It
@@ -428,6 +428,7 @@ func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 //
 //unetlint:hotpath the firmware loop; runs on every burst of cells and every send
 func (d *Device) step() {
+	defer d.namePanic()
 	d.cursor = d.e.Now() // a wake from idle; after a sleep the two already agree
 	for {
 		switch {
@@ -470,6 +471,15 @@ func (d *Device) step() {
 			d.idle = true
 			return
 		}
+	}
+}
+
+// namePanic re-raises a panic inside the processor with the device's name,
+// as sim.Proc does for a process: on a 1 024-host run the stack alone does
+// not say whose NIC failed.
+func (d *Device) namePanic() {
+	if r := recover(); r != nil {
+		panic(fmt.Sprintf("nic: %s processor panicked: %v", d.name, r))
 	}
 }
 
@@ -623,11 +633,15 @@ func (d *Device) processCell(c atm.Cell) {
 	// The reassembler drew its slab from the arena and has detached it:
 	// from here the slab is pend's, for perform to deliver or return.
 	d.stats.PDUsIn++
-	d.pend = delivery{kind: pendInline, direct: ent.direct, vci: c.VCI, ch: ent.ch, ep: ent.ep, payload: payload}
+	kind := uint8(pendInline)
 	if !fastPath || len(payload) > d.params.SingleCellMax {
 		d.cursor += d.params.RxFixed
-		d.pend.kind = pendScatter
+		kind = pendBuffered
+		if ent.direct {
+			kind = pendDirect
+		}
 	}
+	d.pend = delivery{kind: kind, vci: c.VCI, ch: ent.ch, ep: ent.ep, payload: payload}
 }
 
 // perform carries out the pending delivery, the clock having reached the
@@ -654,13 +668,12 @@ func (d *Device) perform() {
 		if !pd.ep.DevDeliver(unet.RecvDesc{Channel: pd.ch, Length: len(pd.payload), Inline: pd.payload}) {
 			d.arena.Put(pd.payload) // receive queue full: reclaim the slab
 		}
-	case pendScatter:
-		if pd.direct {
-			d.deliverDirect(pd.ep, pd.ch, pd.payload)
-		} else {
-			d.deliverBuffered(pd.ep, pd.ch, pd.payload)
-		}
+	case pendBuffered:
+		d.deliverBuffered(pd.ep, pd.ch, pd.payload)
 		d.arena.Put(pd.payload) // scatter (or drop) complete; slab back to the arena
+	case pendDirect:
+		d.deliverDirect(pd.ep, pd.ch, pd.payload)
+		d.arena.Put(pd.payload)
 	}
 }
 

@@ -55,6 +55,23 @@ func TestStartTwicePanics(t *testing.T) {
 	d.Start()
 }
 
+func TestProcessorPanicNamesTheDevice(t *testing.T) {
+	// A broken invariant inside step (here: a FIFO count with no FIFO behind
+	// it) comes out of Run naming the NIC, as a process's panic names the
+	// process.
+	e, d, _ := bareDevice(t)
+	e.At(10*us, func() {
+		d.in, d.inn = nil, 1
+		d.wake()
+	})
+	defer func() {
+		if r, _ := recover().(string); !strings.HasPrefix(r, "nic: host/sba200 processor panicked: ") {
+			t.Fatalf("Run: recovered %q, want a panic naming the device", r)
+		}
+	}()
+	e.Run()
+}
+
 func TestDoorbellDuringSleepQueuesNothing(t *testing.T) {
 	// A single-cell PDU lands at 10 µs; the processor charges RxSingleCell
 	// and sleeps to 19.7 µs. A foreign event at 12 µs keeps that sleep from

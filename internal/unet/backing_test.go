@@ -220,9 +220,7 @@ func TestSegmentWorstCase(t *testing.T) {
 		}
 	}
 	runtime.ReadMemStats(&m1)
-	// TotalAlloc is the whole process's: a GC cycle that starts inside the
-	// window has added 1 152 bytes of its own in one package run in fifty.
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*size+4096 {
+	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*size {
 		t.Errorf("ascending 4 KB touches of a %d-byte segment allocated %d bytes, want at most twice the segment", size, got)
 	}
 

@@ -45,3 +45,15 @@ func TestLossRecoveryDelivery(t *testing.T) {
 		t.Fatalf("raw AAL5 delivered %.1f%% at 2%% cell loss, want roughly (1-p)^cells ≈ 64%%", rawDel*100)
 	}
 }
+
+// TestTCPReaderOutlastsTheWriter: at 2 % cell loss (seed 42) the handshake's
+// last ACK and the first data segment are lost, and the writer's first
+// retransmission waits out TCP's initial 1 s timeout. The reader must still
+// be there to take it: the transfer completes, decided by TCP, not by how
+// long the driver's reader was willing to wait.
+func TestTCPReaderOutlastsTheWriter(t *testing.T) {
+	del, _, retx := TCPGoodputUnderLoss(FaultSeed, 0.02, 10<<10, 2048)
+	if del != 1 || retx == 0 {
+		t.Fatalf("delivered %.1f%% with %d retransmissions at 2%% cell loss, want all of it after some", del*100, retx)
+	}
+}

@@ -25,6 +25,27 @@ func pair(t *testing.T, params tcp.Params) (*testbed.Testbed, *tcp.Conn, *tcp.Co
 	return tb, tcp.New(ca, 5000, 80, params), tcp.New(cb, 80, 5000, params)
 }
 
+// TestAcceptResumesAfterTimeout: an Accept that times out leaves the
+// passive open in place, and the next call completes it.
+func TestAcceptResumesAfterTimeout(t *testing.T) {
+	tb, a, b := pair(t, tcp.DefaultParams())
+	var first, second error
+	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+		first = b.Accept(p, time.Millisecond)
+		second = b.Accept(p, time.Second)
+	})
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		p.Sleep(5 * time.Millisecond)
+		if err := a.Dial(p, time.Second); err != nil {
+			t.Error(err)
+		}
+	})
+	tb.Eng.Run()
+	if !errors.Is(first, tcp.ErrTimeout) || second != nil || !b.Established() {
+		t.Fatalf("first Accept %v, second %v, established %v: want a timeout, then the connection", first, second, b.Established())
+	}
+}
+
 // transfer runs a bulk transfer of total bytes in chunks of writeSize and
 // returns (received data, elapsed from first write to last byte read).
 func transfer(t *testing.T, tb *testbed.Testbed, a, b *tcp.Conn, total, writeSize int) ([]byte, time.Duration) {

@@ -58,7 +58,7 @@ func run(table []experiments.Experiment, args []string, stdout, stderr io.Writer
 	o := experiments.DefaultOptions()
 	expFlag := fs.String("experiment", "all", "comma-separated experiment ids; all is "+strings.Join(all, ","))
 	fs.IntVar(&experiments.MaxParallel, "parallel", 0, "sweep-point workers (0 = GOMAXPROCS, 1 = serial; output is identical either way)")
-	fs.IntVar(&experiments.Shards, "shards", 0, "shard engines per simulation (0 = serial, <0 = GOMAXPROCS; output is identical either way)")
+	shards := fs.Int("shards", 0, "shard engines per simulation (0 = serial; output is identical either way)")
 	fs.BoolVar(&o.Paper, "paper", o.Paper, "use the paper's full Split-C problem sizes (slower)")
 	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "ping-pong rounds per latency point")
 	fs.IntVar(&o.Count, "count", o.Count, "messages per bandwidth point (fig8: a megabyte of stream per 200)")
@@ -98,6 +98,10 @@ func run(table []experiments.Experiment, args []string, stdout, stderr io.Writer
 		fmt.Fprintf(stderr, "unetbench: "+format+"\n", a...)
 		return 2
 	}
+	if *shards < 0 {
+		return usage("-shards %d: need 0 (serial) or more", *shards)
+	}
+	experiments.Shards = *shards
 	if err := o.Check(); err != nil {
 		return usage("%v", err)
 	}

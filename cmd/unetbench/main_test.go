@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"io"
 	"os"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -28,6 +29,8 @@ func TestRun(t *testing.T) {
 		{"no islands", []string{"-experiment", "gossip", "-islands", "0"}, 2, "", "-islands 0"},
 		{"bad load", []string{"-experiment", "serve", "-serveloads", "1000,fast"}, 2, "", `bad -serveloads entry "fast"`},
 		{"removed -sync flag", []string{"-experiment", "table1", "-sync", "barrier"}, 2, "", "flag provided but not defined: -sync"},
+		{"negative shards", []string{"-experiment", "table1", "-shards", "-1"}, 2, "", "-shards -1: "},
+		{"negative shards, any", []string{"-experiment", "storm", "-shards", "-4"}, 2, "", "-shards -4: "},
 		// Every messenger the point row reaches, each way: the goldens pin
 		// only the paper's sizes and paths.
 		{"point raw", []string{"-experiment", "point"}, 0, "raw RTT @32B: 68.0 µs\n", ""},
@@ -138,6 +141,26 @@ func TestUsageListsTheTable(t *testing.T) {
 	}
 }
 
+// forFencedLines calls f with every line, trimmed, inside a fenced block of
+// README.md and EXPERIMENTS.md, and its 1-based line number.
+func forFencedLines(t *testing.T, f func(doc string, n int, line string)) {
+	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		fenced := false
+		for n, line := range strings.Split(string(text), "\n") {
+			line = strings.TrimSpace(line)
+			if strings.HasPrefix(line, "```") {
+				fenced = !fenced
+			} else if fenced {
+				f(doc, n+1, line)
+			}
+		}
+	}
+}
+
 // TestDocumentedCommandsParse runs every `go run ./cmd/unetbench` line in
 // the fenced blocks of README.md and EXPERIMENTS.md over a copy of the table
 // whose rows return at once: each must exit 0, so a stale flag or id in the
@@ -149,30 +172,51 @@ func TestDocumentedCommandsParse(t *testing.T) {
 		table[i].Run = func(experiments.Options) (string, string) { return "", "" }
 	}
 	lines := 0
-	for _, doc := range []string{"../../README.md", "../../EXPERIMENTS.md"} {
-		text, err := os.ReadFile(doc)
-		if err != nil {
-			t.Fatal(err)
+	forFencedLines(t, func(doc string, n int, line string) {
+		cmd, ok := strings.CutPrefix(line, "go run ./cmd/unetbench")
+		if !ok {
+			return
 		}
-		fenced := false
-		for n, line := range strings.Split(string(text), "\n") {
-			if strings.HasPrefix(strings.TrimSpace(line), "```") {
-				fenced = !fenced
-			}
-			cmd, ok := strings.CutPrefix(strings.TrimSpace(line), "go run ./cmd/unetbench")
-			if !fenced || !ok {
-				continue
-			}
-			cmd, _, _ = strings.Cut(cmd, "#")
-			lines++
-			var stderr bytes.Buffer
-			if got := run(table, strings.Fields(cmd), io.Discard, &stderr); got != 0 {
-				msg, _, _ := strings.Cut(stderr.String(), "\n")
-				t.Errorf("%s:%d: %q exits %d: %s", doc, n+1, line, got, msg)
-			}
+		cmd, _, _ = strings.Cut(cmd, "#")
+		lines++
+		var stderr bytes.Buffer
+		if got := run(table, strings.Fields(cmd), io.Discard, &stderr); got != 0 {
+			msg, _, _ := strings.Cut(stderr.String(), "\n")
+			t.Errorf("%s:%d: %q exits %d: %s", doc, n, line, got, msg)
 		}
-	}
+	})
 	if lines == 0 {
 		t.Fatal("no documented unetbench command found")
+	}
+}
+
+// TestDocumentedMakeTargetsExist: every `make` line in the fenced blocks of
+// README.md and EXPERIMENTS.md names targets the Makefile defines, so a
+// renamed or deleted target fails here.
+func TestDocumentedMakeTargetsExist(t *testing.T) {
+	mk, err := os.ReadFile("../../Makefile")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defined := map[string]bool{}
+	for _, m := range regexp.MustCompile(`(?m)^([a-z][a-z0-9_-]*):([^=]|$)`).FindAllStringSubmatch(string(mk), -1) {
+		defined[m[1]] = true
+	}
+	lines := 0
+	forFencedLines(t, func(doc string, n int, line string) {
+		args, ok := strings.CutPrefix(line, "make ")
+		if !ok {
+			return
+		}
+		args, _, _ = strings.Cut(args, "#")
+		lines++
+		for _, target := range strings.Fields(args) {
+			if !strings.Contains(target, "=") && !defined[target] {
+				t.Errorf("%s:%d: %q: the Makefile defines no target %q", doc, n, line, target)
+			}
+		}
+	})
+	if lines == 0 {
+		t.Fatal("no documented make command found")
 	}
 }

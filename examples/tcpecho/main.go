@@ -39,7 +39,7 @@ func main() {
 
 	// Drop a burst of cells on the server's downlink mid-transfer.
 	cell := 0
-	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
+	tb.Topo.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		cell++
 		return cell >= 2000 && cell < 2000+*lossCells
 	}))

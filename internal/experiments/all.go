@@ -59,25 +59,25 @@ var All = []Experiment{
 		return TableLoss(o.FaultSeed, o.Rounds/2, o.Count/4)
 	})},
 	{ID: "chaos", Sharded: true, Run: rendered(func(o Options) fmt.Stringer {
-		cfg := DefaultChaos(o.FaultSeed)
+		plan := DefaultChaos(o.FaultSeed)
 		if o.Loss >= 0 {
-			cfg.Plan.LossRate = o.Loss
+			plan.LossRate = o.Loss
 		}
 		if o.Burst >= 0 {
-			cfg.Plan.BurstPGB = o.Burst
+			plan.BurstPGB = o.Burst
 		}
 		if o.Flap >= 0 {
-			cfg.Plan.FlapPeriod = o.Flap
-			cfg.Plan.FlapDown = o.Flap / 10
+			plan.FlapPeriod = o.Flap
+			plan.FlapDown = o.Flap / 10
 		}
-		return Chaos(cfg)
+		return Chaos(plan)
 	})},
 	{ID: "storm", Sharded: true, Run: func(o Options) (string, string) {
-		return profiled(o, func() (string, sim.GroupProfile) { return Storm(o.Hosts, shardCount(), o.Count) })
+		return profiled(o, func() (string, sim.GroupProfile) { return Storm(o.Hosts, Shards, o.Count) })
 	}},
 	{ID: "serve", Sharded: true, Run: func(o Options) (string, string) {
 		base := o.Serve
-		base.Shards = shardCount()
+		base.Shards = Shards
 		report, results := ServeSweep(base, o.Loads)
 		var diag strings.Builder
 		for _, r := range results {
@@ -91,11 +91,11 @@ var All = []Experiment{
 		mustNoErr(err, "clos topology")
 		// The storm is all-to-all: the pair experiments' per-host count is
 		// capped so the quick run stays quick.
-		return profiled(o, func() (string, sim.GroupProfile) { return TopoStorm(spec, shardCount(), min(o.Count, 8)) })
+		return profiled(o, func() (string, sim.GroupProfile) { return TopoStorm(spec, Shards, min(o.Count, 8)) })
 	}},
 	{ID: "gossip", Sharded: true, Run: func(o Options) (string, string) {
 		cfg := DefaultGossip(o.Islands)
-		cfg.Shards = shardCount()
+		cfg.Shards = Shards
 		var res GossipResult
 		wall := timed(func() { res = Gossip(cfg) })
 		return res.Render(), fmt.Sprintf("  [diag] events=%d wall=%v events/sec=%.0f\n",
@@ -186,7 +186,7 @@ func (o Options) sizeRange() (lo, hi int) {
 	switch o.Proto {
 	case "uam":
 		if o.BW {
-			return 0, uam.DefaultConfig().MemSize
+			return 0, uam.MemSize
 		}
 		return 0, uam.DefaultConfig().BulkMax
 	case "udp":

@@ -37,7 +37,7 @@ func RawBandwidth(nicp nic.Params, size, count int) testbed.StreamResult {
 // rawPair connects an endpoint on each of two hosts with the given NIC (nil:
 // the SBA-200) over a fabric plan impairs. The caller owns tb.Close.
 func rawPair(nicp *nic.Params, plan *faults.Plan) (*testbed.Testbed, *testbed.Pair) {
-	tb := testbed.New(testbed.Config{Hosts: 2, NIC: nicp, Shards: shardCount(), Faults: plan})
+	tb := testbed.New(testbed.Config{Hosts: 2, NIC: nicp, Shards: Shards, Faults: plan})
 	pr, err := tb.NewPair(0, 1, unet.EndpointConfig{}, 32)
 	mustNoErr(err, "raw pair")
 	return tb, pr
@@ -46,7 +46,7 @@ func rawPair(nicp *nic.Params, plan *faults.Plan) (*testbed.Testbed, *testbed.Pa
 // uamPair builds two connected UAM nodes over a fabric impaired by plan
 // (nil is the perfect wire). The caller owns tb.Close.
 func uamPair(cfg uam.Config, plan *faults.Plan) (*testbed.Testbed, *uam.UAM, *uam.UAM) {
-	tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: plan})
+	tb := testbed.New(testbed.Config{Hosts: 2, Shards: Shards, Faults: plan})
 	a, err := uam.New(tb.Hosts[0].NewProcess("am"), 0, cfg)
 	mustNoErr(err, "uam node 0")
 	b, err := uam.New(tb.Hosts[1].NewProcess("am"), 1, cfg)

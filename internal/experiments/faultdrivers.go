@@ -145,56 +145,51 @@ func TableLoss(seed int64, rounds, count int) *stats.Table {
 	return t
 }
 
-// ChaosConfig parameterizes the chaos soak: an all-to-all storm on the
-// 8-host mesh with every impairment model active at once.
-type ChaosConfig struct {
-	Hosts int
-	Count int // messages per host
-	Size  int
-	Plan  faults.Plan
-}
+// The chaos soak: an all-to-all storm of chaosCount chaosSize-byte
+// messages per host on the chaosHosts-host mesh, with every impairment
+// model active at once.
+const (
+	chaosHosts = 8
+	chaosCount = 40
+	chaosSize  = 1024
+)
 
-// DefaultChaos is the standard chaos soak: moderate i.i.d. loss, bursty
+// DefaultChaos is the standard chaos plan: moderate i.i.d. loss, bursty
 // Gilbert-Elliott loss, payload and header corruption, duplication,
 // bounded jitter, periodic link flaps and a finite switch output queue —
 // all seeded, all deterministic.
-func DefaultChaos(seed int64) ChaosConfig {
-	return ChaosConfig{
-		Hosts: 8,
-		Count: 40,
-		Size:  1024,
-		Plan: faults.Plan{
-			Seed:             seed,
-			LossRate:         0.002,
-			BurstPGB:         0.001,
-			BurstPBG:         0.25,
-			BurstLoss:        1,
-			CorruptRate:      0.001,
-			HdrCorruptRate:   0.0005,
-			DupRate:          0.001,
-			JitterRate:       0.01,
-			JitterBound:      10 * time.Microsecond,
-			FlapPeriod:       20 * time.Millisecond,
-			FlapDown:         400 * time.Microsecond,
-			FlapOffset:       3 * time.Millisecond,
-			SwitchQueueCells: 64,
-		},
+func DefaultChaos(seed int64) faults.Plan {
+	return faults.Plan{
+		Seed:             seed,
+		LossRate:         0.002,
+		BurstPGB:         0.001,
+		BurstPBG:         0.25,
+		BurstLoss:        1,
+		CorruptRate:      0.001,
+		HdrCorruptRate:   0.0005,
+		DupRate:          0.001,
+		JitterRate:       0.01,
+		JitterBound:      10 * time.Microsecond,
+		FlapPeriod:       20 * time.Millisecond,
+		FlapDown:         400 * time.Microsecond,
+		FlapOffset:       3 * time.Millisecond,
+		SwitchQueueCells: 64,
 	}
 }
 
-// Chaos runs the seeded chaos soak and reports per-host delivery alongside
-// the impairment and drop accounting from every layer: injected faults,
-// switch queue tail-drops and NIC CRC rejections. The output is
-// deterministic for a given seed and identical at any shard count.
-func Chaos(cfg ChaosConfig) *stats.Table {
-	tb := testbed.New(testbed.Config{Hosts: cfg.Hosts, Shards: shardCount(), Faults: &cfg.Plan})
+// Chaos runs the seeded chaos soak under plan and reports per-host delivery
+// alongside the impairment and drop accounting from every layer: injected
+// faults, switch queue tail-drops and NIC CRC rejections. The output is
+// deterministic for a given plan and identical at any shard count.
+func Chaos(plan faults.Plan) *stats.Table {
+	tb := testbed.New(testbed.Config{Hosts: chaosHosts, Shards: Shards, Faults: &plan})
 	defer tb.Close()
 	m, err := tb.NewMesh(unet.EndpointConfig{SegmentSize: 1 << 20}, 64)
 	mustNoErr(err, "chaos mesh")
-	res, end := m.Storm(cfg.Count, cfg.Size)
+	res, end := m.Storm(chaosCount, chaosSize)
 
 	t := stats.NewTable(fmt.Sprintf("Chaos soak: %d hosts, %d×%dB all-to-all (seed %d)",
-		cfg.Hosts, cfg.Count, cfg.Size, cfg.Plan.Seed))
+		chaosHosts, chaosCount, chaosSize, plan.Seed))
 	t.Header("host", "sent", "received", "last recv µs")
 	sent, recv := 0, 0
 	for i, r := range res {

@@ -14,58 +14,53 @@ import (
 )
 
 // GossipConfig shapes the island-overlay gossip experiment: a ring of
-// islands (with antipodal chords, topo.Island) whose hosts flood rumors
-// to their overlay neighbors in fixed rounds, with a bounded per-island
-// forward queue (drop-oldest), bounded switch output queues, and
-// deterministic failed-neighbor removal — an island whose uplink flap
-// keeps it silent for FailAfter rounds is struck from its neighbors' send
-// lists and never re-added.
+// islands (with antipodal chords, topo.Island), one host on each, whose
+// hosts flood rumors to their overlay neighbors in fixed rounds, with a
+// bounded per-island forward queue (drop-oldest), bounded switch output
+// queues, and deterministic failed-neighbor removal — an island whose
+// uplink flap keeps it silent for gossipFailAfter rounds is struck from its
+// neighbors' send lists and never re-added.
 type GossipConfig struct {
-	// Islands is the number of island switches; PerIsland hosts attach to
-	// each (default 1).
-	Islands   int
-	PerIsland int
-	// Rounds and Period set the gossip cadence: every host wakes at
-	// r*Period, drains its receive queue, and forwards.
+	// Islands is the number of island switches.
+	Islands int
+	// Rounds sets the run's length: every host wakes at r*gossipPeriod,
+	// drains its receive queue, and forwards.
 	Rounds int
-	Period time.Duration
-	// FanoutPerRound bounds how many queued rumors a host forwards to each
-	// live neighbor per round (its own heartbeat rumor always goes out).
-	FanoutPerRound int
-	// ForwardQueue bounds the per-host rumor forward queue; a rumor
-	// learned while the queue is full evicts the oldest (drop-oldest, the
-	// netislands discipline — fresh gossip beats stale gossip).
-	ForwardQueue int
-	// FailAfter is the failure detector: a neighbor silent for more than
-	// FailAfter rounds is removed.
-	FailAfter int
-	// QueueCells bounds every island switch's output queues (tail drop).
-	QueueCells int
-	// FlapEvery flaps the uplink of every FlapEvery-th host (0 disables
-	// faults): down for FlapDown every FlapPeriod, offset staggered
-	// deterministically per host.
-	FlapEvery  int
-	FlapPeriod time.Duration
-	FlapDown   time.Duration
 
 	Shards int
 	Seed   int64
 }
 
+// The gossip protocol and its faults, at the standard run's values.
+const (
+	// gossipPeriod is the round cadence.
+	gossipPeriod = 300 * time.Microsecond
+	// gossipFanout bounds how many queued rumors a host forwards to each
+	// live neighbor per round (its own heartbeat rumor always goes out).
+	gossipFanout = 4
+	// gossipForwardQueue bounds the per-host rumor forward queue; a rumor
+	// learned while the queue is full evicts the oldest (drop-oldest, the
+	// netislands discipline — fresh gossip beats stale gossip).
+	gossipForwardQueue = 16
+	// gossipFailAfter is the failure detector: a neighbor silent for more
+	// than gossipFailAfter rounds is removed.
+	gossipFailAfter = 3
+	// gossipQueueCells bounds every island switch's output queues (tail
+	// drop).
+	gossipQueueCells = 64
+	// The uplink of every gossipFlapEvery-th host flaps: down for
+	// gossipFlapDown (≈ 6 rounds of silence) every gossipFlapPeriod (one
+	// down window per run), offset staggered deterministically per host.
+	gossipFlapEvery  = 16
+	gossipFlapPeriod = 8 * time.Millisecond
+	gossipFlapDown   = 2 * time.Millisecond
+)
+
 // DefaultGossip returns the standard configuration for n islands: a
 // 3.6 ms run of 12 rounds in which every 16th island goes dark long
 // enough to be removed by its neighbors.
 func DefaultGossip(islands int) GossipConfig {
-	return GossipConfig{
-		Islands: islands, PerIsland: 1,
-		Rounds: 12, Period: 300 * time.Microsecond,
-		FanoutPerRound: 4, ForwardQueue: 16, FailAfter: 3,
-		QueueCells: 64,
-		FlapEvery:  16,
-		FlapPeriod: 8 * time.Millisecond, // one down window per run
-		FlapDown:   2 * time.Millisecond, // ≈ 6 rounds of silence
-		Seed:       1,
-	}
+	return GossipConfig{Islands: islands, Rounds: 12, Seed: 1}
 }
 
 // GossipResult aggregates one gossip run.
@@ -124,25 +119,20 @@ func gossipPeers(h, n int) []int {
 // U-Net channels over the compiled fabric, so the result is byte-identical
 // at every shard count and under both sync protocols.
 func Gossip(cfg GossipConfig) GossipResult {
-	if cfg.PerIsland <= 0 {
-		cfg.PerIsland = 1
-	}
-	spec := topo.Island(cfg.Islands, cfg.PerIsland)
+	spec := topo.Island(cfg.Islands, 1)
 	for j := range spec.Switches {
-		spec.Switches[j].QueueCells = cfg.QueueCells
+		spec.Switches[j].QueueCells = gossipQueueCells
 	}
 	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Seed: cfg.Seed})
 	defer tb.Close()
 	n := tb.Topo.Size()
 
-	if cfg.FlapEvery > 0 {
-		for i := 0; i < n; i += cfg.FlapEvery {
-			// Stagger the down windows a little per island; the offsets are
-			// pure arithmetic in the host index, so the flap schedule is a
-			// function of the topology alone.
-			off := cfg.Period + time.Duration(i%5)*(cfg.Period/8)
-			tb.Net.Uplink(i).SetInjector(faults.NewFlap(cfg.FlapPeriod, cfg.FlapDown, off))
-		}
+	for i := 0; i < n; i += gossipFlapEvery {
+		// Stagger the down windows a little per island; the offsets are
+		// pure arithmetic in the host index, so the flap schedule is a
+		// function of the topology alone.
+		off := gossipPeriod + time.Duration(i%5)*(gossipPeriod/8)
+		tb.Topo.Uplink(i).SetInjector(faults.NewFlap(gossipFlapPeriod, gossipFlapDown, off))
 	}
 
 	// One endpoint per host; one channel per overlay edge, connected in
@@ -198,7 +188,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 			// send has left the queue.
 			stage := unet.NewStaging(0, 512*gossipMsg)
 			for r := 0; r < cfg.Rounds; r++ {
-				if target := time.Duration(r) * cfg.Period; target > p.Now() {
+				if target := time.Duration(r) * gossipPeriod; target > p.Now() {
 					p.Sleep(target - p.Now())
 				}
 				for {
@@ -216,7 +206,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 							known[origin/64] |= 1 << (origin % 64)
 							st.Learned++
 							fq = append(fq, uint16(origin))
-							if len(fq) > cfg.ForwardQueue {
+							if len(fq) > gossipForwardQueue {
 								fq = fq[1:]
 								st.FQDrops++
 							}
@@ -225,13 +215,13 @@ func Gossip(cfg GossipConfig) GossipResult {
 					ep.Release(p, rd)
 				}
 				for nb := range peers {
-					if alive[nb] && r-lastHeard[nb] > cfg.FailAfter {
+					if alive[nb] && r-lastHeard[nb] > gossipFailAfter {
 						alive[nb] = false
 						st.Removed++
 					}
 				}
 				batch := []uint16{uint16(i)}
-				for take := cfg.FanoutPerRound; take > 0 && len(fq) > 0; take-- {
+				for take := gossipFanout; take > 0 && len(fq) > 0; take-- {
 					batch = append(batch, fq[0])
 					fq = fq[1:]
 				}
@@ -256,7 +246,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 		})
 	}
 
-	end := tb.Eng.RunUntil(time.Duration(cfg.Rounds)*cfg.Period + 10*time.Millisecond)
+	end := tb.Eng.RunUntil(time.Duration(cfg.Rounds)*gossipPeriod + 10*time.Millisecond)
 	out := GossipResult{Hosts: n, Switches: len(spec.Switches), Rounds: cfg.Rounds, End: end, SwDrops: tb.Topo.TotalQueueDrops()}
 	for i := range stats {
 		out.Sent += stats[i].Sent

@@ -42,23 +42,22 @@ func (k PathKind) String() string {
 // experiments pass the window; 0 keeps the SunOS default. The caller owns
 // tb.Close.
 func ipPair(kind PathKind, sockBuf int, plan *faults.Plan) (*testbed.Testbed, ip.Conduit, ip.Conduit) {
-	kp := kernelpath.DefaultParams()
-	if sockBuf > 0 {
-		kp.SockBufBytes = sockBuf
+	if sockBuf <= 0 {
+		sockBuf = kernelpath.SockBufBytes
 	}
 	switch kind {
 	case PathUNet:
-		tb := testbed.New(testbed.Config{Hosts: 2, Shards: shardCount(), Faults: plan})
+		tb := testbed.New(testbed.Config{Hosts: 2, Shards: Shards, Faults: plan})
 		ca, cb, err := tb.NewIPConduitPair(0, 1)
 		mustNoErr(err, "unet ip pair")
 		return tb, ca, cb
 	case PathKernelATM:
 		fore := nic.ForeParams()
-		tb := testbed.New(testbed.Config{Hosts: 2, NIC: &fore, Shards: shardCount(), Faults: plan})
+		tb := testbed.New(testbed.Config{Hosts: 2, NIC: &fore, Shards: Shards, Faults: plan})
 		ia, ib, err := tb.NewIPConduitPair(0, 1)
 		mustNoErr(err, "kernel atm pair")
-		ka := kernelpath.New(tb.Hosts[0], ia, kp)
-		kb := kernelpath.New(tb.Hosts[1], ib, kp)
+		ka := kernelpath.New(tb.Hosts[0], ia, sockBuf)
+		kb := kernelpath.New(tb.Hosts[1], ib, sockBuf)
 		return tb, ka, kb
 	default:
 		// The shared-medium Ethernet model couples both hosts on one
@@ -67,8 +66,8 @@ func ipPair(kind PathKind, sockBuf int, plan *faults.Plan) (*testbed.Testbed, ip
 		en := kernelpath.NewEthernet(tb.Eng)
 		pa := en.NewPort(1, 2)
 		pb := en.NewPort(2, 1)
-		ka := kernelpath.New(tb.Hosts[0], pa, kp)
-		kb := kernelpath.New(tb.Hosts[1], pb, kp)
+		ka := kernelpath.New(tb.Hosts[0], pa, sockBuf)
+		kb := kernelpath.New(tb.Hosts[1], pb, sockBuf)
 		return tb, ka, kb
 	}
 }

@@ -39,10 +39,9 @@ func cutPair(kind PathKind, sockBuf int, cut time.Duration) (*testbed.Testbed, i
 	}
 	tb := testbed.New(testbed.Config{Hosts: 2})
 	en := kernelpath.NewEthernet(tb.Eng)
-	kp := kernelpath.DefaultParams()
-	kp.SockBufBytes = max(sockBuf, kp.SockBufBytes)
-	return tb, kernelpath.New(tb.Hosts[0], cutWire{en.NewPort(1, 2), cut}, kp),
-		kernelpath.New(tb.Hosts[1], cutWire{en.NewPort(2, 1), cut}, kp)
+	sockBuf = max(sockBuf, kernelpath.SockBufBytes)
+	return tb, kernelpath.New(tb.Hosts[0], cutWire{en.NewPort(1, 2), cut}, sockBuf),
+		kernelpath.New(tb.Hosts[1], cutWire{en.NewPort(2, 1), cut}, sockBuf)
 }
 
 // TestLivenessWhenTheLinkIsCut is the first rows of the liveness table

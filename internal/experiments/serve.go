@@ -52,17 +52,8 @@ type ServeConfig struct {
 	// time, across all client hosts (default 100_000).
 	Rate float64
 	// Duration is the arrival window (default 20ms). After it closes,
-	// clients drain outstanding replies for up to DrainCap.
+	// clients drain outstanding replies for up to serveDrainCap.
 	Duration time.Duration
-	// DrainCap bounds the post-window drain (default 50ms); requests still
-	// unanswered then count as dropped.
-	DrainCap time.Duration
-	// Payload is the request payload size (default 16 bytes — the U-Net
-	// single-cell fast path).
-	Payload int
-	// Service is the simulated per-request server CPU time before the reply
-	// (default 2µs).
-	Service time.Duration
 	// Bursty batches arrivals: each arrival point carries a uniformly drawn
 	// burst of 1..15 back-to-back requests (mean 8) with inter-point gaps
 	// stretched 8× to preserve the offered load.
@@ -72,6 +63,19 @@ type ServeConfig struct {
 	// Shards is the testbed shard count (0 = serial).
 	Shards int
 }
+
+// The request and the server every serve run shares.
+const (
+	// serveDrainCap bounds the post-window drain; requests still unanswered
+	// then count as dropped.
+	serveDrainCap = 50 * time.Millisecond
+	// servePayload is the request payload size: the U-Net single-cell fast
+	// path.
+	servePayload = 16
+	// serveService is the simulated per-request server CPU time before the
+	// reply.
+	serveService = 2 * time.Microsecond
+)
 
 func (c ServeConfig) withDefaults() ServeConfig {
 	if c.ClientHosts <= 0 {
@@ -88,15 +92,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	}
 	if c.Duration <= 0 {
 		c.Duration = 20 * time.Millisecond
-	}
-	if c.DrainCap <= 0 {
-		c.DrainCap = 50 * time.Millisecond
-	}
-	if c.Payload <= 0 {
-		c.Payload = 16
-	}
-	if c.Service <= 0 {
-		c.Service = 2 * time.Microsecond
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -164,7 +159,7 @@ func Serve(cfg ServeConfig) ServeResult {
 	for j := range servers {
 		srv := servers[j]
 		mustNoErr(srv.RegisterHandler(hServeReq, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {
-			p.Sleep(cfg.Service)
+			p.Sleep(serveService)
 			if err := u.Reply(p, hServeRep, arg, nil); err != nil {
 				panic(err)
 			}
@@ -184,7 +179,7 @@ func Serve(cfg ServeConfig) ServeResult {
 		hist                   stats.Histogram
 	}
 	states := make([]hostState, cfg.ClientHosts)
-	payload := make([]byte, cfg.Payload)
+	payload := make([]byte, servePayload)
 	perHost := cfg.Rate / float64(cfg.ClientHosts)
 	for i := range clients {
 		i := i
@@ -239,7 +234,7 @@ func Serve(cfg ServeConfig) ServeResult {
 				}
 			}
 			// Drain: collect outstanding replies up to the cap.
-			limit := cfg.Duration + cfg.DrainCap
+			limit := cfg.Duration + serveDrainCap
 			for len(pend) > 0 && p.Now() < limit {
 				cli.PollWait(p, time.Millisecond)
 			}
@@ -248,7 +243,7 @@ func Serve(cfg ServeConfig) ServeResult {
 		})
 	}
 
-	res.Wall = timed(func() { tb.Eng.RunUntil(cfg.Duration + cfg.DrainCap + time.Second) })
+	res.Wall = timed(func() { tb.Eng.RunUntil(cfg.Duration + serveDrainCap + time.Second) })
 	for i := range states {
 		st := &states[i]
 		res.Sent += st.sent

@@ -11,30 +11,24 @@ import (
 	"unet/internal/topo"
 )
 
-// circuitNet is a fabric under the circuit tests: the Network surface plus
-// every switch behind it.
+// circuitNet is a compiled fabric under the circuit tests.
 type circuitNet struct {
-	name     string
-	net      fabric.Network
-	route    func(from int, vci atm.VCI, to int) error
-	switches []*fabric.Switch
+	name string
+	net  *topo.Fabric
 }
 
 func circuitNets() []circuitNet {
-	cl := topo.MustCompile(sim.New(1), topo.Star("cl", 4), nil, nil)
-	c2 := topo.MustCompile(sim.New(1), topo.Clos2(4, 2, 2), nil, nil)
-	c3 := topo.MustCompile(sim.New(1), topo.Clos3(2, 2, 2, 2), nil, nil)
 	return []circuitNet{
-		{"star", cl, cl.Route, cl.Switches},
-		{"clos2", c2, c2.Route, c2.Switches},
-		{"clos3", c3, c3.Route, c3.Switches},
+		{"star", topo.MustCompile(sim.New(1), topo.Star("cl", 4), nil, nil)},
+		{"clos2", topo.MustCompile(sim.New(1), topo.Clos2(4, 2, 2), nil, nil)},
+		{"clos3", topo.MustCompile(sim.New(1), topo.Clos3(2, 2, 2, 2), nil, nil)},
 	}
 }
 
 // tables returns every input port's table length and the number of
 // installed entries over all switches.
 func (n circuitNet) tables() (lens []int, entries int) {
-	for _, sw := range n.switches {
+	for _, sw := range n.net.Switches {
 		for p := 0; p < sw.Ports(); p++ {
 			lens = append(lens, sw.TableLen(p))
 			for v := 0; v < sw.TableLen(p); v++ {
@@ -92,7 +86,7 @@ func TestCircuitLabelsAreReused(t *testing.T) {
 func TestExplicitRouteSharesLabelSpace(t *testing.T) {
 	for _, n := range circuitNets() {
 		last := n.net.Size() - 1
-		if err := n.route(0, 32, last); err != nil {
+		if err := n.net.Route(0, 32, last); err != nil {
 			t.Fatalf("%s: %v", n.name, err)
 		}
 		if tx, rx, err := n.net.Provision(0, last); err != nil || tx != 33 || rx != 33 {
@@ -104,7 +98,7 @@ func TestExplicitRouteSharesLabelSpace(t *testing.T) {
 		// Route over the provisioned (host 0, 33): the circuit it replaces
 		// gives label 33 on host last's downlink back, and the explicit
 		// route takes it again on that very link.
-		if err := n.route(0, 33, last); err != nil {
+		if err := n.net.Route(0, 33, last); err != nil {
 			t.Fatalf("%s: %v", n.name, err)
 		}
 		if _, rx, err := n.net.Provision(1, last); err != nil || rx != 35 {

@@ -133,9 +133,6 @@ type FlowConduit struct {
 	rq   [][]byte
 }
 
-// Flow returns the conduit's flow identifier.
-func (fc *FlowConduit) Flow() uint32 { return fc.flow }
-
 // LocalAddr returns the shared channel's local address.
 func (fc *FlowConduit) LocalAddr() uint32 { return fc.mux.base.LocalAddr() }
 

@@ -98,9 +98,13 @@ type Conduit interface {
 	RemoteAddr() uint32
 }
 
+// ChecksumPerByte is the cost of the software Internet checksum that UDP
+// and TCP charge (§7.6: 1 µs per 100 bytes).
+const ChecksumPerByte = 10 * time.Nanosecond
+
 // InternetChecksum is the 16-bit one's-complement sum used by UDP and TCP
-// (§7.6). The cost model charges 1 µs per 100 bytes separately; this
-// computes the actual value so corruption is detectable end to end.
+// (§7.6). The cost model charges ChecksumPerByte separately; this computes
+// the actual value so corruption is detectable end to end.
 func InternetChecksum(data []byte) uint16 {
 	var sum uint32
 	for i := 0; i+1 < len(data); i += 2 {

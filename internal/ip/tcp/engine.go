@@ -21,15 +21,13 @@ func (c *Conn) input(p *sim.Proc, pkt []byte) {
 		return
 	}
 	p.Charge(c.params.ProcRx)
-	if c.params.Checksum {
-		p.Charge(time.Duration(HeaderSize+len(seg.payload)) * c.params.ChecksumPerByte)
-		t := pkt[ip.HeaderSize:]
-		want := uint16(t[16])<<8 | uint16(t[17])
-		t[16], t[17] = 0, 0
-		if got := ip.InternetChecksum(t); got != want {
-			c.stats.BadChecksum++
-			return
-		}
+	p.Charge(time.Duration(HeaderSize+len(seg.payload)) * ip.ChecksumPerByte)
+	t := pkt[ip.HeaderSize:]
+	want := uint16(t[16])<<8 | uint16(t[17])
+	t[16], t[17] = 0, 0
+	if got := ip.InternetChecksum(t); got != want {
+		c.stats.BadChecksum++
+		return
 	}
 	if seg.dstPort != c.localPort {
 		return
@@ -204,7 +202,7 @@ func (c *Conn) processData(p *sim.Proc, seg segment) {
 			if c.ackDeadline == 0 {
 				// Delayed acks ride the BSD pr_fast_timeout (200 ms), not
 				// the coarse slow timer (§7.8).
-				g := c.params.DelayedAckDelay
+				g := delayedAckDelay
 				c.ackDeadline = (p.Now()/g + 1) * g
 			}
 		}

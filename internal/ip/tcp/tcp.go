@@ -57,22 +57,19 @@ type Params struct {
 	// U-Net TCP, 500 ms for the BSD kernel's pr_slow_timeout).
 	TimerGranularity time.Duration
 	// DelayedAck enables the BSD delayed-acknowledgment strategy (ack
-	// every second segment or after DelayedAckDelay). U-Net TCP disables
+	// every second segment or after delayedAckDelay). U-Net TCP disables
 	// it (§7.8).
-	DelayedAck      bool
-	DelayedAckDelay time.Duration
+	DelayedAck bool
 	// WindowScale left-shifts the advertised window (RFC 1323-style),
 	// the §7.8 extension needed "across wide-area links where the high
 	// latencies no longer permit the use of small windows". Both ends of
 	// a connection must be configured identically (the model elides the
 	// SYN option negotiation).
 	WindowScale uint
-	// ProcTx and ProcRx are per-segment protocol processing costs.
+	// ProcTx and ProcRx are per-segment protocol processing costs, on top
+	// of the Internet checksum every segment carries (ip.ChecksumPerByte).
 	// Calibrated so U-Net TCP round trips start at ~157 µs (Table 3).
 	ProcTx, ProcRx time.Duration
-	// Checksum enables the Internet checksum (cost per byte as UDP §7.6).
-	Checksum        bool
-	ChecksumPerByte time.Duration
 	// MaxTimeouts bounds consecutive retransmission timeouts without ack
 	// progress. Past the limit the connection is declared dead and
 	// blocking operations return ErrPeerDead — the backoff already made
@@ -80,6 +77,10 @@ type Params struct {
 	// failure from the application.
 	MaxTimeouts int
 }
+
+// delayedAckDelay is how long a delayed acknowledgment waits for a second
+// segment: the BSD pr_fast_timeout.
+const delayedAckDelay = 200 * time.Millisecond
 
 // DefaultParams returns the U-Net TCP configuration (§7.8).
 func DefaultParams() Params {
@@ -89,11 +90,8 @@ func DefaultParams() Params {
 		SendBufBytes:     64 << 10,
 		TimerGranularity: time.Millisecond,
 		DelayedAck:       false,
-		DelayedAckDelay:  200 * time.Millisecond,
 		ProcTx:           8 * time.Microsecond,
 		ProcRx:           8 * time.Microsecond,
-		Checksum:         true,
-		ChecksumPerByte:  10 * time.Nanosecond,
 		MaxTimeouts:      12,
 	}
 }
@@ -184,9 +182,6 @@ func New(c ip.Conduit, localPort, remotePort uint16, params Params) *Conn {
 	if params.TimerGranularity <= 0 {
 		params.TimerGranularity = time.Millisecond
 	}
-	if params.DelayedAckDelay <= 0 {
-		params.DelayedAckDelay = 200 * time.Millisecond
-	}
 	if params.MaxTimeouts <= 0 {
 		params.MaxTimeouts = 12
 	}
@@ -250,10 +245,8 @@ func (c *Conn) emit(p *sim.Proc, seg segment) error {
 	t[13] = seg.flags
 	binary.BigEndian.PutUint16(t[14:], seg.wnd)
 	copy(t[HeaderSize:], seg.payload)
-	if c.params.Checksum {
-		p.Charge(time.Duration(HeaderSize+len(seg.payload)) * c.params.ChecksumPerByte)
-		binary.BigEndian.PutUint16(t[16:], ip.InternetChecksum(t))
-	}
+	p.Charge(time.Duration(HeaderSize+len(seg.payload)) * ip.ChecksumPerByte)
+	binary.BigEndian.PutUint16(t[16:], ip.InternetChecksum(t))
 	c.stats.SegsOut++
 	if seg.flags&flagACK != 0 && len(seg.payload) == 0 {
 		c.stats.AcksOut++

@@ -132,7 +132,7 @@ func TestLossRecovery(t *testing.T) {
 	// Drop a handful of cells mid-stream on B's downlink: whole segments
 	// vanish (AAL5) and TCP must recover.
 	i := 0
-	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
+	tb.Topo.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		i++
 		return i >= 100 && i < 103
 	}))
@@ -148,7 +148,7 @@ func TestFastRetransmitBeatsTimer(t *testing.T) {
 	params.WindowBytes = 16 << 10 // keep ≥ 4 segments in flight behind a loss
 	tb, a, b := pair(t, params)
 	// One lost cell mid-stream → one lost segment, window open.
-	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(1500))
+	tb.Topo.Downlink(1).SetInjector(faults.NewNthCell(1500))
 	_, elapsed := transfer(t, tb, a, b, 128<<10, 8192)
 	st := a.Stats()
 	if st.FastRetransmits == 0 {
@@ -170,7 +170,7 @@ func TestCoarseTimerHurtsRecovery(t *testing.T) {
 		params.TimerGranularity = gran
 		tb, a, b := pair(t, params)
 		i := 0
-		tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
+		tb.Topo.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 			i++
 			// Lose a segment and its fast retransmission.
 			return i >= 100 && i < 200

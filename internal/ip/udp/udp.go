@@ -41,22 +41,18 @@ type Params struct {
 	// PCBMiss is the extra cost of a demultiplexing miss in the one-entry
 	// pcb cache (§7.6).
 	PCBMiss time.Duration
-	// Checksum enables the Internet checksum over header and data; the
-	// per-byte cost comes from the host's NodeParams-equivalent field.
+	// Checksum enables the Internet checksum over header and data, at
+	// ip.ChecksumPerByte.
 	Checksum bool
-	// ChecksumPerByte is the software checksumming cost (§7.6: 1 µs per
-	// 100 bytes).
-	ChecksumPerByte time.Duration
 }
 
 // DefaultParams returns the U-Net UDP configuration.
 func DefaultParams() Params {
 	return Params{
-		ProcTx:          10900 * time.Nanosecond,
-		ProcRx:          10900 * time.Nanosecond,
-		PCBMiss:         2 * time.Microsecond,
-		Checksum:        true,
-		ChecksumPerByte: 10 * time.Nanosecond,
+		ProcTx:   10900 * time.Nanosecond,
+		ProcRx:   10900 * time.Nanosecond,
+		PCBMiss:  2 * time.Microsecond,
+		Checksum: true,
 	}
 }
 
@@ -146,7 +142,7 @@ func (sk *Socket) SendTo(p *sim.Proc, dstPort uint16, data []byte) error {
 	binary.BigEndian.PutUint16(u[4:], uint16(HeaderSize+len(data)))
 	copy(u[HeaderSize:], data)
 	if s.params.Checksum {
-		p.Charge(time.Duration(HeaderSize+len(data)) * s.params.ChecksumPerByte)
+		p.Charge(time.Duration(HeaderSize+len(data)) * ip.ChecksumPerByte)
 		binary.BigEndian.PutUint16(u[6:], ip.InternetChecksum(u[HeaderSize:]))
 	}
 	s.stats.Sent++
@@ -183,7 +179,7 @@ func (s *Stack) deliver(p *sim.Proc, pkt []byte) {
 	if s.params.Checksum {
 		want := binary.BigEndian.Uint16(u[6:])
 		if want != 0 {
-			p.Charge(time.Duration(len(u)-6) * s.params.ChecksumPerByte)
+			p.Charge(time.Duration(len(u)-6) * ip.ChecksumPerByte)
 			binary.BigEndian.PutUint16(u[6:], 0)
 			if got := ip.InternetChecksum(u[HeaderSize:]); got != want {
 				s.stats.BadChecksum++

@@ -28,52 +28,38 @@ import (
 	"unet/internal/unet"
 )
 
-// Params is the kernel-path cost model (SunOS 4.1.3 on a SPARCstation-20).
-type Params struct {
-	// Syscall is the trap in/out cost paid on every send and receive.
-	Syscall time.Duration
-	// CopyPerByte is the user/kernel boundary copy cost (uiomove) —
-	// slower than a tuned memcpy because of page-wise checks.
-	CopyPerByte time.Duration
-	// StackPerPacket is the generic IP + socket layer processing per
-	// packet in the kernel (excluding UDP/TCP protocol costs, which the
-	// protocol modules charge).
-	StackPerPacket time.Duration
-	// ClusterCost and SmallMbufCost price the mbuf allocate/free work for
-	// 1 KB clusters and 112-byte small mbufs (§7.3: the small ones have
-	// no reference counts and degrade performance).
-	ClusterCost   time.Duration
-	SmallMbufCost time.Duration
-	// Interrupt is the per-packet receive interrupt overhead.
-	Interrupt time.Duration
-	// Wakeup is the scheduler cost of waking the blocked receiver.
-	Wakeup time.Duration
-	// DriverTx is the device-driver transmit handoff per packet.
-	DriverTx time.Duration
-	// TxQueuePackets bounds the device transmit queue; SunOS "will drop
+// The kernel-path cost model (SunOS 4.1.3 on a SPARCstation-20).
+const (
+	// syscall is the trap in/out cost paid on every send and receive.
+	syscall = 17 * time.Microsecond
+	// copyPerByte is the user/kernel boundary copy cost (uiomove) — slower
+	// than a tuned memcpy because of page-wise checks.
+	copyPerByte = 80 * time.Nanosecond
+	// stackPerPacket is the generic IP + socket layer processing per packet
+	// in the kernel (excluding UDP/TCP protocol costs, which the protocol
+	// modules charge).
+	stackPerPacket = 30 * time.Microsecond
+	// clusterCost and smallMbufCost price the mbuf allocate/free work for
+	// 1 KB clusters and 112-byte small mbufs (§7.3: the small ones have no
+	// reference counts and degrade performance).
+	clusterCost   = 4 * time.Microsecond
+	smallMbufCost = 8 * time.Microsecond
+	// interrupt is the per-packet receive interrupt overhead.
+	interrupt = 40 * time.Microsecond
+	// wakeup is the scheduler cost of waking the blocked receiver.
+	wakeup = 60 * time.Microsecond
+	// driverTx is the device-driver transmit handoff per packet.
+	driverTx = 15 * time.Microsecond
+	// txQueuePackets bounds the device transmit queue; SunOS "will drop
 	// random packets from the device transmit queue if there is overload
 	// without notifying the sending application" (§7.4).
-	TxQueuePackets int
-	// SockBufBytes is the socket receive buffer (§7.3: max 52 Kbytes in
-	// SunOS) — the overflow point for kernel UDP receive losses.
-	SockBufBytes int
-}
+	txQueuePackets = 40
+)
 
-// DefaultParams returns the calibrated SunOS model.
-func DefaultParams() Params {
-	return Params{
-		Syscall:        17 * time.Microsecond,
-		CopyPerByte:    80 * time.Nanosecond,
-		StackPerPacket: 30 * time.Microsecond,
-		ClusterCost:    4 * time.Microsecond,
-		SmallMbufCost:  8 * time.Microsecond,
-		Interrupt:      40 * time.Microsecond,
-		Wakeup:         60 * time.Microsecond,
-		DriverTx:       15 * time.Microsecond,
-		TxQueuePackets: 40,
-		SockBufBytes:   52 << 10,
-	}
-}
+// SockBufBytes is the SunOS socket receive buffer (§7.3: max 52 Kbytes),
+// the overflow point for kernel UDP receive losses. TCP sizes its own to
+// its window (setsockopt SO_RCVBUF).
+const SockBufBytes = 52 << 10
 
 // MbufChain returns the buffer chain the SunOS allocator builds for an
 // n-byte packet: full 1 KB clusters, and either one more cluster (when the
@@ -92,9 +78,9 @@ func MbufChain(n int) (clusters, smalls int) {
 }
 
 // mbufCost prices allocating (or freeing) the chain for n bytes.
-func (pr *Params) mbufCost(n int) time.Duration {
+func mbufCost(n int) time.Duration {
 	clusters, smalls := MbufChain(n)
-	return time.Duration(clusters)*pr.ClusterCost + time.Duration(smalls)*pr.SmallMbufCost
+	return time.Duration(clusters)*clusterCost + time.Duration(smalls)*smallMbufCost
 }
 
 // UDPParams returns the kernel UDP protocol configuration: heavier
@@ -102,11 +88,10 @@ func (pr *Params) mbufCost(n int) time.Duration {
 // checksum.
 func UDPParams() udp.Params {
 	return udp.Params{
-		ProcTx:          25 * time.Microsecond,
-		ProcRx:          25 * time.Microsecond,
-		PCBMiss:         8 * time.Microsecond,
-		Checksum:        false,
-		ChecksumPerByte: 10 * time.Nanosecond,
+		ProcTx:   25 * time.Microsecond,
+		ProcRx:   25 * time.Microsecond,
+		PCBMiss:  8 * time.Microsecond,
+		Checksum: false,
 	}
 }
 
@@ -115,7 +100,7 @@ func UDPParams() udp.Params {
 // matching the IP-over-ATM MTU, and the socket-buffer-sized window.
 func TCPParams(windowBytes int) tcp.Params {
 	if windowBytes <= 0 {
-		windowBytes = 52 << 10
+		windowBytes = SockBufBytes
 	}
 	return tcp.Params{
 		MSS:              8192,
@@ -123,11 +108,8 @@ func TCPParams(windowBytes int) tcp.Params {
 		SendBufBytes:     64 << 10,
 		TimerGranularity: 500 * time.Millisecond,
 		DelayedAck:       true,
-		DelayedAckDelay:  200 * time.Millisecond,
 		ProcTx:           35 * time.Microsecond,
 		ProcRx:           35 * time.Microsecond,
-		Checksum:         true,
-		ChecksumPerByte:  10 * time.Nanosecond,
 	}
 }
 
@@ -143,12 +125,12 @@ type Stats struct {
 // Conduit is the in-kernel packet path between two hosts. It implements
 // ip.Conduit so the UDP/TCP modules run over it unchanged.
 type Conduit struct {
-	host   *unet.Host
-	inner  ip.Conduit
-	params Params
+	host  *unet.Host
+	inner ip.Conduit
 
 	txq *sim.FIFO[[]byte]
 
+	sockBuf   int // receive buffer capacity in bytes
 	sockBytes int
 	sockQ     [][]byte
 	sockCond  sim.Cond
@@ -193,14 +175,15 @@ func (c *Conduit) withCPUIntr(p *sim.Proc, d time.Duration) {
 }
 
 // New wraps the inner wire conduit (an ATM endpoint path or an Ethernet
-// port) in the kernel cost layers and starts the driver and interrupt
-// service processes on host.
-func New(host *unet.Host, inner ip.Conduit, params Params) *Conduit {
+// port) in the kernel cost layers, with a socket receive buffer of
+// sockBufBytes, and starts the driver and interrupt service processes on
+// host.
+func New(host *unet.Host, inner ip.Conduit, sockBufBytes int) *Conduit {
 	c := &Conduit{
-		host:   host,
-		inner:  inner,
-		params: params,
-		txq:    sim.NewFIFO[[]byte](params.TxQueuePackets),
+		host:    host,
+		inner:   inner,
+		txq:     sim.NewFIFO[[]byte](txQueuePackets),
+		sockBuf: sockBufBytes,
 	}
 	host.Spawn("kernel-tx", c.txProc)
 	host.Spawn("kernel-rx", c.rxProc)
@@ -223,9 +206,8 @@ func (c *Conduit) MTU() int { return c.inner.MTU() }
 // stack processing, and the device queue — which silently drops on
 // overload (§7.4).
 func (c *Conduit) Send(p *sim.Proc, pkt []byte) error {
-	pr := &c.params
-	c.withCPU(p, pr.Syscall+time.Duration(len(pkt))*pr.CopyPerByte+
-		pr.mbufCost(len(pkt))+pr.StackPerPacket)
+	c.withCPU(p, syscall+time.Duration(len(pkt))*copyPerByte+
+		mbufCost(len(pkt))+stackPerPacket)
 	c.accountMbufs(len(pkt))
 	c.stats.Sent++
 	buf := make([]byte, len(pkt))
@@ -247,7 +229,7 @@ func (c *Conduit) accountMbufs(n int) {
 func (c *Conduit) txProc(p *sim.Proc) {
 	for {
 		pkt := c.txq.Get(p)
-		c.withCPU(p, c.params.DriverTx)
+		c.withCPU(p, driverTx)
 		if err := c.inner.Send(p, pkt); err != nil {
 			continue
 		}
@@ -257,15 +239,14 @@ func (c *Conduit) txProc(p *sim.Proc) {
 // rxProc is the interrupt side: packets come off the wire, pay interrupt
 // and stack costs, and land in the bounded socket buffer.
 func (c *Conduit) rxProc(p *sim.Proc) {
-	pr := &c.params
 	for {
 		pkt, ok := c.inner.Recv(p, -1)
 		if !ok {
 			continue
 		}
-		c.withCPUIntr(p, pr.Interrupt+pr.StackPerPacket+pr.mbufCost(len(pkt)))
+		c.withCPUIntr(p, interrupt+stackPerPacket+mbufCost(len(pkt)))
 		c.accountMbufs(len(pkt))
-		if c.sockBytes+len(pkt) > pr.SockBufBytes {
+		if c.sockBytes+len(pkt) > c.sockBuf {
 			c.stats.SockBufDrops++
 			continue
 		}
@@ -290,12 +271,11 @@ func (c *Conduit) pop() ([]byte, bool) {
 // the kernel, be woken, copy out. A negative timeout blocks until a
 // datagram arrives.
 func (c *Conduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
-	pr := &c.params
-	c.withCPU(p, pr.Syscall)
+	c.withCPU(p, syscall)
 	deadline := p.Now() + timeout
 	for {
 		if pkt, ok := c.pop(); ok {
-			c.withCPU(p, pr.Wakeup+time.Duration(len(pkt))*pr.CopyPerByte)
+			c.withCPU(p, wakeup+time.Duration(len(pkt))*copyPerByte)
 			return pkt, true
 		}
 		if timeout < 0 {
@@ -312,12 +292,11 @@ func (c *Conduit) Recv(p *sim.Proc, timeout time.Duration) ([]byte, bool) {
 
 // TryRecv polls the socket buffer without blocking.
 func (c *Conduit) TryRecv(p *sim.Proc) ([]byte, bool) {
-	pr := &c.params
-	c.withCPU(p, pr.Syscall)
+	c.withCPU(p, syscall)
 	pkt, ok := c.pop()
 	if !ok {
 		return nil, false
 	}
-	c.withCPU(p, time.Duration(len(pkt))*pr.CopyPerByte)
+	c.withCPU(p, time.Duration(len(pkt))*copyPerByte)
 	return pkt, true
 }

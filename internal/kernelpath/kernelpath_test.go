@@ -27,8 +27,8 @@ func atmPairFull(t *testing.T) (*testbed.Testbed, *kernelpath.Conduit, *kernelpa
 	if err != nil {
 		t.Fatal(err)
 	}
-	ka := kernelpath.New(tb.Hosts[0], ia, kernelpath.DefaultParams())
-	kb := kernelpath.New(tb.Hosts[1], ib, kernelpath.DefaultParams())
+	ka := kernelpath.New(tb.Hosts[0], ia, kernelpath.SockBufBytes)
+	kb := kernelpath.New(tb.Hosts[1], ib, kernelpath.SockBufBytes)
 	return tb, ka, kb, ia, ib
 }
 
@@ -40,8 +40,8 @@ func ethPair(t *testing.T) (*testbed.Testbed, *kernelpath.Conduit, *kernelpath.C
 	en := kernelpath.NewEthernet(tb.Eng)
 	pa := en.NewPort(1, 2)
 	pb := en.NewPort(2, 1)
-	ka := kernelpath.New(tb.Hosts[0], pa, kernelpath.DefaultParams())
-	kb := kernelpath.New(tb.Hosts[1], pb, kernelpath.DefaultParams())
+	ka := kernelpath.New(tb.Hosts[0], pa, kernelpath.SockBufBytes)
+	kb := kernelpath.New(tb.Hosts[1], pb, kernelpath.SockBufBytes)
 	return tb, ka, kb
 }
 
@@ -262,7 +262,7 @@ func TestEthernetSharedMediumContention(t *testing.T) {
 	t.Cleanup(tb.Close)
 	en := kernelpath.NewEthernet(tb.Eng)
 	mk := func(h int, local, remote uint32) *kernelpath.Conduit {
-		return kernelpath.New(tb.Hosts[h], en.NewPort(local, remote), kernelpath.DefaultParams())
+		return kernelpath.New(tb.Hosts[h], en.NewPort(local, remote), kernelpath.SockBufBytes)
 	}
 	kA, kB := mk(0, 1, 2), mk(1, 2, 1)
 	kC, kD := mk(2, 3, 4), mk(3, 4, 3)

@@ -163,9 +163,6 @@ func (nd *Node) Spawn(name string, fn func(*sim.Proc)) *sim.Proc {
 	return nd.m.e.Spawn(fmt.Sprintf("%s/%d/%s", nd.m.p.Name, nd.self, name), fn)
 }
 
-// MaxSmall bounds small-message payloads.
-func (nd *Node) MaxSmall() int { return 1024 }
-
 // transmit charges the sender and schedules delivery.
 func (nd *Node) transmit(p *sim.Proc, dst int, msg mmsg) {
 	cost := nd.m.p.OSend + time.Duration(len(msg.data))*nd.m.p.GPerByte

@@ -109,9 +109,8 @@ func TestSBA200SignalAddsThirtyMicrosecondsPerEnd(t *testing.T) {
 	// §4.2.3: signals instead of polling add ~30 µs on each end. Compare a
 	// one-way latency with signal upcall against polling pickup; the
 	// difference is exactly SignalDelivery.
-	p := unet.DefaultNodeParams()
-	if p.SignalDelivery != 30*time.Microsecond {
-		t.Fatalf("SignalDelivery = %v, want 30µs", p.SignalDelivery)
+	if unet.SignalDelivery != 30*time.Microsecond {
+		t.Fatalf("SignalDelivery = %v, want 30µs", unet.SignalDelivery)
 	}
 }
 
@@ -190,8 +189,8 @@ func TestCellLossDropsWholePDU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(4)) // lose the 4th cell on the wire
-	res := pr.Stream(3, 500)                             // 3 messages × 11 cells
+	tb.Topo.Downlink(1).SetInjector(faults.NewNthCell(4)) // lose the 4th cell on the wire
+	res := pr.Stream(3, 500)                              // 3 messages × 11 cells
 	if res.Delivered != 2 {
 		t.Fatalf("delivered %d messages, want 2", res.Delivered)
 	}

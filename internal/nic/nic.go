@@ -23,6 +23,7 @@ import (
 	"unet/internal/atm"
 	"unet/internal/fabric"
 	"unet/internal/sim"
+	"unet/internal/topo"
 	"unet/internal/unet"
 )
 
@@ -176,11 +177,11 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 	return d
 }
 
-// Attach wires a device of the given parameters to a fabric attachment
-// point (a topo-compiled fabric's host index): it creates the device, registers it as the host's cell sink and
-// the host's device, records the host with the manager, and starts the
-// on-board processor.
-func Attach(h *unet.Host, cl fabric.Network, m *unet.Manager, port int, params Params) *Device {
+// Attach wires a device of the given parameters to host index port of a
+// compiled fabric: it creates the device, registers it as the host's cell
+// sink and the host's device, records the host with the manager, and starts
+// the on-board processor.
+func Attach(h *unet.Host, cl *topo.Fabric, m *unet.Manager, port int, params Params) *Device {
 	d := New(h.Eng, h, params, cl.Uplink(port))
 	cl.SetHostSink(port, d)
 	h.SetDevice(d)
@@ -207,8 +208,8 @@ func (d *Device) Stats() Stats { return d.stats }
 
 // AttachEndpoint begins servicing ep.
 func (d *Device) AttachEndpoint(ep *unet.Endpoint) error {
-	if len(d.eps) >= d.params.MaxEndpoints {
-		return fmt.Errorf("nic %s: endpoint table full (%d)", d.name, d.params.MaxEndpoints)
+	if len(d.eps) >= maxEndpoints {
+		return fmt.Errorf("nic %s: endpoint table full (%d)", d.name, maxEndpoints)
 	}
 	d.eps = append(d.eps, ep)
 	return nil
@@ -300,11 +301,11 @@ func (d *Device) KickTx(ep *unet.Endpoint) {
 // SingleCellMax reports the inline-descriptor fast-path limit.
 func (d *Device) SingleCellMax() int { return d.params.SingleCellMax }
 
-// MTU reports the largest message the device segments.
-func (d *Device) MTU() int { return d.params.MTU }
+// MTU reports the largest message the device segments: one AAL5 PDU.
+func (d *Device) MTU() int { return atm.MaxPDU }
 
 // MaxEndpoints reports the endpoint table size.
-func (d *Device) MaxEndpoints() int { return d.params.MaxEndpoints }
+func (d *Device) MaxEndpoints() int { return maxEndpoints }
 
 // push appends a timestamped cell to the input ring, growing it as needed
 // up to the FIFO depth.
@@ -548,7 +549,7 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	}
 	d.stats.PDUsOut++
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
-		d.cursor += d.params.TxSingleCell
+		d.cursor += txSingleCell
 		d.txCells = atm.SegmentAppend(d.txCells[:0], tx, desc.Inline)
 		d.sendCells(d.txCells)
 		return
@@ -580,7 +581,7 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 // The caller's synchronizing sleep lands the processor where the
 // sleep-per-cell loop would have left it.
 func (d *Device) sendCells(cells []atm.Cell) {
-	limit := time.Duration(d.params.OutFIFOCells) * d.uplink.Params().CellTime
+	limit := time.Duration(outFIFOCells) * d.uplink.Params().CellTime
 	for i := range cells {
 		d.cursor += d.params.TxPerCell
 		if ready := d.uplink.NextFree() - limit; d.cursor < ready {
@@ -609,7 +610,7 @@ func (d *Device) processCell(c atm.Cell) {
 	}
 	fastPath := ent.reasm.Pending() == 0 && c.EOP && !c.Direct && d.params.SingleCellMax > 0
 	if fastPath {
-		d.cursor += d.params.RxSingleCell
+		d.cursor += rxSingleCell
 	} else {
 		d.cursor += d.params.RxPerCell
 	}

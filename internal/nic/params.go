@@ -6,18 +6,15 @@ import (
 	"unet/internal/atm"
 )
 
-// Params is a NIC cost table. The processing engine charges these times;
-// everything else (cell serialization, switch latency) is charged by the
-// fabric. Every value is calibrated against a paper measurement noted on
-// the constructor that sets it.
+// Params is a NIC cost table: what differs between the three device
+// models. The processing engine charges these times; everything else (cell
+// serialization, switch latency) is charged by the fabric. Every value is
+// calibrated against a paper measurement noted on the constructor that sets
+// it.
 type Params struct {
 	// Name labels the device model.
 	Name string
 
-	// TxSingleCell is the processor time to service an inline (single-cell
-	// fast path) send descriptor: read the i960-resident descriptor,
-	// build the cell, compute CRC in hardware, push to the output FIFO.
-	TxSingleCell time.Duration
 	// TxFixed is the per-message cost of the general send path: descriptor
 	// processing and host-memory DMA set-up.
 	TxFixed time.Duration
@@ -27,10 +24,6 @@ type Params struct {
 	// fiber saturates (Figure 4).
 	TxPerCell time.Duration
 
-	// RxSingleCell is the receive fast path: a single-cell message is
-	// transferred directly into the next receive-queue entry, skipping
-	// buffer allocation (§4.2.2).
-	RxSingleCell time.Duration
 	// RxFixed is the per-message completion cost of the general receive
 	// path: free-queue pop and descriptor DMA into the receive queue.
 	RxFixed time.Duration
@@ -38,23 +31,34 @@ type Params struct {
 	RxPerCell time.Duration
 
 	// SingleCellMax is the largest message carried inline in descriptors;
-	// 0 disables both fast paths.
+	// 0 disables both fast paths (txSingleCell, rxSingleCell).
 	SingleCellMax int
-	// MTU is the largest AAL5 PDU the device will segment.
-	MTU int
 	// InFIFODepth is the input FIFO capacity in cells; overflow drops.
 	InFIFODepth int
-	// OutFIFOCells bounds how far the processor runs ahead of the fiber.
-	OutFIFOCells int
-	// MaxEndpoints is the endpoint table size (on-board memory, §4.2.4).
-	MaxEndpoints int
 }
 
+// What the three device models share.
+const (
+	// txSingleCell is the processor time to service an inline (single-cell
+	// fast path) send descriptor: read the i960-resident descriptor, build
+	// the cell, compute CRC in hardware, push to the output FIFO.
+	txSingleCell = 13 * time.Microsecond
+	// rxSingleCell is the receive fast path: a single-cell message is
+	// transferred directly into the next receive-queue entry, skipping
+	// buffer allocation (§4.2.2).
+	rxSingleCell = 9700 * time.Nanosecond
+	// outFIFOCells bounds how far the processor runs ahead of the fiber.
+	outFIFOCells = 36
+	// maxEndpoints is the endpoint table size (on-board memory, §4.2.4).
+	maxEndpoints = 16
+)
+
 // SBA200Params returns the cost table of the SBA-200 running the paper's
-// custom U-Net firmware (§4.2.2), calibrated to reproduce §4.2.3:
+// custom U-Net firmware (§4.2.2), the one model with the single-cell fast
+// path, calibrated to reproduce §4.2.3:
 //
 //   - single-cell round trip 65 µs (32.5 µs one way, composed of the
-//     descriptor push, TxSingleCell, ~8.7 µs of wire, RxSingleCell and the
+//     descriptor push, txSingleCell, ~8.7 µs of wire, rxSingleCell and the
 //     receiver's poll);
 //   - 48-byte messages at 120 µs round trip (the multi-cell path's
 //     buffer/DMA management is far costlier on the 25 MHz i960);
@@ -64,17 +68,12 @@ type Params struct {
 func SBA200Params() Params {
 	return Params{
 		Name:          "sba200",
-		TxSingleCell:  13 * time.Microsecond,
 		TxFixed:       25 * time.Microsecond,
 		TxPerCell:     1500 * time.Nanosecond,
-		RxSingleCell:  9700 * time.Nanosecond,
 		RxFixed:       19 * time.Microsecond,
 		RxPerCell:     1500 * time.Nanosecond,
 		SingleCellMax: atm.SingleCellMax,
-		MTU:           atm.MaxPDU,
 		InFIFODepth:   292,
-		OutFIFOCells:  36,
-		MaxEndpoints:  16,
 	}
 }
 
@@ -85,16 +84,12 @@ func SBA200Params() Params {
 // 13 MB/s with 4 Kbyte packets. No single-cell fast path.
 func ForeParams() Params {
 	return Params{
-		Name:          "fore",
-		TxFixed:       31 * time.Microsecond,
-		TxPerCell:     3300 * time.Nanosecond, // above the 3.16 µs cell time: never saturates
-		RxFixed:       36 * time.Microsecond,
-		RxPerCell:     3300 * time.Nanosecond,
-		SingleCellMax: 0,
-		MTU:           atm.MaxPDU,
-		InFIFODepth:   292,
-		OutFIFOCells:  36,
-		MaxEndpoints:  16,
+		Name:        "fore",
+		TxFixed:     31 * time.Microsecond,
+		TxPerCell:   3300 * time.Nanosecond, // above the 3.16 µs cell time: never saturates
+		RxFixed:     36 * time.Microsecond,
+		RxPerCell:   3300 * time.Nanosecond,
+		InFIFODepth: 292,
 	}
 }
 
@@ -107,16 +102,12 @@ func ForeParams() Params {
 // 6.8 MB/s at 1 Kbyte packets.
 func SBA100Params() Params {
 	return Params{
-		Name:          "sba100",
-		TxFixed:       5300 * time.Nanosecond, // trap entry + FIFO store latency
-		TxPerCell:     6800 * time.Nanosecond, // AAL5 SAR + CRC + PIO per cell
-		RxFixed:       6500 * time.Nanosecond, // trap exit + FIFO drain latency
-		RxPerCell:     5 * time.Microsecond,   // AAL5 receive overhead per cell
-		SingleCellMax: 0,
-		MTU:           atm.MaxPDU,
-		InFIFODepth:   292,
-		OutFIFOCells:  36,
-		MaxEndpoints:  16,
+		Name:        "sba100",
+		TxFixed:     5300 * time.Nanosecond, // trap entry + FIFO store latency
+		TxPerCell:   6800 * time.Nanosecond, // AAL5 SAR + CRC + PIO per cell
+		RxFixed:     6500 * time.Nanosecond, // trap exit + FIFO drain latency
+		RxPerCell:   5 * time.Microsecond,   // AAL5 receive overhead per cell
+		InFIFODepth: 292,
 	}
 }
 

@@ -28,7 +28,7 @@ func bareDevice(t *testing.T) (*sim.Engine, *Device, *unet.Endpoint) {
 	t.Helper()
 	e := sim.New(1)
 	t.Cleanup(e.Shutdown)
-	h := unet.NewHost(e, "host", unet.DefaultNodeParams())
+	h := unet.NewHost(e, "host")
 	d := New(e, h, SBA200Params(), fabric.NewLink(e, "up", fabric.DefaultLinkParams(), nullSink{}))
 	h.SetDevice(d)
 	d.Start()
@@ -98,7 +98,7 @@ func TestDoorbellDuringSleepQueuesNothing(t *testing.T) {
 		}
 	})
 	e.Run()
-	if want := 10*us + d.params.RxSingleCell; deliveredAt != want {
+	if want := 10*us + rxSingleCell; deliveredAt != want {
 		t.Fatalf("delivered at %v, want %v", deliveredAt, want)
 	}
 	if st := d.Stats(); st.Doorbells != 2 || st.DoorbellsCoalesced != 1 || d.txDoorbell || !d.idle {

@@ -59,6 +59,4 @@ type Transport interface {
 	Spawn(name string, fn func(*sim.Proc)) *sim.Proc
 	// Engine exposes the simulation engine driving this transport.
 	Engine() *sim.Engine
-	// MaxSmall is the largest payload accepted by Send/RPC.
-	MaxSmall() int
 }

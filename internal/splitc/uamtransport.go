@@ -92,9 +92,6 @@ func (t *UAMTransport) Spawn(name string, fn func(*sim.Proc)) *sim.Proc {
 	return t.host.Spawn(name, fn)
 }
 
-// MaxSmall bounds Send/RPC payloads (one UAM message minus framing).
-func (t *UAMTransport) MaxSmall() int { return 1024 }
-
 // Send transmits a one-way small message.
 func (t *UAMTransport) Send(p *sim.Proc, dst int, arg uint32, data []byte) {
 	buf := make([]byte, 4+len(data))

@@ -51,10 +51,13 @@ type Config struct {
 type Testbed struct {
 	Eng *sim.Engine
 	// Topo is the compiled fabric the hosts attach to — one switch for the
-	// paper's cluster, Topo.Switches[0] — and Net the same object behind the
-	// surface the manager and the NICs program: uplinks, downlinks, circuits.
+	// paper's cluster, Topo.Switches[0] — with its uplinks, downlinks and
+	// circuits.
 	Topo *topo.Fabric
-	Net  fabric.Network
+	// Net is Topo again, kept because bench/workloads.go reads uplinks and
+	// downlinks through this name. It goes with the Fabric shim below, and
+	// nothing else may read it.
+	Net *topo.Fabric
 	// Fabric is never set. The frozen bench/workloads.go still compiles a
 	// branch for a testbed without Topo that reads Fabric.Switch and
 	// Fabric.UndeliveredCells; the field goes with that branch at the next
@@ -114,11 +117,11 @@ func New(cfg Config) *Testbed {
 	}
 	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, spec, hostEng, swEng)}
 	tb.Net = tb.Topo
-	m := unet.NewManager(tb.Net)
+	m := unet.NewManager(tb.Topo)
 	tb.Manager = m
 	for i := 0; i < cfg.Hosts; i++ {
-		h := unet.NewHost(tb.Net.HostEngine(i), fmt.Sprintf("host%d", i), unet.DefaultNodeParams())
-		d := nic.Attach(h, tb.Net, m, i, nicp)
+		h := unet.NewHost(tb.Topo.HostEngine(i), fmt.Sprintf("host%d", i))
+		d := nic.Attach(h, tb.Topo, m, i, nicp)
 		tb.Hosts = append(tb.Hosts, h)
 		tb.Devices = append(tb.Devices, d)
 	}
@@ -130,13 +133,13 @@ func New(cfg Config) *Testbed {
 			// Per-link streams are keyed by the fixed link names ("atm.up0",
 			// "clos2.leaf1.port3", ...), so the fault pattern a host sees
 			// depends on the topology, never on the shard layout.
-			if ch := pl.Build(tb.Net.Uplink(i).Name()); ch != nil {
+			if ch := pl.Build(tb.Topo.Uplink(i).Name()); ch != nil {
 				tb.UpFaults[i] = ch
-				tb.Net.Uplink(i).SetInjector(ch)
+				tb.Topo.Uplink(i).SetInjector(ch)
 			}
-			if ch := pl.Build(tb.Net.Downlink(i).Name()); ch != nil {
+			if ch := pl.Build(tb.Topo.Downlink(i).Name()); ch != nil {
 				tb.DownFaults[i] = ch
-				tb.Net.Downlink(i).SetInjector(ch)
+				tb.Topo.Downlink(i).SetInjector(ch)
 			}
 		}
 		if pl.SwitchQueueCells > 0 {
@@ -181,7 +184,7 @@ func (tb *Testbed) TotalSteps() uint64 {
 	total := tb.Eng.Steps()
 	seen := map[*sim.Engine]bool{tb.Eng: true}
 	for i := range tb.Hosts {
-		if e := tb.Net.HostEngine(i); !seen[e] {
+		if e := tb.Topo.HostEngine(i); !seen[e] {
 			seen[e] = true
 			total += e.Steps()
 		}

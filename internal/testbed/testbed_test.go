@@ -17,13 +17,13 @@ import (
 func TestPlacementOfTheCluster(t *testing.T) {
 	for _, k := range []int{0, 1, 2, 4, 8, 16} {
 		tb := New(Config{Hosts: 8, Shards: k})
-		if tb.Topo == nil || tb.Net != fabric.Network(tb.Topo) {
+		if tb.Topo == nil || tb.Net != tb.Topo {
 			t.Fatalf("shards=%d: Topo %p is not what Net holds", k, tb.Topo)
 		}
 		m := min(k, 8)
 		if m <= 1 {
 			for i := range tb.Hosts {
-				if tb.Net.HostEngine(i) != tb.Eng {
+				if tb.Topo.HostEngine(i) != tb.Eng {
 					t.Errorf("shards=%d: host %d off the root engine of a serial testbed", k, i)
 				}
 			}
@@ -32,14 +32,14 @@ func TestPlacementOfTheCluster(t *testing.T) {
 				t.Errorf("shards=%d: %d engines, want the root and %d shards", k, got, m)
 			}
 			for i := range tb.Hosts {
-				e := tb.Net.HostEngine(i)
-				if e == tb.Eng || e != tb.Net.HostEngine(i%m) {
+				e := tb.Topo.HostEngine(i)
+				if e == tb.Eng || e != tb.Topo.HostEngine(i%m) {
 					t.Errorf("shards=%d: host %d is not on host %d's shard engine", k, i, i%m)
 				}
-				if i > 0 && i < m && e == tb.Net.HostEngine(i-1) {
+				if i > 0 && i < m && e == tb.Topo.HostEngine(i-1) {
 					t.Errorf("shards=%d: hosts %d and %d share a shard engine", k, i-1, i)
 				}
-				if tb.Net.Downlink(i).Engine() != tb.Eng {
+				if tb.Topo.Downlink(i).Engine() != tb.Eng {
 					t.Errorf("shards=%d: the switch's port %d transmits off the root", k, i)
 				}
 			}
@@ -48,7 +48,7 @@ func TestPlacementOfTheCluster(t *testing.T) {
 	}
 	tb := New(Config{Topology: topo.Clos2(2, 2, 1), Shards: 2})
 	defer tb.Close()
-	if tb.Topo == nil || tb.Net != fabric.Network(tb.Topo) || len(tb.Hosts) != 4 {
+	if tb.Topo == nil || tb.Net != tb.Topo || len(tb.Hosts) != 4 {
 		t.Fatalf("Topology path: Topo %p is not what Net holds, or %d hosts for 4", tb.Topo, len(tb.Hosts))
 	}
 }
@@ -68,18 +68,18 @@ func TestConfigFillsSpecDefaults(t *testing.T) {
 		t.Errorf("New wrote to the caller's spec: %+v", *spec)
 	}
 	for i := range tb.Hosts {
-		if up, down := tb.Net.Uplink(i).Params(), tb.Net.Downlink(i).Params(); up != spec.HostLink || down != spec.HostLink {
+		if up, down := tb.Topo.Uplink(i).Params(), tb.Topo.Downlink(i).Params(); up != spec.HostLink || down != spec.HostLink {
 			t.Errorf("host %d links %+v / %+v, want the spec's HostLink %+v", i, up, down, spec.HostLink)
 		}
 	}
 	// One cell host 0 → host 1: 9 µs at each of leaf, spine and leaf, and
 	// four links between.
 	var at time.Duration
-	tb.Net.SetHostSink(1, fabric.SinkFunc(func(atm.Cell) { at = tb.Eng.Now() }))
+	tb.Topo.SetHostSink(1, fabric.SinkFunc(func(atm.Cell) { at = tb.Eng.Now() }))
 	if err := tb.Topo.Route(0, 40, 1); err != nil {
 		t.Fatal(err)
 	}
-	tb.Net.Uplink(0).Send(atm.Cell{VCI: 40})
+	tb.Topo.Uplink(0).Send(atm.Cell{VCI: 40})
 	tb.Eng.Run()
 	trunk := fabric.DefaultCellTime + topo.DefaultTrunkPropagation
 	if want := 2*(spec.HostLink.CellTime+spec.HostLink.Propagation) + 2*trunk + 3*spec.SwitchLatency; at != want {

@@ -12,10 +12,9 @@ import (
 // Fabric is a compiled topology: the spec's switches instantiated as
 // fabric.Switch instances, its trunks as serializing links between switch
 // ports, and its hosts as uplink/downlink pairs on their attaching
-// switch. Fabric implements fabric.Network, the surface the U-Net manager
-// and the NIC attach path program; Provision swaps labels at one table
-// entry per switch along the computed path — a single entry on the
-// paper's one-switch cluster (Star).
+// switch. It is the surface the U-Net manager and the NIC attach path
+// program; Provision swaps labels at one table entry per switch along the
+// computed path — a single entry on the paper's one-switch cluster (Star).
 type Fabric struct {
 	Engine *sim.Engine
 	Spec   *Spec
@@ -33,14 +32,12 @@ type Fabric struct {
 
 	// Per-switch port layout: ports [0, len(hostAt[s])) carry hosts (in
 	// declared host order), the rest carry trunk endpoints (in declared
-	// trunk order). peerSw/peerPort resolve a trunk port to the far side,
-	// peerTrunk to the declared trunk it is an end of; trunkA is each
-	// declared trunk's A-side (switch, port).
-	hostAt    [][]int
-	peerSw    [][]int
-	peerPort  [][]int
-	peerTrunk [][]int
-	trunkA    [][2]int
+	// trunk order). peerSw/peerPort resolve a trunk port to the far side;
+	// trunkA is each declared trunk's A-side (switch, port).
+	hostAt   [][]int
+	peerSw   [][]int
+	peerPort [][]int
+	trunkA   [][2]int
 
 	// reach[d] is the search for next hops toward destination switch d,
 	// as far as routes have needed it (nil until the first one).
@@ -48,8 +45,6 @@ type Fabric struct {
 
 	undeliv uint64
 }
-
-var _ fabric.Network = (*Fabric)(nil)
 
 // hostPortSink indirects a switch output port to the host sink registered
 // later with SetHostSink: trains pass through when the sink understands
@@ -152,7 +147,6 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		hostAt:    make([][]int, ns),
 		peerSw:    make([][]int, ns),
 		peerPort:  make([][]int, ns),
-		peerTrunk: make([][]int, ns),
 		reach:     make([]*reach, ns),
 	}
 	for j := 0; j < ns; j++ {
@@ -184,8 +178,6 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		f.peerSw[b] = append(f.peerSw[b], a)
 		f.peerPort[a] = append(f.peerPort[a], pb)
 		f.peerPort[b] = append(f.peerPort[b], pa)
-		f.peerTrunk[a] = append(f.peerTrunk[a], t)
-		f.peerTrunk[b] = append(f.peerTrunk[b], t)
 		f.trunkA = append(f.trunkA, [2]int{a, pa})
 	}
 
@@ -193,20 +185,21 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 	// deliver through hostPortSink, trunk ports through trunkSink into the
 	// far switch. A link whose endpoints live on different engines is a
 	// cross-shard link.
+	hostLink, latency := spec.hostLink(), spec.switchLatency()
+	trunkLink := fabric.LinkParams{CellTime: fabric.DefaultCellTime, Propagation: DefaultTrunkPropagation}
 	for j := 0; j < ns; j++ {
 		swName := fmt.Sprintf("%s.%s", name, spec.Switches[j].Name)
 		var out []*fabric.Link
 		for p, host := range f.hostAt[j] {
 			lname := fmt.Sprintf("%s.port%d", swName, p)
-			out = append(out, newLinkBetween(f.swEng[j], f.hostEng[host], lname, spec.hostLink(host), hostPortSink{f: f, i: host}))
+			out = append(out, newLinkBetween(f.swEng[j], f.hostEng[host], lname, hostLink, hostPortSink{f: f, i: host}))
 		}
 		for k, peer := range f.peerSw[j] {
 			p := len(f.hostAt[j]) + k
 			lname := fmt.Sprintf("%s.port%d", swName, p)
-			lp := spec.trunkLink(f.peerTrunk[j][k])
-			out = append(out, newLinkBetween(f.swEng[j], f.swEng[peer], lname, lp, trunkSink{f: f, sw: peer, port: f.peerPort[j][k]}))
+			out = append(out, newLinkBetween(f.swEng[j], f.swEng[peer], lname, trunkLink, trunkSink{f: f, sw: peer, port: f.peerPort[j][k]}))
 		}
-		f.Switches[j] = fabric.NewSwitchWithLinks(f.swEng[j], swName, spec.switchLatency(j), out)
+		f.Switches[j] = fabric.NewSwitchWithLinks(f.swEng[j], swName, latency, out)
 		if q := spec.Switches[j].QueueCells; q > 0 {
 			f.Switches[j].SetOutputQueueCells(q)
 		}
@@ -216,7 +209,7 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 	for i := range spec.Hosts {
 		sw := f.hostSw[i]
 		uname := fmt.Sprintf("%s.up%d", name, i)
-		f.uplinks[i] = newLinkBetween(f.hostEng[i], f.swEng[sw], uname, spec.hostLink(i), f.Switches[sw].PortSink(f.hostPort[i]))
+		f.uplinks[i] = newLinkBetween(f.hostEng[i], f.swEng[sw], uname, hostLink, f.Switches[sw].PortSink(f.hostPort[i]))
 	}
 
 	return f, nil

@@ -1,14 +1,14 @@
 // Package topo is the declarative topology layer, the one way a fabric is
-// built: a topology graph spec — hosts, switches, trunks, with per-stage
-// link timing and finite output queues — plus generators for the paper's
-// single ASX-200 with a host on every port (Star) and for the datacenter
-// shapes it cannot express (2- and 3-stage Clos/fat-tree fabrics, ring and
-// island overlays), and a compiler that instantiates the spec onto the
-// fabric primitives. Compiled fabrics implement
-// fabric.Network, so the U-Net manager, the NIC attach path and every
-// testbed fixture run on them unchanged; routes become multi-hop — one
-// per-stage table entry installed at every switch along the computed path
-// (§3.2's carefully-controlled route set-up, stretched across stages).
+// built: a topology graph spec — hosts, switches, trunks, with host-link and
+// switch timing and per-switch finite output queues — plus generators for
+// the paper's single ASX-200 with a host on every port (Star) and for the
+// datacenter shapes it cannot express (2- and 3-stage Clos/fat-tree
+// fabrics, ring and island overlays), and a compiler that instantiates the
+// spec onto the fabric primitives. The U-Net manager, the NIC attach path
+// and every testbed fixture program the compiled Fabric directly; routes
+// become multi-hop — one per-stage table entry installed at every switch
+// along the computed path (§3.2's carefully-controlled route set-up,
+// stretched across stages).
 //
 // Everything in the spec is ordered: hosts, switches and trunks are
 // slices iterated in declared order, name lookups go through an index
@@ -34,13 +34,8 @@ const DefaultTrunkPropagation = 2 * time.Microsecond
 
 // HostSpec attaches one host to a switch.
 type HostSpec struct {
-	// Name is the host's unique name (defaults to "h<i>" when empty).
-	Name string
 	// Switch names the attaching (top-of-rack) switch.
 	Switch string
-	// Link overrides the host↔switch link timing; zero fields fall back
-	// to the spec's HostLink.
-	Link fabric.LinkParams
 }
 
 // SwitchSpec declares one switch.
@@ -52,9 +47,6 @@ type SwitchSpec struct {
 	// placement keeps each stage-0 switch with its hosts on one shard and
 	// pins higher stages to the root engine.
 	Stage int
-	// Latency is the cut-through forwarding latency (0 means
-	// fabric.DefaultSwitchLatency).
-	Latency time.Duration
 	// QueueCells bounds every output-port queue of this switch (tail drop
 	// on overflow); 0 keeps the queue unbounded. Per-stage bounds model
 	// the shallow buffers where incast hurts: at the aggregation layer.
@@ -62,16 +54,14 @@ type SwitchSpec struct {
 }
 
 // TrunkSpec declares a full-duplex inter-switch trunk: one serializing
-// link in each direction between switches A and B.
+// link in each direction between switches A and B, each at the TAXI cell
+// time with DefaultTrunkPropagation flight.
 type TrunkSpec struct {
 	A, B string
-	// Link overrides the trunk timing; zero fields fall back to the
-	// spec's TrunkLink.
-	Link fabric.LinkParams
 }
 
 // Spec is a declarative topology: the complete graph a fabric is compiled
-// from. The zero value of every default field falls back to the paper's
+// from. The zero value of every timing field falls back to the paper's
 // calibrated constants.
 type Spec struct {
 	// Name prefixes every link and switch name (defaults to "topo").
@@ -79,12 +69,10 @@ type Spec struct {
 	// Kind labels the generated shape ("star", "clos2", "clos3", "ring",
 	// "island", or "" for hand-built specs); reporting only.
 	Kind string
-	// HostLink is the default host↔switch timing (zero = 140 Mbit/s TAXI).
+	// HostLink is the host↔switch timing; a zero field falls back to the
+	// 140 Mbit/s TAXI link's.
 	HostLink fabric.LinkParams
-	// TrunkLink is the default switch↔switch timing (zero = TAXI cell
-	// time with DefaultTrunkPropagation flight).
-	TrunkLink fabric.LinkParams
-	// SwitchLatency is the default per-switch forwarding latency
+	// SwitchLatency is every switch's forwarding latency
 	// (0 = fabric.DefaultSwitchLatency).
 	SwitchLatency time.Duration
 
@@ -104,12 +92,9 @@ func (s *Spec) Stages() int {
 	return max + 1
 }
 
-// hostLink resolves host h's link timing.
-func (s *Spec) hostLink(h int) fabric.LinkParams {
-	lp := s.Hosts[h].Link
-	if lp.CellTime == 0 && lp.Propagation == 0 {
-		lp = s.HostLink
-	}
+// hostLink resolves the host links' timing.
+func (s *Spec) hostLink() fabric.LinkParams {
+	lp := s.HostLink
 	if lp.CellTime == 0 {
 		lp.CellTime = fabric.DefaultCellTime
 	}
@@ -119,26 +104,8 @@ func (s *Spec) hostLink(h int) fabric.LinkParams {
 	return lp
 }
 
-// trunkLink resolves trunk t's link timing.
-func (s *Spec) trunkLink(t int) fabric.LinkParams {
-	lp := s.Trunks[t].Link
-	if lp.CellTime == 0 && lp.Propagation == 0 {
-		lp = s.TrunkLink
-	}
-	if lp.CellTime == 0 {
-		lp.CellTime = fabric.DefaultCellTime
-	}
-	if lp.Propagation == 0 {
-		lp.Propagation = DefaultTrunkPropagation
-	}
-	return lp
-}
-
-// switchLatency resolves switch i's forwarding latency.
-func (s *Spec) switchLatency(i int) time.Duration {
-	if s.Switches[i].Latency != 0 {
-		return s.Switches[i].Latency
-	}
+// switchLatency resolves the switches' forwarding latency.
+func (s *Spec) switchLatency() time.Duration {
 	if s.SwitchLatency != 0 {
 		return s.SwitchLatency
 	}
@@ -169,19 +136,9 @@ func (s *Spec) Validate() error {
 		}
 		swIdx[sw.Name] = i
 	}
-	hostNames := make(map[string]bool, len(s.Hosts))
 	for i := range s.Hosts {
-		h := &s.Hosts[i]
-		name := h.Name
-		if name == "" {
-			name = fmt.Sprintf("h%d", i)
-		}
-		if hostNames[name] {
-			return fmt.Errorf("topo: duplicate host name %q", name)
-		}
-		hostNames[name] = true
-		if _, ok := swIdx[h.Switch]; !ok {
-			return fmt.Errorf("topo: host %q attaches to unknown switch %q", name, h.Switch)
+		if _, ok := swIdx[s.Hosts[i].Switch]; !ok {
+			return fmt.Errorf("topo: host %d attaches to unknown switch %q", i, s.Hosts[i].Switch)
 		}
 	}
 	adj := make([][]int, len(s.Switches))

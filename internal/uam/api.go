@@ -4,6 +4,7 @@ import (
 	"time"
 
 	"unet/internal/sim"
+	"unet/internal/unet"
 )
 
 // Request sends an Active Message request to dst: handler index, a 32-bit
@@ -124,7 +125,7 @@ func (u *UAM) handleStore(p *sim.Proc, pe *peer, h header, data []byte) {
 		u.stats.MemRangeDrops++
 		return
 	}
-	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
+	p.Charge(unet.CopyCost(len(payload)))
 	copy(u.mem.Writable(off, len(payload)), payload)
 	if h.handler != 0 {
 		if fn := u.handlers[h.handler]; fn != nil {
@@ -188,7 +189,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		// and the tag in the trailing 4 bytes. The staging buffer is pooled
 		// scratch, reused across segments (sendReliable stages each into a
 		// window slot before returning).
-		p.Charge(u.ep.Host().Params.CopyCost(chunk))
+		p.Charge(unet.CopyCost(chunk))
 		seg = u.mem.AppendTo(seg[:0], src+sent, chunk)
 		seg = append(seg, byte(h.arg>>24), byte(h.arg>>16), byte(h.arg>>8), byte(h.arg))
 		if err := u.sendReliable(p, pe, typeGetData, 0, uint32(dst+sent), seg); err != nil {
@@ -216,7 +217,7 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 		u.stats.MemRangeDrops++
 		return
 	}
-	p.Charge(u.ep.Host().Params.CopyCost(len(payload)))
+	p.Charge(unet.CopyCost(len(payload)))
 	copy(u.mem.Writable(off, len(payload)), payload)
 	if rem, ok := u.gets[tag]; ok {
 		if rem -= len(payload); rem <= 0 {

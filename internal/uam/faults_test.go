@@ -82,7 +82,7 @@ func TestRetransmitBackoffGrows(t *testing.T) {
 	us[1].RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {})
 
 	var sends []time.Duration
-	tb.Net.Uplink(0).SetInjector(faults.DropIf(func(atm.Cell) bool {
+	tb.Topo.Uplink(0).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		sends = append(sends, tb.Eng.Now())
 		return false
 	}))
@@ -143,7 +143,7 @@ func runNthCellLoss(t *testing.T, shards int) uamLossResult {
 	if err := uam.Connect(tb.Manager, us[0], us[1]); err != nil {
 		t.Fatal(err)
 	}
-	tb.Net.Downlink(1).SetInjector(faults.NewNthCell(3))
+	tb.Topo.Downlink(1).SetInjector(faults.NewNthCell(3))
 
 	var res uamLossResult
 	done := false

@@ -39,7 +39,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if pe.dead {
 		return deadErr(pe)
 	}
-	p.Charge(u.cfg.OpOverhead)
+	p.Charge(opOverhead)
 	seq := pe.nextSeq
 	slot := &pe.slots[int(seq)%u.cfg.Window]
 	// Solicit a prompt ack once the window is half committed, so steady
@@ -57,7 +57,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	}
 	slot.n = headerSize + len(data)
 	if slot.n > u.ep.Host().Device().SingleCellMax() {
-		p.Charge(u.cfg.BulkOverhead)
+		p.Charge(bulkOverhead)
 	}
 	u.clearNeedAck(pe)
 	pe.dupPending = false // the piggybacked ack just went out
@@ -83,7 +83,7 @@ func (u *UAM) sendAckPing(p *sim.Proc, pe *peer) {
 // sendControl emits an unsequenced single-cell control message carrying
 // the cumulative ack.
 func (u *UAM) sendControl(p *sim.Proc, pe *peer, typ uint8) {
-	p.Charge(u.cfg.OpOverhead)
+	p.Charge(opOverhead)
 	h := header{typ: typ, ack: pe.expected}
 	var hdr [headerSize]byte
 	h.encode(hdr[:])
@@ -268,7 +268,7 @@ func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 	for s := pe.ackedTo; s != pe.nextSeq; s++ {
 		slot := pe.slots[int(s)%u.cfg.Window]
 		u.stats.Retransmits++
-		p.Charge(u.cfg.OpOverhead)
+		p.Charge(opOverhead)
 		if err := u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n)); err != nil {
 			return
 		}
@@ -334,9 +334,9 @@ func (u *UAM) processMsg(p *sim.Proc, pe *peer, msg []byte) {
 	if !ok {
 		return
 	}
-	p.Charge(u.cfg.OpOverhead)
+	p.Charge(opOverhead)
 	if len(msg) > u.ep.Host().Device().SingleCellMax() {
-		p.Charge(u.cfg.BulkOverhead)
+		p.Charge(bulkOverhead)
 	}
 	u.applyAck(pe, h.ack)
 	switch h.typ {

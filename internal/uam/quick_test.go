@@ -41,8 +41,8 @@ func TestReliableStreamPropertyUnderLoss(t *testing.T) {
 		// too).
 		rng := rand.New(rand.NewSource(seed))
 		loss := func(atm.Cell) bool { return rng.Float64() < rate }
-		tb.Net.Downlink(0).SetInjector(faults.DropIf(loss))
-		tb.Net.Downlink(1).SetInjector(faults.DropIf(loss))
+		tb.Topo.Downlink(0).SetInjector(faults.DropIf(loss))
+		tb.Topo.Downlink(1).SetInjector(faults.DropIf(loss))
 
 		var got []uint32
 		b.RegisterHandler(1, func(u *uam.UAM, p *sim.Proc, src int, arg uint32, data []byte) {

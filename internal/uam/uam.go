@@ -57,8 +57,6 @@ type Config struct {
 	// MaxPeers bounds the peers this instance can connect to; buffer
 	// space is preallocated per peer. Default 8 (the paper's cluster).
 	MaxPeers int
-	// MemSize is the size of the memory region exposed to bulk store/get.
-	MemSize int
 	// RetransmitTimeout is the initial go-back-N timer. Default 2 ms.
 	// Consecutive unacknowledged retransmissions back off exponentially
 	// from here (doubling per retry) up to RetransmitMax.
@@ -70,16 +68,24 @@ type Config struct {
 	// retransmissions after which the peer is declared dead and blocking
 	// operations return ErrPeerDead. Default 10.
 	MaxRetries int
-	// OpOverhead is the per-operation bookkeeping cost of the UAM library
-	// (header build/parse, window accounting). Calibration: UAM adds
-	// ~6 µs to the raw U-Net single-cell round trip (§5.2: 71 µs vs 65).
-	OpOverhead time.Duration
-	// BulkOverhead is the additional per-operation cost of the multi-cell
-	// transfer path (transmit/receive buffer management). Calibration:
-	// UAM block transfers take roughly 135 µs + 0.2 µs/byte round trip
-	// (§5.2), ~15 µs above the raw U-Net multi-cell fixed cost.
-	BulkOverhead time.Duration
 }
+
+// MemSize is the size of the memory region every instance exposes to bulk
+// store/get.
+const MemSize = 1 << 20
+
+// The UAM library's own costs, on top of the endpoint's.
+const (
+	// opOverhead is the per-operation bookkeeping cost (header build/parse,
+	// window accounting). Calibration: UAM adds ~6 µs to the raw U-Net
+	// single-cell round trip (§5.2: 71 µs vs 65).
+	opOverhead = 400 * time.Nanosecond
+	// bulkOverhead is the additional per-operation cost of the multi-cell
+	// transfer path (transmit/receive buffer management). Calibration: UAM
+	// block transfers take roughly 135 µs + 0.2 µs/byte round trip (§5.2),
+	// ~15 µs above the raw U-Net multi-cell fixed cost.
+	bulkOverhead = 3500 * time.Nanosecond
+)
 
 // DefaultConfig returns the prototype configuration.
 func DefaultConfig() Config {
@@ -87,12 +93,9 @@ func DefaultConfig() Config {
 		Window:            8,
 		BulkMax:           4160,
 		MaxPeers:          8,
-		MemSize:           1 << 20,
 		RetransmitTimeout: 2 * time.Millisecond,
 		RetransmitMax:     32 * time.Millisecond,
 		MaxRetries:        10,
-		OpOverhead:        400 * time.Nanosecond,
-		BulkOverhead:      3500 * time.Nanosecond,
 	}
 }
 
@@ -158,7 +161,7 @@ type UAM struct {
 	// permutation (unetlint's mapiter analyzer enforces this).
 	peerList []*peer
 	byChan   map[unet.ChannelID]*peer
-	mem      unet.Backing   // cfg.MemSize bytes exposed to bulk store/get
+	mem      unet.Backing   // MemSize bytes exposed to bulk store/get
 	gets     map[uint32]int // transfer tag → bytes remaining, or getRefused
 	nextTag  uint32
 	replyTo  *peer // non-nil while dispatching a request handler
@@ -207,9 +210,6 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 	if cfg.MaxPeers <= 0 {
 		cfg.MaxPeers = def.MaxPeers
 	}
-	if cfg.MemSize <= 0 {
-		cfg.MemSize = def.MemSize
-	}
 	if cfg.RetransmitTimeout <= 0 {
 		cfg.RetransmitTimeout = def.RetransmitTimeout
 	}
@@ -221,12 +221,6 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 	}
 	if cfg.MaxRetries <= 0 {
 		cfg.MaxRetries = def.MaxRetries
-	}
-	if cfg.OpOverhead <= 0 {
-		cfg.OpOverhead = def.OpOverhead
-	}
-	if cfg.BulkOverhead <= 0 {
-		cfg.BulkOverhead = def.BulkOverhead
 	}
 	slot := headerSize + cfg.BulkMax
 	perPeer := cfg.Window*slot + 2*cfg.Window*(headerSize+cfg.BulkMax)
@@ -261,7 +255,7 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 		handlers: make([]Handler, 256),
 		peers:    make(map[int]*peer),
 		byChan:   make(map[unet.ChannelID]*peer),
-		mem:      unet.NewBacking(cfg.MemSize),
+		mem:      unet.NewBacking(MemSize),
 		gets:     make(map[uint32]int),
 		ctrl:     unet.NewStaging(0, ctrlRing),
 		slotBase: ctrlRing,

@@ -233,7 +233,7 @@ func TestRetransmissionRecoversFromCellLoss(t *testing.T) {
 	// Drop cells 3-7 on host 1's downlink: several early messages vanish
 	// and must be recovered by go-back-N.
 	i := 0
-	tb.Net.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
+	tb.Topo.Downlink(1).SetInjector(faults.DropIf(func(atm.Cell) bool {
 		i++
 		return i >= 3 && i <= 7
 	}))
@@ -337,7 +337,6 @@ func TestEightNodeAllToAll(t *testing.T) {
 // the refused get left WaitGet polling on a timer for ever.
 func TestBulkOutOfRange(t *testing.T) {
 	tb, us := fixture(t, 2, uam.Config{})
-	memSize := us[1].Config().MemSize
 	var local, storeErr, flushErr, getErr, waitErr error
 	var waited time.Duration
 	cliDone := false
@@ -354,7 +353,7 @@ func TestBulkOutOfRange(t *testing.T) {
 			second(us[0].Get(p, 1, -8, 0, 16)),
 			second(us[0].Get(p, 1, 0, 0, -16)),
 			second(us[0].Get(p, 1, 1<<32-8, 0, 16)),
-			second(us[0].Get(p, 1, 0, memSize-8, 16)),
+			second(us[0].Get(p, 1, 0, uam.MemSize-8, 16)),
 		} {
 			if !errors.Is(err, uam.ErrMemRange) {
 				local = err
@@ -362,10 +361,10 @@ func TestBulkOutOfRange(t *testing.T) {
 		}
 		// 10 000 bytes ending 16 past the destination's memory: the first two
 		// segments fit, the third does not.
-		storeErr = us[0].Store(p, 1, memSize-10000+16, make([]byte, 10000), 0, 0)
+		storeErr = us[0].Store(p, 1, uam.MemSize-10000+16, make([]byte, 10000), 0, 0)
 		flushErr = us[0].Flush(p, 1)
 		var tag uint32
-		if tag, getErr = us[0].Get(p, 1, memSize, 0, 16); getErr == nil {
+		if tag, getErr = us[0].Get(p, 1, uam.MemSize, 0, 16); getErr == nil {
 			t0 := p.Now()
 			waitErr = us[0].WaitGet(p, tag)
 			waited = p.Now() - t0

@@ -43,6 +43,6 @@
 // interface; internal/nic provides the SBA-200 (custom i960 firmware,
 // §4.2) and SBA-100 (§4.1) device models. Applications run as simulated
 // processes (internal/sim) and every operation charges the calibrated CPU
-// costs in NodeParams, so that latency and bandwidth measured against this
+// costs of params.go, so that latency and bandwidth measured against this
 // package reproduce the paper's Figures 3-4 and Tables 1 and 3.
 package unet

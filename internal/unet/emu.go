@@ -170,7 +170,7 @@ func (ee *EmuEndpoint) chanFrom(kch ChannelID, remote uint16) (EmuChannelID, boo
 // endpoints these consume no NI resources (§3.5), so no device or segment
 // limits apply.
 func (k *Kernel) CreateEmuEndpoint(p *sim.Proc, owner *Process) (*EmuEndpoint, error) {
-	p.Charge(k.host.Params.Syscall)
+	p.Charge(Syscall)
 	if k.emu == nil {
 		return nil, fmt.Errorf("unet: emulation not enabled on host %s", k.host.Name)
 	}
@@ -217,7 +217,7 @@ func (ee *EmuEndpoint) Send(p *sim.Proc, ch EmuChannelID, data []byte) error {
 	if len(data) > emuMTU {
 		return ErrTooLong
 	}
-	p.Charge(k.host.Params.Syscall)
+	p.Charge(Syscall)
 	c := ee.chans[ch]
 	// Assemble in a pooled buffer, not a shared scratch: Compose can park
 	// this process on its copy charge, letting another process enter Send
@@ -254,19 +254,19 @@ func (ee *EmuEndpoint) Recv(p *sim.Proc) EmuRecv {
 	r := ee.rx.Get(p)
 	ee.reclaim()
 	ee.pending = r.slab
-	p.Charge(ee.k.host.Params.Syscall)
-	p.Charge(ee.k.host.Params.CopyCost(len(r.Data)))
+	p.Charge(Syscall)
+	p.Charge(CopyCost(len(r.Data)))
 	return r
 }
 
 // PollRecv checks for a message without blocking (still a trap).
 func (ee *EmuEndpoint) PollRecv(p *sim.Proc) (EmuRecv, bool) {
-	p.Charge(ee.k.host.Params.Syscall)
+	p.Charge(Syscall)
 	r, ok := ee.rx.TryGet()
 	if ok {
 		ee.reclaim()
 		ee.pending = r.slab
-		p.Charge(ee.k.host.Params.CopyCost(len(r.Data)))
+		p.Charge(CopyCost(len(r.Data)))
 	}
 	return r, ok
 }

@@ -142,7 +142,7 @@ func TestEmulatedSlowerThanReal(t *testing.T) {
 	tb.Eng.Run()
 	// Real endpoints round-trip a small message in ~65 µs; emulation must
 	// cost visibly more (≥ 4 × Syscall on top).
-	minExpected := 65*time.Microsecond + 4*tb.Hosts[0].Params.Syscall
+	minExpected := 65*time.Microsecond + 4*unet.Syscall
 	if emuRTT < minExpected {
 		t.Fatalf("emulated RTT %v suspiciously fast (< %v)", emuRTT, minExpected)
 	}

@@ -143,7 +143,7 @@ func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 	if err := ep.checkRange(off, len(data)); err != nil {
 		return err
 	}
-	p.Charge(ep.host.Params.CopyCost(len(data)))
+	p.Charge(CopyCost(len(data)))
 	copy(ep.seg.Writable(off, len(data)), data)
 	return nil
 }
@@ -154,7 +154,7 @@ func (ep *Endpoint) ReadBuf(p *sim.Proc, off int, buf []byte) error {
 	if err := ep.checkRange(off, len(buf)); err != nil {
 		return err
 	}
-	p.Charge(ep.host.Params.CopyCost(len(buf)))
+	p.Charge(CopyCost(len(buf)))
 	ep.seg.CopyTo(buf, off)
 	return nil
 }
@@ -188,7 +188,7 @@ func (ep *Endpoint) Send(p *sim.Proc, d SendDesc) error {
 	if d.Length > dev.MTU() {
 		return ErrTooLong
 	}
-	p.Charge(ep.host.Params.DescriptorPush)
+	p.Charge(descriptorPush)
 	if !ep.sendQ.TryPut(d) {
 		return ErrSendQueueFull
 	}
@@ -250,7 +250,7 @@ func (s *Staging) Next(n int) int {
 // PollRecv checks the receive queue once (§3.1 polling reception),
 // charging the poll cost.
 func (ep *Endpoint) PollRecv(p *sim.Proc) (RecvDesc, bool) {
-	p.Charge(ep.host.Params.Poll)
+	p.Charge(pollCost)
 	return ep.recvQ.TryGet()
 }
 
@@ -261,27 +261,14 @@ func (ep *Endpoint) RecvPending() int { return ep.recvQ.Len() }
 // Recv blocks until a message descriptor is available. It models the
 // polling receive loop the paper's measurements use (§4.2.3): the process
 // is idle until arrival and pays one poll to pick the descriptor up. For
-// the cost of UNIX-signal-driven reception use SetUpcall with signal=true;
-// for an explicit select(2)-style block, RecvSelect.
+// the cost of UNIX-signal-driven reception use SetUpcall with signal=true.
 func (ep *Endpoint) Recv(p *sim.Proc) RecvDesc {
 	for {
 		if rd, ok := ep.recvQ.TryGet(); ok {
 			return rd
 		}
 		p.Wait(ep.recvQ.NotEmpty())
-		p.Charge(ep.host.Params.Poll)
-	}
-}
-
-// RecvSelect blocks like Recv but charges the kernel select(2) wake-up
-// cost, modeling a process that sleeps in the kernel instead of polling.
-func (ep *Endpoint) RecvSelect(p *sim.Proc) RecvDesc {
-	for {
-		if rd, ok := ep.recvQ.TryGet(); ok {
-			return rd
-		}
-		p.Wait(ep.recvQ.NotEmpty())
-		p.Charge(ep.host.Params.SelectWake)
+		p.Charge(pollCost)
 	}
 }
 
@@ -297,7 +284,7 @@ func (ep *Endpoint) RecvTimeout(p *sim.Proc, d time.Duration) (RecvDesc, bool) {
 			return RecvDesc{}, false
 		}
 		if p.WaitTimeout(ep.recvQ.NotEmpty(), left) {
-			p.Charge(ep.host.Params.Poll)
+			p.Charge(pollCost)
 		}
 	}
 }
@@ -316,7 +303,7 @@ func (ep *Endpoint) RecvTimeout(p *sim.Proc, d time.Duration) (RecvDesc, bool) {
 // layers that only count it call Release.
 func (ep *Endpoint) Gather(p *sim.Proc, rd RecvDesc, dst []byte) []byte {
 	if rd.Inline != nil {
-		p.Charge(ep.host.Params.CopyCost(len(rd.Inline)))
+		p.Charge(CopyCost(len(rd.Inline)))
 		dst = append(dst[:0], rd.Inline...)
 		ep.consume(rd)
 		return dst
@@ -374,7 +361,7 @@ func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 		return err
 	}
 	ep.seg.Writable(off, ep.cfg.RecvBufSize)
-	p.Charge(ep.host.Params.FreePush)
+	p.Charge(FreePush)
 	if !ep.freeQ.TryPut(off) {
 		return ErrLimit
 	}
@@ -434,7 +421,7 @@ func (ep *Endpoint) fireUpcall() {
 	}
 	delay := time.Duration(0)
 	if ep.upcallSignal {
-		delay = ep.host.Params.SignalDelivery
+		delay = SignalDelivery
 	}
 	fn := ep.upcall
 	ep.host.Eng.After(delay, fn)

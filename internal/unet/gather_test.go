@@ -40,8 +40,7 @@ func TestGather(t *testing.T) {
 			}
 			// The cost the receiver must be charged: per buffer the copy of
 			// its chunk then one free-queue push; inline, the one copy.
-			node := pr.EpB.Host().Params
-			want := node.CopyCost(tc.size) + time.Duration(tc.bufs)*node.FreePush
+			want := unet.CopyCost(tc.size) + time.Duration(tc.bufs)*unet.FreePush
 
 			var kick sim.Cond
 			var dst []byte
@@ -113,7 +112,7 @@ func TestReleaseReturnsBuffersWithoutCopy(t *testing.T) {
 		pr.EpA.SendBlock(p, pr.EpA.DescAt(pr.ChA, pr.StageA, 3000))
 	})
 	tb.Eng.Run()
-	if want := 3 * pr.EpB.Host().Params.FreePush; charged != want {
+	if want := 3 * unet.FreePush; charged != want {
 		t.Errorf("Release of a three-buffer message charged %v, want %v", charged, want)
 	}
 	if live := tb.Devices[1].OffsetsStats().Live(); live != 0 {

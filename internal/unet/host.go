@@ -7,21 +7,20 @@ import (
 	"unet/internal/sim"
 )
 
-// Host is one workstation: a CPU cost model, a kernel agent, and (once a
-// NIC model attaches) a network device. Application code runs on the host
-// as simulated processes.
+// Host is one workstation: a kernel agent and (once a NIC model attaches) a
+// network device, charging the SPARCstation-20 cost model of params.go.
+// Application code runs on the host as simulated processes.
 type Host struct {
 	Name   string
 	Eng    *sim.Engine
-	Params NodeParams
 	Kernel *Kernel
 	dev    Device
 	nextID int
 }
 
-// NewHost creates a host with the given cost model.
-func NewHost(e *sim.Engine, name string, params NodeParams) *Host {
-	h := &Host{Name: name, Eng: e, Params: params}
+// NewHost creates a host running on engine e.
+func NewHost(e *sim.Engine, name string) *Host {
+	h := &Host{Name: name, Eng: e}
 	h.Kernel = newKernel(h, DefaultLimits())
 	return h
 }

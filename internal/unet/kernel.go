@@ -70,7 +70,7 @@ func (k *Kernel) PinnedBytes() int { return k.pinned }
 // configuration against resource limits, pins the communication segment
 // and attaches it to the device. This is a system call (cost charged to p).
 func (k *Kernel) CreateEndpoint(p *sim.Proc, owner *Process, cfg EndpointConfig) (*Endpoint, error) {
-	p.Charge(k.host.Params.Syscall)
+	p.Charge(Syscall)
 	if owner.host != k.host {
 		return nil, fmt.Errorf("unet: process %v is not on host %s", owner, k.host.Name)
 	}
@@ -115,7 +115,7 @@ func (k *Kernel) CreateEndpoint(p *sim.Proc, owner *Process, cfg EndpointConfig)
 // DestroyEndpoint tears an endpoint down. Only the owner may destroy it
 // (§3.2 protection).
 func (k *Kernel) DestroyEndpoint(p *sim.Proc, caller *Process, ep *Endpoint) error {
-	p.Charge(k.host.Params.Syscall)
+	p.Charge(Syscall)
 	if ep.owner != caller {
 		return ErrNotOwner
 	}

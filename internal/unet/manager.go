@@ -4,8 +4,8 @@ import (
 	"fmt"
 
 	"unet/internal/atm"
-	"unet/internal/fabric"
 	"unet/internal/sim"
+	"unet/internal/topo"
 )
 
 // Manager is the operating-system service of §3.2 that "assists the
@@ -17,12 +17,12 @@ import (
 // spans the channels open on that device. One Manager serves a fabric, of
 // one switch or many.
 type Manager struct {
-	cluster fabric.Network
+	cluster *topo.Fabric
 	ports   map[*Host]int
 }
 
 // NewManager creates the connection-management service for a fabric.
-func NewManager(c fabric.Network) *Manager {
+func NewManager(c *topo.Fabric) *Manager {
 	return &Manager{cluster: c, ports: make(map[*Host]int)}
 }
 
@@ -56,8 +56,8 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 	if !okA || !okB {
 		return nil, fmt.Errorf("unet: host not registered with manager")
 	}
-	p.Charge(a.host.Params.Syscall)
-	p.Charge(b.host.Params.Syscall)
+	p.Charge(Syscall)
+	p.Charge(Syscall)
 
 	// Circuits are provisioned per input port: A's tx label is only valid
 	// arriving from A's port, B's only from B's — no third host can inject
@@ -85,8 +85,8 @@ func (m *Manager) Connect(p *sim.Proc, a, b *Endpoint) (*Channel, error) {
 // Disconnect tears a channel down: deregisters the tags, removes the
 // switch routes and frees their labels for the next circuit.
 func (m *Manager) Disconnect(p *sim.Proc, ch *Channel) {
-	p.Charge(ch.A.host.Params.Syscall)
-	p.Charge(ch.B.host.Params.Syscall)
+	p.Charge(Syscall)
+	p.Charge(Syscall)
 	ch.A.host.dev.CloseChannel(ch.A, ch.ChanA)
 	ch.B.host.dev.CloseChannel(ch.B, ch.ChanB)
 	ch.A.closeChannel(ch.ChanA)

@@ -309,7 +309,7 @@ func TestUpcallSignalCostsThirtyMicroseconds(t *testing.T) {
 	tb2.Eng.Run()
 
 	diff := signaled - polled
-	want := pr2.EpB.Host().Params.SignalDelivery
+	want := unet.SignalDelivery
 	if diff != want {
 		t.Fatalf("signal upcall added %v, want %v", diff, want)
 	}
@@ -736,7 +736,7 @@ func TestConnectFailsOnExhaustedLink(t *testing.T) {
 	t.Cleanup(tb.Close)
 	eps := connectedEndpoints(t, tb, 0, 1)
 	for i := 0; i < 1<<16-32; i++ {
-		if _, _, err := tb.Net.Provision(1, 0); err != nil {
+		if _, _, err := tb.Topo.Provision(1, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -744,7 +744,7 @@ func TestConnectFailsOnExhaustedLink(t *testing.T) {
 	if err == nil || err.Error() != "fabric: link atm.up1: no free VCI (65504 circuits)" {
 		t.Fatalf("Connect on a full uplink: %v", err)
 	}
-	if tx, rx, err := tb.Net.Provision(0, 1); err != nil || tx != 32 || rx != 32 {
+	if tx, rx, err := tb.Topo.Provision(0, 1); err != nil || tx != 32 || rx != 32 {
 		t.Fatalf("A→B circuit after failed connect: %d/%d, %v; want 32/32 (rolled back)", tx, rx, err)
 	}
 }
@@ -772,8 +772,8 @@ func TestProtectionUnderLabelSwapping(t *testing.T) {
 		if _, err := eps[1].ProvideRecvBuffers(nil, 0, 4); err != nil {
 			t.Fatal(err)
 		}
-		tb.Net.Uplink(2).Send(atm.Cell{VCI: rxB, EOP: true})
-		tb.Net.Uplink(2).Send(atm.Cell{VCI: txA, EOP: true})
+		tb.Topo.Uplink(2).Send(atm.Cell{VCI: rxB, EOP: true})
+		tb.Topo.Uplink(2).Send(atm.Cell{VCI: txA, EOP: true})
 		tb.Eng.Run()
 		var unknown uint64
 		for _, sw := range tb.Topo.Switches {

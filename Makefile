@@ -5,12 +5,13 @@
 
 GO ?= go
 FUZZTIME ?= 10s
+EXAMPLES = quickstart activemsg multiservice splitsort tcpecho
 
 # Pinned external linter versions (`make lint-tools` installs them).
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all build check test loc race smoke lint lint-tools lint-extra fuzz benchcheck ci
+.PHONY: all build check test loc race smoke traffic lint lint-tools lint-extra fuzz benchcheck ci
 
 all: build
 
@@ -47,10 +48,27 @@ smoke:
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 8192
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; \
-	for e in quickstart activemsg multiservice splitsort tcpecho; do \
+	for e in $(EXAMPLES); do \
 		echo "examples/$$e, twice"; \
 		$(GO) run ./examples/$$e > "$$tmp/1" && $(GO) run ./examples/$$e > "$$tmp/2" && cmp "$$tmp/1" "$$tmp/2" || exit 1; \
 	done
+
+# traffic prints, sorted, the functions no run of the program reaches: it
+# builds the CLI and the examples with coverage over the whole module, runs
+# the evaluation serially and at -shards 2 and each example once into one
+# GOCOVERDIR, and lists every function that read 0.0 %, the lint and its
+# CLI aside. A name it prints is dead code or a path only tests drive. It
+# takes about a minute and is not part of `make ci`.
+traffic:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
+	for p in cmd/unetbench $(EXAMPLES:%=examples/%); do \
+		$(GO) build -cover -coverpkg=unet/... -o "$$tmp/$${p##*/}" ./$$p || exit 1; \
+	done; \
+	export GOCOVERDIR="$$tmp/cov"; \
+	"$$tmp/unetbench" > /dev/null && "$$tmp/unetbench" -shards 2 > /dev/null || exit 1; \
+	for e in $(EXAMPLES); do "$$tmp/$$e" > /dev/null || exit 1; done; \
+	$(GO) tool covdata func -i "$$tmp/cov" | \
+		awk '$$NF == "0.0%" && $$1 !~ /\/(internal\/lint|cmd\/unetlint)\// { print $$1, $$2 }' | sort
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, hotpathalloc —

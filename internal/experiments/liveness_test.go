@@ -57,6 +57,16 @@ func cutPair(kind PathKind, sockBuf int, cut time.Duration) (*testbed.Testbed, i
 func TestLivenessWhenTheLinkIsCut(t *testing.T) {
 	const size, rounds, count = 1024, 20, 50
 	type pair func(cut time.Duration, stream bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger)
+	uamRow := func(streamOp int) pair {
+		return func(cut time.Duration, stream bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
+			tb, a, b := uamPair(uam.Config{}, cutPlan(cut))
+			op := uamRequest
+			if stream {
+				op = streamOp
+			}
+			return tb, newUAMNode(a, op, size, false), newUAMNode(b, op, size, false)
+		}
+	}
 	ipRow := func(kind PathKind, proto string) pair {
 		return func(cut time.Duration, _ bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
 			if proto == "udp" {
@@ -73,30 +83,27 @@ func TestLivenessWhenTheLinkIsCut(t *testing.T) {
 		name                 string
 		ceiling              time.Duration
 		replyWait, streamGap time.Duration
+		count                int
 		pair                 pair
 	}{
-		{"raw", time.Second, -1, -1, func(cut time.Duration, _ bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
+		{"raw", time.Second, -1, -1, count, func(cut time.Duration, _ bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
 			tb, pr := rawPair(nil, cutPlan(cut))
 			a, b := pr.Raw()
 			return tb, a, b
 		}},
-		{"emulated", time.Second, -1, -1, func(cut time.Duration, _ bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
+		{"emulated", time.Second, -1, -1, count, func(cut time.Duration, _ bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
 			return emuPair(cutPlan(cut), size)
 		}},
-		{"uam", time.Second, uamReplyTimeout, uamPoll, func(cut time.Duration, stream bool) (*testbed.Testbed, testbed.Messenger, testbed.Messenger) {
-			tb, a, b := uamPair(uam.Config{}, cutPlan(cut))
-			op := uamRequest
-			if stream {
-				op = uamStore
-			}
-			return tb, newUAMNode(a, op, size, false), newUAMNode(b, op, size, false)
-		}},
-		{"udp/unet", 5 * time.Second, udpReplyTimeout, udpStreamGap, ipRow(PathUNet, "udp")},
-		{"udp/kernel-atm", 5 * time.Second, udpReplyTimeout, udpStreamGap, ipRow(PathKernelATM, "udp")},
-		{"udp/kernel-eth", 5 * time.Second, udpReplyTimeout, udpStreamGap, ipRow(PathKernelEth, "udp")},
-		{"tcp/unet", 16 * time.Minute, tcpReplyTimeout, tcpStreamPoll, ipRow(PathUNet, "tcp")},
-		{"tcp/kernel-atm", tcpPatience + time.Minute, tcpReplyTimeout, tcpStreamPoll, ipRow(PathKernelATM, "tcp")},
-		{"tcp/kernel-eth", tcpPatience + time.Minute, tcpReplyTimeout, tcpStreamPoll, ipRow(PathKernelEth, "tcp")},
+		{"uam", time.Second, uamReplyTimeout, uamPoll, count, uamRow(uamStore)},
+		{"udp/unet", 5 * time.Second, udpReplyTimeout, udpStreamGap, count, ipRow(PathUNet, "udp")},
+		{"udp/kernel-atm", 5 * time.Second, udpReplyTimeout, udpStreamGap, count, ipRow(PathKernelATM, "udp")},
+		{"udp/kernel-eth", 5 * time.Second, udpReplyTimeout, udpStreamGap, count, ipRow(PathKernelEth, "udp")},
+		{"tcp/unet", 16 * time.Minute, tcpReplyTimeout, tcpStreamPoll, count, ipRow(PathUNet, "tcp")},
+		{"tcp/kernel-atm", tcpPatience + time.Minute, tcpReplyTimeout, tcpStreamPoll, count, ipRow(PathKernelATM, "tcp")},
+		{"tcp/kernel-eth", tcpPatience + time.Minute, tcpReplyTimeout, tcpStreamPoll, count, ipRow(PathKernelEth, "tcp")},
+		// Fewer gets than the UAM window, so no Get waits for window space:
+		// only WaitGet is there to notice the cut.
+		{"uam/get", time.Second, uamReplyTimeout, uamPoll, uam.DefaultConfig().Window - 1, uamRow(uamGet)},
 	}
 	rng := faults.NewRand(FaultSeed, "liveness")
 	for _, r := range rows {
@@ -109,9 +116,9 @@ func TestLivenessWhenTheLinkIsCut(t *testing.T) {
 				}
 				tb.Close()
 				tb, a, b = r.pair(cut, true)
-				f, err := testbed.Stream(tb, a, b, count, size, r.streamGap)
+				f, err := testbed.Stream(tb, a, b, r.count, size, r.streamGap)
 				if end := tb.Eng.Now(); err == nil || end > r.ceiling {
-					t.Errorf("stream: %d of %d delivered, error %v, at %v; want an error by %v", f.Delivered, count, err, end, r.ceiling)
+					t.Errorf("stream: %d of %d delivered, error %v, at %v; want an error by %v", f.Delivered, r.count, err, end, r.ceiling)
 				}
 				tb.Close()
 			})

@@ -8,21 +8,18 @@ import (
 	"unet/internal/sim"
 )
 
-// trainCounter is a TrainSink that counts delivered cells.
+// trainCounter is a CellSink that counts delivered cells.
 type trainCounter struct {
 	cells int
 	last  time.Duration
 }
-
-func (t *trainCounter) DeliverCell(c atm.Cell) { t.cells++ }
 
 func (t *trainCounter) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 	t.cells += len(cells)
 	t.last = first + time.Duration(len(cells)-1)*spacing
 }
 
-// BenchmarkLink_CellThroughput streams back-to-back cells into a
-// train-capable sink: the steady state is one pooled delivery event per
+// BenchmarkLink_CellThroughput streams back-to-back cells into a sink: the steady state is one pooled delivery event per
 // burst and zero allocations per cell.
 func BenchmarkLink_CellThroughput(b *testing.B) {
 	b.ReportAllocs()
@@ -40,28 +37,6 @@ func BenchmarkLink_CellThroughput(b *testing.B) {
 	}
 	b.StopTimer()
 	if sink.cells == 0 {
-		b.Fatal("no cells delivered")
-	}
-}
-
-// BenchmarkLink_CellThroughputPerCell is the same stream into a sink that
-// only understands single cells, costing one (pooled) event per cell.
-func BenchmarkLink_CellThroughputPerCell(b *testing.B) {
-	b.ReportAllocs()
-	e := sim.New(1)
-	n := 0
-	l := NewLink(e, "bench", DefaultLinkParams(), SinkFunc(func(c atm.Cell) { n++ }))
-	c := atm.Cell{VCI: 5}
-	b.ResetTimer()
-	const burst = 32
-	for i := 0; i < b.N; i += burst {
-		for j := 0; j < burst; j++ {
-			l.Send(c)
-		}
-		e.Run()
-	}
-	b.StopTimer()
-	if n == 0 {
 		b.Fatal("no cells delivered")
 	}
 }

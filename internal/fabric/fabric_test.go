@@ -11,20 +11,28 @@ import (
 
 const us = time.Microsecond
 
+// collector records every cell it is handed with its arrival time, first +
+// i*spacing within a train.
 type collector struct {
 	cells []atm.Cell
 	times []time.Duration
-	e     *sim.Engine
 }
 
-func (c *collector) DeliverCell(cell atm.Cell) {
-	c.cells = append(c.cells, cell)
-	c.times = append(c.times, c.e.Now())
+func (c *collector) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, cell := range cells {
+		c.cells = append(c.cells, cell)
+		c.times = append(c.times, first+time.Duration(i)*spacing)
+	}
+}
+
+// one hands c to sink as a train of one arriving now.
+func one(sink CellSink, c atm.Cell, now time.Duration) {
+	sink.DeliverTrain([]atm.Cell{c}, now, 0)
 }
 
 func TestLinkDeliversAfterSerializationAndPropagation(t *testing.T) {
 	e := sim.New(1)
-	col := &collector{e: e}
+	col := &collector{}
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	l := NewLink(e, "l", lp, col)
 	l.Send(atm.Cell{VCI: 7})
@@ -42,7 +50,7 @@ func TestLinkDeliversAfterSerializationAndPropagation(t *testing.T) {
 
 func TestLinkSerializesBackToBack(t *testing.T) {
 	e := sim.New(1)
-	col := &collector{e: e}
+	col := &collector{}
 	lp := LinkParams{CellTime: 3 * us, Propagation: 0}
 	l := NewLink(e, "l", lp, col)
 	for i := 0; i < 5; i++ {
@@ -59,7 +67,7 @@ func TestLinkSerializesBackToBack(t *testing.T) {
 
 func TestLinkPreservesOrder(t *testing.T) {
 	e := sim.New(1)
-	col := &collector{e: e}
+	col := &collector{}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
 	for i := 0; i < 10; i++ {
 		var c atm.Cell
@@ -74,28 +82,6 @@ func TestLinkPreservesOrder(t *testing.T) {
 	}
 }
 
-func TestLinkBacklogAndWaitReady(t *testing.T) {
-	e := sim.New(1)
-	defer e.Shutdown()
-	col := &collector{e: e}
-	l := NewLink(e, "l", LinkParams{CellTime: 2 * us}, col)
-	var after time.Duration
-	e.Spawn("tx", func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			l.Send(atm.Cell{})
-		}
-		if got := l.Backlog(); got != 8*us {
-			t.Errorf("Backlog = %v, want 8µs", got)
-		}
-		l.WaitReady(p, 2) // drain until ≤ 2 cells queued
-		after = p.Now()
-	})
-	e.Run()
-	if after != 4*us {
-		t.Fatalf("WaitReady returned at %v, want 4µs", after)
-	}
-}
-
 // dropIf is the smallest Injector: it drops the cells the predicate picks.
 // (Package faults has the real models; it imports this package.)
 type dropIf func(atm.Cell) bool
@@ -104,7 +90,7 @@ func (f dropIf) Judge(c *atm.Cell, depart time.Duration) Verdict { return Verdic
 
 func TestLinkLossRate(t *testing.T) {
 	e := sim.New(7)
-	col := &collector{e: e}
+	col := &collector{}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
 	l.SetInjector(dropIf(func(atm.Cell) bool { return e.Rand().Float64() < 0.5 }))
 	const n = 2000
@@ -126,7 +112,7 @@ func TestLinkLossRate(t *testing.T) {
 
 func TestLinkDeterministicLoss(t *testing.T) {
 	e := sim.New(1)
-	col := &collector{e: e}
+	col := &collector{}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
 	i := 0
 	l.SetInjector(dropIf(func(atm.Cell) bool { i++; return i == 2 }))
@@ -141,7 +127,7 @@ func TestLinkDeterministicLoss(t *testing.T) {
 
 func TestSwitchRoutesByVCI(t *testing.T) {
 	e := sim.New(1)
-	a, b := &collector{e: e}, &collector{e: e}
+	a, b := &collector{}, &collector{}
 	lp := LinkParams{CellTime: 1 * us}
 	sw := NewSwitch(e, "sw", 2, 2*us, lp, []CellSink{a, b})
 	if err := sw.Route(1, 10, 0); err != nil {
@@ -150,8 +136,8 @@ func TestSwitchRoutesByVCI(t *testing.T) {
 	if err := sw.Route(0, 11, 1); err != nil {
 		t.Fatal(err)
 	}
-	sw.PortSink(0).DeliverCell(atm.Cell{VCI: 11})
-	sw.PortSink(1).DeliverCell(atm.Cell{VCI: 10})
+	one(sw.PortSink(0), atm.Cell{VCI: 11}, 0)
+	one(sw.PortSink(1), atm.Cell{VCI: 10}, 0)
 	e.Run()
 	if len(a.cells) != 1 || a.cells[0].VCI != 10 {
 		t.Fatalf("port 0 got %v", a.cells)
@@ -167,9 +153,9 @@ func TestSwitchRoutesByVCI(t *testing.T) {
 
 func TestSwitchDropsUnknownVCI(t *testing.T) {
 	e := sim.New(1)
-	a := &collector{e: e}
+	a := &collector{}
 	sw := NewSwitch(e, "sw", 1, 0, LinkParams{CellTime: 1 * us}, []CellSink{a})
-	sw.PortSink(0).DeliverCell(atm.Cell{VCI: 99})
+	one(sw.PortSink(0), atm.Cell{VCI: 99}, 0)
 	e.Run()
 	if len(a.cells) != 0 {
 		t.Fatal("unrouted cell was delivered")
@@ -181,7 +167,7 @@ func TestSwitchDropsUnknownVCI(t *testing.T) {
 
 func TestSwitchRejectsBadPort(t *testing.T) {
 	e := sim.New(1)
-	sw := NewSwitch(e, "sw", 1, 0, LinkParams{}, []CellSink{&collector{e: e}})
+	sw := NewSwitch(e, "sw", 1, 0, LinkParams{}, []CellSink{&collector{}})
 	if err := sw.Route(0, 1, 5); err == nil {
 		t.Fatal("Route accepted out-of-range port")
 	}
@@ -196,11 +182,11 @@ func TestSwitchRejectsBadPort(t *testing.T) {
 func TestSwitchOutputContention(t *testing.T) {
 	// Two cells arriving simultaneously for the same output must serialize.
 	e := sim.New(1)
-	a := &collector{e: e}
+	a := &collector{}
 	sw := NewSwitch(e, "sw", 1, 0, LinkParams{CellTime: 3 * us}, []CellSink{a})
 	sw.Route(0, 1, 0)
-	sw.PortSink(0).DeliverCell(atm.Cell{VCI: 1})
-	sw.PortSink(0).DeliverCell(atm.Cell{VCI: 1})
+	one(sw.PortSink(0), atm.Cell{VCI: 1}, 0)
+	one(sw.PortSink(0), atm.Cell{VCI: 1}, 0)
 	e.Run()
 	if len(a.times) != 2 || a.times[0] != 3*us || a.times[1] != 6*us {
 		t.Fatalf("delivery times %v, want [3µs 6µs]", a.times)
@@ -215,15 +201,15 @@ func TestDefaultCellTimeMatchesPeakBandwidth(t *testing.T) {
 	}
 }
 
-// TestLinkSize pins Link to the 288-byte allocator size class and its
+// TestLinkSize pins Link to the 256-byte allocator size class and its
 // in-flight ring entries to 64 bytes: a large fabric holds thousands of
 // links, each with a ring of cells on the wire, and a word more on either
 // shows up in the benchmark's alloc_mb (3% on clos64 for the ring entry).
 // What only a cross-shard receive half needs lives behind Link.rx for that
 // reason.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got > 288 {
-		t.Errorf("sizeof(Link) = %d, want at most 288", got)
+	if got := unsafe.Sizeof(Link{}); got > 256 {
+		t.Errorf("sizeof(Link) = %d, want at most 256", got)
 	}
 	if got := unsafe.Sizeof(inflight{}); got != 64 {
 		t.Errorf("sizeof(inflight) = %d, want 64", got)

@@ -65,8 +65,8 @@ func TestLabelsTakeIsSkipped(t *testing.T) {
 // ports number their circuits independently.
 func TestSwitchSwapsLabels(t *testing.T) {
 	e := sim.New(1)
-	a, b := &collector{e: e}, &collector{e: e}
-	sw := NewSwitch(e, "sw", 3, 0, LinkParams{CellTime: 1 * us}, []CellSink{a, b, &collector{e: e}})
+	a, b := &collector{}, &collector{}
+	sw := NewSwitch(e, "sw", 3, 0, LinkParams{CellTime: 1 * us}, []CellSink{a, b, &collector{}})
 	// Two circuits into port 1, both arriving as label 32 on their own
 	// input port; one into port 0 arriving as 33.
 	o1, err1 := sw.Swap(0, 32, 1)
@@ -78,8 +78,8 @@ func TestSwitchSwapsLabels(t *testing.T) {
 	if o1 != 32 || o2 != 33 || o3 != 32 {
 		t.Fatalf("out labels %d %d %d, want 32 33 32", o1, o2, o3)
 	}
-	sw.PortSink(0).DeliverCell(atm.Cell{VCI: 32})
-	sw.PortSink(2).(TrainSink).DeliverTrain([]atm.Cell{{VCI: 32}, {VCI: 33}, {VCI: 34}, {VCI: 32}}, 0, 1*us)
+	one(sw.PortSink(0), atm.Cell{VCI: 32}, 0)
+	sw.PortSink(2).DeliverTrain([]atm.Cell{{VCI: 32}, {VCI: 33}, {VCI: 34}, {VCI: 32}}, 0, 1*us)
 	e.Run()
 	if len(a.cells) != 1 || a.cells[0].VCI != 32 {
 		t.Fatalf("port 0 got %v", a.cells)

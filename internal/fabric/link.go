@@ -24,36 +24,38 @@ const DefaultCellTime = 3158 * time.Nanosecond
 const DefaultPropagation = 200 * time.Nanosecond
 
 // CellSink receives cells off a link. NIC input FIFOs and switch ports
-// implement it. Delivery happens in engine-callback context.
-type CellSink interface {
-	DeliverCell(c atm.Cell)
-}
-
-// TrainSink is implemented by sinks that can absorb a whole back-to-back
-// cell train in one call. A link that finds consecutive in-flight cells
-// spaced exactly one CellTime apart delivers them together: DeliverTrain is
-// invoked at the arrival time of cells[0], and cells[i] is defined to arrive
-// at first + i*spacing. The sink must account for those arrival times
-// arithmetically (they are in the future for i > 0). The cells slice is
-// owned by the link and valid only for the duration of the call.
+// implement it. Delivery happens in engine-callback context, and a single
+// cell is a train of one.
 //
-// The contract makes train delivery virtual-time-neutral: a sink that
-// processes cell i as if it had been handed over at first + i*spacing
-// reproduces the per-cell delivery schedule exactly, while the engine pays
-// for one event per train rather than one per cell.
-type TrainSink interface {
-	CellSink
+// DeliverTrain is invoked at the arrival time of cells[0], and cells[i] is
+// defined to arrive at first + i*spacing; the sink must account for those
+// arrival times arithmetically (they are in the future for i > 0). A link
+// hands over as one train every in-flight run whose arrivals are spaced
+// exactly one CellTime apart. The cells slice is owned by the link and
+// valid only for the duration of the call.
+//
+// The contract makes trains virtual-time neutral: a sink that processes
+// cell i as if it had been handed over at first + i*spacing sees the
+// schedule a cell-by-cell fabric would produce, while the engine pays for
+// one event per train rather than one per cell.
+type CellSink interface {
 	DeliverTrain(cells []atm.Cell, first, spacing time.Duration)
 }
 
 // SinkFunc adapts a function to the CellSink interface.
 type SinkFunc func(c atm.Cell)
 
-// DeliverCell calls f(c).
+// DeliverTrain calls f once per cell, in order, all at the instant of the
+// train's head: a SinkFunc sees no per-cell arrival times, so it suits a
+// sink that counts or discards cells, not one that times them.
 //
 //unetlint:allow costcharge adapter only; any processing cost belongs to the wrapped function
 //unetlint:allow hotpathalloc adapter only; what the wrapped function allocates is its own budget, and no fabric is compiled with one
-func (f SinkFunc) DeliverCell(c atm.Cell) { f(c) }
+func (f SinkFunc) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
+	for _, c := range cells {
+		f(c)
+	}
+}
 
 // LinkParams configures a link's timing.
 type LinkParams struct {
@@ -119,20 +121,18 @@ const maxLead = time.Duration(math.MaxUint32)
 // Link is a unidirectional serializing link: cells handed to Send depart in
 // order at line rate and are delivered to the sink one propagation delay
 // after their last bit leaves. The transmit queue is unbounded — the sender
-// (a NIC model) is responsible for pacing itself via Backlog, mirroring a
-// NIC output FIFO of finite depth.
+// (a NIC model) paces itself on NextFree, mirroring a NIC output FIFO of
+// finite depth.
 //
 // In-flight cells live in a ring ordered by arrival time (serialization
 // makes arrivals monotonic), drained by a single armed delivery event
-// instead of one event per cell. When the sink implements TrainSink, a
-// back-to-back run — consecutive arrivals spaced exactly CellTime — is
-// handed over in one call.
+// instead of one event per cell; a back-to-back run — consecutive arrivals
+// spaced exactly CellTime — is handed over in one DeliverTrain call.
 type Link struct {
 	e        *sim.Engine
 	name     string
 	p        LinkParams
 	sink     CellSink
-	tsink    TrainSink // sink, if it also implements TrainSink
 	nextFree time.Duration
 	inj      Injector
 	stats    LinkStats
@@ -148,9 +148,7 @@ type Link struct {
 	// stays allocation-free whether or not an injector is installed.
 	scratch atm.Cell
 
-	pend  []inflight // power-of-two ring of cells on the wire
-	head  int
-	n     int
+	pend  sim.Ring[inflight] // cells on the wire, in arrival order
 	armed bool
 	train *trainBuf // the delivering engine's DeliverTrain scratch
 
@@ -188,16 +186,14 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
 	}
-	l := &Link{e: e, name: name, p: p, sink: sink, train: sim.Local[trainBuf](e)}
-	l.tsink, _ = sink.(TrainSink)
-	return l
+	return &Link{e: e, name: name, p: p, sink: sink, train: sim.Local[trainBuf](e)}
 }
 
 // NewCrossLink creates a link whose transmitter lives in shard engine src
 // and whose receiver (sink) lives in shard engine dst. The returned Link is
 // the transmit half: senders use it exactly like a local link — Send/SendAt
-// serialize against nextFree, Backlog/WaitReady pace the output FIFO, loss
-// applies at the transmitter — but cells in flight cross the shard boundary
+// serialize against nextFree, NextFree paces the output FIFO, loss applies
+// at the transmitter — but cells in flight cross the shard boundary
 // through an SPSC ring the destination drains at its round tops, and the
 // receive half replays them through the standard in-flight ring so delivery
 // times, train grouping and the place of each delivery among the
@@ -221,7 +217,6 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
 	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, train: sim.Local[trainBuf](dst)}
-	peer.tsink, _ = sink.(TrainSink)
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
@@ -251,9 +246,9 @@ func (x crossExchange) Drain() {
 		if !ok {
 			break
 		}
-		peer.push(f)
+		peer.pend.Push(f)
 	}
-	if peer.n > 0 && !peer.armed {
+	if peer.pend.Len() > 0 && !peer.armed {
 		peer.armed = true
 		peer.armArrival(peer.rx.idle)
 	}
@@ -332,35 +327,11 @@ func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 		l.ring.Push(inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
-	l.push(inflight{c: c, arrive: arrive})
+	l.pend.Push(inflight{c: c, arrive: arrive})
 	if !l.armed {
 		l.armed = true
-		l.e.AtArg(l.pend[l.head].arrive, linkFire, l)
+		l.e.AtArg(arrive, linkFire, l)
 	}
-}
-
-// push appends to the in-flight ring, growing it when full.
-func (l *Link) push(f inflight) {
-	if l.n == len(l.pend) {
-		//unetlint:allow hotpathalloc the ring doubles until it holds the link's bandwidth-delay product and then never grows again
-		grown := make([]inflight, max(4, 2*len(l.pend)))
-		for i := 0; i < l.n; i++ {
-			grown[i] = l.pend[(l.head+i)&(len(l.pend)-1)]
-		}
-		l.pend = grown
-		l.head = 0
-	}
-	l.pend[(l.head+l.n)&(len(l.pend)-1)] = f
-	l.n++
-}
-
-// pop removes the oldest in-flight cell.
-func (l *Link) pop() inflight {
-	f := l.pend[l.head]
-	l.pend[l.head] = inflight{}
-	l.head = (l.head + 1) & (len(l.pend) - 1)
-	l.n--
-	return f
 }
 
 // linkFire is the static delivery callback shared by all links, so arming
@@ -369,43 +340,36 @@ func linkFire(a any) { a.(*Link).fire() }
 
 // fire delivers the front of the in-flight ring. It runs at the arrival
 // time of the oldest cell. Consecutive cells spaced exactly one CellTime
-// apart form a train; if the sink understands trains the whole run is
-// delivered here, otherwise only the head cell is (and the event re-arms
-// for the next). Re-arming happens before delivery so a sink that feeds the
-// link again observes consistent state.
+// apart form a train, and the whole run is delivered here. Re-arming
+// happens before delivery so a sink that feeds the link again observes
+// consistent state.
 //
-//unetlint:hotpath per-train delivery; runs for every cell or train coming off a link
+//unetlint:hotpath per-train delivery; runs for every train coming off a link
 func (l *Link) fire() {
 	now := l.e.Now()
-	if l.tsink == nil {
-		f := l.pop()
-		l.rearm()
-		l.sink.DeliverCell(f.c)
-		return
-	}
 	// A train is at most the cells in flight, so room for those is room for
 	// it, decided once instead of cell by cell.
-	if len(l.train.cells) < l.n {
+	if n := l.pend.Len(); len(l.train.cells) < n {
 		//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds as many cells as any of its links has had in flight at a delivery, and then never grows again
-		l.train.cells = make([]atm.Cell, max(l.n, 2*len(l.train.cells)))
+		l.train.cells = make([]atm.Cell, max(n, 2*len(l.train.cells)))
 	}
 	train, k := l.train.cells, 0
 	for next := now; ; {
-		train[k] = l.pop().c
+		train[k] = l.pend.Pop().c
 		k++
 		next += l.p.CellTime
-		if l.n == 0 || l.pend[l.head].arrive != next {
+		if l.pend.Len() == 0 || l.pend.Front().arrive != next {
 			break
 		}
 	}
 	l.rearm()
-	l.tsink.DeliverTrain(train[:k], now, l.p.CellTime)
+	l.sink.DeliverTrain(train[:k], now, l.p.CellTime)
 }
 
 // rearm schedules the next delivery, if cells remain in flight.
 func (l *Link) rearm() {
 	switch {
-	case l.n == 0:
+	case l.pend.Len() == 0:
 		l.armed = false
 		if l.rx != nil {
 			l.rx.idle = l.e.Now()
@@ -413,7 +377,7 @@ func (l *Link) rearm() {
 	case l.rx != nil:
 		l.armArrival(l.e.Now())
 	default:
-		l.e.AtArg(l.pend[l.head].arrive, linkFire, l)
+		l.e.AtArg(l.pend.Front().arrive, linkFire, l)
 	}
 }
 
@@ -424,34 +388,12 @@ func (l *Link) rearm() {
 // onto the wire after that — and the engine files the event as if it had
 // been scheduled then.
 func (l *Link) armArrival(prev time.Duration) {
-	head := &l.pend[l.head]
+	head := l.pend.Front()
 	l.e.ArriveArg(head.arrive, max(prev, head.sent()), l.rx.index, linkFire, l)
 }
 
 // NextFree returns the virtual time at which the transmitter finishes its
-// committed work — the earliest start a further SendAt could get. Senders
-// that pace themselves arithmetically (instead of sleeping via WaitReady)
-// use it to compute output-FIFO stalls in closed form.
+// committed work — the earliest start a further SendAt could get. A sender
+// paces itself on it: a NIC computes its output-FIFO stalls in closed form,
+// and a switch decides tail drops at a finite output queue.
 func (l *Link) NextFree() time.Duration { return l.nextFree }
-
-// Backlog returns how long the transmitter is already committed beyond the
-// current instant — the serialization debt of queued cells. NIC models use
-// it to stall when their shallow output FIFO would be full.
-func (l *Link) Backlog() time.Duration {
-	if l.nextFree <= l.e.Now() {
-		return 0
-	}
-	return l.nextFree - l.e.Now()
-}
-
-// WaitReady blocks the process until the transmit backlog is at most
-// maxCells cells' worth of time, modeling a bounded output FIFO. Each link
-// has a single transmitting process, so the backlog only drains while that
-// process is blocked here: the exact wake time is computed once and slept
-// once, rather than polled.
-func (l *Link) WaitReady(p *sim.Proc, maxCells int) {
-	limit := time.Duration(maxCells) * l.p.CellTime
-	if b := l.Backlog(); b > limit {
-		p.Sleep(b - limit)
-	}
-}

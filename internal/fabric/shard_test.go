@@ -21,12 +21,15 @@ type echoSink struct {
 	name  string
 }
 
-func (s *echoSink) DeliverCell(c atm.Cell) {
-	*s.log = append(*s.log, fmt.Sprintf("%s %v vci=%d seq=%d", s.name, s.e.Now(), c.VCI, c.Payload[0]))
-	if s.reply != 0 {
-		r := c
-		r.VCI = s.reply
-		s.up.Send(r)
+func (s *echoSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, c := range cells {
+		at := first + time.Duration(i)*spacing
+		*s.log = append(*s.log, fmt.Sprintf("%s %v vci=%d seq=%d", s.name, at, c.VCI, c.Payload[0]))
+		if s.reply != 0 {
+			r := c
+			r.VCI = s.reply
+			s.up.SendAt(r, at)
+		}
 	}
 }
 
@@ -39,7 +42,7 @@ func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	for _, tc := range []struct{ cells, ring int }{{5, 256}, {2000, 2048}} {
 		le := sim.New(1)
-		lcol := &collector{e: le}
+		lcol := &collector{}
 		ll := NewLink(le, "l", lp, lcol)
 		for i := 0; i < tc.cells; i++ {
 			ll.Send(atm.Cell{VCI: atm.VCI(i)})
@@ -48,7 +51,7 @@ func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 
 		root := sim.New(1)
 		dst := root.NewShard(2)
-		ccol := &collector{e: dst}
+		ccol := &collector{}
 		cl := NewCrossLink(root, dst, "x", lp, ccol)
 		for i := 0; i < tc.cells; i++ {
 			cl.Send(atm.Cell{VCI: atm.VCI(i)})
@@ -74,12 +77,12 @@ func TestCrossLinkLookaheadRegistered(t *testing.T) {
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	root := sim.New(1)
 	dst := root.NewShard(2)
-	NewCrossLink(root, dst, "x", lp, &collector{e: dst})
+	NewCrossLink(root, dst, "x", lp, &collector{})
 	if got := root.Group().Lookahead(); got != 4*us {
 		t.Fatalf("Lookahead = %v, want 4µs", got)
 	}
 	// A second, slower path must not widen the window.
-	NewCrossLink(dst, root, "y", LinkParams{CellTime: 9 * us, Propagation: 1 * us}, &collector{e: root})
+	NewCrossLink(dst, root, "y", LinkParams{CellTime: 9 * us, Propagation: 1 * us}, &collector{})
 	if got := root.Group().Lookahead(); got != 4*us {
 		t.Fatalf("Lookahead after second link = %v, want 4µs (min)", got)
 	}
@@ -98,8 +101,8 @@ func TestCrossLinkPerPairLookahead(t *testing.T) {
 	s2 := root.NewShard(3)
 	g := root.Group()
 
-	NewCrossLink(root, s1, "f-down", fast, &collector{e: s1})
-	NewCrossLink(s1, root, "f-up", fast, &collector{e: root})
+	NewCrossLink(root, s1, "f-down", fast, &collector{})
+	NewCrossLink(s1, root, "f-up", fast, &collector{})
 	var echoes []string
 	up2 := NewCrossLink(s2, root, "s-up", slow, &echoSink{e: root, log: &echoes, name: "rt"})
 	down2 := NewCrossLink(root, s2, "s-down", slow, nil)
@@ -147,7 +150,7 @@ func TestCrossLinkRejectsBadEndpoints(t *testing.T) {
 					t.Errorf("%s: NewCrossLink did not panic", tc.name)
 				}
 			}()
-			NewCrossLink(tc.src, tc.d, "x", DefaultLinkParams(), &collector{e: tc.d})
+			NewCrossLink(tc.src, tc.d, "x", DefaultLinkParams(), &collector{})
 		}()
 	}
 }
@@ -155,7 +158,7 @@ func TestCrossLinkRejectsBadEndpoints(t *testing.T) {
 func TestSwitchRejectsForeignShardLink(t *testing.T) {
 	root := sim.New(1)
 	s1 := root.NewShard(2)
-	l := NewLink(s1, "l", DefaultLinkParams(), &collector{e: s1})
+	l := NewLink(s1, "l", DefaultLinkParams(), &collector{})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("switch accepted an output link transmitting on another shard")
@@ -184,11 +187,8 @@ func runTie(sharded bool, up0, up1 LinkParams, pace time.Duration) []string {
 		}
 		return NewLink(src, name, lp, sink)
 	}
-	var log []string
-	sink2 := SinkFunc(func(c atm.Cell) {
-		log = append(log, fmt.Sprintf("%v vci=%d seq=%d", root.Now(), c.VCI, c.Payload[0]))
-	})
-	sinks := []CellSink{SinkFunc(func(atm.Cell) {}), SinkFunc(func(atm.Cell) {}), sink2}
+	rec := &collector{}
+	sinks := []CellSink{SinkFunc(func(atm.Cell) {}), SinkFunc(func(atm.Cell) {}), rec}
 	out := make([]*Link, 3)
 	for i := range out {
 		out[i] = link(root, eng[i], fmt.Sprintf("tie.port%d", i), DefaultLinkParams(), sinks[i])
@@ -219,6 +219,10 @@ func runTie(sharded bool, up0, up1 LinkParams, pace time.Duration) []string {
 		}
 	}
 	root.Run()
+	log := make([]string, len(rec.cells))
+	for i, c := range rec.cells {
+		log[i] = fmt.Sprintf("%v vci=%d seq=%d", rec.times[i], c.VCI, c.Payload[0])
+	}
 	return log
 }
 
@@ -272,11 +276,9 @@ func TestShardedTieUnequalLatencyMatchesSerial(t *testing.T) {
 	testTie(t, DefaultLinkParams(), long, 5*us)
 }
 
-// vciLog is a TrainSink that keeps the VCIs it was handed (the cells
+// vciLog is a CellSink that keeps the VCIs it was handed (the cells
 // themselves are the link's to reuse once DeliverTrain returns).
 type vciLog struct{ vcis []atm.VCI }
-
-func (v *vciLog) DeliverCell(c atm.Cell) { v.vcis = append(v.vcis, c.VCI) }
 
 func (v *vciLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
 	for _, c := range cells {

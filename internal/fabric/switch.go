@@ -237,14 +237,11 @@ func (s *Switch) OutputLink(port int) *Link { return s.out[port] }
 // Ports returns the switch's port count.
 func (s *Switch) Ports() int { return len(s.out) }
 
-// portSink is the receive side of one input port. It implements TrainSink
-// so the uplink can hand over whole cell trains.
+// portSink is the receive side of one input port.
 type portSink struct {
 	s  *Switch
 	in int
 }
-
-func (ps portSink) DeliverCell(c atm.Cell) { ps.s.DeliverCell(ps.in, c) }
 
 func (ps portSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 	ps.s.DeliverTrain(ps.in, cells, first, spacing)
@@ -253,38 +250,16 @@ func (ps portSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 // PortSink returns the CellSink for input port in: uplinks must deliver
 // through their port's sink so the switch can enforce per-input-port
 // routes. It boxes a value, so wiring keeps the result; a sink that must
-// find its switch at delivery time calls DeliverCell and DeliverTrain.
+// find its switch at delivery time calls DeliverTrain.
 func (s *Switch) PortSink(in int) CellSink {
 	return portSink{s: s, in: in}
 }
 
-// DeliverCell forwards a cell arriving now on input port in.
-func (s *Switch) DeliverCell(in int, c atm.Cell) { s.deliver(in, c, s.e.Now()) }
-
-// deliver forwards a single cell arriving at time at on input port in.
-//
-//unetlint:hotpath per-cell label swap; runs for every cell a per-cell link hands over
-func (s *Switch) deliver(in int, c atm.Cell, at time.Duration) {
-	r := s.in[in].row(c.VCI)
-	if !r.ok {
-		s.unknown++
-		return
-	}
-	c.VCI = r.out
-	j := s.getJob()
-	j.link = s.out[r.port]
-	j.port = int(r.port)
-	j.cells = append(j.cells, c)
-	j.start = at + s.latency
-	j.spacing = 0
-	s.e.AtArg(j.start, fwdFire, j)
-}
-
 // DeliverTrain forwards a back-to-back train on input port in: cells[i]
-// arrives at first + i*spacing. Consecutive cells bound for the same output port are
-// forwarded by one pooled job; cells on unrouted VCIs are dropped and break
-// the run (their wire slot stays empty, exactly as per-cell forwarding
-// would leave it). A run is copied in bulk and relabelled in place:
+// arrives at first + i*spacing, and a single cell is a train of one.
+// Consecutive cells bound for the same output port are forwarded by one
+// pooled job; cells on unrouted VCIs are dropped and break the run (their
+// wire slot stays empty). A run is copied in bulk and relabelled in place:
 // appending cell by cell grows the job's slice through every size class.
 //
 //unetlint:hotpath per-train label swap; runs for every train crossing the switch

@@ -207,14 +207,15 @@ func TestPlanBuild(t *testing.T) {
 
 // sinkRec records per-cell deliveries with their arrival times.
 type sinkRec struct {
-	e     *sim.Engine
 	cells []atm.Cell
 	times []time.Duration
 }
 
-func (s *sinkRec) DeliverCell(c atm.Cell) {
-	s.cells = append(s.cells, c)
-	s.times = append(s.times, s.e.Now())
+func (s *sinkRec) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, c := range cells {
+		s.cells = append(s.cells, c)
+		s.times = append(s.times, first+time.Duration(i)*spacing)
+	}
 }
 
 // TestLinkInjectorIntegration drives a real fabric link: duplication
@@ -222,7 +223,7 @@ func (s *sinkRec) DeliverCell(c atm.Cell) {
 // are counted as CellsLost.
 func TestLinkInjectorIntegration(t *testing.T) {
 	e := sim.New(1)
-	rec := &sinkRec{e: e}
+	rec := &sinkRec{}
 	l := fabric.NewLink(e, "l", fabric.DefaultLinkParams(), rec)
 
 	// Drop cell 2, duplicate everything that survives, jitter cell 3 (the
@@ -268,7 +269,7 @@ func TestLinkInjectorIntegration(t *testing.T) {
 // and the survivors delivered intact.
 func TestSwitchTailDrop(t *testing.T) {
 	e := sim.New(1)
-	rec := &sinkRec{e: e}
+	rec := &sinkRec{}
 	lp := fabric.DefaultLinkParams()
 	sw := fabric.NewSwitch(e, "sw", 2, time.Microsecond, lp, []fabric.CellSink{rec, fabric.SinkFunc(func(atm.Cell) {})})
 	if err := sw.Route(0, 64, 0); err != nil {

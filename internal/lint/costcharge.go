@@ -41,7 +41,6 @@ var chargeCalls = map[string]bool{
 	"Sleep":      true,
 	"SleepTo":    true,
 	"SleepUntil": true,
-	"WaitReady":  true,
 	"syncTo":     true,
 	"Charge":     true,
 }

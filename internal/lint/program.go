@@ -240,7 +240,7 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 		case *ast.Ident:
 			switch obj := u.Info.Uses[fn].(type) {
 			case *types.Func:
-				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call})
+				node.Calls = append(node.Calls, Edge{CalleeID: obj.Origin().FullName(), Call: call})
 				return true
 			case *types.Builtin:
 				return true
@@ -265,7 +265,7 @@ func (p *Program) resolveCalls(node *FuncNode, mi *methodIndex) {
 						return true
 					}
 				}
-				node.Calls = append(node.Calls, Edge{CalleeID: obj.FullName(), Call: call})
+				node.Calls = append(node.Calls, Edge{CalleeID: obj.Origin().FullName(), Call: call})
 				return true
 			}
 			if _, ok := u.Info.Uses[fn.Sel].(*types.Var); ok {

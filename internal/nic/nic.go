@@ -101,12 +101,10 @@ type Device struct {
 	params Params
 	uplink *fabric.Link
 
-	// Input FIFO: a power-of-two ring of timestamped cells. Kept inline
-	// (rather than a sim.FIFO) so whole cell trains can be accepted in one
-	// call with exact overflow accounting.
-	in    []arrival
-	ihead int
-	inn   int
+	// Input FIFO: timestamped cells. A bare ring (rather than a sim.FIFO)
+	// so whole cell trains can be accepted in one call with exact overflow
+	// accounting.
+	in sim.Ring[arrival]
 
 	// The on-board processor (step). cursor is its position in virtual time:
 	// at or ahead of the clock while it works, stale while it is idle. pend is
@@ -159,7 +157,7 @@ type Device struct {
 }
 
 var _ unet.Device = (*Device)(nil)
-var _ fabric.TrainSink = (*Device)(nil)
+var _ fabric.CellSink = (*Device)(nil)
 
 // New creates a device sending on uplink. Call Start (or use Attach) to
 // run its processor.
@@ -307,66 +305,40 @@ func (d *Device) MTU() int { return atm.MaxPDU }
 // MaxEndpoints reports the endpoint table size.
 func (d *Device) MaxEndpoints() int { return maxEndpoints }
 
-// push appends a timestamped cell to the input ring, growing it as needed
-// up to the FIFO depth.
-func (d *Device) push(a arrival) {
-	if d.inn == len(d.in) {
-		//unetlint:allow hotpathalloc the ring doubles until it holds the deepest the input FIFO has been, at most InFIFODepth, and then never grows again
-		grown := make([]arrival, max(8, 2*len(d.in)))
-		for i := 0; i < d.inn; i++ {
-			grown[i] = d.in[(d.ihead+i)&(len(d.in)-1)]
-		}
-		d.in = grown
-		d.ihead = 0
-	}
-	d.in[(d.ihead+d.inn)&(len(d.in)-1)] = a
-	d.inn++
-}
-
-// pop removes the oldest queued cell.
-func (d *Device) pop() arrival {
-	a := d.in[d.ihead]
-	d.in[d.ihead] = arrival{}
-	d.ihead = (d.ihead + 1) & (len(d.in) - 1)
-	d.inn--
-	return a
-}
-
-// DeliverCell implements fabric.CellSink: a cell arrived off the fiber
-// into the input FIFO. Overflow drops the cell, as the real FIFO would.
-//
-//unetlint:allow costcharge FIFO intake is free; per-cell processing cost is charged by the processor loop in processCell
-func (d *Device) DeliverCell(c atm.Cell) {
-	if d.inn >= d.params.InFIFODepth {
+// deliverCell takes one cell arriving now into the input FIFO; overflow
+// drops it, as the real FIFO would. Only the DeliverTrain overflow fallback
+// hands the device a cell outside a train.
+func (d *Device) deliverCell(c atm.Cell) {
+	if d.in.Len() >= d.params.InFIFODepth {
 		d.stats.InFIFODrops++
 		return
 	}
-	d.push(arrival{c: c, arrive: d.e.Now()})
+	d.in.Push(arrival{c: c, arrive: d.e.Now()})
 	d.wake()
 }
 
-// DeliverTrain implements fabric.TrainSink: a back-to-back run of cells is
+// DeliverTrain implements fabric.CellSink: a back-to-back run of cells is
 // queued in one call, each stamped with its arrival time (cells[i] arrives
 // at first + i*spacing; the processor will not touch it earlier).
 //
 // Accepting the whole train up front is exact as long as it fits: FIFO
 // occupancy can only fall between now and the later cells' arrivals (the
-// processor drains, nothing else fills), so per-cell delivery could not
-// have dropped any of these cells either. When the train does not fit, fall
-// back to per-cell delivery events, which reproduce overflow drops
-// cell-by-cell exactly as the unbatched fabric did.
+// processor drains, nothing else fills), so cell-by-cell intake could not
+// have dropped any of these cells either. When the train does not fit, each
+// cell is taken at its own arrival instant by a delivery event, which
+// decides overflow drops cell by cell exactly.
 //
 //unetlint:allow costcharge FIFO intake is free; per-cell processing cost is charged by the processor loop in processCell
 func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
-	if d.inn+len(cells) > d.params.InFIFODepth {
+	if d.in.Len()+len(cells) > d.params.InFIFODepth {
 		for k := 1; k < len(cells); k++ {
 			d.deliverCellAt(cells[k], first+time.Duration(k)*spacing)
 		}
-		d.DeliverCell(cells[0])
+		d.deliverCell(cells[0])
 		return
 	}
 	for i := range cells {
-		d.push(arrival{c: cells[i], arrive: first + time.Duration(i)*spacing})
+		d.in.Push(arrival{c: cells[i], arrive: first + time.Duration(i)*spacing})
 	}
 	d.wake()
 }
@@ -389,7 +361,7 @@ func fireDelayedCell(a any) {
 	dc.d = nil
 	dc.next = d.dcFree
 	d.dcFree = dc
-	d.DeliverCell(c)
+	d.deliverCell(c)
 }
 
 // deliverCellAt schedules a single-cell delivery at a future instant using
@@ -438,11 +410,11 @@ func (d *Device) step() {
 				return
 			}
 			d.perform()
-		case d.inn > 0 && d.in[d.ihead].arrive <= d.cursor:
+		case d.in.Len() > 0 && d.in.Front().arrive <= d.cursor:
 			// Every cell that has arrived by the processor's position, cells
 			// that landed during a sleep included — the cells a sleep-per-cell
 			// processor would find in its input FIFO.
-			d.processCell(d.pop().c)
+			d.processCell(d.in.Pop().c)
 		case d.cursor > d.e.Now():
 			if !d.syncTo() {
 				return
@@ -464,10 +436,10 @@ func (d *Device) step() {
 				d.txDoorbell = false
 			}
 		default:
-			if d.inn > 0 {
+			if d.in.Len() > 0 {
 				// The head cell is stamped in the future: wake when it
 				// arrives, unless a doorbell or an earlier cell wakes first.
-				d.timeout = d.e.AtArg(d.in[d.ihead].arrive, timeoutDevice, d)
+				d.timeout = d.e.AtArg(d.in.Front().arrive, timeoutDevice, d)
 			}
 			d.idle = true
 			return

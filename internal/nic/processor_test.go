@@ -20,7 +20,7 @@ const us = time.Microsecond
 
 type nullSink struct{}
 
-func (nullSink) DeliverCell(atm.Cell) {}
+func (nullSink) DeliverTrain([]atm.Cell, time.Duration, time.Duration) {}
 
 // bareDevice is one SBA-200 on its own engine, its uplink going nowhere,
 // with one endpoint receiving on VCI 5.
@@ -56,12 +56,13 @@ func TestStartTwicePanics(t *testing.T) {
 }
 
 func TestProcessorPanicNamesTheDevice(t *testing.T) {
-	// A broken invariant inside step (here: a FIFO count with no FIFO behind
-	// it) comes out of Run naming the NIC, as a process's panic names the
-	// process.
+	// A broken invariant inside step (here: a nil endpoint in the table the
+	// send scan walks) comes out of Run naming the NIC, as a process's panic
+	// names the process.
 	e, d, _ := bareDevice(t)
 	e.At(10*us, func() {
-		d.in, d.inn = nil, 1
+		d.eps = append(d.eps, nil)
+		d.txDoorbell = true
 		d.wake()
 	})
 	defer func() {
@@ -80,7 +81,7 @@ func TestDoorbellDuringSleepQueuesNothing(t *testing.T) {
 	// processor finds it when it has delivered.
 	e, d, ep := bareDevice(t)
 	cells := atm.Segment(5, make([]byte, 16))
-	e.At(10*us, func() { d.DeliverCell(cells[0]) })
+	e.At(10*us, func() { d.DeliverTrain(cells, 10*us, fabric.DefaultCellTime) })
 	var deliveredAt time.Duration
 	ep.SetUpcall(unet.UpcallNonEmpty, false, func() { deliveredAt = e.Now() })
 	e.At(12*us, func() {
@@ -142,8 +143,8 @@ func TestDoorbellAndFutureStampedCell(t *testing.T) {
 			var deliveredAt time.Duration
 			ep.SetUpcall(unet.UpcallNonEmpty, false, func() { deliveredAt = e.Now() })
 			e.At(tc.ring, func() {
-				if !d.idle || d.inn != 1 {
-					t.Errorf("at the ring: idle=%v with %d cell(s) queued, want idle over the future-stamped cell", d.idle, d.inn)
+				if !d.idle || d.in.Len() != 1 {
+					t.Errorf("at the ring: idle=%v with %d cell(s) queued, want idle over the future-stamped cell", d.idle, d.in.Len())
 				}
 				d.KickTx(ep)
 				if d.idle {

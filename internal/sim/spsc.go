@@ -36,20 +36,20 @@ import "sync/atomic"
 type SPSC[T any] struct {
 	head atomic.Uint64 // messages popped; advanced only by the consumer
 	tail atomic.Uint64 // messages pushed; advanced only by the producer
-	prod *ring[T]      // the newest ring; producer only
-	cons *ring[T]      // the oldest ring not yet emptied; consumer only
+	prod *spscRing[T]  // the newest ring; producer only
+	cons *spscRing[T]  // the oldest ring not yet emptied; consumer only
 
 	// inPush/inPop detect a second concurrent producer or consumer.
 	inPush atomic.Bool
 	inPop  atomic.Bool
 }
 
-// ring is one power-of-two buffer of the queue. It holds messages numbered
+// spscRing is one power-of-two buffer of the queue. It holds messages numbered
 // start and up, until the producer links a bigger one.
-type ring[T any] struct {
+type spscRing[T any] struct {
 	buf   []T
 	start uint64
-	next  atomic.Pointer[ring[T]]
+	next  atomic.Pointer[spscRing[T]]
 }
 
 // NewSPSC returns a queue whose first ring has capacity rounded up to a
@@ -59,7 +59,7 @@ func NewSPSC[T any](capacity int) *SPSC[T] {
 	for n < capacity {
 		n <<= 1
 	}
-	r := &ring[T]{buf: make([]T, n)}
+	r := &spscRing[T]{buf: make([]T, n)}
 	return &SPSC[T]{prod: r, cons: r}
 }
 
@@ -76,7 +76,8 @@ func (q *SPSC[T]) Push(v T) {
 	r := q.prod
 	// A consumer still in an older ring holds none of this one's slots.
 	if t-max(q.head.Load(), r.start) == uint64(len(r.buf)) {
-		r = &ring[T]{buf: make([]T, 2*len(r.buf)), start: t}
+		//unetlint:allow hotpathalloc a full ring links one twice its size; rings double until one holds the most the producer gets ahead of the consumer, and then never grow again
+		r = &spscRing[T]{buf: make([]T, 2*len(r.buf)), start: t}
 		q.prod.next.Store(r)
 		q.prod = r
 	}

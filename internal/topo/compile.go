@@ -47,21 +47,10 @@ type Fabric struct {
 }
 
 // hostPortSink indirects a switch output port to the host sink registered
-// later with SetHostSink: trains pass through when the sink understands
-// them (the NIC models do), and otherwise fall back to per-cell deliveries
-// at the train's arrival times.
+// later with SetHostSink; trains pass through whole.
 type hostPortSink struct {
 	f *Fabric
 	i int
-}
-
-func (h hostPortSink) DeliverCell(cell atm.Cell) {
-	s := h.f.hostSinks[h.i]
-	if s == nil {
-		h.f.undeliv++
-		return
-	}
-	s.DeliverCell(cell)
 }
 
 func (h hostPortSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
@@ -70,19 +59,7 @@ func (h hostPortSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duratio
 		h.f.undeliv += uint64(len(cells))
 		return
 	}
-	if ts, ok := s.(fabric.TrainSink); ok {
-		ts.DeliverTrain(cells, first, spacing)
-		return
-	}
-	// Per-cell fallback: cells[k] for k > 0 arrive in the future, so they
-	// must be re-scheduled (the train slice is only valid during this call,
-	// hence the per-cell copy into the closure). Scheduling goes to the
-	// host's own shard engine — the train was delivered there.
-	for k := 1; k < len(cells); k++ {
-		cell := cells[k]
-		h.f.hostEng[h.i].At(first+time.Duration(k)*spacing, func() { h.DeliverCell(cell) })
-	}
-	h.DeliverCell(cells[0])
+	s.DeliverTrain(cells, first, spacing)
 }
 
 // trunkSink indirects a trunk link's receive side to the peer switch's
@@ -96,10 +73,6 @@ type trunkSink struct {
 	f    *Fabric
 	sw   int
 	port int
-}
-
-func (t trunkSink) DeliverCell(c atm.Cell) {
-	t.f.Switches[t.sw].DeliverCell(t.port, c)
 }
 
 func (t trunkSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {

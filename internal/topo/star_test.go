@@ -38,7 +38,7 @@ func TestStarEndToEnd(t *testing.T) {
 	spec.HostLink.CellTime = 1 * us
 	spec.SwitchLatency = 2 * us
 	f := MustCompile(e, spec, nil, nil)
-	rec := &sinkRec{e: e}
+	rec := &sinkRec{}
 	f.SetHostSink(2, rec)
 	if err := f.Route(0, 42, 2); err != nil {
 		t.Fatal(err)
@@ -74,7 +74,7 @@ func TestPerInputPortProtection(t *testing.T) {
 	// no route for that VCI.
 	e := sim.New(1)
 	f := MustCompile(e, Star("cl", 3), nil, nil)
-	rec := &sinkRec{e: e}
+	rec := &sinkRec{}
 	f.SetHostSink(1, rec)
 	if err := f.Route(0, 40, 1); err != nil { // channel host0 → host1 on VCI 40
 		t.Fatal(err)
@@ -94,19 +94,21 @@ func TestPerInputPortProtection(t *testing.T) {
 // uplink with a reply VCI, so traffic crosses the shard boundary in both
 // directions and reply timing depends on arrival timing.
 type echoSink struct {
-	e     *sim.Engine
 	up    *fabric.Link
 	reply atm.VCI
 	log   *[]string
 	name  string
 }
 
-func (s *echoSink) DeliverCell(c atm.Cell) {
-	*s.log = append(*s.log, fmt.Sprintf("%s %v vci=%d seq=%d", s.name, s.e.Now(), c.VCI, c.Payload[0]))
-	if s.reply != 0 {
-		r := c
-		r.VCI = s.reply
-		s.up.Send(r)
+func (s *echoSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, c := range cells {
+		at := first + time.Duration(i)*spacing
+		*s.log = append(*s.log, fmt.Sprintf("%s %v vci=%d seq=%d", s.name, at, c.VCI, c.Payload[0]))
+		if s.reply != 0 {
+			r := c
+			r.VCI = s.reply
+			s.up.SendAt(r, at)
+		}
 	}
 }
 
@@ -128,8 +130,8 @@ func runEchoStar(t *testing.T, sharded bool) []string {
 	}
 
 	var log0, log1 []string
-	f.SetHostSink(0, &echoSink{e: f.HostEngine(0), up: f.Uplink(0), log: &log0, name: "h0"})
-	f.SetHostSink(1, &echoSink{e: f.HostEngine(1), up: f.Uplink(1), reply: 41, log: &log1, name: "h1"})
+	f.SetHostSink(0, &echoSink{up: f.Uplink(0), log: &log0, name: "h0"})
+	f.SetHostSink(1, &echoSink{up: f.Uplink(1), reply: 41, log: &log1, name: "h1"})
 
 	// Bursts of back-to-back cells every 100µs: the echoes of one burst are
 	// still in flight when the next burst departs, so windows carry traffic

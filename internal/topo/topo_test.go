@@ -95,14 +95,15 @@ func TestGeneratorShapes(t *testing.T) {
 
 // sinkRec records delivered cells with their arrival times.
 type sinkRec struct {
-	e     *sim.Engine
 	cells []atm.Cell
 	times []time.Duration
 }
 
-func (s *sinkRec) DeliverCell(c atm.Cell) {
-	s.cells = append(s.cells, c)
-	s.times = append(s.times, s.e.Now())
+func (s *sinkRec) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, c := range cells {
+		s.cells = append(s.cells, c)
+		s.times = append(s.times, first+time.Duration(i)*spacing)
+	}
 }
 
 func TestMultiHopDelivery(t *testing.T) {
@@ -115,9 +116,9 @@ func TestMultiHopDelivery(t *testing.T) {
 	if err := f.Route(0, 40, 1); err != nil {
 		t.Fatal(err)
 	}
-	rec := &sinkRec{e: e}
+	rec := &sinkRec{}
 	f.SetHostSink(1, rec)
-	f.SetHostSink(0, &sinkRec{e: e})
+	f.SetHostSink(0, &sinkRec{})
 
 	f.Uplink(0).Send(atm.Cell{VCI: 40, EOP: true})
 	end := e.Run()
@@ -296,7 +297,7 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 		f := MustCompile(root, spec, hostEng, swEng)
 		recs := make([]*sinkRec, f.Size())
 		for i := range recs {
-			recs[i] = &sinkRec{e: f.HostEngine(i)}
+			recs[i] = &sinkRec{}
 			f.SetHostSink(i, recs[i])
 		}
 		vci := atm.VCI(40)

@@ -1,8 +1,6 @@
 package uam
 
 import (
-	"time"
-
 	"unet/internal/sim"
 	"unet/internal/unet"
 )
@@ -153,7 +151,7 @@ func (u *UAM) Get(p *sim.Proc, src int, srcOff, dstOff, n int) (uint32, error) {
 	}
 	u.nextTag++
 	tag := u.nextTag
-	u.gets[tag] = n
+	u.gets[tag] = pendingGet{rem: n, src: pe}
 	var req [12]byte
 	getReq{srcOff: uint32(srcOff), dstOff: uint32(dstOff), n: uint32(n)}.encode(req[:])
 	if err := u.sendReliable(p, pe, typeGetReq, 0, tag, req[:]); err != nil {
@@ -219,30 +217,49 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 	}
 	p.Charge(unet.CopyCost(len(payload)))
 	copy(u.mem.Writable(off, len(payload)), payload)
-	if rem, ok := u.gets[tag]; ok {
-		if rem -= len(payload); rem <= 0 {
+	if g, ok := u.gets[tag]; ok {
+		if g.rem -= len(payload); g.rem <= 0 {
 			delete(u.gets, tag)
 		} else {
-			u.gets[tag] = rem
+			u.gets[tag] = g
 		}
 	}
 }
 
-// getRefused stands in gets for the bytes remaining of a transfer whose
-// source refused the request, until WaitGet collects it.
+// pendingGet is a transfer this node has asked for and not yet collected:
+// the bytes still to land, or getRefused, and the peer they come from.
+type pendingGet struct {
+	rem int
+	src *peer
+}
+
+// getRefused stands in pendingGet.rem for the bytes remaining of a transfer
+// whose source refused the request, until WaitGet collects it.
 const getRefused = -1
 
 // GetDone reports whether the transfer identified by tag has finished,
 // completed or refused.
 func (u *UAM) GetDone(tag uint32) bool {
-	rem, pending := u.gets[tag]
-	return !pending || rem == getRefused
+	g, pending := u.gets[tag]
+	return !pending || g.rem == getRefused
 }
 
 // WaitGet polls until the transfer identified by tag finishes. It returns
-// ErrMemRange if the source refused the request as outside its memory.
+// ErrMemRange if the source refused the request as outside its memory, and
+// ErrPeerDead once the source has been declared dead. While a request is
+// unacknowledged its retransmissions decide that; once none is, the source
+// owes the data, and a source silent for its whole retry budget has given
+// up on this node or is gone.
 func (u *UAM) WaitGet(p *sim.Proc, tag uint32) error {
 	for !u.GetDone(tag) {
+		src := u.gets[tag].src
+		if src.outstanding() == 0 && p.Now()-src.heard > u.retryBudget() {
+			src.dead = true
+		}
+		if src.dead {
+			delete(u.gets, tag)
+			return deadErr(src)
+		}
 		u.PollWait(p, u.cfg.RetransmitTimeout)
 	}
 	if _, refused := u.gets[tag]; refused {
@@ -269,27 +286,6 @@ func (u *UAM) Flush(p *sim.Proc, dst int) error {
 		u.pollOrTimeout(p, pe)
 	}
 	return nil
-}
-
-// FlushTimeout is Flush with a deadline; it reports false if messages to
-// dst remained unacknowledged when the deadline passed (e.g. because the
-// peer stopped servicing the network).
-func (u *UAM) FlushTimeout(p *sim.Proc, dst int, d time.Duration) bool {
-	pe, err := u.peerFor(dst)
-	if err != nil {
-		return false
-	}
-	if pe.outstanding() > 0 {
-		u.sendAckPing(p, pe)
-	}
-	deadline := p.Now() + d
-	for pe.outstanding() > 0 {
-		if pe.dead || p.Now() >= deadline {
-			return false
-		}
-		u.pollOrTimeout(p, pe)
-	}
-	return true
 }
 
 // Outstanding reports how many reliable messages to dst await

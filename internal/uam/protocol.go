@@ -291,6 +291,17 @@ func (u *UAM) backoff(retries int) time.Duration {
 	return d
 }
 
+// retryBudget is how long a peer with this node's configuration keeps
+// retransmitting an unacknowledged message before it declares this node
+// dead: the first timer and every backed-off one after it.
+func (u *UAM) retryBudget() time.Duration {
+	d := u.cfg.RetransmitTimeout
+	for k := 1; k <= u.cfg.MaxRetries; k++ {
+		d += u.backoff(k)
+	}
+	return d
+}
+
 // flushAcks sends explicit acks where piggybacking has fallen behind:
 // either the peer saw a duplicate (it missed our acks), or our outgoing
 // traffic has not carried a cumulative ack for half a window of arrivals.
@@ -321,6 +332,7 @@ func (u *UAM) process(p *sim.Proc, rd unet.RecvDesc) {
 	if !ok {
 		return
 	}
+	pe.heard = p.Now()
 	msg := u.ep.Gather(p, rd, u.scratch.Get())
 	u.processMsg(p, pe, msg)
 	u.scratch.Put(msg)
@@ -421,8 +433,9 @@ func (u *UAM) dispatch(p *sim.Proc, pe *peer, h header, data []byte) {
 		u.stats.GetSegs++
 		u.handleGetData(p, pe, h, data)
 	case typeGetRefused:
-		if _, pending := u.gets[h.arg]; pending {
-			u.gets[h.arg] = getRefused
+		if g, pending := u.gets[h.arg]; pending {
+			g.rem = getRefused
+			u.gets[h.arg] = g
 		}
 	}
 }

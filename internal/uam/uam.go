@@ -138,6 +138,7 @@ type peer struct {
 	deadline time.Duration // retransmit deadline; 0 = nothing outstanding
 	retries  int           // consecutive retransmissions without ack progress
 	dead     bool          // retry budget exhausted; sticky
+	heard    time.Duration // when the last message from this peer arrived
 
 	// Receive side.
 	expected    uint8
@@ -161,8 +162,8 @@ type UAM struct {
 	// permutation (unetlint's mapiter analyzer enforces this).
 	peerList []*peer
 	byChan   map[unet.ChannelID]*peer
-	mem      unet.Backing   // MemSize bytes exposed to bulk store/get
-	gets     map[uint32]int // transfer tag → bytes remaining, or getRefused
+	mem      unet.Backing          // MemSize bytes exposed to bulk store/get
+	gets     map[uint32]pendingGet // by transfer tag
 	nextTag  uint32
 	replyTo  *peer // non-nil while dispatching a request handler
 	inReply  bool  // true while dispatching a reply handler
@@ -256,7 +257,7 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 		peers:    make(map[int]*peer),
 		byChan:   make(map[unet.ChannelID]*peer),
 		mem:      unet.NewBacking(MemSize),
-		gets:     make(map[uint32]int),
+		gets:     make(map[uint32]pendingGet),
 		ctrl:     unet.NewStaging(0, ctrlRing),
 		slotBase: ctrlRing,
 	}, nil

@@ -392,3 +392,50 @@ func TestBulkOutOfRange(t *testing.T) {
 }
 
 func second[T any](_ T, err error) error { return err }
+
+// TestWaitGetSourceGoesSilent: the first of a get's three data segments
+// lands, and with it the ack of the request; nothing from the source lands
+// after it. With nothing unacknowledged there is no retransmission to give
+// up on, so WaitGet must notice the silence itself: ErrPeerDead once the
+// source has been quiet for its whole retry budget (about a quarter second),
+// where the parent waited for ever.
+func TestWaitGetSourceGoesSilent(t *testing.T) {
+	tb, us := fixture(t, 2, uam.Config{})
+	cells, open := 0, true
+	tb.Topo.Downlink(0).SetInjector(faults.DropIf(func(c atm.Cell) bool {
+		if !open {
+			return true
+		}
+		if cells++; c.EOP {
+			open = cells == 1 // single-cell control messages pass
+			cells = 0
+		}
+		return false
+	}))
+	var getErr, waitErr error
+	var waited time.Duration
+	cliDone := false
+	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+		for !cliDone && p.Now() < time.Second {
+			us[1].PollWait(p, time.Millisecond)
+		}
+	})
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		defer func() { cliDone = true }()
+		var tag uint32
+		if tag, getErr = us[0].Get(p, 1, 0, 0, 12000); getErr == nil {
+			waitErr = us[0].WaitGet(p, tag)
+			waited = p.Now()
+		}
+	})
+	tb.Eng.RunUntil(2 * time.Second)
+	if !cliDone {
+		t.Fatal("WaitGet still blocked after 2 s of virtual time")
+	}
+	if getErr != nil || !errors.Is(waitErr, uam.ErrPeerDead) || waited > 500*time.Millisecond {
+		t.Errorf("Get %v, WaitGet %v after %v; want nil, then ErrPeerDead within 500 ms", getErr, waitErr, waited)
+	}
+	if st := us[0].Stats(); st.GetSegs != 1 {
+		t.Errorf("%d get segments landed, want 1", st.GetSegs)
+	}
+}

@@ -53,22 +53,43 @@ smoke:
 		$(GO) run ./examples/$$e > "$$tmp/1" && $(GO) run ./examples/$$e > "$$tmp/2" && cmp "$$tmp/1" "$$tmp/2" || exit 1; \
 	done
 
-# traffic prints, sorted, the functions no run of the program reaches: it
-# builds the CLI and the examples with coverage over the whole module, runs
-# the evaluation serially and at -shards 2 and each example once into one
-# GOCOVERDIR, and lists every function that read 0.0 %, the lint and its
-# CLI aside. A name it prints is dead code or a path only tests drive. It
-# takes about a minute and is not part of `make ci`.
+# traffic holds the functions no run of the program reaches to the list in
+# testdata/unreached.txt, which a change may only shorten. It builds the CLI
+# and the examples with coverage over the whole module, runs every distinct
+# fenced `go run ./cmd/unetbench` line of README.md and EXPERIMENTS.md (the
+# lines TestDocumentedCommandsParse parses) and each example once into one
+# GOCOVERDIR, and keys every function that read 0.0 %, the lint and its CLI
+# aside, by file and name. It exits 1 with the difference when a function
+# reads 0.0 % and is not on the list (+) or is on the list and now runs (-).
+# A listed name is production code that only tests call, or a path only an
+# outside input reaches; its line says which. It takes 7-8 minutes on two
+# vCPUs, most of them the `-experiment fig5 -paper` line.
+UNREACHED = testdata/unreached.txt
 traffic:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; mkdir "$$tmp/cov"; \
 	for p in cmd/unetbench $(EXAMPLES:%=examples/%); do \
 		$(GO) build -cover -coverpkg=unet/... -o "$$tmp/$${p##*/}" ./$$p || exit 1; \
 	done; \
 	export GOCOVERDIR="$$tmp/cov"; \
-	"$$tmp/unetbench" > /dev/null && "$$tmp/unetbench" -shards 2 > /dev/null || exit 1; \
-	for e in $(EXAMPLES); do "$$tmp/$$e" > /dev/null || exit 1; done; \
+	awk '/^[[:space:]]*```/ { f = !f; next } \
+		f && sub(/^[[:space:]]*go run \.\/cmd\/unetbench/, "") { sub(/#.*/, ""); sub(/[[:space:]]+$$/, ""); print }' \
+		README.md EXPERIMENTS.md | sort -u > "$$tmp/lines"; \
+	while read -r args; do \
+		echo "unetbench $$args"; "$$tmp/unetbench" $$args > /dev/null || exit 1; \
+	done < "$$tmp/lines"; \
+	for e in $(EXAMPLES); do echo "$$e"; "$$tmp/$$e" > /dev/null || exit 1; done; \
 	$(GO) tool covdata func -i "$$tmp/cov" | \
-		awk '$$NF == "0.0%" && $$1 !~ /\/(internal\/lint|cmd\/unetlint)\// { print $$1, $$2 }' | sort
+		awk '$$NF == "0.0%" && $$1 !~ /\/(internal\/lint|cmd\/unetlint)\// { sub(/^unet\//, "", $$1); sub(/:[0-9]+:$$/, "", $$1); print $$1, $$2 }' | \
+		sort -u > "$$tmp/got"; \
+	awk '!/^#/ && NF && !/#[[:space:]]*[^[:space:]]/ { print FILENAME ": no reason: " $$0; bad = 1 } END { exit bad }' $(UNREACHED) || exit 1; \
+	awk '!/^#/ && NF { print $$1, $$2 }' $(UNREACHED) | sort -u > "$$tmp/want"; \
+	if ! cmp -s "$$tmp/want" "$$tmp/got"; then \
+		echo "$(UNREACHED) is out of date: + unreached and not listed, - listed and now reached"; \
+		comm -13 "$$tmp/want" "$$tmp/got" | sed 's/^/+ /'; \
+		comm -23 "$$tmp/want" "$$tmp/got" | sed 's/^/- /'; \
+		exit 1; \
+	fi; \
+	echo "traffic: $$(wc -l < "$$tmp/got") unreached functions, all listed in $(UNREACHED)"
 
 # lint runs go vet plus unetlint, the repo's own determinism analyzers
 # (nondeterminism, rawgo, mapiter, costcharge, hotpathalloc —
@@ -106,7 +127,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAAL5RoundTrip' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzCellHeader' -fuzztime $(FUZZTIME) ./internal/atm/
 
-ci: lint test race smoke fuzz
+ci: lint test race smoke traffic fuzz
 
 # benchcheck compares two ledgers written by `go run ./bench -out` (one run
 # each, or several concatenated for paired runs; see bench/README.md):

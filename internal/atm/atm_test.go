@@ -35,15 +35,6 @@ func TestCellsForNegative(t *testing.T) {
 	}
 }
 
-func TestWireBytes(t *testing.T) {
-	if got := WireBytes(40); got != 53 {
-		t.Fatalf("WireBytes(40) = %d, want 53", got)
-	}
-	if got := WireBytes(48); got != 106 {
-		t.Fatalf("WireBytes(48) = %d, want 106", got)
-	}
-}
-
 // TestCRC32CheckValue pins the polynomial, bit order, initial value and
 // final complement by constants rather than by the library that computes
 // them: the CRC-32 check value every catalogue lists, and the CPCS trailer

@@ -49,7 +49,3 @@ func CellsFor(n int) int {
 	}
 	return (n + TrailerSize + PayloadSize - 1) / PayloadSize
 }
-
-// WireBytes returns the total bytes transmitted on the fiber for an n-byte
-// AAL5 PDU, counting full 53-byte cells.
-func WireBytes(n int) int { return CellsFor(n) * CellSize }

@@ -14,8 +14,8 @@ import (
 //	byte 4: HEC — CRC-8 over bytes 0–3, polynomial x^8+x^2+x+1, XOR 0x55
 //	        (the I.432 coset, so an all-zero header does not self-verify)
 //
-// The simulation normally moves Cell structs, not bytes; the codec exists
-// for the host-DMA experiments and as the ground truth the fuzz tests pin
+// The simulation moves Cell structs, not bytes; the codec is what a fault
+// injector's header corruption is judged by, and the fuzz tests pin it
 // down. Canonical form is what the testbed's point-to-point UNI produces:
 // GFC = 0, VPI = 0, CLP = 0. The AAL5 user bit (PTI bit 0) carries EOP, and
 // the simulator's direct-access mark (§3.6) is modeled as the otherwise
@@ -93,26 +93,5 @@ func DecodeHeader(h [HeaderSize]byte) (Cell, error) {
 	c.VCI = VCI(h[1])<<12 | VCI(h[2])<<4 | VCI(h[3]>>4)
 	c.EOP = pti&1 != 0
 	c.Direct = pti&4 != 0
-	return c, nil
-}
-
-// EncodeCell serializes the full 53-byte cell: header then payload.
-func (c Cell) EncodeCell() [CellSize]byte {
-	var w [CellSize]byte
-	h := c.EncodeHeader()
-	copy(w[:HeaderSize], h[:])
-	copy(w[HeaderSize:], c.Payload[:])
-	return w
-}
-
-// DecodeCell parses a full 53-byte cell.
-func DecodeCell(w [CellSize]byte) (Cell, error) {
-	var h [HeaderSize]byte
-	copy(h[:], w[:HeaderSize])
-	c, err := DecodeHeader(h)
-	if err != nil {
-		return Cell{}, err
-	}
-	copy(c.Payload[:], w[HeaderSize:])
 	return c, nil
 }

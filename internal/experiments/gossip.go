@@ -28,7 +28,9 @@ type GossipConfig struct {
 	Rounds int
 
 	Shards int
-	Seed   int64
+	// Seed is read by nothing, as the run draws no randomness; the frozen
+	// bench still sets it (ROADMAP 2(l)).
+	Seed int64
 }
 
 // The gossip protocol and its faults, at the standard run's values.
@@ -60,7 +62,7 @@ const (
 // 3.6 ms run of 12 rounds in which every 16th island goes dark long
 // enough to be removed by its neighbors.
 func DefaultGossip(islands int) GossipConfig {
-	return GossipConfig{Islands: islands, Rounds: 12, Seed: 1}
+	return GossipConfig{Islands: islands, Rounds: 12}
 }
 
 // GossipResult aggregates one gossip run.
@@ -123,7 +125,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 	for j := range spec.Switches {
 		spec.Switches[j].QueueCells = gossipQueueCells
 	}
-	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards, Seed: cfg.Seed})
+	tb := testbed.New(testbed.Config{Topology: spec, Shards: cfg.Shards})
 	defer tb.Close()
 	n := tb.Topo.Size()
 

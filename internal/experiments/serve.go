@@ -58,7 +58,7 @@ type ServeConfig struct {
 	// burst of 1..15 back-to-back requests (mean 8) with inter-point gaps
 	// stretched 8× to preserve the offered load.
 	Bursty bool
-	// Seed drives the arrival PRNGs and the testbed (default 1).
+	// Seed drives the arrival PRNGs (default 1).
 	Seed int64
 	// Shards is the testbed shard count (0 = serial).
 	Shards int
@@ -127,7 +127,7 @@ type ServeResult struct {
 func Serve(cfg ServeConfig) ServeResult {
 	cfg = cfg.withDefaults()
 	nhosts := cfg.ClientHosts + cfg.Servers
-	tb := testbed.New(testbed.Config{Hosts: nhosts, Seed: cfg.Seed, Shards: cfg.Shards})
+	tb := testbed.New(testbed.Config{Hosts: nhosts, Shards: cfg.Shards})
 	defer tb.Close()
 
 	// Small payloads: size the UAM buffers for them instead of the 4KB bulk

@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 	"unsafe"
@@ -92,7 +93,8 @@ func TestLinkLossRate(t *testing.T) {
 	e := sim.New(7)
 	col := &collector{}
 	l := NewLink(e, "l", LinkParams{CellTime: 1 * us}, col)
-	l.SetInjector(dropIf(func(atm.Cell) bool { return e.Rand().Float64() < 0.5 }))
+	rng := rand.New(rand.NewSource(7))
+	l.SetInjector(dropIf(func(atm.Cell) bool { return rng.Float64() < 0.5 }))
 	const n = 2000
 	for i := 0; i < n; i++ {
 		l.Send(atm.Cell{})

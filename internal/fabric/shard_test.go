@@ -50,7 +50,7 @@ func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 		le.Run()
 
 		root := sim.New(1)
-		dst := root.NewShard(2)
+		dst := root.NewShard()
 		ccol := &collector{}
 		cl := NewCrossLink(root, dst, "x", lp, ccol)
 		for i := 0; i < tc.cells; i++ {
@@ -76,7 +76,7 @@ func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 func TestCrossLinkLookaheadRegistered(t *testing.T) {
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	root := sim.New(1)
-	dst := root.NewShard(2)
+	dst := root.NewShard()
 	NewCrossLink(root, dst, "x", lp, &collector{})
 	if got := root.Group().Lookahead(); got != 4*us {
 		t.Fatalf("Lookahead = %v, want 4µs", got)
@@ -97,8 +97,8 @@ func TestCrossLinkPerPairLookahead(t *testing.T) {
 	fast := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
 	slow := LinkParams{CellTime: 3 * us, Propagation: 97 * us}
 	root := sim.New(1)
-	s1 := root.NewShard(2)
-	s2 := root.NewShard(3)
+	s1 := root.NewShard()
+	s2 := root.NewShard()
 	g := root.Group()
 
 	NewCrossLink(root, s1, "f-down", fast, &collector{})
@@ -134,7 +134,7 @@ func TestCrossLinkPerPairLookahead(t *testing.T) {
 
 func TestCrossLinkRejectsBadEndpoints(t *testing.T) {
 	root := sim.New(1)
-	dst := root.NewShard(2)
+	dst := root.NewShard()
 	other := sim.New(3) // not in the group
 	for _, tc := range []struct {
 		name   string
@@ -157,7 +157,7 @@ func TestCrossLinkRejectsBadEndpoints(t *testing.T) {
 
 func TestSwitchRejectsForeignShardLink(t *testing.T) {
 	root := sim.New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	l := NewLink(s1, "l", DefaultLinkParams(), &collector{})
 	defer func() {
 		if recover() == nil {
@@ -179,7 +179,7 @@ func runTie(sharded bool, up0, up1 LinkParams, pace time.Duration) []string {
 	root := sim.New(1)
 	eng := []*sim.Engine{root, root, root}
 	if sharded {
-		eng[0], eng[1] = root.NewShard(2), root.NewShard(3)
+		eng[0], eng[1] = root.NewShard(), root.NewShard()
 	}
 	link := func(src, dst *sim.Engine, name string, lp LinkParams, sink CellSink) *Link {
 		if src != dst {
@@ -293,7 +293,7 @@ func (v *vciLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
 // hand their sinks the right cells, and the second allocates nothing.
 func TestTrainScratchIsPerEngine(t *testing.T) {
 	root := sim.New(1)
-	shard := root.NewShard(2)
+	shard := root.NewShard()
 	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
 	var logA, logB vciLog
 	a := NewLink(root, "a", lp, &logA)

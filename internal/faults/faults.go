@@ -26,7 +26,6 @@ package faults
 import (
 	"hash/fnv"
 	"math/rand"
-	"sort"
 	"time"
 
 	"unet/internal/atm"
@@ -80,25 +79,17 @@ func NewRand(seed int64, link string) *rand.Rand {
 	return rand.New(rand.NewSource(DeriveSeed(seed, link)))
 }
 
-// VCIDrops is one VCI's tail of the per-VCI drop accounting.
-type VCIDrops struct {
-	VCI   atm.VCI
-	Drops uint64
-}
-
 // Chain composes injectors in order over each cell. A drop verdict
 // short-circuits the rest of the chain (the cell is gone; later models
-// never see it), delays add, and duplication is sticky. The chain keeps
-// the per-VCI drop accounting that testbeds surface.
+// never see it), delays add, and duplication is sticky.
 type Chain struct {
-	injs   []Injector
-	cells  uint64
-	perVCI map[atm.VCI]uint64
+	injs  []Injector
+	cells uint64
 }
 
 // NewChain composes injectors into one. The chain's Stats sums theirs.
 func NewChain(injs ...Injector) *Chain {
-	return &Chain{injs: injs, perVCI: make(map[atm.VCI]uint64)}
+	return &Chain{injs: injs}
 }
 
 // Judge implements fabric.Injector.
@@ -108,7 +99,6 @@ func (ch *Chain) Judge(c *atm.Cell, depart time.Duration) fabric.Verdict {
 	for _, in := range ch.injs {
 		w := in.Judge(c, depart)
 		if w.Drop {
-			ch.perVCI[c.VCI]++
 			v.Drop = true
 			return v
 		}
@@ -126,19 +116,4 @@ func (ch *Chain) Stats() FaultStats {
 		s.add(in.Stats())
 	}
 	return s
-}
-
-// PerVCIDrops returns the dropped-cell count per VCI in ascending VCI
-// order (collect-and-sort keeps the map iteration order-invisible).
-func (ch *Chain) PerVCIDrops() []VCIDrops {
-	keys := make([]atm.VCI, 0, len(ch.perVCI))
-	for vci := range ch.perVCI {
-		keys = append(keys, vci)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	out := make([]VCIDrops, len(keys))
-	for i, vci := range keys {
-		out[i] = VCIDrops{VCI: vci, Drops: ch.perVCI[vci]}
-	}
-	return out
 }

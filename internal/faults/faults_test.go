@@ -163,7 +163,8 @@ func TestNthCellDropsExactlyOne(t *testing.T) {
 }
 
 // TestChainShortCircuitAndPerVCI: a drop consumes the cell before later
-// models see it, and per-VCI accounting comes back sorted.
+// models see it; the cell before it on another VCI and the one after it on
+// the same VCI go on through the chain.
 func TestChainShortCircuitAndPerVCI(t *testing.T) {
 	dup := faults.NewDuplicator(1, "l", 1) // would duplicate every cell it sees
 	ch := faults.NewChain(faults.NewNthCell(2), dup)
@@ -177,10 +178,6 @@ func TestChainShortCircuitAndPerVCI(t *testing.T) {
 	}
 	if !v[0].Duplicate || !v[2].Duplicate {
 		t.Fatal("surviving cells were not duplicated")
-	}
-	per := ch.PerVCIDrops()
-	if len(per) != 1 || per[0].VCI != 65 || per[0].Drops != 1 {
-		t.Fatalf("PerVCIDrops = %+v, want [{65 1}]", per)
 	}
 	st := ch.Stats()
 	if st.Cells != 3 || st.Dropped != 1 || st.Duplicate != 2 {

@@ -114,7 +114,7 @@ func TestDeadPeerFailsInBoundedTime(t *testing.T) {
 	params.MaxTimeouts = 5
 	tb, a, b := pair(t, params)
 
-	var flushErr error
+	var flushErr, againErr error
 	var deadAfter time.Duration
 	tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
 		if err := b.Accept(p, 100*time.Millisecond); err != nil {
@@ -161,14 +161,15 @@ func TestDeadPeerFailsInBoundedTime(t *testing.T) {
 		}
 		flushErr = a.Flush(p, time.Hour)
 		deadAfter = p.Now() - start
+		againErr = a.Write(p, []byte{1})
 	})
 	tb.Eng.Run()
 
 	if !errors.Is(flushErr, tcp.ErrPeerDead) {
 		t.Fatalf("Flush to a dead peer returned %v, want ErrPeerDead", flushErr)
 	}
-	if !a.Dead() {
-		t.Fatal("Dead() = false after the retry budget was spent")
+	if !errors.Is(againErr, tcp.ErrPeerDead) {
+		t.Fatalf("Write after the retry budget was spent returned %v, want ErrPeerDead", againErr)
 	}
 	// 5 timeouts with doubling RTO starting from ~2 ticks of 1 ms each:
 	// well under a second of virtual time, nowhere near the 1 h budget.

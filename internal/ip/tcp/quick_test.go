@@ -41,7 +41,7 @@ func TestStreamIntegrityProperty(t *testing.T) {
 			src = append(src, chunk...)
 		}
 
-		tb := testbed.New(testbed.Config{Hosts: 2, Seed: seed})
+		tb := testbed.New(testbed.Config{Hosts: 2})
 		defer tb.Close()
 		ca, cb, err := tb.NewIPConduitPair(0, 1)
 		if err != nil {
@@ -98,22 +98,5 @@ func TestStreamIntegrityProperty(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 12, Rand: rand.New(rand.NewSource(3))}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// Property: sequence arithmetic survives wraparound — a long transfer that
-// crosses the 32-bit sequence space boundary stays correct. (The initial
-// sequence number is near the top of the space via a connection that has
-// already moved its window; modeled by transferring > 2^32 bytes being
-// impractical, we instead check the helpers directly.)
-func TestSeqArithmeticWraparound(t *testing.T) {
-	if !tcp.SeqLT(0xFFFFFF00, 0x00000010) {
-		t.Fatal("seqLT fails across wraparound")
-	}
-	if tcp.SeqLT(0x00000010, 0xFFFFFF00) {
-		t.Fatal("seqLT inverted across wraparound")
-	}
-	if !tcp.SeqLEQ(5, 5) {
-		t.Fatal("seqLEQ not reflexive")
 	}
 }

@@ -209,10 +209,6 @@ func (c *Conn) Stats() Stats { return c.stats }
 // State reports whether the connection is established.
 func (c *Conn) Established() bool { return c.st == stEstablished || c.st == stCloseWait }
 
-// Dead reports whether the connection exhausted its retransmission retry
-// budget (MaxTimeouts consecutive timeouts without ack progress).
-func (c *Conn) Dead() bool { return c.dead }
-
 // --- sequence arithmetic ---
 
 func seqLT(a, b uint32) bool  { return int32(a-b) < 0 }
@@ -502,7 +498,3 @@ func (c *Conn) pump(p *sim.Proc, d time.Duration) {
 	// poll boundary so application replies can piggyback them (§7.4).
 	c.output(p)
 }
-
-// SeqLT and SeqLEQ expose the modular sequence comparisons for testing.
-func SeqLT(a, b uint32) bool  { return seqLT(a, b) }
-func SeqLEQ(a, b uint32) bool { return seqLEQ(a, b) }

@@ -35,7 +35,7 @@ var effectCallPrefixes = []string{
 
 // effectCallExact are engine scheduling entry points.
 var effectCallExact = map[string]bool{
-	"At": true, "AtArg": true, "After": true, "AfterArg": true, "Run": true, "RunUntil": true,
+	"At": true, "AtArg": true, "After": true, "Run": true, "RunUntil": true,
 }
 
 func runMapIter(pass *Pass) {

@@ -48,9 +48,9 @@ var bannedOSFuncs = map[string]bool{
 }
 
 // Nondeterminism forbids wall-clock reads, randomness from anywhere but the
-// two seeded roots, and process identity inside the simulation packages.
+// seeded root, and process identity inside the simulation packages.
 // All time must come from the engine's virtual clock and all randomness
-// from Engine.Rand or a faults.NewRand stream; anything else makes two runs
+// from a faults.NewRand stream; anything else makes two runs
 // of the same simulation diverge and breaks the golden outputs.
 var Nondeterminism = &Analyzer{
 	Name: "nondeterminism",
@@ -86,10 +86,10 @@ func runNondeterminism(pass *Pass) {
 				switch {
 				case randConstructors[name]:
 					if !testFile {
-						pass.Reportf(call.Pos(), "rand.%s starts a private random stream; take one from faults.NewRand(seed, name) or Engine.Rand", name)
+						pass.Reportf(call.Pos(), "rand.%s starts a private random stream; take one from faults.NewRand(seed, name)", name)
 					}
 				case name != "NewZipf": // shapes a stream it is handed
-					pass.Reportf(call.Pos(), "global rand.%s is process-seeded; draw from Engine.Rand or a faults.NewRand stream", name)
+					pass.Reportf(call.Pos(), "global rand.%s is process-seeded; draw from a faults.NewRand stream", name)
 				}
 			case "crypto/rand":
 				pass.Reportf(call.Pos(), "crypto/rand.%s is hardware entropy; simulated code must use seeded randomness", name)

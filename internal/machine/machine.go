@@ -61,17 +61,6 @@ func MeikoParams() Params {
 	}
 }
 
-// RTT returns the model's small-message round-trip time
-// (2 × (OSend + Latency + ORecv)), for Table 2 verification.
-func (p Params) RTT() time.Duration {
-	return 2 * (p.OSend + p.Latency + p.ORecv)
-}
-
-// Bandwidth returns the model's asymptotic bandwidth in MB/s.
-func (p Params) Bandwidth() float64 {
-	return 1.0 / p.GPerByte.Seconds() / 1e6
-}
-
 // kinds of model messages.
 const (
 	mSend = iota + 1

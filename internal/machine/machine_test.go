@@ -9,6 +9,14 @@ import (
 	"unet/internal/splitc"
 )
 
+// closedRTT is the model's small-message round-trip time in closed form,
+// 2 × (OSend + Latency + ORecv): what Table 2 lists and the model must
+// measure.
+func closedRTT(p machine.Params) time.Duration { return 2 * (p.OSend + p.Latency + p.ORecv) }
+
+// closedBandwidth is the model's asymptotic bandwidth in MB/s in closed form.
+func closedBandwidth(p machine.Params) float64 { return 1.0 / p.GPerByte.Seconds() / 1e6 }
+
 func within(t *testing.T, name string, got, want, tol float64) {
 	t.Helper()
 	if got < want*(1-tol) || got > want*(1+tol) {
@@ -18,18 +26,18 @@ func within(t *testing.T, name string, got, want, tol float64) {
 
 // Table 2 round-trip latencies: CM-5 12 µs, Meiko 25 µs.
 func TestTable2RTTParams(t *testing.T) {
-	if got := machine.CM5Params().RTT(); got != 12*time.Microsecond {
+	if got := closedRTT(machine.CM5Params()); got != 12*time.Microsecond {
 		t.Errorf("CM-5 RTT = %v, want 12µs", got)
 	}
-	if got := machine.MeikoParams().RTT(); got != 25*time.Microsecond {
+	if got := closedRTT(machine.MeikoParams()); got != 25*time.Microsecond {
 		t.Errorf("Meiko RTT = %v, want 25µs", got)
 	}
 }
 
 // Table 2 bandwidths: CM-5 10 MB/s, Meiko 39 MB/s.
 func TestTable2Bandwidth(t *testing.T) {
-	within(t, "CM-5 bandwidth", machine.CM5Params().Bandwidth(), 10, 0.02)
-	within(t, "Meiko bandwidth", machine.MeikoParams().Bandwidth(), 39, 0.03)
+	within(t, "CM-5 bandwidth", closedBandwidth(machine.CM5Params()), 10, 0.02)
+	within(t, "Meiko bandwidth", closedBandwidth(machine.MeikoParams()), 39, 0.03)
 }
 
 // Measured RPC round trip on the model should match the parameter RTT.
@@ -66,7 +74,7 @@ func TestModelRPCMatchesRTT(t *testing.T) {
 		e.Run()
 		e.Shutdown()
 		within(t, pm.Name+" measured RTT", float64(rtt)/float64(time.Microsecond),
-			float64(pm.RTT())/float64(time.Microsecond), 0.02)
+			float64(closedRTT(pm))/float64(time.Microsecond), 0.02)
 	}
 }
 
@@ -99,7 +107,7 @@ func TestModelBulkBandwidth(t *testing.T) {
 	bw := float64(got) / last.Seconds() / 1e6
 	// Sender and receiver each charge G per byte but overlap; the
 	// bottleneck is one side ≈ 1/G.
-	within(t, "CM-5 bulk bandwidth", bw, pm.Bandwidth(), 0.10)
+	within(t, "CM-5 bulk bandwidth", bw, closedBandwidth(pm), 0.10)
 }
 
 // Ordering: messages between a pair are delivered in order.

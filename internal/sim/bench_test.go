@@ -44,10 +44,10 @@ func BenchmarkEngine_ScheduleFireArg(b *testing.B) {
 		s := a.(*st)
 		s.n++
 		if s.n < b.N {
-			s.e.AfterArg(time.Microsecond, fn, s)
+			s.e.AtArg(s.e.Now()+time.Microsecond, fn, s)
 		}
 	}
-	e.AfterArg(time.Microsecond, fn, s)
+	e.AtArg(e.Now()+time.Microsecond, fn, s)
 	b.ResetTimer()
 	e.Run()
 }
@@ -136,10 +136,10 @@ func benchScheduler(b *testing.B, newEngine func(int64) *Engine, pending int) {
 		// cycles on short deadlines while the bulk of the population parks
 		// far out — the million-idle-timeouts shape the wheel exists for.
 		d := time.Microsecond << ((x >> 32) % 17)
-		e.AfterArg(d+time.Duration(x%1000), fn, nil)
+		e.AtArg(e.Now()+d+time.Duration(x%1000), fn, nil)
 	}
 	for i := 0; i < pending; i++ {
-		e.AfterArg(time.Duration(i+1)*gap, fn, nil)
+		e.AtArg(e.Now()+time.Duration(i+1)*gap, fn, nil)
 	}
 	b.ResetTimer()
 	for fired < b.N {

@@ -58,7 +58,6 @@ type FIFO[T any] struct {
 	capacity int // 0 means unbounded
 	nonEmpty Cond
 	nonFull  Cond
-	drops    uint64
 }
 
 // NewFIFO returns a queue holding at most capacity items; capacity ≤ 0
@@ -73,16 +72,12 @@ func NewFIFO[T any](capacity int) *FIFO[T] {
 // Len returns the number of queued items.
 func (q *FIFO[T]) Len() int { return q.items.Len() }
 
-// Drops returns how many TryPut calls failed because the queue was full.
-func (q *FIFO[T]) Drops() uint64 { return q.drops }
-
 func (q *FIFO[T]) full() bool { return q.capacity > 0 && q.items.Len() >= q.capacity }
 
-// TryPut appends v if there is room and reports whether it was accepted.
-// A rejected item counts as a drop.
+// TryPut appends v if there is room and reports whether it was accepted;
+// the caller counts a rejected item where it is dropped.
 func (q *FIFO[T]) TryPut(v T) bool {
 	if q.full() {
-		q.drops++
 		return false
 	}
 	q.items.Push(v)

@@ -87,7 +87,7 @@ func TestShardNeighborBurstGrowsRing(t *testing.T) {
 	const flight = time.Microsecond
 	const burst = 100
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
 	toS1.ring = NewSPSC[shardMsg](8)
@@ -132,7 +132,7 @@ func TestShardNeighborBurstGrowsRing(t *testing.T) {
 func TestShardNeighborRunUntilClockSemantics(t *testing.T) {
 	const flight = time.Microsecond
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
 	g.ObserveLookaheadBetween(root, s1, flight)
@@ -158,7 +158,7 @@ func TestShardNeighborRunUntilClockSemantics(t *testing.T) {
 
 func TestShardNeighborPanicAborts(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
 	toRoot := newRingMailbox(g, s1, root)
@@ -187,7 +187,7 @@ func TestShardNeighborPanicAborts(t *testing.T) {
 func TestShardNeighborProfileAndReset(t *testing.T) {
 	const flight = time.Microsecond
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
 	toRoot := newRingMailbox(g, s1, root)
@@ -261,8 +261,8 @@ func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
-	s1 := root.NewShard(2)
-	s2 := root.NewShard(3)
+	s1 := root.NewShard()
+	s2 := root.NewShard()
 	g := root.Group()
 	toS2 := newRingMailbox(g, root, s2)
 	toRoot := newRingMailbox(g, s2, root)

@@ -85,10 +85,6 @@ func (p *Proc) Charge(d time.Duration) {
 	}
 }
 
-// Yield reschedules the process at the current virtual time, letting other
-// ready events run first.
-func (p *Proc) Yield() { p.Sleep(0) }
-
 // waiter records one process blocked on a Cond.
 type waiter struct {
 	p        *Proc
@@ -153,17 +149,6 @@ func (c *Cond) remove(w *waiter) {
 			return
 		}
 	}
-}
-
-// Waiting reports how many processes are blocked on the condition.
-func (c *Cond) Waiting() int {
-	n := 0
-	for _, w := range c.waiters {
-		if !w.fired {
-			n++
-		}
-	}
-	return n
 }
 
 // Wait blocks the process until the condition is signaled.

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"slices"
 	"strings"
@@ -23,7 +24,7 @@ func TestSleepYieldsToSameTimestampEvent(t *testing.T) {
 		p.Sleep(5 * us)
 		order = append(order, "sleeper")
 		e.After(0, func() { order = append(order, "same-time") })
-		p.Yield()
+		p.Sleep(0)
 		order = append(order, "yielded")
 		p.Sleep(0) // nothing queued at all: still one step, no clock motion
 	})
@@ -113,7 +114,8 @@ func TestSleepNeverPassesRunUntilLimit(t *testing.T) {
 // last phase is a lone sleeper: nothing else queued, every sleep in place.
 func sleepScript(e *Engine, log *[]string) {
 	rec := func(what string) { *log = append(*log, fmt.Sprintf("%s@%v", what, e.Now())) }
-	rnd := func(n int) time.Duration { return time.Duration(1+e.Rand().Intn(n)) * us }
+	rng := rand.New(rand.NewSource(7))
+	rnd := func(n int) time.Duration { return time.Duration(1+rng.Intn(n)) * us }
 	q := NewFIFO[int](2)
 	var c Cond
 	e.Spawn("producer", func(p *Proc) {
@@ -136,7 +138,7 @@ func sleepScript(e *Engine, log *[]string) {
 		for i := 0; i < 20; i++ {
 			rec(fmt.Sprint("wait", p.WaitTimeout(&c, 9*us)))
 			p.Sleep(2 * us)
-			p.Yield()
+			p.Sleep(0)
 		}
 	})
 	e.Spawn("timers", func(p *Proc) {

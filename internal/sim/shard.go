@@ -96,7 +96,7 @@ type Group struct {
 // may be driven with Run/RunUntil; shard engines are populated with
 // processes and events and then executed by the group. Shards must be
 // created before the first Run.
-func (e *Engine) NewShard(seed int64) *Engine {
+func (e *Engine) NewShard() *Engine {
 	if e.group == nil {
 		e.group = &Group{root: e, shards: []*Engine{e}}
 		e.shardID = 0
@@ -105,7 +105,7 @@ func (e *Engine) NewShard(seed int64) *Engine {
 	if g.root != e {
 		panic("sim: NewShard must be called on the group's root engine")
 	}
-	s := New(seed)
+	s := New(0)
 	s.group = g
 	s.shardID = len(g.shards)
 	g.shards = append(g.shards, s)

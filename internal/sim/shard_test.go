@@ -54,7 +54,7 @@ func (m *ringMailbox) Pending() bool { return m.ring.Pending() }
 // lookahead la.
 func ringPair(la time.Duration) (root, s1 *Engine, toS1, toRoot *ringMailbox) {
 	root = New(1)
-	s1 = root.NewShard(2)
+	s1 = root.NewShard()
 	g := root.Group()
 	toS1 = newRingMailbox(g, root, s1)
 	toRoot = newRingMailbox(g, s1, root)
@@ -80,7 +80,7 @@ func mustPanic(t *testing.T, what string, fn func()) (msg string) {
 
 func TestShardGroupIndependentShards(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	var a, b time.Duration
 	root.After(5*time.Millisecond, func() { a = root.Now() })
 	s1.After(9*time.Millisecond, func() { b = s1.Now() })
@@ -95,7 +95,7 @@ func TestShardGroupIndependentShards(t *testing.T) {
 
 func TestShardEngineRejectsDirectRun(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Run on a shard engine did not panic")
@@ -111,7 +111,7 @@ func TestShardCrossTrafficRespectsLookahead(t *testing.T) {
 	// though no shard has a direct return edge to the one feeding it.
 	legs := []time.Duration{10 * time.Microsecond, 3 * time.Microsecond, 7 * time.Microsecond}
 	root := New(1)
-	eng := []*Engine{root, root.NewShard(2), root.NewShard(3)}
+	eng := []*Engine{root, root.NewShard(), root.NewShard()}
 	g := root.Group()
 	var hop []*ringMailbox
 	for i, la := range legs {
@@ -183,8 +183,8 @@ func TestShardSameTimestampMergeIsRegistrationOrder(t *testing.T) {
 	}
 	for trial := 0; trial < 200; trial++ {
 		root := New(1)
-		a := root.NewShard(2)
-		b := root.NewShard(3)
+		a := root.NewShard()
+		b := root.NewShard()
 		g := root.Group()
 		fromA := newRingMailbox(g, a, root)
 		fromB := newRingMailbox(g, b, root)
@@ -201,7 +201,7 @@ func TestShardSameTimestampMergeIsRegistrationOrder(t *testing.T) {
 
 func TestShardRunUntilClockSemantics(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	var n atomic.Int32
 	root.After(time.Millisecond, func() { n.Add(1) })
 	s1.After(2*time.Millisecond, func() { n.Add(1) })
@@ -226,7 +226,7 @@ func TestShardPanicAborts(t *testing.T) {
 	// failure on a worker goroutine must still come out of the caller's
 	// Run with the original message.
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	for i := 1; i <= 100; i++ {
 		root.At(time.Duration(i)*time.Microsecond, func() {})
 		s1.At(time.Duration(i)*time.Microsecond, func() {})
@@ -240,7 +240,7 @@ func TestShardPanicAborts(t *testing.T) {
 
 func TestShardGroupShutdown(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	var stopped atomic.Int32
 	root.Spawn("r", func(p *Proc) {
 		defer stopped.Add(1)
@@ -259,7 +259,7 @@ func TestShardGroupShutdown(t *testing.T) {
 
 func TestShardLookaheadValidation(t *testing.T) {
 	root := New(1)
-	s1 := root.NewShard(2)
+	s1 := root.NewShard()
 	other := New(3)
 	g := root.Group()
 	msg := mustPanic(t, "ObserveLookaheadBetween(0)", func() { g.ObserveLookaheadBetween(root, s1, 0) })
@@ -284,8 +284,8 @@ func TestShardPairLookaheadValidation(t *testing.T) {
 	// exchange across a pair that never observed one must refuse to run,
 	// and the message must say which pair.
 	root := New(1)
-	s1 := root.NewShard(2)
-	s2 := root.NewShard(3)
+	s1 := root.NewShard()
+	s2 := root.NewShard()
 	g := root.Group()
 	newRingMailbox(g, root, s1)
 	g.ObserveLookaheadBetween(root, s1, time.Microsecond)
@@ -306,8 +306,8 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
-	s1 := root.NewShard(2)
-	s2 := root.NewShard(3)
+	s1 := root.NewShard()
+	s2 := root.NewShard()
 	g := root.Group()
 	toS2 := newRingMailbox(g, root, s2)
 	toRoot := newRingMailbox(g, s2, root)

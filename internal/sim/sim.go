@@ -23,9 +23,9 @@
 // key exists for the one event an engine does not schedule itself, the
 // arrival of a message from another shard (Engine.ArriveArg): it carries
 // the sender's clock, so it fires where the same delivery armed by a local
-// sender would have, whenever the destination happened to learn of it. All
-// randomness flows from the engine's seeded source, so a simulation
-// produces bit-identical results across runs.
+// sender would have, whenever the destination happened to learn of it. The
+// engine draws no randomness (models draw from seeded faults.NewRand
+// streams), so a simulation produces bit-identical results across runs.
 //
 // The event queue is built for throughput on the simulator's hot path
 // (cell-level network models schedule millions of events per simulated
@@ -56,7 +56,6 @@ package sim
 import (
 	"fmt"
 	"iter"
-	"math/rand"
 	"time"
 )
 
@@ -80,7 +79,6 @@ type Engine struct {
 	// in-place sleeps must stay inside; Shutdown zeroes it.
 	stop   time.Duration
 	procs  map[*Proc]struct{}
-	rng    *rand.Rand
 	nsteps uint64
 	// group and shardID place the engine in a sharded simulation (nil /
 	// zero for a plain serial engine). See shard.go.
@@ -113,8 +111,9 @@ func Local[T any](e *Engine) *T {
 // registration index (Group.AddExchangeFrom).
 const firstSeq = 1 << 32
 
-// New returns an engine with its virtual clock at zero and randomness
-// seeded with seed.
+// New returns an engine with its virtual clock at zero. The engine draws no
+// randomness (faults.NewRand is the one root of it), and the seed is unused:
+// the frozen bench still passes one (ROADMAP 2(l)).
 func New(seed int64) *Engine {
 	e := newHeapOnly(seed)
 	e.wheel = newWheel()
@@ -123,20 +122,17 @@ func New(seed int64) *Engine {
 
 // newHeapOnly returns an engine that keeps every pending event in the 4-ary
 // heap. It is the wheel's differential-testing twin: a run on it must be
-// bit-identical to the same run on New's engine.
-func newHeapOnly(seed int64) *Engine {
+// bit-identical to the same run on New's engine, and it takes New's
+// arguments so the tests hold either.
+func newHeapOnly(int64) *Engine {
 	return &Engine{
 		seq:   firstSeq,
 		procs: make(map[*Proc]struct{}),
-		rng:   rand.New(rand.NewSource(seed)), //unetlint:allow nondeterminism the engine master stream IS the root every Engine.Rand draw hangs off; it is seeded once, directly from the caller's plan seed
 	}
 }
 
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
-
-// Rand returns the engine's deterministic random source.
-func (e *Engine) Rand() *rand.Rand { return e.rng }
 
 // Steps reports how many events have fired since the engine was created.
 // Useful as a progress/livelock diagnostic in tests.
@@ -318,14 +314,6 @@ func (e *Engine) AtArg(at time.Duration, fn func(any), arg any) Timer {
 	ev.fnArg = fn
 	ev.arg = arg
 	return Timer{ev: ev, gen: ev.gen}
-}
-
-// AfterArg schedules fn(arg) to run d from now (negative d clamps to zero).
-func (e *Engine) AfterArg(d time.Duration, fn func(any), arg any) Timer {
-	if d < 0 {
-		d = 0
-	}
-	return e.AtArg(e.now+d, fn, arg)
 }
 
 // nextToFire reports whether a wake-up at absolute time at would be the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"sort"
 	"testing"
+	"time"
 
 	"unet/internal/machine"
 	"unet/internal/sim"
@@ -25,7 +26,7 @@ func modelNodes(t *testing.T, n int, pm machine.Params) []*splitc.Node {
 	return nodes
 }
 
-func uamNodes(t *testing.T, n int) []*splitc.Node {
+func uamNodes(t *testing.T, n int) ([]*splitc.Node, *testbed.Testbed) {
 	t.Helper()
 	tb := testbed.New(testbed.Config{Hosts: n})
 	t.Cleanup(tb.Close)
@@ -48,7 +49,7 @@ func uamNodes(t *testing.T, n int) []*splitc.Node {
 	for i := 0; i < n; i++ {
 		nodes[i] = splitc.NewNode(splitc.NewUAMTransport(ams[i], tb.Hosts[i], n))
 	}
-	return nodes
+	return nodes, tb
 }
 
 func checkMM(t *testing.T, cfg apps.MMConfig, nnodes int, cs []map[int][]float64) {
@@ -84,7 +85,7 @@ func TestMatrixMultiplyCorrect(t *testing.T) {
 
 func TestMatrixMultiplyOnUNetCluster(t *testing.T) {
 	cfg := apps.MMConfig{Grid: 2, Block: 16}
-	nodes := uamNodes(t, 2)
+	nodes, _ := uamNodes(t, 2)
 	res, cs := apps.RunMM(nodes, cfg)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
@@ -160,7 +161,7 @@ func TestSampleSortBulk(t *testing.T) {
 
 func TestSampleSortBulkOnUNetCluster(t *testing.T) {
 	cfg := apps.SortConfig{KeysPerNode: 600, Oversample: 16, Seed: 5}
-	nodes := uamNodes(t, 3)
+	nodes, _ := uamNodes(t, 3)
 	_, parts := apps.RunSampleSort(nodes, cfg, true)
 	checkSorted(t, parts, inputKeys(t, cfg, 3), true)
 }
@@ -230,6 +231,32 @@ func TestCGSameResidualOnAllMachines(t *testing.T) {
 	}
 }
 
+// TestCGOnUNetClusterKeepsAnEarlyHaloRow: at grid 128 a neighbour leaves
+// the dot product's all-reduce first and its boundary row lands before
+// this node reaches the halo exchange. Clearing the arrival flags on entry
+// lost that row, and the node polled for ever; a watchdog one virtual
+// second in fails the run instead of letting it spin.
+func TestCGOnUNetClusterKeepsAnEarlyHaloRow(t *testing.T) {
+	cfg := apps.CGConfig{Grid: 128, Iters: 5}
+	nodes, tb := uamNodes(t, 8)
+	tb.Hosts[0].Spawn("watchdog", func(p *sim.Proc) {
+		p.Sleep(time.Second)
+		if tb.Eng.PendingEvents() > 0 {
+			panic("conjugate gradient still polling after a virtual second")
+		}
+	})
+	defer func() {
+		if r := recover(); r != nil {
+			t.Fatal(r)
+		}
+	}()
+	_, residual := apps.RunCG(nodes, cfg)
+	_, want := apps.RunCG(modelNodes(t, 8, machine.CM5Params()), cfg)
+	if residual != want {
+		t.Fatalf("residual %g on U-Net ATM, %g on the CM-5 model; want the same arithmetic", residual, want)
+	}
+}
+
 // The Figure 5 shape: the CM-5 (slow CPU, fast small messages) must beat
 // the Meiko on the small-message sample sort permutation phase relative to
 // its bulk performance. Assert the directional relationship the paper
@@ -248,4 +275,16 @@ func TestBulkVariantHelpsMeikoMoreThanCM5(t *testing.T) {
 	if meiko <= cm5 {
 		t.Fatalf("bulk speedup: Meiko %.2f ≤ CM-5 %.2f — Figure 5 relationship violated", meiko, cm5)
 	}
+}
+
+// TestRadixSortOnUNetClusterRestagesNoQueuedSlot sorts enough keys over
+// UAM that go-back-N retransmissions are still in the send queue when
+// their acknowledgment frees the window: a window slot re-staged under a
+// queued descriptor goes out as the new message's header with the old
+// message's length, and the receiver takes the truncated message in order.
+func TestRadixSortOnUNetClusterRestagesNoQueuedSlot(t *testing.T) {
+	cfg := apps.SortConfig{KeysPerNode: 16384, Seed: 1}
+	nodes, _ := uamNodes(t, 8)
+	_, parts := apps.RunRadixSort(nodes, cfg, false)
+	checkSorted(t, parts, inputKeys(t, cfg, 8), true)
 }

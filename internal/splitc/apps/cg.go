@@ -77,21 +77,23 @@ func rhs(row, col, g int) float64 {
 	return math.Sin(float64(row+1)*0.37) * math.Cos(float64(col+1)*0.59)
 }
 
-// halo exchanges boundary rows of v with the neighbour processors.
+// halo exchanges boundary rows of v with the neighbour processors. A
+// neighbour that left the last collective first can send its row before
+// this node gets here, so the flags are cleared once the rows are used,
+// not on entry: clearing on entry loses that row and polls for ever.
 func (c *cgNode) halo(p *sim.Proc, v []float64) {
 	g := c.cfg.Grid
 	self, n := c.nd.Self(), c.nd.N()
-	c.gotUp = self == 0
-	c.gotDown = self == n-1
 	if self > 0 {
 		c.nd.Bulk(p, self-1, f64sToBytes(v[:g]))
 	}
 	if self < n-1 {
 		c.nd.Bulk(p, self+1, f64sToBytes(v[(c.rows-1)*g:]))
 	}
-	for !c.gotUp || !c.gotDown {
+	for !(c.gotUp || self == 0) || !(c.gotDown || self == n-1) {
 		c.nd.PollWait(p, time.Millisecond)
 	}
+	c.gotUp, c.gotDown = false, false
 }
 
 // matvec computes q = A·d for the five-point Laplacian.

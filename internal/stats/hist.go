@@ -177,11 +177,3 @@ func (h *Histogram) Merge(o *Histogram) {
 	h.total += o.total
 	h.sum += o.sum
 }
-
-// Reset empties the histogram, keeping the counts array for reuse.
-func (h *Histogram) Reset() {
-	for i := range h.counts {
-		h.counts[i] = 0
-	}
-	h.total, h.sum, h.min, h.max = 0, 0, 0, 0
-}

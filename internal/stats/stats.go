@@ -38,36 +38,12 @@ func (s *Series) At(x float64) (float64, bool) {
 	return best, found
 }
 
-// MaxY returns the largest y in the series (0 for an empty series).
-func (s *Series) MaxY() float64 {
-	if len(s.Points) == 0 {
-		return 0
-	}
-	max := s.Points[0].Y
-	for _, p := range s.Points[1:] {
-		if p.Y > max {
-			max = p.Y
-		}
-	}
-	return max
-}
-
 // Figure is a set of series sharing axes, reproducing one paper figure.
 type Figure struct {
 	Title  string
 	XLabel string
 	YLabel string
 	Series []*Series
-}
-
-// Get returns the named series, or nil.
-func (f *Figure) Get(name string) *Series {
-	for _, s := range f.Series {
-		if s.Name == name {
-			return s
-		}
-	}
-	return nil
 }
 
 // String renders the figure as an aligned text table with one row per x
@@ -166,14 +142,6 @@ func (t *Table) String() string {
 
 // US converts a duration to float microseconds.
 func US(d time.Duration) float64 { return float64(d) / float64(time.Microsecond) }
-
-// MBps computes megabytes per second.
-func MBps(bytes int, d time.Duration) float64 {
-	if d <= 0 {
-		return 0
-	}
-	return float64(bytes) / d.Seconds() / 1e6
-}
 
 func trimFloat(x float64) string {
 	if x == math.Trunc(x) {

@@ -23,32 +23,6 @@ func TestSeriesAddAndAt(t *testing.T) {
 	}
 }
 
-func TestSeriesMaxY(t *testing.T) {
-	var s Series
-	s.Add(1, 3)
-	s.Add(2, 9)
-	s.Add(3, 6)
-	if got := s.MaxY(); got != 9 {
-		t.Fatalf("MaxY = %v, want 9", got)
-	}
-	var empty Series
-	if got := empty.MaxY(); got != 0 {
-		t.Fatalf("empty MaxY = %v, want 0", got)
-	}
-}
-
-func TestSeriesMaxYAllNegative(t *testing.T) {
-	// Regression: seeding the scan at 0 instead of the first point made
-	// MaxY report 0 for series that never cross the x-axis.
-	var s Series
-	s.Add(1, -7)
-	s.Add(2, -3)
-	s.Add(3, -12)
-	if got := s.MaxY(); got != -3 {
-		t.Fatalf("all-negative MaxY = %v, want -3", got)
-	}
-}
-
 func TestFigureString(t *testing.T) {
 	f := &Figure{Title: "T", XLabel: "x", YLabel: "y"}
 	a := &Series{Name: "A"}
@@ -75,13 +49,6 @@ func TestFigureString(t *testing.T) {
 	}
 }
 
-func TestFigureGet(t *testing.T) {
-	f := &Figure{Series: []*Series{{Name: "x"}, {Name: "y"}}}
-	if f.Get("y") == nil || f.Get("z") != nil {
-		t.Fatal("Get lookup broken")
-	}
-}
-
 func TestTableAlignment(t *testing.T) {
 	tb := NewTable("demo")
 	tb.Header("a", "longer")
@@ -100,14 +67,8 @@ func TestTableAlignment(t *testing.T) {
 	}
 }
 
-func TestUSAndMBps(t *testing.T) {
+func TestUS(t *testing.T) {
 	if got := US(1500 * time.Nanosecond); got != 1.5 {
 		t.Fatalf("US = %v, want 1.5", got)
-	}
-	if got := MBps(2_000_000, time.Second); got != 2.0 {
-		t.Fatalf("MBps = %v, want 2.0", got)
-	}
-	if got := MBps(100, 0); got != 0 {
-		t.Fatalf("MBps with zero duration = %v, want 0", got)
 	}
 }

@@ -20,7 +20,9 @@ import (
 type Config struct {
 	// Hosts is the number of workstations (default 2).
 	Hosts int
-	// Seed drives all randomness (default 1).
+	// Seed is read by nothing: the engine draws no randomness, and fault
+	// streams hang off faults.Plan.Seed. The frozen bench still sets it
+	// (ROADMAP 2(l)).
 	Seed int64
 	// NIC is the interface model (default SBA200Params).
 	NIC *nic.Params
@@ -82,9 +84,6 @@ func New(cfg Config) *Testbed {
 	if cfg.Hosts <= 0 {
 		cfg.Hosts = 2
 	}
-	if cfg.Seed == 0 {
-		cfg.Seed = 1
-	}
 	nicp := nic.SBA200Params()
 	if cfg.NIC != nil {
 		nicp = *cfg.NIC
@@ -97,13 +96,13 @@ func New(cfg Config) *Testbed {
 	}
 	cfg.Hosts = len(spec.Hosts)
 
-	e := sim.New(cfg.Seed)
+	e := sim.New(0)
 	hostEng := make([]*sim.Engine, len(spec.Hosts))
 	swEng := make([]*sim.Engine, len(spec.Switches))
 	hostShard, swShard, shards := topo.Place(spec, cfg.Shards)
 	shardEng := make([]*sim.Engine, shards)
 	for j := range shardEng {
-		shardEng[j] = e.NewShard(cfg.Seed + int64(j) + 1)
+		shardEng[j] = e.NewShard()
 	}
 	for i, s := range hostShard {
 		if s >= 0 {

@@ -119,7 +119,7 @@ func runEchoStar(t *testing.T, sharded bool) []string {
 	root := sim.New(1)
 	var hostEng []*sim.Engine
 	if sharded {
-		hostEng = []*sim.Engine{root.NewShard(2), root.NewShard(3)}
+		hostEng = []*sim.Engine{root.NewShard(), root.NewShard()}
 	}
 	f := MustCompile(root, Star("cl", 2), hostEng, nil)
 	if err := f.Route(0, 40, 1); err != nil {

@@ -282,7 +282,7 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 		swEng := make([]*sim.Engine, len(spec.Switches))
 		var shards []*sim.Engine
 		for j := 0; j < k; j++ {
-			shards = append(shards, root.NewShard(7+int64(j)+1))
+			shards = append(shards, root.NewShard())
 		}
 		for i, s := range hostShard {
 			if s >= 0 {

@@ -288,16 +288,6 @@ func (u *UAM) Flush(p *sim.Proc, dst int) error {
 	return nil
 }
 
-// Outstanding reports how many reliable messages to dst await
-// acknowledgment.
-func (u *UAM) Outstanding(dst int) int {
-	pe, err := u.peerFor(dst)
-	if err != nil {
-		return 0
-	}
-	return pe.outstanding()
-}
-
 // FlushAll is Flush for every peer, in node-id order. Peers declared dead
 // are skipped — their unacknowledged messages can never complete; callers
 // that care about them use Flush and inspect ErrPeerDead per peer.

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"unet/internal/atm"
+	"unet/internal/fabric"
 	"unet/internal/faults"
 	"unet/internal/sim"
 	"unet/internal/testbed"
@@ -45,11 +46,8 @@ func TestDeadPeerFailsInBoundedTime(t *testing.T) {
 	if failedAt > 20*time.Millisecond {
 		t.Fatalf("peer declared dead at %v, want bounded well under 20ms", failedAt)
 	}
-	if got := us[0].Stats().Retransmits; got != 5 {
-		t.Fatalf("Retransmits = %d, want exactly MaxRetries = 5", got)
-	}
-	if got := us[0].Outstanding(1); got != 1 {
-		t.Fatalf("Outstanding = %d after dead peer, want the staged message still counted", got)
+	if st := us[0].Stats(); st.Retransmits != 5 || st.ReqSent != 1 || st.AcksRecv != 0 {
+		t.Fatalf("stats = %+v, want exactly MaxRetries = 5 retransmissions of the one unacknowledged request", st)
 	}
 
 	// Later blocking calls fail immediately rather than stalling again.
@@ -66,6 +64,70 @@ func TestDeadPeerFailsInBoundedTime(t *testing.T) {
 	}
 	if at1-at0 > time.Millisecond {
 		t.Fatalf("post-death Request blocked %v, want an immediate failure", at1-at0)
+	}
+}
+
+// delayAll holds every cell it judges back by the same time, so the link
+// keeps its order and loses nothing.
+type delayAll time.Duration
+
+func (d delayAll) Judge(*atm.Cell, time.Duration) fabric.Verdict {
+	return fabric.Verdict{Delay: time.Duration(d)}
+}
+
+// TestBusyPeerIsNotDeclaredDead: node 0's request reaches node 1 only
+// after ten retry budgets in its uplink (a hot spot's queue, in effect),
+// while node 1 keeps sending to node 0. Node 0 spends its retries long
+// before the ack can come, but a peer still heard from is alive: the flush
+// waits for the ack instead of failing with ErrPeerDead on a wire that
+// loses nothing. Node 1 hears nothing from node 0 meanwhile, so its own
+// budget is one that outlasts the hold.
+func TestBusyPeerIsNotDeclaredDead(t *testing.T) {
+	tb := testbed.New(testbed.Config{Hosts: 2})
+	defer tb.Close()
+	cfg := uam.Config{RetransmitTimeout: 200 * time.Microsecond, RetransmitMax: 400 * time.Microsecond, MaxRetries: 3}
+	const held = 12 * time.Millisecond // node 0's budget is 0.2+0.2+0.4+0.4 = 1.2 ms
+	var us [2]*uam.UAM
+	for i, retries := range []int{cfg.MaxRetries, 100} {
+		c := cfg
+		c.MaxRetries = retries
+		var err error
+		if us[i], err = uam.New(tb.Hosts[i].NewProcess("am"), i, c); err != nil {
+			t.Fatal(err)
+		}
+		us[i].RegisterHandler(1, func(*uam.UAM, *sim.Proc, int, uint32, []byte) {})
+	}
+	if err := uam.Connect(tb.Manager, us[0], us[1]); err != nil {
+		t.Fatal(err)
+	}
+	tb.Topo.Uplink(0).SetInjector(delayAll(held))
+	var flushErr error
+	var flushed time.Duration
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		if err := us[0].Request(p, 1, 1, 0, []byte("held")); err != nil {
+			t.Error(err)
+			return
+		}
+		flushErr = us[0].Flush(p, 1)
+		flushed = p.Now()
+	})
+	tb.Hosts[1].Spawn("chatty", func(p *sim.Proc) {
+		for k := 0; k < 4; k++ {
+			if err := us[1].Request(p, 0, 1, 0, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		for p.Now() < 2*held {
+			us[1].PollWait(p, 500*time.Microsecond)
+		}
+	})
+	tb.Eng.Run()
+	if flushErr != nil || flushed < held {
+		t.Fatalf("Flush returned %v at %v, want nil once the held request lands after %v", flushErr, flushed, held)
+	}
+	if got := us[0].Stats().Retransmits; got <= uint64(cfg.MaxRetries) {
+		t.Fatalf("%d retransmissions, want more than MaxRetries = %d before the ack", got, cfg.MaxRetries)
 	}
 }
 

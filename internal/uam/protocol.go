@@ -42,6 +42,10 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	p.Charge(opOverhead)
 	seq := pe.nextSeq
 	slot := &pe.slots[int(seq)%u.cfg.Window]
+	// A go-back-N retransmission of the message this slot held last may
+	// still be queued, and the NI reads the slot when it pops that
+	// descriptor: the slot is staged again only once it has (DESIGN.md §10).
+	u.ep.WaitSent(p, slot.posted)
 	// Solicit a prompt ack once the window is half committed, so steady
 	// one-way flows never stall waiting for the retransmit timer.
 	reqAck := 2*(pe.outstanding()+1) >= u.cfg.Window
@@ -65,7 +69,18 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if pe.deadline == 0 {
 		u.armDeadline(pe, p.Now()+u.cfg.RetransmitTimeout)
 	}
-	return u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n))
+	return u.sendSlot(p, pe, slot)
+}
+
+// sendSlot pushes the descriptor of the message staged in slot and records
+// its place in the send queue's order.
+func (u *UAM) sendSlot(p *sim.Proc, pe *peer, slot *txSlot) error {
+	if err := u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n)); err != nil {
+		return err
+	}
+	u.posted++
+	slot.posted = u.posted
+	return nil
 }
 
 // sendAck emits an explicit cumulative acknowledgment (unsequenced).
@@ -100,7 +115,9 @@ func (u *UAM) sendControl(p *sim.Proc, pe *peer, typ uint8) {
 	if err := u.ep.Compose(nil, off, hdr[:]); err != nil {
 		panic(err)
 	}
-	_ = u.ep.SendBlock(p, u.ep.DescAt(pe.ch, off, headerSize))
+	if u.ep.SendBlock(p, u.ep.DescAt(pe.ch, off, headerSize)) == nil {
+		u.posted++
+	}
 }
 
 // drainIncoming processes whatever is already in the receive queue,
@@ -246,9 +263,12 @@ func (u *UAM) clearNeedAck(pe *peer) {
 
 // retransmit implements go-back-N: every unacknowledged staged message is
 // resent in order (§5.1.1). Consecutive retransmissions without ack
-// progress back off exponentially; when the retry budget is exhausted the
-// peer is declared dead rather than retransmitted forever — blocking
-// operations surface ErrPeerDead.
+// progress back off exponentially; when the retry budget is exhausted and
+// nothing has arrived from the peer for as long, the peer is declared dead
+// rather than retransmitted forever — blocking operations surface
+// ErrPeerDead. A peer still heard from is busy, not dead: under a hot spot
+// its acknowledgments queue behind everyone's retransmissions, and giving
+// up on it would fail a run on a wire that loses nothing.
 func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 	if pe.outstanding() == 0 {
 		pe.deadline = 0
@@ -259,17 +279,16 @@ func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 		pe.deadline = 0
 		return
 	}
-	if pe.retries >= u.cfg.MaxRetries {
+	if pe.retries >= u.cfg.MaxRetries && p.Now()-pe.heard >= u.retryBudget() {
 		pe.dead = true
 		pe.deadline = 0
 		return
 	}
 	pe.retries++
 	for s := pe.ackedTo; s != pe.nextSeq; s++ {
-		slot := pe.slots[int(s)%u.cfg.Window]
 		u.stats.Retransmits++
 		p.Charge(opOverhead)
-		if err := u.ep.SendBlock(p, u.ep.DescAt(pe.ch, slot.off, slot.n)); err != nil {
+		if u.sendSlot(p, pe, &pe.slots[int(s)%u.cfg.Window]) != nil {
 			return
 		}
 	}

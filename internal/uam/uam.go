@@ -40,8 +40,9 @@ var (
 	ErrReplyCtx   = errors.New("uam: Reply outside a request handler")
 	ErrMemRange   = errors.New("uam: offset outside exposed memory")
 	// ErrPeerDead reports that MaxRetries consecutive retransmissions went
-	// unacknowledged: the peer is declared dead and blocking operations
-	// toward it fail instead of retransmitting forever.
+	// unacknowledged and nothing arrived from the peer for a whole retry
+	// budget: the peer is declared dead and blocking operations toward it
+	// fail instead of retransmitting forever.
 	ErrPeerDead = errors.New("uam: peer unresponsive, retry limit exceeded")
 )
 
@@ -65,8 +66,9 @@ type Config struct {
 	// (never below RetransmitTimeout).
 	RetransmitMax time.Duration
 	// MaxRetries is the number of consecutive unacknowledged
-	// retransmissions after which the peer is declared dead and blocking
-	// operations return ErrPeerDead. Default 10.
+	// retransmissions after which a peer that has also been silent for
+	// the whole retry budget is declared dead and blocking operations
+	// return ErrPeerDead. Default 10.
 	MaxRetries int
 }
 
@@ -123,8 +125,9 @@ type Stats struct {
 }
 
 type txSlot struct {
-	off int // staging offset in the communication segment
-	n   int // staged message length (header + data)
+	off    int    // staging offset in the communication segment
+	n      int    // staged message length (header + data)
+	posted uint64 // UAM.posted after the last descriptor pointing here was pushed
 }
 
 type peer struct {
@@ -169,7 +172,8 @@ type UAM struct {
 	inReply  bool  // true while dispatching a reply handler
 	draining bool  // re-entrance guard for pre-send queue draining
 	stats    Stats
-	slotBase int // next free segment offset for peer slot allocation (the control ring comes first)
+	slotBase int    // next free segment offset for peer slot allocation (the control ring comes first)
+	posted   uint64 // descriptors pushed on ep; the NI has popped the kth once ep.Stats().Sent >= k
 
 	// nextDeadline coalesces the per-peer retransmit deadlines into one
 	// lower bound (0 = none armed since the last full scan), so checkTimers
@@ -266,9 +270,6 @@ func New(owner *unet.Process, node int, cfg Config) (*UAM, error) {
 // Node returns this instance's node id.
 func (u *UAM) Node() int { return u.node }
 
-// Endpoint exposes the underlying U-Net endpoint.
-func (u *UAM) Endpoint() *unet.Endpoint { return u.ep }
-
 // Mem exposes bytes [off, off+n) of the bulk-transfer memory region (the
 // GAM "virtual memory" stores and gets address), for the application to
 // read or fill in place. The slice is good until the region is next written
@@ -280,15 +281,6 @@ func (u *UAM) Stats() Stats { return u.stats }
 
 // Config returns the resolved configuration (defaults filled in).
 func (u *UAM) Config() Config { return u.cfg }
-
-// Peers returns the connected node ids in ascending order.
-func (u *UAM) Peers() []int {
-	out := make([]int, 0, len(u.peerList))
-	for _, pe := range u.peerList {
-		out = append(out, pe.node)
-	}
-	return out
-}
 
 // RegisterHandler binds index id (1-255) to h.
 func (u *UAM) RegisterHandler(id int, h Handler) error {

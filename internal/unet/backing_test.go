@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -201,40 +200,6 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 		if err := ep.ReadBuf(nil, 0, whole); err != nil || !bytes.Equal(whole, twin.b) {
 			t.Fatalf("seed %d: segments differ after the sequence (err %v)", seed, err)
 		}
-	}
-}
-
-// TestSegmentWorstCase bounds what the laziness can cost: a segment touched
-// in ascending 4 KB steps — the pattern exact-fit growth recopies at every
-// step — allocates at most twice its size in total, and reading bytes
-// nobody ever wrote returns zeros and allocates nothing.
-func TestSegmentWorstCase(t *testing.T) {
-	const size = 1 << 20
-	_, pr := newPair(t, unet.EndpointConfig{SegmentSize: size}, 0)
-	page := bytes.Repeat([]byte{0xA5}, 4096)
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for off := 0; off < size; off += len(page) {
-		if err := pr.EpA.Compose(nil, off, page); err != nil {
-			t.Fatal(err)
-		}
-	}
-	runtime.ReadMemStats(&m1)
-	if got := m1.TotalAlloc - m0.TotalAlloc; got > 2*size {
-		t.Errorf("ascending 4 KB touches of a %d-byte segment allocated %d bytes, want at most twice the segment", size, got)
-	}
-
-	buf, dma := bytes.Repeat([]byte{1}, 4096), make([]byte, 0, 4096)
-	if n := testing.AllocsPerRun(50, func() {
-		if err := pr.EpB.ReadBuf(nil, size/2, buf); err != nil {
-			t.Fatal(err)
-		}
-		dma = pr.EpB.DevReadSegmentAppend(dma[:0], size-4096, 4096)
-	}); n != 0 {
-		t.Errorf("reading never-written bytes allocates %v times per read, want 0", n)
-	}
-	if zero := make([]byte, 4096); !bytes.Equal(buf, zero) || !bytes.Equal(dma, zero) {
-		t.Error("never-written bytes do not read as zeros")
 	}
 }
 

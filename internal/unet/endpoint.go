@@ -124,9 +124,6 @@ func (ep *Endpoint) Config() EndpointConfig { return ep.cfg }
 // Stats returns a snapshot of the endpoint counters.
 func (ep *Endpoint) Stats() EndpointStats { return ep.stats }
 
-// Closed reports whether the endpoint has been destroyed.
-func (ep *Endpoint) Closed() bool { return ep.closed }
-
 func (ep *Endpoint) checkRange(off, n int) error {
 	if !ep.seg.Contains(off, n) {
 		return ErrBadOffset
@@ -207,11 +204,22 @@ func (ep *Endpoint) SendBlock(p *sim.Proc, d SendDesc) error {
 	}
 }
 
+// WaitSent blocks until the NI has popped the first n descriptors pushed on
+// this endpoint (Stats().Sent >= n), after which the bytes they point at may
+// be staged again.
+func (ep *Endpoint) WaitSent(p *sim.Proc, n uint64) {
+	for ep.stats.Sent < n {
+		p.Wait(&ep.txSpace)
+	}
+}
+
 // DescAt describes the n-byte message staged in the segment at off: inline,
 // its bytes aliasing the segment, when the device's single-cell fast path
 // takes it (§3.4), by offset and length otherwise — always the latter on a
 // device without the fast path. The bytes must stay put until the NI pops
-// the descriptor; a Staging region sized past the send queue sees to that.
+// the descriptor: a Staging region sized past the send queue sees to that,
+// and a slot staged again while descriptors may still point at it waits
+// for them with WaitSent.
 // A range outside the segment panics.
 func (ep *Endpoint) DescAt(ch ChannelID, off, n int) SendDesc {
 	if n <= ep.host.dev.SingleCellMax() {

@@ -56,9 +56,6 @@ type Process struct {
 // Host returns the process's host.
 func (pr *Process) Host() *Host { return pr.host }
 
-// Name returns the process name.
-func (pr *Process) Name() string { return pr.name }
-
 func (pr *Process) String() string {
 	return fmt.Sprintf("%s:%s#%d", pr.host.Name, pr.name, pr.id)
 }

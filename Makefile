@@ -32,9 +32,11 @@ loc:
 # at GOMAXPROCS=4: the shard window protocol (SPSC rings, published clocks,
 # quiescence scan, parking, fast-forward), the tie tests and the table-wide
 # goldens at shards 1/2/4 among them. There is no package or -run list to
-# keep in step with the tests.
+# keep in step with the tests. The timeout is go test's default tripled:
+# internal/experiments takes more than the default 10 minutes under the
+# race detector on two vCPUs (ROADMAP item 0).
 race:
-	GOMAXPROCS=4 $(GO) test -race ./...
+	GOMAXPROCS=4 $(GO) test -race -timeout 30m ./...
 
 # smoke drives the CLI where no test does: a 64-host two-stage Clos storm
 # on four shards (zero queue drops, zero undelivered cells), the island

@@ -148,7 +148,7 @@ type Link struct {
 	// stays allocation-free whether or not an injector is installed.
 	scratch atm.Cell
 
-	pend  sim.Ring[inflight] // cells on the wire, in arrival order
+	pend  sim.Ring[inflight] // cells on the wire, in arrival order, in the delivering engine's chunks
 	armed bool
 	train *trainBuf // the delivering engine's DeliverTrain scratch
 
@@ -186,7 +186,7 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
 	}
-	return &Link{e: e, name: name, p: p, sink: sink, train: sim.Local[trainBuf](e)}
+	return &Link{e: e, name: name, p: p, sink: sink, pend: sim.NewRing[inflight](e), train: sim.Local[trainBuf](e)}
 }
 
 // NewCrossLink creates a link whose transmitter lives in shard engine src
@@ -216,7 +216,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	if src == dst {
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
-	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, train: sim.Local[trainBuf](dst)}
+	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[inflight](dst), train: sim.Local[trainBuf](dst)}
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
@@ -354,11 +354,15 @@ func (l *Link) fire() {
 		l.train.cells = make([]atm.Cell, max(n, 2*len(l.train.cells)))
 	}
 	train, k := l.train.cells, 0
-	for next := now; ; {
-		train[k] = l.pend.Pop().c
-		k++
-		next += l.p.CellTime
-		if l.pend.Len() == 0 || l.pend.Front().arrive != next {
+	for next := now; l.pend.Len() > 0; {
+		span, m := l.pend.Span(l.pend.Len()), 0
+		for m < len(span) && span[m].arrive == next {
+			train[k+m] = span[m].c
+			m++
+			next += l.p.CellTime
+		}
+		l.pend.Drop(m)
+		if k += m; m < len(span) {
 			break
 		}
 	}

@@ -29,6 +29,7 @@ type Switch struct {
 	name    string
 	latency time.Duration
 	in      []labelTable // per input port, indexed by arriving label
+	wait    []portQueue  // per input port: cells waiting for their forwarding job
 	labels  []Labels     // per output port: the outgoing link's label space
 	out     []*Link
 	unknown uint64
@@ -60,6 +61,14 @@ func (t labelTable) row(v atm.VCI) xlate {
 	return xlate{}
 }
 
+// portQueue holds an input port's relabelled cells until their job fires.
+// One link feeds the port in arrival order and a job starts at its first
+// cell's arrival plus the latency, so each job finds its run at the head.
+type portQueue struct {
+	cells  sim.Ring[atm.Cell]
+	queued uint64 // cells ever queued
+}
+
 // fwdJob carries one run of same-route cells across the switch's forwarding
 // latency. Jobs are pooled on the switch: forwarding a train in steady
 // state allocates nothing. The job fires at the forwarding time of its
@@ -70,8 +79,10 @@ type fwdJob struct {
 	s       *Switch
 	link    *Link
 	port    int
-	cells   []atm.Cell
-	start   time.Duration // forwarding time of cells[0]
+	in      int
+	n       int           // cells in the run, waiting in s.wait[in]
+	pos     uint64        // s.wait[in].queued when the run's first cell was queued
+	start   time.Duration // forwarding time of the run's first cell
 	spacing time.Duration
 	next    *fwdJob
 }
@@ -83,21 +94,28 @@ func fwdFire(a any) {
 	j := a.(*fwdJob)
 	t := j.start
 	s := j.s
-	qlimit := time.Duration(s.qcells) * j.link.p.CellTime
-	for _, c := range j.cells {
-		// Finite output queue: if the port's committed serialization debt at
-		// the forwarding instant already covers qcells cells, this cell finds
-		// the queue full and is tail-dropped. Its arrival slot stays empty —
-		// the link is not charged for a cell that never entered the queue.
-		if qlimit > 0 && j.link.NextFree()-t >= qlimit {
-			s.qdrops[j.port]++
-			t += j.spacing
-			continue
-		}
-		j.link.SendAt(c, t)
-		t += j.spacing
+	q := &s.wait[j.in]
+	if head := q.queued - uint64(q.cells.Len()); head != j.pos {
+		panic(fmt.Sprintf("fabric: switch %s input port %d: the job for cell %d found cell %d at the head of the queue", s.name, j.in, j.pos, head))
 	}
-	j.cells = j.cells[:0]
+	// Finite output queue: if the port's committed serialization debt at
+	// the forwarding instant already covers qcells cells, a cell finds the
+	// queue full and is tail-dropped. Its arrival slot stays empty — the
+	// link is not charged for a cell that never entered the queue.
+	qlimit := time.Duration(s.qcells) * j.link.p.CellTime
+	for left := j.n; left > 0; {
+		run := q.cells.Span(left)
+		for i := range run {
+			if qlimit > 0 && j.link.NextFree()-t >= qlimit {
+				s.qdrops[j.port]++
+			} else {
+				j.link.SendAt(run[i], t)
+			}
+			t += j.spacing
+		}
+		q.cells.Drop(len(run))
+		left -= len(run)
+	}
 	j.link = nil
 	j.next = s.free
 	s.free = j
@@ -137,7 +155,11 @@ func NewSwitchWithLinks(e *sim.Engine, name string, latency time.Duration, out [
 			panic(fmt.Sprintf("fabric: switch %s output link %s transmits on a foreign shard", name, l.name))
 		}
 	}
-	return &Switch{e: e, name: name, latency: latency, in: make([]labelTable, len(out)), labels: make([]Labels, len(out)), out: out, qdrops: make([]uint64, len(out))}
+	wait := make([]portQueue, len(out))
+	for i := range wait {
+		wait[i].cells = sim.NewRing[atm.Cell](e)
+	}
+	return &Switch{e: e, name: name, latency: latency, in: make([]labelTable, len(out)), wait: wait, labels: make([]Labels, len(out)), out: out, qdrops: make([]uint64, len(out))}
 }
 
 // SetOutputQueueCells bounds every output port's queue to n cells; cells
@@ -259,12 +281,12 @@ func (s *Switch) PortSink(in int) CellSink {
 // arrives at first + i*spacing, and a single cell is a train of one.
 // Consecutive cells bound for the same output port are forwarded by one
 // pooled job; cells on unrouted VCIs are dropped and break the run (their
-// wire slot stays empty). A run is copied in bulk and relabelled in place:
-// appending cell by cell grows the job's slice through every size class.
+// wire slot stays empty). A run is copied into the input port's queue a
+// chunk at a time and relabelled there; the job holds only its count.
 //
 //unetlint:hotpath per-train label swap; runs for every train crossing the switch
 func (s *Switch) DeliverTrain(in int, cells []atm.Cell, first, spacing time.Duration) {
-	t := s.in[in]
+	t, q := s.in[in], &s.wait[in]
 	for i := 0; i < len(cells); {
 		r := t.row(cells[i].VCI)
 		if !r.ok {
@@ -282,10 +304,16 @@ func (s *Switch) DeliverTrain(in int, cells []atm.Cell, first, spacing time.Dura
 		j := s.getJob()
 		j.link = s.out[r.port]
 		j.port = int(r.port)
-		j.cells = append(j.cells, cells[i:run]...)
-		for k := range j.cells {
-			j.cells[k].VCI = t[j.cells[k].VCI].out
+		j.in, j.n, j.pos = in, run-i, q.queued
+		for src := cells[i:run]; len(src) > 0; {
+			dst := q.cells.Room(len(src))
+			copy(dst, src)
+			for k := range dst {
+				dst[k].VCI = t[dst[k].VCI].out
+			}
+			src = src[len(dst):]
 		}
+		q.queued += uint64(run - i)
 		j.start = first + time.Duration(i)*spacing + s.latency
 		j.spacing = spacing
 		s.e.AtArg(j.start, fwdFire, j)

@@ -337,8 +337,12 @@ func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 		d.deliverCell(cells[0])
 		return
 	}
-	for i := range cells {
-		d.in.Push(arrival{c: cells[i], arrive: first + time.Duration(i)*spacing})
+	for i := 0; i < len(cells); {
+		room := d.in.Room(len(cells) - i)
+		for k := range room {
+			room[k] = arrival{c: cells[i+k], arrive: first + time.Duration(i+k)*spacing}
+		}
+		i += len(room)
 	}
 	d.wake()
 }

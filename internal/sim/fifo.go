@@ -1,51 +1,144 @@
 package sim
 
-// Ring is an unbounded first-in, first-out queue over a power-of-two ring
-// buffer that doubles when full: steady-state traffic allocates nothing
-// once it has grown to its high-water mark. The zero value is an empty
-// ring. It is the one queue under a FIFO, a link's cells in flight and a
-// NIC's input FIFO; bounds and wake-ups are its owners' business.
+import "math/bits"
+
+// Ring is an unbounded first-in, first-out queue over a list of chunks of 4,
+// 8, … or 128 entries, each at most half of what the ring holds when it is
+// taken (once that is 16 or more), so a ring holds little more than its
+// entries. Chunks come from a pool and go back to it as they drain, so
+// steady-state traffic allocates nothing. NewRing shares one pool per type
+// and engine, and an empty ring of it holds nothing. The zero value has a
+// pool of its own and keeps its last chunk. It is the one queue under a
+// FIFO, a link's cells in flight, a switch port's cells waiting to be
+// forwarded and a NIC's input FIFO; bounds and wake-ups are its owners'.
 type Ring[T any] struct {
-	buf  []T // len(buf) is 0 or a power of two
-	head int // index of the oldest element
-	n    int // number of queued elements
+	pool       *chunkPool[T]
+	head, tail *chunk[T] // every chunk but the tail is full
+	off, end   int32     // head.buf[off] is the oldest entry, tail.buf[end] the next free slot
+	n          int32
+	own        bool // the pool is the ring's own
 }
 
-// Len returns the number of queued elements.
-func (r *Ring[T]) Len() int { return r.n }
+type chunk[T any] struct {
+	buf  []T
+	next *chunk[T]
+}
 
-// Push appends v, doubling the buffer when it is full. The growth stays in
-// the body: a call out of a generic method keeps it from inlining, which
-// costs a link about a tenth of its per-cell time.
-//
-//unetlint:allow hotpathalloc the ring doubles until it holds its owner's high-water mark (a link's cells in flight, a NIC's input FIFO depth) and then never grows again
-func (r *Ring[T]) Push(v T) {
-	if r.n == len(r.buf) {
-		grown := make([]T, max(4, 2*len(r.buf)))
-		for i := 0; i < r.n; i++ {
-			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
-		}
-		r.buf = grown
-		r.head = 0
+const chunkClasses = 6 // chunks of 4<<0 to 4<<5 entries
+
+// chunkPool holds drained chunks by size class.
+type chunkPool[T any] struct{ free [chunkClasses]*chunk[T] }
+
+// NewRing returns an empty ring drawing on e's pool for T. Only code running
+// on e may touch it.
+func NewRing[T any](e *Engine) Ring[T] { return Ring[T]{pool: Local[chunkPool[T]](e)} }
+
+// Len returns the number of queued elements.
+func (r *Ring[T]) Len() int { return int(r.n) }
+
+// Push appends v. Push and Pop make one call each and stay under the
+// inliner's budget: a per-cell call that copied the entry cost the 8-host
+// storm about a tenth of its time.
+func (r *Ring[T]) Push(v T) { r.Room(1)[0] = v }
+
+// Room appends up to n slots, at least one, that lie contiguous in memory
+// and returns them for the caller to fill; they count in Len at once.
+func (r *Ring[T]) Room(n int) []T {
+	if r.tail == nil || int(r.end) == len(r.tail.buf) {
+		r.grow()
 	}
-	r.buf[(r.head+r.n)&(len(r.buf)-1)] = v
-	r.n++
+	s := r.tail.buf[r.end:min(len(r.tail.buf), int(r.end)+n)]
+	r.end += int32(len(s))
+	r.n += int32(len(s))
+	return s
+}
+
+// grow links a chunk from the pool after the tail.
+//
+//unetlint:allow hotpathalloc a pool runs dry only until it holds its peak of queued entries, and a zero-value ring makes its own pool once; every later chunk is one a drained ring gave back
+func (r *Ring[T]) grow() {
+	if r.pool == nil {
+		r.pool, r.own = new(chunkPool[T]), true
+	}
+	class := min(bits.Len(uint(r.n)>>4), chunkClasses-1)
+	c := r.pool.free[class]
+	if c == nil {
+		c = &chunk[T]{buf: make([]T, 4<<class)}
+	} else {
+		r.pool.free[class], c.next = c.next, nil
+	}
+	if r.tail == nil {
+		r.head = c
+	} else {
+		r.tail.next = c
+	}
+	r.tail, r.end = c, 0
+}
+
+// Span returns the oldest entries, up to n of them, that lie contiguous in
+// memory: at least one unless the ring is empty. They stay queued until
+// Drop removes them.
+func (r *Ring[T]) Span(n int) []T {
+	if r.head == nil {
+		return nil
+	}
+	end := len(r.head.buf)
+	if r.head == r.tail {
+		end = int(r.end)
+	}
+	return r.head.buf[r.off:min(end, int(r.off)+n)]
+}
+
+// Drop removes the k oldest entries; the ring must hold k. Their slots are
+// zeroed, so the ring keeps nothing it no longer holds alive.
+func (r *Ring[T]) Drop(k int) {
+	for k > 0 {
+		s := r.Span(k)
+		clear(s)
+		r.off += int32(len(s))
+		r.n -= int32(len(s))
+		k -= len(s)
+		if r.n == 0 || int(r.off) == len(r.head.buf) {
+			r.release()
+		}
+	}
 }
 
 // Pop removes and returns the oldest element; the ring must not be empty.
-// The vacated slot is zeroed, so the ring keeps nothing it no longer holds
-// alive.
 func (r *Ring[T]) Pop() T {
-	var zero T
-	v := r.buf[r.head]
-	r.buf[r.head] = zero
-	r.head = (r.head + 1) & (len(r.buf) - 1)
-	r.n--
+	v := r.head.buf[r.off]
+	r.drop1()
 	return v
 }
 
+// drop1 is Drop(1) without the loop or the call to clear.
+func (r *Ring[T]) drop1() {
+	r.head.buf[r.off] = *new(T)
+	r.off++
+	r.n--
+	if r.n == 0 || int(r.off) == len(r.head.buf) {
+		r.release()
+	}
+}
+
+// release gives the drained head chunk back to the pool, unless it is the
+// last chunk of a ring with a pool of its own.
+func (r *Ring[T]) release() {
+	h := r.head
+	if h == r.tail && r.own {
+		r.off, r.end = 0, 0
+		return
+	}
+	r.head, r.off = h.next, 0
+	if r.head == nil {
+		r.tail, r.end = nil, 0
+	}
+	class := bits.Len(uint(len(h.buf)) >> 3)
+	r.pool.free[class], h.next = h, r.pool.free[class]
+}
+
 // Front returns the oldest element in place; the ring must not be empty.
-func (r *Ring[T]) Front() *T { return &r.buf[r.head] }
+func (r *Ring[T]) Front() *T { return &r.head.buf[r.off] }
 
 // FIFO is a bounded or unbounded queue connecting simulated producers and
 // consumers. Processes block on Put when a bounded queue is full and on Get

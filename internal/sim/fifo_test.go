@@ -1,0 +1,147 @@
+package sim
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"testing"
+)
+
+// TestRingMatchesFlatTwin drives rings that share one engine's chunk pool
+// through seeded random Push, Room, Pop, Span and Drop, each ring against a
+// plain slice. The rings fill past the largest chunk and drain to empty
+// again and again. Along the way no chunk may sit in two rings, or in a
+// ring and the pool; once every ring is empty, every chunk a ring ever held
+// must be back in the pool exactly once, in its size class, zeroed.
+func TestRingMatchesFlatTwin(t *testing.T) {
+	e := New(0)
+	pool := Local[chunkPool[int]](e)
+	rings := make([]Ring[int], 8)
+	twins := make([][]int, len(rings))
+	for i := range rings {
+		rings[i] = NewRing[int](e)
+	}
+	held := map[*chunk[int]]bool{} // every chunk a ring has drawn
+	owners := func() map[*chunk[int]]string {
+		at := map[*chunk[int]]string{}
+		claim := func(c *chunk[int], who string) {
+			if prev, ok := at[c]; ok {
+				t.Fatalf("a chunk is in %s and in %s", prev, who)
+			}
+			at[c] = who
+		}
+		for i := range rings {
+			for c := rings[i].head; c != nil; c = c.next {
+				claim(c, fmt.Sprintf("ring %d", i))
+			}
+		}
+		for class, c := range pool.free {
+			for ; c != nil; c = c.next {
+				if len(c.buf) != 4<<class {
+					t.Fatalf("a %d-entry chunk is in the pool's %d-entry class", len(c.buf), 4<<class)
+				}
+				claim(c, "the pool")
+			}
+		}
+		return at
+	}
+
+	rng := rand.New(rand.NewSource(1))
+	next := 1 // 0 is what a vacated slot must read
+	for step := 0; step < 100000; step++ {
+		i := rng.Intn(len(rings))
+		r := &rings[i]
+		// Rounds of growth and of draining, so rings reach the largest
+		// chunks and empty again.
+		grow := rng.Intn(100) < 40+20*(step/5000%2)
+		switch {
+		case grow && rng.Intn(2) == 0:
+			r.Push(next)
+			twins[i] = append(twins[i], next)
+			next++
+		case grow:
+			room := r.Room(1 + rng.Intn(200))
+			if len(room) == 0 {
+				t.Fatalf("step %d: Room returned no slot", step)
+			}
+			for k := range room {
+				room[k] = next
+				twins[i] = append(twins[i], next)
+				next++
+			}
+		case r.Len() == 0:
+		case rng.Intn(3) == 0:
+			if v := r.Pop(); v != twins[i][0] {
+				t.Fatalf("step %d: ring %d popped %d, twin says %d", step, i, v, twins[i][0])
+			}
+			twins[i] = twins[i][1:]
+		default:
+			want := 1 + rng.Intn(200)
+			span := r.Span(want)
+			if len(span) == 0 || len(span) > want || !slices.Equal(span, twins[i][:len(span)]) {
+				t.Fatalf("step %d: ring %d Span(%d) = %v, twin starts %v", step, i, want, span, twins[i][:min(want, len(twins[i]))])
+			}
+			k := rng.Intn(r.Len() + 1) // may cross chunks
+			r.Drop(k)
+			twins[i] = twins[i][k:]
+		}
+		if r.tail != nil {
+			held[r.tail] = true
+		}
+		if r.Len() != len(twins[i]) {
+			t.Fatalf("step %d: ring %d holds %d, twin %d", step, i, r.Len(), len(twins[i]))
+		}
+		if step%1000 == 0 {
+			owners()
+		}
+	}
+	for i := range rings {
+		for len(twins[i]) > 0 {
+			if v := rings[i].Pop(); v != twins[i][0] {
+				t.Fatalf("draining ring %d: popped %d, twin says %d", i, v, twins[i][0])
+			}
+			twins[i] = twins[i][1:]
+		}
+		if rings[i].head != nil || rings[i].tail != nil {
+			t.Fatalf("ring %d is empty but still holds a chunk", i)
+		}
+	}
+
+	at := owners()
+	for c := range held {
+		if at[c] != "the pool" {
+			t.Fatal("a chunk a ring held never came back to the pool")
+		}
+		if slices.ContainsFunc(c.buf, func(v int) bool { return v != 0 }) {
+			t.Fatal("a chunk came back to the pool holding entries")
+		}
+	}
+	if len(at) != len(held) {
+		t.Fatalf("the pool holds %d chunks, the rings drew %d", len(at), len(held))
+	}
+	if len(held) < 20 || pool.free[chunkClasses-1] == nil {
+		t.Fatalf("the rings drew %d chunks, none of the largest class: the schedule tests little", len(held))
+	}
+}
+
+// TestZeroRingKeepsItsChunks: a ring without an engine keeps the chunks it
+// drained, its last one in place, so filling it to the same depth again
+// allocates nothing.
+func TestZeroRingKeepsItsChunks(t *testing.T) {
+	var r Ring[int]
+	fill := func() {
+		for i := 0; i < 300; i++ {
+			r.Push(i)
+		}
+		for r.Len() > 0 {
+			r.Pop()
+		}
+	}
+	fill()
+	if r.pool == nil || r.head == nil || r.head != r.tail {
+		t.Fatal("a drained zero-value ring kept no pool, or other than one chunk")
+	}
+	if allocs := testing.AllocsPerRun(10, fill); allocs != 0 {
+		t.Fatalf("refilling a drained ring allocated %.0f times, want 0", allocs)
+	}
+}

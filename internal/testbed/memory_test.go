@@ -72,13 +72,15 @@ func TestMemoryFollowsUse(t *testing.T) {
 
 	// The run phase of the same storm at 32 messages a host allocated
 	// 21 819 344 bytes at PR 19, 7.5 MB of it train scratch that every one of
-	// the 160 links grew to its own longest train. With one scratch an engine
-	// what is left is in-flight ring doubling and the switches' job copies
-	// (ROADMAP item 5): 14.6 MB, 67 %. Taking the scratch to zero would
-	// reach 63 %, so the issue's 60 % was never in this change's reach.
-	const runPhaseAtPR19 = 21819344
-	if got := allocated(func() { mesh.Storm(32, 1024) }); got > runPhaseAtPR19*70/100 {
-		t.Errorf("clos2 storm at count 32 allocated %d bytes in the run phase, want at most 70 %% of PR 19's %d", got, runPhaseAtPR19)
+	// the 160 links grew to its own longest train, and 14.5 MB (67 %) with
+	// one scratch an engine, in-flight rings that doubled and per-job cell
+	// copies. With every queued cell in an engine's chunk pool it is
+	// 5 352 856 bytes (24.5 %): the pools at their peak backlog (2.1 MB of
+	// cells in flight, 1.4 MB waiting at switch input ports, 0.3 MB in NIC
+	// input FIFOs) and 0.4 MB of train scratch.
+	const firstRunPhase = 21819344
+	if got := allocated(func() { mesh.Storm(32, 1024) }); got > firstRunPhase*35/100 {
+		t.Errorf("clos2 storm at count 32 allocated %d bytes in the run phase, want at most 35 %% of the first measure, %d", got, firstRunPhase)
 	}
 }
 

@@ -123,11 +123,13 @@ lint-extra: lint
 		echo "govulncheck not installed; skipping (CI pins $(GOVULNCHECK_VERSION))"; \
 	fi
 
-# fuzz gives each AAL5/wire fuzz target a short deterministic-budget run
-# (the seed corpus always runs as part of `make test`).
+# fuzz gives each AAL5/wire fuzz target and the event-queue order target
+# a short deterministic-budget run (the seed corpus always runs as part of
+# `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAAL5RoundTrip' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzCellHeader' -fuzztime $(FUZZTIME) ./internal/atm/
+	$(GO) test -run '^$$' -fuzz 'FuzzEventOrder' -fuzztime $(FUZZTIME) ./internal/sim/
 
 ci: lint test race smoke traffic fuzz
 

@@ -110,6 +110,30 @@ func BenchmarkEngine_SleepResume(b *testing.B) {
 	e.Run()
 }
 
+// BenchmarkEngine_SameInstantBurst is the symmetric cluster's shape: every
+// round queues 1 024 events spread over 8 instants 100 ns apart, in the
+// interleaved order a fleet of identical hosts schedules them, and runs
+// them out. One op is one event; the event queue's slot per instant makes
+// joining an instant an append, not a sift.
+func BenchmarkEngine_SameInstantBurst(b *testing.B) {
+	b.ReportAllocs()
+	e := New(1)
+	fired := 0
+	fn := func(any) { fired++ }
+	round := func() {
+		for i := 0; i < 1024; i++ {
+			e.AtArg(e.Now()+time.Duration(i%8+1)*100, fn, nil)
+		}
+		e.Run()
+	}
+	round() // grows the arena to a round's 1 024 events
+	fired = 0
+	b.ResetTimer()
+	for fired < b.N {
+		round()
+	}
+}
+
 // --- far-horizon scheduler: 4-ary heap vs hierarchical timer wheel ---
 
 // benchScheduler measures steady-state schedule+fire throughput while a

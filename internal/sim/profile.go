@@ -51,8 +51,7 @@ type EdgeStat struct {
 
 // Profile snapshots the group's per-shard window counters. Call it after
 // Run/RunUntil returns (it reads the shard workers' plain counters, which
-// are quiescent between runs). Counters accumulate across runs; see
-// ResetProfile.
+// are quiescent between runs). Counters accumulate across runs.
 func (g *Group) Profile() GroupProfile {
 	out := GroupProfile{Shards: make([]ShardProfile, len(g.prof))}
 	copy(out.Shards, g.prof)
@@ -62,18 +61,6 @@ func (g *Group) Profile() GroupProfile {
 		}
 	}
 	return out
-}
-
-// ResetProfile zeroes the accumulated window counters, per-edge waits
-// included.
-func (g *Group) ResetProfile() {
-	for i := range g.prof {
-		ew := g.prof[i].EdgeWait
-		for j := range ew {
-			ew[j] = 0
-		}
-		g.prof[i] = ShardProfile{Shard: i, EdgeWait: ew}
-	}
 }
 
 // Total folds every shard's counters into one (Shard is -1 in the result;

@@ -107,7 +107,7 @@ func (e *Engine) NewShard() *Engine {
 	}
 	s := New(0)
 	s.group = g
-	s.shardID = len(g.shards)
+	s.shardID = int32(len(g.shards))
 	g.shards = append(g.shards, s)
 	return s
 }
@@ -131,7 +131,7 @@ func (g *Group) AddExchangeFrom(src, dst *Engine, ex Exchange) int {
 	if src == dst {
 		panic("sim: AddExchangeFrom endpoints are the same shard")
 	}
-	g.exchanges = append(g.exchanges, registration{src: src.shardID, dst: dst.shardID, ex: ex})
+	g.exchanges = append(g.exchanges, registration{src: int(src.shardID), dst: int(dst.shardID), ex: ex})
 	return len(g.exchanges) - 1
 }
 
@@ -152,7 +152,7 @@ func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
 	if g.pairLA == nil {
 		g.pairLA = make(map[pairKey]time.Duration)
 	}
-	k := pairKey{src.shardID, dst.shardID}
+	k := pairKey{int(src.shardID), int(dst.shardID)}
 	if cur, ok := g.pairLA[k]; !ok || d < cur {
 		g.pairLA[k] = d
 	}

@@ -439,6 +439,15 @@ func TestEventSize(t *testing.T) {
 	}
 }
 
+// TestEngineSize pins the engine to the 128-byte allocator size class: a
+// sweep builds an engine per cluster (fig4 builds 54), and a 129th byte
+// would put each in the 144-byte class.
+func TestEngineSize(t *testing.T) {
+	if got := unsafe.Sizeof(Engine{}); got != 128 {
+		t.Fatalf("sizeof(Engine) = %d, want 128", got)
+	}
+}
+
 // TestLocal: an engine has one value of each type asked for, zero at first,
 // the same pointer ever after, and shares none with another engine.
 func TestLocal(t *testing.T) {

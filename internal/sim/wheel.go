@@ -7,8 +7,8 @@ import (
 )
 
 // Hierarchical timer wheel (Varghese & Lauck), the engine's far-horizon
-// event store. The 4-ary heap stays the near-horizon sorter — it alone
-// decides firing order — while the wheel holds everything scheduled beyond
+// event store. The heap of instants stays the near-horizon sorter — it
+// alone decides firing order — while the wheel holds everything scheduled beyond
 // the current drain frontier in unsorted per-slot lists, making insertion
 // and cancellation O(1) regardless of how many million events are pending.
 //
@@ -34,7 +34,9 @@ import (
 //   - Slot lists are doubly linked (event.next/event.prev), so Cancel on a
 //     wheel-resident event unlinks and recycles it immediately: canceled
 //     far timers never pile up, and the heap's lazy-compaction pressure
-//     from timeout churn (every signaled timed wait) disappears.
+//     from timeout churn (every signaled timed wait) disappears. A list's
+//     first event keeps its last in prev, so drain starts from the oldest
+//     without walking the list.
 //
 // The wheel performs no virtual-time accounting and must never read wall
 // clocks: cascades are pure data-structure motion between schedule and
@@ -90,9 +92,11 @@ func (w *wheel) insert(ev *event) {
 	idx := int32(lvl)*wheelSlots + int32(s)
 	head := w.slots[idx]
 	ev.next = head
-	ev.prev = nil
 	if head != nil {
+		ev.prev = head.prev
 		head.prev = ev
+	} else {
+		ev.prev = ev
 	}
 	w.slots[idx] = ev
 	ev.wslot = idx
@@ -108,17 +112,22 @@ func (w *wheel) insert(ev *event) {
 //unetlint:hotpath timer cancel; runs on every retired timer and every signaled timed wait
 func (w *wheel) unlink(ev *event) {
 	idx := ev.wslot
-	if ev.prev != nil {
-		ev.prev.next = ev.next
-	} else {
-		w.slots[idx] = ev.next
-		if ev.next == nil {
-			lvl := idx / wheelSlots
-			w.occ[lvl] &^= 1 << uint(idx%wheelSlots)
+	head, next := w.slots[idx], ev.next
+	switch {
+	case ev != head:
+		ev.prev.next = next
+		if next == nil {
+			head.prev = ev.prev
+		} else {
+			next.prev = ev.prev
 		}
-	}
-	if ev.next != nil {
-		ev.next.prev = ev.prev
+	case next != nil:
+		next.prev = ev.prev
+		w.slots[idx] = next
+	default:
+		w.slots[idx] = nil
+		lvl := idx / wheelSlots
+		w.occ[lvl] &^= 1 << uint(idx%wheelSlots)
 	}
 	ev.next, ev.prev, ev.wslot = nil, nil, -1
 	w.count--
@@ -154,7 +163,7 @@ func (w *wheel) drain(e *Engine) {
 	for w.count > 0 {
 		lvl, s, startTick := w.nextSlot()
 		lb := time.Duration(startTick << granBits)
-		if len(e.events) > 0 && e.events[0].at <= lb {
+		if head := e.events.min(); head != nil && head.at <= lb {
 			// Heap top fires at or before anything the wheel still holds
 			// (same-time events are never split across the two structures,
 			// so ≤ cannot mask a lower-seq wheel event).
@@ -163,11 +172,16 @@ func (w *wheel) drain(e *Engine) {
 		}
 		w.cur = startTick
 		idx := int32(lvl)*wheelSlots + int32(s)
-		ev := w.slots[idx]
+		head := w.slots[idx]
 		w.slots[idx] = nil
 		w.occ[lvl] &^= 1 << s
-		for ev != nil {
-			next := ev.next
+		// insert links at the head, so the slot lists newest first. Hand
+		// it over from the tail, oldest first: the heap then appends each
+		// event to its instant instead of walking the chain, and a cascade
+		// relinks the finer slot newest first again.
+		for ev, last := head.prev, false; !last; {
+			prev := ev.prev
+			last = ev == head
 			ev.next, ev.prev, ev.wslot = nil, nil, -1
 			w.count--
 			if tick(ev.at) > w.cur {
@@ -175,7 +189,7 @@ func (w *wheel) drain(e *Engine) {
 			} else {
 				e.events.push(ev)
 			}
-			ev = next
+			ev = prev
 		}
 	}
 	w.nextLB = noWheelEvent

@@ -51,22 +51,14 @@ func (u *UAM) Store(p *sim.Proc, dst int, dstOff int, data []byte, handler int, 
 		return ErrMemRange
 	}
 	for n := 0; n < len(data) || (len(data) == 0 && n == 0); {
-		chunk := len(data) - n
-		if chunk > u.cfg.BulkMax {
-			chunk = u.cfg.BulkMax
-		}
+		chunk := min(len(data)-n, u.cfg.BulkMax)
 		last := n+chunk == len(data)
-		hidx := uint8(0)
-		if last && handler != 0 {
-			hidx = uint8(handler)
-		}
-		seg := data[n : n+chunk]
-		off := uint32(dstOff + n)
+		var hidx uint8
 		var a uint32
 		if last {
-			a = arg
+			hidx, a = uint8(handler), arg
 		}
-		if err := u.sendStoreSeg(p, pe, hidx, off, a, seg, last); err != nil {
+		if err := u.sendStoreSeg(p, pe, hidx, uint32(dstOff+n), a, data[n:n+chunk], last); err != nil {
 			return err
 		}
 		n += chunk
@@ -124,7 +116,7 @@ func (u *UAM) handleStore(p *sim.Proc, pe *peer, h header, data []byte) {
 		return
 	}
 	p.Charge(unet.CopyCost(len(payload)))
-	copy(u.mem.Writable(off, len(payload)), payload)
+	u.mem.Write(off, payload)
 	if h.handler != 0 {
 		if fn := u.handlers[h.handler]; fn != nil {
 			prev := u.replyTo
@@ -179,10 +171,7 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 	sent := 0
 	seg := u.scratch.Get()
 	for {
-		chunk := n - sent
-		if chunk > u.cfg.BulkMax-4 {
-			chunk = u.cfg.BulkMax - 4
-		}
+		chunk := min(n-sent, u.cfg.BulkMax-4)
 		// Get-data segments carry the destination offset in the header arg
 		// and the tag in the trailing 4 bytes. The staging buffer is pooled
 		// scratch, reused across segments (sendReliable stages each into a
@@ -216,7 +205,7 @@ func (u *UAM) handleGetData(p *sim.Proc, pe *peer, h header, data []byte) {
 		return
 	}
 	p.Charge(unet.CopyCost(len(payload)))
-	copy(u.mem.Writable(off, len(payload)), payload)
+	u.mem.Write(off, payload)
 	if g, ok := u.gets[tag]; ok {
 		if g.rem -= len(payload); g.rem <= 0 {
 			delete(u.gets, tag)

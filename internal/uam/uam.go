@@ -272,8 +272,8 @@ func (u *UAM) Node() int { return u.node }
 
 // Mem exposes bytes [off, off+n) of the bulk-transfer memory region (the
 // GAM "virtual memory" stores and gets address), for the application to
-// read or fill in place. The slice is good until the region is next written
-// past what it has held so far; a range outside MemSize panics.
+// read or fill in place. The slice is good until a later one across a page
+// boundary merges its pages (unet.Backing); a range outside MemSize panics.
 func (u *UAM) Mem(off, n int) []byte { return u.mem.Writable(off, n) }
 
 // Stats returns a snapshot of protocol counters.

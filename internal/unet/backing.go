@@ -2,24 +2,25 @@ package unet
 
 import "fmt"
 
+// pageSize is the unit a Backing becomes resident in. Of 256 B to 4 KiB it
+// allocated least on the bench's fig4_sweep, and within a tenth of the least
+// on its clos64 and storm8.
+const pageSize = 1 << 10
+
 // Backing is a byte region of a fixed logical size whose memory is paid for
-// when bytes land in it. The size is what every range check, the kernel's
-// pinned budget and the NI's direct-access bound read — the paper's segment
-// is a bounded, pinned resource whether or not it is full (§3.4, §4.2.4).
-// The simulator's own heap holds only a resident prefix: a writer that
-// reaches past it extends it, a reader sees zeros past it and allocates
-// nothing. Communication segments and UAM's exposed memory are both one of
-// these; every layout in the repository packs from offset 0, so the prefix
-// is the part in use (DESIGN.md §10).
-//
-// Growth reallocates. A slice handed out earlier (an inline descriptor's
-// bytes) keeps the array it was cut from, and that array keeps its bytes.
-// Its holder was already bound not to have the range rewritten before the
-// NI pops the descriptor, so the old array and the new never disagree about
-// bytes anyone may still read from the old one.
+// a page at a time, as bytes land in it. The size is what every range check,
+// the kernel's pinned budget and the NI's direct-access bound read — the
+// paper's segment is a bounded, pinned resource whether or not it is full
+// (§3.4, §4.2.4). The heap holds a directory of fixed pages, as long as the
+// highest page touched: a page is allocated on its first write, and one never
+// written reads as zeros. Consecutive pages may share one array, a run; a view
+// (Writable) that crosses a run's end merges the runs it touches into a new
+// array, and is good until a merge that includes it. The older array keeps
+// its bytes and nothing writes it again: reads and writes go through the
+// directory a page at a time. Segments and UAM's memory are these (DESIGN.md §10).
 type Backing struct {
-	size int
-	b    []byte // resident prefix, len(b) <= size; the rest reads as zero
+	size  int
+	pages [][]byte // page i is bytes [i*pageSize, …): nil, or a slice of its run's array, capped at the run's end
 }
 
 // NewBacking returns an all-zero region of size bytes with nothing resident.
@@ -30,68 +31,86 @@ func (m *Backing) Contains(off, n int) bool {
 	return off >= 0 && n >= 0 && off <= m.size && n <= m.size-off
 }
 
-// Writable returns the region's bytes [off, off+n) for writing (or for
-// aliasing), resident from here on. A range outside the region panics, as
-// the slice expression on an eagerly allocated array would have; callers
-// with an error to return check Contains first.
+// mustContain panics on a range outside the region; callers that return
+// errors check Contains first.
+func (m *Backing) mustContain(off, n int) {
+	if !m.Contains(off, n) {
+		panic(fmt.Sprintf("unet: bytes [%d, %d) outside a %d-byte region", off, off+n, m.size))
+	}
+}
+
+// Write copies data into the region at off, page by page. Each stretch of
+// pages it is the first to write is allocated as one run.
+func (m *Backing) Write(off int, data []byte) {
+	m.mustContain(off, len(data))
+	for i, last := off/pageSize, (off+len(data)-1)/pageSize; len(data) > 0; i++ {
+		if i >= len(m.pages) || m.pages[i] == nil {
+			j := i
+			for j < last && (j+1 >= len(m.pages) || m.pages[j+1] == nil) {
+				j++
+			}
+			m.merge(i, j)
+		}
+		n := copy(m.pages[i][off%pageSize:], data)
+		off, data = off+n, data[n:]
+	}
+}
+
+// Writable returns the region's bytes [off, off+n) to read or fill in place,
+// making the pages under them resident. A range inside one run allocates
+// nothing once its pages exist.
 func (m *Backing) Writable(off, n int) []byte {
-	end := off + n
-	if end > len(m.b) {
-		m.grow(end, end)
+	m.mustContain(off, n)
+	if n == 0 {
+		return zeros[:0:0]
 	}
-	return m.b[off:end:end]
+	i, o := off/pageSize, off%pageSize
+	if i >= len(m.pages) || o+n > cap(m.pages[i]) {
+		m.merge(i, (off+n-1)/pageSize)
+	}
+	return m.pages[i][o : o+n : o+n]
 }
 
-// Provision makes [0, off+n) resident with an eighth of slack behind it. It
-// is for set-up code that names its whole range at once, a carve of receive
-// buffers. The slack is there because every fixture stages what it sends
-// just behind the buffers it has provisioned (testbed.Pair.StageA, the IP
-// conduit's ring): with none, the first staged byte reallocates the region
-// and copies the whole provisioned prefix to make room for itself.
-func (m *Backing) Provision(off, n int) {
-	if end := off + n; end > len(m.b) {
-		m.grow(end, end+end/8)
+// merge gives pages first through last one new array, into which the runs
+// they belong to are copied; over pages never written it is their first
+// allocation.
+func (m *Backing) merge(first, last int) {
+	if last >= len(m.pages) {
+		//unetlint:allow hotpathalloc the directory grows to the highest page the layout touches and then never again
+		m.pages = append(m.pages, make([][]byte, last+1-len(m.pages))...)
 	}
-}
-
-// grow extends the prefix to want bytes, which hold the end being reached
-// for, or to twice its length if that is more: from empty the step is sized
-// to its range, and any later one doubles, so neither an ascending sweep in
-// steps of any size nor a layout provisioned peer by peer (uam.Connect)
-// copies a byte more than once more on average.
-func (m *Backing) grow(end, want int) {
-	if end > m.size {
-		panic(fmt.Sprintf("unet: byte %d outside a %d-byte region", end, m.size))
+	for first > 0 && cap(m.pages[first-1]) > pageSize {
+		first--
 	}
-	//unetlint:allow hotpathalloc the prefix doubles until it covers the offsets the layout uses and then never grows again; a steady state touches only resident bytes
-	grown := make([]byte, min(max(want, 2*len(m.b)), m.size))
-	copy(grown, m.b)
-	m.b = grown
+	if c := cap(m.pages[last]); c > 0 {
+		last += (c - 1) / pageSize
+	}
+	base := first * pageSize
+	//unetlint:allow hotpathalloc once per page, on its first write (in a run, the NI's DMA into a receive buffer not filled before), and once per range a view first crosses a run's end at
+	run := make([]byte, min((last+1)*pageSize, m.size)-base)
+	for j := first; j <= last; j++ {
+		a := j*pageSize - base
+		copy(run[a:], m.pages[j])
+		m.pages[j] = run[a:min(a+pageSize, len(run))]
+	}
 }
 
 // CopyTo copies len(dst) bytes starting at off into dst.
-func (m *Backing) CopyTo(dst []byte, off int) {
-	n := 0
-	if off < len(m.b) {
-		n = copy(dst, m.b[off:])
-	}
-	clear(dst[n:])
-}
+func (m *Backing) CopyTo(dst []byte, off int) { m.AppendTo(dst[:0], off, len(dst)) }
 
-// AppendTo appends the region's bytes [off, off+n) to dst.
+// AppendTo appends the region's bytes [off, off+n) to dst, page by page.
 func (m *Backing) AppendTo(dst []byte, off, n int) []byte {
-	if off < len(m.b) {
-		r := min(n, len(m.b)-off)
-		dst = append(dst, m.b[off:off+r]...)
-		n -= r
-	}
-	for n > 0 {
-		k := min(n, len(zeros))
-		dst = append(dst, zeros[:k]...)
-		n -= k
+	m.mustContain(off, n)
+	for end := off + n; off < end; {
+		src := zeros[:]
+		if i := off / pageSize; i < len(m.pages) && m.pages[i] != nil {
+			src = m.pages[i]
+		}
+		src = src[off%pageSize : min(len(src), off%pageSize+end-off)]
+		dst, off = append(dst, src...), off+len(src)
 	}
 	return dst
 }
 
-// zeros is what AppendTo reads past the resident prefix. Never written.
-var zeros [4096]byte
+// zeros is what a page never written reads as. Never written.
+var zeros [pageSize]byte

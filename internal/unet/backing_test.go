@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"unet/internal/sim"
 	"unet/internal/unet"
@@ -104,8 +105,9 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 		ep := pr.EpA
 		twin := &flatSegment{b: make([]byte, size), bufSize: bufSize, cap: freeCap}
 		// Offsets favour the low segment early on and reach the whole of it —
-		// and both sides of each end — as the sequence goes, so the prefix
-		// grows in many steps and reads straddle it.
+		// and both sides of each end — as the sequence goes, and one in four
+		// lies just before a page boundary, so pages come resident in many
+		// orders and views and reads straddle them.
 		offset := func(step int) int {
 			switch rng.Intn(12) {
 			case 0:
@@ -114,6 +116,8 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 				return size - rng.Intn(2*bufSize)
 			case 2:
 				return size + rng.Intn(64)
+			case 3, 4, 5:
+				return (1+rng.Intn(size/page))*page - 1 - rng.Intn(40)
 			}
 			return rng.Intn(1 + size*min(step+20, 400)/400)
 		}
@@ -125,7 +129,7 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 		for step := 0; step < 400; step++ {
 			what := fmt.Sprintf("seed %d step %d", seed, step)
 			off := offset(step)
-			switch op := rng.Intn(8); op {
+			switch op := rng.Intn(9); op {
 			case 0:
 				d := data()
 				if got, want := ep.Compose(nil, off, d), twin.compose(off, d); got != want {
@@ -194,6 +198,25 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 						twin.free--
 					}
 				}
+			case 8:
+				// A view filled in place, then partly overwritten through the
+				// segment: the view and the segment both see both stores.
+				n := 1 + rng.Intn(40)
+				if twin.checkRange(off, n) != nil {
+					break
+				}
+				v := ep.DescAt(pr.ChA, off, n).Inline
+				rng.Read(v)
+				copy(twin.b[off:], v)
+				w := rng.Intn(n)
+				d := make([]byte, 1+rng.Intn(2*page))
+				rng.Read(d)
+				if got, want := ep.Compose(nil, off+w, d), twin.compose(off+w, d); got != want {
+					t.Fatalf("%s: Compose(%d, %d B) = %v, twin %v", what, off+w, len(d), got, want)
+				}
+				if !bytes.Equal(v, twin.b[off:off+n]) {
+					t.Fatalf("%s: view of [%d, %d) reads % x after a write, twin % x", what, off, off+n, v, twin.b[off:off+n])
+				}
 			}
 		}
 		whole := make([]byte, size)
@@ -203,34 +226,92 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 	}
 }
 
-// TestInlineDescriptorSurvivesGrowth pins the residency rule's one sharp
-// edge (DESIGN.md §10): an inline descriptor aliases the array the segment
-// had when DescAt cut it, growth moves the segment to a new array, and the
-// NI must still transmit the bytes the sender staged.
-func TestInlineDescriptorSurvivesGrowth(t *testing.T) {
+// page is the unit a segment becomes resident in (unet.pageSize).
+const page = 1024
+
+// TestViewsAcrossPages pins the page model's one sharp edge (DESIGN.md §10):
+// a view that crosses a page boundary merges the runs it touches into one
+// array. Such a view shares its bytes with the segment's writers and readers
+// both ways, a second view of the same range allocates nothing, overlapping
+// merges keep every byte, and an inline descriptor queued before a merge
+// that includes it still sends what was staged.
+func TestViewsAcrossPages(t *testing.T) {
 	tb, pr := newPair(t, unet.EndpointConfig{}, 4)
-	msg := []byte("staged before the segment grew")
+	ep := pr.EpA
+	compose := func(off int, b string) {
+		t.Helper()
+		if err := ep.Compose(nil, off, []byte(b)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(off, n int) string {
+		t.Helper()
+		buf := make([]byte, n)
+		if err := ep.ReadBuf(nil, off, buf); err != nil {
+			t.Fatal(err)
+		}
+		return string(buf)
+	}
+
+	// Pages 0 and 1: written one at a time, viewed together, then written
+	// both ways.
+	compose(page-4, "abcd")
+	compose(page, "efgh")
+	v := ep.DescAt(pr.ChA, page-4, 8).Inline
+	if string(v) != "abcdefgh" {
+		t.Fatalf("a view across the first boundary reads %q, want what Compose wrote", v)
+	}
+	ep.DevWriteSegment(page-2, []byte("XY"))
+	v[6] = 'Z'
+	if string(v) != "abXYefZh" || read(page-4, 8) != "abXYefZh" {
+		t.Fatalf("view %q, segment %q after a DMA through the segment and a store through the view, want both abXYefZh", v, read(page-4, 8))
+	}
+	if n := testing.AllocsPerRun(100, func() { v = ep.DescAt(pr.ChA, page-4, 8).Inline }); n != 0 {
+		t.Errorf("a second view of a merged range allocates %v times, want 0", n)
+	}
+
+	// Pages 1-2, then 2-3: the second merge takes the first's run with it.
+	v12 := ep.DescAt(pr.ChA, 2*page-8, 16).Inline
+	copy(v12, "0123456789abcdef")
+	v23 := ep.DescAt(pr.ChA, 3*page-8, 16).Inline
+	copy(v23, "ghijklmnopqrstuv")
+	v12 = ep.DescAt(pr.ChA, 2*page-8, 16).Inline
+	if string(v12) != "0123456789abcdef" || string(v23) != "ghijklmnopqrstuv" {
+		t.Fatalf("after two overlapping merges the views read %q and %q", v12, v23)
+	}
+	if unsafe.Add(unsafe.Pointer(&v12[0]), page) != unsafe.Pointer(&v23[0]) {
+		t.Error("pages 1-3 are not one array after the second merge")
+	}
+	compose(3*page-4, "WXYZ")
+	v12[0] = '#'
+	if string(v23) != "ghijWXYZopqrstuv" || read(2*page-8, 1) != "#" {
+		t.Fatalf("after the merges: view %q, segment %q; writes and views disagree", v23, read(2*page-8, 1))
+	}
+	if got := read(page-4, 8); got != "abXYefZh" {
+		t.Fatalf("the merges lost the bytes at the first boundary: %q", got)
+	}
+
+	// A descriptor queued before a merge that includes its range: the NI
+	// pops it later and must send the staged bytes from the older array.
+	msg := []byte("staged before the merge")
 	var got []byte
 	pr.EpB.Host().Spawn("rx", func(p *sim.Proc) {
-		rd := pr.EpB.Recv(p)
-		got = pr.EpB.Gather(p, rd, nil)
+		got = pr.EpB.Gather(p, pr.EpB.Recv(p), nil)
 	})
-	pr.EpA.Host().Spawn("tx", func(p *sim.Proc) {
-		if err := pr.EpA.Compose(p, pr.StageA, msg); err != nil {
+	ep.Host().Spawn("tx", func(p *sim.Proc) {
+		stage := 8*page - 8
+		if err := ep.Compose(p, stage, msg); err != nil {
 			t.Error(err)
 		}
-		d := pr.EpA.DescAt(pr.ChA, pr.StageA, len(msg))
-		if err := pr.EpA.Send(p, d); err != nil {
+		d := ep.DescAt(pr.ChA, stage, len(msg))
+		if err := ep.Send(p, d); err != nil {
 			t.Error(err)
 		}
-		// Still queued: the NI pops it only once this process yields. Touch
-		// the far end of the segment, which reallocates the prefix.
-		far := pr.EpA.Config().SegmentSize - 8
-		if err := pr.EpA.Compose(nil, far, []byte("far away")); err != nil {
-			t.Error(err)
-		}
-		if again := pr.EpA.DescAt(pr.ChA, pr.StageA, len(msg)); &again.Inline[0] == &d.Inline[0] {
-			t.Error("the segment did not move; the test no longer exercises growth")
+		// Still queued: the NI pops it only once this process yields. A view
+		// across the next boundary merges pages 7-9 into a new array.
+		ep.DescAt(pr.ChA, 9*page-4, 8)
+		if &ep.DescAt(pr.ChA, stage, len(msg)).Inline[0] == &d.Inline[0] {
+			t.Error("the staged range did not move; the test no longer exercises a merge")
 		}
 	})
 	tb.Eng.Run()

@@ -83,7 +83,7 @@ type Endpoint struct {
 	host  *Host
 	owner *Process
 	cfg   EndpointConfig
-	seg   Backing // cfg.SegmentSize bytes, resident as far as they have been written
+	seg   Backing // cfg.SegmentSize bytes, resident page by page as they are written
 
 	sendQ *sim.FIFO[SendDesc]
 	recvQ *sim.FIFO[RecvDesc]
@@ -141,7 +141,7 @@ func (ep *Endpoint) Compose(p *sim.Proc, off int, data []byte) error {
 		return err
 	}
 	p.Charge(CopyCost(len(data)))
-	copy(ep.seg.Writable(off, len(data)), data)
+	ep.seg.Write(off, data)
 	return nil
 }
 
@@ -362,13 +362,12 @@ func (ep *Endpoint) consume(rd RecvDesc) {
 
 // PushFree returns a receive buffer at segment offset off to the NI
 // through the free queue (§3.1). Buffers must lie in the segment and are
-// RecvBufSize bytes long; a buffer is resident from the moment the NI may
-// fill it, so the DMA that does finds its memory there.
+// RecvBufSize bytes long. Pushing one makes nothing resident: its pages
+// are allocated by the NI's DMA that first fills them.
 func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 	if err := ep.checkRange(off, ep.cfg.RecvBufSize); err != nil {
 		return err
 	}
-	ep.seg.Writable(off, ep.cfg.RecvBufSize)
 	p.Charge(FreePush)
 	if !ep.freeQ.TryPut(off) {
 		return ErrLimit
@@ -378,12 +377,9 @@ func (ep *Endpoint) PushFree(p *sim.Proc, off int) error {
 
 // ProvideRecvBuffers carves n receive buffers from the segment starting at
 // base and pushes them all onto the free queue. Convenience for set-up
-// code; returns the offset just past the last buffer. The carve names its
-// whole range, so the segment becomes resident up to its end in one step.
+// code; returns the offset just past the last buffer. It only pushes
+// offsets: no byte of the carve is resident until the NI writes it.
 func (ep *Endpoint) ProvideRecvBuffers(p *sim.Proc, base, n int) (int, error) {
-	if size := n * ep.cfg.RecvBufSize; ep.seg.Contains(base, size) {
-		ep.seg.Provision(base, size)
-	}
 	off := base
 	for i := 0; i < n; i++ {
 		if err := ep.PushFree(p, off); err != nil {
@@ -510,19 +506,11 @@ func (ep *Endpoint) DevDropReassembly() { ep.stats.DroppedReassembly++ }
 // DevWriteSegment is the NI's DMA into the communication segment. Bounds
 // are clipped: hardware writes through a validated map, so out-of-range
 // indicates a model bug and panics.
-func (ep *Endpoint) DevWriteSegment(off int, data []byte) {
-	if err := ep.checkRange(off, len(data)); err != nil {
-		panic("unet: device DMA outside segment")
-	}
-	copy(ep.seg.Writable(off, len(data)), data)
-}
+func (ep *Endpoint) DevWriteSegment(off int, data []byte) { ep.seg.Write(off, data) }
 
 // DevReadSegmentAppend is the NI's DMA out of the communication segment
 // into dst (which it extends and returns, like append), letting the NI
 // reuse one DMA staging buffer across messages.
 func (ep *Endpoint) DevReadSegmentAppend(dst []byte, off, n int) []byte {
-	if err := ep.checkRange(off, n); err != nil {
-		panic("unet: device DMA outside segment")
-	}
 	return ep.seg.AppendTo(dst, off, n)
 }

@@ -62,7 +62,7 @@ func (m *Backing) Write(off int, data []byte) {
 func (m *Backing) Writable(off, n int) []byte {
 	m.mustContain(off, n)
 	if n == 0 {
-		return zeros[:0:0]
+		return zeros[:0:0] // not nil: DescAt sends an empty view inline
 	}
 	i, o := off/pageSize, off%pageSize
 	if i >= len(m.pages) || o+n > cap(m.pages[i]) {
@@ -72,8 +72,8 @@ func (m *Backing) Writable(off, n int) []byte {
 }
 
 // merge gives pages first through last one new array, into which the runs
-// they belong to are copied; over pages never written it is their first
-// allocation.
+// they belong to are copied whole: runs never split, so a range merged once
+// is never merged again. Over pages never written it is their allocation.
 func (m *Backing) merge(first, last int) {
 	if last >= len(m.pages) {
 		//unetlint:allow hotpathalloc the directory grows to the highest page the layout touches and then never again

@@ -233,8 +233,8 @@ const page = 1024
 // a view that crosses a page boundary merges the runs it touches into one
 // array. Such a view shares its bytes with the segment's writers and readers
 // both ways, a second view of the same range allocates nothing, overlapping
-// merges keep every byte, and an inline descriptor queued before a merge
-// that includes it still sends what was staged.
+// merges keep every byte and take whole runs, and an inline descriptor
+// queued before a merge that includes it still sends what was staged.
 func TestViewsAcrossPages(t *testing.T) {
 	tb, pr := newPair(t, unet.EndpointConfig{}, 4)
 	ep := pr.EpA
@@ -289,6 +289,17 @@ func TestViewsAcrossPages(t *testing.T) {
 	}
 	if got := read(page-4, 8); got != "abXYefZh" {
 		t.Fatalf("the merges lost the bytes at the first boundary: %q", got)
+	}
+
+	// A merge takes whole runs, the one on its right too, so runs never
+	// split: pages 5-6 are one run (one write), a view across 4-5 merges
+	// 4-6, and a view across 5-6 then finds them where that one did.
+	compose(4*page, "x")
+	compose(6*page-4, "yyyyyyyy")
+	v45 := ep.DescAt(pr.ChA, 5*page-4, 8).Inline
+	v56 := ep.DescAt(pr.ChA, 6*page-4, 8).Inline
+	if unsafe.Add(unsafe.Pointer(&v45[0]), page) != unsafe.Pointer(&v56[0]) {
+		t.Error("a merge split the run on its right; a view into that run merged again")
 	}
 
 	// A descriptor queued before a merge that includes its range: the NI

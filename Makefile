@@ -123,13 +123,14 @@ lint-extra: lint
 		echo "govulncheck not installed; skipping (CI pins $(GOVULNCHECK_VERSION))"; \
 	fi
 
-# fuzz gives each AAL5/wire fuzz target and the event-queue order target
-# a short deterministic-budget run (the seed corpus always runs as part of
-# `make test`).
+# fuzz gives each AAL5/wire fuzz target, the event-queue order target and
+# the NIC's train-intake target a short deterministic-budget run (the seed
+# corpus always runs as part of `make test`).
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAAL5RoundTrip' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzCellHeader' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzEventOrder' -fuzztime $(FUZZTIME) ./internal/sim/
+	$(GO) test -run '^$$' -fuzz 'FuzzTrainIntake' -fuzztime $(FUZZTIME) ./internal/nic/
 
 ci: lint test race smoke traffic fuzz
 

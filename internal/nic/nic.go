@@ -66,7 +66,7 @@ type vciEntry struct {
 
 // arrival is one cell in the input FIFO, tagged with its wire arrival time.
 // Train intake stamps cells with future arrival times; the processor never
-// consumes a cell before its stamp.
+// takes a cell before its stamp.
 type arrival struct {
 	c      atm.Cell
 	arrive time.Duration
@@ -106,16 +106,19 @@ type Device struct {
 	// accounting.
 	in sim.Ring[arrival]
 
-	// The on-board processor (step). cursor is its position in virtual time:
-	// at or ahead of the clock while it works, stale while it is idle. pend is
-	// the action waiting for the clock to reach the cursor. idle means no
-	// event of the processor's is queued and the next doorbell or arrival
-	// must queue one (wake); timeout is the wake-up an idle processor armed
-	// for a head cell stamped in the future.
+	// The on-board processor (step). cursor is where the work it has charged
+	// for ends: ahead of the clock while it works, and possibly while it is
+	// idle too, since a mid-PDU cell has nothing for the clock to wait for.
+	// pend is the delivery waiting for the clock to reach the cursor, the one
+	// action step sleeps for. idle means no step is queued: cells that arrive
+	// meanwhile are taken lazily (catchUp), and one wake is armed (arm) for
+	// the next instant with something to show — timeout, at wakeAt.
 	cursor  time.Duration
 	pend    delivery
 	started bool
 	idle    bool
+	armed   bool
+	wakeAt  time.Duration
 	timeout sim.Timer
 
 	eps   []*unet.Endpoint
@@ -199,8 +202,12 @@ func (d *Device) Start() {
 	d.e.AtArg(d.e.Now(), stepDevice, d)
 }
 
-// Stats returns a snapshot of the device counters.
-func (d *Device) Stats() Stats { return d.stats }
+// Stats returns a snapshot of the device counters, with every cell that
+// has arrived by now counted.
+func (d *Device) Stats() Stats {
+	d.catchUp()
+	return d.stats
+}
 
 // --- unet.Device management interface ---
 
@@ -215,6 +222,7 @@ func (d *Device) AttachEndpoint(ep *unet.Endpoint) error {
 
 // DetachEndpoint stops servicing ep and forgets its channels.
 func (d *Device) DetachEndpoint(ep *unet.Endpoint) {
+	d.catchUp()
 	for i, e := range d.eps {
 		if e == ep {
 			d.eps = append(d.eps[:i], d.eps[i+1:]...)
@@ -227,10 +235,12 @@ func (d *Device) DetachEndpoint(ep *unet.Endpoint) {
 		}
 	}
 	d.lastEnt = nil
+	d.arm()
 }
 
 // OpenChannel registers the receive tag rx as belonging to (ep, ch).
 func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VCI) error {
+	d.catchUp()
 	if n := int(rx) + 1 - len(d.table); n > 0 {
 		// append's amortised growth: a device opens channels one rising VCI
 		// at a time, and growing to exactly rx+1 copied the table on every call.
@@ -243,6 +253,7 @@ func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VC
 	ent.ep, ent.ch, ent.open = ep, ch, true
 	ent.reasm.SetSource(&d.arena)
 	d.lastEnt = nil // table may have reallocated
+	d.arm()
 	return nil
 }
 
@@ -255,12 +266,14 @@ func (d *Device) closeEntry(ent *vciEntry) {
 
 // CloseChannel removes the tag registration.
 func (d *Device) CloseChannel(ep *unet.Endpoint, ch unet.ChannelID) {
+	d.catchUp()
 	for i := range d.table {
 		if ent := &d.table[i]; ent.open && ent.ep == ep && ent.ch == ch {
 			d.closeEntry(ent)
 		}
 	}
 	d.lastEnt = nil
+	d.arm()
 }
 
 // TableLen reports the demux table's length — set-up state, bounded by the
@@ -293,7 +306,8 @@ func (d *Device) KickTx(ep *unet.Endpoint) {
 		return
 	}
 	d.txDoorbell = true
-	d.wake()
+	d.catchUp()
+	d.arm()
 }
 
 // SingleCellMax reports the inline-descriptor fast-path limit.
@@ -309,12 +323,13 @@ func (d *Device) MaxEndpoints() int { return maxEndpoints }
 // drops it, as the real FIFO would. Only the DeliverTrain overflow fallback
 // hands the device a cell outside a train.
 func (d *Device) deliverCell(c atm.Cell) {
+	d.catchUp()
 	if d.in.Len() >= d.params.InFIFODepth {
 		d.stats.InFIFODrops++
 		return
 	}
 	d.in.Push(arrival{c: c, arrive: d.e.Now()})
-	d.wake()
+	d.arm()
 }
 
 // DeliverTrain implements fabric.CellSink: a back-to-back run of cells is
@@ -324,12 +339,13 @@ func (d *Device) deliverCell(c atm.Cell) {
 // Accepting the whole train up front is exact as long as it fits: FIFO
 // occupancy can only fall between now and the later cells' arrivals (the
 // processor drains, nothing else fills), so cell-by-cell intake could not
-// have dropped any of these cells either. When the train does not fit, each
-// cell is taken at its own arrival instant by a delivery event, which
-// decides overflow drops cell by cell exactly.
-//
-//unetlint:allow costcharge FIFO intake is free; per-cell processing cost is charged by the processor loop in processCell
+// have dropped any of these cells either. An idle processor first takes
+// the cells that have arrived, so occupancy is what it would be had it
+// taken each at its arrival. When the train does not fit, each cell is
+// taken at its own arrival instant by a delivery event, which decides
+// overflow drops cell by cell exactly.
 func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	d.catchUp()
 	if d.in.Len()+len(cells) > d.params.InFIFODepth {
 		for k := 1; k < len(cells); k++ {
 			d.deliverCellAt(cells[k], first+time.Duration(k)*spacing)
@@ -344,7 +360,7 @@ func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 		}
 		i += len(room)
 	}
-	d.wake()
+	d.arm()
 }
 
 // delayedCell boxes one cell scheduled for future delivery, recycled
@@ -391,64 +407,133 @@ func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 // descriptor per round from the endpoints, round-robin.
 //
 // Per-cell costs are accounted arithmetically on the cost cursor rather
-// than with one sleep per cell: the cursor advances by each cell's cost,
-// and the clock is brought up to it (syncTo) only before an observable
-// action — delivering a PDU, popping a send descriptor, or going idle. The
-// observable timeline is identical to sleep-per-cell.
+// than with one sleep per cell: a cell that has arrived is charged from
+// its arrival or from the end of the work before it, whichever is later
+// (take). step sleeps (syncTo) only before delivering a PDU. Anything else
+// that waits for the clock — a mid-PDU cell still to arrive, a send the
+// cursor has not reached — it leaves to one armed wake (arm), and the cells
+// that arrive in between are taken when something next looks (catchUp).
+// Every delivery, drop, send and overflow decision lands at the instant a
+// processor woken at each cell's arrival would have made it.
 //
 // step runs as an event and cannot block. Where syncTo cannot move the
 // clock in place it has queued step again at the cursor and step returns;
 // everything it needs to carry on — cursor, pend, the FIFO, the doorbell —
-// is in the device, so re-entry is just the top of the loop. Every event
-// it queues sits where a process written as a blocking loop would have
-// queued its resume event, so nothing else in the simulation can tell.
+// is in the device, so re-entry is just the top of the loop.
 //
 //unetlint:hotpath the firmware loop; runs on every burst of cells and every send
 func (d *Device) step() {
 	defer d.namePanic()
-	d.cursor = d.e.Now() // a wake from idle; after a sleep the two already agree
 	for {
-		switch {
+		switch now := d.e.Now(); {
 		case d.pend.kind != pendNone:
 			if !d.syncTo() {
 				return
 			}
 			d.perform()
-		case d.in.Len() > 0 && d.in.Front().arrive <= d.cursor:
-			// Every cell that has arrived by the processor's position, cells
-			// that landed during a sleep included — the cells a sleep-per-cell
-			// processor would find in its input FIFO.
-			d.processCell(d.in.Pop().c)
-		case d.cursor > d.e.Now():
-			if !d.syncTo() {
-				return
-			}
-		case d.txDoorbell:
+		case d.in.Len() > 0 && d.in.Front().arrive <= now:
+			d.take()
+		case d.txDoorbell && d.cursor <= now:
 			// The send scan runs only while the doorbell is pending: a clear
 			// doorbell guarantees every send queue is empty (the last scan
 			// found them so, and enqueues since would have rung). Clearing
 			// only on an empty scan keeps the service order — and hence the
 			// timeline — identical to the unconditional scan.
+			d.cursor = now
 			if ep := d.nextTxEndpoint(); ep != nil {
 				d.handleTx(ep)
-				// Here, not in the case above: cells due by the new cursor
-				// wait until the clock has passed the burst.
-				if !d.syncTo() {
-					return
-				}
 			} else {
 				d.txDoorbell = false
 			}
 		default:
-			if d.in.Len() > 0 {
-				// The head cell is stamped in the future: wake when it
-				// arrives, unless a doorbell or an earlier cell wakes first.
-				d.timeout = d.e.AtArg(d.in.Front().arrive, timeoutDevice, d)
-			}
 			d.idle = true
+			d.arm()
 			return
 		}
 	}
+}
+
+// take charges the head cell, which has arrived: from its arrival, or from
+// the end of the work before it if that is later.
+//
+//unetlint:hotpath runs once per arriving cell
+func (d *Device) take() {
+	a := d.in.Front()
+	d.cursor = max(d.cursor, a.arrive)
+	d.processCell(&a.c) // in place: a cell is 52 bytes
+	d.in.Pop()
+}
+
+// catchUp takes, for an idle processor, the cells that have arrived by now,
+// stopping at a completed PDU. Every FIFO or table decision made while the
+// processor is idle calls it first, so it sees the FIFO and the reassembly
+// state a processor woken at each cell's arrival would have left, and a
+// cell that arrived before a table change is taken under the old route.
+func (d *Device) catchUp() {
+	if !d.idle {
+		return
+	}
+	for now := d.e.Now(); d.pend.kind == pendNone && d.in.Len() > 0 && d.in.Front().arrive <= now; {
+		d.take()
+	}
+}
+
+// arm keeps an idle processor's one wake queued for the next instant at
+// which it has something to show, given what it holds now: a completed PDU
+// pending (now), the arrival of the first EOP cell it will reach, or, with
+// the doorbell latched, the end of the work the cursor and the cells
+// arriving before that end commit it to (when it can send). With neither,
+// the last cell's arrival, so every cell is taken by the time the run
+// ends. A wake already queued for that instant stays; an intake, a doorbell
+// or a table change that moves it re-arms.
+//
+//unetlint:hotpath runs on every burst of cells, every doorbell and every idle entry
+func (d *Device) arm() {
+	if !d.idle {
+		return
+	}
+	at, ok := d.e.Now(), true
+	if d.pend.kind == pendNone {
+		at, ok = d.nextWake()
+	}
+	if d.armed && ok && d.wakeAt == at {
+		return
+	}
+	if d.armed {
+		d.timeout.Cancel()
+		d.armed = false
+	}
+	if ok {
+		d.timeout, d.wakeAt, d.armed = d.e.AtArg(at, timeoutDevice, d), at, true
+	}
+}
+
+// nextWake walks the FIFO of an idle processor with no PDU pending, which
+// has taken every cell that arrived before now.
+func (d *Device) nextWake() (time.Duration, bool) {
+	c, n := d.cursor, d.in.Len()
+	for i := 0; i < n; i++ {
+		a := d.in.At(i)
+		if d.txDoorbell && a.arrive > c {
+			break // the processor is free to send before this cell arrives
+		}
+		if a.c.EOP {
+			return a.arrive, true
+		}
+		if d.txDoorbell {
+			c = max(c, a.arrive)
+			if d.route(a.c.VCI) != nil {
+				c += d.params.RxPerCell // what processCell charges a mid-PDU cell
+			}
+		}
+	}
+	switch {
+	case d.txDoorbell:
+		return max(c, d.e.Now()), true
+	case n > 0:
+		return d.in.At(n - 1).arrive, true
+	}
+	return 0, false
 }
 
 // namePanic re-raises a panic inside the processor with the device's name,
@@ -460,33 +545,14 @@ func (d *Device) namePanic() {
 	}
 }
 
-// stepDevice is the processor's event: its start, a wake from idle and the
-// far end of a sleep. A wake cancels the idle timeout here, when it fires,
-// not when the doorbell rang; otherwise the handle is spent and Cancel does
-// nothing.
-func stepDevice(a any) {
-	d := a.(*Device)
-	d.timeout.Cancel()
-	d.step()
-}
+// stepDevice is the processor's start and the far end of a sleep.
+func stepDevice(a any) { a.(*Device).step() }
 
-// timeoutDevice fires when an idle processor's future-stamped head cell
-// arrives. If a doorbell got in first the wake it queued is still to come
-// and this does nothing.
+// timeoutDevice is the wake arm queued for an idle processor.
 func timeoutDevice(a any) {
-	if d := a.(*Device); d.idle {
-		d.idle = false
-		d.step()
-	}
-}
-
-// wake queues a step for an idle processor at the current instant; one that
-// is working or asleep finds the new work itself.
-func (d *Device) wake() {
-	if d.idle {
-		d.idle = false
-		d.e.AtArg(d.e.Now(), stepDevice, d)
-	}
+	d := a.(*Device)
+	d.armed, d.idle = false, false
+	d.step()
 }
 
 // syncTo brings the virtual clock up to the cost cursor before an observable
@@ -554,8 +620,8 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 // into the cursor in closed form — the device is the uplink's only sender,
 // so its committed-work horizon (NextFree) is fully known — and each cell
 // is enqueued with SendAt at exactly the time Send would have been called.
-// The caller's synchronizing sleep lands the processor where the
-// sleep-per-cell loop would have left it.
+// The processor's next wake (arm) finds it where the sleep-per-cell loop
+// would have left it.
 func (d *Device) sendCells(cells []atm.Cell) {
 	limit := time.Duration(outFIFOCells) * d.uplink.Params().CellTime
 	for i := range cells {
@@ -577,7 +643,7 @@ func (d *Device) sendCells(cells []atm.Cell) {
 // pend, and reaches its endpoint once the clock has reached the cursor.
 //
 //unetlint:hotpath per-cell receive demux + SAR; the steady-state receive path
-func (d *Device) processCell(c atm.Cell) {
+func (d *Device) processCell(c *atm.Cell) {
 	d.stats.CellsIn++
 	ent := d.route(c.VCI)
 	if ent == nil {
@@ -593,7 +659,7 @@ func (d *Device) processCell(c atm.Cell) {
 	if ent.reasm.Pending() == 0 {
 		ent.direct = c.Direct
 	}
-	payload, err := ent.reasm.Add(c)
+	payload, err := ent.reasm.Add(*c)
 	if err != nil {
 		// Add has already reset the reassembler, returning its slab to the
 		// arena — the drop path holds no pooled state past this point.

@@ -12,9 +12,10 @@ import (
 )
 
 // The processor is an event handler (Device.step), not a process. These
-// tests pin the three places where that shows: who may queue an event for
-// it, what a doorbell and an idle timeout at one instant do to each other,
-// and that Start makes exactly one of it.
+// tests pin the places where that shows: who may queue an event for it,
+// what a doorbell and an idle wake at one instant do to each other, how
+// many events a PDU costs an idle receiver, and that Start makes exactly
+// one of it.
 
 const us = time.Microsecond
 
@@ -24,7 +25,7 @@ func (nullSink) DeliverTrain([]atm.Cell, time.Duration, time.Duration) {}
 
 // bareDevice is one SBA-200 on its own engine, its uplink going nowhere,
 // with one endpoint receiving on VCI 5.
-func bareDevice(t *testing.T) (*sim.Engine, *Device, *unet.Endpoint) {
+func bareDevice(t testing.TB) (*sim.Engine, *Device, *unet.Endpoint) {
 	t.Helper()
 	e := sim.New(1)
 	t.Cleanup(e.Shutdown)
@@ -62,8 +63,7 @@ func TestProcessorPanicNamesTheDevice(t *testing.T) {
 	e, d, _ := bareDevice(t)
 	e.At(10*us, func() {
 		d.eps = append(d.eps, nil)
-		d.txDoorbell = true
-		d.wake()
+		d.KickTx(nil)
 	})
 	defer func() {
 		if r, _ := recover().(string); !strings.HasPrefix(r, "nic: host/sba200 processor panicked: ") {
@@ -113,14 +113,15 @@ func TestDoorbellDuringSleepQueuesNothing(t *testing.T) {
 }
 
 func TestDoorbellAndFutureStampedCell(t *testing.T) {
-	// A two-cell train arrives at 10 µs with its second cell stamped 30 µs:
-	// the processor takes the first, and goes idle with a timeout armed for
-	// the second. A doorbell then rings
-	//   - at 30 µs, from an event scheduled before the timeout was: the wake
-	//     it queues fires after the timeout, which finds the processor
-	//     already woken and does nothing;
-	//   - at 20 µs: the wake cancels the timeout when it fires, the empty
-	//     scan sends the processor idle again, and a second timeout is armed.
+	// A two-cell train arrives at 10 µs with its second cell stamped 30 µs.
+	// The idle processor takes neither yet: the first has no observable
+	// effect, and it arms one wake for the second, the PDU's last. A
+	// doorbell then rings
+	//   - at 30 µs, from an event scheduled before the wake was: the ring
+	//     takes both cells, and the wake already armed for 30 µs delivers;
+	//   - at 20 µs: the ring takes the first cell (charged from 10 µs) and
+	//     moves the wake to 20 µs, when the processor is free to send; the
+	//     empty scan leaves it idle with the wake armed for 30 µs again.
 	// Either way the second cell is processed once, at 30 µs, and the PDU
 	// delivered RxPerCell + RxFixed later.
 	for _, tc := range []struct {
@@ -128,13 +129,12 @@ func TestDoorbellAndFutureStampedCell(t *testing.T) {
 		ring  time.Duration
 		steps uint64
 	}{
-		// start, arrival, wake, sleep to 11.5µs (in place), ring, timeout
-		// (no-op), wake, sleep to delivery (in place), upcall.
-		{"same instant", 30 * us, 9},
-		// start, arrival, wake, sleep to 11.5µs (in place), ring, wake,
-		// second timeout, sleep to delivery (in place), upcall; the canceled
-		// first timeout is discarded without a step.
-		{"earlier", 20 * us, 9},
+		// start, arrival, ring, wake, sleep to delivery (in place), upcall.
+		{"same instant", 30 * us, 6},
+		// start, arrival, ring, wake to send, wake, sleep to delivery (in
+		// place), upcall; the wake the ring moved is discarded without a
+		// step.
+		{"earlier", 20 * us, 7},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			e, d, ep := bareDevice(t)
@@ -143,18 +143,22 @@ func TestDoorbellAndFutureStampedCell(t *testing.T) {
 			var deliveredAt time.Duration
 			ep.SetUpcall(unet.UpcallNonEmpty, false, func() { deliveredAt = e.Now() })
 			e.At(tc.ring, func() {
-				if !d.idle || d.in.Len() != 1 {
-					t.Errorf("at the ring: idle=%v with %d cell(s) queued, want idle over the future-stamped cell", d.idle, d.in.Len())
+				if !d.idle || d.in.Len() != 2 || d.wakeAt != 30*us {
+					t.Errorf("at the ring: idle=%v with %d cell(s) queued, wake at %v; want idle over both cells, the wake at 30µs", d.idle, d.in.Len(), d.wakeAt)
 				}
+				before := e.PendingEvents()
 				d.KickTx(ep)
-				if d.idle {
-					t.Error("doorbell left the processor idle")
+				if want := (tc.ring - 10*us) / (20 * us); d.stats.CellsIn != uint64(1+want) || d.wakeAt != tc.ring {
+					t.Errorf("after the ring: %d cell(s) taken, wake at %v; want %d, %v", d.stats.CellsIn, d.wakeAt, 1+want, tc.ring)
+				}
+				if tc.ring == 30*us && e.PendingEvents() != before {
+					t.Errorf("a ring at the wake's instant queued %d event(s)", e.PendingEvents()-before)
 				}
 			})
 			if tc.ring < 30*us {
 				e.At(tc.ring+us, func() {
-					if !d.idle || d.txDoorbell {
-						t.Errorf("after the empty scan: idle=%v doorbell=%v, want idle again", d.idle, d.txDoorbell)
+					if !d.idle || d.txDoorbell || d.in.Len() != 1 || d.wakeAt != 30*us {
+						t.Errorf("after the empty scan: idle=%v doorbell=%v, %d cell(s) queued, wake at %v; want idle again over the second cell, the wake at 30µs", d.idle, d.txDoorbell, d.in.Len(), d.wakeAt)
 					}
 				})
 			}
@@ -174,4 +178,57 @@ func TestDoorbellAndFutureStampedCell(t *testing.T) {
 			}
 		})
 	}
+}
+
+func TestIdleReceiverWakesOncePerPDU(t *testing.T) {
+	// A 1 KB PDU, 22 cells back to back, reaches an idle SBA-200, whose
+	// 1.5 µs a cell is faster than the fiber: the processor keeps up, and
+	// only the last cell has anything to show. It wakes once, at that
+	// cell's arrival, takes all 22, and delivers RxPerCell + RxFixed later.
+	e, d, ep := bareDevice(t)
+	cells := atm.Segment(5, make([]byte, 1024))
+	if len(cells) != 22 {
+		t.Fatalf("%d cells, want 22", len(cells))
+	}
+	ct := fabric.DefaultCellTime
+	e.At(10*us, func() { d.DeliverTrain(cells, 10*us, ct) })
+	var deliveredAt time.Duration
+	ep.SetUpcall(unet.UpcallNonEmpty, false, func() { deliveredAt = e.Now() })
+	e.Run()
+	if want := 10*us + 21*ct + d.params.RxPerCell + d.params.RxFixed; deliveredAt != want {
+		t.Fatalf("delivered at %v, want %v", deliveredAt, want)
+	}
+	if st := d.Stats(); st.CellsIn != 22 || st.PDUsIn != 1 || ep.Stats().Received != 1 {
+		t.Fatalf("%+v, endpoint received %d; want 22 cells, 1 PDU, 1 message", st, ep.Stats().Received)
+	}
+	// start, arrival, the wake at the last cell's arrival, sleep to the
+	// delivery (in place), upcall.
+	if e.Steps() != 5 {
+		t.Fatalf("Steps = %d, want 5", e.Steps())
+	}
+}
+
+// BenchmarkDevice_IdleReceive1K is the NIC's receive rung alone: a 1 KB
+// (22-cell) PDU arrives back to back at an idle SBA-200 and is delivered
+// into its endpoint's buffers, then the application hands the buffer back.
+// It reports the host time and the engine events each PDU costs.
+func BenchmarkDevice_IdleReceive1K(b *testing.B) {
+	e, d, ep := bareDevice(b)
+	cells := atm.Segment(5, make([]byte, 1024))
+	train := func() { d.DeliverTrain(cells, e.Now(), fabric.DefaultCellTime) }
+	steps := e.Steps()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		e.At(e.Now()+200*us, train)
+		e.Run()
+		rd, ok := ep.PollRecv(nil)
+		if !ok {
+			b.Fatal("the PDU was not delivered")
+		}
+		ep.Release(nil, rd)
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/PDU")
+	b.ReportMetric(float64(e.Steps()-steps)/float64(b.N), "events/PDU")
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"unet/internal/atm"
 	"unet/internal/sim"
 	"unet/internal/testbed"
 	"unet/internal/unet"
@@ -16,13 +17,19 @@ import (
 // and the clock reaching its cost cursor — the processor asleep with the
 // delivery pending. The PDU must then be dropped and counted, its slab
 // returned, and nothing dereferenced that the teardown cleared (the row's
-// endpoint pointer: a nil dereference inside the NI, once).
+// endpoint pointer: a nil dereference inside the NI, once). A close can
+// also land mid-PDU while the processor is idle and has not yet taken the
+// cells that arrived — at 1.5 µs a cell against 2.83 µs of fiber it takes
+// a PDU's cells when the last one arrives: those are taken first, under the
+// old route, and only the cells after the close are unknown to the table.
 func TestTeardownWhileCharging(t *testing.T) {
 	type fixture struct {
 		tb   *testbed.Testbed
 		proc *unet.Process
 		ep   *unet.Endpoint
 		ch   *unet.Channel
+		// Set by CloseChannel: the cells that had arrived at the close.
+		arrived uint64
 	}
 	for _, tc := range []struct {
 		name     string
@@ -35,6 +42,13 @@ func TestTeardownWhileCharging(t *testing.T) {
 			}
 		}, false},
 		{"Disconnect", func(p *sim.Proc, fx *fixture) { fx.tb.Manager.Disconnect(p, fx.ch) }, false},
+		{"CloseChannel", func(p *sim.Proc, fx *fixture) {
+			// Stats counts every cell that has arrived by now; read after the
+			// close, it takes under the new route any the close left.
+			dev := fx.tb.Devices[1]
+			dev.CloseChannel(fx.ep, fx.ch.ChanB)
+			fx.arrived = dev.Stats().CellsIn
+		}, false},
 		// Opening channels grows the demux table and moves its rows; the
 		// pending delivery's own row is still open, wherever it now lives.
 		{"OpenChannel", func(p *sim.Proc, fx *fixture) {
@@ -57,6 +71,7 @@ func TestTeardownWhileCharging(t *testing.T) {
 			t.Run(fmt.Sprint(tc.name, "/", size, "B"), func(t *testing.T) {
 				const msgs = 50
 				var closedDrops uint64
+				midPDU := 0
 				for k := 0; k < 80; k++ {
 					tb := testbed.New(testbed.Config{Hosts: 2})
 					fx := &fixture{tb: tb, proc: tb.Hosts[1].NewProcess("app")}
@@ -114,12 +129,23 @@ func TestTeardownWhileCharging(t *testing.T) {
 					if !tc.open && es.Received == msgs {
 						t.Fatalf("k=%d: received all %d: the teardown missed the stream", k, msgs)
 					}
+					if tc.name == "CloseChannel" {
+						if want := st.CellsIn - fx.arrived; st.UnknownVCIs != want {
+							t.Fatalf("k=%d: %d cells unknown to the table, want the %d that arrived after the close", k, st.UnknownVCIs, want)
+						}
+						if fx.arrived%uint64(atm.CellsFor(size)) != 0 {
+							midPDU++
+						}
+					}
 					closedDrops += st.ClosedDrops
 					tb.Close()
 				}
 				// The sweep is only a probe if some instants hit the window.
 				if !tc.open && closedDrops < 10 {
 					t.Fatalf("%d PDUs dropped for a closed channel over 80 instants, want at least 10", closedDrops)
+				}
+				if tc.name == "CloseChannel" && size > 48 && midPDU < 20 {
+					t.Fatalf("%d of 80 closes landed mid-PDU, want at least 20", midPDU)
 				}
 			})
 		}

@@ -140,6 +140,18 @@ func (r *Ring[T]) release() {
 // Front returns the oldest element in place; the ring must not be empty.
 func (r *Ring[T]) Front() *T { return &r.head.buf[r.off] }
 
+// At returns the element i places behind the oldest, in place; the ring
+// must hold more than i elements. It walks the chunk list from the head,
+// one step per chunk passed.
+func (r *Ring[T]) At(i int) *T {
+	c, j := r.head, int(r.off)+i
+	for j >= len(c.buf) {
+		j -= len(c.buf)
+		c = c.next
+	}
+	return &c.buf[j]
+}
+
 // FIFO is a bounded or unbounded queue connecting simulated producers and
 // consumers. Processes block on Put when a bounded queue is full and on Get
 // when it is empty; callbacks (non-process contexts such as wire-delivery

@@ -81,6 +81,9 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 			if len(span) == 0 || len(span) > want || !slices.Equal(span, twins[i][:len(span)]) {
 				t.Fatalf("step %d: ring %d Span(%d) = %v, twin starts %v", step, i, want, span, twins[i][:min(want, len(twins[i]))])
 			}
+			if j := rng.Intn(r.Len()); *r.At(j) != twins[i][j] {
+				t.Fatalf("step %d: ring %d At(%d) = %d, twin says %d", step, i, j, *r.At(j), twins[i][j])
+			}
 			k := rng.Intn(r.Len() + 1) // may cross chunks
 			r.Drop(k)
 			twins[i] = twins[i][k:]

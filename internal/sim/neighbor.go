@@ -239,7 +239,7 @@ func (g *Group) runShard(id int, limit time.Duration) {
 
 		// Earliest pending work, cross arrivals included.
 		t := noEvent
-		if ev := e.peek(); ev != nil {
+		if ev := e.peekLive(); ev != nil {
 			t = int64(ev.at)
 		}
 		g.nextAt[id].Store(t)

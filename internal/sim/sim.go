@@ -167,6 +167,22 @@ func (e *Engine) peek() *event {
 	return e.events.min()
 }
 
+// peekLive is peek for a shard publishing its next-event time: it first
+// discards, without a step, the canceled entries at the top, whose times
+// are lower bounds that would hold every neighbor's horizon back (a NIC
+// re-arming its wake later leaves one per move).
+func (e *Engine) peekLive() *event {
+	for {
+		ev := e.peek()
+		if ev == nil || !ev.canceled {
+			return ev
+		}
+		e.events.pop()
+		e.ncanceled--
+		e.recycle(ev)
+	}
+}
+
 // Event kinds. A kind-dispatched payload (rather than a closure per event)
 // is what keeps the engine's hot paths allocation-free: resuming a process
 // or invoking a static callback with an argument needs no captured state.

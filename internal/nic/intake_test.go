@@ -1,10 +1,13 @@
 package nic_test
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
+	"os"
 	"slices"
+	"strings"
 	"testing"
 	"time"
 
@@ -107,10 +110,18 @@ type intakeResult struct {
 	epStats    []unet.EndpointStats
 }
 
-// runIntake plays a script into a two-host testbed. With perCell every cell
-// is handed to the NIC as a train of one by its own event at its own
-// arrival, so the processor never holds a cell before it arrives.
-func runIntake(t testing.TB, s intakeScript, perCell bool) intakeResult {
+// digest condenses a result into the 16 hex digits intake.digests pins.
+func (r intakeResult) digest() string {
+	h := sha256.New()
+	for _, d := range r.deliveries {
+		fmt.Fprintln(h, d)
+	}
+	fmt.Fprintf(h, "%+v\n%+v\n", r.stats, r.epStats)
+	return fmt.Sprintf("%x", h.Sum(nil))[:16]
+}
+
+// runIntake plays a script into a two-host testbed.
+func runIntake(t testing.TB, s intakeScript) intakeResult {
 	params := s.params
 	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &params})
 	defer tb.Close()
@@ -166,17 +177,10 @@ func runIntake(t testing.TB, s intakeScript, perCell bool) intakeResult {
 		for i, p := range tr.order {
 			cells[i], segs[p] = segs[p][0], segs[p][1:]
 		}
-		if !perCell {
-			e.At(tr.at, func() { dev.DeliverTrain(cells, tr.at, fabric.DefaultCellTime) })
-			continue
-		}
-		for i := range cells {
-			at := tr.at + time.Duration(i)*fabric.DefaultCellTime
-			e.At(at, func() { dev.DeliverTrain(cells[i:i+1], at, 0) })
-		}
+		e.At(tr.at, func() { dev.DeliverTrain(cells, tr.at, fabric.DefaultCellTime) })
 	}
-	// Scheduled after the traffic, so a cell due at the same instant is in
-	// the FIFO first on both paths.
+	// Scheduled after the traffic, so a train due at the same instant is in
+	// the FIFO first.
 	closing := chans[s.closeCh]
 	e.At(s.closeAt, func() {
 		if s.detach {
@@ -207,9 +211,9 @@ func runIntake(t testing.TB, s intakeScript, perCell bool) intakeResult {
 
 // closeDuringSend is a script the seeded ones do not reach: the close
 // lands while the processor, its doorbell latched for a second send, is
-// still busy with the first, and the cells it frees from the backlog that
-// built up behind that send bring the second one forward (host 0 has it
-// 38 µs sooner than had its wake stayed put).
+// still busy with the first. A blocking loop takes none of the cells that
+// arrive meanwhile until its cursor reaches them, so those before the
+// close are still queued at it and meet the closed channel.
 func closeDuringSend(detach bool) intakeScript {
 	n := atm.CellsFor(2000)
 	return intakeScript{
@@ -222,42 +226,70 @@ func closeDuringSend(detach bool) intakeScript {
 	}
 }
 
-// checkIntake runs one script both ways and compares what they show.
-func checkIntake(t testing.TB, seed int64, s intakeScript) intakeResult {
-	trains, cells := runIntake(t, s, false), runIntake(t, s, true)
-	if !slices.Equal(trains.deliveries, cells.deliveries) {
-		i := 0
-		for i < min(len(trains.deliveries), len(cells.deliveries)) && trains.deliveries[i] == cells.deliveries[i] {
-			i++
-		}
-		at := func(ds []string) string {
-			if i < len(ds) {
-				return ds[i]
-			}
-			return "nothing"
-		}
-		t.Fatalf("seed %d: delivery %d: trains %s, cell by cell %s (%d and %d deliveries)", seed, i, at(trains.deliveries), at(cells.deliveries), len(trains.deliveries), len(cells.deliveries))
+// overflowDuringSend sends 1 000 bytes at 20 µs while two 13-cell PDUs
+// stream into an eight-cell input FIFO. While the send keeps the
+// processor from the FIFO it fills, and the cells after that are dropped:
+// the first PDU loses its end and the second fails its length check.
+func overflowDuringSend() intakeScript {
+	params := nic.SBA200Params()
+	params.InFIFODepth = 8
+	data := make([]byte, 600)
+	for i := range data {
+		data[i] = byte(i)
 	}
-	if trains.stats != cells.stats {
-		t.Fatalf("seed %d: device stats\ntrains       %+v\ncell by cell %+v", seed, trains.stats, cells.stats)
+	n := atm.CellsFor(len(data))
+	order := make([]int, 2*n)
+	for i := n; i < 2*n; i++ {
+		order[i] = 1
 	}
-	if !slices.Equal(trains.epStats, cells.epStats) {
-		t.Fatalf("seed %d: endpoint stats\ntrains       %+v\ncell by cell %+v", seed, trains.epStats, cells.epStats)
+	return intakeScript{
+		params:  params,
+		trains:  []intakeTrain{{at: 22 * time.Microsecond, pdus: []intakePDU{{ch: 2, data: data}, {ch: 3, data: data}}, order: order}},
+		sends:   []intakeSend{{wait: 20 * time.Microsecond, size: 1000}},
+		closeAt: time.Millisecond, // after the traffic: closes nothing in flight
+		closeCh: 3,
 	}
-	return trains
 }
 
-// TestTrainIntakeMatchesCellByCell: handing the NIC whole trains stamped in
-// the future, which its processor takes lazily, shows exactly what handing
-// it each cell at its arrival does — every delivery's instant, channel and
-// bytes on both hosts, and every counter.
-func TestTrainIntakeMatchesCellByCell(t *testing.T) {
-	const seeds = 200
-	checkIntake(t, 0, closeDuringSend(false))
-	checkIntake(t, 0, closeDuringSend(true))
+// The scripts TestTrainIntakeMatchesBlockingLoop plays, by the names
+// intake.digests gives them.
+func intakeScripts() (names []string, scripts []intakeScript) {
+	names = []string{"closeDuringSend", "detachDuringSend", "overflowDuringSend"}
+	scripts = []intakeScript{closeDuringSend(false), closeDuringSend(true), overflowDuringSend()}
+	for seed := int64(1); seed <= 200; seed++ {
+		names = append(names, fmt.Sprint("seed", seed))
+		scripts = append(scripts, newIntakeScript(seed))
+	}
+	return names, scripts
+}
+
+// TestTrainIntakeMatchesBlockingLoop: the processor that takes an idle
+// NIC's cells lazily, one wake per PDU, shows what a processor that sleeps
+// at each of its waits showed — every delivery's instant, channel and
+// bytes on both hosts, and every counter. testdata/intake.digests holds
+// that processor's results, one digest a script; a script whose result
+// moves fails with the digest it got. The blocking loop takes a run of
+// queued cells when it wakes, cells that arrive later included, so its
+// results depend on how the cells were handed to it: a script delivered
+// cell by cell is another script.
+func TestTrainIntakeMatchesBlockingLoop(t *testing.T) {
+	raw, err := os.ReadFile("testdata/intake.digests")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pinned := map[string]string{}
+	for _, line := range strings.Split(string(raw), "\n") {
+		if f := strings.Fields(line); len(f) == 2 && !strings.HasPrefix(line, "#") {
+			pinned[f[0]] = f[1]
+		}
+	}
+	names, scripts := intakeScripts()
 	var overflowed, closed, delivered int
-	for seed := int64(1); seed <= seeds; seed++ {
-		r := checkIntake(t, seed, newIntakeScript(seed))
+	for i, s := range scripts {
+		r := runIntake(t, s)
+		if got := r.digest(); got != pinned[names[i]] {
+			t.Errorf("%s: digest %s, the blocking loop's %q", names[i], got, pinned[names[i]])
+		}
 		if r.stats[1].InFIFODrops > 0 {
 			overflowed++
 		}
@@ -267,15 +299,66 @@ func TestTrainIntakeMatchesCellByCell(t *testing.T) {
 		delivered += len(r.deliveries)
 	}
 	// The scripts are only a probe if they reach the paths they are for.
-	if overflowed < seeds/10 || closed < seeds/2 || delivered < 10*seeds {
-		t.Fatalf("over %d seeds: %d overflowed the FIFO, %d met the closed channel, %d deliveries", seeds, overflowed, closed, delivered)
+	if n := len(scripts); overflowed < n/10 || closed < n/2 || delivered < 10*n {
+		t.Fatalf("over %d scripts: %d overflowed the FIFO, %d met the closed channel, %d deliveries", n, overflowed, closed, delivered)
 	}
 }
 
-// FuzzTrainIntake is TestTrainIntakeMatchesCellByCell on any seed.
+// TestCloseAndOverflowDuringSend spells out two of the pinned results: the
+// cells that reach the NIC while its processor sends are taken only once
+// the send is done. Closed mid-PDU during the send, the channel has none
+// of that PDU's cells taken under its route: all 42 are unknown. With an
+// eight-cell FIFO, ten cells are dropped while the processor is busy, and
+// neither PDU is delivered.
+func TestCloseAndOverflowDuringSend(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		s          intakeScript
+		deliveries []string
+		st         nic.Stats
+	}{
+		{"close", closeDuringSend(false), []string{
+			"139.676µs host0 ep0 ch0 1000B 060b1780",
+			"205.994µs host0 ep0 ch0 1000B 060b1780",
+		}, nic.Stats{CellsOut: 42, CellsIn: 42, PDUsOut: 2, UnknownVCIs: 42, Doorbells: 2, DoorbellsCoalesced: 1}},
+		{"overflow", overflowDuringSend(), []string{
+			"139.676µs host0 ep0 ch0 1000B 060b1780",
+		}, nic.Stats{CellsOut: 21, CellsIn: 16, PDUsOut: 1, InFIFODrops: 10, BadPDUs: 1, Doorbells: 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := runIntake(t, tc.s)
+			if !slices.Equal(r.deliveries, tc.deliveries) {
+				t.Errorf("deliveries\n%s\nwant\n%s", strings.Join(r.deliveries, "\n"), strings.Join(tc.deliveries, "\n"))
+			}
+			if r.stats[1] != tc.st {
+				t.Errorf("host 1 %+v\nwant   %+v", r.stats[1], tc.st)
+			}
+		})
+	}
+}
+
+// FuzzTrainIntake plays any seed's script and checks what holds of every
+// run: each cell handed to either NIC is taken or dropped by the time the
+// run ends, and a second run shows the same.
 func FuzzTrainIntake(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed)
 	}
-	f.Fuzz(func(t *testing.T, seed int64) { checkIntake(t, seed, newIntakeScript(seed)) })
+	f.Fuzz(func(t *testing.T, seed int64) {
+		s := newIntakeScript(seed)
+		r := runIntake(t, s)
+		var cells uint64
+		for _, tr := range s.trains {
+			cells += uint64(len(tr.order))
+		}
+		if st := r.stats[1]; st.CellsIn+st.InFIFODrops != cells {
+			t.Fatalf("seed %d: host 1 took %d cells and dropped %d of the %d handed to it", seed, st.CellsIn, st.InFIFODrops, cells)
+		}
+		if st := r.stats[0]; st.CellsIn+st.InFIFODrops != r.stats[1].CellsOut {
+			t.Fatalf("seed %d: host 0 took %d cells and dropped %d of the %d host 1 sent", seed, st.CellsIn, st.InFIFODrops, r.stats[1].CellsOut)
+		}
+		if again := runIntake(t, s); again.digest() != r.digest() {
+			t.Fatalf("seed %d: two runs differ", seed)
+		}
+	})
 }

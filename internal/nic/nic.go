@@ -103,23 +103,36 @@ type Device struct {
 
 	// Input FIFO: timestamped cells. A bare ring (rather than a sim.FIFO)
 	// so whole cell trains can be accepted in one call with exact overflow
-	// accounting.
-	in sim.Ring[arrival]
+	// accounting. eopAt is the arrival of its oldest EOP cell, when eop
+	// says so, and lastArrive that of its newest cell: the instants an idle
+	// processor wakes for (nextWake).
+	in         sim.Ring[arrival]
+	eopAt      time.Duration
+	lastArrive time.Duration
 
 	// The on-board processor (step). cursor is where the work it has charged
 	// for ends: ahead of the clock while it works, and possibly while it is
 	// idle too, since a mid-PDU cell has nothing for the clock to wait for.
 	// pend is the delivery waiting for the clock to reach the cursor, the one
-	// action step sleeps for. idle means no step is queued: cells that arrive
-	// meanwhile are taken lazily (catchUp), and one wake is armed (arm) for
-	// the next instant with something to show — timeout, at wakeAt.
+	// action step sleeps for. idle means no step is queued: the cells a
+	// blocking loop would take meanwhile are taken when something next looks
+	// (catchUp), and one wake is armed (arm) no later than its next
+	// observable action — timeout, at wakeAt. The flags share one word:
+	// with its malloc header a Device just fills the 576-byte size class.
 	cursor  time.Duration
 	pend    delivery
 	started bool
 	idle    bool
 	armed   bool
-	wakeAt  time.Duration
-	timeout sim.Timer
+	eop     uint8 // eopNone, eopKnown or eopUnknown
+	// txDoorbell latches KickTx rings between processor sweeps: set when an
+	// endpoint enqueues send work, cleared only by a send scan that finds
+	// every queue empty. While clear, the processor skips the O(endpoints)
+	// scan entirely. Virtual time is unaffected — the scan is cost-free and
+	// a clear doorbell means it would have found nothing.
+	txDoorbell bool
+	wakeAt     time.Duration
+	timeout    sim.Timer
 
 	eps   []*unet.Endpoint
 	txRR  int
@@ -135,13 +148,6 @@ type Device struct {
 	table   []vciEntry
 	lastVCI atm.VCI
 	lastEnt *vciEntry
-
-	// txDoorbell latches KickTx rings between processor sweeps: set when an
-	// endpoint enqueues send work, cleared only by a send scan that finds
-	// every queue empty. While clear, the processor skips the O(endpoints)
-	// scan entirely. Virtual time is unaffected — the scan is cost-free and
-	// a clear doorbell means it would have found nothing.
-	txDoorbell bool
 
 	// arena recycles inline payload slabs (single-cell fast path and
 	// reassembly buffers); offPool recycles the Buffers offset lists of
@@ -202,12 +208,8 @@ func (d *Device) Start() {
 	d.e.AtArg(d.e.Now(), stepDevice, d)
 }
 
-// Stats returns a snapshot of the device counters, with every cell that
-// has arrived by now counted.
-func (d *Device) Stats() Stats {
-	d.catchUp()
-	return d.stats
-}
+// Stats returns a snapshot of the device counters.
+func (d *Device) Stats() Stats { return d.stats }
 
 // --- unet.Device management interface ---
 
@@ -328,7 +330,7 @@ func (d *Device) deliverCell(c atm.Cell) {
 		d.stats.InFIFODrops++
 		return
 	}
-	d.in.Push(arrival{c: c, arrive: d.e.Now()})
+	d.push(c, d.e.Now())
 	d.arm()
 }
 
@@ -340,8 +342,8 @@ func (d *Device) deliverCell(c atm.Cell) {
 // occupancy can only fall between now and the later cells' arrivals (the
 // processor drains, nothing else fills), so cell-by-cell intake could not
 // have dropped any of these cells either. An idle processor first takes
-// the cells that have arrived, so occupancy is what it would be had it
-// taken each at its arrival. When the train does not fit, each cell is
+// the cells a blocking loop would have taken by now, so occupancy is what
+// that loop would have left. When the train does not fit, each cell is
 // taken at its own arrival instant by a delivery event, which decides
 // overflow drops cell by cell exactly.
 func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
@@ -356,11 +358,51 @@ func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 	for i := 0; i < len(cells); {
 		room := d.in.Room(len(cells) - i)
 		for k := range room {
-			room[k] = arrival{c: cells[i+k], arrive: first + time.Duration(i+k)*spacing}
+			at := first + time.Duration(i+k)*spacing
+			room[k] = arrival{c: cells[i+k], arrive: at}
+			d.noteArrival(cells[i+k].EOP, at)
 		}
 		i += len(room)
 	}
 	d.arm()
+}
+
+// push queues one cell arriving at at.
+func (d *Device) push(c atm.Cell, at time.Duration) {
+	d.in.Push(arrival{c: c, arrive: at})
+	d.noteArrival(c.EOP, at)
+}
+
+// What eopAt holds.
+const (
+	eopNone    = iota // no EOP cell is queued
+	eopKnown          // eopAt is the oldest queued EOP cell's arrival
+	eopUnknown        // not known since an EOP cell was taken: findEOP
+)
+
+// noteArrival records the arrival of a cell just queued.
+func (d *Device) noteArrival(eop bool, at time.Duration) {
+	if eop && d.eop == eopNone {
+		d.eopAt, d.eop = at, eopKnown
+	}
+	d.lastArrive = at
+}
+
+// findEOP finds the oldest EOP cell in the FIFO. It runs only after an EOP
+// cell was taken with cells behind it, and walks no further than the next
+// EOP cell, so it passes each cell at most once.
+func (d *Device) findEOP() {
+	for i, n := 0, d.in.Len(); i < n; {
+		seg := d.in.Seg(i)
+		for k := range seg {
+			if seg[k].c.EOP {
+				d.eopAt, d.eop = seg[k].arrive, eopKnown
+				return
+			}
+		}
+		i += len(seg)
+	}
+	d.eop = eopNone
 }
 
 // delayedCell boxes one cell scheduled for future delivery, recycled
@@ -406,15 +448,19 @@ func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 // reception has priority, as in the firmware — with servicing one send
 // descriptor per round from the endpoints, round-robin.
 //
-// Per-cell costs are accounted arithmetically on the cost cursor rather
-// than with one sleep per cell: a cell that has arrived is charged from
-// its arrival or from the end of the work before it, whichever is later
-// (take). step sleeps (syncTo) only before delivering a PDU. Anything else
-// that waits for the clock — a mid-PDU cell still to arrive, a send the
-// cursor has not reached — it leaves to one armed wake (arm), and the cells
-// that arrive in between are taken when something next looks (catchUp).
-// Every delivery, drop, send and overflow decision lands at the instant a
-// processor woken at each cell's arrival would have made it.
+// It is the firmware's blocking loop with its waits taken out. That loop
+// wakes at a cell's arrival or at the end of its work (its cursor), takes
+// each queued cell that has arrived by its cursor, and sleeps to the
+// cursor before delivering a PDU, after a send and after a run of cells.
+// Here per-cell costs are accounted arithmetically on the cursor, and the
+// cells are taken at the instants that loop would have taken them
+// (takeDue). step sleeps (syncTo) only before delivering a PDU or sending
+// one; a run of mid-PDU cells leaves the processor idle with its cursor
+// ahead, and one armed wake (arm) stands in for the loop's next
+// observable action. The loop's other wakes show nothing: the cells it
+// would take then are taken when something next looks (catchUp). So
+// every delivery, drop, send and overflow decision lands where that loop
+// made it.
 //
 // step runs as an event and cannot block. Where syncTo cannot move the
 // clock in place it has queued step again at the cursor and step returns;
@@ -425,15 +471,20 @@ func (d *Device) deliverCellAt(c atm.Cell, at time.Duration) {
 func (d *Device) step() {
 	defer d.namePanic()
 	for {
+		d.takeDue()
 		switch now := d.e.Now(); {
 		case d.pend.kind != pendNone:
 			if !d.syncTo() {
 				return
 			}
 			d.perform()
-		case d.in.Len() > 0 && d.in.Front().arrive <= now:
-			d.take()
-		case d.txDoorbell && d.cursor <= now:
+		case d.txDoorbell && d.cursor > now:
+			// The loop sleeps to its cursor before it sends; cells that
+			// arrive meanwhile are taken first.
+			if !d.syncTo() {
+				return
+			}
+		case d.txDoorbell:
 			// The send scan runs only while the doorbell is pending: a clear
 			// doorbell guarantees every send queue is empty (the last scan
 			// found them so, and enqueues since would have rung). Clearing
@@ -453,87 +504,92 @@ func (d *Device) step() {
 	}
 }
 
-// take charges the head cell, which has arrived: from its arrival, or from
-// the end of the work before it if that is later.
+// takeDue takes, up to a completed PDU, every cell the blocking loop would
+// have taken by now. Its next wake is at the end of its work or at the
+// head cell's arrival, whichever is later; woken, it takes the head and
+// every cell behind it that had arrived by its cursor then, a run of cells
+// it finds queued, before it sleeps again. Those are taken now even if
+// they arrive later, as in that loop; a cell queued while it slept waits
+// for the sleep to end.
 //
 //unetlint:hotpath runs once per arriving cell
-func (d *Device) take() {
-	a := d.in.Front()
-	d.cursor = max(d.cursor, a.arrive)
-	d.processCell(&a.c) // in place: a cell is 52 bytes
-	d.in.Pop()
+func (d *Device) takeDue() {
+	now, run := d.e.Now(), false
+	for d.pend.kind == pendNone && d.in.Len() > 0 {
+		a := d.in.Front()
+		if !run || a.arrive > d.cursor {
+			at := max(d.cursor, a.arrive) // a wake
+			if at > now {
+				return
+			}
+			d.cursor, run = at, true
+		}
+		eop := a.c.EOP
+		d.processCell(&a.c) // in place: a cell is 52 bytes
+		d.in.Pop()
+		if d.in.Len() == 0 {
+			d.eop = eopNone
+		} else if eop {
+			d.eop = eopUnknown
+		}
+	}
 }
 
-// catchUp takes, for an idle processor, the cells that have arrived by now,
-// stopping at a completed PDU. Every FIFO or table decision made while the
-// processor is idle calls it first, so it sees the FIFO and the reassembly
-// state a processor woken at each cell's arrival would have left, and a
-// cell that arrived before a table change is taken under the old route.
+// catchUp brings an idle processor's FIFO and table state to where the
+// blocking loop would have left them by now. Every FIFO or table decision
+// made while the processor is idle calls it first, so an overflow is
+// judged on the occupancy that loop would have had, and a cell that loop
+// took before a table change is taken under the old route.
 func (d *Device) catchUp() {
-	if !d.idle {
-		return
-	}
-	for now := d.e.Now(); d.pend.kind == pendNone && d.in.Len() > 0 && d.in.Front().arrive <= now; {
-		d.take()
+	if d.idle {
+		d.takeDue()
 	}
 }
 
-// arm keeps an idle processor's one wake queued for the next instant at
-// which it has something to show, given what it holds now: a completed PDU
-// pending (now), the arrival of the first EOP cell it will reach, or, with
-// the doorbell latched, the end of the work the cursor and the cells
-// arriving before that end commit it to (when it can send). With neither,
-// the last cell's arrival, so every cell is taken by the time the run
-// ends. A wake already queued for that instant stays; an intake, a doorbell
-// or a table change that moves it re-arms.
+// arm keeps an idle processor's one wake queued no later than its next
+// observable action (nextWake). A wake already queued no later than that
+// stays: woken early, the processor takes what is due, finds nothing to
+// show and arms again.
 //
 //unetlint:hotpath runs on every burst of cells, every doorbell and every idle entry
 func (d *Device) arm() {
 	if !d.idle {
 		return
 	}
-	at, ok := d.e.Now(), true
-	if d.pend.kind == pendNone {
-		at, ok = d.nextWake()
-	}
-	if d.armed && ok && d.wakeAt == at {
+	at, ok := d.nextWake()
+	if !ok || d.armed && d.wakeAt <= at {
 		return
 	}
 	if d.armed {
 		d.timeout.Cancel()
-		d.armed = false
 	}
-	if ok {
-		d.timeout, d.wakeAt, d.armed = d.e.AtArg(at, timeoutDevice, d), at, true
-	}
+	d.timeout, d.wakeAt, d.armed = d.e.AtArg(at, timeoutDevice, d), at, true
 }
 
-// nextWake walks the FIFO of an idle processor with no PDU pending, which
-// has taken every cell that arrived before now.
+// nextWake bounds from below the instant of an idle processor's next
+// observable action, from the state catchUp has brought it to. A pending
+// delivery is due at the cursor; with the doorbell latched, a send is due
+// at the cursor or now, the processor's next wake. Otherwise only a
+// completed PDU shows, and the first EOP cell in the FIFO is taken no
+// earlier than its arrival or the cursor. With none queued, the wake at
+// the last cell's arrival or the cursor takes every cell by the time the
+// run ends. A wake no earlier than the cursor and the head cell's arrival
+// takes at least that cell, so the processor gets there.
 func (d *Device) nextWake() (time.Duration, bool) {
-	c, n := d.cursor, d.in.Len()
-	for i := 0; i < n; i++ {
-		a := d.in.At(i)
-		if d.txDoorbell && a.arrive > c {
-			break // the processor is free to send before this cell arrives
-		}
-		if a.c.EOP {
-			return a.arrive, true
-		}
-		if d.txDoorbell {
-			c = max(c, a.arrive)
-			if d.route(a.c.VCI) != nil {
-				c += d.params.RxPerCell // what processCell charges a mid-PDU cell
-			}
-		}
-	}
 	switch {
-	case d.txDoorbell:
-		return max(c, d.e.Now()), true
-	case n > 0:
-		return d.in.At(n - 1).arrive, true
+	case d.pend.kind != pendNone || d.txDoorbell:
+		return max(d.cursor, d.e.Now()), true
+	case d.in.Len() == 0:
+		return 0, false
 	}
-	return 0, false
+	if d.eop == eopUnknown {
+		d.findEOP()
+	}
+	at := d.lastArrive
+	if d.eop == eopKnown {
+		at = d.eopAt
+	}
+	return max(d.cursor, d.in.Front().arrive, at), true
 }
 
 // namePanic re-raises a panic inside the processor with the device's name,
@@ -620,8 +676,8 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 // into the cursor in closed form — the device is the uplink's only sender,
 // so its committed-work horizon (NextFree) is fully known — and each cell
 // is enqueued with SendAt at exactly the time Send would have been called.
-// The processor's next wake (arm) finds it where the sleep-per-cell loop
-// would have left it.
+// The caller's synchronizing sleep lands the processor where the
+// sleep-per-cell loop would have left it.
 func (d *Device) sendCells(cells []atm.Cell) {
 	limit := time.Duration(outFIFOCells) * d.uplink.Params().CellTime
 	for i := range cells {

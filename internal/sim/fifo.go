@@ -89,6 +89,23 @@ func (r *Ring[T]) Span(n int) []T {
 	return r.head.buf[r.off:min(end, int(r.off)+n)]
 }
 
+// Seg returns the entries from the i-th oldest to the end of the chunk
+// that holds it, which lie contiguous in memory: at least one when i <
+// Len. It finds that chunk from the head, so a walk by Seg takes one step
+// per chunk it passes, not per entry.
+func (r *Ring[T]) Seg(i int) []T {
+	c, j := r.head, int(r.off)+i
+	for j >= len(c.buf) {
+		j -= len(c.buf)
+		c = c.next
+	}
+	end := len(c.buf)
+	if c == r.tail {
+		end = int(r.end)
+	}
+	return c.buf[j:end]
+}
+
 // Drop removes the k oldest entries; the ring must hold k. Their slots are
 // zeroed, so the ring keeps nothing it no longer holds alive.
 func (r *Ring[T]) Drop(k int) {
@@ -139,18 +156,6 @@ func (r *Ring[T]) release() {
 
 // Front returns the oldest element in place; the ring must not be empty.
 func (r *Ring[T]) Front() *T { return &r.head.buf[r.off] }
-
-// At returns the element i places behind the oldest, in place; the ring
-// must hold more than i elements. It walks the chunk list from the head,
-// one step per chunk passed.
-func (r *Ring[T]) At(i int) *T {
-	c, j := r.head, int(r.off)+i
-	for j >= len(c.buf) {
-		j -= len(c.buf)
-		c = c.next
-	}
-	return &c.buf[j]
-}
 
 // FIFO is a bounded or unbounded queue connecting simulated producers and
 // consumers. Processes block on Put when a bounded queue is full and on Get

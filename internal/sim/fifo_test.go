@@ -81,8 +81,12 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 			if len(span) == 0 || len(span) > want || !slices.Equal(span, twins[i][:len(span)]) {
 				t.Fatalf("step %d: ring %d Span(%d) = %v, twin starts %v", step, i, want, span, twins[i][:min(want, len(twins[i]))])
 			}
-			if j := rng.Intn(r.Len()); *r.At(j) != twins[i][j] {
-				t.Fatalf("step %d: ring %d At(%d) = %d, twin says %d", step, i, j, *r.At(j), twins[i][j])
+			for j := 0; j < r.Len(); {
+				seg := r.Seg(j)
+				if len(seg) == 0 || !slices.Equal(seg, twins[i][j:j+len(seg)]) {
+					t.Fatalf("step %d: ring %d Seg(%d) = %v, twin says %v", step, i, j, seg, twins[i][j:min(j+len(seg), len(twins[i]))])
+				}
+				j += len(seg)
 			}
 			k := rng.Intn(r.Len() + 1) // may cross chunks
 			r.Drop(k)

@@ -203,12 +203,12 @@ func TestDefaultCellTimeMatchesPeakBandwidth(t *testing.T) {
 	}
 }
 
-// TestLinkSize pins Link to the 256-byte allocator size class and its
-// in-flight ring entries to 64 bytes: a large fabric holds thousands of
-// links, each with a ring of cells on the wire, and a word more on either
-// shows up in the benchmark's alloc_mb (3% on clos64 for the ring entry).
-// What only a cross-shard receive half needs lives behind Link.rx for that
-// reason.
+// TestLinkSize pins Link to the 256-byte allocator size class and a cross
+// link's SPSC ring record (inflight) to 64 bytes: a large fabric holds
+// thousands of links, and a word more on either shows up in the
+// benchmark's alloc_mb. A link's cells on the wire are bare atm.Cells,
+// stamped once per run. What only a cross-shard receive half or a link
+// with an injector needs lives behind Link.rx or Link.imp for that reason.
 func TestLinkSize(t *testing.T) {
 	if got := unsafe.Sizeof(Link{}); got > 256 {
 		t.Errorf("sizeof(Link) = %d, want at most 256", got)

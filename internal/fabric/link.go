@@ -31,8 +31,9 @@ const DefaultPropagation = 200 * time.Nanosecond
 // defined to arrive at first + i*spacing; the sink must account for those
 // arrival times arithmetically (they are in the future for i > 0). A link
 // hands over as one train every in-flight run whose arrivals are spaced
-// exactly one CellTime apart. The cells slice is owned by the link and
-// valid only for the duration of the call.
+// exactly one CellTime apart. The cells slice may be the link's own ring
+// memory, and the link drops those cells once the call returns: a sink
+// copies what it needs, and neither keeps the slice nor writes to it.
 //
 // The contract makes trains virtual-time neutral: a sink that processes
 // cell i as if it had been handed over at first + i*spacing sees the
@@ -100,23 +101,34 @@ type Injector interface {
 	Judge(c *atm.Cell, depart time.Duration) Verdict
 }
 
-// inflight is one cell on the wire, tagged with its arrival time at the far
-// end (last bit out of the transmitter plus propagation). On a cross-shard
-// link it also says how long before that the transmitter enqueued it, which
-// orders its delivery among the receiving shard's same-instant events. The
-// lead sits in the cell's alignment padding: the in-flight rings are most
-// of a large fabric's link memory, and the struct stays at 64 bytes.
+// inflight is one cell crossing a shard boundary in a cross link's SPSC
+// ring, tagged with its arrival time at the far end (last bit out of the
+// transmitter plus propagation) and with how long before that the
+// transmitter enqueued it, which orders its delivery among the receiving
+// shard's same-instant events. The lead sits in the cell's alignment
+// padding, and the struct stays at 64 bytes.
 type inflight struct {
 	c      atm.Cell
-	lead   uint32 // arrive minus the transmitter's clock at enqueue, ns; see sent
+	lead   uint32 // arrive minus the transmitter's clock at enqueue, ns; see wireRun.sent
 	arrive time.Duration
 }
 
-// sent returns the transmitter's clock when the cell was enqueued. A cell
-// more than maxLead in flight reads as sent maxLead before its arrival.
-func (f *inflight) sent() time.Duration { return f.arrive - time.Duration(f.lead) }
-
 const maxLead = time.Duration(math.MaxUint32)
+
+// wireRun is a back-to-back run of cells in flight: n cells arriving at
+// first, first+CellTime, … A link stamps the run, not its cells; lead is
+// the run's first cell's (see inflight), all a receive half needs to arm
+// the run's delivery.
+type wireRun struct {
+	first time.Duration
+	n     int32
+	lead  uint32
+}
+
+// sent returns the transmitter's clock when the run's first cell was
+// enqueued. A cell more than maxLead in flight reads as sent maxLead before
+// its arrival.
+func (r *wireRun) sent() time.Duration { return r.first - time.Duration(r.lead) }
 
 // Link is a unidirectional serializing link: cells handed to Send depart in
 // order at line rate and are delivered to the sink one propagation delay
@@ -134,21 +146,11 @@ type Link struct {
 	p        LinkParams
 	sink     CellSink
 	nextFree time.Duration
-	inj      Injector
 	stats    LinkStats
+	imp      *impairment // nil until SetInjector
 
-	// lastArrive clamps impaired arrivals: the in-flight ring is ordered by
-	// arrival time, and a fiber never reorders, so a jittered cell delays
-	// everything behind it rather than being overtaken.
-	lastArrive time.Duration
-
-	// scratch is the private cell copy handed to the injector. It lives on
-	// the (already heap-allocated) Link so the Judge interface call never
-	// forces SendAt's cell parameter to escape — the steady-state data path
-	// stays allocation-free whether or not an injector is installed.
-	scratch atm.Cell
-
-	pend  sim.Ring[inflight] // cells on the wire, in arrival order, in the delivering engine's chunks
+	pend  sim.Ring[atm.Cell] // cells on the wire, in arrival order, in the delivering engine's cell pool
+	runs  sim.Ring[wireRun]  // pend's back-to-back runs, oldest first
 	armed bool
 	train *trainBuf // the delivering engine's DeliverTrain scratch
 
@@ -163,6 +165,23 @@ type Link struct {
 	rx   *crossRx
 }
 
+// impairment is what only a link with an injector needs, behind one
+// pointer as crossRx is.
+type impairment struct {
+	inj Injector
+
+	// lastArrive clamps impaired arrivals: the in-flight ring is ordered by
+	// arrival time, and a fiber never reorders, so a jittered cell delays
+	// everything behind it rather than being overtaken.
+	lastArrive time.Duration
+
+	// scratch is the private cell copy handed to the injector. It lives on
+	// the heap already, so the Judge interface call never forces SendAt's
+	// cell parameter to escape — the steady-state data path stays
+	// allocation-free whether or not an injector is installed.
+	scratch atm.Cell
+}
+
 // crossRx is what a receive half needs to place its delivery events in the
 // destination shard's event order. It hangs off the Link by pointer so the
 // thousands of local links of a large fabric do not pay for it.
@@ -174,11 +193,12 @@ type crossRx struct {
 	idle time.Duration
 }
 
-// trainBuf is the slice fire gathers a train into. Every link delivering on
-// one engine shares that engine's (sim.Local): fire runs only as an engine
-// event and a sink keeps no cell past DeliverTrain, so one is never in use
-// twice, and a fabric's scratch is one slice per shard, as long as its
-// busiest link's backlog, instead of one per link.
+// trainBuf is the slice fire gathers a run into when the run straddles
+// chunks of the in-flight ring. Every link delivering on one engine shares
+// that engine's (sim.Local): fire runs only as an engine event and a sink
+// keeps no cell past DeliverTrain, so one is never in use twice, and a
+// fabric's scratch is one slice per shard, as long as the longest such
+// run, instead of one per link.
 type trainBuf struct{ cells []atm.Cell }
 
 // NewLink creates a link delivering into sink.
@@ -186,7 +206,7 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
 	}
-	return &Link{e: e, name: name, p: p, sink: sink, pend: sim.NewRing[inflight](e), train: sim.Local[trainBuf](e)}
+	return &Link{e: e, name: name, p: p, sink: sink, pend: sim.NewRing[atm.Cell](e), runs: sim.NewRing[wireRun](e), train: sim.Local[trainBuf](e)}
 }
 
 // NewCrossLink creates a link whose transmitter lives in shard engine src
@@ -216,7 +236,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	if src == dst {
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
-	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[inflight](dst), train: sim.Local[trainBuf](dst)}
+	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[atm.Cell](dst), runs: sim.NewRing[wireRun](dst), train: sim.Local[trainBuf](dst)}
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
@@ -236,7 +256,8 @@ func (l *Link) Name() string { return l.name }
 // crossExchange is a cross-shard link's sim.Exchange. Drain runs on the
 // destination shard's worker while the transmitter keeps running, so it
 // takes only what the ring has published. Entries are staged into the
-// receive half's pend ring and delivered by its usual armed event.
+// receive half's pend ring and runs, and delivered by its usual armed
+// event.
 type crossExchange struct{ l *Link }
 
 func (x crossExchange) Drain() {
@@ -246,9 +267,9 @@ func (x crossExchange) Drain() {
 		if !ok {
 			break
 		}
-		peer.pend.Push(f)
+		peer.stage(f.c, f.arrive, f.lead)
 	}
-	if peer.pend.Len() > 0 && !peer.armed {
+	if peer.runs.Len() > 0 && !peer.armed {
 		peer.armed = true
 		peer.armArrival(peer.rx.idle)
 	}
@@ -268,7 +289,12 @@ func (l *Link) Stats() LinkStats { return l.stats }
 // cell at its departure time; a dropped cell consumes wire time but never
 // reaches the sink, like one discarded by a congested switch or a marginal
 // fiber.
-func (l *Link) SetInjector(inj Injector) { l.inj = inj }
+func (l *Link) SetInjector(inj Injector) {
+	if l.imp == nil {
+		l.imp = &impairment{}
+	}
+	l.imp.inj = inj
+}
 
 // Send enqueues c for transmission and returns the virtual time at which
 // its last bit leaves the transmitter. Delivery to the sink is scheduled
@@ -295,23 +321,23 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 	depart := start + l.p.CellTime
 	l.nextFree = depart
 	l.stats.CellsSent++
-	if l.inj != nil {
-		l.scratch = c
-		v := l.inj.Judge(&l.scratch, depart)
+	if m := l.imp; m != nil && m.inj != nil {
+		m.scratch = c
+		v := m.inj.Judge(&m.scratch, depart)
 		if v.Drop {
 			l.stats.CellsLost++
 			return depart
 		}
 		arrive := depart + l.p.Propagation + v.Delay
-		if arrive < l.lastArrive {
-			arrive = l.lastArrive
+		if arrive < m.lastArrive {
+			arrive = m.lastArrive
 		}
-		l.lastArrive = arrive
-		l.enqueue(l.scratch, arrive)
+		m.lastArrive = arrive
+		l.enqueue(m.scratch, arrive)
 		if v.Duplicate {
 			l.stats.CellsDuplicated++
-			l.lastArrive = arrive + l.p.CellTime
-			l.enqueue(l.scratch, l.lastArrive)
+			m.lastArrive = arrive + l.p.CellTime
+			l.enqueue(m.scratch, m.lastArrive)
 		}
 		return depart
 	}
@@ -327,53 +353,62 @@ func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 		l.ring.Push(inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
-	l.pend.Push(inflight{c: c, arrive: arrive})
+	l.stage(c, arrive, 0)
 	if !l.armed {
 		l.armed = true
 		l.e.AtArg(arrive, linkFire, l)
 	}
 }
 
+// stage queues a cell arriving at arrive: it joins the newest run if it
+// arrives exactly one CellTime after that run's last cell, and opens a run
+// otherwise.
+func (l *Link) stage(c atm.Cell, arrive time.Duration, lead uint32) {
+	l.pend.Push(c)
+	if l.runs.Len() > 0 {
+		if r := l.runs.Back(); r.first+time.Duration(r.n)*l.p.CellTime == arrive {
+			r.n++
+			return
+		}
+	}
+	l.runs.Push(wireRun{first: arrive, n: 1, lead: lead})
+}
+
 // linkFire is the static delivery callback shared by all links, so arming
 // the delivery event allocates nothing.
 func linkFire(a any) { a.(*Link).fire() }
 
-// fire delivers the front of the in-flight ring. It runs at the arrival
-// time of the oldest cell. Consecutive cells spaced exactly one CellTime
-// apart form a train, and the whole run is delivered here. Re-arming
-// happens before delivery so a sink that feeds the link again observes
-// consistent state.
+// fire delivers the oldest run in flight as one train, at its first cell's
+// arrival. A run that lies in one chunk of the in-flight ring is handed
+// over in place and dropped after DeliverTrain returns; only one that
+// straddles chunks is gathered into the engine's scratch. The run leaves
+// the runs ring and re-arming happens before delivery, so a sink that
+// feeds the link again observes consistent state and starts a new run.
 //
 //unetlint:hotpath per-train delivery; runs for every train coming off a link
 func (l *Link) fire() {
-	now := l.e.Now()
-	// A train is at most the cells in flight, so room for those is room for
-	// it, decided once instead of cell by cell.
-	if n := l.pend.Len(); len(l.train.cells) < n {
-		//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds as many cells as any of its links has had in flight at a delivery, and then never grows again
-		l.train.cells = make([]atm.Cell, max(n, 2*len(l.train.cells)))
-	}
-	train, k := l.train.cells, 0
-	for next := now; l.pend.Len() > 0; {
-		span, m := l.pend.Span(l.pend.Len()), 0
-		for m < len(span) && span[m].arrive == next {
-			train[k+m] = span[m].c
-			m++
-			next += l.p.CellTime
+	r := l.runs.Pop()
+	n := int(r.n)
+	cells := l.pend.Span(n)
+	if len(cells) < n {
+		if len(l.train.cells) < n {
+			//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds the longest run that straddles a chunk, and then never grows again
+			l.train.cells = make([]atm.Cell, max(n, 2*len(l.train.cells)))
 		}
-		l.pend.Drop(m)
-		if k += m; m < len(span) {
-			break
+		for k := 0; k < n; {
+			k += copy(l.train.cells[k:n], l.pend.Seg(k))
 		}
+		cells = l.train.cells[:n]
 	}
 	l.rearm()
-	l.sink.DeliverTrain(train[:k], now, l.p.CellTime)
+	l.sink.DeliverTrain(cells, r.first, l.p.CellTime)
+	l.pend.Drop(n)
 }
 
-// rearm schedules the next delivery, if cells remain in flight.
+// rearm schedules the next delivery, if runs remain in flight.
 func (l *Link) rearm() {
 	switch {
-	case l.pend.Len() == 0:
+	case l.runs.Len() == 0:
 		l.armed = false
 		if l.rx != nil {
 			l.rx.idle = l.e.Now()
@@ -381,19 +416,19 @@ func (l *Link) rearm() {
 	case l.rx != nil:
 		l.armArrival(l.e.Now())
 	default:
-		l.e.AtArg(l.pend.Front().arrive, linkFire, l)
+		l.e.AtArg(l.runs.Front().first, linkFire, l)
 	}
 }
 
 // armArrival arms a receive half's next delivery. A local link arms at its
 // engine's current instant; a receive half runs on another clock than its
 // transmitter, so it names the instant a local link would have armed at —
-// the previous delivery's (prev), or the head cell's send time if it went
+// the previous delivery's (prev), or the head run's send time if it went
 // onto the wire after that — and the engine files the event as if it had
 // been scheduled then.
 func (l *Link) armArrival(prev time.Duration) {
-	head := l.pend.Front()
-	l.e.ArriveArg(head.arrive, max(prev, head.sent()), l.rx.index, linkFire, l)
+	head := l.runs.Front()
+	l.e.ArriveArg(head.first, max(prev, head.sent()), l.rx.index, linkFire, l)
 }
 
 // NextFree returns the virtual time at which the transmitter finishes its

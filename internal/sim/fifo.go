@@ -157,6 +157,9 @@ func (r *Ring[T]) release() {
 // Front returns the oldest element in place; the ring must not be empty.
 func (r *Ring[T]) Front() *T { return &r.head.buf[r.off] }
 
+// Back returns the newest element in place; the ring must not be empty.
+func (r *Ring[T]) Back() *T { return &r.tail.buf[r.end-1] }
+
 // FIFO is a bounded or unbounded queue connecting simulated producers and
 // consumers. Processes block on Put when a bounded queue is full and on Get
 // when it is empty; callbacks (non-process contexts such as wire-delivery

@@ -9,10 +9,11 @@ import (
 
 // TestRingMatchesFlatTwin drives rings that share one engine's chunk pool
 // through seeded random Push, Room, Pop, Span and Drop, each ring against a
-// plain slice. The rings fill past the largest chunk and drain to empty
-// again and again. Along the way no chunk may sit in two rings, or in a
-// ring and the pool; once every ring is empty, every chunk a ring ever held
-// must be back in the pool exactly once, in its size class, zeroed.
+// plain slice, reading Front, Back and Seg along the way. The rings fill
+// past the largest chunk and drain to empty again and again. Along the way
+// no chunk may sit in two rings, or in a ring and the pool; once every ring
+// is empty, every chunk a ring ever held must be back in the pool exactly
+// once, in its size class, zeroed.
 func TestRingMatchesFlatTwin(t *testing.T) {
 	e := New(0)
 	pool := Local[chunkPool[int]](e)
@@ -97,6 +98,9 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 		}
 		if r.Len() != len(twins[i]) {
 			t.Fatalf("step %d: ring %d holds %d, twin %d", step, i, r.Len(), len(twins[i]))
+		}
+		if n := len(twins[i]); n > 0 && (*r.Front() != twins[i][0] || *r.Back() != twins[i][n-1]) {
+			t.Fatalf("step %d: ring %d has %d at the front and %d at the back, twin %d and %d", step, i, *r.Front(), *r.Back(), twins[i][0], twins[i][n-1])
 		}
 		if step%1000 == 0 {
 			owners()

@@ -267,7 +267,7 @@ func (x crossExchange) Drain() {
 		if !ok {
 			break
 		}
-		peer.stage(f.c, f.arrive, f.lead)
+		peer.stage(&f.c, f.arrive, f.lead)
 	}
 	if peer.runs.Len() > 0 && !peer.armed {
 		peer.armed = true
@@ -333,24 +333,24 @@ func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
 			arrive = m.lastArrive
 		}
 		m.lastArrive = arrive
-		l.enqueue(m.scratch, arrive)
+		l.enqueue(&m.scratch, arrive)
 		if v.Duplicate {
 			l.stats.CellsDuplicated++
 			m.lastArrive = arrive + l.p.CellTime
-			l.enqueue(m.scratch, m.lastArrive)
+			l.enqueue(&m.scratch, m.lastArrive)
 		}
 		return depart
 	}
-	l.enqueue(c, depart+l.p.Propagation)
+	l.enqueue(&c, depart+l.p.Propagation)
 	return depart
 }
 
 // enqueue hands an in-flight cell to the delivery machinery: the
 // cross-shard SPSC ring on a tx half, the local pend ring (arming the
 // delivery event) otherwise.
-func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
+func (l *Link) enqueue(c *atm.Cell, arrive time.Duration) {
 	if l.peer != nil {
-		l.ring.Push(inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
+		l.ring.Push(inflight{c: *c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
 	l.stage(c, arrive, 0)
@@ -363,8 +363,8 @@ func (l *Link) enqueue(c atm.Cell, arrive time.Duration) {
 // stage queues a cell arriving at arrive: it joins the newest run if it
 // arrives exactly one CellTime after that run's last cell, and opens a run
 // otherwise.
-func (l *Link) stage(c atm.Cell, arrive time.Duration, lead uint32) {
-	l.pend.Push(c)
+func (l *Link) stage(c *atm.Cell, arrive time.Duration, lead uint32) {
+	l.pend.Push(*c)
 	if l.runs.Len() > 0 {
 		if r := l.runs.Back(); r.first+time.Duration(r.n)*l.p.CellTime == arrive {
 			r.n++

@@ -164,9 +164,13 @@ type trainRec struct {
 type trainLog struct {
 	e      *sim.Engine
 	trains []trainRec
-	bounce interface {
-		SendAt(atm.Cell, time.Duration) time.Duration
-	}
+	bounce sender
+}
+
+// sender is what Link and stampedLink share.
+type sender interface {
+	SendAt(atm.Cell, time.Duration) time.Duration
+	SetInjector(Injector)
 }
 
 func (g *trainLog) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
@@ -264,16 +268,12 @@ func TestRunsMatchStampedScan(t *testing.T) {
 			t.Fatalf("seed %d, %s link: %d trains, the stamped scan gave %d", seed, kind, len(got), len(want))
 		}
 	}
-	type link interface {
-		SendAt(atm.Cell, time.Duration) time.Duration
-		SetInjector(Injector)
-	}
 	for seed := int64(1); seed <= 200; seed++ {
 		sends, v := stampedSchedule(rand.New(rand.NewSource(seed)), lp, false)
 		local := func(stamped bool) []trainRec {
 			e := sim.New(1)
 			log := &trainLog{e: e}
-			var l link
+			var l sender
 			if stamped {
 				l = newStampedLink(e, lp, log)
 			} else {
@@ -294,7 +294,7 @@ func TestRunsMatchStampedScan(t *testing.T) {
 			root := sim.New(1)
 			dst := root.NewShard()
 			log := &trainLog{e: dst}
-			var l link
+			var l sender
 			if stamped {
 				l = newStampedCrossLink(root, dst, lp, log)
 			} else {

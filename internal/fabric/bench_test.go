@@ -1,6 +1,7 @@
 package fabric
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -38,6 +39,39 @@ func BenchmarkLink_CellThroughput(b *testing.B) {
 	b.StopTimer()
 	if sink.cells == 0 {
 		b.Fatal("no cells delivered")
+	}
+}
+
+// BenchmarkLink_SendRun books runs of 1 cell (a serve_knee or gossip1k
+// message) and of 22 (a storm8 message) with one SendRun each, draining
+// after about 32 cells as BenchmarkLink_CellThroughput does; an op is one
+// cell, so ns/op compares with that benchmark's per-cell Send directly.
+func BenchmarkLink_SendRun(b *testing.B) {
+	for _, n := range []int{1, 22} {
+		b.Run(fmt.Sprintf("cells=%d", n), func(b *testing.B) {
+			b.ReportAllocs()
+			e := sim.New(1)
+			var sink trainCounter
+			l := NewLink(e, "bench", DefaultLinkParams(), &sink)
+			run := make([]atm.Cell, n)
+			for i := range run {
+				run[i].VCI = 5
+			}
+			per := max(1, 32/n) // runs between drains
+			b.ResetTimer()
+			for i, k := 0, 0; i < b.N; i += n {
+				l.SendRun(run, e.Now(), l.p.CellTime)
+				if k++; k == per {
+					e.Run()
+					k = 0
+				}
+			}
+			e.Run()
+			b.StopTimer()
+			if sink.cells == 0 {
+				b.Fatal("no cells delivered")
+			}
+		})
 	}
 }
 

@@ -33,7 +33,9 @@ const DefaultPropagation = 200 * time.Nanosecond
 // hands over as one train every in-flight run whose arrivals are spaced
 // exactly one CellTime apart. The cells slice may be the link's own ring
 // memory, and the link drops those cells once the call returns: a sink
-// copies what it needs, and neither keeps the slice nor writes to it.
+// copies what it needs — a chunk at a time, and stamping the train rather
+// than each cell, as the NIC's input FIFO and the switch's port queues do —
+// and neither keeps the slice nor writes to it.
 //
 // The contract makes trains virtual-time neutral: a sink that processes
 // cell i as if it had been handed over at first + i*spacing sees the
@@ -130,16 +132,18 @@ type wireRun struct {
 // its arrival.
 func (r *wireRun) sent() time.Duration { return r.first - time.Duration(r.lead) }
 
-// Link is a unidirectional serializing link: cells handed to Send depart in
-// order at line rate and are delivered to the sink one propagation delay
-// after their last bit leaves. The transmit queue is unbounded — the sender
-// (a NIC model) paces itself on NextFree, mirroring a NIC output FIFO of
-// finite depth.
+// Link is a unidirectional serializing link: cells handed to Send or SendRun
+// depart in order at line rate and are delivered to the sink one
+// propagation delay after their last bit leaves. The transmit queue is
+// unbounded — the sender (a NIC model) paces itself on NextFree, mirroring a
+// NIC output FIFO of finite depth.
 //
 // In-flight cells live in a ring ordered by arrival time (serialization
 // makes arrivals monotonic), drained by a single armed delivery event
 // instead of one event per cell; a back-to-back run — consecutive arrivals
-// spaced exactly CellTime — is handed over in one DeliverTrain call.
+// spaced exactly CellTime — is stamped once and handed over in one
+// DeliverTrain call. Senders book whole runs too: SendRun copies a run onto
+// the wire a ring chunk at a time, as a sink copies a train off it.
 type Link struct {
 	e        *sim.Engine
 	name     string
@@ -176,9 +180,9 @@ type impairment struct {
 	lastArrive time.Duration
 
 	// scratch is the private cell copy handed to the injector. It lives on
-	// the heap already, so the Judge interface call never forces SendAt's
-	// cell parameter to escape — the steady-state data path stays
-	// allocation-free whether or not an injector is installed.
+	// the heap already, so the Judge interface call never forces SendRun's
+	// cells to escape — the steady-state data path stays allocation-free
+	// whether or not an injector is installed.
 	scratch atm.Cell
 }
 
@@ -211,9 +215,9 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 
 // NewCrossLink creates a link whose transmitter lives in shard engine src
 // and whose receiver (sink) lives in shard engine dst. The returned Link is
-// the transmit half: senders use it exactly like a local link — Send/SendAt
-// serialize against nextFree, NextFree paces the output FIFO, loss applies
-// at the transmitter — but cells in flight cross the shard boundary
+// the transmit half: senders use it exactly like a local link — Send and
+// SendRun serialize against nextFree, NextFree paces the output FIFO, loss
+// applies at the transmitter — but cells in flight cross the shard boundary
 // through an SPSC ring the destination drains at its round tops, and the
 // receive half replays them through the standard in-flight ring so delivery
 // times, train grouping and the place of each delivery among the
@@ -296,53 +300,101 @@ func (l *Link) SetInjector(inj Injector) {
 	l.imp.inj = inj
 }
 
-// Send enqueues c for transmission and returns the virtual time at which
-// its last bit leaves the transmitter. Delivery to the sink is scheduled
-// automatically.
+// Send enqueues c for transmission now and returns the virtual time at
+// which its last bit leaves the transmitter: a run of one cell. Delivery to
+// the sink is scheduled automatically.
 func (l *Link) Send(c atm.Cell) time.Duration {
-	return l.SendAt(c, l.e.Now())
+	one := [1]atm.Cell{c}
+	l.SendRun(one[:], l.e.Now(), 0)
+	return l.nextFree
 }
 
-// SendAt enqueues c as if Send had been called at virtual time start (which
-// must not precede the current time). It lets a sender that has computed a
-// whole departure schedule arithmetically — a NIC draining its transmit
-// FIFO, the switch forwarding a train — enqueue the cells in one callback
-// instead of sleeping between them: serialization against nextFree yields
-// exactly the departure times the per-cell calls would have produced.
+// SendRun enqueues cells[i] as if it were handed to the transmitter at
+// virtual time start + i*spacing (never before the current time), each
+// starting when the transmitter is free of the cell ahead of it. It lets a
+// sender that has computed a whole departure schedule arithmetically — a
+// NIC draining its transmit FIFO, the switch forwarding a train — enqueue
+// the cells in one call instead of sleeping between them: serialization
+// against nextFree yields exactly the departure times per-cell sends at
+// those instants would have produced. On a local link with no injector the
+// cells are copied onto the wire a ring chunk at a time and stamped once
+// per back-to-back run; an injector judges, and a cross link's transmit
+// half pushes, cell by cell.
 //
-//unetlint:hotpath per-cell transmit; runs for every cell a NIC or switch puts on a link
-func (l *Link) SendAt(c atm.Cell, start time.Duration) time.Duration {
-	if now := l.e.Now(); start < now {
-		start = now
+//unetlint:hotpath per-run transmit; runs for every run of cells a NIC or switch puts on a link
+func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
+	if len(cells) == 0 {
+		return
 	}
-	if l.nextFree > start {
-		start = l.nextFree
+	free := max(l.nextFree, l.e.Now())
+	l.stats.CellsSent += uint64(len(cells))
+	if l.peer != nil || l.imp != nil && l.imp.inj != nil {
+		for i := range cells {
+			free = max(free, start+time.Duration(i)*spacing) + l.p.CellTime
+			l.nextFree = free
+			l.judge(&cells[i], free)
+		}
+		return
 	}
-	depart := start + l.p.CellTime
-	l.nextFree = depart
-	l.stats.CellsSent++
-	if m := l.imp; m != nil && m.inj != nil {
-		m.scratch = c
-		v := m.inj.Judge(&m.scratch, depart)
-		if v.Drop {
-			l.stats.CellsLost++
-			return depart
+	for i := 0; i < len(cells); {
+		room := l.pend.Room(len(cells) - i)
+		if len(room) == 1 {
+			room[0] = cells[i] // inline, not a call to memmove: most runs are one cell
+		} else {
+			copy(room, cells[i:])
 		}
-		arrive := depart + l.p.Propagation + v.Delay
-		if arrive < m.lastArrive {
-			arrive = m.lastArrive
-		}
-		m.lastArrive = arrive
-		l.enqueue(&m.scratch, arrive)
-		if v.Duplicate {
-			l.stats.CellsDuplicated++
-			m.lastArrive = arrive + l.p.CellTime
-			l.enqueue(&m.scratch, m.lastArrive)
-		}
-		return depart
+		i += len(room)
 	}
-	l.enqueue(&c, depart+l.p.Propagation)
-	return depart
+	var r *wireRun
+	if l.runs.Len() > 0 {
+		r = l.runs.Back()
+	}
+	for i := range cells {
+		free = max(free, start+time.Duration(i)*spacing) + l.p.CellTime
+		if r != nil && r.first+time.Duration(r.n)*l.p.CellTime == free+l.p.Propagation {
+			r.n++
+		} else {
+			l.runs.Push(wireRun{first: free + l.p.Propagation, n: 1})
+			r = l.runs.Back()
+		}
+		if spacing <= l.p.CellTime {
+			// Each later cell is handed over before the transmitter is
+			// free: the rest follow back to back, in this run.
+			rest := time.Duration(len(cells) - 1 - i)
+			r.n += int32(rest)
+			free += rest * l.p.CellTime
+			break
+		}
+	}
+	l.nextFree = free
+	if !l.armed { // the ring held no run before these
+		l.armed = true
+		l.e.AtArg(l.runs.Front().first, linkFire, l)
+	}
+}
+
+// judge hands one cell leaving at depart to the injector, if any, and the
+// cells it lets through to enqueue.
+func (l *Link) judge(c *atm.Cell, depart time.Duration) {
+	m := l.imp
+	if m == nil || m.inj == nil {
+		l.enqueue(c, depart+l.p.Propagation)
+		return
+	}
+	m.scratch = *c
+	v := m.inj.Judge(&m.scratch, depart)
+	if v.Drop {
+		l.stats.CellsLost++
+		return
+	}
+	arrive := max(depart+l.p.Propagation+v.Delay, m.lastArrive)
+	m.lastArrive = arrive
+	l.enqueue(&m.scratch, arrive)
+	if v.Duplicate {
+		l.stats.CellsDuplicated++
+		m.lastArrive = arrive + l.p.CellTime
+		l.enqueue(&m.scratch, m.lastArrive)
+	}
 }
 
 // enqueue hands an in-flight cell to the delivery machinery: the
@@ -432,7 +484,7 @@ func (l *Link) armArrival(prev time.Duration) {
 }
 
 // NextFree returns the virtual time at which the transmitter finishes its
-// committed work — the earliest start a further SendAt could get. A sender
+// committed work — the earliest start a further cell could get. A sender
 // paces itself on it: a NIC computes its output-FIFO stalls in closed form,
 // and a switch decides tail drops at a finite output queue.
 func (l *Link) NextFree() time.Duration { return l.nextFree }

@@ -65,6 +65,13 @@ func (x stampedExchange) Pending() bool { return x.l.ring.Pending() }
 
 func (l *stampedLink) SetInjector(inj Injector) { l.inj = inj }
 
+// SendRun hands cells[i] to SendAt for a start of start + i*spacing.
+func (l *stampedLink) SendRun(cells []atm.Cell, start, spacing time.Duration) {
+	for i, c := range cells {
+		l.SendAt(c, start+time.Duration(i)*spacing)
+	}
+}
+
 func (l *stampedLink) SendAt(c atm.Cell, start time.Duration) time.Duration {
 	if now := l.e.Now(); start < now {
 		start = now
@@ -169,7 +176,7 @@ type trainLog struct {
 
 // sender is what Link and stampedLink share.
 type sender interface {
-	SendAt(atm.Cell, time.Duration) time.Duration
+	SendRun(cells []atm.Cell, start, spacing time.Duration)
 	SetInjector(Injector)
 }
 
@@ -179,7 +186,7 @@ func (g *trainLog) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 		id := cellID(c)
 		r.ids = append(r.ids, id)
 		if g.bounce != nil && id < bounced && id%5 == 0 {
-			g.bounce.SendAt(idCell(id+bounced), first+time.Duration(i)*spacing)
+			g.bounce.SendRun([]atm.Cell{idCell(id + bounced)}, first+time.Duration(i)*spacing, 0)
 		}
 	}
 	g.trains = append(g.trains, r)
@@ -188,7 +195,8 @@ func (g *trainLog) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 // bounced is added to the id of a cell a trainLog sends back.
 const bounced = 10000
 
-// sendAt is one SendAt call: made in an event at at, for a start of start.
+// sendAt is a one-cell SendRun call: made in an event at at, for a start of
+// start.
 type sendAt struct {
 	at, start time.Duration
 	id        int
@@ -282,7 +290,7 @@ func TestRunsMatchStampedScan(t *testing.T) {
 			log.bounce = l
 			l.SetInjector(v)
 			for _, s := range sends {
-				e.At(s.at, func() { l.SendAt(idCell(s.id), s.start) })
+				e.At(s.at, func() { l.SendRun([]atm.Cell{idCell(s.id)}, s.start, 0) })
 			}
 			e.Run()
 			return log.trains
@@ -302,7 +310,7 @@ func TestRunsMatchStampedScan(t *testing.T) {
 			}
 			l.SetInjector(v)
 			for _, s := range sends {
-				root.At(s.at, func() { l.SendAt(idCell(s.id), s.start) })
+				root.At(s.at, func() { l.SendRun([]atm.Cell{idCell(s.id)}, s.start, 0) })
 			}
 			root.Run()
 			return log.trains

@@ -72,9 +72,9 @@ type portQueue struct {
 // fwdJob carries one run of same-route cells across the switch's forwarding
 // latency. Jobs are pooled on the switch: forwarding a train in steady
 // state allocates nothing. The job fires at the forwarding time of its
-// first cell and enqueues the rest arithmetically via SendAt — the output
-// link's serialization yields the same departure times as per-cell
-// forwarding events would have.
+// first cell and hands the run to the output link in one SendRun per ring
+// chunk — the link's serialization yields the same departure times as
+// per-cell forwarding events would have.
 type fwdJob struct {
 	s       *Switch
 	link    *Link
@@ -98,27 +98,46 @@ func fwdFire(a any) {
 	if head := q.queued - uint64(q.cells.Len()); head != j.pos {
 		panic(fmt.Sprintf("fabric: switch %s input port %d: the job for cell %d found cell %d at the head of the queue", s.name, j.in, j.pos, head))
 	}
-	// Finite output queue: if the port's committed serialization debt at
-	// the forwarding instant already covers qcells cells, a cell finds the
-	// queue full and is tail-dropped. Its arrival slot stays empty — the
-	// link is not charged for a cell that never entered the queue.
-	qlimit := time.Duration(s.qcells) * j.link.p.CellTime
 	for left := j.n; left > 0; {
 		run := q.cells.Span(left)
-		for i := range run {
-			if qlimit > 0 && j.link.NextFree()-t >= qlimit {
-				s.qdrops[j.port]++
-			} else {
-				j.link.SendAt(run[i], t)
-			}
-			t += j.spacing
-		}
+		t = s.forward(j.link, j.port, run, t, j.spacing)
 		q.cells.Drop(len(run))
 		left -= len(run)
 	}
 	j.link = nil
 	j.next = s.free
 	s.free = j
+}
+
+// forward puts cells[i], forwarded at t + i*spacing, on output port's link
+// and returns the forwarding time of the cell after them. A finite output
+// queue tail-drops a cell whose forwarding instant finds the link's
+// committed serialization debt already covering qcells cells; its arrival
+// slot stays empty, and the link is not charged for it. The debt follows
+// the link's own arithmetic, so each stretch of cells the queue accepts
+// goes to the link in one SendRun.
+func (s *Switch) forward(l *Link, port int, cells []atm.Cell, t, spacing time.Duration) time.Duration {
+	if s.qcells == 0 {
+		l.SendRun(cells, t, spacing)
+		return t + time.Duration(len(cells))*spacing
+	}
+	qlimit := time.Duration(s.qcells) * l.p.CellTime
+	free := l.NextFree()
+	for i := 0; i < len(cells); {
+		k, start := i, t
+		for ; k < len(cells) && free-t < qlimit; k++ {
+			free = max(free, t) + l.p.CellTime
+			t += spacing
+		}
+		l.SendRun(cells[i:k], start, spacing)
+		if k < len(cells) {
+			s.qdrops[port]++
+			t += spacing
+			k++
+		}
+		i = k
+	}
+	return t
 }
 
 func (s *Switch) getJob() *fwdJob {

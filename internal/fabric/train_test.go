@@ -32,7 +32,7 @@ type verdicts map[int]Verdict
 
 func (v verdicts) Judge(c *atm.Cell, _ time.Duration) Verdict { return v[cellID(*c)] }
 
-// perCellLink is what SendAt documents, one cell at a time: a cell handed
+// perCellLink is what SendRun documents, one cell at a time: a cell handed
 // over at s.at starts when the transmitter is free, leaves one CellTime
 // later, and arrives a propagation delay (plus any injected delay) after
 // that — never before the cell ahead of it. A dropped cell still uses its

@@ -2,6 +2,7 @@ package topo
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 	"time"
 
@@ -104,11 +105,13 @@ func (s *echoSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 	for i, c := range cells {
 		at := first + time.Duration(i)*spacing
 		*s.log = append(*s.log, fmt.Sprintf("%s %v vci=%d seq=%d", s.name, at, c.VCI, c.Payload[0]))
-		if s.reply != 0 {
-			r := c
-			r.VCI = s.reply
-			s.up.SendAt(r, at)
+	}
+	if s.reply != 0 {
+		replies := slices.Clone(cells)
+		for i := range replies {
+			replies[i].VCI = s.reply
 		}
+		s.up.SendRun(replies, first, spacing)
 	}
 }
 

@@ -64,12 +64,12 @@ type vciEntry struct {
 	reasm  atm.Reassembler
 }
 
-// arrival is one cell in the input FIFO, tagged with its wire arrival time.
-// Train intake stamps cells with future arrival times; the processor never
-// takes a cell before its stamp.
-type arrival struct {
-	c      atm.Cell
-	arrive time.Duration
+// inRun stamps a train in the input FIFO: its n oldest cells not yet taken
+// arrive at first, first+spacing, … Train intake stamps future arrival
+// times; the processor never takes a cell before its arrival.
+type inRun struct {
+	first, spacing time.Duration
+	n              int32
 }
 
 // delivery is the observable action the processor has charged for on its
@@ -101,14 +101,15 @@ type Device struct {
 	params Params
 	uplink *fabric.Link
 
-	// Input FIFO: timestamped cells. A bare ring (rather than a sim.FIFO)
-	// so whole cell trains can be accepted in one call with exact overflow
-	// accounting. eopAt is the arrival of its oldest EOP cell, when eop
-	// says so, and lastArrive that of its newest cell: the instants an idle
-	// processor wakes for (nextWake).
-	in         sim.Ring[arrival]
-	eopAt      time.Duration
-	lastArrive time.Duration
+	// Input FIFO: bare cells in the engine's cell pool, and beside them the
+	// trains they came in, stamped once each. Bare rings (rather than a
+	// sim.FIFO) so whole cell trains can be accepted in one call with exact
+	// overflow accounting. eopAt is the arrival of its oldest EOP cell, when
+	// eop says so: with the newest cell's, the instants an idle processor
+	// wakes for (nextWake).
+	in    sim.Ring[atm.Cell]
+	runs  sim.Ring[inRun]
+	eopAt time.Duration
 
 	// The on-board processor (step). cursor is where the work it has charged
 	// for ends: ahead of the clock while it works, and possibly while it is
@@ -117,8 +118,7 @@ type Device struct {
 	// action step sleeps for. idle means no step is queued: the cells a
 	// blocking loop would take meanwhile are taken when something next looks
 	// (catchUp), and one wake is armed (arm) no later than its next
-	// observable action — timeout, at wakeAt. The flags share one word:
-	// with its malloc header a Device just fills the 576-byte size class.
+	// observable action — timeout, at wakeAt. The flags share one word.
 	cursor  time.Duration
 	pend    delivery
 	started bool
@@ -180,6 +180,8 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 		host:   host,
 		params: params,
 		uplink: uplink,
+		in:     sim.NewRing[atm.Cell](e),
+		runs:   sim.NewRing[inRun](e),
 	}
 	return d
 }
@@ -330,13 +332,15 @@ func (d *Device) deliverCell(c atm.Cell) {
 		d.stats.InFIFODrops++
 		return
 	}
-	d.push(c, d.e.Now())
+	one := [1]atm.Cell{c}
+	d.queue(one[:], d.e.Now(), 0)
 	d.arm()
 }
 
 // DeliverTrain implements fabric.CellSink: a back-to-back run of cells is
-// queued in one call, each stamped with its arrival time (cells[i] arrives
-// at first + i*spacing; the processor will not touch it earlier).
+// queued in one call, copied a ring chunk at a time and stamped once
+// (cells[i] arrives at first + i*spacing; the processor will not touch it
+// earlier).
 //
 // Accepting the whole train up front is exact as long as it fits: FIFO
 // occupancy can only fall between now and the later cells' arrivals (the
@@ -355,22 +359,22 @@ func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 		d.deliverCell(cells[0])
 		return
 	}
-	for i := 0; i < len(cells); {
-		room := d.in.Room(len(cells) - i)
-		for k := range room {
-			at := first + time.Duration(i+k)*spacing
-			room[k] = arrival{c: cells[i+k], arrive: at}
-			d.noteArrival(cells[i+k].EOP, at)
-		}
-		i += len(room)
-	}
+	d.queue(cells, first, spacing)
 	d.arm()
 }
 
-// push queues one cell arriving at at.
-func (d *Device) push(c atm.Cell, at time.Duration) {
-	d.in.Push(arrival{c: c, arrive: at})
-	d.noteArrival(c.EOP, at)
+// queue copies a train into the FIFO a ring chunk at a time and stamps it
+// once: cells[i] arrives at first + i*spacing.
+func (d *Device) queue(cells []atm.Cell, first, spacing time.Duration) {
+	for i := 0; i < len(cells); {
+		i += copy(d.in.Room(len(cells)-i), cells[i:])
+	}
+	d.runs.Push(inRun{first: first, spacing: spacing, n: int32(len(cells))})
+	for k := 0; d.eop == eopNone && k < len(cells); k++ {
+		if cells[k].EOP {
+			d.eopAt, d.eop = first+time.Duration(k)*spacing, eopKnown
+		}
+	}
 }
 
 // What eopAt holds.
@@ -380,12 +384,11 @@ const (
 	eopUnknown        // not known since an EOP cell was taken: findEOP
 )
 
-// noteArrival records the arrival of a cell just queued.
-func (d *Device) noteArrival(eop bool, at time.Duration) {
-	if eop && d.eop == eopNone {
-		d.eopAt, d.eop = at, eopKnown
-	}
-	d.lastArrive = at
+// lastArrive returns the arrival of the FIFO's newest cell; it must not be
+// empty.
+func (d *Device) lastArrive() time.Duration {
+	r := d.runs.Back()
+	return r.first + time.Duration(r.n-1)*r.spacing
 }
 
 // findEOP finds the oldest EOP cell in the FIFO. It runs only after an EOP
@@ -395,14 +398,29 @@ func (d *Device) findEOP() {
 	for i, n := 0, d.in.Len(); i < n; {
 		seg := d.in.Seg(i)
 		for k := range seg {
-			if seg[k].c.EOP {
-				d.eopAt, d.eop = seg[k].arrive, eopKnown
+			if seg[k].EOP {
+				d.eopAt, d.eop = d.arrivalOf(i+k), eopKnown
 				return
 			}
 		}
 		i += len(seg)
 	}
 	d.eop = eopNone
+}
+
+// arrivalOf returns the arrival of the i-th oldest cell in the FIFO, which
+// must hold it.
+func (d *Device) arrivalOf(i int) time.Duration {
+	for j := 0; ; {
+		seg := d.runs.Seg(j)
+		for _, r := range seg {
+			if i < int(r.n) {
+				return r.first + time.Duration(i)*r.spacing
+			}
+			i -= int(r.n)
+		}
+		j += len(seg)
+	}
 }
 
 // delayedCell boxes one cell scheduled for future delivery, recycled
@@ -516,16 +534,22 @@ func (d *Device) step() {
 func (d *Device) takeDue() {
 	now, run := d.e.Now(), false
 	for d.pend.kind == pendNone && d.in.Len() > 0 {
-		a := d.in.Front()
-		if !run || a.arrive > d.cursor {
-			at := max(d.cursor, a.arrive) // a wake
+		r := d.runs.Front()
+		if !run || r.first > d.cursor {
+			at := max(d.cursor, r.first) // a wake
 			if at > now {
 				return
 			}
 			d.cursor, run = at, true
 		}
-		eop := a.c.EOP
-		d.processCell(&a.c) // in place: a cell is 52 bytes
+		if r.n--; r.n == 0 {
+			d.runs.Pop()
+		} else {
+			r.first += r.spacing
+		}
+		c := d.in.Front()
+		eop := c.EOP
+		d.processCell(c) // in place: a cell is 52 bytes
 		d.in.Pop()
 		if d.in.Len() == 0 {
 			d.eop = eopNone
@@ -585,11 +609,11 @@ func (d *Device) nextWake() (time.Duration, bool) {
 	if d.eop == eopUnknown {
 		d.findEOP()
 	}
-	at := d.lastArrive
+	at := d.lastArrive()
 	if d.eop == eopKnown {
 		at = d.eopAt
 	}
-	return max(d.cursor, d.in.Front().arrive, at), true
+	return max(d.cursor, d.runs.Front().first, at), true
 }
 
 // namePanic re-raises a panic inside the processor with the device's name,
@@ -671,23 +695,25 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	d.sendCells(d.txCells)
 }
 
-// sendCells puts cells on the uplink. The per-cell processor cost and the
-// output-FIFO stall (formerly a Sleep and a WaitReady per cell) are folded
-// into the cursor in closed form — the device is the uplink's only sender,
-// so its committed-work horizon (NextFree) is fully known — and each cell
-// is enqueued with SendAt at exactly the time Send would have been called.
-// The caller's synchronizing sleep lands the processor where the
-// sleep-per-cell loop would have left it.
+// sendCells puts cells on the uplink in one SendRun. The per-cell processor
+// cost and the output-FIFO stall (formerly a Sleep and a WaitReady per
+// cell) are folded into the cursor in closed form — the device is the
+// uplink's only sender, so its committed-work horizon (NextFree) is fully
+// known. Cell i is handed over at start + i*TxPerCell, where the
+// stall-per-cell loop may have handed it over later: at a TxPerCell of a
+// cell time or more only the first cell can stall, and below that a later
+// stall ends before the link is free for that cell anyway, so every
+// departure is the loop's. The cursor ends where the loop's did, at the
+// last cell's hand-over or at the stall for it. The caller's synchronizing
+// sleep lands the processor where the sleep-per-cell loop would have left
+// it.
 func (d *Device) sendCells(cells []atm.Cell) {
-	limit := time.Duration(outFIFOCells) * d.uplink.Params().CellTime
-	for i := range cells {
-		d.cursor += d.params.TxPerCell
-		if ready := d.uplink.NextFree() - limit; d.cursor < ready {
-			d.cursor = ready // stall: output FIFO full
-		}
-		d.uplink.SendAt(cells[i], d.cursor)
-		d.stats.CellsOut++
-	}
+	tx, ct := d.params.TxPerCell, d.uplink.Params().CellTime
+	limit := time.Duration(outFIFOCells) * ct
+	start := max(d.cursor+tx, d.uplink.NextFree()-limit)
+	d.uplink.SendRun(cells, start, tx)
+	d.cursor = max(start+time.Duration(len(cells)-1)*tx, d.uplink.NextFree()-ct-limit)
+	d.stats.CellsOut += uint64(len(cells))
 }
 
 // processCell accounts and processes one arriving cell, advancing the cost

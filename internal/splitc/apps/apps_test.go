@@ -1,4 +1,4 @@
-package apps_test
+package apps
 
 import (
 	"math"
@@ -9,7 +9,6 @@ import (
 	"unet/internal/machine"
 	"unet/internal/sim"
 	"unet/internal/splitc"
-	"unet/internal/splitc/apps"
 	"unet/internal/testbed"
 	"unet/internal/uam"
 )
@@ -52,9 +51,9 @@ func uamNodes(t *testing.T, n int) ([]*splitc.Node, *testbed.Testbed) {
 	return nodes, tb
 }
 
-func checkMM(t *testing.T, cfg apps.MMConfig, nnodes int, cs []map[int][]float64) {
+func checkMM(t *testing.T, cfg MMConfig, nnodes int, cs []map[int][]float64) {
 	t.Helper()
-	ref := apps.MMReference(cfg)
+	ref := mmReference(cfg)
 	g := cfg.Grid
 	for i := 0; i < g; i++ {
 		for j := 0; j < g; j++ {
@@ -74,9 +73,9 @@ func checkMM(t *testing.T, cfg apps.MMConfig, nnodes int, cs []map[int][]float64
 }
 
 func TestMatrixMultiplyCorrect(t *testing.T) {
-	cfg := apps.MMConfig{Grid: 4, Block: 16}
+	cfg := MMConfig{Grid: 4, Block: 16}
 	nodes := modelNodes(t, 4, machine.CM5Params())
-	res, cs := apps.RunMM(nodes, cfg)
+	res, cs := RunMM(nodes, cfg)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -84,9 +83,9 @@ func TestMatrixMultiplyCorrect(t *testing.T) {
 }
 
 func TestMatrixMultiplyOnUNetCluster(t *testing.T) {
-	cfg := apps.MMConfig{Grid: 2, Block: 16}
+	cfg := MMConfig{Grid: 2, Block: 16}
 	nodes, _ := uamNodes(t, 2)
-	res, cs := apps.RunMM(nodes, cfg)
+	res, cs := RunMM(nodes, cfg)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -129,20 +128,20 @@ func checkSorted(t *testing.T, parts [][]uint32, inputs []uint32, partitioned bo
 }
 
 // inputKeys regenerates the deterministic inputs the sort nodes created.
-func inputKeys(t *testing.T, cfg apps.SortConfig, n int) []uint32 {
+func inputKeys(t *testing.T, cfg SortConfig, n int) []uint32 {
 	t.Helper()
 	var all []uint32
 	for node := 0; node < n; node++ {
-		r := apps.KeysForNode(cfg, node)
+		r := KeysForNode(cfg, node)
 		all = append(all, r...)
 	}
 	return all
 }
 
 func TestSampleSortSmall(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 1000, Oversample: 32, Seed: 2}
+	cfg := SortConfig{KeysPerNode: 1000, Oversample: 32, Seed: 2}
 	nodes := modelNodes(t, 4, machine.CM5Params())
-	res, parts := apps.RunSampleSort(nodes, cfg, false)
+	res, parts := RunSampleSort(nodes, cfg, false)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -150,9 +149,9 @@ func TestSampleSortSmall(t *testing.T) {
 }
 
 func TestSampleSortBulk(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 1000, Oversample: 32, Seed: 2}
+	cfg := SortConfig{KeysPerNode: 1000, Oversample: 32, Seed: 2}
 	nodes := modelNodes(t, 4, machine.MeikoParams())
-	res, parts := apps.RunSampleSort(nodes, cfg, true)
+	res, parts := RunSampleSort(nodes, cfg, true)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -160,16 +159,16 @@ func TestSampleSortBulk(t *testing.T) {
 }
 
 func TestSampleSortBulkOnUNetCluster(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 600, Oversample: 16, Seed: 5}
+	cfg := SortConfig{KeysPerNode: 600, Oversample: 16, Seed: 5}
 	nodes, _ := uamNodes(t, 3)
-	_, parts := apps.RunSampleSort(nodes, cfg, true)
+	_, parts := RunSampleSort(nodes, cfg, true)
 	checkSorted(t, parts, inputKeys(t, cfg, 3), true)
 }
 
 func TestRadixSortSmall(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 512, Seed: 4}
+	cfg := SortConfig{KeysPerNode: 512, Seed: 4}
 	nodes := modelNodes(t, 4, machine.CM5Params())
-	res, parts := apps.RunRadixSort(nodes, cfg, false)
+	res, parts := RunRadixSort(nodes, cfg, false)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -177,9 +176,9 @@ func TestRadixSortSmall(t *testing.T) {
 }
 
 func TestRadixSortBulk(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 512, Seed: 4}
+	cfg := SortConfig{KeysPerNode: 512, Seed: 4}
 	nodes := modelNodes(t, 4, machine.CM5Params())
-	res, parts := apps.RunRadixSort(nodes, cfg, true)
+	res, parts := RunRadixSort(nodes, cfg, true)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -187,13 +186,13 @@ func TestRadixSortBulk(t *testing.T) {
 }
 
 func TestConnectedComponentsCorrect(t *testing.T) {
-	cfg := apps.CCConfig{VerticesPerNode: 256, Degree: 3, Seed: 6}
+	cfg := CCConfig{VerticesPerNode: 256, Degree: 3, Seed: 6}
 	nodes := modelNodes(t, 4, machine.CM5Params())
-	res, labels := apps.RunCC(nodes, cfg)
+	res, labels := RunCC(nodes, cfg)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
-	ref := apps.CCReference(cfg, 4)
+	ref := ccReference(cfg, 4)
 	for node, part := range labels {
 		for lv, lbl := range part {
 			gid := node*cfg.VerticesPerNode + lv
@@ -205,9 +204,9 @@ func TestConnectedComponentsCorrect(t *testing.T) {
 }
 
 func TestConjugateGradientConverges(t *testing.T) {
-	cfg := apps.CGConfig{Grid: 16, Iters: 80}
+	cfg := CGConfig{Grid: 16, Iters: 80}
 	nodes := modelNodes(t, 4, machine.MeikoParams())
-	res, residual := apps.RunCG(nodes, cfg)
+	res, residual := RunCG(nodes, cfg)
 	if res.Time <= 0 {
 		t.Fatal("no time elapsed")
 	}
@@ -218,11 +217,11 @@ func TestConjugateGradientConverges(t *testing.T) {
 }
 
 func TestCGSameResidualOnAllMachines(t *testing.T) {
-	cfg := apps.CGConfig{Grid: 16, Iters: 20}
+	cfg := CGConfig{Grid: 16, Iters: 20}
 	var first float64
 	for i, pm := range []machine.Params{machine.CM5Params(), machine.MeikoParams()} {
 		nodes := modelNodes(t, 2, pm)
-		_, res := apps.RunCG(nodes, cfg)
+		_, res := RunCG(nodes, cfg)
 		if i == 0 {
 			first = res
 		} else if res != first {
@@ -237,7 +236,7 @@ func TestCGSameResidualOnAllMachines(t *testing.T) {
 // lost that row, and the node polled for ever; a watchdog one virtual
 // second in fails the run instead of letting it spin.
 func TestCGOnUNetClusterKeepsAnEarlyHaloRow(t *testing.T) {
-	cfg := apps.CGConfig{Grid: 128, Iters: 5}
+	cfg := CGConfig{Grid: 128, Iters: 5}
 	nodes, tb := uamNodes(t, 8)
 	tb.Hosts[0].Spawn("watchdog", func(p *sim.Proc) {
 		p.Sleep(time.Second)
@@ -250,8 +249,8 @@ func TestCGOnUNetClusterKeepsAnEarlyHaloRow(t *testing.T) {
 			t.Fatal(r)
 		}
 	}()
-	_, residual := apps.RunCG(nodes, cfg)
-	_, want := apps.RunCG(modelNodes(t, 8, machine.CM5Params()), cfg)
+	_, residual := RunCG(nodes, cfg)
+	_, want := RunCG(modelNodes(t, 8, machine.CM5Params()), cfg)
 	if residual != want {
 		t.Fatalf("residual %g on U-Net ATM, %g on the CM-5 model; want the same arithmetic", residual, want)
 	}
@@ -262,12 +261,12 @@ func TestCGOnUNetClusterKeepsAnEarlyHaloRow(t *testing.T) {
 // its bulk performance. Assert the directional relationship the paper
 // reports: bulk variants help the Meiko more than the CM-5.
 func TestBulkVariantHelpsMeikoMoreThanCM5(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 2000, Oversample: 32, Seed: 7}
+	cfg := SortConfig{KeysPerNode: 2000, Oversample: 32, Seed: 7}
 	speedup := func(pm machine.Params) float64 {
 		small := modelNodes(t, 4, pm)
-		rs, _ := apps.RunSampleSort(small, cfg, false)
+		rs, _ := RunSampleSort(small, cfg, false)
 		bulk := modelNodes(t, 4, pm)
-		rb, _ := apps.RunSampleSort(bulk, cfg, true)
+		rb, _ := RunSampleSort(bulk, cfg, true)
 		return float64(rs.Time) / float64(rb.Time)
 	}
 	cm5 := speedup(machine.CM5Params())
@@ -283,8 +282,67 @@ func TestBulkVariantHelpsMeikoMoreThanCM5(t *testing.T) {
 // queued descriptor goes out as the new message's header with the old
 // message's length, and the receiver takes the truncated message in order.
 func TestRadixSortOnUNetClusterRestagesNoQueuedSlot(t *testing.T) {
-	cfg := apps.SortConfig{KeysPerNode: 16384, Seed: 1}
+	cfg := SortConfig{KeysPerNode: 16384, Seed: 1}
 	nodes, _ := uamNodes(t, 8)
-	_, parts := apps.RunRadixSort(nodes, cfg, false)
+	_, parts := RunRadixSort(nodes, cfg, false)
 	checkSorted(t, parts, inputKeys(t, cfg, 8), true)
+}
+
+// mmReference computes the reference product serially for verification.
+func mmReference(cfg MMConfig) map[int][]float64 {
+	g, b := cfg.Grid, cfg.Block
+	out := map[int][]float64{}
+	for i := 0; i < g; i++ {
+		for j := 0; j < g; j++ {
+			c := make([]float64, b*b)
+			for k := 0; k < g; k++ {
+				a := genBlock(1, i, k, b)
+				bb := genBlock(2, k, j, b)
+				for r := 0; r < b; r++ {
+					for kk := 0; kk < b; kk++ {
+						ark := a[r*b+kk]
+						for cc := 0; cc < b; cc++ {
+							c[r*b+cc] += ark * bb[kk*b+cc]
+						}
+					}
+				}
+			}
+			out[i*g+j] = c
+		}
+	}
+	return out
+}
+
+// ccReference computes components serially with union-find.
+func ccReference(cfg CCConfig, nnodes int) []uint32 {
+	total := cfg.VerticesPerNode * nnodes
+	parent := make([]uint32, total)
+	for i := range parent {
+		parent[i] = uint32(i)
+	}
+	var find func(uint32) uint32
+	find = func(x uint32) uint32 {
+		for parent[x] != x {
+			parent[x] = parent[parent[x]]
+			x = parent[x]
+		}
+		return x
+	}
+	for _, e := range ccEdges(cfg, nnodes) {
+		ra, rb := find(e[0]), find(e[1])
+		if ra != rb {
+			if ra < rb {
+				parent[rb] = ra
+			} else {
+				parent[ra] = rb
+			}
+		}
+	}
+	out := make([]uint32, total)
+	for i := range out {
+		out[i] = find(uint32(i))
+	}
+	// Normalize: the label-propagation answer is the minimum vertex id in
+	// the component, which union-by-min find yields directly.
+	return out
 }

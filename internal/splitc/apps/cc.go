@@ -154,37 +154,3 @@ func RunCC(nodes []*splitc.Node, cfg CCConfig) (Result, [][]uint32) {
 	}
 	return collect(nodes, times), out
 }
-
-// CCReference computes components serially with union-find.
-func CCReference(cfg CCConfig, nnodes int) []uint32 {
-	total := cfg.VerticesPerNode * nnodes
-	parent := make([]uint32, total)
-	for i := range parent {
-		parent[i] = uint32(i)
-	}
-	var find func(uint32) uint32
-	find = func(x uint32) uint32 {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for _, e := range ccEdges(cfg, nnodes) {
-		ra, rb := find(e[0]), find(e[1])
-		if ra != rb {
-			if ra < rb {
-				parent[rb] = ra
-			} else {
-				parent[ra] = rb
-			}
-		}
-	}
-	out := make([]uint32, total)
-	for i := range out {
-		out[i] = find(uint32(i))
-	}
-	// Normalize: the label-propagation answer is the minimum vertex id in
-	// the component, which union-by-min find yields directly.
-	return out
-}

@@ -180,28 +180,3 @@ func RunMM(nodes []*splitc.Node, cfg MMConfig) (Result, []map[int][]float64) {
 	}
 	return collect(nodes, times), cs
 }
-
-// MMReference computes the reference product serially for verification.
-func MMReference(cfg MMConfig) map[int][]float64 {
-	g, b := cfg.Grid, cfg.Block
-	out := map[int][]float64{}
-	for i := 0; i < g; i++ {
-		for j := 0; j < g; j++ {
-			c := make([]float64, b*b)
-			for k := 0; k < g; k++ {
-				a := genBlock(1, i, k, b)
-				bb := genBlock(2, k, j, b)
-				for r := 0; r < b; r++ {
-					for kk := 0; kk < b; kk++ {
-						ark := a[r*b+kk]
-						for cc := 0; cc < b; cc++ {
-							c[r*b+cc] += ark * bb[kk*b+cc]
-						}
-					}
-				}
-			}
-			out[i*g+j] = c
-		}
-	}
-	return out
-}

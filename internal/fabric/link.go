@@ -326,37 +326,22 @@ func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
 	if len(cells) == 0 {
 		return
 	}
-	free := max(l.nextFree, l.e.Now())
+	free := l.idleFrom()
 	l.stats.CellsSent += uint64(len(cells))
 	if l.peer != nil || l.imp != nil && l.imp.inj != nil {
 		for i := range cells {
-			free = max(free, start+time.Duration(i)*spacing) + l.p.CellTime
+			free = l.depart(free, start+time.Duration(i)*spacing)
 			l.nextFree = free
 			l.judge(&cells[i], free)
 		}
 		return
 	}
 	for i := 0; i < len(cells); {
-		room := l.pend.Room(len(cells) - i)
-		if len(room) == 1 {
-			room[0] = cells[i] // inline, not a call to memmove: most runs are one cell
-		} else {
-			copy(room, cells[i:])
-		}
-		i += len(room)
-	}
-	var r *wireRun
-	if l.runs.Len() > 0 {
-		r = l.runs.Back()
+		i += copy(l.pend.Room(len(cells)-i), cells[i:])
 	}
 	for i := range cells {
-		free = max(free, start+time.Duration(i)*spacing) + l.p.CellTime
-		if r != nil && r.first+time.Duration(r.n)*l.p.CellTime == free+l.p.Propagation {
-			r.n++
-		} else {
-			l.runs.Push(wireRun{first: free + l.p.Propagation, n: 1})
-			r = l.runs.Back()
-		}
+		free = l.depart(free, start+time.Duration(i)*spacing)
+		r := l.join(free+l.p.Propagation, 0)
 		if spacing <= l.p.CellTime {
 			// Each later cell is handed over before the transmitter is
 			// free: the rest follow back to back, in this run.
@@ -371,6 +356,16 @@ func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
 		l.armed = true
 		l.e.AtArg(l.runs.Front().first, linkFire, l)
 	}
+}
+
+// idleFrom returns when the transmitter is free to start a cell: the end
+// of its committed serialization, or now if it is idle.
+func (l *Link) idleFrom() time.Duration { return max(l.nextFree, l.e.Now()) }
+
+// depart returns when the last bit of a cell handed over at `at` leaves a
+// transmitter that is free from `free`: the link's one departure rule.
+func (l *Link) depart(free, at time.Duration) time.Duration {
+	return max(free, at) + l.p.CellTime
 }
 
 // judge hands one cell leaving at depart to the injector, if any, and the
@@ -412,18 +407,24 @@ func (l *Link) enqueue(c *atm.Cell, arrive time.Duration) {
 	}
 }
 
-// stage queues a cell arriving at arrive: it joins the newest run if it
-// arrives exactly one CellTime after that run's last cell, and opens a run
-// otherwise.
+// stage queues a cell arriving at arrive and books it into a run.
 func (l *Link) stage(c *atm.Cell, arrive time.Duration, lead uint32) {
 	l.pend.Push(*c)
+	l.join(arrive, lead)
+}
+
+// join books a cell already in pend that arrives at arrive: it joins the
+// newest run if it arrives exactly one CellTime after that run's last cell,
+// and opens a run otherwise. It returns the run the cell is in.
+func (l *Link) join(arrive time.Duration, lead uint32) *wireRun {
 	if l.runs.Len() > 0 {
 		if r := l.runs.Back(); r.first+time.Duration(r.n)*l.p.CellTime == arrive {
 			r.n++
-			return
+			return r
 		}
 	}
 	l.runs.Push(wireRun{first: arrive, n: 1, lead: lead})
+	return l.runs.Back()
 }
 
 // linkFire is the static delivery callback shared by all links, so arming

@@ -114,19 +114,19 @@ func fwdFire(a any) {
 // queue tail-drops a cell whose forwarding instant finds the link's
 // committed serialization debt already covering qcells cells; its arrival
 // slot stays empty, and the link is not charged for it. The debt follows
-// the link's own arithmetic, so each stretch of cells the queue accepts
-// goes to the link in one SendRun.
+// the link's own departure rule (idleFrom, depart), so each stretch of
+// cells the queue accepts goes to the link in one SendRun.
 func (s *Switch) forward(l *Link, port int, cells []atm.Cell, t, spacing time.Duration) time.Duration {
 	if s.qcells == 0 {
 		l.SendRun(cells, t, spacing)
 		return t + time.Duration(len(cells))*spacing
 	}
 	qlimit := time.Duration(s.qcells) * l.p.CellTime
-	free := l.NextFree()
+	free := l.idleFrom()
 	for i := 0; i < len(cells); {
 		k, start := i, t
 		for ; k < len(cells) && free-t < qlimit; k++ {
-			free = max(free, t) + l.p.CellTime
+			free = l.depart(free, t)
 			t += spacing
 		}
 		l.SendRun(cells[i:k], start, spacing)

@@ -12,7 +12,6 @@
 //	unetbench -shards 2            # two shard engines per simulation: same
 //	                               # output; wall-clock may go either way
 //	unetbench -experiment chaos -loss 0.01 -faultseed 7
-//	unetbench -experiment storm -shards 4 -simprof   # window profiler dump
 //	unetbench -experiment serve -serveclients 64 -servelogical 16384 -servebursty
 //	unetbench -experiment clos -topo clos3 -racks 4 -perrack 2 -spine 2 -count 4
 //	                               # all-to-all storm over a 3-stage Clos
@@ -63,7 +62,6 @@ func run(table []experiments.Experiment, args []string, stdout, stderr io.Writer
 	fs.IntVar(&o.Rounds, "rounds", o.Rounds, "ping-pong rounds per latency point")
 	fs.IntVar(&o.Count, "count", o.Count, "messages per bandwidth point (fig8: a megabyte of stream per 200)")
 	fs.IntVar(&o.Hosts, "hosts", o.Hosts, "storm: cluster size")
-	fs.BoolVar(&o.SimProf, "simprof", o.SimProf, "storm, clos: dump the per-shard window-protocol profile (wall-clock diagnostics)")
 
 	fs.StringVar(&o.Topo, "topo", o.Topo, "clos: topology shape (clos2, clos3, ring, island)")
 	fs.IntVar(&o.Racks, "racks", o.Racks, "clos: top-of-rack switches (pods×2 for clos3; islands for ring/island)")

@@ -29,6 +29,7 @@ func TestRun(t *testing.T) {
 		{"no islands", []string{"-experiment", "gossip", "-islands", "0"}, 2, "", "-islands 0"},
 		{"bad load", []string{"-experiment", "serve", "-serveloads", "1000,fast"}, 2, "", `bad -serveloads entry "fast"`},
 		{"removed -sync flag", []string{"-experiment", "table1", "-sync", "barrier"}, 2, "", "flag provided but not defined: -sync"},
+		{"removed -simprof flag", []string{"-experiment", "storm", "-shards", "2", "-simprof"}, 2, "", "flag provided but not defined: -simprof"},
 		{"negative shards", []string{"-experiment", "table1", "-shards", "-1"}, 2, "", "-shards -1: "},
 		{"negative shards, any", []string{"-experiment", "storm", "-shards", "-4"}, 2, "", "-shards -4: "},
 		// Every messenger the point row reaches, each way: the goldens pin

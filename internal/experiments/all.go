@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
 	"slices"
 	"strings"
 	"time"
@@ -12,7 +11,6 @@ import (
 	"unet/internal/ip/udp"
 	"unet/internal/kernelpath"
 	"unet/internal/nic"
-	"unet/internal/sim"
 	"unet/internal/stats"
 	"unet/internal/topo"
 	"unet/internal/uam"
@@ -20,8 +18,8 @@ import (
 
 // Experiment is one row of the evaluation. Run renders the row: report is
 // deterministic — the same Options give the same bytes, at any MaxParallel
-// — and diag carries the wall-clock lines (events/sec, -simprof) that no
-// golden compares. Run panics on Options that fail Check.
+// — and diag carries the wall-clock lines (events/sec) that no golden
+// compares. Run panics on Options that fail Check.
 type Experiment struct {
 	ID string
 	// Sharded promises that report is the same at every setting of Shards
@@ -72,9 +70,7 @@ var All = []Experiment{
 		}
 		return Chaos(plan)
 	})},
-	{ID: "storm", Sharded: true, Run: func(o Options) (string, string) {
-		return profiled(o, func() (string, sim.GroupProfile) { return Storm(o.Hosts, Shards, o.Count) })
-	}},
+	{ID: "storm", Sharded: true, Run: func(o Options) (string, string) { return Storm(o.Hosts, Shards, o.Count), "" }},
 	{ID: "serve", Sharded: true, Run: func(o Options) (string, string) {
 		base := o.Serve
 		base.Shards = Shards
@@ -91,7 +87,7 @@ var All = []Experiment{
 		mustNoErr(err, "clos topology")
 		// The storm is all-to-all: the pair experiments' per-host count is
 		// capped so the quick run stays quick.
-		return profiled(o, func() (string, sim.GroupProfile) { return TopoStorm(spec, Shards, min(o.Count, 8)) })
+		return TopoStorm(spec, Shards, min(o.Count, 8)), ""
 	}},
 	{ID: "gossip", Sharded: true, Run: func(o Options) (string, string) {
 		cfg := DefaultGossip(o.Islands)
@@ -110,8 +106,7 @@ type Options struct {
 	Paper         bool // fig5: the paper's full Split-C problem sizes
 	Rounds, Count int  // ping-pong rounds per latency point, messages per bandwidth point
 
-	Hosts   int  // storm: cluster size
-	SimProf bool // storm, clos: add the window-protocol profile to diag
+	Hosts int // storm: cluster size
 
 	Topo                  string // clos: topo.Generate's kind, and its three sizes
 	Racks, PerRack, Spine int
@@ -251,29 +246,8 @@ func rendered(f func(Options) fmt.Stringer) func(Options) (string, string) {
 	return func(o Options) (string, string) { return f(o).String() + "\n", "" }
 }
 
-// profiled is the Run of a storm row: its report, and under -simprof the
-// shards' window-protocol profile with the share of their aggregate
-// wall-clock budget spent waiting on a neighbor's clock rather than
-// simulating.
-//
-//unetlint:allow rawgo the core counts label a wall-clock profile; they never reach a report
-func profiled(o Options, storm func() (string, sim.GroupProfile)) (report, diag string) {
-	var prof sim.GroupProfile
-	wall := timed(func() { report, prof = storm() })
-	n := len(prof.Shards)
-	switch {
-	case !o.SimProf:
-		return report, ""
-	case n == 0:
-		return report, "simprof: serial run — no shard group; rerun with -shards ≥ 2\n"
-	}
-	return report, fmt.Sprintf("simprof (GOMAXPROCS=%d NumCPU=%d, wall %v):\n%ssync-wait share: %.1f%% of %d shards × %v wall\n",
-		runtime.GOMAXPROCS(0), runtime.NumCPU(), wall.Round(time.Microsecond), prof,
-		100*float64(prof.Total().BarrierWait)/(float64(wall)*float64(n)), n, wall.Round(time.Microsecond))
-}
-
-// timed returns the host wall-clock time fn took: the events/sec and
-// profile diagnostics, kept out of every report.
+// timed returns the host wall-clock time fn took: the events/sec
+// diagnostics, kept out of every report.
 //
 //unetlint:allow nondeterminism wall-clock diagnostic only; never feeds virtual time
 func timed(fn func()) time.Duration {

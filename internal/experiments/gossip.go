@@ -119,7 +119,7 @@ func gossipPeers(h, n int) []int {
 // Gossip runs the island gossip experiment. All mutable protocol state is
 // confined to each host's own process and messages travel only through
 // U-Net channels over the compiled fabric, so the result is byte-identical
-// at every shard count and under both sync protocols.
+// at every shard count.
 func Gossip(cfg GossipConfig) GossipResult {
 	spec := topo.Island(cfg.Islands, 1)
 	for j := range spec.Switches {

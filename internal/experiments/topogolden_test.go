@@ -10,11 +10,10 @@ import (
 // TestGoldenTopoSweep extends the shard-equivalence contract to
 // multi-switch fabrics: the all-to-all storm over a 64-host 2-stage Clos
 // (8 racks × 8 hosts, 2 spines; once more with enough messages per pair
-// that the cross-shard rings grow) and over a small 3-stage Clos must render
-// byte-identically — same virtual times, same stats — at shards 1, 2, 4
-// and 8, with shard placement following the topology (each rack with its
-// ToR on one shard, spines on the root engine). Only the shards= layout
-// annotation may differ.
+// that the spine trunks queue deep backlogs) and over a small 3-stage
+// Clos must render byte-identically — same virtual times, same stats — at
+// shards 1, 2, 4 and 8, with host i on shard i mod k and every switch on
+// the root engine. Only the shards= layout annotation may differ.
 func TestGoldenTopoSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("topo golden sweep is not short")
@@ -27,7 +26,7 @@ func TestGoldenTopoSweep(t *testing.T) {
 		count                 int
 	}{
 		{"clos2", 8, 8, 2, 4},
-		{"clos2", 8, 8, 2, 32}, // a ToR's uplink backlog outgrows the cross link's first ring
+		{"clos2", 8, 8, 2, 32}, // ToR-to-spine backlogs of hundreds of cells
 		{"clos3", 4, 2, 2, 4},
 	} {
 		storm := func(shards int) string {
@@ -35,8 +34,7 @@ func TestGoldenTopoSweep(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			report, _ := TopoStorm(spec, shards, tc.count)
-			return norm(report)
+			return norm(TopoStorm(spec, shards, tc.count))
 		}
 		serial := storm(0)
 		if len(serial) == 0 {

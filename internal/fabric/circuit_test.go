@@ -19,9 +19,9 @@ type circuitNet struct {
 
 func circuitNets() []circuitNet {
 	return []circuitNet{
-		{"star", topo.MustCompile(sim.New(1), topo.Star("cl", 4), nil, nil)},
-		{"clos2", topo.MustCompile(sim.New(1), topo.Clos2(4, 2, 2), nil, nil)},
-		{"clos3", topo.MustCompile(sim.New(1), topo.Clos3(2, 2, 2, 2), nil, nil)},
+		{"star", topo.MustCompile(sim.New(1), topo.Star("cl", 4), nil)},
+		{"clos2", topo.MustCompile(sim.New(1), topo.Clos2(4, 2, 2), nil)},
+		{"clos3", topo.MustCompile(sim.New(1), topo.Clos3(2, 2, 2, 2), nil)},
 	}
 }
 

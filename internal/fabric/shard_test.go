@@ -76,17 +76,20 @@ func TestCrossLinkTimingMatchesLocal(t *testing.T) {
 }
 
 func TestCrossLinkLookaheadRegistered(t *testing.T) {
-	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
+	// A group refuses to run an exchange whose pair has no lookahead
+	// (sim's TestShardPairLookaheadValidation), so a run over cross links
+	// alone completes only if each registered its own: the run is the
+	// check. Each cell lands a cell time and a propagation after it leaves.
 	root := sim.New(1)
 	dst := root.NewShard()
-	NewCrossLink(root, dst, "x", lp, &collector{})
-	if got := root.Group().Lookahead(); got != 4*us {
-		t.Fatalf("Lookahead = %v, want 4µs", got)
-	}
-	// A second, slower path must not widen the window.
-	NewCrossLink(dst, root, "y", LinkParams{CellTime: 9 * us, Propagation: 1 * us}, &collector{})
-	if got := root.Group().Lookahead(); got != 4*us {
-		t.Fatalf("Lookahead after second link = %v, want 4µs (min)", got)
+	there, back := &collector{}, &collector{}
+	x := NewCrossLink(root, dst, "x", LinkParams{CellTime: 3 * us, Propagation: 1 * us}, there)
+	y := NewCrossLink(dst, root, "y", LinkParams{CellTime: 9 * us, Propagation: 1 * us}, back)
+	root.At(0, func() { x.Send(atm.Cell{}) })
+	dst.At(0, func() { y.Send(atm.Cell{}) })
+	root.Run()
+	if !slices.Equal(there.times, []time.Duration{4 * us}) || !slices.Equal(back.times, []time.Duration{10 * us}) {
+		t.Fatalf("arrivals %v and %v, want [4µs] and [10µs]", there.times, back.times)
 	}
 }
 
@@ -110,9 +113,6 @@ func TestCrossLinkPerPairLookahead(t *testing.T) {
 	down2 := NewCrossLink(root, s2, "s-down", slow, nil)
 	down2.peer.sink = &echoSink{e: s2, up: up2, reply: 7, log: &echoes, name: "s2"}
 
-	if g.Lookahead() != 4*us {
-		t.Fatalf("Lookahead = %v, want the global min 4µs", g.Lookahead())
-	}
 	const trips = 10
 	for i := 0; i < trips; i++ {
 		at := time.Duration(i) * 500 * time.Microsecond

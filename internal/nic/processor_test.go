@@ -206,6 +206,27 @@ func TestIdleReceiverWakesOncePerPDU(t *testing.T) {
 	if e.Steps() != 5 {
 		t.Fatalf("Steps = %d, want 5", e.Steps())
 	}
+
+	// The same PDU without its EOP cell has nothing to show, but the one
+	// wake still comes at the last cell's arrival: a run that ends there
+	// has taken every cell, and a doorbell after it finds the FIFO empty.
+	e, d, ep = bareDevice(t)
+	last := 10*us + 20*ct
+	e.At(10*us, func() {
+		d.DeliverTrain(cells[:21], 10*us, ct)
+		if !d.armed || d.wakeAt != last {
+			t.Errorf("armed=%v for %v, want one wake at the last cell's arrival %v", d.armed, d.wakeAt, last)
+		}
+	})
+	e.RunUntil(last)
+	if st := d.Stats(); st.CellsIn != 21 || st.PDUsIn != 0 || d.in.Len() != 0 {
+		t.Fatalf("at %v: %+v with %d cell(s) queued; want 21 cells taken, no PDU, none queued", last, st, d.in.Len())
+	}
+	e.At(last+us, func() { d.KickTx(ep) })
+	e.Run()
+	if st := d.Stats(); st.CellsIn != 21 || st.PDUsIn != 0 || st.Doorbells != 1 || !d.idle || d.armed {
+		t.Fatalf("after the doorbell: %+v, idle=%v armed=%v; want 21 cells, no PDU, 1 ring, idle with no wake", st, d.idle, d.armed)
+	}
 }
 
 // BenchmarkDevice_IdleReceive1K is the NIC's receive rung alone: a 1 KB

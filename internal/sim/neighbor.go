@@ -181,11 +181,6 @@ func (g *Group) setup() {
 	g.waiting.Store(0)
 	g.gmin.Store(0)
 	g.ndone.Store(false)
-	for i := range g.prof {
-		if len(g.prof[i].EdgeWait) != n {
-			g.prof[i].EdgeWait = make([]time.Duration, n)
-		}
-	}
 }
 
 // runShard is the per-shard worker loop. Each round: snapshot the wake
@@ -198,9 +193,7 @@ func (g *Group) runShard(id int, limit time.Duration) {
 	prof := &g.prof[id]
 	sig := &g.sigs[id]
 	stop := stopFor(limit)
-	in := g.inEdges[id]
 	inbox := g.inbox[id]
-	minIn := g.minInLA[id]
 	for {
 		if g.ndone.Load() {
 			e.alignNow(limit)
@@ -210,30 +203,13 @@ func (g *Group) runShard(id int, limit time.Duration) {
 		// relevant change after this point bumps the epoch and aborts a
 		// subsequent wait immediately.
 		ep := sig.epoch.Load()
-
-		// Horizon from direct in-neighbors; remember the binding edge for
-		// the per-edge wait attribution.
-		h := int64(math.MaxInt64)
-		blockSrc := -1
-		for _, ed := range in {
-			if hv := satAdd(g.pub[ed.src].v.Load(), ed.la); hv < h {
-				h, blockSrc = hv, ed.src
-			}
-		}
-		floored := false
-		if len(in) > 0 && minIn != math.MaxInt64 {
-			if f := satAdd(g.gmin.Load(), minIn); f > h {
-				h = f
-				floored = true
-			}
-		}
+		h := g.horizon(id)
 
 		// Move ring traffic into the engine: drains turn published messages
 		// into arrival events, so the heap peek below already covers them.
 		for _, r := range inbox {
 			if r.ex.Pending() {
 				r.ex.Drain()
-				prof.Drains++
 			}
 		}
 
@@ -259,32 +235,37 @@ func (g *Group) runShard(id int, limit time.Duration) {
 			bound = time.Duration(h)
 		}
 		if t < int64(bound) {
-			if floored {
-				prof.FastForwards++
-			}
-			n0 := e.nsteps
 			e.runWindow(bound)
 			prof.Windows++
-			if ev := e.nsteps - n0; ev > 0 {
-				prof.Events += ev
-			} else {
-				prof.EmptyWindows++
-			}
 			continue
 		}
-		g.waitNeighbor(prof, sig, blockSrc, ep, limit)
+		g.waitNeighbor(prof, sig, ep, limit)
 	}
+}
+
+// horizon is how far shard id may run: the least in-neighbor clock plus
+// that edge's lookahead, lifted to the quiescence floor plus the least
+// in-edge lookahead.
+func (g *Group) horizon(id int) int64 {
+	h := int64(math.MaxInt64)
+	for _, ed := range g.inEdges[id] {
+		h = min(h, satAdd(g.pub[ed.src].v.Load(), ed.la))
+	}
+	if minIn := g.minInLA[id]; minIn != math.MaxInt64 {
+		h = max(h, satAdd(g.gmin.Load(), minIn))
+	}
+	return h
 }
 
 // waitNeighbor blocks a shard whose horizon has caught up with its work:
 // spin briefly, yield for a while, then park on the shard's signal until a
 // neighbor publishes, the quiescence floor moves, the run completes, or
 // the group aborts. The n-th shard to block runs the quiescence scan. The
-// wall-clock reads exist only for the profiler; nothing derived from them
-// may feed virtual time.
+// wall-clock reads exist only for the frozen bench's sim.shard_sync_wait
+// rung; nothing derived from them may feed virtual time.
 //
-//unetlint:allow nondeterminism wall-clock stall profiling only; never feeds virtual time or event order
-func (g *Group) waitNeighbor(prof *ShardProfile, sig *shardSignal, blockSrc int, ep uint64, limit time.Duration) {
+//unetlint:allow nondeterminism wall-clock wait for the bench's sim.shard_sync_wait rung only; never feeds virtual time or event order
+func (g *Group) waitNeighbor(prof *ShardProfile, sig *shardSignal, ep uint64, limit time.Duration) {
 	t0 := time.Now()
 	prof.Stalls++
 	// The generation bump must precede the waiting increment: a scan that
@@ -319,11 +300,7 @@ func (g *Group) waitNeighbor(prof *ShardProfile, sig *shardSignal, blockSrc int,
 		sig.mu.Unlock()
 	}
 	g.waiting.Add(-1)
-	d := time.Since(t0)
-	prof.BarrierWait += d
-	if blockSrc >= 0 {
-		prof.EdgeWait[blockSrc] += d
-	}
+	prof.BarrierWait += time.Since(t0)
 }
 
 // quiescentScan runs when every shard is simultaneously blocked — the only

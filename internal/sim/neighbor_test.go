@@ -2,6 +2,7 @@ package sim
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -42,8 +43,7 @@ func TestShardNeighborCrossTrafficRespectsLookahead(t *testing.T) {
 			t.Fatalf("pong %d at %v, want %v", i, pongs[i], at+2*flight)
 		}
 	}
-	total := g.Profile().Total()
-	if total.Events == 0 || total.Drains == 0 {
+	if total := g.Profile().Total(); total.Windows == 0 {
 		t.Fatalf("profile did not record work: %+v", total)
 	}
 }
@@ -204,6 +204,9 @@ func TestShardNeighborProfile(t *testing.T) {
 	root.Run()
 
 	prof := g.Profile()
+	if len(prof.Shards) != len(g.shards) {
+		t.Fatalf("profile has %d shards, the group %d", len(prof.Shards), len(g.shards))
+	}
 	total := prof.Total()
 	if total.Stalls == 0 {
 		t.Fatalf("no stalls recorded on a blocking ping-pong: %+v", total)
@@ -211,40 +214,14 @@ func TestShardNeighborProfile(t *testing.T) {
 	if total.BarrierWait == 0 {
 		t.Fatal("stalls recorded but no sync-wait time attributed")
 	}
-	// Every stall blocks on a real in-neighbor edge, so the per-edge
-	// attribution must carry the same wall-clock the totals do.
-	var edgeSum time.Duration
-	for _, p := range prof.Shards {
-		if len(p.EdgeWait) != g.Shards() {
-			t.Fatalf("shard %d EdgeWait has %d entries, want %d", p.Shard, len(p.EdgeWait), g.Shards())
-		}
-		for _, w := range p.EdgeWait {
-			edgeSum += w
-		}
-	}
-	if edgeSum == 0 {
-		t.Fatal("no wait attributed to any edge")
-	}
-	if edges := prof.WorstEdges(); len(edges) == 0 {
-		t.Fatal("WorstEdges empty despite recorded edge waits")
-	} else {
-		for i := 1; i < len(edges); i++ {
-			if edges[i].Wait > edges[i-1].Wait {
-				t.Fatal("WorstEdges not sorted worst-first")
-			}
-		}
-	}
-	if !strings.Contains(prof.String(), "edge waits") {
-		t.Fatal("profile rendering lacks the edge-wait ranking")
-	}
 }
 
 func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 	// TestShardPerPairWiderThanGlobalMin with the fast pair wired up: r and
 	// s2 ping over slow 100µs edges while s1 sits on fast 1µs edges but
-	// stays silent. Horizons derive from direct in-neighbors plus the
-	// quiescence floor, so the idle gaps must cost a handful of rounds, not
-	// a creep in 1µs lookahead steps.
+	// stays silent. Horizons derive from direct in-neighbors, so the pings
+	// cost a handful of windows, not one per 1µs lookahead step. (The
+	// quiescence floor that skips the idle gaps is TestShardHorizonFloor's.)
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
@@ -283,13 +260,36 @@ func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 			t.Fatalf("pong %d at %v, want %v", i, at, want)
 		}
 	}
-	prof := g.Profile().Total()
-	perShard := prof.Windows / uint64(g.Shards())
-	if perShard > 200 {
+	if perShard := g.Profile().Total().Windows / uint64(len(g.shards)); perShard > 200 {
 		t.Fatalf("ran %d windows per shard; a 1µs global-window creep would need ~2000", perShard)
 	}
-	if prof.FastForwards == 0 {
-		t.Fatal("no window was enabled by the quiescence floor")
+}
+
+func TestShardHorizonFloor(t *testing.T) {
+	// A shard's horizon is its least in-neighbor clock plus that edge's
+	// lookahead, and the quiescence floor lifts it to the floor plus its
+	// least in-edge lookahead. A round that only publishes runs no window,
+	// so a window count cannot see the floor: this reads the horizon.
+	root := New(1)
+	s1 := root.NewShard()
+	s2 := root.NewShard()
+	g := root.Group()
+	newRingMailbox(g, s1, root)
+	newRingMailbox(g, s2, root)
+	g.ObserveLookaheadBetween(s1, root, 5*time.Microsecond)
+	g.ObserveLookaheadBetween(s2, root, 100*time.Microsecond)
+	g.setup()
+	g.pub[1].v.Store(int64(10 * time.Microsecond))
+	g.pub[2].v.Store(int64(time.Microsecond))
+	if h := time.Duration(g.horizon(0)); h != 15*time.Microsecond {
+		t.Fatalf("horizon %v, want s1's 10µs + 5µs", h)
+	}
+	g.gmin.Store(int64(time.Millisecond))
+	if h := time.Duration(g.horizon(0)); h != time.Millisecond+5*time.Microsecond {
+		t.Fatalf("horizon %v over a 1ms floor, want 1ms + the least lookahead 5µs", h)
+	}
+	if h := g.horizon(1); h != math.MaxInt64 {
+		t.Fatalf("s1 has no in-edge, yet its horizon is %v", time.Duration(h))
 	}
 }
 

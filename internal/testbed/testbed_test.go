@@ -1,6 +1,7 @@
 package testbed
 
 import (
+	"fmt"
 	"reflect"
 	"runtime"
 	"testing"
@@ -8,48 +9,59 @@ import (
 
 	"unet/internal/atm"
 	"unet/internal/fabric"
+	"unet/internal/sim"
 	"unet/internal/topo"
 )
 
-// TestPlacementOfTheCluster: the single-switch cluster puts host i on shard
-// engine i mod min(k, hosts) and keeps the switch's links on the root, and
-// Net and Topo are one object whether or not a Topology was given.
-func TestPlacementOfTheCluster(t *testing.T) {
-	for _, k := range []int{0, 1, 2, 4, 8, 16} {
-		tb := New(Config{Hosts: 8, Shards: k})
-		if tb.Topo == nil || tb.Net != tb.Topo {
-			t.Fatalf("shards=%d: Topo %p is not what Net holds", k, tb.Topo)
-		}
-		m := min(k, 8)
-		if m <= 1 {
-			for i := range tb.Hosts {
-				if tb.Topo.HostEngine(i) != tb.Eng {
-					t.Errorf("shards=%d: host %d off the root engine of a serial testbed", k, i)
-				}
+// TestPlace: every spec is laid out by one rule. Host i runs on shard
+// engine i mod min(k, hosts), every switch transmits from the root, and
+// the run is serial when that minimum is 1 or less. Net and Topo are one
+// object whatever the layout.
+func TestPlace(t *testing.T) {
+	for _, cfg := range []Config{
+		{Hosts: 8},
+		{Hosts: 1},
+		{Topology: topo.Clos2(4, 2, 2)},
+		{Topology: topo.Island(5, 1)},
+	} {
+		for _, k := range []int{0, 1, 2, 4, 8, 16} {
+			cfg.Shards = k
+			tb := New(cfg)
+			name := fmt.Sprintf("%s of %d hosts, shards=%d", tb.Topo.Spec.Kind, len(tb.Hosts), k)
+			if tb.Net != tb.Topo {
+				t.Fatalf("%s: Topo %p is not what Net holds", name, tb.Topo)
 			}
-		} else {
-			if got := tb.Eng.Group().Shards(); got != m+1 {
-				t.Errorf("shards=%d: %d engines, want the root and %d shards", k, got, m)
+			m := min(k, len(tb.Hosts))
+			if (tb.Eng.Group() != nil) != (m > 1) {
+				t.Errorf("%s: shard group %v, want one only when min(k, hosts) = %d > 1", name, tb.Eng.Group(), m)
 			}
+			engines := map[*sim.Engine]bool{}
 			for i := range tb.Hosts {
 				e := tb.Topo.HostEngine(i)
-				if e == tb.Eng || e != tb.Topo.HostEngine(i%m) {
-					t.Errorf("shards=%d: host %d is not on host %d's shard engine", k, i, i%m)
+				engines[e] = true
+				if m <= 1 && e != tb.Eng {
+					t.Errorf("%s: host %d off the root engine of a serial testbed", name, i)
 				}
-				if i > 0 && i < m && e == tb.Topo.HostEngine(i-1) {
-					t.Errorf("shards=%d: hosts %d and %d share a shard engine", k, i-1, i)
+				if m > 1 && (e == tb.Eng || e != tb.Topo.HostEngine(i%m)) {
+					t.Errorf("%s: host %d is not on host %d's shard engine", name, i, i%m)
+				}
+				if tb.Topo.Uplink(i).Engine() != e {
+					t.Errorf("%s: host %d's uplink transmits off its host's engine", name, i)
 				}
 				if tb.Topo.Downlink(i).Engine() != tb.Eng {
-					t.Errorf("shards=%d: the switch's port %d transmits off the root", k, i)
+					t.Errorf("%s: the switch port toward host %d transmits off the root", name, i)
 				}
 			}
+			if m > 1 && len(engines) != m {
+				t.Errorf("%s: hosts on %d engines, want %d", name, len(engines), m)
+			}
+			for j := 0; j < tb.Topo.TrunkCount(); j++ {
+				if tb.Topo.TrunkLink(j).Engine() != tb.Eng {
+					t.Errorf("%s: trunk %d transmits off the root", name, j)
+				}
+			}
+			tb.Close()
 		}
-		tb.Close()
-	}
-	tb := New(Config{Topology: topo.Clos2(2, 2, 1), Shards: 2})
-	defer tb.Close()
-	if tb.Topo == nil || tb.Net != tb.Topo || len(tb.Hosts) != 4 {
-		t.Fatalf("Topology path: Topo %p is not what Net holds, or %d hosts for 4", tb.Topo, len(tb.Hosts))
 	}
 }
 

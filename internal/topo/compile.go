@@ -21,7 +21,6 @@ type Fabric struct {
 	// Switches holds the compiled switches in spec declaration order.
 	Switches []*fabric.Switch
 
-	swEng   []*sim.Engine
 	hostEng []*sim.Engine
 	uplinks []*fabric.Link
 	up      []fabric.Labels // per-host uplink label space
@@ -80,14 +79,14 @@ func (t trunkSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 }
 
 // Compile instantiates spec onto the fabric primitives. hostEng[i] is the
-// shard engine host i's NIC and processes run on and swEng[j] the engine
-// switch j forwards on (nil entries, or nil slices, mean the root
-// engine). Any edge whose endpoints live on different engines becomes a
-// cross-shard link, which registers the link latency as the pair's
-// lookahead — the trunk propagation is what keeps inter-shard windows
-// wide. Construction iterates hosts, switches and trunks strictly in
-// declared order, so two compiles of the same spec wire identical event
-// and exchange registration sequences.
+// shard engine host i's NIC and processes run on (nil entries, or a nil
+// slice, mean the root engine); every switch forwards on the root. A host
+// link whose host lives on a shard becomes a cross-shard link, which
+// registers the link latency as the pair's lookahead. Construction
+// iterates hosts, switches and trunks strictly in declared order, so two
+// compiles of the same spec wire identical event and exchange registration
+// sequences. swEng must be nil: it stays only because the frozen bench
+// calls Compile with four arguments (ROADMAP 2(l)).
 func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabric, error) {
 	if err := spec.Validate(); err != nil {
 		return nil, err
@@ -100,17 +99,13 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 	if hostEng == nil {
 		hostEng = make([]*sim.Engine, nh)
 	}
-	if swEng == nil {
-		swEng = make([]*sim.Engine, ns)
-	}
-	if len(hostEng) != nh || len(swEng) != ns {
-		return nil, fmt.Errorf("topo: %d host / %d switch engines for %d hosts / %d switches", len(hostEng), len(swEng), nh, ns)
+	if len(hostEng) != nh || swEng != nil {
+		return nil, fmt.Errorf("topo: %d host engines for %d hosts, and %d switch engines for none", len(hostEng), nh, len(swEng))
 	}
 	f := &Fabric{
 		Engine:    root,
 		Spec:      spec,
 		Switches:  make([]*fabric.Switch, ns),
-		swEng:     make([]*sim.Engine, ns),
 		hostEng:   make([]*sim.Engine, nh),
 		uplinks:   make([]*fabric.Link, nh),
 		up:        make([]fabric.Labels, nh),
@@ -121,9 +116,6 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		peerSw:    make([][]int, ns),
 		peerPort:  make([][]int, ns),
 		reach:     make([]*reach, ns),
-	}
-	for j := 0; j < ns; j++ {
-		f.swEng[j] = engineOr(swEng[j], root)
 	}
 	for i := 0; i < nh; i++ {
 		f.hostEng[i] = engineOr(hostEng[i], root)
@@ -156,8 +148,8 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 
 	// Build each switch over its pre-built output links: host ports
 	// deliver through hostPortSink, trunk ports through trunkSink into the
-	// far switch. A link whose endpoints live on different engines is a
-	// cross-shard link.
+	// far switch. A host port whose host lives on a shard is a cross-shard
+	// link.
 	hostLink, latency := spec.hostLink(), spec.switchLatency()
 	trunkLink := fabric.LinkParams{CellTime: fabric.DefaultCellTime, Propagation: DefaultTrunkPropagation}
 	for j := 0; j < ns; j++ {
@@ -165,14 +157,14 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 		var out []*fabric.Link
 		for p, host := range f.hostAt[j] {
 			lname := fmt.Sprintf("%s.port%d", swName, p)
-			out = append(out, newLinkBetween(f.swEng[j], f.hostEng[host], lname, hostLink, hostPortSink{f: f, i: host}))
+			out = append(out, newLinkBetween(root, f.hostEng[host], lname, hostLink, hostPortSink{f: f, i: host}))
 		}
 		for k, peer := range f.peerSw[j] {
 			p := len(f.hostAt[j]) + k
 			lname := fmt.Sprintf("%s.port%d", swName, p)
-			out = append(out, newLinkBetween(f.swEng[j], f.swEng[peer], lname, trunkLink, trunkSink{f: f, sw: peer, port: f.peerPort[j][k]}))
+			out = append(out, fabric.NewLink(root, lname, trunkLink, trunkSink{f: f, sw: peer, port: f.peerPort[j][k]}))
 		}
-		f.Switches[j] = fabric.NewSwitchWithLinks(f.swEng[j], swName, latency, out)
+		f.Switches[j] = fabric.NewSwitchWithLinks(root, swName, latency, out)
 		if q := spec.Switches[j].QueueCells; q > 0 {
 			f.Switches[j].SetOutputQueueCells(q)
 		}
@@ -182,15 +174,15 @@ func Compile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) (*Fabri
 	for i := range spec.Hosts {
 		sw := f.hostSw[i]
 		uname := fmt.Sprintf("%s.up%d", name, i)
-		f.uplinks[i] = newLinkBetween(f.hostEng[i], f.swEng[sw], uname, hostLink, f.Switches[sw].PortSink(f.hostPort[i]))
+		f.uplinks[i] = newLinkBetween(f.hostEng[i], root, uname, hostLink, f.Switches[sw].PortSink(f.hostPort[i]))
 	}
 
 	return f, nil
 }
 
 // MustCompile is Compile for generated specs that cannot fail validation.
-func MustCompile(root *sim.Engine, spec *Spec, hostEng, swEng []*sim.Engine) *Fabric {
-	f, err := Compile(root, spec, hostEng, swEng)
+func MustCompile(root *sim.Engine, spec *Spec, hostEng []*sim.Engine) *Fabric {
+	f, err := Compile(root, spec, hostEng, nil)
 	if err != nil {
 		panic(err)
 	}

@@ -69,8 +69,8 @@ func TestOnDemandForwardingMatchesAllPairs(t *testing.T) {
 		func() *Spec { return Ring(17, 1) },
 		func() *Spec { return Island(24, 2) }, // ring plus antipodal chords
 	} {
-		asc := MustCompile(sim.New(1), spec(), nil, nil)
-		desc := MustCompile(sim.New(1), spec(), nil, nil)
+		asc := MustCompile(sim.New(1), spec(), nil)
+		desc := MustCompile(sim.New(1), spec(), nil)
 		name := asc.Spec.Kind
 		next := allPairsNext(asc)
 		n := asc.Size()
@@ -95,7 +95,7 @@ func TestOnDemandForwardingMatchesAllPairs(t *testing.T) {
 // TestTrunkLinkIsDeclaredASide: TrunkLink(t) is the output link of trunk
 // t's A switch on the port that trunk occupies, for every declared trunk.
 func TestTrunkLinkIsDeclaredASide(t *testing.T) {
-	f := MustCompile(sim.New(1), Island(8, 2), nil, nil)
+	f := MustCompile(sim.New(1), Island(8, 2), nil)
 	seen := map[string]bool{}
 	for i, tr := range f.Spec.Trunks {
 		l := f.TrunkLink(i)

@@ -19,7 +19,7 @@ const us = time.Microsecond
 // no serial-vs-sharded golden would see it. The switch's name, atm.sw, is
 // visible as the prefix of its port links and nowhere else.
 func TestStarNames(t *testing.T) {
-	f := MustCompile(sim.New(1), Star("atm", 4), nil, nil)
+	f := MustCompile(sim.New(1), Star("atm", 4), nil)
 	if len(f.Switches) != 1 {
 		t.Fatalf("%d switches, want one", len(f.Switches))
 	}
@@ -38,7 +38,7 @@ func TestStarEndToEnd(t *testing.T) {
 	spec := Star("cl", 4)
 	spec.HostLink.CellTime = 1 * us
 	spec.SwitchLatency = 2 * us
-	f := MustCompile(e, spec, nil, nil)
+	f := MustCompile(e, spec, nil)
 	rec := &sinkRec{}
 	f.SetHostSink(2, rec)
 	if err := f.Route(0, 42, 2); err != nil {
@@ -58,7 +58,7 @@ func TestStarEndToEnd(t *testing.T) {
 
 func TestStarUndeliveredWithoutSink(t *testing.T) {
 	e := sim.New(1)
-	f := MustCompile(e, Star("cl", 2), nil, nil)
+	f := MustCompile(e, Star("cl", 2), nil)
 	if err := f.Route(0, 5, 1); err != nil { // no sink registered for host 1
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPerInputPortProtection(t *testing.T) {
 	// cannot inject cells on another pair's channel — its input port has
 	// no route for that VCI.
 	e := sim.New(1)
-	f := MustCompile(e, Star("cl", 3), nil, nil)
+	f := MustCompile(e, Star("cl", 3), nil)
 	rec := &sinkRec{}
 	f.SetHostSink(1, rec)
 	if err := f.Route(0, 40, 1); err != nil { // channel host0 → host1 on VCI 40
@@ -124,7 +124,7 @@ func runEchoStar(t *testing.T, sharded bool) []string {
 	if sharded {
 		hostEng = []*sim.Engine{root.NewShard(), root.NewShard()}
 	}
-	f := MustCompile(root, Star("cl", 2), hostEng, nil)
+	f := MustCompile(root, Star("cl", 2), hostEng)
 	if err := f.Route(0, 40, 1); err != nil {
 		t.Fatal(err)
 	}

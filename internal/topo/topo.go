@@ -27,9 +27,7 @@ import (
 
 // DefaultTrunkPropagation is the one-way flight time of an inter-switch
 // trunk: tens of rows of machine room rather than tens of meters of rack,
-// an order of magnitude beyond fabric.DefaultPropagation. Wide trunk
-// latency is what buys the shard protocol wide windows on the sparse
-// inter-rack edges — the per-pair lookahead matrix is derived from it.
+// an order of magnitude beyond fabric.DefaultPropagation.
 const DefaultTrunkPropagation = 2 * time.Microsecond
 
 // HostSpec attaches one host to a switch.
@@ -43,9 +41,7 @@ type SwitchSpec struct {
 	// Name is the switch's unique name.
 	Name string
 	// Stage is the switch's distance from the hosts: 0 for a
-	// top-of-rack/leaf switch, 1 for aggregation/spine, 2 for core. Shard
-	// placement keeps each stage-0 switch with its hosts on one shard and
-	// pins higher stages to the root engine.
+	// top-of-rack/leaf switch, 1 for aggregation/spine, 2 for core.
 	Stage int
 	// QueueCells bounds every output-port queue of this switch (tail drop
 	// on overflow); 0 keeps the queue unbounded. Per-stage bounds model

@@ -1,7 +1,6 @@
 package topo
 
 import (
-	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -109,7 +108,7 @@ func (s *sinkRec) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 func TestMultiHopDelivery(t *testing.T) {
 	e := sim.New(1)
 	spec := Clos2(2, 1, 1) // h0 on leaf0, h1 on leaf1, one spine
-	f := MustCompile(e, spec, nil, nil)
+	f := MustCompile(e, spec, nil)
 	if got := f.Path(0, 1); len(got) != 3 {
 		t.Fatalf("Path(0,1) = %v, want 3 switches (leaf0 spine0 leaf1)", got)
 	}
@@ -156,7 +155,7 @@ func TestMultiHopDelivery(t *testing.T) {
 func TestRouteInstallsPerStageEntries(t *testing.T) {
 	e := sim.New(1)
 	spec := Clos3(2, 2, 1, 2) // inter-pod paths cross 5 switches
-	f := MustCompile(e, spec, nil, nil)
+	f := MustCompile(e, spec, nil)
 	from, to := 0, f.Size()-1
 	path := f.Path(from, to)
 	if len(path) != 5 {
@@ -194,7 +193,7 @@ func TestRouteInstallsPerStageEntries(t *testing.T) {
 
 func TestForwardingSpreadsSpines(t *testing.T) {
 	spec := Clos2(4, 1, 4)
-	f := MustCompile(sim.New(1), spec, nil, nil)
+	f := MustCompile(sim.New(1), spec, nil)
 	// The rotated trunk declarations must elect different spines for
 	// different destination racks — not all paths through spine0.
 	spines := make(map[int]bool)
@@ -212,89 +211,25 @@ func TestForwardingSpreadsSpines(t *testing.T) {
 	}
 }
 
-func TestPlace(t *testing.T) {
-	spec := Clos2(8, 4, 2)
-	hostShard, swShard, shards := Place(spec, 4)
-	if shards != 4 {
-		t.Fatalf("Place(clos2 8 racks, 4) uses %d shards, want 4", shards)
-	}
-	swIdx := make(map[string]int, len(spec.Switches))
-	for j := range spec.Switches {
-		swIdx[spec.Switches[j].Name] = j
-	}
-	for i := range spec.Hosts {
-		if hostShard[i] != swShard[swIdx[spec.Hosts[i].Switch]] {
-			t.Fatalf("host %d on shard %d, its ToR on %d", i, hostShard[i], swShard[swIdx[spec.Hosts[i].Switch]])
-		}
-	}
-	for j := range spec.Switches {
-		if spec.Switches[j].Stage > 0 && swShard[j] != -1 {
-			t.Fatalf("stage-%d switch %q placed on shard %d, want root", spec.Switches[j].Stage, spec.Switches[j].Name, swShard[j])
-		}
-	}
-	// 8 ToRs over 4 shards: contiguous blocks of 2.
-	for r := 0; r < 8; r++ {
-		if got := swShard[swIdx[fmt.Sprintf("leaf%d", r)]]; got != r/2 {
-			t.Fatalf("leaf%d on shard %d, want %d", r, got, r/2)
-		}
-	}
-	if hs, ss, shards := Place(spec, 1); hs != nil || ss != nil || shards != 0 {
-		t.Fatalf("k=1: %v %v on %d shards, want the serial layout (nil, nil, 0)", hs, ss, shards)
-	}
-	// A shard never holds a fraction of a rack: 16 asked, 8 racks, 8 used.
-	if _, ss, shards := Place(spec, 16); shards != 8 || ss[swIdx["leaf7"]] != 7 {
-		t.Fatalf("Place(clos2 8 racks, 16): %d shards, leaf7 on %d; want 8 and 7", shards, ss[swIdx["leaf7"]])
-	}
-	// One rack behind a spine has nothing to cut along.
-	if hs, _, shards := Place(Clos2(1, 4, 1), 4); shards != 0 || hs != nil {
-		t.Fatalf("Place(clos2 1 rack, 4): %v on %d shards; want serial", hs, shards)
-	}
-	if hs, _, shards := Place(Star("atm", 1), 4); shards != 0 || hs != nil {
-		t.Fatalf("Place(star 1, 4): %v on %d shards; want serial", hs, shards)
-	}
-	// The one-switch rule: hosts round-robin over min(k, hosts) shards, the
-	// switch on the root.
-	star := Star("atm", 8)
-	for _, k := range []int{2, 4, 8, 16} {
-		hs, ss, shards := Place(star, k)
-		if want := min(k, 8); shards != want {
-			t.Fatalf("Place(star 8, %d) uses %d shards, want %d", k, shards, want)
-		}
-		if ss[0] != -1 {
-			t.Fatalf("Place(star 8, %d) puts the switch on shard %d, want root", k, ss[0])
-		}
-		for i, s := range hs {
-			if s != i%shards {
-				t.Fatalf("Place(star 8, %d): host %d on shard %d, want %d", k, i, s, i%shards)
-			}
-		}
-	}
-}
-
 func TestShardedCompileDeliversIdentically(t *testing.T) {
 	// The same storm of cells through a 2-shard compile must arrive with
-	// the exact times the serial compile produced.
+	// the exact times the serial compile produced. Engines are laid out as
+	// testbed.New does: host i on shard i mod k, the switches on the root.
 	run := func(k int) []time.Duration {
 		root := sim.New(7)
 		spec := Clos2(2, 2, 2)
-		hostShard, swShard, k := Place(spec, k)
-		hostEng := make([]*sim.Engine, len(spec.Hosts))
-		swEng := make([]*sim.Engine, len(spec.Switches))
-		var shards []*sim.Engine
-		for j := 0; j < k; j++ {
-			shards = append(shards, root.NewShard())
-		}
-		for i, s := range hostShard {
-			if s >= 0 {
-				hostEng[i] = shards[s]
+		var hostEng []*sim.Engine
+		if k > 1 {
+			shards := make([]*sim.Engine, k)
+			for j := range shards {
+				shards[j] = root.NewShard()
+			}
+			hostEng = make([]*sim.Engine, len(spec.Hosts))
+			for i := range hostEng {
+				hostEng[i] = shards[i%k]
 			}
 		}
-		for i, s := range swShard {
-			if s >= 0 {
-				swEng[i] = shards[s]
-			}
-		}
-		f := MustCompile(root, spec, hostEng, swEng)
+		f := MustCompile(root, spec, hostEng)
 		recs := make([]*sinkRec, f.Size())
 		for i := range recs {
 			recs[i] = &sinkRec{}
@@ -324,6 +259,9 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 			all = append(all, r.times...)
 		}
 		return all
+	}
+	if _, err := Compile(sim.New(1), Clos2(2, 2, 2), nil, make([]*sim.Engine, 6)); err == nil {
+		t.Fatal("Compile placed switches off the root engine")
 	}
 	serial := run(1)
 	sharded := run(2)

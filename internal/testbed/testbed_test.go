@@ -13,11 +13,11 @@ import (
 	"unet/internal/topo"
 )
 
-// TestPlace: every spec is laid out by one rule. Host i runs on shard
+// TestPlacementOfTheCluster: every spec is laid out by one rule. Host i runs on shard
 // engine i mod min(k, hosts), every switch transmits from the root, and
 // the run is serial when that minimum is 1 or less. Net and Topo are one
 // object whatever the layout.
-func TestPlace(t *testing.T) {
+func TestPlacementOfTheCluster(t *testing.T) {
 	for _, cfg := range []Config{
 		{Hosts: 8},
 		{Hosts: 1},

@@ -211,6 +211,64 @@ func TestForwardingSpreadsSpines(t *testing.T) {
 	}
 }
 
+// TestPlace: Compile puts each host, and the uplink it transmits on, on
+// the engine hostEng names for it (the root for a nil entry or a nil
+// slice), and every switch port and trunk on the root. It refuses a host
+// engine list of the wrong length and any switch engine.
+func TestPlace(t *testing.T) {
+	for _, spec := range []func() *Spec{
+		func() *Spec { return Star("atm", 5) },
+		func() *Spec { return Clos2(4, 2, 2) },
+		func() *Spec { return Island(6, 1) },
+	} {
+		for _, k := range []int{0, 2, 3} {
+			root := sim.New(1)
+			s := spec()
+			var hostEng []*sim.Engine
+			if k > 0 {
+				shards := make([]*sim.Engine, k)
+				for j := range shards {
+					shards[j] = root.NewShard()
+				}
+				hostEng = make([]*sim.Engine, len(s.Hosts))
+				for i := range hostEng {
+					if i%(k+1) < k { // every (k+1)th host left nil: the root
+						hostEng[i] = shards[i%(k+1)]
+					}
+				}
+			}
+			f := MustCompile(root, s, hostEng)
+			for i := 0; i < f.Size(); i++ {
+				want := root
+				if hostEng != nil && hostEng[i] != nil {
+					want = hostEng[i]
+				}
+				if f.HostEngine(i) != want {
+					t.Errorf("%s, %d shards: host %d off the engine it was given", s.Kind, k, i)
+				}
+				if f.Uplink(i).Engine() != want {
+					t.Errorf("%s, %d shards: host %d's uplink transmits off its host's engine", s.Kind, k, i)
+				}
+				if f.Downlink(i).Engine() != root {
+					t.Errorf("%s, %d shards: the switch port toward host %d transmits off the root", s.Kind, k, i)
+				}
+			}
+			for j := 0; j < f.TrunkCount(); j++ {
+				if f.TrunkLink(j).Engine() != root {
+					t.Errorf("%s, %d shards: trunk %d transmits off the root", s.Kind, k, j)
+				}
+			}
+		}
+		s := spec()
+		if _, err := Compile(sim.New(1), s, make([]*sim.Engine, len(s.Hosts)+1), nil); err == nil {
+			t.Errorf("%s: Compile took one host engine too many", s.Kind)
+		}
+		if _, err := Compile(sim.New(1), s, nil, make([]*sim.Engine, len(s.Switches))); err == nil {
+			t.Errorf("%s: Compile placed switches off the root engine", s.Kind)
+		}
+	}
+}
+
 func TestShardedCompileDeliversIdentically(t *testing.T) {
 	// The same storm of cells through a 2-shard compile must arrive with
 	// the exact times the serial compile produced. Engines are laid out as
@@ -259,9 +317,6 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 			all = append(all, r.times...)
 		}
 		return all
-	}
-	if _, err := Compile(sim.New(1), Clos2(2, 2, 2), nil, make([]*sim.Engine, 6)); err == nil {
-		t.Fatal("Compile placed switches off the root engine")
 	}
 	serial := run(1)
 	sharded := run(2)

@@ -198,11 +198,14 @@ type crossRx struct {
 }
 
 // trainBuf is the slice fire gathers a run into when the run straddles
-// chunks of the in-flight ring. Every link delivering on one engine shares
-// that engine's (sim.Local): fire runs only as an engine event and a sink
-// keeps no cell past DeliverTrain, so one is never in use twice, and a
-// fabric's scratch is one slice per shard, as long as the longest such
-// run, instead of one per link.
+// chunks of the in-flight ring. SendRun and a receive half's Drain queue a
+// run into a chunk sized for it, so only a run longer than a chunk's 128
+// cells, one queued behind a partly filled tail chunk or one an injector
+// judged cell by cell straddles. Every link delivering on one engine
+// shares that engine's (sim.Local): fire runs only as an engine event and a
+// sink keeps no cell past DeliverTrain, so one is never in use twice, and a
+// fabric's scratch is one slice per shard, as long as the longest such run,
+// instead of one per link.
 type trainBuf struct{ cells []atm.Cell }
 
 // NewLink creates a link delivering into sink.
@@ -259,19 +262,21 @@ func (l *Link) Name() string { return l.name }
 
 // crossExchange is a cross-shard link's sim.Exchange. Drain runs on the
 // destination shard's worker while the transmitter keeps running, so it
-// takes only what the ring has published. Entries are staged into the
-// receive half's pend ring and runs, and delivered by its usual armed
-// event.
+// takes only what the ring has published. It stages each published batch
+// into the receive half's pend ring with one Room call a chunk, so a train
+// lies in one chunk as on a local link; the cells join runs there and the
+// usual armed event delivers them.
 type crossExchange struct{ l *Link }
 
 func (x crossExchange) Drain() {
 	peer := x.l.peer
-	for {
-		f, ok := x.l.ring.Pop()
-		if !ok {
-			break
+	for n := x.l.ring.Len(); n > 0; n = x.l.ring.Len() {
+		room := peer.pend.Room(n)
+		for i := range room {
+			f, _ := x.l.ring.Pop()
+			room[i] = f.c
+			peer.join(f.arrive, f.lead)
 		}
-		peer.stage(&f.c, f.arrive, f.lead)
 	}
 	if peer.runs.Len() > 0 && !peer.armed {
 		peer.armed = true
@@ -400,17 +405,12 @@ func (l *Link) enqueue(c *atm.Cell, arrive time.Duration) {
 		l.ring.Push(inflight{c: *c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
-	l.stage(c, arrive, 0)
+	l.pend.Push(*c)
+	l.join(arrive, 0)
 	if !l.armed {
 		l.armed = true
 		l.e.AtArg(arrive, linkFire, l)
 	}
-}
-
-// stage queues a cell arriving at arrive and books it into a run.
-func (l *Link) stage(c *atm.Cell, arrive time.Duration, lead uint32) {
-	l.pend.Push(*c)
-	l.join(arrive, lead)
 }
 
 // join books a cell already in pend that arrives at arrive: it joins the

@@ -324,7 +324,10 @@ func TestRunsMatchStampedScan(t *testing.T) {
 
 // TestRunInOneChunkIsHandedOverInPlace: a run that lies in one chunk of the
 // in-flight ring reaches the sink as that chunk's memory, allocates nothing
-// and leaves the engine's train scratch as it was.
+// and leaves the engine's train scratch as it was. One SendRun on an idle
+// link queues its run into a chunk sized for it, up to the largest chunk's
+// 128 cells, and a cross link's receive half takes a published train with
+// one Room call, so a 1 KB message's 22 cells arrive in place either way.
 func TestRunInOneChunkIsHandedOverInPlace(t *testing.T) {
 	e := sim.New(1)
 	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
@@ -344,20 +347,40 @@ func TestRunInOneChunkIsHandedOverInPlace(t *testing.T) {
 	if sink.trains != 12 || sink.copied != 0 {
 		t.Errorf("%d of %d trains were copied before delivery, want 0 of 12", sink.copied, sink.trains)
 	}
+	for _, n := range []int{22, 128} {
+		*sink = inPlace{l: l}
+		l.SendRun(make([]atm.Cell, n), e.Now(), 0)
+		e.Run()
+		if sink.trains != 1 || sink.cells != n || sink.copied != 0 {
+			t.Errorf("a %d-cell SendRun reached the sink as %d trains of %d cells in all, %d of them copied; want one in place", n, sink.trains, sink.cells, sink.copied)
+		}
+	}
 	if len(l.train.cells) != 0 {
 		t.Errorf("the engine's train scratch grew to %d cells for runs that lie in one chunk", len(l.train.cells))
 	}
+
+	root := sim.New(1)
+	dst := root.NewShard()
+	far := &inPlace{}
+	x := NewCrossLink(root, dst, "x", lp, far)
+	far.l = x.peer
+	x.SendRun(make([]atm.Cell, 22), 0, 0)
+	root.Run()
+	if far.trains != 1 || far.cells != 22 || far.copied != 0 || len(x.peer.train.cells) != 0 {
+		t.Errorf("a 22-cell train through a cross link reached the sink as %d trains of %d cells in all, %d copied, the scratch at %d cells; want one in place", far.trains, far.cells, far.copied, len(x.peer.train.cells))
+	}
 }
 
-// inPlace counts the trains it is handed that are not the front of its
-// link's in-flight ring.
+// inPlace counts the trains it is handed, their cells, and the trains that
+// are not the front of its link's in-flight ring.
 type inPlace struct {
-	l              *Link
-	trains, copied int
+	l                     *Link
+	trains, cells, copied int
 }
 
 func (s *inPlace) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
 	s.trains++
+	s.cells += len(cells)
 	if front := s.l.pend.Span(len(cells)); len(front) != len(cells) || &front[0] != &cells[0] {
 		s.copied++
 	}

@@ -161,8 +161,16 @@ type Device struct {
 	// overflow fallback, replacing a per-cell closure allocation.
 	dcFree *delayedCell
 
-	txCells []atm.Cell // segmentation scratch, reused across sends
-	txData  []byte     // DMA/header staging scratch, reused across sends
+	tx *txScratch // the engine's transmit scratch
+}
+
+// txScratch is what handleTx segments a message into (cells) and stages its
+// DMA and header bytes in (data). Every device on one engine shares that
+// engine's (sim.Local): nothing yields between filling it and SendRun's
+// copy, so one is never in use twice.
+type txScratch struct {
+	cells []atm.Cell
+	data  []byte
 }
 
 var _ unet.Device = (*Device)(nil)
@@ -182,6 +190,7 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 		uplink: uplink,
 		in:     sim.NewRing[atm.Cell](e),
 		runs:   sim.NewRing[inRun](e),
+		tx:     sim.Local[txScratch](e),
 	}
 	return d
 }
@@ -672,27 +681,28 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	d.stats.PDUsOut++
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
 		d.cursor += txSingleCell
-		d.txCells = atm.SegmentAppend(d.txCells[:0], tx, desc.Inline)
-		d.sendCells(d.txCells)
+		d.tx.cells = atm.SegmentAppend(d.tx.cells[:0], tx, desc.Inline)
+		d.sendCells(d.tx.cells)
 		return
 	}
-	d.txData = d.txData[:0]
+	data := d.tx.data[:0]
 	if desc.Direct {
-		d.txData = binary.BigEndian.AppendUint64(d.txData, uint64(desc.DstOffset))
+		data = binary.BigEndian.AppendUint64(data, uint64(desc.DstOffset))
 	}
 	if desc.Inline != nil {
-		d.txData = append(d.txData, desc.Inline...) // fast path absent on this device
+		data = append(data, desc.Inline...) // fast path absent on this device
 	} else {
-		d.txData = ep.DevReadSegmentAppend(d.txData, desc.Offset, desc.Length)
+		data = ep.DevReadSegmentAppend(data, desc.Offset, desc.Length)
 	}
+	d.tx.data = data
 	d.cursor += d.params.TxFixed
-	d.txCells = atm.SegmentAppend(d.txCells[:0], tx, d.txData)
+	d.tx.cells = atm.SegmentAppend(d.tx.cells[:0], tx, data)
 	if desc.Direct {
-		for i := range d.txCells {
-			d.txCells[i].Direct = true
+		for i := range d.tx.cells {
+			d.tx.cells[i].Direct = true
 		}
 	}
-	d.sendCells(d.txCells)
+	d.sendCells(d.tx.cells)
 }
 
 // sendCells puts cells on the uplink in one SendRun. The per-cell processor

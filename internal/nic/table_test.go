@@ -49,3 +49,12 @@ func TestOpenChannelGrowthIsAmortised(t *testing.T) {
 		}
 	}
 }
+
+// TestDeviceSize pins the device to the 576-byte allocator size class: a
+// fabric builds one per host (clos64 builds 64 a repetition), and a 577th
+// byte would put each in the 640-byte class.
+func TestDeviceSize(t *testing.T) {
+	if got := unsafe.Sizeof(Device{}); got > 576 {
+		t.Fatalf("sizeof(Device) = %d, want at most 576", got)
+	}
+}

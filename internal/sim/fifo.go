@@ -3,14 +3,16 @@ package sim
 import "math/bits"
 
 // Ring is an unbounded first-in, first-out queue over a list of chunks of 4,
-// 8, … or 128 entries, each at most half of what the ring holds when it is
-// taken (once that is 16 or more), so a ring holds little more than its
-// entries. Chunks come from a pool and go back to it as they drain, so
-// steady-state traffic allocates nothing. NewRing shares one pool per type
-// and engine, and an empty ring of it holds nothing. The zero value has a
-// pool of its own and keeps its last chunk. It is the one queue under a
-// FIFO, a link's cells in flight, a switch port's cells waiting to be
-// forwarded and a NIC's input FIFO; bounds and wake-ups are its owners'.
+// 8, … or 128 entries. A new chunk is the smallest that holds the run being
+// queued, up to 128 entries, but no smaller than the ring's length alone
+// calls for (up to half of it, once that is 16 or more): a run queued at a
+// full tail lies in one chunk, and a ring holds little more than its
+// entries and its newest run. Chunks come from a pool and go back to it as
+// they drain, so steady-state traffic allocates nothing. NewRing shares one
+// pool per type and engine, and an empty ring of it holds nothing. The zero
+// value has a pool of its own and keeps its last chunk. It is the one queue
+// under a FIFO, a link's cells in flight, a switch port's cells waiting to
+// be forwarded and a NIC's input FIFO; bounds and wake-ups are its owners'.
 type Ring[T any] struct {
 	pool       *chunkPool[T]
 	head, tail *chunk[T] // every chunk but the tail is full
@@ -41,11 +43,13 @@ func (r *Ring[T]) Len() int { return int(r.n) }
 // storm about a tenth of its time.
 func (r *Ring[T]) Push(v T) { r.Room(1)[0] = v }
 
-// Room appends up to n slots, at least one, that lie contiguous in memory
-// and returns them for the caller to fill; they count in Len at once.
+// Room appends up to n ≥ 1 slots, at least one, that lie contiguous in
+// memory and returns them for the caller to fill; they count in Len at
+// once. It returns all n, up to 128, unless the tail chunk has some slots
+// left but fewer than n.
 func (r *Ring[T]) Room(n int) []T {
 	if r.tail == nil || int(r.end) == len(r.tail.buf) {
-		r.grow()
+		r.grow(n)
 	}
 	s := r.tail.buf[r.end:min(len(r.tail.buf), int(r.end)+n)]
 	r.end += int32(len(s))
@@ -53,14 +57,15 @@ func (r *Ring[T]) Room(n int) []T {
 	return s
 }
 
-// grow links a chunk from the pool after the tail.
+// grow links a chunk from the pool after the tail: the smallest that holds
+// want entries, up to the largest, and no smaller than the length's class.
 //
 //unetlint:allow hotpathalloc a pool runs dry only until it holds its peak of queued entries, and a zero-value ring makes its own pool once; every later chunk is one a drained ring gave back
-func (r *Ring[T]) grow() {
+func (r *Ring[T]) grow(want int) {
 	if r.pool == nil {
 		r.pool, r.own = new(chunkPool[T]), true
 	}
-	class := min(bits.Len(uint(r.n)>>4), chunkClasses-1)
+	class := min(max(bits.Len(uint(r.n)>>4), bits.Len(uint(want-1)>>2)), chunkClasses-1)
 	c := r.pool.free[class]
 	if c == nil {
 		c = &chunk[T]{buf: make([]T, 4<<class)}

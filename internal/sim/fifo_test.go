@@ -156,3 +156,57 @@ func TestZeroRingKeepsItsChunks(t *testing.T) {
 		t.Fatalf("refilling a drained ring allocated %.0f times, want 0", allocs)
 	}
 }
+
+// TestRoomHoldsARunInOneChunk: a run queued at a full tail lies in one
+// chunk, of the smallest size that holds it, up to 128 entries, and never
+// smaller than the largest power of two within half the ring's length
+// (once that is 16 or more), which is what bounds a long ring's slack.
+// Both a pooled ring and a zero-value one.
+func TestRoomHoldsARunInOneChunk(t *testing.T) {
+	e := New(0)
+	rings := map[string]func() Ring[int]{
+		"NewRing": func() Ring[int] { return NewRing[int](e) },
+		"zero":    func() Ring[int] { return Ring[int]{} },
+	}
+	for name, fresh := range rings {
+		for n := 1; n <= 128; n++ {
+			r := fresh()
+			if got := len(r.Room(n)); got != n {
+				t.Fatalf("%s: Room(%d) on an empty ring returned %d slots", name, n, got)
+			}
+			r.Drop(n)
+		}
+		r := fresh()
+		if got := len(r.Room(200)); got != 128 {
+			t.Fatalf("%s: Room(200) on an empty ring returned %d slots, want 128", name, got)
+		}
+		for m := 16; m <= 600; m++ {
+			for _, n := range []int{1, 3, 22, 128, 200} {
+				r := fresh()
+				for r.Len() < m {
+					r.Room(m - r.Len())
+				}
+				if free := len(r.tail.buf) - int(r.end); free > 0 {
+					r.Room(free) // fill the tail
+				}
+				held := r.Len()
+				half := 1
+				for 2*half <= held/2 {
+					half *= 2
+				}
+				run := 4
+				for run < n {
+					run *= 2
+				}
+				want := min(max(half, run), 128)
+				if got := len(r.Room(n)); got != min(n, 128) {
+					t.Fatalf("%s: Room(%d) on a ring of %d with a full tail returned %d slots", name, n, held, got)
+				}
+				if got := len(r.tail.buf); got != want {
+					t.Fatalf("%s: Room(%d) on a ring of %d took a %d-entry chunk, want %d", name, n, held, got, want)
+				}
+				r.Drop(r.Len())
+			}
+		}
+	}
+}

@@ -109,6 +109,10 @@ func (q *SPSC[T]) Pop() (T, bool) {
 	return v, true
 }
 
+// Len returns the number of entries published and not yet popped: that
+// many Pops in a row succeed, whatever the producer does. Consumer only.
+func (q *SPSC[T]) Len() int { return int(q.tail.Load() - q.head.Load()) }
+
 // Pending reports whether any entry is outstanding. Safe from any
 // goroutine; the group's quiescence scan relies on it.
 func (q *SPSC[T]) Pending() bool {

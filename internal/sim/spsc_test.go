@@ -17,6 +17,9 @@ func TestSPSCWraparound(t *testing.T) {
 		for i := 0; i < q.Cap(); i++ {
 			q.Push(next + i)
 		}
+		if q.Len() != q.Cap() {
+			t.Fatalf("round %d: Len() = %d after %d pushes", round, q.Len(), q.Cap())
+		}
 		for i := 0; i < q.Cap(); i++ {
 			v, ok := q.Pop()
 			if !ok || v != next+i {
@@ -28,8 +31,8 @@ func TestSPSCWraparound(t *testing.T) {
 	if q.Cap() != 8 {
 		t.Fatalf("Cap() = %d after wrapping a ring that never filled past 8, want 8", q.Cap())
 	}
-	if _, ok := q.Pop(); ok {
-		t.Fatal("Pop() on empty ring returned ok")
+	if _, ok := q.Pop(); ok || q.Len() != 0 {
+		t.Fatalf("Pop() on empty ring returned ok %v, Len() = %d", ok, q.Len())
 	}
 	if q.Pending() {
 		t.Fatal("Pending() true on empty ring")

@@ -31,11 +31,12 @@ const DefaultPropagation = 200 * time.Nanosecond
 // defined to arrive at first + i*spacing; the sink must account for those
 // arrival times arithmetically (they are in the future for i > 0). A link
 // hands over as one train every in-flight run whose arrivals are spaced
-// exactly one CellTime apart. The cells slice may be the link's own ring
-// memory, and the link drops those cells once the call returns: a sink
-// copies what it needs — a chunk at a time, and stamping the train rather
-// than each cell, as the NIC's input FIFO and the switch's port queues do —
-// and neither keeps the slice nor writes to it.
+// exactly one CellTime apart, in this call unless the run straddles the
+// link's ring chunks and the sink is a RunSink. The cells slice may be the
+// link's own ring memory, and the link drops those cells once the call
+// returns: a sink copies what it needs — a chunk at a time, and stamping
+// the train rather than each cell, as the NIC's input FIFO and the
+// switch's port queues do — and neither keeps the slice nor writes to it.
 //
 // The contract makes trains virtual-time neutral: a sink that processes
 // cell i as if it had been handed over at first + i*spacing sees the
@@ -43,6 +44,42 @@ const DefaultPropagation = 200 * time.Nanosecond
 // one event per train rather than one per cell.
 type CellSink interface {
 	DeliverTrain(cells []atm.Cell, first, spacing time.Duration)
+}
+
+// RunSink is a CellSink that also takes a train straight off the link's
+// in-flight ring when the train straddles the ring's chunks. DeliverRun is
+// DeliverTrain of the ring's n oldest cells, under the same contract: the
+// sink reads them (sim.Ring.Walk) a chunk at a time, neither drops, keeps
+// nor writes them, and does with them exactly what DeliverTrain would do
+// with the same cells gathered into one slice. The switch's ports and the
+// NIC implement it; a link gathers a straddling train into its engine's
+// scratch only for any other sink.
+type RunSink interface {
+	CellSink
+	DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration)
+}
+
+// DeliverRun hands sink the n oldest cells of r as one train arriving at
+// first, first+spacing, …: in place through DeliverRun when sink is a
+// RunSink, and otherwise gathered into engine e's scratch for DeliverTrain.
+// e is the engine the delivery runs on. A link calls it for a train that
+// straddles chunks, and so does a sink that passes such a train on.
+//
+//unetlint:hotpath per-train delivery of a train that straddles ring chunks
+func DeliverRun(e *sim.Engine, sink CellSink, r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	if rs, ok := sink.(RunSink); ok {
+		rs.DeliverRun(r, n, first, spacing)
+		return
+	}
+	//unetlint:allow hotpathalloc only a sink that is not a RunSink gets here, and the engine makes its scratch once
+	t := sim.Local[TrainScratch](e)
+	if len(t.Cells) < n {
+		//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds the longest straddling run a sink other than a switch or a NIC takes, and then never grows again
+		t.Cells = make([]atm.Cell, max(n, 2*len(t.Cells)))
+	}
+	w := r.Walk(n)
+	w.Read(t.Cells[:n])
+	sink.DeliverTrain(t.Cells[:n], first, spacing)
 }
 
 // SinkFunc adapts a function to the CellSink interface.
@@ -142,8 +179,10 @@ func (r *wireRun) sent() time.Duration { return r.first - time.Duration(r.lead) 
 // makes arrivals monotonic), drained by a single armed delivery event
 // instead of one event per cell; a back-to-back run — consecutive arrivals
 // spaced exactly CellTime — is stamped once and handed over in one
-// DeliverTrain call. Senders book whole runs too: SendRun copies a run onto
-// the wire a ring chunk at a time, as a sink copies a train off it.
+// DeliverTrain call, or one DeliverRun when it straddles the ring's chunks
+// and the sink is a RunSink. Senders book whole runs too: SendRun copies a
+// run onto the wire a ring chunk at a time, as a sink copies a train off
+// it.
 type Link struct {
 	e        *sim.Engine
 	name     string
@@ -156,7 +195,6 @@ type Link struct {
 	pend  sim.Ring[atm.Cell] // cells on the wire, in arrival order, in the delivering engine's cell pool
 	runs  sim.Ring[wireRun]  // pend's back-to-back runs, oldest first
 	armed bool
-	train *trainBuf // the delivering engine's DeliverTrain scratch
 
 	// Cross-shard mode (see NewCrossLink): the transmit side keeps the
 	// serialization arithmetic (nextFree, stats, loss) but pushes in-flight
@@ -197,23 +235,20 @@ type crossRx struct {
 	idle time.Duration
 }
 
-// trainBuf is the slice fire gathers a run into when the run straddles
-// chunks of the in-flight ring. SendRun and a receive half's Drain queue a
-// run into a chunk sized for it, so only a run longer than a chunk's 128
-// cells, one queued behind a partly filled tail chunk or one an injector
-// judged cell by cell straddles. Every link delivering on one engine
-// shares that engine's (sim.Local): fire runs only as an engine event and a
-// sink keeps no cell past DeliverTrain, so one is never in use twice, and a
-// fabric's scratch is one slice per shard, as long as the longest such run,
-// instead of one per link.
-type trainBuf struct{ cells []atm.Cell }
+// TrainScratch is the slice DeliverRun gathers a train into for a sink that
+// is not a RunSink. Every link delivering on one engine shares that
+// engine's (sim.Local): a delivery runs only as an engine event and a sink
+// keeps no cell past DeliverTrain, so one is never in use twice, and a
+// fabric's scratch is one slice per shard, as long as the longest such
+// train, instead of one per link. Tests read its length.
+type TrainScratch struct{ Cells []atm.Cell }
 
 // NewLink creates a link delivering into sink.
 func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
 	}
-	return &Link{e: e, name: name, p: p, sink: sink, pend: sim.NewRing[atm.Cell](e), runs: sim.NewRing[wireRun](e), train: sim.Local[trainBuf](e)}
+	return &Link{e: e, name: name, p: p, sink: sink, pend: sim.NewRing[atm.Cell](e), runs: sim.NewRing[wireRun](e)}
 }
 
 // NewCrossLink creates a link whose transmitter lives in shard engine src
@@ -243,7 +278,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 	if src == dst {
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
-	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[atm.Cell](dst), runs: sim.NewRing[wireRun](dst), train: sim.Local[trainBuf](dst)}
+	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[atm.Cell](dst), runs: sim.NewRing[wireRun](dst)}
 	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
@@ -433,28 +468,22 @@ func linkFire(a any) { a.(*Link).fire() }
 
 // fire delivers the oldest run in flight as one train, at its first cell's
 // arrival. A run that lies in one chunk of the in-flight ring is handed
-// over in place and dropped after DeliverTrain returns; only one that
-// straddles chunks is gathered into the engine's scratch. The run leaves
-// the runs ring and re-arming happens before delivery, so a sink that
-// feeds the link again observes consistent state and starts a new run.
+// over in place and dropped after DeliverTrain returns; one that straddles
+// chunks goes through DeliverRun, which a switch port or a NIC reads off
+// the ring in place and any other sink gets gathered. The run leaves the
+// runs ring and re-arming happens before delivery, so a sink that feeds
+// the link again observes consistent state and starts a new run.
 //
 //unetlint:hotpath per-train delivery; runs for every train coming off a link
 func (l *Link) fire() {
 	r := l.runs.Pop()
 	n := int(r.n)
-	cells := l.pend.Span(n)
-	if len(cells) < n {
-		if len(l.train.cells) < n {
-			//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds the longest run that straddles a chunk, and then never grows again
-			l.train.cells = make([]atm.Cell, max(n, 2*len(l.train.cells)))
-		}
-		for k := 0; k < n; {
-			k += copy(l.train.cells[k:n], l.pend.Seg(k))
-		}
-		cells = l.train.cells[:n]
-	}
 	l.rearm()
-	l.sink.DeliverTrain(cells, r.first, l.p.CellTime)
+	if cells := l.pend.Span(n); len(cells) == n {
+		l.sink.DeliverTrain(cells, r.first, l.p.CellTime)
+	} else {
+		DeliverRun(l.e, l.sink, &l.pend, n, r.first, l.p.CellTime)
+	}
 	l.pend.Drop(n)
 }
 

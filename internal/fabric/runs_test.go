@@ -322,12 +322,19 @@ func TestRunsMatchStampedScan(t *testing.T) {
 	}
 }
 
+// scratch returns engine e's train scratch.
+func scratch(e *sim.Engine) []atm.Cell { return sim.Local[TrainScratch](e).Cells }
+
 // TestRunInOneChunkIsHandedOverInPlace: a run that lies in one chunk of the
 // in-flight ring reaches the sink as that chunk's memory, allocates nothing
 // and leaves the engine's train scratch as it was. One SendRun on an idle
 // link queues its run into a chunk sized for it, up to the largest chunk's
 // 128 cells, and a cross link's receive half takes a published train with
 // one Room call, so a 1 KB message's 22 cells arrive in place either way.
+// A longer run straddles chunks, and a switch port reads it off the ring
+// where it lies, as does the RunSink beyond it: the scratch stays empty
+// there too. (nic's TestStraddlingRunReachesTheNICInPlace runs one into a
+// NIC.)
 func TestRunInOneChunkIsHandedOverInPlace(t *testing.T) {
 	e := sim.New(1)
 	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
@@ -355,8 +362,8 @@ func TestRunInOneChunkIsHandedOverInPlace(t *testing.T) {
 			t.Errorf("a %d-cell SendRun reached the sink as %d trains of %d cells in all, %d of them copied; want one in place", n, sink.trains, sink.cells, sink.copied)
 		}
 	}
-	if len(l.train.cells) != 0 {
-		t.Errorf("the engine's train scratch grew to %d cells for runs that lie in one chunk", len(l.train.cells))
+	if got := len(scratch(e)); got != 0 {
+		t.Errorf("the engine's train scratch grew to %d cells for runs that lie in one chunk", got)
 	}
 
 	root := sim.New(1)
@@ -366,8 +373,46 @@ func TestRunInOneChunkIsHandedOverInPlace(t *testing.T) {
 	far.l = x.peer
 	x.SendRun(make([]atm.Cell, 22), 0, 0)
 	root.Run()
-	if far.trains != 1 || far.cells != 22 || far.copied != 0 || len(x.peer.train.cells) != 0 {
-		t.Errorf("a 22-cell train through a cross link reached the sink as %d trains of %d cells in all, %d copied, the scratch at %d cells; want one in place", far.trains, far.cells, far.copied, len(x.peer.train.cells))
+	if got := len(scratch(dst)); far.trains != 1 || far.cells != 22 || far.copied != 0 || got != 0 {
+		t.Errorf("a 22-cell train through a cross link reached the sink as %d trains of %d cells in all, %d copied, the scratch at %d cells; want one in place", far.trains, far.cells, far.copied, got)
+	}
+
+	// 200 cells up a link into switch port 0 and out of port 1: both
+	// links' rings hold the run in two chunks.
+	se := sim.New(1)
+	out := &runLog{}
+	sw := NewSwitch(se, "sw", 2, 2*us, lp, []CellSink{&vciLog{}, out})
+	if err := sw.Route(0, 5, 1); err != nil {
+		t.Fatal(err)
+	}
+	up := NewLink(se, "up", lp, sw.PortSink(0))
+	cells := make([]atm.Cell, 200)
+	for i := range cells {
+		cells[i].VCI = 5
+	}
+	up.SendRun(cells, 0, 0)
+	se.Run()
+	if out.runs != 1 || out.cells != 200 {
+		t.Errorf("the switch forwarded the 200-cell run as %d runs off the ring of %d cells in all, want one", out.runs, out.cells)
+	}
+	if got := len(scratch(se)); got != 0 {
+		t.Errorf("a 200-cell run through a switch port grew the engine's train scratch to %d cells, want 0", got)
+	}
+}
+
+// runLog is a RunSink that counts the trains it reads off a ring.
+type runLog struct{ runs, cells int }
+
+func (g *runLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {}
+
+func (g *runLog) DeliverRun(r *sim.Ring[atm.Cell], n int, _, _ time.Duration) {
+	g.runs++
+	for w := r.Walk(n); ; {
+		seg := w.Next(n)
+		if len(seg) == 0 {
+			break
+		}
+		g.cells += len(seg)
 	}
 }
 

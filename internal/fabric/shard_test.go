@@ -290,26 +290,19 @@ func (v *vciLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
 
 // TestTrainScratchIsPerEngine: every link delivering on one engine gathers
 // its trains into that engine's one scratch slice, a link on another shard
-// into that shard's, and a cross link's receive half belongs to the engine
-// it delivers on. Two links whose trains land at the same instant still
-// hand their sinks the right cells, and the second allocates nothing.
+// into that shard's, and a cross link's receive half into the scratch of
+// the engine it delivers on. Two links whose trains land at the same
+// instant still hand their sinks the right cells, and the second allocates
+// nothing.
 func TestTrainScratchIsPerEngine(t *testing.T) {
 	root := sim.New(1)
 	shard := root.NewShard()
 	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
-	var logA, logB vciLog
-	a := NewLink(root, "a", lp, &logA)
-	b := NewLink(root, "b", lp, &logB)
-	far := NewLink(shard, "far", lp, &vciLog{})
 	cross := NewCrossLink(root, shard, "x", lp, &vciLog{})
-	if a.train == nil || a.train != b.train {
-		t.Error("two links on one engine do not share its train scratch")
-	}
-	if far.train == a.train {
-		t.Error("links on different shard engines share a train scratch")
-	}
-	if cross.train != nil || cross.peer.train != far.train {
-		t.Error("a cross link's scratch is not its receive half's, on the destination engine")
+	cross.SendRun(make([]atm.Cell, 200), 0, 0) // one run, longer than a chunk
+	root.Run()
+	if len(scratch(root)) != 0 || len(scratch(shard)) < 200 {
+		t.Errorf("a cross link's 200-cell train left the scratch at %d cells on its transmitter's engine and %d on its receiver's; want 0 and at least 200", len(scratch(root)), len(scratch(shard)))
 	}
 
 	solo := sim.New(1)
@@ -337,7 +330,7 @@ func TestTrainScratchIsPerEngine(t *testing.T) {
 	if len(logC.vcis) != 20 || len(logD.vcis) != 12 {
 		t.Fatalf("delivered %d and %d cells, want 20 and 12", len(logC.vcis), len(logD.vcis))
 	}
-	grown := cap(c.train.cells)
+	grown := cap(scratch(solo))
 	if grown < 20 {
 		t.Fatalf("scratch holds %d cells after a 20-cell train", grown)
 	}
@@ -346,7 +339,7 @@ func TestTrainScratchIsPerEngine(t *testing.T) {
 		logD.vcis = logD.vcis[:0]
 		send(d, 200, 20)
 		solo.Run()
-	}); n != 0 || cap(d.train.cells) != grown {
-		t.Errorf("a 20-cell train on link d allocated %v times and left the scratch at %d cells: d should reuse what c's train grew (%d)", n, cap(d.train.cells), grown)
+	}); n != 0 || cap(scratch(solo)) != grown {
+		t.Errorf("a 20-cell train on link d allocated %v times and left the scratch at %d cells: d should reuse what c's train grew (%d)", n, cap(scratch(solo)), grown)
 	}
 }

@@ -288,11 +288,15 @@ func (ps portSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) 
 	ps.s.DeliverTrain(ps.in, cells, first, spacing)
 }
 
-// PortSink returns the CellSink for input port in: uplinks must deliver
+func (ps portSink) DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	ps.s.DeliverRun(ps.in, r, n, first, spacing)
+}
+
+// PortSink returns the RunSink for input port in: uplinks must deliver
 // through their port's sink so the switch can enforce per-input-port
 // routes. It boxes a value, so wiring keeps the result; a sink that must
-// find its switch at delivery time calls DeliverTrain.
-func (s *Switch) PortSink(in int) CellSink {
+// find its switch at delivery time calls DeliverTrain or DeliverRun.
+func (s *Switch) PortSink(in int) RunSink {
 	return portSink{s: s, in: in}
 }
 
@@ -305,37 +309,82 @@ func (s *Switch) PortSink(in int) CellSink {
 //
 //unetlint:hotpath per-train label swap; runs for every train crossing the switch
 func (s *Switch) DeliverTrain(in int, cells []atm.Cell, first, spacing time.Duration) {
+	w := sim.WalkSlice(cells)
+	s.receive(in, &w, len(cells), first, spacing)
+}
+
+// DeliverRun is DeliverTrain of the n oldest cells of r, read off the ring
+// where they lie (RunSink): a same-route run carries on across a chunk
+// boundary in the same job.
+//
+//unetlint:hotpath per-train label swap for a train that straddles ring chunks
+func (s *Switch) DeliverRun(in int, r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	w := r.Walk(n)
+	s.receive(in, &w, n, first, spacing)
+}
+
+// receive is DeliverTrain's and DeliverRun's one core: it forwards the n
+// cells w reads, a stretch (seg) at a time. A run that reaches the end of
+// a stretch has its length found on a copy of the walk first, so the port
+// queue takes it with one Room call a chunk, sized for what is left of the
+// run, as for a run handed over in one slice.
+func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing time.Duration) {
 	t, q := s.in[in], &s.wait[in]
-	for i := 0; i < len(cells); {
-		r := t.row(cells[i].VCI)
+	var seg []atm.Cell
+	for i := 0; i < n; {
+		if len(seg) == 0 {
+			seg = w.Next(n)
+		}
+		r := t.row(seg[0].VCI)
 		if !r.ok {
 			s.unknown++
+			seg = seg[1:]
 			i++
 			continue
 		}
-		run := i + 1
-		for run < len(cells) {
-			if r2 := t.row(cells[run].VCI); !r2.ok || r2.port != r.port {
-				break
+		run := sameRoute(t, r, seg[1:]) + 1
+		if run == len(seg) {
+			for ahead := *w; ; {
+				rest := ahead.Next(n)
+				k := sameRoute(t, r, rest)
+				run += k
+				if k < len(rest) || len(rest) == 0 {
+					break
+				}
 			}
-			run++
 		}
 		j := s.getJob()
 		j.link = s.out[r.port]
 		j.port = int(r.port)
-		j.in, j.n, j.pos = in, run-i, q.queued
-		for src := cells[i:run]; len(src) > 0; {
-			dst := q.cells.Room(len(src))
-			copy(dst, src)
+		j.in, j.n, j.pos = in, run, q.queued
+		for left := run; left > 0; {
+			dst := q.cells.Room(left)
+			for k := 0; k < len(dst); {
+				if len(seg) == 0 {
+					seg = w.Next(n)
+				}
+				c := copy(dst[k:], seg)
+				seg, k = seg[c:], k+c
+			}
 			for k := range dst {
 				dst[k].VCI = t[dst[k].VCI].out
 			}
-			src = src[len(dst):]
+			left -= len(dst)
 		}
-		q.queued += uint64(run - i)
+		q.queued += uint64(run)
 		j.start = first + time.Duration(i)*spacing + s.latency
 		j.spacing = spacing
 		s.e.AtArg(j.start, fwdFire, j)
-		i = run
+		i += run
 	}
+}
+
+// sameRoute returns how many of cells, from the first, go out on r's port.
+func sameRoute(t labelTable, r xlate, cells []atm.Cell) int {
+	for k := range cells {
+		if r2 := t.row(cells[k].VCI); !r2.ok || r2.port != r.port {
+			return k
+		}
+	}
+	return len(cells)
 }

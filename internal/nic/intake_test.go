@@ -121,7 +121,12 @@ func (r intakeResult) digest() string {
 }
 
 // runIntake plays a script into a two-host testbed.
-func runIntake(t testing.TB, s intakeScript) intakeResult {
+func runIntake(t testing.TB, s intakeScript) intakeResult { return runIntakeSplit(t, s, nil) }
+
+// runIntakeSplit plays a script, each train of more than one cell handed
+// to the NIC off a ring whose first chunk ends after boundary(n) of its n
+// cells (DeliverRun), or in one slice when boundary is nil.
+func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) intakeResult {
 	params := s.params
 	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &params})
 	defer tb.Close()
@@ -177,7 +182,12 @@ func runIntake(t testing.TB, s intakeScript) intakeResult {
 		for i, p := range tr.order {
 			cells[i], segs[p] = segs[p][0], segs[p][1:]
 		}
-		e.At(tr.at, func() { dev.DeliverTrain(cells, tr.at, fabric.DefaultCellTime) })
+		if boundary == nil || len(cells) < 2 {
+			e.At(tr.at, func() { dev.DeliverTrain(cells, tr.at, fabric.DefaultCellTime) })
+			continue
+		}
+		r := straddled(cells, boundary(len(cells)))
+		e.At(tr.at, func() { dev.DeliverRun(r, len(cells), tr.at, fabric.DefaultCellTime) })
 	}
 	// Scheduled after the traffic, so a train due at the same instant is in
 	// the FIFO first.
@@ -339,7 +349,8 @@ func TestCloseAndOverflowDuringSend(t *testing.T) {
 
 // FuzzTrainIntake plays any seed's script and checks what holds of every
 // run: each cell handed to either NIC is taken or dropped by the time the
-// run ends, and a second run shows the same.
+// run ends, and a second run shows the same, as does a run that hands each
+// train over off a ring whose chunks split it.
 func FuzzTrainIntake(f *testing.F) {
 	for seed := int64(1); seed <= 4; seed++ {
 		f.Add(seed)
@@ -359,6 +370,11 @@ func FuzzTrainIntake(f *testing.F) {
 		}
 		if again := runIntake(t, s); again.digest() != r.digest() {
 			t.Fatalf("seed %d: two runs differ", seed)
+		}
+		rng := rand.New(rand.NewSource(seed))
+		split := runIntakeSplit(t, s, func(n int) int { return 1 + rng.Intn(min(n-1, 128)) })
+		if split.digest() != r.digest() {
+			t.Fatalf("seed %d: trains read off split rings show other results", seed)
 		}
 	})
 }

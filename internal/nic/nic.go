@@ -174,7 +174,7 @@ type txScratch struct {
 }
 
 var _ unet.Device = (*Device)(nil)
-var _ fabric.CellSink = (*Device)(nil)
+var _ fabric.RunSink = (*Device)(nil)
 
 // New creates a device sending on uplink. Call Start (or use Attach) to
 // run its processor.
@@ -342,7 +342,8 @@ func (d *Device) deliverCell(c atm.Cell) {
 		return
 	}
 	one := [1]atm.Cell{c}
-	d.queue(one[:], d.e.Now(), 0)
+	w := sim.WalkSlice(one[:])
+	d.queue(&w, 1, d.e.Now(), 0)
 	d.arm()
 }
 
@@ -359,31 +360,55 @@ func (d *Device) deliverCell(c atm.Cell) {
 // that loop would have left. When the train does not fit, each cell is
 // taken at its own arrival instant by a delivery event, which decides
 // overflow drops cell by cell exactly.
+//
+//unetlint:hotpath per-train intake; runs for every train reaching a NIC
 func (d *Device) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	w := sim.WalkSlice(cells)
+	d.intake(&w, len(cells), first, spacing)
+}
+
+// DeliverRun implements fabric.RunSink: DeliverTrain of the n oldest cells
+// of r, read off the ring where they lie.
+//
+//unetlint:hotpath per-train intake of a train that straddles ring chunks
+func (d *Device) DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	w := r.Walk(n)
+	d.intake(&w, n, first, spacing)
+}
+
+// intake is DeliverTrain's and DeliverRun's one core: it takes the train of
+// n cells w reads, deciding overflow on the whole train.
+func (d *Device) intake(w *sim.Walk[atm.Cell], n int, first, spacing time.Duration) {
 	d.catchUp()
-	if d.in.Len()+len(cells) > d.params.InFIFODepth {
-		for k := 1; k < len(cells); k++ {
-			d.deliverCellAt(cells[k], first+time.Duration(k)*spacing)
+	if d.in.Len()+n > d.params.InFIFODepth {
+		head := w.Next(1)[0]
+		for k := 1; k < n; {
+			for _, c := range w.Next(n) {
+				d.deliverCellAt(c, first+time.Duration(k)*spacing)
+				k++
+			}
 		}
-		d.deliverCell(cells[0])
+		d.deliverCell(head)
 		return
 	}
-	d.queue(cells, first, spacing)
+	d.queue(w, n, first, spacing)
 	d.arm()
 }
 
-// queue copies a train into the FIFO a ring chunk at a time and stamps it
-// once: cells[i] arrives at first + i*spacing.
-func (d *Device) queue(cells []atm.Cell, first, spacing time.Duration) {
-	for i := 0; i < len(cells); {
-		i += copy(d.in.Room(len(cells)-i), cells[i:])
-	}
-	d.runs.Push(inRun{first: first, spacing: spacing, n: int32(len(cells))})
-	for k := 0; d.eop == eopNone && k < len(cells); k++ {
-		if cells[k].EOP {
-			d.eopAt, d.eop = first+time.Duration(k)*spacing, eopKnown
+// queue copies the train of n cells w reads into the FIFO a ring chunk at a
+// time and stamps it once: the i-th cell arrives at first + i*spacing.
+func (d *Device) queue(w *sim.Walk[atm.Cell], n int, first, spacing time.Duration) {
+	for i := 0; i < n; {
+		dst := d.in.Room(n - i)
+		w.Read(dst)
+		for k := 0; d.eop == eopNone && k < len(dst); k++ {
+			if dst[k].EOP {
+				d.eopAt, d.eop = first+time.Duration(i+k)*spacing, eopKnown
+			}
 		}
+		i += len(dst)
 	}
+	d.runs.Push(inRun{first: first, spacing: spacing, n: int32(n)})
 }
 
 // What eopAt holds.
@@ -404,8 +429,12 @@ func (d *Device) lastArrive() time.Duration {
 // cell was taken with cells behind it, and walks no further than the next
 // EOP cell, so it passes each cell at most once.
 func (d *Device) findEOP() {
-	for i, n := 0, d.in.Len(); i < n; {
-		seg := d.in.Seg(i)
+	w := d.in.Walk(d.in.Len())
+	for i := 0; ; {
+		seg := w.Next(d.in.Len())
+		if len(seg) == 0 {
+			break
+		}
 		for k := range seg {
 			if seg[k].EOP {
 				d.eopAt, d.eop = d.arrivalOf(i+k), eopKnown
@@ -420,15 +449,14 @@ func (d *Device) findEOP() {
 // arrivalOf returns the arrival of the i-th oldest cell in the FIFO, which
 // must hold it.
 func (d *Device) arrivalOf(i int) time.Duration {
-	for j := 0; ; {
-		seg := d.runs.Seg(j)
-		for _, r := range seg {
+	w := d.runs.Walk(d.runs.Len())
+	for {
+		for _, r := range w.Next(d.runs.Len()) {
 			if i < int(r.n) {
 				return r.first + time.Duration(i)*r.spacing
 			}
 			i -= int(r.n)
 		}
-		j += len(seg)
 	}
 }
 

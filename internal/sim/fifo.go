@@ -1,6 +1,9 @@
 package sim
 
-import "math/bits"
+import (
+	"math/bits"
+	"reflect"
+)
 
 // Ring is an unbounded first-in, first-out queue over a list of chunks of 4,
 // 8, … or 128 entries. A new chunk is the smallest that holds the run being
@@ -13,6 +16,9 @@ import "math/bits"
 // value has a pool of its own and keeps its last chunk. It is the one queue
 // under a FIFO, a link's cells in flight, a switch port's cells waiting to
 // be forwarded and a NIC's input FIFO; bounds and wake-ups are its owners'.
+// A ring of a type that holds pointers zeroes each slot it vacates, so it
+// keeps nothing alive it no longer holds; one of a pointer-free type, such
+// as a cell, leaves the slot as it was.
 type Ring[T any] struct {
 	pool       *chunkPool[T]
 	head, tail *chunk[T] // every chunk but the tail is full
@@ -28,12 +34,44 @@ type chunk[T any] struct {
 
 const chunkClasses = 6 // chunks of 4<<0 to 4<<5 entries
 
-// chunkPool holds drained chunks by size class.
-type chunkPool[T any] struct{ free [chunkClasses]*chunk[T] }
+// chunkPool holds drained chunks by size class. scrub says whether T holds
+// pointers, and so whether a vacated slot is zeroed; it is worked out once,
+// when the pool is made.
+type chunkPool[T any] struct {
+	free         [chunkClasses]*chunk[T]
+	scrub, ready bool
+}
+
+// init works out scrub, once.
+func (p *chunkPool[T]) init() *chunkPool[T] {
+	if !p.ready {
+		p.scrub, p.ready = holdsPointers(reflect.TypeOf((*T)(nil)).Elem()), true
+	}
+	return p
+}
+
+// holdsPointers reports whether a value of type t holds a pointer the
+// garbage collector follows.
+func holdsPointers(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Pointer, reflect.UnsafePointer, reflect.String, reflect.Slice, reflect.Map,
+		reflect.Chan, reflect.Func, reflect.Interface:
+		return true
+	case reflect.Array:
+		return t.Len() > 0 && holdsPointers(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if holdsPointers(t.Field(i).Type) {
+				return true
+			}
+		}
+	}
+	return false
+}
 
 // NewRing returns an empty ring drawing on e's pool for T. Only code running
 // on e may touch it.
-func NewRing[T any](e *Engine) Ring[T] { return Ring[T]{pool: Local[chunkPool[T]](e)} }
+func NewRing[T any](e *Engine) Ring[T] { return Ring[T]{pool: Local[chunkPool[T]](e).init()} }
 
 // Len returns the number of queued elements.
 func (r *Ring[T]) Len() int { return int(r.n) }
@@ -63,7 +101,7 @@ func (r *Ring[T]) Room(n int) []T {
 //unetlint:allow hotpathalloc a pool runs dry only until it holds its peak of queued entries, and a zero-value ring makes its own pool once; every later chunk is one a drained ring gave back
 func (r *Ring[T]) grow(want int) {
 	if r.pool == nil {
-		r.pool, r.own = new(chunkPool[T]), true
+		r.pool, r.own = new(chunkPool[T]).init(), true
 	}
 	class := min(max(bits.Len(uint(r.n)>>4), bits.Len(uint(want-1)>>2)), chunkClasses-1)
 	c := r.pool.free[class]
@@ -94,29 +132,59 @@ func (r *Ring[T]) Span(n int) []T {
 	return r.head.buf[r.off:min(end, int(r.off)+n)]
 }
 
-// Seg returns the entries from the i-th oldest to the end of the chunk
-// that holds it, which lie contiguous in memory: at least one when i <
-// Len. It finds that chunk from the head, so a walk by Seg takes one step
-// per chunk it passes, not per entry.
-func (r *Ring[T]) Seg(i int) []T {
-	c, j := r.head, int(r.off)+i
-	for j >= len(c.buf) {
-		j -= len(c.buf)
-		c = c.next
+// Walk returns a walk over the n oldest entries, which the ring must hold.
+func (r *Ring[T]) Walk(n int) Walk[T] {
+	if n == 0 {
+		return Walk[T]{}
 	}
-	end := len(c.buf)
-	if c == r.tail {
-		end = int(r.end)
-	}
-	return c.buf[j:end]
+	return Walk[T]{seg: r.head.buf[r.off:], next: r.head.next, left: n}
 }
 
-// Drop removes the k oldest entries; the ring must hold k. Their slots are
-// zeroed, so the ring keeps nothing it no longer holds alive.
+// A Walk reads a run of entries oldest first, a stretch that lies contiguous
+// in memory at a time, in one pass over the chunks that hold them. The ring
+// must not drop the entries while they are read; entries queued meanwhile
+// lie past the walk.
+type Walk[T any] struct {
+	seg  []T       // the chunk being read, from the next entry on
+	next *chunk[T] // the chunk after it
+	left int       // entries not yet read
+}
+
+// WalkSlice returns a walk over s, one stretch.
+func WalkSlice[T any](s []T) Walk[T] { return Walk[T]{seg: s, left: len(s)} }
+
+// Next returns the next entries, up to n of them, that lie contiguous in
+// memory: at least one while the walk has any left and n ≥ 1.
+func (w *Walk[T]) Next(n int) []T {
+	if w.left == 0 {
+		return nil
+	}
+	if len(w.seg) == 0 {
+		w.seg, w.next = w.next.buf, w.next.next
+	}
+	s := w.seg[:min(n, w.left, len(w.seg))]
+	w.seg, w.left = w.seg[len(s):], w.left-len(s)
+	return s
+}
+
+// Read copies the next entries into dst, as many as it holds or the walk
+// has left, and returns how many it copied.
+func (w *Walk[T]) Read(dst []T) int {
+	k := 0
+	for k < len(dst) && w.left > 0 {
+		k += copy(dst[k:], w.Next(len(dst)-k))
+	}
+	return k
+}
+
+// Drop removes the k oldest entries; the ring must hold k. A ring whose
+// entries hold pointers zeroes their slots.
 func (r *Ring[T]) Drop(k int) {
 	for k > 0 {
 		s := r.Span(k)
-		clear(s)
+		if r.pool.scrub {
+			clear(s)
+		}
 		r.off += int32(len(s))
 		r.n -= int32(len(s))
 		k -= len(s)
@@ -135,7 +203,9 @@ func (r *Ring[T]) Pop() T {
 
 // drop1 is Drop(1) without the loop or the call to clear.
 func (r *Ring[T]) drop1() {
-	r.head.buf[r.off] = *new(T)
+	if r.pool.scrub {
+		r.head.buf[r.off] = *new(T)
+	}
 	r.off++
 	r.n--
 	if r.n == 0 || int(r.off) == len(r.head.buf) {

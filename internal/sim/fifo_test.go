@@ -3,29 +3,78 @@ package sim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
+	"time"
 )
 
 // TestRingMatchesFlatTwin drives rings that share one engine's chunk pool
 // through seeded random Push, Room, Pop, Span and Drop, each ring against a
-// plain slice, reading Front, Back and Seg along the way. The rings fill
-// past the largest chunk and drain to empty again and again. Along the way
-// no chunk may sit in two rings, or in a ring and the pool; once every ring
-// is empty, every chunk a ring ever held must be back in the pool exactly
-// once, in its size class, zeroed.
+// plain slice, reading Front, Back and a Walk over every entry along the
+// way. The rings fill past the largest chunk and drain to empty again and
+// again. Along the way no chunk may sit in two rings, or in a ring and the
+// pool; once every ring is empty, every chunk a ring ever held must be back
+// in the pool exactly once, in its size class. A ring of a type that holds
+// pointers must have zeroed it too; one of a pointer-free type leaves its
+// vacated slots as they were.
 func TestRingMatchesFlatTwin(t *testing.T) {
-	e := New(0)
-	pool := Local[chunkPool[int]](e)
-	rings := make([]Ring[int], 8)
-	twins := make([][]int, len(rings))
-	for i := range rings {
-		rings[i] = NewRing[int](e)
+	t.Run("int", func(t *testing.T) { ringTwin(t, func(v int) int { return v }, false) })
+	t.Run("pointer", func(t *testing.T) {
+		ringTwin(t, func(v int) boxed { return boxed{v: v, p: &v} }, true)
+	})
+}
+
+// TestHoldsPointers: the rule a pool decides zeroing by, on the shapes a
+// ring holds — a cell is bytes and flags, a wire run or a train stamp
+// durations and counts — and on a few that do hold pointers.
+func TestHoldsPointers(t *testing.T) {
+	for _, c := range []struct {
+		v    any
+		want bool
+	}{
+		{struct {
+			v    uint16
+			eop  bool
+			data [48]byte
+		}{}, false},
+		{struct {
+			first time.Duration
+			n     int32
+		}{}, false},
+		{[0]*int{}, false},
+		{boxed{}, true},
+		{"", true},
+		{[2]struct{ f func() }{}, true},
+		{struct{ s []byte }{}, true},
+	} {
+		if got := holdsPointers(reflect.TypeOf(c.v)); got != c.want {
+			t.Errorf("holdsPointers(%T) = %v, want %v", c.v, got, c.want)
+		}
 	}
-	held := map[*chunk[int]]bool{} // every chunk a ring has drawn
-	owners := func() map[*chunk[int]]string {
-		at := map[*chunk[int]]string{}
-		claim := func(c *chunk[int], who string) {
+}
+
+// boxed is an entry that holds a pointer, so its ring zeroes what it drops.
+type boxed struct {
+	v int
+	p *int
+}
+
+func ringTwin[T comparable](t *testing.T, val func(int) T, scrubs bool) {
+	e := New(0)
+	pool := Local[chunkPool[T]](e)
+	rings := make([]Ring[T], 8)
+	twins := make([][]T, len(rings))
+	for i := range rings {
+		rings[i] = NewRing[T](e)
+	}
+	if pool.scrub != scrubs {
+		t.Fatalf("the pool says its type holds pointers: %v, want %v", pool.scrub, scrubs)
+	}
+	held := map[*chunk[T]]bool{} // every chunk a ring has drawn
+	owners := func() map[*chunk[T]]string {
+		at := map[*chunk[T]]string{}
+		claim := func(c *chunk[T], who string) {
 			if prev, ok := at[c]; ok {
 				t.Fatalf("a chunk is in %s and in %s", prev, who)
 			}
@@ -48,7 +97,7 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 	}
 
 	rng := rand.New(rand.NewSource(1))
-	next := 1 // 0 is what a vacated slot must read
+	next := 1 // the zero value is what a vacated slot reads when it is zeroed
 	for step := 0; step < 100000; step++ {
 		i := rng.Intn(len(rings))
 		r := &rings[i]
@@ -57,8 +106,9 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 		grow := rng.Intn(100) < 40+20*(step/5000%2)
 		switch {
 		case grow && rng.Intn(2) == 0:
-			r.Push(next)
-			twins[i] = append(twins[i], next)
+			v := val(next)
+			r.Push(v)
+			twins[i] = append(twins[i], v)
 			next++
 		case grow:
 			room := r.Room(1 + rng.Intn(200))
@@ -66,14 +116,14 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 				t.Fatalf("step %d: Room returned no slot", step)
 			}
 			for k := range room {
-				room[k] = next
-				twins[i] = append(twins[i], next)
+				room[k] = val(next)
+				twins[i] = append(twins[i], room[k])
 				next++
 			}
 		case r.Len() == 0:
 		case rng.Intn(3) == 0:
 			if v := r.Pop(); v != twins[i][0] {
-				t.Fatalf("step %d: ring %d popped %d, twin says %d", step, i, v, twins[i][0])
+				t.Fatalf("step %d: ring %d popped %v, twin says %v", step, i, v, twins[i][0])
 			}
 			twins[i] = twins[i][1:]
 		default:
@@ -82,12 +132,25 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 			if len(span) == 0 || len(span) > want || !slices.Equal(span, twins[i][:len(span)]) {
 				t.Fatalf("step %d: ring %d Span(%d) = %v, twin starts %v", step, i, want, span, twins[i][:min(want, len(twins[i]))])
 			}
-			for j := 0; j < r.Len(); {
-				seg := r.Seg(j)
-				if len(seg) == 0 || !slices.Equal(seg, twins[i][j:j+len(seg)]) {
-					t.Fatalf("step %d: ring %d Seg(%d) = %v, twin says %v", step, i, j, seg, twins[i][j:min(j+len(seg), len(twins[i]))])
+			// A walk over a prefix, by stretches of a random bound, then
+			// one read of the whole ring.
+			n := rng.Intn(r.Len() + 1)
+			w := r.Walk(n)
+			for j := 0; j < n; {
+				bound := 1 + rng.Intn(150)
+				seg := w.Next(bound)
+				if len(seg) == 0 || len(seg) > bound || !slices.Equal(seg, twins[i][j:j+len(seg)]) {
+					t.Fatalf("step %d: ring %d walk at %d gave %v, twin says %v", step, i, j, seg, twins[i][j:min(j+bound, len(twins[i]))])
 				}
 				j += len(seg)
+			}
+			if seg := w.Next(1); len(seg) != 0 {
+				t.Fatalf("step %d: ring %d walk over %d entries read %d more", step, i, n, len(seg))
+			}
+			all := make([]T, r.Len()+1)
+			w = r.Walk(r.Len())
+			if got := w.Read(all); got != r.Len() || !slices.Equal(all[:got], twins[i]) {
+				t.Fatalf("step %d: ring %d Read gave %d entries, differing from the twin's %d", step, i, got, len(twins[i]))
 			}
 			k := rng.Intn(r.Len() + 1) // may cross chunks
 			r.Drop(k)
@@ -100,7 +163,7 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 			t.Fatalf("step %d: ring %d holds %d, twin %d", step, i, r.Len(), len(twins[i]))
 		}
 		if n := len(twins[i]); n > 0 && (*r.Front() != twins[i][0] || *r.Back() != twins[i][n-1]) {
-			t.Fatalf("step %d: ring %d has %d at the front and %d at the back, twin %d and %d", step, i, *r.Front(), *r.Back(), twins[i][0], twins[i][n-1])
+			t.Fatalf("step %d: ring %d has %v at the front and %v at the back, twin %v and %v", step, i, *r.Front(), *r.Back(), twins[i][0], twins[i][n-1])
 		}
 		if step%1000 == 0 {
 			owners()
@@ -109,7 +172,7 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 	for i := range rings {
 		for len(twins[i]) > 0 {
 			if v := rings[i].Pop(); v != twins[i][0] {
-				t.Fatalf("draining ring %d: popped %d, twin says %d", i, v, twins[i][0])
+				t.Fatalf("draining ring %d: popped %v, twin says %v", i, v, twins[i][0])
 			}
 			twins[i] = twins[i][1:]
 		}
@@ -119,11 +182,12 @@ func TestRingMatchesFlatTwin(t *testing.T) {
 	}
 
 	at := owners()
+	var zero T
 	for c := range held {
 		if at[c] != "the pool" {
 			t.Fatal("a chunk a ring held never came back to the pool")
 		}
-		if slices.ContainsFunc(c.buf, func(v int) bool { return v != 0 }) {
+		if scrubs && slices.ContainsFunc(c.buf, func(v T) bool { return v != zero }) {
 			t.Fatal("a chunk came back to the pool holding entries")
 		}
 	}

@@ -46,7 +46,8 @@ type Fabric struct {
 }
 
 // hostPortSink indirects a switch output port to the host sink registered
-// later with SetHostSink; trains pass through whole.
+// later with SetHostSink; trains pass through whole, and one that
+// straddles the link's ring chunks reaches a RunSink (the NIC) in place.
 type hostPortSink struct {
 	f *Fabric
 	i int
@@ -59,6 +60,15 @@ func (h hostPortSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duratio
 		return
 	}
 	s.DeliverTrain(cells, first, spacing)
+}
+
+func (h hostPortSink) DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	s := h.f.hostSinks[h.i]
+	if s == nil {
+		h.f.undeliv += uint64(n)
+		return
+	}
+	fabric.DeliverRun(h.f.hostEng[h.i], s, r, n, first, spacing)
 }
 
 // trunkSink indirects a trunk link's receive side to the peer switch's
@@ -76,6 +86,10 @@ type trunkSink struct {
 
 func (t trunkSink) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
 	t.f.Switches[t.sw].DeliverTrain(t.port, cells, first, spacing)
+}
+
+func (t trunkSink) DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+	t.f.Switches[t.sw].DeliverRun(t.port, r, n, first, spacing)
 }
 
 // Compile instantiates spec onto the fabric primitives. hostEng[i] is the

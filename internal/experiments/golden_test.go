@@ -1,9 +1,9 @@
 package experiments
 
 import (
-	"crypto/sha256"
-	_ "embed"
 	"fmt"
+	"os"
+	"path/filepath"
 	"regexp"
 	"runtime"
 	"slices"
@@ -57,30 +57,59 @@ func rerun(e Experiment, o Options) (string, error) {
 	return first, nil
 }
 
-// pinned is testdata/golden.sha256: one `id  sha256` line per row of All,
-// the hash of the row's serial report at goldenOptions(). A rerun golden
-// only shows a run equals its own rerun; this shows it equals the run of
-// the commit that last wrote the line, so "the reports did not move" is a
-// test result instead of a diff made by hand against the parent's binary.
-// There is no -update flag: a change that means to move a report pastes the
-// line the failure prints, and the file's history is the record of when
-// each report moved.
-//
-//go:embed testdata/golden.sha256
-var pinned string
+// goldenDir holds a pin per row of All, <id>.txt: the row's serial report
+// at goldenOptions(). A rerun golden only shows a run equals its own rerun;
+// this shows it equals the run of the commit that last wrote the file, so
+// "the reports did not move" is a test result instead of a diff made by
+// hand against the parent's binary. There is no -update flag: a change
+// that means to move a report writes the file the failure names, and the
+// file's history is the record of when each report moved.
+const goldenDir = "testdata/golden"
 
 // pinnedDivergence is rerunDivergence plus the comparison with the row's
-// pinned hash, made on the report the rerun already rendered.
+// pin, made on the report the rerun already rendered.
 func pinnedDivergence(e Experiment, o Options) error {
 	report, err := rerun(e, o)
 	if err != nil {
 		return err
 	}
-	line := fmt.Sprintf("%s  %x", e.ID, sha256.Sum256([]byte(report)))
-	if !slices.Contains(strings.Split(pinned, "\n"), line) {
-		return fmt.Errorf("%s: the report moved (or the row is new). If that is meant, testdata/golden.sha256 takes the line\n%s\n--- report ---\n%s", e.ID, line, report)
+	return pinned(goldenDir, e.ID, report)
+}
+
+// pinned compares got with its pin, dir/<name>.txt, and on a difference
+// lists the lines that moved and names the file to write.
+func pinned(dir, name, got string) error {
+	file := filepath.Join(dir, name+".txt")
+	want, err := os.ReadFile(file)
+	if err != nil {
+		return fmt.Errorf("%v; if %s is new, write its report there:\n%s", err, name, got)
+	}
+	if d := lineDiff(string(want), got); d != "" {
+		return fmt.Errorf("the report moved from %s (-pinned +got); if that is meant, write the new report there:\n%s", file, d)
 	}
 	return nil
+}
+
+// lineDiff lists, by line number, the lines where got differs from want.
+func lineDiff(want, got string) string {
+	if want == got {
+		return ""
+	}
+	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
+	var b strings.Builder
+	for i := range max(len(w), len(g)) {
+		if i < len(w) && i < len(g) && w[i] == g[i] {
+			continue
+		}
+		fmt.Fprintf(&b, "line %d:\n", i+1)
+		if i < len(w) {
+			fmt.Fprintf(&b, "-%s\n", w[i])
+		}
+		if i < len(g) {
+			fmt.Fprintf(&b, "+%s\n", g[i])
+		}
+	}
+	return b.String()
 }
 
 // shardDivergence holds row e to its Sharded promise, the determinism
@@ -135,7 +164,7 @@ func TestGoldenDeterminism(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		// The reports print floating-point figures, and a compiler that
 		// fuses multiply-add may round a last digit the other way.
-		t.Logf("testdata/golden.sha256 is not compared on %s; reruns still are", runtime.GOARCH)
+		t.Logf("%s is not compared on %s; reruns still are", goldenDir, runtime.GOARCH)
 		check = rerunDivergence
 	}
 	golden(t, All, check, nil)

@@ -6,16 +6,18 @@ import (
 	"path/filepath"
 	"regexp"
 	"runtime"
-	"slices"
 	"strings"
 	"testing"
+	"time"
+
+	"unet/internal/topo"
 )
 
 // goldenOptions is the scale the table-wide goldens render at: small enough
 // that the whole table takes seconds (minutes under the race detector),
 // large enough that every row still exercises its mechanism — the loss
 // sweep reaches retransmissions, the serve sweep crosses its knee, every
-// 16th of the gossip islands flaps and is removed. TestGossipDeterministic
+// 16th of the gossip islands flaps and is removed. The gossip-1024 case
 // holds the gossip at its full 1 024 islands.
 func goldenOptions() Options {
 	o := DefaultOptions()
@@ -23,66 +25,165 @@ func goldenOptions() Options {
 	return o
 }
 
+// goldenDir holds a pin per golden case, <case>.txt: the case's serial
+// report. A rerun golden only shows a run equals its own rerun; a pin shows
+// it equals the run of the commit that last wrote the file, so "the reports
+// did not move" is a test result instead of a diff made by hand against the
+// parent's binary. There is no -update flag: a change that means to move a
+// report writes the file the failure names, and the file's history is the
+// record of when each report moved.
+const goldenDir = "testdata/golden"
+
+// A goldenCase is one report the goldens pin. Every layout it promises —
+// serial at any number of sweep workers, and each of its shard counts —
+// must render the bytes of its file in goldenDir.
+type goldenCase struct {
+	name   string
+	render func() string // lays the simulation out on Shards engines
+	shards []int
+}
+
+// goldenCases is the table: every row of All at goldenOptions(), and the
+// scenarios no row renders at their scale — Clos storms at shards 8, one
+// with ToR-to-spine backlogs of hundreds of cells; the gossip at its full
+// 1 024 islands; a small serve cluster under Poisson and bursty arrivals.
+func goldenCases() []goldenCase {
+	cases := rowCases(All)
+	for _, s := range []struct {
+		kind                         string
+		racks, perRack, spine, count int
+	}{{"clos2", 8, 8, 2, 4}, {"clos2", 8, 8, 2, 32}, {"clos3", 4, 2, 2, 4}} {
+		cases = append(cases, goldenCase{fmt.Sprintf("topo-%s-count%d", s.kind, s.count), func() string {
+			spec, err := topo.Generate(s.kind, s.racks, s.perRack, s.spine)
+			mustNoErr(err, s.kind)
+			return TopoStorm(spec, Shards, s.count)
+		}, []int{1, 2, 4, 8}})
+	}
+	cases = append(cases, goldenCase{"gossip-1024", func() string {
+		cfg := DefaultGossip(1024)
+		cfg.Shards = Shards
+		return Gossip(cfg).Render()
+	}, []int{2, 4, 8}})
+	for _, arrivals := range []string{"poisson", "bursty"} {
+		cases = append(cases, goldenCase{"serve-" + arrivals, func() string {
+			cfg := ServeConfig{ClientHosts: 4, Servers: 2, LogicalPerHost: 256, Rate: 60_000, Duration: 5 * time.Millisecond}
+			cfg.Bursty, cfg.Shards = arrivals == "bursty", Shards
+			return Serve(cfg).Line() + "\n"
+		}, []int{2, 4, 8}})
+	}
+	return cases
+}
+
+// rowCases returns table's rows as golden cases: a row's pin is its report
+// at goldenOptions(), and a Sharded row promises shards 1, 2 and 4 (a
+// degenerate single-shard group included, and more shards than cores where
+// the machine is small).
+func rowCases(table []Experiment) []goldenCase {
+	var cases []goldenCase
+	for _, e := range table {
+		c := goldenCase{name: e.ID, render: func() string {
+			report, _ := e.Run(goldenOptions())
+			return report
+		}}
+		if e.Sharded {
+			c.shards = []int{1, 2, 4}
+		}
+		cases = append(cases, c)
+	}
+	return cases
+}
+
+// A layout is one way to render a case: on shards engines (0 = serial),
+// with parallel sweep workers (0 = GOMAXPROCS).
+type layout struct{ shards, parallel int }
+
+func (l layout) String() string {
+	if l.shards == 0 {
+		return fmt.Sprintf("serial, parallel=%d", l.parallel)
+	}
+	return fmt.Sprintf("shards=%d", l.shards)
+}
+
 // shardLabel is the storm and serve headers' layout annotation — the one
 // part of a report that legitimately varies with the shard count.
 var shardLabel = regexp.MustCompile(`shards=\d+`)
 
-// reportAt renders row e on shards shard engines (0 = serial).
-func reportAt(e Experiment, o Options, shards int) string {
-	defer func(old int) { Shards = old }(Shards)
-	Shards = shards
-	report, _ := e.Run(o)
-	return shardLabel.ReplaceAllString(report, "shards=*")
+// render renders c laid out as l, with the shards= label normalised.
+func (l layout) render(c goldenCase) string {
+	defer func(s, p int) { Shards, MaxParallel = s, p }(Shards, MaxParallel)
+	Shards, MaxParallel = l.shards, l.parallel
+	return shardLabel.ReplaceAllString(c.render(), "shards=*")
 }
 
-// rerunDivergence holds row e to the determinism invariant behind every
-// wall-clock optimization in the fast path (pooled events, cell-train
-// batching, arithmetic NIC cost accounting, parallel sweeps): rendering it
-// twice with the same seeds must produce byte-identical reports — same
-// virtual times, same stats series, same formatting.
-func rerunDivergence(e Experiment, o Options) error {
-	_, err := rerun(e, o)
-	return err
+// knownRed names the cases whose shard promise is known not to hold, and
+// why. A divergence there at shards ≥ 2 is reported with its recipe and
+// skipped rather than failed or hidden by dropping the case; any other
+// case fails.
+var knownRed = map[string]string{
+	"serve": `ROADMAP item 1, split delivery trains at a contended switch port. Recipe:
+Serve(ServeConfig{Rate: 140_000}) serial or at Shards 1 sums 18 258 386 526 ns of latency over
+its 2 691 requests, at Shards 2, 4 and 8 it sums 18 258 150 604 ns (the printed mean moves
+6785.0 → 6784.9 µs; counts, quantile buckets and end time agree). Past the knee six clients'
+request bursts queue for two server ports: the serial link delivers a burst as one train whose
+tail fwdFire books ahead of a cell from another port, the cross-shard link splits it. Loads up
+to 120 000 req/s and 200 000 req/s agree exactly.`,
 }
 
-// rerun is rerunDivergence returning the report it compared.
-func rerun(e Experiment, o Options) (string, error) {
-	first, second := reportAt(e, o, 0), reportAt(e, o, 0)
-	if first == "" {
-		return "", fmt.Errorf("%s: empty report", e.ID)
+// goldens is the one golden loop: a subtest per case, which renders the
+// case under each layout it promises and compares every render with the
+// case's pin in dir. Serial, that is 1 and 8 sweep workers: the same seeds
+// give the same bytes however the sweep's points are spread over workers.
+// With sharded set, it is each of the case's shard counts: partitioning a
+// simulation's hosts across shard goroutines is invisible in the report.
+func goldens(t *testing.T, dir string, cases []goldenCase, sharded bool) {
+	if testing.Short() {
+		t.Skip("the goldens are not short")
 	}
-	if first != second {
-		return "", fmt.Errorf("%s: same-seed reruns diverged:\n--- first ---\n%s\n--- second ---\n%s", e.ID, first, second)
+	for _, c := range cases {
+		layouts := []layout{{parallel: 1}, {parallel: 8}}
+		if sharded {
+			layouts = layouts[:0]
+			for _, k := range c.shards {
+				layouts = append(layouts, layout{shards: k})
+			}
+		}
+		if len(layouts) == 0 {
+			continue
+		}
+		t.Run(c.name, func(t *testing.T) {
+			check := func(got string) error { return pinned(dir, c.name, got) }
+			if runtime.GOARCH != "amd64" {
+				// The reports print floating-point figures, and a compiler
+				// that fuses multiply-add may round a last digit the other
+				// way: there, layouts are held to this run's serial render.
+				serial := layout{parallel: 1}.render(c)
+				check = func(got string) error {
+					if d := lineDiff(serial, got); d != "" {
+						return fmt.Errorf("diverged from this run's serial render (-serial +got):\n%s", d)
+					}
+					return nil
+				}
+			}
+			for _, l := range layouts {
+				err := check(l.render(c))
+				if why, ok := knownRed[c.name]; ok && err != nil && l.shards >= 2 {
+					t.Skipf("known red at %v — %s\n%v", l, why, err)
+				}
+				if err != nil {
+					t.Fatalf("%v: %v", l, err)
+				}
+			}
+		})
 	}
-	return first, nil
 }
 
-// goldenDir holds a pin per row of All, <id>.txt: the row's serial report
-// at goldenOptions(). A rerun golden only shows a run equals its own rerun;
-// this shows it equals the run of the commit that last wrote the file, so
-// "the reports did not move" is a test result instead of a diff made by
-// hand against the parent's binary. There is no -update flag: a change
-// that means to move a report writes the file the failure names, and the
-// file's history is the record of when each report moved.
-const goldenDir = "testdata/golden"
-
-// pinnedDivergence is rerunDivergence plus the comparison with the row's
-// pin, made on the report the rerun already rendered.
-func pinnedDivergence(e Experiment, o Options) error {
-	report, err := rerun(e, o)
-	if err != nil {
-		return err
-	}
-	return pinned(goldenDir, e.ID, report)
-}
-
-// pinned compares got with its pin, dir/<name>.txt, and on a difference
-// lists the lines that moved and names the file to write.
+// pinned compares got with its pin, dir/<name>.txt: the one place a render
+// meets its file.
 func pinned(dir, name, got string) error {
 	file := filepath.Join(dir, name+".txt")
 	want, err := os.ReadFile(file)
 	if err != nil {
-		return fmt.Errorf("%v; if %s is new, write its report there:\n%s", err, name, got)
+		return fmt.Errorf("%v: if the case is new, write its report there:\n%s", err, got)
 	}
 	if d := lineDiff(string(want), got); d != "" {
 		return fmt.Errorf("the report moved from %s (-pinned +got); if that is meant, write the new report there:\n%s", file, d)
@@ -112,86 +213,6 @@ func lineDiff(want, got string) string {
 	return b.String()
 }
 
-// shardDivergence holds row e to its Sharded promise, the determinism
-// contract of the sharded engine: partitioning a simulation's hosts across
-// shard goroutines — a degenerate single-shard group included, and more
-// shards than cores where the machine is small — must be invisible in the
-// report.
-func shardDivergence(e Experiment, o Options) error {
-	serial := reportAt(e, o, 0)
-	for _, k := range []int{1, 2, 4} {
-		if got := reportAt(e, o, k); got != serial {
-			return fmt.Errorf("%s: shards=%d diverged from serial:\n--- serial ---\n%s\n--- sharded ---\n%s", e.ID, k, serial, got)
-		}
-	}
-	return nil
-}
+func TestGoldenDeterminism(t *testing.T) { goldens(t, goldenDir, goldenCases(), false) }
 
-// knownRed names the rows whose Sharded promise is known not to hold, and
-// why. A divergence there is reported with its recipe and skipped rather
-// than failed or hidden by dropping the row; any other row fails.
-var knownRed = map[string]string{
-	"serve": `ROADMAP item 1, split delivery trains at a contended switch port. Recipe:
-Serve(ServeConfig{Rate: 140_000}) serial or at Shards 1 sums 18 258 386 526 ns of latency over
-its 2 691 requests, at Shards 2, 4 and 8 it sums 18 258 150 604 ns (the printed mean moves
-6785.0 → 6784.9 µs; counts, quantile buckets and end time agree). Past the knee six clients'
-request bursts queue for two server ports: the serial link delivers a burst as one train whose
-tail fwdFire books ahead of a cell from another port, the cross-shard link splits it. Loads up
-to 120 000 req/s and 200 000 req/s agree exactly.`,
-}
-
-// golden is the loop both table-wide goldens share: a subtest per row of
-// table holding it to check, skipping a failure known explains.
-func golden(t *testing.T, table []Experiment, check func(Experiment, Options) error, known map[string]string) {
-	if testing.Short() {
-		t.Skip("table-wide golden sweep is not short")
-	}
-	for _, e := range table {
-		t.Run(e.ID, func(t *testing.T) {
-			err := check(e, goldenOptions())
-			if why, ok := known[e.ID]; ok && err != nil {
-				t.Skipf("known red — %s\n%v", why, err)
-			}
-			if err != nil {
-				t.Fatal(err)
-			}
-		})
-	}
-}
-
-func TestGoldenDeterminism(t *testing.T) {
-	check := pinnedDivergence
-	if runtime.GOARCH != "amd64" {
-		// The reports print floating-point figures, and a compiler that
-		// fuses multiply-add may round a last digit the other way.
-		t.Logf("%s is not compared on %s; reruns still are", goldenDir, runtime.GOARCH)
-		check = rerunDivergence
-	}
-	golden(t, All, check, nil)
-}
-
-func TestGoldenShardSweep(t *testing.T) {
-	golden(t, sharded(All), shardDivergence, knownRed)
-}
-
-// sharded returns the rows of table that promise a shard-invariant report.
-func sharded(table []Experiment) []Experiment {
-	return slices.DeleteFunc(slices.Clone(table), func(e Experiment) bool { return !e.Sharded })
-}
-
-// TestGoldenParallelMatchesSerial checks that the sweep worker pool is
-// invisible in the output: every parallelism level must produce the bytes
-// the serial sweep produces.
-func TestGoldenParallelMatchesSerial(t *testing.T) {
-	defer func(old int) { MaxParallel = old }(MaxParallel)
-
-	MaxParallel = 1
-	serial := fmt.Sprintf("%v\n%v", Fig4(40), Fig3(10))
-	for _, workers := range []int{2, 8} {
-		MaxParallel = workers
-		if got := fmt.Sprintf("%v\n%v", Fig4(40), Fig3(10)); got != serial {
-			t.Fatalf("parallel=%d diverged from serial:\n--- serial ---\n%s\n--- parallel ---\n%s",
-				workers, serial, got)
-		}
-	}
-}
+func TestGoldenShardSweep(t *testing.T) { goldens(t, goldenDir, goldenCases(), true) }

@@ -5,40 +5,6 @@ import (
 	"time"
 )
 
-// serveTestCfg is a small, fast serve scenario shared by the determinism
-// tests below.
-func serveTestCfg() ServeConfig {
-	return ServeConfig{
-		ClientHosts:    4,
-		Servers:        2,
-		LogicalPerHost: 256,
-		Rate:           60_000,
-		Duration:       5 * time.Millisecond,
-	}
-}
-
-// TestServeShardIdentical pins the serve report byte-identical across shard
-// layouts (and bursty arrivals along the way).
-func TestServeShardIdentical(t *testing.T) {
-	for _, bursty := range []bool{false, true} {
-		var want string
-		for _, shards := range []int{0, 2, 4, 8} {
-			cfg := serveTestCfg()
-			cfg.Bursty = bursty
-			cfg.Shards = shards
-			got := Serve(cfg).Line()
-			if shards == 0 {
-				want = got
-				continue
-			}
-			if got != want {
-				t.Errorf("bursty=%v shards=%d report diverged:\nserial: %s\nshard:  %s",
-					bursty, shards, want, got)
-			}
-		}
-	}
-}
-
 // TestServeKneeCalibration pins the saturation knee of the default serve
 // cluster (6 client hosts, 2 servers, 2µs service time): offered load below
 // the knee keeps open-loop p99 in the low hundreds of microseconds, while

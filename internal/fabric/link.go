@@ -27,16 +27,19 @@ const DefaultPropagation = 200 * time.Nanosecond
 // implement it. Delivery happens in engine-callback context, and a single
 // cell is a train of one.
 //
-// DeliverTrain is invoked at the arrival time of cells[0], and cells[i] is
-// defined to arrive at first + i*spacing; the sink must account for those
-// arrival times arithmetically (they are in the future for i > 0). A link
-// hands over as one train every in-flight run whose arrivals are spaced
-// exactly one CellTime apart, in this call unless the run straddles the
-// link's ring chunks and the sink is a RunSink. The cells slice may be the
-// link's own ring memory, and the link drops those cells once the call
-// returns: a sink copies what it needs — a chunk at a time, and stamping
-// the train rather than each cell, as the NIC's input FIFO and the
-// switch's port queues do — and neither keeps the slice nor writes to it.
+// DeliverTrain is invoked at the arrival time of the train's head, and
+// cells[i] is defined to arrive at first + i*spacing; the sink must account
+// for those arrival times arithmetically (they are in the future for
+// i > 0). A link hands over as one train every in-flight run whose
+// arrivals are spaced exactly one CellTime apart, in this call unless the
+// run straddles the link's ring chunks: a RunSink then reads it off the
+// ring in one DeliverRun, and any other sink takes it as one train per
+// chunk, every call at the run's head, each with its own first. The cells
+// slice may be the link's own ring memory, and the link drops those cells
+// once the call returns: a sink copies what it needs — a chunk at a time,
+// and stamping the train rather than each cell, as the NIC's input FIFO
+// and the switch's port queues do — and neither keeps the slice nor
+// writes to it.
 //
 // The contract makes trains virtual-time neutral: a sink that processes
 // cell i as if it had been handed over at first + i*spacing sees the
@@ -51,35 +54,34 @@ type CellSink interface {
 // DeliverTrain of the ring's n oldest cells, under the same contract: the
 // sink reads them (sim.Ring.Walk) a chunk at a time, neither drops, keeps
 // nor writes them, and does with them exactly what DeliverTrain would do
-// with the same cells gathered into one slice. The switch's ports and the
-// NIC implement it; a link gathers a straddling train into its engine's
-// scratch only for any other sink.
+// with the same cells gathered into one slice. Every sink a fabric is
+// built from is one: the switch's ports, the trunks, the host ports and
+// the NIC.
 type RunSink interface {
 	CellSink
 	DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing time.Duration)
 }
 
-// DeliverRun hands sink the n oldest cells of r as one train arriving at
-// first, first+spacing, …: in place through DeliverRun when sink is a
-// RunSink, and otherwise gathered into engine e's scratch for DeliverTrain.
-// e is the engine the delivery runs on. A link calls it for a train that
-// straddles chunks, and so does a sink that passes such a train on.
+// DeliverRun hands sink the n oldest cells of r, arriving at first,
+// first+spacing, …: as one train through DeliverRun when sink is a
+// RunSink, and otherwise as one DeliverTrain per chunk they lie in. A link
+// calls it for a train that straddles chunks, and so does a sink that
+// passes such a train on.
 //
 //unetlint:hotpath per-train delivery of a train that straddles ring chunks
-func DeliverRun(e *sim.Engine, sink CellSink, r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
+func DeliverRun(sink CellSink, r *sim.Ring[atm.Cell], n int, first, spacing time.Duration) {
 	if rs, ok := sink.(RunSink); ok {
 		rs.DeliverRun(r, n, first, spacing)
 		return
 	}
-	//unetlint:allow hotpathalloc only a sink that is not a RunSink gets here, and the engine makes its scratch once
-	t := sim.Local[TrainScratch](e)
-	if len(t.Cells) < n {
-		//unetlint:allow hotpathalloc the engine's shared scratch doubles until it holds the longest straddling run a sink other than a switch or a NIC takes, and then never grows again
-		t.Cells = make([]atm.Cell, max(n, 2*len(t.Cells)))
+	for w := r.Walk(n); ; {
+		cells := w.Next(n)
+		if len(cells) == 0 {
+			return
+		}
+		sink.DeliverTrain(cells, first, spacing)
+		first += time.Duration(len(cells)) * spacing
 	}
-	w := r.Walk(n)
-	w.Read(t.Cells[:n])
-	sink.DeliverTrain(t.Cells[:n], first, spacing)
 }
 
 // SinkFunc adapts a function to the CellSink interface.
@@ -179,8 +181,8 @@ func (r *wireRun) sent() time.Duration { return r.first - time.Duration(r.lead) 
 // makes arrivals monotonic), drained by a single armed delivery event
 // instead of one event per cell; a back-to-back run — consecutive arrivals
 // spaced exactly CellTime — is stamped once and handed over in one
-// DeliverTrain call, or one DeliverRun when it straddles the ring's chunks
-// and the sink is a RunSink. Senders book whole runs too: SendRun copies a
+// DeliverTrain call, or through DeliverRun when it straddles the ring's
+// chunks. Senders book whole runs too: SendRun copies a
 // run onto the wire a ring chunk at a time, as a sink copies a train off
 // it.
 type Link struct {
@@ -234,14 +236,6 @@ type crossRx struct {
 	// idle is the instant the last delivery left the in-flight ring empty.
 	idle time.Duration
 }
-
-// TrainScratch is the slice DeliverRun gathers a train into for a sink that
-// is not a RunSink. Every link delivering on one engine shares that
-// engine's (sim.Local): a delivery runs only as an engine event and a sink
-// keeps no cell past DeliverTrain, so one is never in use twice, and a
-// fabric's scratch is one slice per shard, as long as the longest such
-// train, instead of one per link. Tests read its length.
-type TrainScratch struct{ Cells []atm.Cell }
 
 // NewLink creates a link delivering into sink.
 func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
@@ -469,10 +463,10 @@ func linkFire(a any) { a.(*Link).fire() }
 // fire delivers the oldest run in flight as one train, at its first cell's
 // arrival. A run that lies in one chunk of the in-flight ring is handed
 // over in place and dropped after DeliverTrain returns; one that straddles
-// chunks goes through DeliverRun, which a switch port or a NIC reads off
-// the ring in place and any other sink gets gathered. The run leaves the
-// runs ring and re-arming happens before delivery, so a sink that feeds
-// the link again observes consistent state and starts a new run.
+// chunks goes through DeliverRun: a switch port or a NIC reads it off the
+// ring in place, any other sink takes it a chunk at a time. The run leaves
+// the runs ring and re-arming happens before delivery, so a sink that
+// feeds the link again observes consistent state and starts a new run.
 //
 //unetlint:hotpath per-train delivery; runs for every train coming off a link
 func (l *Link) fire() {
@@ -482,7 +476,7 @@ func (l *Link) fire() {
 	if cells := l.pend.Span(n); len(cells) == n {
 		l.sink.DeliverTrain(cells, r.first, l.p.CellTime)
 	} else {
-		DeliverRun(l.e, l.sink, &l.pend, n, r.first, l.p.CellTime)
+		DeliverRun(l.sink, &l.pend, n, r.first, l.p.CellTime)
 	}
 	l.pend.Drop(n)
 }

@@ -278,31 +278,45 @@ func TestShardedTieUnequalLatencyMatchesSerial(t *testing.T) {
 	testTie(t, DefaultLinkParams(), long, 5*us)
 }
 
-// vciLog is a CellSink that keeps the VCIs it was handed (the cells
-// themselves are the link's to reuse once DeliverTrain returns).
-type vciLog struct{ vcis []atm.VCI }
+// vciLog is a CellSink that keeps the VCIs it was handed and their arrival
+// times (the cells themselves are the link's to reuse once DeliverTrain
+// returns).
+type vciLog struct {
+	vcis []atm.VCI
+	at   []time.Duration
+}
 
-func (v *vciLog) DeliverTrain(cells []atm.Cell, _, _ time.Duration) {
-	for _, c := range cells {
+func (v *vciLog) DeliverTrain(cells []atm.Cell, first, spacing time.Duration) {
+	for i, c := range cells {
 		v.vcis = append(v.vcis, c.VCI)
+		v.at = append(v.at, first+time.Duration(i)*spacing)
 	}
 }
 
-// TestTrainScratchIsPerEngine: every link delivering on one engine gathers
-// its trains into that engine's one scratch slice, a link on another shard
-// into that shard's, and a cross link's receive half into the scratch of
-// the engine it delivers on. Two links whose trains land at the same
-// instant still hand their sinks the right cells, and the second allocates
-// nothing.
+// TestTrainScratchIsPerEngine: two links on one engine whose trains land
+// at the same instant each hand their sink their own cells in order, and
+// a train on the second allocates nothing. A cross link's 200-cell train,
+// longer than a ring chunk, reaches a sink that is not a RunSink whole, in
+// order and at each cell's arrival time, a chunk at a time.
 func TestTrainScratchIsPerEngine(t *testing.T) {
-	root := sim.New(1)
-	shard := root.NewShard()
 	lp := LinkParams{CellTime: 1 * us, Propagation: 1 * us}
-	cross := NewCrossLink(root, shard, "x", lp, &vciLog{})
-	cross.SendRun(make([]atm.Cell, 200), 0, 0) // one run, longer than a chunk
+	root := sim.New(1)
+	var logX vciLog
+	cross := NewCrossLink(root, root.NewShard(), "x", lp, &logX)
+	run := make([]atm.Cell, 200)
+	for i := range run {
+		run[i].VCI = atm.VCI(i)
+	}
+	cross.SendRun(run, 0, 0)
 	root.Run()
-	if len(scratch(root)) != 0 || len(scratch(shard)) < 200 {
-		t.Errorf("a cross link's 200-cell train left the scratch at %d cells on its transmitter's engine and %d on its receiver's; want 0 and at least 200", len(scratch(root)), len(scratch(shard)))
+	for i, v := range logX.vcis {
+		// Cell i leaves the transmitter at (i+1) µs and flies 1 µs.
+		if v != atm.VCI(i) || logX.at[i] != time.Duration(i+2)*us {
+			t.Fatalf("the cross link delivered VCI %d at position %d, arriving at %v", v, i, logX.at[i])
+		}
+	}
+	if len(logX.vcis) != len(run) {
+		t.Fatalf("the cross link delivered %d of %d cells", len(logX.vcis), len(run))
 	}
 
 	solo := sim.New(1)
@@ -330,16 +344,11 @@ func TestTrainScratchIsPerEngine(t *testing.T) {
 	if len(logC.vcis) != 20 || len(logD.vcis) != 12 {
 		t.Fatalf("delivered %d and %d cells, want 20 and 12", len(logC.vcis), len(logD.vcis))
 	}
-	grown := cap(scratch(solo))
-	if grown < 20 {
-		t.Fatalf("scratch holds %d cells after a 20-cell train", grown)
-	}
-	logD.vcis = logD.vcis[:0]
 	if n := testing.AllocsPerRun(10, func() {
-		logD.vcis = logD.vcis[:0]
+		logD.vcis, logD.at = logD.vcis[:0], logD.at[:0]
 		send(d, 200, 20)
 		solo.Run()
-	}); n != 0 || cap(scratch(solo)) != grown {
-		t.Errorf("a 20-cell train on link d allocated %v times and left the scratch at %d cells: d should reuse what c's train grew (%d)", n, cap(scratch(solo)), grown)
+	}); n != 0 {
+		t.Errorf("a 20-cell train on link d allocated %v times, want 0", n)
 	}
 }

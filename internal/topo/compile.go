@@ -68,7 +68,7 @@ func (h hostPortSink) DeliverRun(r *sim.Ring[atm.Cell], n int, first, spacing ti
 		h.f.undeliv += uint64(n)
 		return
 	}
-	fabric.DeliverRun(h.f.hostEng[h.i], s, r, n, first, spacing)
+	fabric.DeliverRun(s, r, n, first, spacing)
 }
 
 // trunkSink indirects a trunk link's receive side to the peer switch's

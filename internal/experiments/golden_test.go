@@ -40,7 +40,7 @@ const goldenDir = "testdata/golden"
 type goldenCase struct {
 	name   string
 	render func() string // lays the simulation out on Shards engines
-	shards []int
+	shards []int         // the shard counts it promises; none for one engine
 }
 
 // goldenCases is the table: every row of All at goldenOptions(), and the
@@ -142,7 +142,7 @@ func goldens(t *testing.T, dir string, cases []goldenCase, sharded bool) {
 	for _, c := range cases {
 		layouts := []layout{{parallel: 1}, {parallel: 8}}
 		if sharded {
-			layouts = layouts[:0]
+			layouts = nil
 			for _, k := range c.shards {
 				layouts = append(layouts, layout{shards: k})
 			}

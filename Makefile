@@ -11,7 +11,7 @@ EXAMPLES = quickstart activemsg multiservice splitsort tcpecho
 STATICCHECK_VERSION = 2025.1.1
 GOVULNCHECK_VERSION = v1.1.4
 
-.PHONY: all build check test loc race smoke traffic lint lint-tools lint-extra fuzz benchcheck ci
+.PHONY: all build check test loc race smoke traffic lint lint-tools lint-extra fuzz benchcheck ci replay
 
 all: build
 
@@ -40,11 +40,11 @@ race:
 
 # smoke drives the CLI where no test does: a 64-host two-stage Clos storm
 # on four shards (zero queue drops, zero undelivered cells), the island
-# gossip sharded, and the 8192-island overlay end to end (~7 s, ~215 MB —
-# what the size costs when labels are link-local and segments resident on
-# use, DESIGN.md §14 and §10). Then the README's examples, which no test
-# runs: each twice, and the two outputs must be the same bytes (the Split-C
-# sample sort's were not, until PR 18).
+# gossip sharded, and the 8192-island overlay end to end (~15 s and ~155 MB
+# peak on 2 vCPUs — what the size costs with link-local labels, label
+# tables that span only the labels in use and segments resident on use,
+# DESIGN.md §14 and §10). Then the README's examples, which no test runs:
+# each twice, and the two outputs must be the same bytes.
 smoke:
 	$(GO) run ./cmd/unetbench -experiment clos -topo clos2 -racks 8 -perrack 8 -spine 2 -shards 4 -count 4
 	$(GO) run ./cmd/unetbench -experiment gossip -islands 256 -shards 4
@@ -139,3 +139,72 @@ ci: lint test race smoke traffic fuzz
 # make benchcheck OLD=old.json NEW=new.json. Exit 1 on a regression.
 benchcheck:
 	$(GO) run ./bench -compare $(OLD) $(NEW)
+
+# replay measures revisions of this tree side by side on bench's one-workload
+# protocol, so what a run of commits did is read in one sitting:
+# make replay REVS="a b" PAIRS=5 SECONDS=3. It git-archives each revision
+# into a temporary directory, builds ./bench there (the module has no
+# dependencies, so old trees build offline) and runs `bench -workload W
+# -seconds S -trace 0` PAIRS times a workload for each revision, alternating,
+# the order flipped every other pair. Per workload and metric it prints each
+# revision's median, every later revision's change from the first and the
+# pairs it did better in, and whether the change lies inside the metric's
+# BENCHMARK.json bound or beyond it, better or WORSE: a revision replayed
+# against itself reads "inside" on every row. Not in ci: six workloads take
+# PAIRS x revisions x ~6 s.
+REVS ?= HEAD HEAD
+PAIRS ?= 5
+SECONDS ?= 3
+replay:
+	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; n=0; names=; \
+	for r in $(REVS); do \
+		n=$$((n + 1)); mkdir "$$tmp/$$n"; names="$$names $$(git rev-parse --short "$$r")" || exit 1; \
+		git archive "$$r" | tar -x -C "$$tmp/$$n" && (cd "$$tmp/$$n" && $(GO) build -o bench.bin ./bench) || exit 1; \
+	done; \
+	for w in $$(awk -F'"' '/"why"/ { print $$4 }' BENCHMARK.json); do \
+		for p in $$(seq $(PAIRS)); do \
+			order="$$(seq $$n)"; if [ $$((p % 2)) = 0 ]; then order="$$(seq $$n -1 1)"; fi; \
+			for k in $$order; do \
+				echo "replay: $$w pair $$p revision $$k" >&2; \
+				line="$$(cd "$$tmp/$$k" && ./bench.bin -workload $$w -seconds $(SECONDS) -trace 0 2>/dev/null | tail -n 1)"; \
+				case "$$line" in '{"correct":true'*) ;; *) echo "replay: $$w on revision $$k failed: $$line"; exit 1;; esac; \
+				echo "$$w $$p $$k $$line" >> "$$tmp/runs"; \
+			done; \
+		done; \
+	done; \
+	awk -v revs="$$names" -v pairs=$(PAIRS) ' \
+		function median(w, m, k,   a, i, j, x) { \
+			for (i = 1; i <= pairs; i++) { \
+				x = val[w, m, k, i]; \
+				for (j = i; j > 1 && a[j - 1] > x; j--) a[j] = a[j - 1]; \
+				a[j] = x; \
+			} \
+			return pairs % 2 ? a[(pairs + 1) / 2] : (a[pairs / 2] + a[pairs / 2 + 1]) / 2; \
+		} \
+		FNR == NR { if ($$0 ~ /"bound"/) { split($$0, f, "\""); b = $$0; sub(/.*"bound": */, "", b); bound[f[4]] = b + 0; lower[f[4]] = f[12] == "lower" } next } \
+		{ \
+			if (!(($$1) in seen)) { seen[$$1] = 1; order[++nw] = $$1 } \
+			for (i = 1; i <= 3; i++) { \
+				m = metric[i]; match($$4, "\"" m "\":\\{\"value\":[^,}]*"); \
+				val[$$1, m, $$3, $$2] = substr($$4, RSTART + length(m) + 12, RLENGTH - length(m) - 12) + 0; \
+			} \
+		} \
+		BEGIN { split("msgs_per_s alloc_mb peak_rss_mb", metric, " "); nr = split(revs, rev, " ") } \
+		END { \
+			printf "%-14s %-12s", "workload", "metric"; \
+			for (k = 1; k <= nr; k++) printf " %14s", rev[k]; \
+			for (k = 2; k <= nr; k++) printf " %9s %5s %8s", "change", "won", "bound"; \
+			print ""; \
+			for (o = 1; o <= nw; o++) for (i = 1; i <= 3; i++) { \
+				w = order[o]; m = metric[i]; base = median(w, m, 1); \
+				printf "%-14s %-12s", w, m; \
+				for (k = 1; k <= nr; k++) printf " %14.6g", median(w, m, k); \
+				for (k = 2; k <= nr; k++) { \
+					c = median(w, m, k) / base - 1; won = 0; \
+					for (p = 1; p <= pairs; p++) won += lower[m] ? val[w, m, k, p] < val[w, m, 1, p] : val[w, m, k, p] > val[w, m, 1, p]; \
+					v = c <= bound[m] && -c <= bound[m] ? "inside" : (c < 0) == lower[m] ? "better" : "WORSE"; \
+					printf " %+8.1f%% %2d/%-2d %8s", 100 * c, won, pairs, v; \
+				} \
+				print ""; \
+			} \
+		}' BENCHMARK.json "$$tmp/runs"

@@ -30,8 +30,9 @@ func circuitNets() []circuitNet {
 func (n circuitNet) tables() (lens []int, entries int) {
 	for _, sw := range n.net.Switches {
 		for p := 0; p < sw.Ports(); p++ {
-			lens = append(lens, sw.TableLen(p))
-			for v := 0; v < sw.TableLen(p); v++ {
+			base, rows := sw.TableSpan(p)
+			lens = append(lens, rows)
+			for v := int(base); v < int(base)+rows; v++ {
 				if _, _, ok := sw.Lookup(p, atm.VCI(v)); ok {
 					entries++
 				}

@@ -28,9 +28,9 @@ type Switch struct {
 	e       *sim.Engine
 	name    string
 	latency time.Duration
-	in      []labelTable // per input port, indexed by arriving label
-	wait    []portQueue  // per input port: cells waiting for their forwarding job
-	labels  []Labels     // per output port: the outgoing link's label space
+	in      []LabelTable[xlate] // per input port, indexed by arriving label
+	wait    []portQueue         // per input port: cells waiting for their forwarding job
+	labels  []Labels            // per output port: the outgoing link's label space
 	out     []*Link
 	unknown uint64
 	free    *fwdJob // recycled forwarding jobs
@@ -43,22 +43,11 @@ type Switch struct {
 }
 
 // xlate is one label-table row: the output port and the label the cell
-// carries on that port's link.
+// carries on that port's link. The zero row is no route.
 type xlate struct {
 	port int32
 	out  atm.VCI
 	ok   bool
-}
-
-// labelTable is one input port's routes, dense in the arriving label; the
-// zero row is no route.
-type labelTable []xlate
-
-func (t labelTable) row(v atm.VCI) xlate {
-	if int(v) < len(t) {
-		return t[v]
-	}
-	return xlate{}
 }
 
 // portQueue holds an input port's relabelled cells until their job fires.
@@ -178,7 +167,7 @@ func NewSwitchWithLinks(e *sim.Engine, name string, latency time.Duration, out [
 	for i := range wait {
 		wait[i].cells = sim.NewRing[atm.Cell](e)
 	}
-	return &Switch{e: e, name: name, latency: latency, in: make([]labelTable, len(out)), wait: wait, labels: make([]Labels, len(out)), out: out, qdrops: make([]uint64, len(out))}
+	return &Switch{e: e, name: name, latency: latency, in: make([]LabelTable[xlate], len(out)), wait: wait, labels: make([]Labels, len(out)), out: out, qdrops: make([]uint64, len(out))}
 }
 
 // SetOutputQueueCells bounds every output port's queue to n cells; cells
@@ -219,12 +208,7 @@ func (s *Switch) install(in int, label atm.VCI, port int, keep bool) (out atm.VC
 	} else if out, err = s.labels[port].Alloc(s.out[port].name); err != nil {
 		return 0, err
 	}
-	t := s.in[in]
-	if n := int(label) + 1 - len(t); n > 0 {
-		t = append(t, make(labelTable, n)...)
-	}
-	t[label] = xlate{port: int32(port), out: out, ok: true}
-	s.in[in] = t
+	*s.in[in].Put(label) = xlate{port: int32(port), out: out, ok: true}
 	return out, nil
 }
 
@@ -251,7 +235,7 @@ func (s *Switch) Unroute(in int, vci atm.VCI) {
 		return
 	}
 	s.labels[port].Free(out)
-	s.in[in][vci] = xlate{}
+	*s.in[in].At(vci) = xlate{}
 }
 
 // Lookup reports the output port and outgoing label installed for
@@ -261,13 +245,13 @@ func (s *Switch) Lookup(in int, vci atm.VCI) (port int, out atm.VCI, ok bool) {
 	if in < 0 || in >= len(s.in) {
 		return 0, 0, false
 	}
-	r := s.in[in].row(vci)
+	r := s.in[in].Get(vci)
 	return int(r.port), r.out, r.ok
 }
 
-// TableLen reports the length of input port in's label table — set-up
-// state, bounded by the labels in use on the incoming link.
-func (s *Switch) TableLen(in int) int { return len(s.in[in]) }
+// TableSpan reports input port in's table: its base label and its rows —
+// set-up state, bounded by the labels in use on the incoming link.
+func (s *Switch) TableSpan(in int) (atm.VCI, int) { return s.in[in].Base(), len(s.in[in].Rows()) }
 
 // UnknownVCICells reports cells dropped for lack of a route.
 func (s *Switch) UnknownVCICells() uint64 { return s.unknown }
@@ -335,7 +319,7 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 		if len(seg) == 0 {
 			seg = w.Next(n)
 		}
-		r := t.row(seg[0].VCI)
+		r := t.Get(seg[0].VCI)
 		if !r.ok {
 			s.unknown++
 			seg = seg[1:]
@@ -367,7 +351,7 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 				seg, k = seg[c:], k+c
 			}
 			for k := range dst {
-				dst[k].VCI = t[dst[k].VCI].out
+				dst[k].VCI = t.Get(dst[k].VCI).out
 			}
 			left -= len(dst)
 		}
@@ -380,9 +364,9 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 }
 
 // sameRoute returns how many of cells, from the first, go out on r's port.
-func sameRoute(t labelTable, r xlate, cells []atm.Cell) int {
+func sameRoute(t LabelTable[xlate], r xlate, cells []atm.Cell) int {
 	for k := range cells {
-		if r2 := t.row(cells[k].VCI); !r2.ok || r2.port != r.port {
+		if r2 := t.Get(cells[k].VCI); !r2.ok || r2.port != r.port {
 			return k
 		}
 	}

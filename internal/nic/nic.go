@@ -138,14 +138,14 @@ type Device struct {
 	txRR  int
 	stats Stats
 
-	// Dense VCI demultiplex table, indexed by VCI. Receive VCIs are labels
-	// of this device's own downlink, lowest free first, so the table is as
-	// long as the channels open here. lastVCI/lastEnt cache the most recent
-	// lookup: cells arrive in VCI-contiguous trains, so the cache hits for
-	// every cell of a multi-cell PDU after the first. Any table mutation
-	// (open/close/grow) must invalidate the cache — entries move when the
-	// slice reallocates.
-	table   []vciEntry
+	// VCI demultiplex table. Receive VCIs are labels of this device's own
+	// downlink, lowest free first from fabric.FirstUserVCI, so the table is
+	// as long as the channels open here. lastVCI/lastEnt cache the most
+	// recent lookup: cells arrive in VCI-contiguous trains, so the cache
+	// hits for every cell of a multi-cell PDU after the first. Any table
+	// mutation (open/close/grow) must invalidate the cache — rows move when
+	// the span grows.
+	table   fabric.LabelTable[vciEntry]
 	lastVCI atm.VCI
 	lastEnt *vciEntry
 
@@ -242,24 +242,13 @@ func (d *Device) DetachEndpoint(ep *unet.Endpoint) {
 			break
 		}
 	}
-	for i := range d.table {
-		if ent := &d.table[i]; ent.open && ent.ep == ep {
-			d.closeEntry(ent)
-		}
-	}
-	d.lastEnt = nil
-	d.arm()
+	d.closeRows(ep, 0, true)
 }
 
 // OpenChannel registers the receive tag rx as belonging to (ep, ch).
 func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VCI) error {
 	d.catchUp()
-	if n := int(rx) + 1 - len(d.table); n > 0 {
-		// append's amortised growth: a device opens channels one rising VCI
-		// at a time, and growing to exactly rx+1 copied the table on every call.
-		d.table = append(d.table, make([]vciEntry, n)...)
-	}
-	ent := &d.table[rx]
+	ent := d.table.Put(rx)
 	if ent.open && ent.ep != ep {
 		return errors.New("nic: VCI already registered to another endpoint")
 	}
@@ -270,19 +259,20 @@ func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VC
 	return nil
 }
 
-// closeEntry clears one table row, returning any partial-PDU slab to the
-// arena.
-func (d *Device) closeEntry(ent *vciEntry) {
-	ent.reasm.Reset()
-	*ent = vciEntry{}
-}
-
 // CloseChannel removes the tag registration.
 func (d *Device) CloseChannel(ep *unet.Endpoint, ch unet.ChannelID) {
 	d.catchUp()
-	for i := range d.table {
-		if ent := &d.table[i]; ent.open && ent.ep == ep && ent.ch == ch {
-			d.closeEntry(ent)
+	d.closeRows(ep, ch, false)
+}
+
+// closeRows clears the rows ep has open on channel ch (on every channel if
+// all), returning any partial-PDU slab to the arena.
+func (d *Device) closeRows(ep *unet.Endpoint, ch unet.ChannelID, all bool) {
+	rows := d.table.Rows()
+	for i := range rows {
+		if ent := &rows[i]; ent.open && ent.ep == ep && (all || ent.ch == ch) {
+			ent.reasm.Reset()
+			*ent = vciEntry{}
 		}
 	}
 	d.lastEnt = nil
@@ -290,8 +280,8 @@ func (d *Device) CloseChannel(ep *unet.Endpoint, ch unet.ChannelID) {
 }
 
 // TableLen reports the demux table's length — set-up state, bounded by the
-// reserved labels plus the channels open on this device.
-func (d *Device) TableLen() int { return len(d.table) }
+// channels open on this device.
+func (d *Device) TableLen() int { return len(d.table.Rows()) }
 
 // route looks up the table entry for v, or nil if the VCI is unregistered.
 //
@@ -300,11 +290,12 @@ func (d *Device) route(v atm.VCI) *vciEntry {
 	if d.lastEnt != nil && v == d.lastVCI {
 		return d.lastEnt
 	}
-	if int(v) >= len(d.table) || !d.table[v].open {
+	ent := d.table.At(v)
+	if ent == nil || !ent.open {
 		return nil
 	}
-	d.lastVCI, d.lastEnt = v, &d.table[v]
-	return d.lastEnt
+	d.lastVCI, d.lastEnt = v, ent
+	return ent
 }
 
 // KickTx wakes the processor: ep's send queue became non-empty. Rings are

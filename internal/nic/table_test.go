@@ -1,51 +1,73 @@
 package nic
 
 import (
+	"slices"
 	"testing"
 	"unsafe"
 
 	"unet/internal/atm"
+	"unet/internal/fabric"
 	"unet/internal/unet"
 )
 
-// TestOpenChannelGrowthIsAmortised opens channels on rising VCIs the way a
-// device with many channels sees them (its downlink's labels, lowest first;
-// strided when explicit routes chose the tags) and bounds the bytes of every backing array the demux table moved through by
-// a constant times the table it ends up with. Growing to exactly rx+1 on
-// every call — what the table did before — allocates it afresh once per
-// channel: channels/2 times the final size (32x for the 64-host mesh, 512x
-// for 1024 channels).
+// TestOpenChannelGrowthIsAmortised opens channels the way a device with
+// many channels sees them — its downlink's labels, lowest first; strided
+// when explicit routes chose the tags — and the two orders that grow the
+// table at its base: labels in descending order, and one label below
+// fabric.FirstUserVCI halfway through, as an explicit route's Take marks on
+// a link. It bounds the bytes of every backing array the demux table moved
+// through by a constant times the table it ends up with, and checks that
+// the table spans only the labels opened. Growing to exactly the new span
+// on every call allocates it afresh once per channel: channels/2 times the
+// final size (32x for the 64-host mesh, 512x for 1024 channels).
 //
 // append's growth step eases from 2x below 256 entries to 1.25x, so the
 // constant is under 3 up to ~2000 entries and creeps towards 5 beyond; the
-// last case is 63 channels spread over 4032 VCIs — one device of a 64-host
-// mesh whose tags come from one fabric-wide counter — which measures 3.3x.
+// strided case is 63 channels spread over 4032 VCIs — one device of a
+// 64-host mesh whose tags come from one fabric-wide counter.
 func TestOpenChannelGrowthIsAmortised(t *testing.T) {
-	for _, tc := range []struct{ channels, stride, bound int }{
-		{1024, 1, 3},
-		{1024, 2, 3},
-		{63, 64, 5},
+	rising := func(channels, stride int) []atm.VCI {
+		rx := make([]atm.VCI, channels)
+		for i := range rx {
+			rx[i] = fabric.FirstUserVCI + atm.VCI(i*stride)
+		}
+		return rx
+	}
+	descending := rising(1024, 1)
+	slices.Reverse(descending)
+	for _, tc := range []struct {
+		name  string
+		rx    []atm.VCI
+		span  int
+		bound int
+	}{
+		{"rising", rising(1024, 1), 1024, 3},
+		{"stride2", rising(1024, 2), 2047, 3},
+		{"stride64", rising(63, 64), 3969, 5},
+		{"descending", descending, 1024, 3},
+		{"below-reserved", slices.Insert(rising(1024, 1), 512, 5), 1051, 3},
 	} {
 		d := &Device{}
 		ep := new(unet.Endpoint)
+		size := func() uint64 {
+			return uint64(cap(d.table.Rows())) * uint64(unsafe.Sizeof(vciEntry{}))
+		}
 		var got uint64
-		for i := 0; i < tc.channels; i++ {
-			rx := atm.VCI(32 + i*tc.stride)
-			before := cap(d.table)
+		for i, rx := range tc.rx {
+			before := size()
 			if err := d.OpenChannel(ep, unet.ChannelID(i), rx, rx); err != nil {
 				t.Fatal(err)
 			}
-			if cap(d.table) != before {
-				got += uint64(cap(d.table)) * uint64(unsafe.Sizeof(vciEntry{}))
+			if size() != before {
+				got += size()
 			}
 		}
-		if want := 32 + (tc.channels-1)*tc.stride + 1; len(d.table) != want {
-			t.Fatalf("%d channels, stride %d: table has %d entries, want %d", tc.channels, tc.stride, len(d.table), want)
+		if d.TableLen() != tc.span {
+			t.Fatalf("%s: table has %d entries, want %d", tc.name, d.TableLen(), tc.span)
 		}
-		final := uint64(cap(d.table)) * uint64(unsafe.Sizeof(vciEntry{}))
-		if got > uint64(tc.bound)*final {
-			t.Errorf("%d channels, stride %d: growth allocated %d bytes for a %d-byte table (%.1fx), want at most %dx",
-				tc.channels, tc.stride, got, final, float64(got)/float64(final), tc.bound)
+		if final := size(); got > uint64(tc.bound)*final {
+			t.Errorf("%s: growth allocated %d bytes for a %d-byte table (%.1fx), want at most %dx",
+				tc.name, got, final, float64(got)/float64(final), tc.bound)
 		}
 	}
 }

@@ -3,17 +3,19 @@ package nic_test
 import (
 	"testing"
 
-	"unet/internal/fabric"
+	"unet/internal/atm"
 	"unet/internal/testbed"
 	"unet/internal/topo"
 	"unet/internal/unet"
 )
 
 // TestDemuxTableSpansOwnChannels: receive labels are local to the device's
-// downlink and reused lowest-first, so a device's demux table is as long
-// as the reserved labels plus the channels open on that device — not as
-// the VCIs the whole fabric has handed out (hosts × VCIs of table before
-// labels were link-local: ~4 060 rows per device on the 64-host mesh).
+// downlink and reused lowest-first, and a table spans only the labels in
+// use, so a device's demux table is as long as the channels open on that
+// device — not as the VCIs the whole fabric has handed out, and without
+// rows for the labels below fabric.FirstUserVCI. Every switch input port's
+// table is likewise as long as the circuits its incoming link carries: one
+// route each.
 func TestDemuxTableSpansOwnChannels(t *testing.T) {
 	t.Run("mesh64", func(t *testing.T) {
 		tb := testbed.New(testbed.Config{Topology: topo.Clos2(8, 8, 2)})
@@ -55,8 +57,22 @@ func TestDemuxTableSpansOwnChannels(t *testing.T) {
 func checkTables(t *testing.T, tb *testbed.Testbed, channels int) {
 	t.Helper()
 	for i, d := range tb.Devices {
-		if got, max := d.TableLen(), int(fabric.FirstUserVCI)+channels; got > max {
-			t.Fatalf("host %d: demux table has %d rows for %d channels, want at most %d", i, got, channels, max)
+		if got := d.TableLen(); got > channels {
+			t.Fatalf("host %d: demux table has %d rows for %d channels", i, got, channels)
+		}
+	}
+	for j, sw := range tb.Topo.Switches {
+		for p := 0; p < sw.Ports(); p++ {
+			base, rows := sw.TableSpan(p)
+			circuits := 0
+			for v := int(base); v < int(base)+rows; v++ {
+				if _, _, ok := sw.Lookup(p, atm.VCI(v)); ok {
+					circuits++
+				}
+			}
+			if rows > circuits {
+				t.Fatalf("switch %d input port %d: table has %d rows for %d circuits", j, p, rows, circuits)
+			}
 		}
 	}
 }

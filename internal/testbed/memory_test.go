@@ -83,6 +83,36 @@ func TestMemoryFollowsUse(t *testing.T) {
 	if got := built + allocated(func() { mesh.Storm(32, 1024) }); got > 10800<<10+raceAlloc {
 		t.Errorf("64-host NewMesh and its first clos2 storm at count 32 allocated %d bytes, want at most 10.8 MB (10.4 MB measured; 11.9 MB when each cell in flight carried its own arrival stamp in a pool of its own; 26.6 MB with the prefix)", got)
 	}
+
+	// The island overlay as the gossip experiment builds it before its
+	// first round: 256 island switches in a ring with antipodal chords, one
+	// host on each with an 8 KB-segment endpoint, a channel per overlay
+	// edge — three a host. A host's share is its switch, links, device,
+	// endpoint and the label-table rows its three channels take.
+	const islands = 256
+	if got := allocated(func() {
+		isl := New(Config{Topology: topo.Island(islands, 1)})
+		defer isl.Close()
+		eps := make([]*unet.Endpoint, islands)
+		for i := range eps {
+			ep, err := isl.Hosts[i].Kernel.CreateEndpoint(nil, isl.Hosts[i].NewProcess("app"), unet.EndpointConfig{SegmentSize: 8 << 10})
+			if err != nil {
+				t.Fatal(err)
+			}
+			eps[i] = ep
+		}
+		for i := range eps {
+			for _, j := range []int{(i + 1) % islands, i + islands/2} {
+				if j < islands {
+					if _, err := isl.Manager.Connect(nil, eps[i], eps[j]); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+		}
+	}) / islands; got > 7<<10+raceAlloc/islands {
+		t.Errorf("256-island overlay allocated %d bytes a host, want at most 7 KB (5 787 measured; 9 165 when every label-indexed table started at VCI 0)", got)
+	}
 }
 
 // TestConduitStagingMustFitTheSegment: a conduit whose staging ring runs

@@ -2,6 +2,7 @@ package nic_test
 
 import (
 	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"hash/crc32"
 	"math/rand"
@@ -32,6 +33,7 @@ type intakeScript struct {
 	closeAt time.Duration
 	closeCh int
 	detach  bool
+	direct  bool // host 1's endpoints take direct-access PDUs (§3.6)
 }
 
 type intakeTrain struct {
@@ -41,9 +43,13 @@ type intakeTrain struct {
 }
 
 type intakePDU struct {
-	ch   int
-	data []byte
+	ch     int // a channel of host 1, or unknownCh: a label nothing is open on
+	data   []byte
+	direct bool // a direct-access PDU: data begins with the deposit offset
 }
+
+// unknownCh names a PDU on a label no channel of host 1 is open on.
+const unknownCh = -1
 
 type intakeSend struct {
 	wait time.Duration
@@ -142,7 +148,7 @@ func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) inta
 	for i := range 2 {
 		var pair [2]*unet.Endpoint
 		for h := range 2 {
-			ep, err := tb.Hosts[h].Kernel.CreateEndpoint(nil, tb.Hosts[h].NewProcess("app"), unet.EndpointConfig{})
+			ep, err := tb.Hosts[h].Kernel.CreateEndpoint(nil, tb.Hosts[h].NewProcess("app"), unet.EndpointConfig{DirectAccess: s.direct && h == 1})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -159,6 +165,9 @@ func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) inta
 						return
 					}
 					data := ep.Gather(nil, rd, nil)
+					if rd.Direct {
+						data = ep.DevReadSegmentAppend(nil, rd.DirectOffset, rd.Length)
+					}
 					res.deliveries = append(res.deliveries, fmt.Sprintf("%v %s ch%d %dB %08x", e.Now(), idx, rd.Channel, len(data), crc32.ChecksumIEEE(data)))
 				}
 			})
@@ -176,7 +185,14 @@ func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) inta
 	for _, tr := range s.trains {
 		segs := make([][]atm.Cell, len(tr.pdus))
 		for p, pdu := range tr.pdus {
-			segs[p] = atm.Segment(chans[pdu.ch].rx, pdu.data)
+			vci := atm.VCI(1000)
+			if pdu.ch != unknownCh {
+				vci = chans[pdu.ch].rx
+			}
+			segs[p] = atm.Segment(vci, pdu.data)
+			for i := range segs[p] {
+				segs[p][i].Direct = pdu.direct
+			}
 		}
 		cells := make([]atm.Cell, len(tr.order))
 		for i, p := range tr.order {
@@ -261,11 +277,123 @@ func overflowDuringSend() intakeScript {
 	}
 }
 
+// pduOf returns an n-byte PDU on channel ch.
+func pduOf(ch, n int) intakePDU {
+	data := make([]byte, n)
+	for i := range data {
+		data[i] = byte(i*7 + n + ch)
+	}
+	return intakePDU{ch: ch, data: data}
+}
+
+// directPDU returns a direct-access PDU on channel ch depositing n bytes at
+// segment offset off.
+func directPDU(ch, off, n int) intakePDU {
+	p := pduOf(ch, 8+n)
+	binary.BigEndian.PutUint64(p.data, uint64(off))
+	p.direct = true
+	return p
+}
+
+// addTrain appends a train that arrives gap after the script's last train
+// has arrived, or at 25 µs. Its PDUs' cells come k of each in turn, or PDU
+// after PDU when k is 0.
+func (s *intakeScript) addTrain(gap time.Duration, k int, pdus ...intakePDU) {
+	at := 25 * time.Microsecond
+	if n := len(s.trains); n > 0 {
+		last := s.trains[n-1]
+		at = last.at + time.Duration(len(last.order))*fabric.DefaultCellTime + gap
+	}
+	left := make([]int, len(pdus))
+	for p, pdu := range pdus {
+		left[p] = atm.CellsFor(len(pdu.data))
+	}
+	if k == 0 {
+		k = slices.Max(left)
+	}
+	var order []int
+	for slices.Max(left) > 0 {
+		for p := range left {
+			for i := 0; i < k && left[p] > 0; i++ {
+				order = append(order, p)
+				left[p]--
+			}
+		}
+	}
+	s.trains = append(s.trains, intakeTrain{at: at, pdus: pdus, order: order})
+}
+
+// stretchScripts end the processor's take of a run of cells at each place
+// it can end: at a PDU's last cell, where a PDU of 167 cells crosses the
+// input FIFO's ring chunks, where two channels' cells alternate one, two
+// or three at a time, at a cell on a label nothing is open on in the
+// middle of a PDU, at a direct-access PDU, where a receiver slower than
+// the wire takes cells before they arrive, where a receiver faster than
+// the wire wakes for each cell, and where an overflowing FIFO has queued
+// each cell as a train of its own. Host 1 sends meanwhile, so cells queue
+// behind its sends, and the close comes after the traffic.
+func stretchScripts() (names []string, scripts []intakeScript) {
+	us := time.Microsecond
+	sends := []intakeSend{{wait: 30 * us, size: 1000}, {ch: 1, size: 300}, {wait: 200 * us, size: 40}}
+	add := func(name string, p nic.Params, direct bool, build func(s *intakeScript)) {
+		s := intakeScript{params: p, sends: sends, closeAt: time.Second, closeCh: 2, direct: direct}
+		build(&s)
+		names, scripts = append(names, name), append(scripts, s)
+	}
+	sba := nic.SBA200Params()
+	mixed := func(s *intakeScript) {
+		s.addTrain(0, 0, pduOf(2, 2000), pduOf(3, 600))
+		s.addTrain(10*us, 2, pduOf(1, 8), pduOf(2, 1024))
+		s.addTrain(0, 0, pduOf(3, 8000))
+		s.addTrain(40*us, 0, pduOf(0, 40), pduOf(0, 200))
+	}
+	add("stretchAcrossChunks", sba, false, func(s *intakeScript) {
+		s.addTrain(0, 0, pduOf(2, 2000))
+		s.addTrain(5*us, 0, pduOf(3, 8000))
+		s.addTrain(0, 0, pduOf(2, 600), pduOf(3, 40))
+		s.addTrain(300*us, 0, pduOf(1, 8000), pduOf(2, 8000))
+	})
+	add("stretchTwoVCIs", sba, false, func(s *intakeScript) {
+		s.addTrain(0, 1, pduOf(2, 600), pduOf(3, 600))
+		s.addTrain(20*us, 2, pduOf(2, 1024), pduOf(3, 2000))
+		s.addTrain(0, 3, pduOf(1, 200), pduOf(2, 8), pduOf(3, 200))
+	})
+	add("stretchUnknownMidPDU", sba, false, func(s *intakeScript) {
+		s.addTrain(0, 0, pduOf(2, 2000), pduOf(unknownCh, 8), pduOf(unknownCh, 200))
+		tr := &s.trains[0]
+		tr.order = tr.order[:0]
+		for _, run := range [][2]int{{0, 10}, {1, 1}, {0, 10}, {2, 5}, {0, 22}} {
+			for range run[1] {
+				tr.order = append(tr.order, run[0])
+			}
+		}
+		s.addTrain(10*us, 1, pduOf(unknownCh, 600), pduOf(3, 600))
+	})
+	add("stretchDirectPDU", sba, true, func(s *intakeScript) {
+		s.addTrain(0, 0, directPDU(2, 200000, 1000))
+		s.addTrain(10*us, 0, directPDU(2, 150000, 16), pduOf(2, 600))
+		s.addTrain(0, 1, directPDU(3, 180000, 2000), pduOf(2, 600))
+	})
+	slow, fast := sba, sba
+	slow.RxPerCell, fast.RxPerCell = 5*us, 400*time.Nanosecond
+	add("stretchSlowReceiver", slow, false, mixed)
+	add("stretchFastReceiver", fast, false, mixed)
+	slow.InFIFODepth = 24
+	add("stretchOneCellTrains", slow, false, func(s *intakeScript) {
+		s.addTrain(0, 0, pduOf(2, 2000))
+		s.addTrain(0, 0, pduOf(3, 600))
+		s.addTrain(50*us, 1, pduOf(2, 600), pduOf(3, 600))
+	})
+	return names, scripts
+}
+
 // The scripts TestTrainIntakeMatchesBlockingLoop plays, by the names
 // intake.digests gives them.
 func intakeScripts() (names []string, scripts []intakeScript) {
 	names = []string{"closeDuringSend", "detachDuringSend", "overflowDuringSend"}
 	scripts = []intakeScript{closeDuringSend(false), closeDuringSend(true), overflowDuringSend()}
+	n, s := stretchScripts()
+	names, scripts = append(names, n...), append(scripts, s...)
 	for seed := int64(1); seed <= 200; seed++ {
 		names = append(names, fmt.Sprint("seed", seed))
 		scripts = append(scripts, newIntakeScript(seed))

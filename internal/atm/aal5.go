@@ -119,6 +119,31 @@ func (r *Reassembler) Reset() {
 	r.cells = 0
 }
 
+// AddMid feeds the next cells of the PDU, none of which ends it (EOP): the
+// same as an Add of each, with no PDU to return. A receiver that takes a
+// stretch of one VCI's cells at once appends their payloads in one loop.
+//
+//unetlint:hotpath AAL5 reassembly; runs on every stretch of mid-PDU cells
+func (r *Reassembler) AddMid(cells []Cell) {
+	if r.buf == nil && r.src != nil {
+		r.buf = r.src.Get()
+	}
+	r.cells += len(cells)
+	if n := len(r.buf) + len(cells)*PayloadSize; n <= cap(r.buf) {
+		// A slab that holds them all takes each payload as one fixed-size
+		// move, no call to memmove.
+		buf := r.buf[len(r.buf):n]
+		r.buf = r.buf[:n]
+		for i := range cells {
+			*(*[PayloadSize]byte)(buf[i*PayloadSize:]) = cells[i].Payload
+		}
+		return
+	}
+	for i := range cells {
+		r.buf = append(r.buf, cells[i].Payload[:]...)
+	}
+}
+
 // Add feeds the next cell. When c completes a PDU (c.EOP), Add validates
 // the trailer and returns the payload; otherwise it returns (nil, nil).
 // On validation failure the partial state is discarded and an error

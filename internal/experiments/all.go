@@ -94,8 +94,8 @@ var All = []Experiment{
 		cfg.Shards = Shards
 		var res GossipResult
 		wall := timed(func() { res = Gossip(cfg) })
-		return res.Render(), fmt.Sprintf("  [diag] events=%d wall=%v events/sec=%.0f\n",
-			res.Delivered, wall.Round(time.Microsecond), float64(res.Delivered)/wall.Seconds())
+		return res.Render(), fmt.Sprintf("  [diag] events=%d wall=%v events/sec=%.0f delivered/sec=%.0f\n",
+			res.Steps, wall.Round(time.Microsecond), float64(res.Steps)/wall.Seconds(), float64(res.Delivered)/wall.Seconds())
 	}},
 	{ID: "point", Sharded: true, OnDemand: true, Run: func(o Options) (string, string) { return point(o) + "\n", "" }},
 }

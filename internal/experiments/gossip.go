@@ -78,6 +78,9 @@ type GossipResult struct {
 	SwDrops   uint64 // switch finite-queue tail drops
 	Coverage  int    // hosts that know host 0's rumor at the end
 	End       time.Duration
+	// Steps is the events executed across all engines. Like ServeResult's
+	// it may differ across shard layouts, so Render leaves it out.
+	Steps uint64
 }
 
 // Render formats the result deterministically (golden-comparable).
@@ -249,7 +252,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 	}
 
 	end := tb.Eng.RunUntil(time.Duration(cfg.Rounds)*gossipPeriod + 10*time.Millisecond)
-	out := GossipResult{Hosts: n, Switches: len(spec.Switches), Rounds: cfg.Rounds, End: end, SwDrops: tb.Topo.TotalQueueDrops()}
+	out := GossipResult{Hosts: n, Switches: len(spec.Switches), Rounds: cfg.Rounds, End: end, SwDrops: tb.Topo.TotalQueueDrops(), Steps: tb.TotalSteps()}
 	for i := range stats {
 		out.Sent += stats[i].Sent
 		out.Delivered += stats[i].Delivered

@@ -3,6 +3,7 @@ package fabric
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 	"time"
@@ -34,11 +35,13 @@ type switchRecord struct {
 	queueDrops  uint64
 	deliveries  []string
 	pendingJobs int
+	sent        [4][]atm.VCI // the labels each output port sent, in order
 }
 
 // playSwitch delivers one train into input port 0 of a four-port switch
-// with routes to ports 1-3, the output queues bounded at qcells (0:
-// unbounded), and records what it shows.
+// with routes to ports 1-3 — labels 10-18 keep their label, 20 and 21 are
+// swapped to two labels of port 1, 22 to one of port 2 — the output queues
+// bounded at qcells (0: unbounded), and records what it shows.
 func playSwitch(cells []atm.Cell, qcells int, deliver func(s *Switch, first, spacing time.Duration)) switchRecord {
 	e := sim.New(1)
 	lp := LinkParams{CellTime: 3 * us, Propagation: 1 * us}
@@ -47,12 +50,18 @@ func playSwitch(cells []atm.Cell, qcells int, deliver func(s *Switch, first, spa
 	for p := range sinks {
 		sinks[p] = trainRecorder(func(first, spacing time.Duration, vcis []atm.VCI) {
 			rec.deliveries = append(rec.deliveries, fmt.Sprint(p, first, spacing, vcis))
+			rec.sent[p] = append(rec.sent[p], vcis...)
 		})
 	}
 	s := NewSwitch(e, "sw", 4, 2*us, lp, sinks)
 	s.SetOutputQueueCells(qcells)
 	for v := atm.VCI(10); v < 19; v++ {
 		if err := s.Route(0, v, 1+int(v-10)/3); err != nil {
+			panic(err)
+		}
+	}
+	for _, r := range [][2]int{{20, 1}, {21, 1}, {22, 2}} {
+		if _, err := s.Swap(0, atm.VCI(r[0]), r[1]); err != nil {
 			panic(err)
 		}
 	}
@@ -186,6 +195,50 @@ func TestDeliverRunMatchesDeliverTrain(t *testing.T) {
 	for k, kind := range kinds {
 		if seen[k] < 50 {
 			t.Errorf("only %d trains put the boundary %s", seen[k], kind.name)
+		}
+	}
+	// Two trains on swapped labels, which the generator does not draw: two
+	// labels to one port under different outgoing labels, alternating in
+	// stretches of one to five cells; and stretches whose label goes to
+	// another port than the label before. Whole and split at every chunk
+	// boundary, each forwarded cell carries the label Lookup gives.
+	for _, tc := range []struct {
+		name string
+		runs [][2]int // label, cells
+	}{
+		{"two labels to one port", [][2]int{{20, 1}, {21, 1}, {20, 2}, {21, 2}, {20, 3}, {21, 3}, {20, 5}, {21, 1}, {20, 1}, {21, 4}, {20, 1}, {21, 5}}},
+		{"a port change after a stretch", [][2]int{{20, 3}, {22, 2}, {20, 4}, {21, 1}, {22, 5}, {20, 6}, {21, 3}, {22, 1}, {21, 2}, {20, 1}, {22, 3}}},
+	} {
+		var cells []atm.Cell
+		for _, run := range tc.runs {
+			for range run[1] {
+				c := atm.Cell{VCI: atm.VCI(run[0])}
+				c.Payload[0] = byte(len(cells))
+				cells = append(cells, c)
+			}
+		}
+		check := func(how string, deliver func(s *Switch, first, spacing time.Duration)) {
+			var want [4][]atm.VCI
+			got := playSwitch(cells, 0, func(s *Switch, first, spacing time.Duration) {
+				for _, c := range cells {
+					port, out, ok := s.Lookup(0, c.VCI)
+					if !ok || out == c.VCI {
+						t.Fatalf("%s: label %d is not swapped (%d, %d, %v)", tc.name, c.VCI, port, out, ok)
+					}
+					want[port] = append(want[port], out)
+				}
+				deliver(s, first, spacing)
+			})
+			if !reflect.DeepEqual(got.sent, want) {
+				t.Errorf("%s, %s: the ports sent %v, Lookup gives %v", tc.name, how, got.sent, want)
+			}
+		}
+		check("whole", func(s *Switch, first, spacing time.Duration) { s.DeliverTrain(0, cells, first, spacing) })
+		for b := 1; b < len(cells); b++ {
+			r := straddled(cells, b)
+			check(fmt.Sprintf("split after %d", b), func(s *Switch, first, spacing time.Duration) {
+				s.DeliverRun(0, r, len(cells), first, spacing)
+			})
 		}
 	}
 }

@@ -326,11 +326,12 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 			i++
 			continue
 		}
-		run := sameRoute(t, r, seg[1:]) + 1
-		if run == len(seg) {
+		run, v := sameRoute(t, r, seg[0].VCI, seg[1:])
+		if run++; run == len(seg) {
 			for ahead := *w; ; {
 				rest := ahead.Next(n)
-				k := sameRoute(t, r, rest)
+				var k int
+				k, v = sameRoute(t, r, v, rest)
 				run += k
 				if k < len(rest) || len(rest) == 0 {
 					break
@@ -350,9 +351,7 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 				c := copy(dst[k:], seg)
 				seg, k = seg[c:], k+c
 			}
-			for k := range dst {
-				dst[k].VCI = t.Get(dst[k].VCI).out
-			}
+			relabel(t, dst)
 			left -= len(dst)
 		}
 		q.queued += uint64(run)
@@ -363,12 +362,30 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 	}
 }
 
-// sameRoute returns how many of cells, from the first, go out on r's port.
-func sameRoute(t LabelTable[xlate], r xlate, cells []atm.Cell) int {
+// sameRoute returns how many of cells, from the first, go out on r's port,
+// and the label of the last of them. v is a label known to go there: a
+// stretch of cells on one label costs one lookup.
+func sameRoute(t LabelTable[xlate], r xlate, v atm.VCI, cells []atm.Cell) (int, atm.VCI) {
 	for k := range cells {
+		if cells[k].VCI == v {
+			continue
+		}
 		if r2 := t.Get(cells[k].VCI); !r2.ok || r2.port != r.port {
-			return k
+			return k, v
+		}
+		v = cells[k].VCI
+	}
+	return len(cells), v
+}
+
+// relabel rewrites each of cells, all routed, to its outgoing label, with
+// one lookup a stretch of cells on one label.
+func relabel(t LabelTable[xlate], cells []atm.Cell) {
+	for k := 0; k < len(cells); {
+		v := cells[k].VCI
+		out := t.Get(v).out
+		for ; k < len(cells) && cells[k].VCI == v; k++ {
+			cells[k].VCI = out
 		}
 	}
-	return len(cells)
 }

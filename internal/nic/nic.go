@@ -556,9 +556,10 @@ func (d *Device) step() {
 // every cell behind it that had arrived by its cursor then, a run of cells
 // it finds queued, before it sleeps again. Those are taken now even if
 // they arrive later, as in that loop; a cell queued while it slept waits
-// for the sleep to end.
+// for the sleep to end. The cells go a stretch at a time (takeStretch),
+// each stretch with one run-stamp update and one drop from the FIFO.
 //
-//unetlint:hotpath runs once per arriving cell
+//unetlint:hotpath runs once per stretch of arriving cells
 func (d *Device) takeDue() {
 	now, run := d.e.Now(), false
 	for d.pend.kind == pendNone && d.in.Len() > 0 {
@@ -570,21 +571,66 @@ func (d *Device) takeDue() {
 			}
 			d.cursor, run = at, true
 		}
-		if r.n--; r.n == 0 {
+		n, eop := d.takeStretch(d.in.Span(int(r.n)), r.first, r.spacing, now)
+		if r.n -= int32(n); r.n == 0 {
 			d.runs.Pop()
 		} else {
-			r.first += r.spacing
+			r.first += time.Duration(n) * r.spacing
 		}
-		c := d.in.Front()
-		eop := c.EOP
-		d.processCell(c) // in place: a cell is 52 bytes
-		d.in.Pop()
+		d.in.Drop(n)
 		if d.in.Len() == 0 {
 			d.eop = eopNone
 		} else if eop {
 			d.eop = eopUnknown
 		}
 	}
+}
+
+// takeStretch takes the FIFO's head cells, cells — one run's, in one ring
+// chunk, cells[0] arriving at first and due — as far as the loop takes
+// them in one go: cells[k], arriving at first + k*spacing, is due if it
+// has arrived by max(cursor, now), and a stretch is the due cells on the
+// head's VCI up to the PDU's last. One route lookup serves them all. Each
+// cell still moves the cursor by the loop's own rule — a wake at its
+// arrival if that is later, then its cost — so a stretch ends where the
+// per-cell loop would have slept too. The mid-PDU cells' payloads are
+// appended in one call, and the last cell (endPDU) leaves the PDU in pend.
+// A cell on an unknown VCI is a stretch of its own. It returns how many
+// cells it took, and whether the last one ended a PDU.
+//
+//unetlint:hotpath the receive path: runs once per stretch of arriving cells, its loop once per cell
+func (d *Device) takeStretch(cells []atm.Cell, first, spacing, now time.Duration) (int, bool) {
+	v := cells[0].VCI
+	ent := d.route(v)
+	if ent == nil {
+		d.stats.CellsIn++
+		d.stats.UnknownVCIs++
+		return 1, cells[0].EOP
+	}
+	if ent.reasm.Pending() == 0 {
+		ent.direct = cells[0].Direct
+	}
+	cursor, rx := d.cursor, d.params.RxPerCell
+	mid, eop := 0, false
+	for at := first; mid < len(cells) && cells[mid].VCI == v && at <= max(cursor, now); at += spacing {
+		cursor = max(cursor, at)
+		if eop = cells[mid].EOP; eop {
+			break
+		}
+		cursor += rx
+		mid++
+	}
+	d.cursor = cursor
+	if mid > 0 {
+		ent.reasm.AddMid(cells[:mid])
+	}
+	n := mid
+	if eop {
+		d.endPDU(ent, &cells[mid])
+		n++
+	}
+	d.stats.CellsIn += uint64(n)
+	return n, eop
 }
 
 // catchUp brings an idle processor's FIFO and table state to where the
@@ -745,30 +791,18 @@ func (d *Device) sendCells(cells []atm.Cell) {
 	d.stats.CellsOut += uint64(len(cells))
 }
 
-// processCell accounts and processes one arriving cell, advancing the cost
-// cursor. Single-cell PDUs take the receive fast path: deposited directly
-// into the next receive-queue entry with no buffer allocation (§4.2.2).
-// Multi-cell PDUs accumulate per VCI and are scattered into free-queue
-// buffers on completion. Mid-PDU cells have no observable effect, so their
-// cost is pure cursor arithmetic; a completed (or failed) PDU is left in
-// pend, and reaches its endpoint once the clock has reached the cursor.
-//
-//unetlint:hotpath per-cell receive demux + SAR; the steady-state receive path
-func (d *Device) processCell(c *atm.Cell) {
-	d.stats.CellsIn++
-	ent := d.route(c.VCI)
-	if ent == nil {
-		d.stats.UnknownVCIs++
-		return
-	}
-	fastPath := ent.reasm.Pending() == 0 && c.EOP && !c.Direct && d.params.SingleCellMax > 0
+// endPDU takes the last cell c of a PDU on ent's VCI, charging its cost on
+// the cursor. A single-cell PDU takes the receive fast path: deposited
+// directly into the next receive-queue entry with no buffer allocation
+// (§4.2.2). A multi-cell PDU, accumulated by takeStretch, is scattered into
+// free-queue buffers. The completed (or failed) PDU is left in pend, and
+// reaches its endpoint once the clock has reached the cursor.
+func (d *Device) endPDU(ent *vciEntry, c *atm.Cell) {
+	fastPath := ent.reasm.Pending() == 0 && !c.Direct && d.params.SingleCellMax > 0
 	if fastPath {
 		d.cursor += rxSingleCell
 	} else {
 		d.cursor += d.params.RxPerCell
-	}
-	if ent.reasm.Pending() == 0 {
-		ent.direct = c.Direct
 	}
 	payload, err := ent.reasm.Add(*c)
 	if err != nil {
@@ -780,9 +814,6 @@ func (d *Device) processCell(c *atm.Cell) {
 		}
 		d.pend = delivery{kind: pendBadPDU, vci: c.VCI, ch: ent.ch, ep: ent.ep}
 		return
-	}
-	if payload == nil {
-		return // mid-PDU
 	}
 	// The reassembler drew its slab from the arena and has detached it:
 	// from here the slab is pend's, for perform to deliver or return.

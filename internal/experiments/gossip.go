@@ -83,6 +83,13 @@ type GossipResult struct {
 	Steps uint64
 }
 
+// gossipCounters are one host's counters, merged into its GossipResult at
+// the end.
+type gossipCounters struct {
+	Sent, Delivered, Learned, FQDrops uint64
+	Removed, Coverage                 int
+}
+
 // Render formats the result deterministically (golden-comparable).
 func (r GossipResult) Render() string {
 	var b strings.Builder
@@ -166,7 +173,7 @@ func Gossip(cfg GossipConfig) GossipResult {
 		}
 	}
 
-	stats := make([]GossipResult, n) // per-host counters, merged at the end
+	stats := make([]gossipCounters, n)
 	for i := 0; i < n; i++ {
 		i := i
 		ep := eps[i]

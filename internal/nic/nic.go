@@ -142,9 +142,9 @@ type Device struct {
 	// downlink, lowest free first from fabric.FirstUserVCI, so the table is
 	// as long as the channels open here. lastVCI/lastEnt cache the most
 	// recent lookup: cells arrive in VCI-contiguous trains, so the cache
-	// hits for every cell of a multi-cell PDU after the first. Any table
-	// mutation (open/close/grow) must invalidate the cache — rows move when
-	// the span grows.
+	// hits for every stretch of a PDU after the first, and for perform's
+	// check of the PDU it delivers. Any table mutation (open/close/grow)
+	// must invalidate the cache — rows move when the span grows.
 	table   fabric.LabelTable[vciEntry]
 	lastVCI atm.VCI
 	lastEnt *vciEntry
@@ -285,7 +285,7 @@ func (d *Device) TableLen() int { return len(d.table.Rows()) }
 
 // route looks up the table entry for v, or nil if the VCI is unregistered.
 //
-//unetlint:hotpath per-cell demux lookup; runs once per arriving cell
+//unetlint:hotpath demux lookup; runs once per stretch of arriving cells
 func (d *Device) route(v atm.VCI) *vciEntry {
 	if d.lastEnt != nil && v == d.lastVCI {
 		return d.lastEnt
@@ -586,17 +586,17 @@ func (d *Device) takeDue() {
 	}
 }
 
-// takeStretch takes the FIFO's head cells, cells — one run's, in one ring
-// chunk, cells[0] arriving at first and due — as far as the loop takes
-// them in one go: cells[k], arriving at first + k*spacing, is due if it
-// has arrived by max(cursor, now), and a stretch is the due cells on the
-// head's VCI up to the PDU's last. One route lookup serves them all. Each
-// cell still moves the cursor by the loop's own rule — a wake at its
-// arrival if that is later, then its cost — so a stretch ends where the
-// per-cell loop would have slept too. The mid-PDU cells' payloads are
-// appended in one call, and the last cell (endPDU) leaves the PDU in pend.
-// A cell on an unknown VCI is a stretch of its own. It returns how many
-// cells it took, and whether the last one ended a PDU.
+// takeStretch takes a stretch of the FIFO's head cells. cells are the head
+// train's cells in the head ring chunk: cells[k] arrives at first +
+// k*spacing, and cells[0] is due. A cell is due if it has arrived by
+// max(cursor, now), and a stretch is the due cells on the head's VCI up to
+// and including the PDU's last. One route lookup serves them all. Each cell
+// still moves the cursor by the loop's own rule: to its arrival if that is
+// later, then on by its cost. So a stretch ends where the per-cell loop
+// would have stopped too. The mid-PDU payloads are appended in one call,
+// and the last cell (endPDU) leaves the PDU in pend. A cell on an unknown
+// VCI is a stretch of its own. It returns the cells it took and whether
+// the last of them ended a PDU.
 //
 //unetlint:hotpath the receive path: runs once per stretch of arriving cells, its loop once per cell
 func (d *Device) takeStretch(cells []atm.Cell, first, spacing, now time.Duration) (int, bool) {

@@ -185,7 +185,7 @@ func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) inta
 	for _, tr := range s.trains {
 		segs := make([][]atm.Cell, len(tr.pdus))
 		for p, pdu := range tr.pdus {
-			vci := atm.VCI(1000)
+			vci := atm.VCI(1000) // beyond host 1's four labels
 			if pdu.ch != unknownCh {
 				vci = chans[pdu.ch].rx
 			}

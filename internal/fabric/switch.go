@@ -326,11 +326,11 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 			i++
 			continue
 		}
-		run, v := sameRoute(t, r, seg[0].VCI, seg[1:])
-		if run++; run == len(seg) {
+		k, v := sameRoute(t, r, seg[0].VCI, seg[1:])
+		run := k + 1
+		if run == len(seg) {
 			for ahead := *w; ; {
 				rest := ahead.Next(n)
-				var k int
 				k, v = sameRoute(t, r, v, rest)
 				run += k
 				if k < len(rest) || len(rest) == 0 {
@@ -363,8 +363,8 @@ func (s *Switch) receive(in int, w *sim.Walk[atm.Cell], n int, first, spacing ti
 }
 
 // sameRoute returns how many of cells, from the first, go out on r's port,
-// and the label of the last of them. v is a label known to go there: a
-// stretch of cells on one label costs one lookup.
+// and the label of the last of them. v is a label known to go there:
+// consecutive cells on one label cost one lookup.
 func sameRoute(t LabelTable[xlate], r xlate, v atm.VCI, cells []atm.Cell) (int, atm.VCI) {
 	for k := range cells {
 		if cells[k].VCI == v {
@@ -379,7 +379,7 @@ func sameRoute(t LabelTable[xlate], r xlate, v atm.VCI, cells []atm.Cell) (int, 
 }
 
 // relabel rewrites each of cells, all routed, to its outgoing label, with
-// one lookup a stretch of cells on one label.
+// one lookup for consecutive cells on one label.
 func relabel(t LabelTable[xlate], cells []atm.Cell) {
 	for k := 0; k < len(cells); {
 		v := cells[k].VCI

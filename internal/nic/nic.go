@@ -140,14 +140,10 @@ type Device struct {
 
 	// VCI demultiplex table. Receive VCIs are labels of this device's own
 	// downlink, lowest free first from fabric.FirstUserVCI, so the table is
-	// as long as the channels open here. lastVCI/lastEnt cache the most
-	// recent lookup: cells arrive in VCI-contiguous trains, so the cache
-	// hits for every stretch of a PDU after the first, and for perform's
-	// check of the PDU it delivers. Any table mutation (open/close/grow)
-	// must invalidate the cache — rows move when the span grows.
-	table   fabric.LabelTable[vciEntry]
-	lastVCI atm.VCI
-	lastEnt *vciEntry
+	// as long as the channels open here. A lookup is one index (§4.2.2);
+	// rows move when the span grows, so nothing keeps a row's address
+	// across a table change.
+	table fabric.LabelTable[vciEntry]
 
 	// arena recycles inline payload slabs (single-cell fast path and
 	// reassembly buffers); offPool recycles the Buffers offset lists of
@@ -254,7 +250,6 @@ func (d *Device) OpenChannel(ep *unet.Endpoint, ch unet.ChannelID, tx, rx atm.VC
 	}
 	ent.ep, ent.ch, ent.open = ep, ch, true
 	ent.reasm.SetSource(&d.arena)
-	d.lastEnt = nil // table may have reallocated
 	d.arm()
 	return nil
 }
@@ -275,7 +270,6 @@ func (d *Device) closeRows(ep *unet.Endpoint, ch unet.ChannelID, all bool) {
 			*ent = vciEntry{}
 		}
 	}
-	d.lastEnt = nil
 	d.arm()
 }
 
@@ -287,15 +281,10 @@ func (d *Device) TableLen() int { return len(d.table.Rows()) }
 //
 //unetlint:hotpath demux lookup; runs once per stretch of arriving cells
 func (d *Device) route(v atm.VCI) *vciEntry {
-	if d.lastEnt != nil && v == d.lastVCI {
-		return d.lastEnt
+	if ent := d.table.At(v); ent != nil && ent.open {
+		return ent
 	}
-	ent := d.table.At(v)
-	if ent == nil || !ent.open {
-		return nil
-	}
-	d.lastVCI, d.lastEnt = v, ent
-	return ent
+	return nil
 }
 
 // KickTx wakes the processor: ep's send queue became non-empty. Rings are

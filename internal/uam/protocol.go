@@ -63,11 +63,11 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if slot.n > u.ep.Host().Device().SingleCellMax() {
 		p.Charge(bulkOverhead)
 	}
-	u.clearNeedAck(pe)
+	pe.needAck = false
 	pe.dupPending = false // the piggybacked ack just went out
 	pe.nextSeq++
 	if pe.deadline == 0 {
-		u.armDeadline(pe, p.Now()+u.cfg.RetransmitTimeout)
+		pe.deadline = p.Now() + u.cfg.RetransmitTimeout
 	}
 	return u.sendSlot(p, pe, slot)
 }
@@ -103,7 +103,7 @@ func (u *UAM) sendControl(p *sim.Proc, pe *peer, typ uint8) {
 	var hdr [headerSize]byte
 	h.encode(hdr[:])
 	pe.lastAckSent = pe.expected
-	u.clearNeedAck(pe)
+	pe.needAck = false
 	pe.forceAck = false
 	pe.dupPending = false
 	// Control messages are single-cell and unsequenced: losing one only
@@ -211,53 +211,13 @@ func (u *UAM) pollOrTimeout(p *sim.Proc, pe *peer) {
 }
 
 // checkTimers retransmits every peer whose deadline has passed, in node-id
-// order so the retransmission schedule is reproducible. The per-peer
-// deadlines are coalesced into nextDeadline, a lower bound maintained by
-// armDeadline, so the common poll — nothing due — is O(1) instead of a
-// walk over every connected peer; the walk (and a fresh bound) happens
-// only when the bound itself has passed. Skipping the walk early is
-// behavior-preserving: no peer's deadline can be due before the bound.
+// order so the retransmission schedule is reproducible. An instance has at
+// most MaxPeers peers (8 by default), so one walk is the whole check.
 func (u *UAM) checkTimers(p *sim.Proc) {
-	if u.nextDeadline == 0 || p.Now() < u.nextDeadline {
-		return
-	}
 	for _, pe := range u.peerList {
 		if pe.deadline != 0 && p.Now() >= pe.deadline {
 			u.retransmit(p, pe)
 		}
-	}
-	u.nextDeadline = 0
-	for _, pe := range u.peerList {
-		if pe.deadline != 0 && (u.nextDeadline == 0 || pe.deadline < u.nextDeadline) {
-			u.nextDeadline = pe.deadline
-		}
-	}
-}
-
-// armDeadline sets pe's retransmit deadline and folds it into the
-// coalesced lower bound. Deadline clears (pe.deadline = 0) leave the bound
-// stale-low, costing at most one wasted walk, never a missed timer.
-func (u *UAM) armDeadline(pe *peer, d time.Duration) {
-	pe.deadline = d
-	if u.nextDeadline == 0 || d < u.nextDeadline {
-		u.nextDeadline = d
-	}
-}
-
-// setNeedAck marks pe as owing an explicit ack, keeping the owing-peer
-// count that gates flushAcks.
-func (u *UAM) setNeedAck(pe *peer) {
-	if !pe.needAck {
-		pe.needAck = true
-		u.nacks++
-	}
-}
-
-// clearNeedAck is setNeedAck's inverse (piggyback or explicit ack sent).
-func (u *UAM) clearNeedAck(pe *peer) {
-	if pe.needAck {
-		pe.needAck = false
-		u.nacks--
 	}
 }
 
@@ -292,7 +252,7 @@ func (u *UAM) retransmit(p *sim.Proc, pe *peer) {
 			return
 		}
 	}
-	u.armDeadline(pe, p.Now()+u.backoff(pe.retries))
+	pe.deadline = p.Now() + u.backoff(pe.retries)
 }
 
 // backoff returns the retransmit interval after the nth consecutive
@@ -328,11 +288,6 @@ func (u *UAM) retryBudget() time.Duration {
 // the data itself acknowledges — which keeps explicit acks off the NIC's
 // critical path.
 func (u *UAM) flushAcks(p *sim.Proc) {
-	if u.nacks == 0 {
-		// No peer owes an ack: the walk below would be a no-op. The count
-		// makes idle polls O(1) on instances with thousands of peers.
-		return
-	}
 	for _, pe := range u.peerList {
 		if !pe.needAck {
 			continue
@@ -375,7 +330,7 @@ func (u *UAM) processMsg(p *sim.Proc, pe *peer, msg []byte) {
 		u.stats.AcksRecv++
 		return
 	case typeAckPing:
-		u.setNeedAck(pe)
+		pe.needAck = true
 		pe.forceAck = true
 		return
 	}
@@ -387,7 +342,7 @@ func (u *UAM) processMsg(p *sim.Proc, pe *peer, msg []byte) {
 		// per duplicate) is enough to restart the sender and keeps ack
 		// storms off the wire.
 		u.stats.Duplicates++
-		u.setNeedAck(pe)
+		pe.needAck = true
 		if pe.dupPending {
 			u.stats.AcksSuppressed++
 		} else {
@@ -398,7 +353,7 @@ func (u *UAM) processMsg(p *sim.Proc, pe *peer, msg []byte) {
 	}
 	pe.expected++
 	if h.reqAck {
-		u.setNeedAck(pe)
+		pe.needAck = true
 	}
 	u.dispatch(p, pe, h, msg[headerSize:])
 }
@@ -417,7 +372,7 @@ func (u *UAM) applyAck(pe *peer, ack uint8) {
 	if pe.outstanding() == 0 {
 		pe.deadline = 0
 	} else {
-		u.armDeadline(pe, u.ep.Host().Eng.Now()+u.cfg.RetransmitTimeout)
+		pe.deadline = u.ep.Host().Eng.Now() + u.cfg.RetransmitTimeout
 	}
 }
 

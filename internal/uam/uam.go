@@ -175,14 +175,6 @@ type UAM struct {
 	slotBase int    // next free segment offset for peer slot allocation (the control ring comes first)
 	posted   uint64 // descriptors pushed on ep; the NI has popped the kth once ep.Stats().Sent >= k
 
-	// nextDeadline coalesces the per-peer retransmit deadlines into one
-	// lower bound (0 = none armed since the last full scan), so checkTimers
-	// is O(1) on an instance with thousands of connected peers unless a
-	// timer is actually due. nacks counts peers with needAck set, gating
-	// flushAcks the same way.
-	nextDeadline time.Duration
-	nacks        int
-
 	// scratch pools message staging buffers (gather output, store/get
 	// segment assembly). A pool — not a single buffer — because handlers
 	// re-enter the library: a dispatch can send, which drains the receive

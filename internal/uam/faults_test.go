@@ -2,6 +2,7 @@ package uam_test
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
@@ -176,6 +177,60 @@ func TestRetransmitBackoffGrows(t *testing.T) {
 	}
 	if gaps[len(gaps)-1] > cfg.RetransmitMax+time.Millisecond {
 		t.Fatalf("backoff exceeded the cap: gaps %v", gaps)
+	}
+
+	t.Run("DueTogether", func(t *testing.T) { retransmitsDueTogether(t, cfg) })
+}
+
+// retransmitsDueTogether lets the first timers of three silent peers fall
+// due before one Poll while a fourth peer owes an explicit ack. Node 0
+// sends to nodes 3, 1 and 2 in that order, so its deadlines fall due in
+// that order too; the Poll must send the ack and retransmit in node-id
+// order, 1, 2, 3, as checkTimers walks the peers, whatever the order of
+// the deadlines.
+func retransmitsDueTogether(t *testing.T, cfg uam.Config) {
+	tb, us := fixture(t, 5, cfg)
+	for _, u := range us {
+		u.RegisterHandler(1, func(*uam.UAM, *sim.Proc, int, uint32, []byte) {})
+	}
+	var order []int // the silent peers' downlink cells, as they leave the switch
+	for i := 1; i <= 3; i++ {
+		tb.Topo.Downlink(i).SetInjector(faults.DropIf(func(atm.Cell) bool {
+			order = append(order, i)
+			return false
+		}))
+	}
+	var polled uam.Stats
+	tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+		for _, dst := range []int{3, 1, 2} {
+			if err := us[0].Request(p, dst, 1, 0, nil); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+		p.Sleep(cfg.RetransmitTimeout + 100*time.Microsecond)
+		us[0].Poll(p)
+		polled = us[0].Stats()
+	})
+	var flushErr error
+	tb.Hosts[4].Spawn("owed", func(p *sim.Proc) {
+		p.Sleep(cfg.RetransmitTimeout / 2)
+		if err := us[4].Request(p, 0, 1, 0, nil); err != nil {
+			t.Error(err)
+			return
+		}
+		flushErr = us[4].Flush(p, 0) // pings node 0 for an explicit ack
+	})
+	tb.Eng.Run()
+
+	if want := []int{3, 1, 2, 1, 2, 3}; !slices.Equal(order, want) {
+		t.Fatalf("silent peers saw cells in order %v, want %v: sends 3, 1, 2, then one poll's retransmissions by node id", order, want)
+	}
+	if polled.Retransmits != 3 || polled.AcksSent != 1 {
+		t.Fatalf("one poll sent %d retransmissions and %d acks, want 3 and the 1 node 4 is owed", polled.Retransmits, polled.AcksSent)
+	}
+	if st := us[4].Stats(); flushErr != nil || st.AcksRecv != 1 || st.Retransmits != 0 {
+		t.Fatalf("node 4: Flush %v, %d acks received, %d retransmissions; want its ack from the poll before its own timer", flushErr, st.AcksRecv, st.Retransmits)
 	}
 }
 

@@ -146,12 +146,15 @@ benchcheck:
 # into a temporary directory, builds ./bench there (the module has no
 # dependencies, so old trees build offline) and runs `bench -workload W
 # -seconds S -trace 0` PAIRS times a workload for each revision, alternating,
-# the order flipped every other pair. Per workload and metric it prints each
-# revision's median, every later revision's change from the first and the
-# pairs it did better in, and whether the change lies inside the metric's
-# BENCHMARK.json bound or beyond it, better or WORSE: a revision replayed
-# against itself reads "inside" on every row. Not in ci: six workloads take
-# PAIRS x revisions x ~6 s.
+# the order flipped every other pair. Per workload and end-to-end metric it
+# prints each revision's median and interquartile spread (as a share of the
+# median), every later revision's change from the first and the pairs it did
+# better in, and whether the change lies inside the metric's BENCHMARK.json
+# bound or beyond it, better or WORSE. A row whose first revision spreads
+# wider than the bound reads "unresolved": its runs cannot tell a change of
+# the bound's size from noise. A revision replayed against itself reads
+# "inside" or "unresolved" on every row. Not in ci: six workloads take PAIRS
+# x revisions x ~6 s.
 REVS ?= HEAD HEAD
 PAIRS ?= 5
 SECONDS ?= 3
@@ -173,37 +176,40 @@ replay:
 		done; \
 	done; \
 	awk -v revs="$$names" -v pairs=$(PAIRS) ' \
-		function median(w, m, k,   a, i, j, x) { \
+		function quantile(w, m, k, q,   a, i, j, x, h) { \
 			for (i = 1; i <= pairs; i++) { \
 				x = val[w, m, k, i]; \
 				for (j = i; j > 1 && a[j - 1] > x; j--) a[j] = a[j - 1]; \
 				a[j] = x; \
 			} \
-			return pairs % 2 ? a[(pairs + 1) / 2] : (a[pairs / 2] + a[pairs / 2 + 1]) / 2; \
+			h = (pairs - 1) * q + 1; i = int(h); \
+			return i < pairs ? a[i] + (h - i) * (a[i + 1] - a[i]) : a[pairs]; \
 		} \
+		function median(w, m, k) { return quantile(w, m, k, 0.5) } \
+		function spread(w, m, k) { return (quantile(w, m, k, 0.75) - quantile(w, m, k, 0.25)) / median(w, m, k) } \
 		FNR == NR { if ($$0 ~ /"bound"/) { split($$0, f, "\""); b = $$0; sub(/.*"bound": */, "", b); bound[f[4]] = b + 0; lower[f[4]] = f[12] == "lower" } next } \
 		{ \
 			if (!(($$1) in seen)) { seen[$$1] = 1; order[++nw] = $$1 } \
-			for (i = 1; i <= 3; i++) { \
+			for (i = 1; i <= nm; i++) { \
 				m = metric[i]; match($$4, "\"" m "\":\\{\"value\":[^,}]*"); \
 				val[$$1, m, $$3, $$2] = substr($$4, RSTART + length(m) + 12, RLENGTH - length(m) - 12) + 0; \
 			} \
 		} \
-		BEGIN { split("msgs_per_s alloc_mb peak_rss_mb", metric, " "); nr = split(revs, rev, " ") } \
+		BEGIN { nm = split("setup_s msgs_per_s alloc_mb peak_rss_mb", metric, " "); nr = split(revs, rev, " ") } \
 		END { \
 			printf "%-14s %-12s", "workload", "metric"; \
-			for (k = 1; k <= nr; k++) printf " %14s", rev[k]; \
-			for (k = 2; k <= nr; k++) printf " %9s %5s %8s", "change", "won", "bound"; \
+			for (k = 1; k <= nr; k++) printf " %14s %6s", rev[k], "iqr"; \
+			for (k = 2; k <= nr; k++) printf " %9s %5s %10s", "change", "won", "bound"; \
 			print ""; \
-			for (o = 1; o <= nw; o++) for (i = 1; i <= 3; i++) { \
+			for (o = 1; o <= nw; o++) for (i = 1; i <= nm; i++) { \
 				w = order[o]; m = metric[i]; base = median(w, m, 1); \
 				printf "%-14s %-12s", w, m; \
-				for (k = 1; k <= nr; k++) printf " %14.6g", median(w, m, k); \
+				for (k = 1; k <= nr; k++) printf " %14.6g %5.1f%%", median(w, m, k), 100 * spread(w, m, k); \
 				for (k = 2; k <= nr; k++) { \
 					c = median(w, m, k) / base - 1; won = 0; \
 					for (p = 1; p <= pairs; p++) won += lower[m] ? val[w, m, k, p] < val[w, m, 1, p] : val[w, m, k, p] > val[w, m, 1, p]; \
-					v = c <= bound[m] && -c <= bound[m] ? "inside" : (c < 0) == lower[m] ? "better" : "WORSE"; \
-					printf " %+8.1f%% %2d/%-2d %8s", 100 * c, won, pairs, v; \
+					v = spread(w, m, 1) > bound[m] ? "unresolved" : c <= bound[m] && -c <= bound[m] ? "inside" : (c < 0) == lower[m] ? "better" : "WORSE"; \
+					printf " %+8.1f%% %2d/%-2d %10s", 100 * c, won, pairs, v; \
 				} \
 				print ""; \
 			} \

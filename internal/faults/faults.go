@@ -49,8 +49,9 @@ type FaultStats struct {
 	DownDrops uint64 // subset of Dropped: cells lost to link-down episodes
 }
 
-// add merges s2 into s (Cells is owned by the chain, so it is excluded).
-func (s *FaultStats) add(s2 FaultStats) {
+// Add adds every count of s2 to s's.
+func (s *FaultStats) Add(s2 FaultStats) {
+	s.Cells += s2.Cells
 	s.Dropped += s2.Dropped
 	s.Corrupted += s2.Corrupted
 	s.HdrDamage += s2.HdrDamage
@@ -111,9 +112,10 @@ func (ch *Chain) Judge(c *atm.Cell, depart time.Duration) fabric.Verdict {
 // Stats sums the chained injectors' accounting under the chain's judged
 // cell count.
 func (ch *Chain) Stats() FaultStats {
-	s := FaultStats{Cells: ch.cells}
+	var s FaultStats
 	for _, in := range ch.injs {
-		s.add(in.Stats())
+		s.Add(in.Stats())
 	}
+	s.Cells = ch.cells
 	return s
 }

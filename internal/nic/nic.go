@@ -95,7 +95,6 @@ const (
 // Device is a NIC model servicing the U-Net endpoints of one host. It
 // implements unet.Device.
 type Device struct {
-	name   string
 	e      *sim.Engine
 	host   *unet.Host
 	params Params
@@ -104,12 +103,14 @@ type Device struct {
 	// Input FIFO: bare cells in the engine's cell pool, and beside them the
 	// trains they came in, stamped once each. Bare rings (rather than a
 	// sim.FIFO) so whole cell trains can be accepted in one call with exact
-	// overflow accounting. eopAt is the arrival of its oldest EOP cell, when
-	// eop says so: with the newest cell's, the instants an idle processor
-	// wakes for (nextWake).
-	in    sim.Ring[atm.Cell]
-	runs  sim.Ring[inRun]
-	eopAt time.Duration
+	// overflow accounting. eops holds the arrivals of the queued EOP cells,
+	// oldest first: its front, or the newest cell's arrival when it is
+	// empty, is the instant an idle processor wakes for (nextWake). It is a
+	// zero-value ring, which keeps its last chunk: one from the engine's
+	// pool would be taken and given back on every PDU.
+	in   sim.Ring[atm.Cell]
+	runs sim.Ring[inRun]
+	eops sim.Ring[time.Duration]
 
 	// The on-board processor (step). cursor is where the work it has charged
 	// for ends: ahead of the clock while it works, and possibly while it is
@@ -124,7 +125,6 @@ type Device struct {
 	started bool
 	idle    bool
 	armed   bool
-	eop     uint8 // eopNone, eopKnown or eopUnknown
 	// txDoorbell latches KickTx rings between processor sweeps: set when an
 	// endpoint enqueues send work, cleared only by a send scan that finds
 	// every queue empty. While clear, the processor skips the O(endpoints)
@@ -179,7 +179,6 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 		panic(fmt.Sprintf("nic: %s/%s transmits on a foreign shard's uplink", host.Name, params.Name))
 	}
 	d := &Device{
-		name:   host.Name + "/" + params.Name,
 		e:      e,
 		host:   host,
 		params: params,
@@ -209,7 +208,7 @@ func Attach(h *unet.Host, cl *topo.Fabric, m *unet.Manager, port int, params Par
 // Start schedules the processor's first step at the current virtual time.
 func (d *Device) Start() {
 	if d.started {
-		panic(fmt.Sprintf("nic: %s started twice", d.name))
+		panic(fmt.Sprintf("nic: %s/%s started twice", d.host.Name, d.params.Name))
 	}
 	d.started = true
 	d.e.AtArg(d.e.Now(), stepDevice, d)
@@ -223,7 +222,7 @@ func (d *Device) Stats() Stats { return d.stats }
 // AttachEndpoint begins servicing ep.
 func (d *Device) AttachEndpoint(ep *unet.Endpoint) error {
 	if len(d.eps) >= maxEndpoints {
-		return fmt.Errorf("nic %s: endpoint table full (%d)", d.name, maxEndpoints)
+		return fmt.Errorf("nic %s/%s: endpoint table full (%d)", d.host.Name, d.params.Name, maxEndpoints)
 	}
 	d.eps = append(d.eps, ep)
 	return nil
@@ -381,9 +380,9 @@ func (d *Device) queue(w *sim.Walk[atm.Cell], n int, first, spacing time.Duratio
 	for i := 0; i < n; {
 		dst := d.in.Room(n - i)
 		w.Read(dst)
-		for k := 0; d.eop == eopNone && k < len(dst); k++ {
+		for k := range dst {
 			if dst[k].EOP {
-				d.eopAt, d.eop = first+time.Duration(i+k)*spacing, eopKnown
+				d.eops.Push(first + time.Duration(i+k)*spacing)
 			}
 		}
 		i += len(dst)
@@ -391,53 +390,11 @@ func (d *Device) queue(w *sim.Walk[atm.Cell], n int, first, spacing time.Duratio
 	d.runs.Push(inRun{first: first, spacing: spacing, n: int32(n)})
 }
 
-// What eopAt holds.
-const (
-	eopNone    = iota // no EOP cell is queued
-	eopKnown          // eopAt is the oldest queued EOP cell's arrival
-	eopUnknown        // not known since an EOP cell was taken: findEOP
-)
-
 // lastArrive returns the arrival of the FIFO's newest cell; it must not be
 // empty.
 func (d *Device) lastArrive() time.Duration {
 	r := d.runs.Back()
 	return r.first + time.Duration(r.n-1)*r.spacing
-}
-
-// findEOP finds the oldest EOP cell in the FIFO. It runs only after an EOP
-// cell was taken with cells behind it, and walks no further than the next
-// EOP cell, so it passes each cell at most once.
-func (d *Device) findEOP() {
-	w := d.in.Walk(d.in.Len())
-	for i := 0; ; {
-		seg := w.Next(d.in.Len())
-		if len(seg) == 0 {
-			break
-		}
-		for k := range seg {
-			if seg[k].EOP {
-				d.eopAt, d.eop = d.arrivalOf(i+k), eopKnown
-				return
-			}
-		}
-		i += len(seg)
-	}
-	d.eop = eopNone
-}
-
-// arrivalOf returns the arrival of the i-th oldest cell in the FIFO, which
-// must hold it.
-func (d *Device) arrivalOf(i int) time.Duration {
-	w := d.runs.Walk(d.runs.Len())
-	for {
-		for _, r := range w.Next(d.runs.Len()) {
-			if i < int(r.n) {
-				return r.first + time.Duration(i)*r.spacing
-			}
-			i -= int(r.n)
-		}
-	}
 }
 
 // delayedCell boxes one cell scheduled for future delivery, recycled
@@ -567,10 +524,8 @@ func (d *Device) takeDue() {
 			r.first += time.Duration(n) * r.spacing
 		}
 		d.in.Drop(n)
-		if d.in.Len() == 0 {
-			d.eop = eopNone
-		} else if eop {
-			d.eop = eopUnknown
+		if eop {
+			d.eops.Pop()
 		}
 	}
 }
@@ -669,12 +624,9 @@ func (d *Device) nextWake() (time.Duration, bool) {
 	case d.in.Len() == 0:
 		return 0, false
 	}
-	if d.eop == eopUnknown {
-		d.findEOP()
-	}
 	at := d.lastArrive()
-	if d.eop == eopKnown {
-		at = d.eopAt
+	if d.eops.Len() > 0 {
+		at = *d.eops.Front()
 	}
 	return max(d.cursor, d.runs.Front().first, at), true
 }
@@ -684,7 +636,7 @@ func (d *Device) nextWake() (time.Duration, bool) {
 // not say whose NIC failed.
 func (d *Device) namePanic() {
 	if r := recover(); r != nil {
-		panic(fmt.Sprintf("nic: %s processor panicked: %v", d.name, r))
+		panic(fmt.Sprintf("nic: %s/%s processor panicked: %v", d.host.Name, d.params.Name, r))
 	}
 }
 

@@ -53,8 +53,8 @@ func BenchmarkEngine_ScheduleFireArg(b *testing.B) {
 }
 
 // BenchmarkEngine_TimerCancel schedules far-future timers and cancels them
-// immediately: the lazy-compaction path that keeps canceled entries from
-// accumulating in the heap.
+// immediately: the wheel path, which unlinks and recycles each at once, so
+// canceled entries do not accumulate.
 func BenchmarkEngine_TimerCancel(b *testing.B) {
 	b.ReportAllocs()
 	e := New(1)
@@ -182,12 +182,10 @@ func BenchmarkScheduler_Wheel1M(b *testing.B)   { benchScheduler(b, New, 1_000_0
 // dominates the UAM/TCP data path: with `pending` idle timers parked far
 // out, each op arms one more timeout and cancels it before it can fire
 // (the common case — I/O completes first). The wheel cancels in O(1)
-// (unlink and recycle, independent of population); the heap-only
-// scheduler pays an O(log pending) sift on every arm plus an amortized
-// O(pending) compaction sweep once canceled entries outnumber live ones.
-func benchSchedulerCancel(b *testing.B, newEngine func(int64) *Engine, pending int) {
+// (unlink and recycle, independent of population).
+func benchSchedulerCancel(b *testing.B, pending int) {
 	b.ReportAllocs()
-	e := newEngine(1)
+	e := New(1)
 	nop := func() {}
 	for i := 0; i < pending; i++ {
 		e.After(time.Hour+time.Duration(i), nop)
@@ -198,13 +196,6 @@ func benchSchedulerCancel(b *testing.B, newEngine func(int64) *Engine, pending i
 	}
 }
 
-func BenchmarkSchedulerCancel_Heap1k(b *testing.B)   { benchSchedulerCancel(b, newHeapOnly, 1_000) }
-func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)  { benchSchedulerCancel(b, New, 1_000) }
-func BenchmarkSchedulerCancel_Heap100k(b *testing.B) { benchSchedulerCancel(b, newHeapOnly, 100_000) }
-func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) {
-	benchSchedulerCancel(b, New, 100_000)
-}
-func BenchmarkSchedulerCancel_Heap1M(b *testing.B) { benchSchedulerCancel(b, newHeapOnly, 1_000_000) }
-func BenchmarkSchedulerCancel_Wheel1M(b *testing.B) {
-	benchSchedulerCancel(b, New, 1_000_000)
-}
+func BenchmarkSchedulerCancel_Wheel1k(b *testing.B)   { benchSchedulerCancel(b, 1_000) }
+func BenchmarkSchedulerCancel_Wheel100k(b *testing.B) { benchSchedulerCancel(b, 100_000) }
+func BenchmarkSchedulerCancel_Wheel1M(b *testing.B)   { benchSchedulerCancel(b, 1_000_000) }

@@ -10,7 +10,7 @@ import (
 // orderCoverage counts the queue paths one checkEventOrder run took, so a
 // test can tell that its schedules reached each of them.
 type orderCoverage struct {
-	heapCancels, wheelCancels, compactions int
+	heapCancels, wheelCancels int
 	// arrivals whose (sched, index) key sorts before, inside or after the
 	// events already pending at their instant
 	arriveBefore, arriveInside, arriveAfter int
@@ -19,7 +19,6 @@ type orderCoverage struct {
 func (c *orderCoverage) add(o orderCoverage) {
 	c.heapCancels += o.heapCancels
 	c.wheelCancels += o.wheelCancels
-	c.compactions += o.compactions
 	c.arriveBefore += o.arriveBefore
 	c.arriveInside += o.arriveInside
 	c.arriveAfter += o.arriveAfter
@@ -32,7 +31,7 @@ func (c *orderCoverage) add(o orderCoverage) {
 // operations run before the engine starts and each firing event runs the
 // next one, so the queue is worked from inside the run as it is in a
 // simulation: bursts at one instant, After(0), far timers for the wheel,
-// cancels in heap and wheel (enough, in a row, to compact), and cross-shard
+// cancels in heap and wheel (up to 64 in a row), and cross-shard
 // arrivals whose sched lands anywhere among their instant's events.
 func checkEventOrder(t testing.TB, newEngine func(int64) *Engine, data []byte) orderCoverage {
 	t.Helper()
@@ -104,18 +103,14 @@ func checkEventOrder(t testing.TB, newEngine func(int64) *Engine, data []byte) o
 				if !pending[id] || timers[id].ev == nil {
 					break
 				}
-				inWheel, before := timers[id].ev.wslot >= 0, e.ncanceled
+				inWheel := timers[id].ev.wslot >= 0
 				if !timers[id].Cancel() {
 					t.Fatalf("Cancel of pending event %d reported not pending", id)
 				}
 				pending[id], canceled[id] = false, true
-				switch {
-				case inWheel:
+				if inWheel {
 					cov.wheelCancels++
-				case e.ncanceled <= before:
-					cov.heapCancels++
-					cov.compactions++
-				default:
+				} else {
 					cov.heapCancels++
 				}
 			}
@@ -195,7 +190,7 @@ func orderSchedule(seed uint64, n int) []byte {
 }
 
 // TestEventOrderMatchesSortedTwin holds the event queue — instant slots,
-// their chains, the wheel's hand-over and compaction — to a sort of
+// their chains, the wheel's hand-over and canceled entries — to a sort of
 // everything scheduled, on both the wheel engine and the heap-only one,
 // and checks that the seeded schedules reach every path.
 func TestEventOrderMatchesSortedTwin(t *testing.T) {
@@ -208,7 +203,7 @@ func TestEventOrderMatchesSortedTwin(t *testing.T) {
 			for seed := uint64(1); seed <= 200; seed++ {
 				cov.add(checkEventOrder(t, c.newEngine, orderSchedule(seed, 600)))
 			}
-			if cov.heapCancels == 0 || cov.compactions == 0 ||
+			if cov.heapCancels == 0 ||
 				cov.arriveBefore == 0 || cov.arriveInside == 0 || cov.arriveAfter == 0 ||
 				c.newEngine(1).wheel != nil && cov.wheelCancels == 0 {
 				t.Fatalf("the schedules miss a path: %+v", cov)

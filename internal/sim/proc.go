@@ -73,7 +73,7 @@ func (p *Proc) Sleep(d time.Duration) {
 		e.wakeInPlace(at)
 		return
 	}
-	e.resumeAt(at, p)
+	e.AtArg(at, resume, p)
 	p.park()
 }
 
@@ -119,13 +119,13 @@ func (c *Cond) Signal() {
 			continue
 		}
 		w.fired = true
-		w.p.e.resumeLater(w.p)
+		w.p.e.AtArg(w.p.e.now, resume, w.p)
 		return
 	}
 }
 
 // Broadcast wakes every waiting process. The waiter slice is emptied in
-// place, keeping its capacity: resumeLater only schedules (no process runs
+// place, keeping its capacity: a wake-up only schedules (no process runs
 // during the loop), so no new waiter can be appended mid-broadcast, and
 // steady-state wait/broadcast traffic allocates nothing.
 func (c *Cond) Broadcast() {
@@ -136,9 +136,23 @@ func (c *Cond) Broadcast() {
 			continue
 		}
 		w.fired = true
-		w.p.e.resumeLater(w.p)
+		w.p.e.AtArg(w.p.e.now, resume, w.p)
 	}
 	c.waiters = ws[:0]
+}
+
+// expire is a timed wait's timeout callback: unless a signal got there
+// first, it takes the *waiter it was given off its condition and resumes
+// its process.
+func expire(a any) {
+	w := a.(*waiter)
+	if w.fired {
+		return
+	}
+	w.fired = true
+	w.timedOut = true
+	w.c.remove(w)
+	resume(w.p)
 }
 
 // remove deletes one waiter (used when its timeout fires).
@@ -166,10 +180,7 @@ func (p *Proc) Wait(c *Cond) {
 func (p *Proc) WaitTimeout(c *Cond, d time.Duration) bool {
 	p.w = waiter{p: p, c: c}
 	c.waiters = append(c.waiters, &p.w)
-	ev := p.e.schedule(p.e.now + d) // a negative d is clamped to now
-	ev.kind = kindTimeout
-	ev.w = &p.w
-	tm := Timer{ev: ev, gen: ev.gen}
+	tm := p.e.AtArg(p.e.now+d, expire, &p.w) // a negative d is clamped to now
 	p.park()
 	if p.w.timedOut {
 		return false

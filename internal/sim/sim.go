@@ -34,12 +34,11 @@
 // instants — the events that fire together share one slot, chained in
 // order behind its first, so an event that joins a queued instant is
 // appended without a sift (the simulated cluster's hosts act in lockstep)
-// — and process resumption is expressed as a dedicated event kind so that
-// Proc.Sleep and wake-ups allocate nothing in steady state. Canceled
-// timers still heap-resident stay there but are compacted away wholesale
-// once they outnumber the live entries, so long-running simulations with
-// many canceled timeouts (TCP retransmission timers, condition waits) do
-// not grow the queue unboundedly.
+// — and every event is one call fn(arg) of a static callback on a
+// pointer, so Proc.Sleep, wake-ups and timeouts allocate nothing in steady
+// state. A canceled timer still heap-resident stays there until its
+// instant pops; the heap holds only the near horizon, so such entries are
+// few.
 //
 // Above the heap sits the far-horizon store, a hierarchical timer wheel
 // (wheel.go) that absorbs events beyond the current drain frontier with
@@ -69,7 +68,7 @@ type Engine struct {
 	now    time.Duration
 	seq    uint64
 	events eventHeap
-	// free is the event arena's free list. Fired and compacted events are
+	// free is the event arena's free list. Fired and canceled events are
 	// returned here and reused, so steady-state scheduling allocates nothing.
 	free *event
 	// wheel is the far-horizon event store (nil in a newHeapOnly engine).
@@ -82,12 +81,9 @@ type Engine struct {
 	// group and shardID place the engine in a sharded simulation (nil /
 	// zero for a plain serial engine). See shard.go.
 	group *Group
-	// ncanceled counts canceled events still sitting in the heap; when they
-	// outnumber the live entries the heap is compacted in one pass. It and
-	// shardID are 32 bits, as are the heap's counters, so that an engine
+	// shardID is 32 bits, as are the heap's counters, so that an engine
 	// stays in the 128-byte size class (TestEngineSize).
-	ncanceled int32
-	shardID   int32
+	shardID int32
 	// locals holds model packages' per-engine state, one value per type
 	// (see Local).
 	locals []any
@@ -142,9 +138,10 @@ func (e *Engine) Now() time.Duration { return e.now }
 // Useful as a progress/livelock diagnostic in tests.
 func (e *Engine) Steps() uint64 { return e.nsteps }
 
-// PendingEvents reports how many entries (live, plus canceled ones still
-// awaiting heap compaction) currently sit in the event queue — heap and
-// wheel combined. Exposed for queue-growth diagnostics and tests.
+// PendingEvents reports how many entries currently sit in the event queue,
+// heap and wheel combined: the live ones, plus canceled ones in the heap,
+// which stay until their instant pops. Exposed for queue-growth diagnostics
+// and tests.
 func (e *Engine) PendingEvents() int {
 	n := int(e.events.n)
 	if e.wheel != nil {
@@ -178,39 +175,24 @@ func (e *Engine) peekLive() *event {
 			return ev
 		}
 		e.events.pop()
-		e.ncanceled--
 		e.recycle(ev)
 	}
 }
 
-// Event kinds. A kind-dispatched payload (rather than a closure per event)
-// is what keeps the engine's hot paths allocation-free: resuming a process
-// or invoking a static callback with an argument needs no captured state.
-const (
-	kindFunc    = iota // call fn()
-	kindFuncArg        // call fnArg(arg)
-	kindResume         // resume process p
-	kindTimeout        // expire condition wait w
-)
-
-// event is a single queue entry firing at virtual time at. Entries with
-// equal times fire in (sched, seq) order: by the virtual time they were
-// scheduled at, then by sequence number. Events are pooled: gen increments
-// on every recycle so stale Timer handles cannot cancel an unrelated
-// reincarnation. The small fields share one word so the struct stays in
-// the 112-byte size class (TestEventSize).
+// event is a single queue entry, which calls fn(arg) at virtual time at.
+// Entries with equal times fire in (sched, seq) order: by the virtual time
+// they were scheduled at, then by sequence number. Events are pooled: gen
+// increments on every recycle so stale Timer handles cannot cancel an
+// unrelated reincarnation. The small fields share one word so the struct
+// stays in the 96-byte size class (TestEventSize).
 type event struct {
 	at    time.Duration
 	sched time.Duration
 	seq   uint64
 	e     *Engine
-	fn    func()
-	fnArg func(any)
+	fn    func(any)
 	arg   any
-	p     *Proc
-	w     *waiter
 	gen   uint32
-	kind  uint8
 	// canceled events stay in the heap but do not fire. (Wheel-resident
 	// events are instead unlinked and recycled at Cancel time.)
 	canceled bool
@@ -240,10 +222,7 @@ func (e *Engine) alloc() *event {
 // recycle clears an event and returns it to the arena.
 func (e *Engine) recycle(ev *event) {
 	ev.fn = nil
-	ev.fnArg = nil
 	ev.arg = nil
-	ev.p = nil
-	ev.w = nil
 	ev.canceled = false
 	ev.wslot = -1
 	ev.prev = nil
@@ -262,7 +241,9 @@ type Timer struct {
 
 // Cancel stops the timer. It reports whether the callback was still pending.
 // A wheel-resident entry is unlinked and recycled immediately; a
-// heap-resident one stays queued until it is popped or compacted away.
+// heap-resident one stays queued until its instant pops and is dropped
+// then. The heap holds only ticks at or before the wheel's drain frontier,
+// so such entries are few and near.
 func (t Timer) Cancel() bool {
 	ev := t.ev
 	if ev == nil || ev.gen != t.gen || ev.canceled {
@@ -274,8 +255,6 @@ func (t Timer) Cancel() bool {
 		return true
 	}
 	ev.canceled = true
-	ev.e.ncanceled++
-	ev.e.maybeCompact()
 	return true
 }
 
@@ -309,13 +288,14 @@ func (e *Engine) enqueue(at, sched time.Duration, seq uint64) *event {
 }
 
 // At schedules fn to run at absolute virtual time at. Times in the past are
-// clamped to now.
+// clamped to now. A func value is pointer-shaped, so passing fn as callFunc's
+// arg allocates nothing.
 func (e *Engine) At(at time.Duration, fn func()) Timer {
-	ev := e.schedule(at)
-	ev.kind = kindFunc
-	ev.fn = fn
-	return Timer{ev: ev, gen: ev.gen}
+	return e.AtArg(at, callFunc, fn)
 }
+
+// callFunc is At's callback: it calls the func() it was given as arg.
+func callFunc(fn any) { fn.(func())() }
 
 // After schedules fn to run d from now. Negative d is clamped to zero.
 func (e *Engine) After(d time.Duration, fn func()) Timer {
@@ -330,8 +310,7 @@ func (e *Engine) After(d time.Duration, fn func()) Timer {
 // makes it the scheduling primitive of choice for per-message hot paths.
 func (e *Engine) AtArg(at time.Duration, fn func(any), arg any) Timer {
 	ev := e.schedule(at)
-	ev.kind = kindFuncArg
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 	return Timer{ev: ev, gen: ev.gen}
 }
@@ -406,8 +385,7 @@ func (e *Engine) ArriveArg(at, sched time.Duration, index int, fn func(any), arg
 		panic(fmt.Sprintf("sim: cross-shard arrival at %v is in shard %d's past (now %v): exchange %d sent inside its lookahead", at, e.shardID, e.now, index))
 	}
 	ev := e.enqueue(at, sched, uint64(index))
-	ev.kind = kindFuncArg
-	ev.fnArg = fn
+	ev.fn = fn
 	ev.arg = arg
 }
 
@@ -446,7 +424,6 @@ func (e *Engine) runWindow(stop time.Duration) {
 		}
 		e.events.pop()
 		if next.canceled {
-			e.ncanceled--
 			e.recycle(next)
 			continue
 		}
@@ -458,69 +435,9 @@ func (e *Engine) runWindow(stop time.Duration) {
 		// schedule new events, and reusing the just-fired entry keeps the
 		// arena hot. A Timer held for this event sees the generation bump
 		// and correctly reports not-pending.
-		kind, fn, fnArg, arg, p, w := next.kind, next.fn, next.fnArg, next.arg, next.p, next.w
+		fn, arg := next.fn, next.arg
 		e.recycle(next)
-		switch kind {
-		case kindFunc:
-			fn()
-		case kindFuncArg:
-			fnArg(arg)
-		case kindResume:
-			if !p.done {
-				e.transfer(p)
-			}
-		case kindTimeout:
-			if !w.fired {
-				w.fired = true
-				w.timedOut = true
-				w.c.remove(w)
-				if !w.p.done {
-					e.transfer(w.p)
-				}
-			}
-		}
-	}
-}
-
-// maybeCompact rebuilds the heap without its canceled entries once they
-// outnumber the live ones. Long-running simulations cancel timers
-// constantly (every armed-then-acked retransmission timer, every signaled
-// timed wait); lazy wholesale compaction keeps cancellation O(1) while
-// bounding queue growth to 2× the live event count.
-func (e *Engine) maybeCompact() {
-	h := &e.events
-	if e.ncanceled*2 <= h.n || h.n < 64 {
-		return
-	}
-	live := h.slots[:0]
-	for _, ev := range h.slots {
-		var head, tail *event
-		for ev != nil {
-			next := ev.next
-			if ev.canceled {
-				e.recycle(ev)
-			} else {
-				if head == nil {
-					head = ev
-				} else {
-					tail.next = ev
-				}
-				tail = ev
-			}
-			ev = next
-		}
-		if head != nil {
-			tail.next = nil
-			head.prev = tail
-			live = append(live, head)
-		}
-	}
-	clear(h.slots[len(live):])
-	h.slots = live
-	h.n -= e.ncanceled
-	e.ncanceled = 0
-	for i := (len(live) - 2) / 4; i >= 0; i-- {
-		down(live, i)
+		fn(arg)
 	}
 }
 
@@ -547,7 +464,6 @@ func (e *Engine) shutdownLocal() {
 		delete(e.procs, p)
 	}
 	e.events = eventHeap{}
-	e.ncanceled = 0
 	e.free = nil
 	if e.wheel != nil {
 		e.wheel.reset()
@@ -565,19 +481,12 @@ func (e *Engine) transfer(p *Proc) {
 	}
 }
 
-// resumeLater schedules p to resume execution at the current virtual time.
-// This is the allocation-free equivalent of After(0, ...) for wake-ups.
-func (e *Engine) resumeLater(p *Proc) {
-	ev := e.schedule(e.now)
-	ev.kind = kindResume
-	ev.p = p
-}
-
-// resumeAt schedules p to resume execution at absolute time at.
-func (e *Engine) resumeAt(at time.Duration, p *Proc) {
-	ev := e.schedule(at)
-	ev.kind = kindResume
-	ev.p = p
+// resume is a process's wake-up callback: it resumes the *Proc it was
+// given, unless the process has finished.
+func resume(a any) {
+	if p := a.(*Proc); !p.done {
+		p.e.transfer(p)
+	}
 }
 
 // Spawn creates a process named name running fn and schedules it to start

@@ -430,12 +430,12 @@ func TestSchedulerSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestEventSize pins the event struct to the 112-byte allocator size class.
-// Every pending event is one of these; a ninth word would put each in the
-// 128-byte class.
+// TestEventSize pins the event struct to 88 bytes, in the 96-byte allocator
+// size class. Every pending event is one of these; past 96 bytes each would
+// be in the 112-byte class.
 func TestEventSize(t *testing.T) {
-	if got := unsafe.Sizeof(event{}); got != 112 {
-		t.Fatalf("sizeof(event) = %d, want 112", got)
+	if got := unsafe.Sizeof(event{}); got != 88 {
+		t.Fatalf("sizeof(event) = %d, want 88", got)
 	}
 }
 

@@ -6,9 +6,8 @@ import (
 )
 
 // TestTimerCancelReuseAtSameTimestamp is the regression test for the pooled
-// arena's generation check under lazy cancel compaction: canceling more
-// than half the queue triggers a wholesale compaction that recycles the
-// canceled entries; new timers scheduled at the *same* timestamp then reuse
+// arena's generation check: canceling wheel-resident timers recycles their
+// entries at once; new timers scheduled at the *same* timestamp then reuse
 // those exact event structs. A stale Timer handle held across the recycle
 // must report not-pending and must not cancel the reincarnated event — the
 // generation check wins over heap position every time.
@@ -24,15 +23,15 @@ func TestTimerCancelReuseAtSameTimestamp(t *testing.T) {
 		i := i
 		timers[i] = e.At(at, func() { fired[i] = true; order = append(order, i) })
 	}
-	// Cancel 80 of 100: compaction triggers as soon as canceled entries
-	// outnumber live ones (needs ≥ 64 queued), well before the last Cancel.
+	// Cancel 80 of 100: each is wheel-resident, so each is recycled at
+	// once.
 	for i := 0; i < 80; i++ {
 		if !timers[i].Cancel() {
 			t.Fatalf("Cancel %d reported not-pending on a pending timer", i)
 		}
 	}
 	if e.PendingEvents() >= n {
-		t.Fatalf("compaction never ran: %d entries still queued", e.PendingEvents())
+		t.Fatalf("canceled timers were not recycled: %d entries still queued", e.PendingEvents())
 	}
 
 	// Reuse: these allocations come out of the arena free list — the very
@@ -76,9 +75,9 @@ func TestTimerCancelReuseAtSameTimestamp(t *testing.T) {
 	}
 }
 
-// TestTimerCompactionPreservesSameTimestampOrder forces a compaction (which
-// re-heapifies the live entries) in the middle of a same-timestamp batch
-// and checks that the surviving events still fire in scheduling order.
+// TestTimerCompactionPreservesSameTimestampOrder cancels every other event
+// of a same-timestamp batch and checks that the surviving events still fire
+// in scheduling order.
 func TestTimerCompactionPreservesSameTimestampOrder(t *testing.T) {
 	e := New(1)
 	const at = time.Millisecond
@@ -88,8 +87,7 @@ func TestTimerCompactionPreservesSameTimestampOrder(t *testing.T) {
 		i := i
 		timers = append(timers, e.At(at, func() { order = append(order, i) }))
 	}
-	// Cancel every even-indexed timer: 64 canceled vs 64 live triggers the
-	// lazy compaction threshold exactly once the count tips over.
+	// Cancel every even-indexed timer.
 	for i := 0; i < 128; i += 2 {
 		timers[i].Cancel()
 	}
@@ -239,8 +237,9 @@ func TestWheelHeapHandoffSameTimestampOrder(t *testing.T) {
 
 // TestWheelCancelBypassesCompaction pins the wheel cancel contract: a
 // wheel-resident cancel unlinks and recycles immediately (PendingEvents
-// drops at once, no compaction debt), and a heap compaction triggered by
-// near-horizon cancels leaves wheel-resident entries untouched.
+// drops at once, nothing left queued), and near-horizon cancels, which stay
+// in the heap until their instant pops, leave wheel-resident entries
+// untouched.
 func TestWheelCancelBypassesCompaction(t *testing.T) {
 	e := New(1)
 	wheelOf(t, e)
@@ -261,9 +260,9 @@ func TestWheelCancelBypassesCompaction(t *testing.T) {
 		t.Fatalf("wheel cancels left %d pending events (no immediate recycle)", n)
 	}
 
-	// Mix: ≥64 heap-resident (same-tick) timers plus wheel-resident ones.
-	// Canceling most of the heap population trips the lazy compaction;
-	// wheel entries must survive it and fire in order.
+	// Mix: heap-resident (same-tick) timers plus a wheel-resident one.
+	// Most of the heap population is canceled; the wheel entry must fire
+	// in order after the survivors.
 	var order []int
 	near := make([]Timer, 100)
 	for i := range near {
@@ -273,9 +272,6 @@ func TestWheelCancelBypassesCompaction(t *testing.T) {
 	e.After(5*tick0, func() { order = append(order, 1000) }) // wheel
 	for i := 0; i < 80; i++ {
 		near[i].Cancel()
-	}
-	if n := e.PendingEvents(); n >= 101 {
-		t.Fatalf("compaction never ran: %d entries queued", n)
 	}
 	e.Run()
 	if len(order) != 21 {
@@ -288,6 +284,43 @@ func TestWheelCancelBypassesCompaction(t *testing.T) {
 	}
 	if order[20] != 1000 {
 		t.Fatalf("wheel timer fired out of order: %v", order)
+	}
+}
+
+// TestHeapCancelChurnStaysBounded holds the queue to a few entries under a
+// NIC's wake churn: a handler that steps every 700 ns across 2 000 wheel
+// ticks cancels its pending wake at every step and re-arms it 0.7-4.9 µs
+// ahead, heap- or wheel-resident as the frontier falls, beside a 1 ms
+// deadline it also re-arms. A canceled heap entry is dropped only when its
+// instant pops, and the heap holds only ticks at or before the frontier, so
+// the canceled entries pending at once are the few armed in the last ticks.
+func TestHeapCancelChurnStaysBounded(t *testing.T) {
+	const steps, bound = 12_000, 8
+	e := New(1)
+	nop := func(any) {}
+	var wake, deadline Timer
+	n, heapCancels, most := 0, 0, 0
+	var step func(any)
+	step = func(any) {
+		if wake.ev != nil && wake.ev.wslot < 0 && wake.ev.gen == wake.gen {
+			heapCancels++
+		}
+		wake.Cancel()
+		deadline.Cancel()
+		wake = e.AtArg(e.Now()+time.Duration(n%7+1)*700, nop, nil)
+		deadline = e.AtArg(e.Now()+time.Millisecond, nop, nil)
+		most = max(most, e.PendingEvents())
+		if n++; n < steps {
+			e.AtArg(e.Now()+700, step, nil)
+		}
+	}
+	e.AtArg(0, step, nil)
+	e.Run()
+	if heapCancels < steps/4 {
+		t.Fatalf("%d of %d wake cancels were heap-resident; the churn misses the heap", heapCancels, steps)
+	}
+	if most > bound {
+		t.Fatalf("%d entries queued at once under cancel churn, want at most %d", most, bound)
 	}
 }
 
@@ -322,8 +355,8 @@ func TestAfterZeroSelfScheduling(t *testing.T) {
 // golden suite. The timed waits reproduce the churn the open-loop serve
 // workload puts on the queue (unet.Endpoint.RecvTimeout under UAM): many
 // WaitTimeout calls against one deadline, each timeout canceled by a
-// signaled wake — unlinked from the wheel while far, left for compaction
-// once heap-resident — and only the last left to fire.
+// signaled wake — unlinked from the wheel while far, dropped when its
+// instant pops once heap-resident — and only the last left to fire.
 func TestSchedulerDifferentialFiringOrder(t *testing.T) {
 	runIt := func(newEngine func(int64) *Engine) ([]int, time.Duration, uint64) {
 		e := newEngine(1)

@@ -33,10 +33,10 @@ import (
 //     protocol forever.
 //   - Slot lists are doubly linked (event.next/event.prev), so Cancel on a
 //     wheel-resident event unlinks and recycles it immediately: canceled
-//     far timers never pile up, and the heap's lazy-compaction pressure
-//     from timeout churn (every signaled timed wait) disappears. A list's
-//     first event keeps its last in prev, so drain starts from the oldest
-//     without walking the list.
+//     far timers never pile up, and the heap keeps only canceled entries
+//     of the ticks up to cur, which it drops as their instants pop. A
+//     list's first event keeps its last in prev, so drain starts from the
+//     oldest without walking the list.
 //
 // The wheel performs no virtual-time accounting and must never read wall
 // clocks: cascades are pure data-structure motion between schedule and

@@ -146,17 +146,9 @@ func (tb *Testbed) FaultTotal() faults.FaultStats {
 	var sum faults.FaultStats
 	for _, chains := range [][]*faults.Chain{tb.UpFaults, tb.DownFaults} {
 		for _, ch := range chains {
-			if ch == nil {
-				continue
+			if ch != nil {
+				sum.Add(ch.Stats())
 			}
-			s := ch.Stats()
-			sum.Cells += s.Cells
-			sum.Dropped += s.Dropped
-			sum.Corrupted += s.Corrupted
-			sum.HdrDamage += s.HdrDamage
-			sum.Duplicate += s.Duplicate
-			sum.Delayed += s.Delayed
-			sum.DownDrops += s.DownDrops
 		}
 	}
 	return sum

@@ -35,8 +35,8 @@
 // order behind its first, so an event that joins a queued instant is
 // appended without a sift (the simulated cluster's hosts act in lockstep)
 // — and every event is one call fn(arg) of a static callback on a
-// pointer, so Proc.Sleep, wake-ups and timeouts allocate nothing in steady
-// state. A canceled timer still heap-resident stays there until its
+// pointer-shaped argument, so Proc.Sleep, wake-ups and timeouts allocate
+// nothing in steady state. A canceled timer still heap-resident stays there until its
 // instant pops; the heap holds only the near horizon, so such entries are
 // few.
 //
@@ -431,7 +431,7 @@ func (e *Engine) runWindow(stop time.Duration) {
 			e.now = next.at
 		}
 		e.nsteps++
-		// Copy the payload out and recycle before dispatch: the callback may
+		// Copy the call out and recycle before making it: the callback may
 		// schedule new events, and reusing the just-fired entry keeps the
 		// arena hot. A Timer held for this event sees the generation bump
 		// and correctly reports not-pending.

@@ -129,6 +129,7 @@ lint-extra: lint
 fuzz:
 	$(GO) test -run '^$$' -fuzz 'FuzzAAL5RoundTrip' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzCellHeader' -fuzztime $(FUZZTIME) ./internal/atm/
+	$(GO) test -run '^$$' -fuzz 'FuzzSegmentParts' -fuzztime $(FUZZTIME) ./internal/atm/
 	$(GO) test -run '^$$' -fuzz 'FuzzEventOrder' -fuzztime $(FUZZTIME) ./internal/sim/
 	$(GO) test -run '^$$' -fuzz 'FuzzTrainIntake' -fuzztime $(FUZZTIME) ./internal/nic/
 
@@ -153,7 +154,11 @@ benchcheck:
 # bound or beyond it, better or WORSE. A row whose first revision spreads
 # wider than the bound reads "unresolved": its runs cannot tell a change of
 # the bound's size from noise. A revision replayed against itself reads
-# "inside" or "unresolved" on every row. Not in ci: six workloads take PAIRS
+# "inside" or "unresolved" on every row. Beside each verdict it prints the
+# mean per-pair log ratio of the later revision to the first, as a percent,
+# its 95 % interval (Student's t over the pairs) and the pairs a sitting of
+# this spread needs to resolve a change of that size, n >= (2 sd / mean)^2:
+# a change is resolved when its interval excludes zero. Not in ci: six workloads take PAIRS
 # x revisions x ~6 s.
 REVS ?= HEAD HEAD
 PAIRS ?= 5
@@ -195,11 +200,14 @@ replay:
 				val[$$1, m, $$3, $$2] = substr($$4, RSTART + length(m) + 12, RLENGTH - length(m) - 12) + 0; \
 			} \
 		} \
-		BEGIN { nm = split("setup_s msgs_per_s alloc_mb peak_rss_mb", metric, " "); nr = split(revs, rev, " ") } \
+		BEGIN { \
+			nm = split("setup_s msgs_per_s alloc_mb peak_rss_mb", metric, " "); nr = split(revs, rev, " "); \
+			nt = split("12.706 4.303 3.182 2.776 2.571 2.447 2.365 2.306 2.262 2.228 2.201 2.179 2.160 2.145 2.131 2.120 2.110 2.101 2.093 2.086", tq, " "); \
+		} \
 		END { \
 			printf "%-14s %-12s", "workload", "metric"; \
 			for (k = 1; k <= nr; k++) printf " %14s %6s", rev[k], "iqr"; \
-			for (k = 2; k <= nr; k++) printf " %9s %5s %10s", "change", "won", "bound"; \
+			for (k = 2; k <= nr; k++) printf " %9s %5s %10s %8s %17s %6s", "change", "won", "bound", "log", "95% interval", "pairs"; \
 			print ""; \
 			for (o = 1; o <= nw; o++) for (i = 1; i <= nm; i++) { \
 				w = order[o]; m = metric[i]; base = median(w, m, 1); \
@@ -210,6 +218,17 @@ replay:
 					for (p = 1; p <= pairs; p++) won += lower[m] ? val[w, m, k, p] < val[w, m, 1, p] : val[w, m, k, p] > val[w, m, 1, p]; \
 					v = spread(w, m, 1) > bound[m] ? "unresolved" : c <= bound[m] && -c <= bound[m] ? "inside" : (c < 0) == lower[m] ? "better" : "WORSE"; \
 					printf " %+8.1f%% %2d/%-2d %10s", 100 * c, won, pairs, v; \
+					s1 = s2 = 0; \
+					for (p = 1; p <= pairs; p++) { \
+						if (val[w, m, k, p] <= 0 || val[w, m, 1, p] <= 0) break; \
+						lr[p] = log(val[w, m, k, p] / val[w, m, 1, p]); s1 += lr[p]; \
+					} \
+					if (p <= pairs || pairs < 2) { printf " %8s %17s %6s", "-", "-", "-"; continue } \
+					mu = s1 / pairs; for (p = 1; p <= pairs; p++) s2 += (lr[p] - mu) ^ 2; \
+					sd = sqrt(s2 / (pairs - 1)); h = (pairs - 1 <= nt ? tq[pairs - 1] : 1.96) * sd / sqrt(pairs); \
+					need = mu == 0 ? "-" : 4 * sd * sd / (mu * mu); \
+					if (need != "-") need = need == int(need) ? need : int(need) + 1; \
+					printf " %+7.1f%% [%+6.1f,%+6.1f]%% %6s", 100 * mu, 100 * (mu - h), 100 * (mu + h), need; \
 				} \
 				print ""; \
 			} \

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 )
 
 // AAL5 reassembly and validation errors.
@@ -26,53 +27,83 @@ func Segment(vci VCI, payload []byte) []Cell {
 }
 
 // SegmentAppend is Segment writing into dst, which it extends and returns
-// (like append). Cell payloads are assembled in place — no intermediate PDU
-// staging buffer — so a caller that recycles dst across messages segments
-// with zero allocations in steady state.
-//
-//unetlint:hotpath AAL5 segmentation; runs on every message send
+// (like append): the Segmenter over one part.
 func SegmentAppend(dst []Cell, vci VCI, payload []byte) []Cell {
-	if len(payload) > MaxPDU {
-		panic(fmt.Sprintf("atm: Segment called with %d-byte payload", len(payload)))
-	}
-	ncells := CellsFor(len(payload))
-	if ncells == 0 {
-		ncells = 1 // a zero-byte PDU still occupies one cell (trailer only)
-	}
-	base := len(dst)
-	for cap(dst)-base < ncells {
-		dst = append(dst[:cap(dst)], Cell{})
-	}
-	dst = dst[:base+ncells]
-
-	rest := payload
-	for i := 0; i < ncells; i++ {
-		c := &dst[base+i]
-		c.VCI = vci
-		c.EOP = false
-		c.Direct = false
-		n := copy(c.Payload[:], rest)
-		rest = rest[n:]
-		clear(c.Payload[n:]) // zero padding (and trailer space, filled below)
-	}
-	last := &dst[base+ncells-1]
-	last.EOP = true
-	binary.BigEndian.PutUint16(last.Payload[PayloadSize-6:], uint16(len(payload)))
-	// The CRC covers the payload, the padding and the trailer up to the CRC
-	// field. The payload is contiguous in the caller's buffer, so it is
-	// folded in one call — long enough for hash/crc32's vector kernels, which
-	// a 48-byte cell is not — and what follows it lies in the last cell, or
-	// the last two when the trailer spilled into a cell of its own.
-	crc := CRC32Update(0xFFFFFFFF, payload)
-	for i := len(payload) / PayloadSize; i < ncells; i++ {
-		tail := dst[base+i].Payload[max(len(payload)-i*PayloadSize, 0):]
-		if i == ncells-1 {
-			tail = tail[:len(tail)-4]
-		}
-		crc = CRC32Update(crc, tail)
-	}
-	binary.BigEndian.PutUint32(last.Payload[PayloadSize-4:], crc^0xFFFFFFFF)
+	s := NewSegmenter(vci, false, Parts{Body: payload})
+	n := len(dst) + s.left
+	dst = slices.Grow(dst, s.left)[:n]
+	s.Fill(dst[n-s.left:])
 	return dst
+}
+
+// Parts is a PDU's payload in two parts: Body, then N bytes of Src from Off,
+// read in place as a segment resident a page run at a time is: Piece
+// returns the bytes from off, at least one and at most n.
+type Parts struct {
+	Body   []byte
+	Src    interface{ Piece(off, n int) []byte }
+	Off, N int
+}
+
+// Segmenter fills an AAL5 PDU's cells from its parts, some at a time, with no
+// staging buffer. It folds the CRC over each part or piece — long enough for
+// hash/crc32's vector kernels, which a cell is not — then pad and trailer.
+type Segmenter struct {
+	p          Parts  // what is left of the payload
+	cur        []byte // the rest of the part being copied, already in crc
+	vci        VCI
+	direct     bool
+	size, left int // payload bytes; cells not yet filled
+	crc        uint32
+}
+
+// NewSegmenter starts the PDU of p's bytes on vci, its cells marked Direct
+// or not. It panics past MaxPDU; callers enforce their MTU first.
+func NewSegmenter(vci VCI, direct bool, p Parts) Segmenter {
+	n := len(p.Body) + p.N
+	if n > MaxPDU {
+		panic(fmt.Sprintf("atm: Segment called with %d-byte payload", n))
+	}
+	// A zero-byte PDU still occupies one cell (trailer only).
+	return Segmenter{p: p, vci: vci, direct: direct, size: n, left: max(CellsFor(n), 1), crc: 0xFFFFFFFF}
+}
+
+// Cells reports how many cells are left to fill.
+func (s *Segmenter) Cells() int { return s.left }
+
+// next moves cur to the payload's next part or piece and folds it into the
+// CRC; false once the payload is spent.
+func (s *Segmenter) next() bool {
+	if s.cur, s.p.Body = s.p.Body, nil; len(s.cur) == 0 && s.p.N > 0 {
+		s.cur = s.p.Src.Piece(s.p.Off, s.p.N)
+		s.p.Off, s.p.N = s.p.Off+len(s.cur), s.p.N-len(s.cur)
+	}
+	s.crc = CRC32Update(s.crc, s.cur)
+	return len(s.cur) > 0
+}
+
+// Fill writes the PDU's next len(cells) cells over whatever they held.
+//
+//unetlint:hotpath AAL5 segmentation; runs on every batch of cells a message is sent in
+func (s *Segmenter) Fill(cells []Cell) {
+	for i := range cells {
+		c := &cells[i]
+		c.VCI, c.EOP, c.Direct = s.vci, false, s.direct
+		k := 0
+		for k < PayloadSize && (len(s.cur) > 0 || s.next()) {
+			n := copy(c.Payload[k:], s.cur)
+			s.cur, k = s.cur[n:], k+n
+		}
+		clear(c.Payload[k:]) // pad, and the trailer's space in the last cell
+		if s.left--; s.left == 0 {
+			c.EOP = true
+			binary.BigEndian.PutUint16(c.Payload[PayloadSize-6:], uint16(s.size))
+			s.crc = CRC32Update(s.crc, c.Payload[k:PayloadSize-4])
+			binary.BigEndian.PutUint32(c.Payload[PayloadSize-4:], ^s.crc)
+		} else if k < PayloadSize { // the payload ended here, the trailer in the next cell
+			s.crc = CRC32Update(s.crc, c.Payload[k:])
+		}
+	}
 }
 
 // BufSource provides and recycles reassembly buffers, letting many

@@ -109,3 +109,72 @@ func FuzzCellHeader(f *testing.F) {
 		}
 	})
 }
+
+// cutPieces reads b a piece at a time, each piece ending at the next cut.
+type cutPieces struct {
+	b    []byte
+	cuts []int // ascending
+}
+
+func (p cutPieces) Piece(off, n int) []byte {
+	end := off + n
+	for _, c := range p.cuts {
+		if c > off && c < end {
+			end = c
+			break
+		}
+	}
+	return p.b[off:end]
+}
+
+// FuzzSegmentParts checks the segmenter against itself over one part: a
+// payload split at random into a body and a run of pieces, filled a random
+// number of cells at a time into dirty cells, must give exactly the cells
+// of the whole payload. The split's bytes choose every cut.
+func FuzzSegmentParts(f *testing.F) {
+	f.Add(uint16(5), []byte("hello"), []byte{1, 2, 3})
+	f.Add(uint16(0), []byte{}, []byte{})
+	f.Add(uint16(9), bytes.Repeat([]byte{0xAB}, 3000), []byte{8, 200, 13, 40, 255, 1})
+	f.Add(uint16(7), make([]byte, 2*PayloadSize-TrailerSize+3), []byte{0, 0, 90, 2})
+	f.Fuzz(func(t *testing.T, vci uint16, payload, split []byte) {
+		if len(payload) > MaxPDU {
+			payload = payload[:MaxPDU]
+		}
+		pick := func(k int) int {
+			if len(split) == 0 {
+				return 0
+			}
+			v := int(split[0])
+			split = split[1:]
+			return v % k
+		}
+		direct := len(split)%2 == 1
+		b := pick(len(payload) + 1)
+		src := cutPieces{b: payload}
+		for at := b + 1 + pick(300); at < len(payload); at += 1 + pick(300) {
+			src.cuts = append(src.cuts, at)
+		}
+		s := NewSegmenter(VCI(vci), direct, Parts{Body: payload[:b], Src: src, Off: b, N: len(payload) - b})
+		want := Segment(VCI(vci), payload)
+		for i := range want {
+			want[i].Direct = direct
+		}
+		if s.Cells() != len(want) {
+			t.Fatalf("%d cells to fill, want %d", s.Cells(), len(want))
+		}
+		got := make([]Cell, len(want)) // dirty, as lent slots are
+		for i := range got {
+			got[i] = Cell{VCI: 1, EOP: true, Direct: !direct, Payload: [PayloadSize]byte{0xA5, PayloadSize - 1: 0xA5}}
+		}
+		for i := 0; i < len(got); {
+			k := min(1+pick(50), len(got)-i)
+			s.Fill(got[i : i+k])
+			i += k
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("body %d, pieces cut at %v: cell %d is %+v, want %+v", b, src.cuts, i, got[i], want[i])
+			}
+		}
+	})
+}

@@ -162,6 +162,63 @@ func TestSteadyStateAllocsUAMRoundTrip(t *testing.T) {
 	}
 }
 
+// TestSteadyStateAllocsUAMBulk: a 5 KB get, composed from the source's
+// memory into its window slots, and a 5 KB store whose handler argument
+// rides after the data in its last segment move with no allocation per
+// round.
+func TestSteadyStateAllocsUAMBulk(t *testing.T) {
+	tb := testbed.New(testbed.Config{Hosts: 2})
+	t.Cleanup(tb.Close)
+	uA, err := uam.New(tb.Hosts[0].NewProcess("amA"), 0, uam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	uB, err := uam.New(tb.Hosts[1].NewProcess("amB"), 1, uam.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := uam.Connect(tb.Manager, uA, uB); err != nil {
+		t.Fatal(err)
+	}
+	var stored bool
+	if err := uB.RegisterHandler(3, func(*uam.UAM, *sim.Proc, int, uint32, []byte) { stored = true }); err != nil {
+		t.Fatal(err)
+	}
+	const n = 5 << 10
+	for i, mem := 0, uB.Mem(0, n); i < n; i++ {
+		mem[i] = byte(i)
+	}
+	data := make([]byte, n)
+	rig := &uamRig{tb: tb}
+	tb.Hosts[0].Spawn("driver", func(p *sim.Proc) {
+		for {
+			p.Wait(&rig.kick)
+			tag, err := uA.Get(p, 1, 0, 0, n)
+			if err != nil {
+				panic(err)
+			}
+			uB.PollWait(p, time.Millisecond) // serve the request: the get-data segments go out
+			if err := uA.WaitGet(p, tag); err != nil {
+				panic(err)
+			}
+			stored = false
+			if err := uA.Store(p, 1, 2*n, data, 3, 9); err != nil {
+				panic(err)
+			}
+			for !stored {
+				uB.PollWait(p, time.Millisecond)
+			}
+		}
+	})
+	tb.Eng.Run()
+	if allocs := steadyAllocs(20, rig.round); allocs != 0 {
+		t.Fatalf("UAM 5 KB get and store allocate %.1f objects/round in steady state, want 0", allocs)
+	}
+	if got, want := uA.Mem(0, n), uB.Mem(0, n); string(got) != string(want) {
+		t.Fatal("the get landed other bytes than the source's memory holds")
+	}
+}
+
 // BenchmarkEchoSingleCell is the regression bench for the single-cell
 // fast-path delivery (formerly one payload copy + alloc per message).
 func BenchmarkEchoSingleCell(b *testing.B) {

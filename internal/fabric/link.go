@@ -182,9 +182,9 @@ func (r *wireRun) sent() time.Duration { return r.first - time.Duration(r.lead) 
 // instead of one event per cell; a back-to-back run — consecutive arrivals
 // spaced exactly CellTime — is stamped once and handed over in one
 // DeliverTrain call, or through DeliverRun when it straddles the ring's
-// chunks. Senders book whole runs too: SendRun copies a
-// run onto the wire a ring chunk at a time, as a sink copies a train off
-// it.
+// chunks. Senders book whole runs too: a sender fills the ring's slots
+// Room lends, a chunk at a time, as a sink reads a train off it, and
+// Commit stamps them.
 type Link struct {
 	e        *sim.Engine
 	name     string
@@ -209,8 +209,8 @@ type Link struct {
 	rx   *crossRx
 }
 
-// impairment is what only a link with an injector needs, behind one
-// pointer as crossRx is.
+// impairment is what only a link with an injector, or a cross link's
+// transmit half, needs, behind one pointer as crossRx is.
 type impairment struct {
 	inj Injector
 
@@ -220,10 +220,10 @@ type impairment struct {
 	lastArrive time.Duration
 
 	// scratch is the private cell copy handed to the injector. It lives on
-	// the heap already, so the Judge interface call never forces SendRun's
-	// cells to escape — the steady-state data path stays allocation-free
-	// whether or not an injector is installed.
+	// the heap already, so the Judge interface call never forces the lent
+	// cells to escape: the data path stays allocation-free either way.
 	scratch atm.Cell
+	lent    []atm.Cell // what Room lends a per-cell link's sender
 }
 
 // crossRx is what a receive half needs to place its delivery events in the
@@ -273,7 +273,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
 	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[atm.Cell](dst), runs: sim.NewRing[wireRun](dst)}
-	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
+	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256), imp: &impairment{}}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
 	return l
@@ -344,42 +344,66 @@ func (l *Link) Send(c atm.Cell) time.Duration {
 }
 
 // SendRun enqueues cells[i] as if it were handed to the transmitter at
-// virtual time start + i*spacing (never before the current time), each
-// starting when the transmitter is free of the cell ahead of it. It lets a
-// sender that has computed a whole departure schedule arithmetically — a
-// NIC draining its transmit FIFO, the switch forwarding a train — enqueue
-// the cells in one call instead of sleeping between them: serialization
-// against nextFree yields exactly the departure times per-cell sends at
-// those instants would have produced. On a local link with no injector the
-// cells are copied onto the wire a ring chunk at a time and stamped once
-// per back-to-back run; an injector judges, and a cross link's transmit
-// half pushes, cell by cell.
+// start + i*spacing: the cells copied into Room and booked with Commit.
 //
 //unetlint:hotpath per-run transmit; runs for every run of cells a NIC or switch puts on a link
 func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
-	if len(cells) == 0 {
+	for i := 0; i < len(cells); {
+		i += copy(l.Room(len(cells)-i), cells[i:])
+	}
+	l.Commit(len(cells), start, spacing)
+}
+
+// perCell reports whether cells go onto the wire one at a time, through an
+// injector or a cross link's SPSC ring.
+func (l *Link) perCell() bool { return l.peer != nil || l.imp != nil && l.imp.inj != nil }
+
+// Room lends a sender slots for its next cells, at least one and at most n:
+// the back of the in-flight ring, a chunk at a time, on a local link with no
+// injector, and link-owned scratch otherwise. The sender fills them, asks
+// again until it holds n, and books them with Commit(n, …) before anything
+// else sends on the link.
+//
+//unetlint:allow hotpathalloc the scratch grows to the longest run a per-cell link is handed, once
+func (l *Link) Room(n int) []atm.Cell {
+	if !l.perCell() {
+		return l.pend.Room(n)
+	}
+	if cap(l.imp.lent) < n {
+		l.imp.lent = make([]atm.Cell, n)
+	}
+	return l.imp.lent[:n]
+}
+
+// Commit books the n cells Room last lent as if cell i were handed to the
+// transmitter at start + i*spacing (never before now), each starting when
+// the transmitter is free of the cell ahead: a NIC draining its transmit
+// FIFO, or the switch forwarding a train, gets the departures per-cell sends
+// would have, in one call. A local link with no injector stamps them once
+// per back-to-back run; otherwise they are judged, or cross, one by one.
+//
+//unetlint:hotpath per-run transmit; runs for every run of cells a NIC or switch puts on a link
+func (l *Link) Commit(n int, start, spacing time.Duration) {
+	if n == 0 {
 		return
 	}
 	free := l.idleFrom()
-	l.stats.CellsSent += uint64(len(cells))
-	if l.peer != nil || l.imp != nil && l.imp.inj != nil {
-		for i := range cells {
+	l.stats.CellsSent += uint64(n)
+	if l.perCell() {
+		for i := range n {
 			free = l.depart(free, start+time.Duration(i)*spacing)
 			l.nextFree = free
-			l.judge(&cells[i], free)
+			l.judge(&l.imp.lent[i], free)
 		}
 		return
 	}
-	for i := 0; i < len(cells); {
-		i += copy(l.pend.Room(len(cells)-i), cells[i:])
-	}
-	for i := range cells {
+	for i := 0; i < n; i++ {
 		free = l.depart(free, start+time.Duration(i)*spacing)
 		r := l.join(free+l.p.Propagation, 0)
 		if spacing <= l.p.CellTime {
 			// Each later cell is handed over before the transmitter is
 			// free: the rest follow back to back, in this run.
-			rest := time.Duration(len(cells) - 1 - i)
+			rest := time.Duration(n - 1 - i)
 			r.n += int32(rest)
 			free += rest * l.p.CellTime
 			break

@@ -166,7 +166,10 @@ func runIntakeSplit(t testing.TB, s intakeScript, boundary func(n int) int) inta
 					}
 					data := ep.Gather(nil, rd, nil)
 					if rd.Direct {
-						data = ep.DevReadSegmentAppend(nil, rd.DirectOffset, rd.Length)
+						data = make([]byte, rd.Length)
+						if err := ep.ReadBuf(nil, rd.DirectOffset, data); err != nil {
+							panic(err)
+						}
 					}
 					res.deliveries = append(res.deliveries, fmt.Sprintf("%v %s ch%d %dB %08x", e.Now(), idx, rd.Channel, len(data), crc32.ChecksumIEEE(data)))
 				}

@@ -157,16 +157,7 @@ type Device struct {
 	// overflow fallback, replacing a per-cell closure allocation.
 	dcFree *delayedCell
 
-	tx *txScratch // the engine's transmit scratch
-}
-
-// txScratch is what handleTx segments a message into (cells) and stages its
-// DMA and header bytes in (data). Every device on one engine shares that
-// engine's (sim.Local): nothing yields between filling it and SendRun's
-// copy, so one is never in use twice.
-type txScratch struct {
-	cells []atm.Cell
-	data  []byte
+	head [directHeaderSize]byte // the direct-access header of the PDU being sent
 }
 
 var _ unet.Device = (*Device)(nil)
@@ -185,7 +176,6 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 		uplink: uplink,
 		in:     sim.NewRing[atm.Cell](e),
 		runs:   sim.NewRing[inRun](e),
-		tx:     sim.Local[txScratch](e),
 	}
 	return d
 }
@@ -672,9 +662,10 @@ func (d *Device) nextTxEndpoint() *unet.Endpoint {
 
 // handleTx services one send descriptor: the single-cell fast path stores
 // descriptor-resident data straight into a cell (§4.2.2); larger messages
-// are fetched from the communication segment (host-memory DMA, charged in
-// TxFixed/TxPerCell) and segmented. The uplink's bounded output FIFO
-// paces the processor when the fiber backs up.
+// are read out of the communication segment in place (host-memory DMA,
+// charged in TxFixed/TxPerCell) and segmented straight into the uplink's
+// lent slots. The uplink's bounded output FIFO paces the processor when the
+// fiber backs up.
 func (d *Device) handleTx(ep *unet.Endpoint) {
 	desc, ok := ep.DevPopSend()
 	if !ok {
@@ -687,49 +678,39 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	d.stats.PDUsOut++
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
 		d.cursor += txSingleCell
-		d.tx.cells = atm.SegmentAppend(d.tx.cells[:0], tx, desc.Inline)
-		d.sendCells(d.tx.cells)
+		d.sendCells(atm.NewSegmenter(tx, false, atm.Parts{Body: desc.Inline}))
 		return
 	}
-	data := d.tx.data[:0]
+	// The rest is read out of the segment (an inline message, on a device
+	// without the fast path, is empty), behind the deposit offset if direct.
+	parts := atm.Parts{Src: ep.DevSegment(), Off: desc.Offset, N: desc.Length}
 	if desc.Direct {
-		data = binary.BigEndian.AppendUint64(data, uint64(desc.DstOffset))
+		binary.BigEndian.PutUint64(d.head[:], uint64(desc.DstOffset))
+		parts.Body = d.head[:]
 	}
-	if desc.Inline != nil {
-		data = append(data, desc.Inline...) // fast path absent on this device
-	} else {
-		data = ep.DevReadSegmentAppend(data, desc.Offset, desc.Length)
-	}
-	d.tx.data = data
 	d.cursor += d.params.TxFixed
-	d.tx.cells = atm.SegmentAppend(d.tx.cells[:0], tx, data)
-	if desc.Direct {
-		for i := range d.tx.cells {
-			d.tx.cells[i].Direct = true
-		}
-	}
-	d.sendCells(d.tx.cells)
+	d.sendCells(atm.NewSegmenter(tx, desc.Direct, parts))
 }
 
-// sendCells puts cells on the uplink in one SendRun. The per-cell processor
-// cost and the output-FIFO stall (formerly a Sleep and a WaitReady per
-// cell) are folded into the cursor in closed form — the device is the
-// uplink's only sender, so its committed-work horizon (NextFree) is fully
-// known. Cell i is handed over at start + i*TxPerCell, where the
+// sendCells segments a PDU into the uplink's lent slots and books them in
+// one Commit, the per-cell cost and the output-FIFO stall folded into the
+// cursor in closed form: the device is the uplink's only sender, so NextFree
+// is fully known. Cell i is handed over at start + i*TxPerCell, where a
 // stall-per-cell loop may have handed it over later: at a TxPerCell of a
 // cell time or more only the first cell can stall, and below that a later
 // stall ends before the link is free for that cell anyway, so every
-// departure is the loop's. The cursor ends where the loop's did, at the
-// last cell's hand-over or at the stall for it. The caller's synchronizing
-// sleep lands the processor where the sleep-per-cell loop would have left
-// it.
-func (d *Device) sendCells(cells []atm.Cell) {
+// departure is the loop's, and the cursor ends where the loop's did.
+func (d *Device) sendCells(s atm.Segmenter) {
+	n := s.Cells()
+	for s.Cells() > 0 {
+		s.Fill(d.uplink.Room(s.Cells()))
+	}
 	tx, ct := d.params.TxPerCell, d.uplink.Params().CellTime
 	limit := time.Duration(outFIFOCells) * ct
 	start := max(d.cursor+tx, d.uplink.NextFree()-limit)
-	d.uplink.SendRun(cells, start, tx)
-	d.cursor = max(start+time.Duration(len(cells)-1)*tx, d.uplink.NextFree()-ct-limit)
-	d.stats.CellsOut += uint64(len(cells))
+	d.uplink.Commit(n, start, tx)
+	d.cursor = max(start+time.Duration(n-1)*tx, d.uplink.NextFree()-ct-limit)
+	d.stats.CellsOut += uint64(n)
 }
 
 // endPDU takes the last cell c of a PDU on ent's VCI, charging its cost on

@@ -1,6 +1,8 @@
 package uam
 
 import (
+	"encoding/binary"
+
 	"unet/internal/sim"
 	"unet/internal/unet"
 )
@@ -18,7 +20,7 @@ func (u *UAM) Request(p *sim.Proc, dst, handler int, arg uint32, data []byte) er
 		return ErrBadHandler
 	}
 	u.stats.ReqSent++
-	return u.sendReliable(p, pe, typeReq, uint8(handler), arg, data)
+	return u.sendReliable(p, pe, typeReq, uint8(handler), arg, body{data: data})
 }
 
 // Reply sends the matching reply from within a request handler. Reply
@@ -31,7 +33,7 @@ func (u *UAM) Reply(p *sim.Proc, handler int, arg uint32, data []byte) error {
 		return ErrBadHandler
 	}
 	u.stats.ReplySent++
-	return u.sendReliable(p, u.replyTo, typeReply, uint8(handler), arg, data)
+	return u.sendReliable(p, u.replyTo, typeReply, uint8(handler), arg, body{data: data})
 }
 
 // Store performs a GAM bulk store: data is transferred into dst's exposed
@@ -50,51 +52,23 @@ func (u *UAM) Store(p *sim.Proc, dst int, dstOff int, data []byte, handler int, 
 	if !wireRange(dstOff, len(data)) {
 		return ErrMemRange
 	}
-	for n := 0; n < len(data) || (len(data) == 0 && n == 0); {
+	// Each segment's header argument is its offset; the last carries the
+	// handler and arg after its data, or in a segment of its own if full.
+	var a [4]byte
+	binary.BigEndian.PutUint32(a[:], arg)
+	for n, spent := 0, false; ; spent = n == len(data) {
 		chunk := min(len(data)-n, u.cfg.BulkMax)
-		last := n+chunk == len(data)
-		var hidx uint8
-		var a uint32
-		if last {
-			hidx, a = uint8(handler), arg
+		b, h := body{data: data[n : n+chunk]}, uint8(0)
+		if n+chunk == len(data) && uint8(handler) != 0 && (spent || chunk+len(a) <= u.cfg.BulkMax) {
+			b.tail, h = a[:], uint8(handler)
 		}
-		if err := u.sendStoreSeg(p, pe, hidx, uint32(dstOff+n), a, data[n:n+chunk], last); err != nil {
+		if err := u.sendReliable(p, pe, typeStore, h, uint32(dstOff+n), b); err != nil {
 			return err
 		}
-		n += chunk
-		if len(data) == 0 {
-			break
+		if n += chunk; n == len(data) && h == uint8(handler) {
+			return nil
 		}
 	}
-	return nil
-}
-
-// sendStoreSeg transmits one bulk store segment. The final-segment flag
-// travels in the top bit of the handler-invocation contract: handlers are
-// only attached to final segments, and arg is delivered with them.
-func (u *UAM) sendStoreSeg(p *sim.Proc, pe *peer, handler uint8, dstOff, arg uint32, seg []byte, last bool) error {
-	// The destination offset rides in the header argument; the completion
-	// argument is appended to the final segment's payload. The assembly
-	// buffer is pooled scratch: sendReliable stages it into a window slot
-	// before returning, so it can go back on the free list here.
-	if last && handler != 0 {
-		buf := u.scratch.Get()
-		buf = append(buf, seg...)
-		buf = append(buf, byte(arg>>24), byte(arg>>16), byte(arg>>8), byte(arg))
-		var err error
-		if len(buf) > u.cfg.BulkMax {
-			// No room to piggyback: send the data, then a zero-length
-			// handler-carrying segment.
-			if err = u.sendReliable(p, pe, typeStore, 0, dstOff, seg); err == nil {
-				err = u.sendReliable(p, pe, typeStore, handler, dstOff+uint32(len(seg)), buf[len(seg):])
-			}
-		} else {
-			err = u.sendReliable(p, pe, typeStore, handler, dstOff, buf)
-		}
-		u.scratch.Put(buf)
-		return err
-	}
-	return u.sendReliable(p, pe, typeStore, 0, dstOff, seg)
 }
 
 // handleStore applies a bulk store segment to the exposed memory and, on a
@@ -146,7 +120,7 @@ func (u *UAM) Get(p *sim.Proc, src int, srcOff, dstOff, n int) (uint32, error) {
 	u.gets[tag] = pendingGet{rem: n, src: pe}
 	var req [12]byte
 	getReq{srcOff: uint32(srcOff), dstOff: uint32(dstOff), n: uint32(n)}.encode(req[:])
-	if err := u.sendReliable(p, pe, typeGetReq, 0, tag, req[:]); err != nil {
+	if err := u.sendReliable(p, pe, typeGetReq, 0, tag, body{data: req[:]}); err != nil {
 		delete(u.gets, tag)
 		return 0, err
 	}
@@ -165,29 +139,24 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		// The reliable layer has already acknowledged the request, so
 		// silence would leave the requester's tag pending for ever.
 		u.stats.MemRangeDrops++
-		_ = u.sendReliable(p, pe, typeGetRefused, 0, h.arg, nil)
+		_ = u.sendReliable(p, pe, typeGetRefused, 0, h.arg, body{})
 		return
 	}
-	sent := 0
-	seg := u.scratch.Get()
-	for {
+	// Get-data segments carry the destination offset in the header arg and
+	// the tag in the trailing 4 bytes, after the memory's bytes, read in
+	// place.
+	var tag [4]byte
+	binary.BigEndian.PutUint32(tag[:], h.arg)
+	for sent := 0; ; {
 		chunk := min(n-sent, u.cfg.BulkMax-4)
-		// Get-data segments carry the destination offset in the header arg
-		// and the tag in the trailing 4 bytes. The staging buffer is pooled
-		// scratch, reused across segments (sendReliable stages each into a
-		// window slot before returning).
 		p.Charge(unet.CopyCost(chunk))
-		seg = u.mem.AppendTo(seg[:0], src+sent, chunk)
-		seg = append(seg, byte(h.arg>>24), byte(h.arg>>16), byte(h.arg>>8), byte(h.arg))
-		if err := u.sendReliable(p, pe, typeGetData, 0, uint32(dst+sent), seg); err != nil {
-			break
+		if u.sendReliable(p, pe, typeGetData, 0, uint32(dst+sent), body{off: src + sent, n: chunk, tail: tag[:]}) != nil {
+			return
 		}
-		sent += chunk
-		if sent >= n {
-			break
+		if sent += chunk; sent >= n {
+			return
 		}
 	}
-	u.scratch.Put(seg)
 }
 
 // handleGetData lands one get-data segment in local memory and retires the

@@ -1,6 +1,7 @@
 package uam
 
 import (
+	"cmp"
 	"fmt"
 	"time"
 
@@ -17,6 +18,13 @@ func deadErr(pe *peer) error { return fmt.Errorf("%w: node %d", ErrPeerDead, pe.
 // holds.
 func (pe *peer) outstanding() int { return seqDiff(pe.nextSeq, pe.ackedTo) }
 
+// body is a message's payload in parts, in order: data, n bytes of the
+// node's memory from off, and tail, written straight into the window slot.
+type body struct {
+	data, tail []byte
+	off, n     int
+}
+
 // sendReliable stages a message in the next window slot and transmits it.
 // When the window is full it polls for incoming messages until space opens
 // or the retransmit timer fires (§5.1.2: "the sender polls for incoming
@@ -24,8 +32,9 @@ func (pe *peer) outstanding() int { return seqDiff(pe.nextSeq, pe.ackedTo) }
 // occurs and all unacknowledged messages are retransmitted").
 //
 //unetlint:hotpath UAM reliable send; the steady-state transmit path
-func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32, data []byte) error {
-	if len(data) > u.cfg.BulkMax {
+func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32, b body) error {
+	n := len(b.data) + b.n + len(b.tail)
+	if n > u.cfg.BulkMax {
 		return ErrTooLong
 	}
 	// "To send a request message, UAM first processes any outstanding
@@ -56,10 +65,20 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 	if err := u.ep.Compose(p, slot.off, hdr[:]); err != nil {
 		return err
 	}
-	if err := u.ep.Compose(p, slot.off+headerSize, data); err != nil {
+	// The parts are written free, under the one charge a Compose of the
+	// whole body made; the memory's bytes are read in place.
+	p.Charge(unet.CopyCost(n))
+	off := slot.off + headerSize
+	err := cmp.Or(u.ep.Compose(nil, off, b.data), u.ep.Compose(nil, off+n-len(b.tail), b.tail))
+	for k := 0; k < b.n && err == nil; {
+		piece := u.mem.Piece(b.off+k, b.n-k)
+		err = u.ep.Compose(nil, off+len(b.data)+k, piece)
+		k += len(piece)
+	}
+	if err != nil {
 		return err
 	}
-	slot.n = headerSize + len(data)
+	slot.n = headerSize + n
 	if slot.n > u.ep.Host().Device().SingleCellMax() {
 		p.Charge(bulkOverhead)
 	}

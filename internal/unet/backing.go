@@ -39,21 +39,33 @@ func (m *Backing) mustContain(off, n int) {
 	}
 }
 
-// Write copies data into the region at off, page by page. Each stretch of
-// pages it is the first to write is allocated as one run.
+// Write copies data into the region at off, a run at a time. Each stretch
+// of pages it is the first to write is allocated as one run.
 func (m *Backing) Write(off int, data []byte) {
 	m.mustContain(off, len(data))
-	for i, last := off/pageSize, (off+len(data)-1)/pageSize; len(data) > 0; i++ {
-		if i >= len(m.pages) || m.pages[i] == nil {
-			j := i
-			for j < last && (j+1 >= len(m.pages) || m.pages[j+1] == nil) {
-				j++
-			}
-			m.merge(i, j)
-		}
-		n := copy(m.pages[i][off%pageSize:], data)
+	for len(data) > 0 {
+		n := copy(m.span(off, len(data), true), data)
 		off, data = off+n, data[n:]
 	}
+}
+
+// span is the one page walk: the region's bytes from off to the end of their
+// run, at most n. A page never written reads as zeros or, for a write, is
+// allocated with the pages after it up to off+n not resident either, one run.
+func (m *Backing) span(off, n int, write bool) []byte {
+	i, o := off/pageSize, off%pageSize
+	if i >= len(m.pages) || m.pages[i] == nil {
+		if !write {
+			return zeros[o:min(pageSize, o+n)]
+		}
+		j, last := i, (off+n-1)/pageSize
+		for j < last && (j+1 >= len(m.pages) || m.pages[j+1] == nil) {
+			j++
+		}
+		m.merge(i, j)
+	}
+	p := m.pages[i]
+	return p[o:min(cap(p), o+n)]
 }
 
 // Writable returns the region's bytes [off, off+n) to read or fill in place,
@@ -95,21 +107,11 @@ func (m *Backing) merge(first, last int) {
 	}
 }
 
-// CopyTo copies len(dst) bytes starting at off into dst.
-func (m *Backing) CopyTo(dst []byte, off int) { m.AppendTo(dst[:0], off, len(dst)) }
-
-// AppendTo appends the region's bytes [off, off+n) to dst, page by page.
-func (m *Backing) AppendTo(dst []byte, off, n int) []byte {
+// Piece returns the region's bytes from off in place, as many of n as lie
+// in one run, or in one page never written, which reads as zeros.
+func (m *Backing) Piece(off, n int) []byte {
 	m.mustContain(off, n)
-	for end := off + n; off < end; {
-		src := zeros[:]
-		if i := off / pageSize; i < len(m.pages) && m.pages[i] != nil {
-			src = m.pages[i]
-		}
-		src = src[off%pageSize : min(len(src), off%pageSize+end-off)]
-		dst, off = append(dst, src...), off+len(src)
-	}
-	return dst
+	return m.span(off, n, false)
 }
 
 // zeros is what a page never written reads as. Never written.

@@ -70,6 +70,20 @@ func (f *flatSegment) devReadAppend(dst []byte, off, n int) []byte {
 	return append(dst, f.b[off:off+n]...)
 }
 
+// appendPieces appends m's bytes [off, off+n) to dst as the NI reads them,
+// one Piece at a time, and panics if a piece is empty or longer than asked.
+func appendPieces(dst []byte, m *unet.Backing, off, n int) []byte {
+	for {
+		b := m.Piece(off, n)
+		if dst = append(dst, b...); len(b) == n {
+			return dst
+		} else if len(b) == 0 || len(b) > n {
+			panic(fmt.Sprintf("Piece(%d, %d) returned %d bytes", off, n, len(b)))
+		}
+		off, n = off+len(b), n-len(b)
+	}
+}
+
 func (f *flatSegment) gather(length int, offs []int) []byte {
 	dst := make([]byte, length)
 	n := 0
@@ -169,10 +183,10 @@ func TestSegmentMatchesFlatTwin(t *testing.T) {
 			case 5:
 				n := rng.Intn(3 * bufSize)
 				var got, want []byte
-				p1 := panics(func() { got = ep.DevReadSegmentAppend([]byte("dma:"), off, n) })
+				p1 := panics(func() { got = appendPieces([]byte("dma:"), ep.DevSegment(), off, n) })
 				p2 := panics(func() { want = twin.devReadAppend([]byte("dma:"), off, n) })
 				if p1 != p2 || !bytes.Equal(got, want) {
-					t.Fatalf("%s: DevReadSegmentAppend(%d, %d) panicked %v, twin %v (bytes equal: %v)", what, off, n, p1, p2, bytes.Equal(got, want))
+					t.Fatalf("%s: the NI's read of [%d, +%d) in pieces panicked %v, twin %v (bytes equal: %v)", what, off, n, p1, p2, bytes.Equal(got, want))
 				}
 			case 6:
 				// A buffered arrival of k buffers, the last one part full.

@@ -152,7 +152,10 @@ func (ep *Endpoint) ReadBuf(p *sim.Proc, off int, buf []byte) error {
 		return err
 	}
 	p.Charge(CopyCost(len(buf)))
-	ep.seg.CopyTo(buf, off)
+	for len(buf) > 0 {
+		n := copy(buf, ep.seg.Piece(off, len(buf)))
+		off, buf = off+n, buf[n:]
+	}
 	return nil
 }
 
@@ -508,9 +511,6 @@ func (ep *Endpoint) DevDropReassembly() { ep.stats.DroppedReassembly++ }
 // indicates a model bug and panics.
 func (ep *Endpoint) DevWriteSegment(off int, data []byte) { ep.seg.Write(off, data) }
 
-// DevReadSegmentAppend is the NI's DMA out of the communication segment
-// into dst (which it extends and returns, like append), letting the NI
-// reuse one DMA staging buffer across messages.
-func (ep *Endpoint) DevReadSegmentAppend(dst []byte, off, n int) []byte {
-	return ep.seg.AppendTo(dst, off, n)
-}
+// DevSegment is the communication segment the NI reads a message out of in
+// place (Backing.Piece), the DMA of §4.2.2 with no staging buffer.
+func (ep *Endpoint) DevSegment() *Backing { return &ep.seg }

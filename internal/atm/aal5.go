@@ -71,28 +71,40 @@ func NewSegmenter(vci VCI, direct bool, p Parts) Segmenter {
 // Cells reports how many cells are left to fill.
 func (s *Segmenter) Cells() int { return s.left }
 
-// next moves cur to the payload's next part or piece and folds it into the
-// CRC; false once the payload is spent.
-func (s *Segmenter) next() bool {
-	if s.cur, s.p.Body = s.p.Body, nil; len(s.cur) == 0 && s.p.N > 0 {
-		s.cur = s.p.Src.Piece(s.p.Off, s.p.N)
-		s.p.Off, s.p.N = s.p.Off+len(s.cur), s.p.N-len(s.cur)
+// next returns the payload's next part or piece, folded into the CRC;
+// nothing once the payload is spent.
+func (s *Segmenter) next() []byte {
+	b := s.p.Body
+	if s.p.Body = nil; len(b) == 0 && s.p.N > 0 {
+		b = s.p.Src.Piece(s.p.Off, s.p.N)
+		s.p.Off, s.p.N = s.p.Off+len(b), s.p.N-len(b)
 	}
-	s.crc = CRC32Update(s.crc, s.cur)
-	return len(s.cur) > 0
+	if len(b) > 0 {
+		s.crc = CRC32Update(s.crc, b)
+	}
+	return b
 }
 
 // Fill writes the PDU's next len(cells) cells over whatever they held.
 //
 //unetlint:hotpath AAL5 segmentation; runs on every batch of cells a message is sent in
 func (s *Segmenter) Fill(cells []Cell) {
+	cur := s.cur
 	for i := range cells {
 		c := &cells[i]
 		c.VCI, c.EOP, c.Direct = s.vci, false, s.direct
 		k := 0
-		for k < PayloadSize && (len(s.cur) > 0 || s.next()) {
-			n := copy(c.Payload[k:], s.cur)
-			s.cur, k = s.cur[n:], k+n
+		if len(cur) >= PayloadSize { // a whole cell's worth: one fixed-size move
+			c.Payload, cur, k = [PayloadSize]byte(cur), cur[PayloadSize:], PayloadSize
+		}
+		for k < PayloadSize {
+			if len(cur) == 0 {
+				if cur = s.next(); len(cur) == 0 {
+					break
+				}
+			}
+			n := copy(c.Payload[k:], cur)
+			cur, k = cur[n:], k+n
 		}
 		clear(c.Payload[k:]) // pad, and the trailer's space in the last cell
 		if s.left--; s.left == 0 {
@@ -104,6 +116,7 @@ func (s *Segmenter) Fill(cells []Cell) {
 			s.crc = CRC32Update(s.crc, c.Payload[k:])
 		}
 	}
+	s.cur = cur
 }
 
 // BufSource provides and recycles reassembly buffers, letting many

@@ -338,8 +338,8 @@ func (l *Link) SetInjector(inj Injector) {
 // which its last bit leaves the transmitter: a run of one cell. Delivery to
 // the sink is scheduled automatically.
 func (l *Link) Send(c atm.Cell) time.Duration {
-	one := [1]atm.Cell{c}
-	l.SendRun(one[:], l.e.Now(), 0)
+	l.Room(1)[0] = c
+	l.Commit(1, l.e.Now(), 0)
 	return l.nextFree
 }
 

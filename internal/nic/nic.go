@@ -678,7 +678,7 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	d.stats.PDUsOut++
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
 		d.cursor += txSingleCell
-		d.sendCells(atm.NewSegmenter(tx, false, atm.Parts{Body: desc.Inline}))
+		d.sendCells(tx, false, atm.Parts{Body: desc.Inline})
 		return
 	}
 	// The rest is read out of the segment (an inline message, on a device
@@ -689,7 +689,7 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 		parts.Body = d.head[:]
 	}
 	d.cursor += d.params.TxFixed
-	d.sendCells(atm.NewSegmenter(tx, desc.Direct, parts))
+	d.sendCells(tx, desc.Direct, parts)
 }
 
 // sendCells segments a PDU into the uplink's lent slots and books them in
@@ -700,7 +700,8 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 // cell time or more only the first cell can stall, and below that a later
 // stall ends before the link is free for that cell anyway, so every
 // departure is the loop's, and the cursor ends where the loop's did.
-func (d *Device) sendCells(s atm.Segmenter) {
+func (d *Device) sendCells(vci atm.VCI, direct bool, p atm.Parts) {
+	s := atm.NewSegmenter(vci, direct, p)
 	n := s.Cells()
 	for s.Cells() > 0 {
 		s.Fill(d.uplink.Room(s.Cells()))

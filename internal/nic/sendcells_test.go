@@ -76,7 +76,7 @@ func TestSendCellsMatchesStallLoop(t *testing.T) {
 							}
 							d.cursor = max(d.cursor, e.Now()) + fixed
 							if closed {
-								d.sendCells(atm.NewSegmenter(5, false, atm.Parts{Body: pdu}))
+								d.sendCells(5, false, atm.Parts{Body: pdu})
 							} else {
 								stalls += d.sendCellsPerCell(atm.Segment(5, pdu))
 							}

@@ -66,7 +66,7 @@ func (u *UAM) sendReliable(p *sim.Proc, pe *peer, typ, handler uint8, arg uint32
 		return err
 	}
 	// The parts are written free, under the one charge a Compose of the
-	// whole body made; the memory's bytes are read in place.
+	// whole body would make; the memory's bytes are read in place.
 	p.Charge(unet.CopyCost(n))
 	off := slot.off + headerSize
 	err := cmp.Or(u.ep.Compose(nil, off, b.data), u.ep.Compose(nil, off+n-len(b.tail), b.tail))

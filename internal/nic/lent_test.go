@@ -28,12 +28,16 @@ type twinSink struct {
 }
 
 func (s *twinSink) DeliverTrain(cells []atm.Cell, first, _ time.Duration) {
-	if first > s.e.Now() && s.got > 0 && !s.want[s.got-1].EOP {
+	if first > s.e.Now() && s.got > 0 && s.got <= len(s.want) && !s.want[s.got-1].EOP {
 		s.split++
 	}
 	for _, c := range cells {
-		if s.err == nil && (s.got >= len(s.want) || c != s.want[s.got]) {
-			s.err = fmt.Errorf("cell %d of the run is %+v, want %+v", s.got, c, s.want[min(s.got, len(s.want)-1)])
+		switch {
+		case s.err != nil:
+		case s.got >= len(s.want):
+			s.err = fmt.Errorf("cell %d reached the link, %d expected", s.got, len(s.want))
+		case c != s.want[s.got]:
+			s.err = fmt.Errorf("cell %d of the run is %+v, want %+v", s.got, c, s.want[s.got])
 		}
 		s.got++
 	}

@@ -144,11 +144,14 @@ benchcheck:
 # replay measures revisions of this tree side by side on bench's one-workload
 # protocol, so what a run of commits did is read in one sitting:
 # make replay REVS="a b" PAIRS=5 SECONDS=3. It git-archives each revision
-# into a temporary directory, builds ./bench there (the module has no
-# dependencies, so old trees build offline) and runs `bench -workload W
-# -seconds S -trace 0` PAIRS times a workload for each revision, alternating,
-# the order flipped every other pair. Per workload and end-to-end metric it
-# prints each revision's median and interquartile spread (as a share of the
+# into a temporary directory, builds ./bench there with -trimpath (the module
+# has no dependencies, so old trees build offline, and one commit named twice
+# builds one binary twice over) and runs `bench -workload W -seconds S -trace
+# 0` for each revision PAIRS times a workload. A pair runs the revisions in
+# order and then in reverse (A B B A), and a revision's value in the pair is
+# the mean of its two runs, so a run-order effect cancels within every pair
+# whatever PAIRS is. Per workload and end-to-end metric it prints each
+# revision's median over the pairs and interquartile spread (as a share of the
 # median), every later revision's change from the first and the pairs it did
 # better in, and whether the change lies inside the metric's BENCHMARK.json
 # bound or beyond it, better or WORSE. A row whose first revision spreads
@@ -159,7 +162,7 @@ benchcheck:
 # its 95 % interval (Student's t over the pairs) and the pairs a sitting of
 # this spread needs to resolve a change of that size, n >= (2 sd / mean)^2:
 # a change is resolved when its interval excludes zero. Not in ci: six workloads take PAIRS
-# x revisions x ~6 s.
+# x revisions x 2 x ~6 s.
 REVS ?= HEAD HEAD
 PAIRS ?= 5
 SECONDS ?= 3
@@ -167,12 +170,11 @@ replay:
 	@tmp="$$(mktemp -d)"; trap 'rm -rf "$$tmp"' EXIT; n=0; names=; \
 	for r in $(REVS); do \
 		n=$$((n + 1)); mkdir "$$tmp/$$n"; names="$$names $$(git rev-parse --short "$$r")" || exit 1; \
-		git archive "$$r" | tar -x -C "$$tmp/$$n" && (cd "$$tmp/$$n" && $(GO) build -o bench.bin ./bench) || exit 1; \
+		git archive "$$r" | tar -x -C "$$tmp/$$n" && (cd "$$tmp/$$n" && $(GO) build -trimpath -o bench.bin ./bench) || exit 1; \
 	done; \
 	for w in $$(awk -F'"' '/"why"/ { print $$4 }' BENCHMARK.json); do \
 		for p in $$(seq $(PAIRS)); do \
-			order="$$(seq $$n)"; if [ $$((p % 2)) = 0 ]; then order="$$(seq $$n -1 1)"; fi; \
-			for k in $$order; do \
+			for k in $$(seq $$n) $$(seq $$n -1 1); do \
 				echo "replay: $$w pair $$p revision $$k" >&2; \
 				line="$$(cd "$$tmp/$$k" && ./bench.bin -workload $$w -seconds $(SECONDS) -trace 0 2>/dev/null | tail -n 1)"; \
 				case "$$line" in '{"correct":true'*) ;; *) echo "replay: $$w on revision $$k failed: $$line"; exit 1;; esac; \
@@ -197,7 +199,7 @@ replay:
 			if (!(($$1) in seen)) { seen[$$1] = 1; order[++nw] = $$1 } \
 			for (i = 1; i <= nm; i++) { \
 				m = metric[i]; match($$4, "\"" m "\":\\{\"value\":[^,}]*"); \
-				val[$$1, m, $$3, $$2] = substr($$4, RSTART + length(m) + 12, RLENGTH - length(m) - 12) + 0; \
+				val[$$1, m, $$3, $$2] += (substr($$4, RSTART + length(m) + 12, RLENGTH - length(m) - 12) + 0) / 2; \
 			} \
 		} \
 		BEGIN { \

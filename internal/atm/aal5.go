@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"slices"
 )
 
 // AAL5 reassembly and validation errors.
@@ -29,66 +28,55 @@ func Segment(vci VCI, payload []byte) []Cell {
 // SegmentAppend is Segment writing into dst, which it extends and returns
 // (like append): the Segmenter over one part.
 func SegmentAppend(dst []Cell, vci VCI, payload []byte) []Cell {
-	s := NewSegmenter(vci, false, Parts{Body: payload})
-	n := len(dst) + s.left
-	dst = slices.Grow(dst, s.left)[:n]
-	s.Fill(dst[n-s.left:])
-	return dst
-}
-
-// Parts is a PDU's payload in two parts: Body, then N bytes of Src from Off,
-// read in place as a segment resident a page run at a time is: Piece
-// returns the bytes from off, at least one and at most n.
-type Parts struct {
-	Body   []byte
-	Src    interface{ Piece(off, n int) []byte }
-	Off, N int
+	var s Segmenter
+	n := s.Start(vci, false, payload, nil, 0, 0)
+	for cap(dst)-len(dst) < n {
+		dst = append(dst[:cap(dst)], Cell{})[:len(dst)]
+	}
+	s.Fill(dst[len(dst) : len(dst)+n])
+	return dst[:len(dst)+n]
 }
 
 // Segmenter fills an AAL5 PDU's cells from its parts, some at a time, with no
 // staging buffer. It folds the CRC over each part or piece — long enough for
 // hash/crc32's vector kernels, which a cell is not — then pad and trailer.
 type Segmenter struct {
-	p          Parts  // what is left of the payload
 	cur        []byte // the rest of the part being copied, already in crc
+	src        interface{ Piece(off, n int) []byte }
+	off, n     int // the range of src not yet read
 	vci        VCI
 	direct     bool
 	size, left int // payload bytes; cells not yet filled
 	crc        uint32
 }
 
-// NewSegmenter starts the PDU of p's bytes on vci, its cells marked Direct
-// or not. It panics past MaxPDU; callers enforce their MTU first.
-func NewSegmenter(vci VCI, direct bool, p Parts) Segmenter {
-	n := len(p.Body) + p.N
-	if n > MaxPDU {
-		panic(fmt.Sprintf("atm: Segment called with %d-byte payload", n))
+// Start begins, in place, the PDU of body then n bytes of src from off on
+// vci, its cells marked Direct or not, and returns its cell count. Src.Piece
+// returns the bytes from off in place, at least one and at most n. Start
+// panics past MaxPDU; callers enforce their MTU first.
+func (s *Segmenter) Start(vci VCI, direct bool, body []byte, src interface{ Piece(off, n int) []byte }, off, n int) int {
+	if len(body)+n > MaxPDU {
+		panic(fmt.Sprintf("atm: Segment called with %d-byte payload", len(body)+n))
 	}
 	// A zero-byte PDU still occupies one cell (trailer only).
-	return Segmenter{p: p, vci: vci, direct: direct, size: n, left: max(CellsFor(n), 1), crc: 0xFFFFFFFF}
+	*s = Segmenter{cur: body, src: src, off: off, n: n, vci: vci, direct: direct,
+		size: len(body) + n, left: max(CellsFor(len(body)+n), 1), crc: CRC32Update(0xFFFFFFFF, body)}
+	return s.left
 }
 
-// Cells reports how many cells are left to fill.
-func (s *Segmenter) Cells() int { return s.left }
-
-// next returns the payload's next part or piece, folded into the CRC;
-// nothing once the payload is spent.
+// next returns the range's next piece, folded into the CRC.
 func (s *Segmenter) next() []byte {
-	b := s.p.Body
-	if s.p.Body = nil; len(b) == 0 && s.p.N > 0 {
-		b = s.p.Src.Piece(s.p.Off, s.p.N)
-		s.p.Off, s.p.N = s.p.Off+len(b), s.p.N-len(b)
-	}
-	if len(b) > 0 {
-		s.crc = CRC32Update(s.crc, b)
-	}
+	b := s.src.Piece(s.off, s.n)
+	s.off, s.n = s.off+len(b), s.n-len(b)
+	s.crc = CRC32Update(s.crc, b)
 	return b
 }
 
-// Fill writes the PDU's next len(cells) cells over whatever they held.
+// Fill writes the PDU's next len(cells) cells over whatever they held and
+// returns how many are left.
 //
 //unetlint:hotpath AAL5 segmentation; runs on every batch of cells a message is sent in
-func (s *Segmenter) Fill(cells []Cell) {
+func (s *Segmenter) Fill(cells []Cell) int {
 	cur := s.cur
 	for i := range cells {
 		c := &cells[i]
@@ -99,9 +87,10 @@ func (s *Segmenter) Fill(cells []Cell) {
 		}
 		for k < PayloadSize {
 			if len(cur) == 0 {
-				if cur = s.next(); len(cur) == 0 {
+				if s.n == 0 {
 					break
 				}
+				cur = s.next()
 			}
 			n := copy(c.Payload[k:], cur)
 			cur, k = cur[n:], k+n
@@ -117,6 +106,7 @@ func (s *Segmenter) Fill(cells []Cell) {
 		}
 	}
 	s.cur = cur
+	return s.left
 }
 
 // BufSource provides and recycles reassembly buffers, letting many

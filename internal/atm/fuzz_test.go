@@ -154,13 +154,14 @@ func FuzzSegmentParts(f *testing.F) {
 		for at := b + 1 + pick(300); at < len(payload); at += 1 + pick(300) {
 			src.cuts = append(src.cuts, at)
 		}
-		s := NewSegmenter(VCI(vci), direct, Parts{Body: payload[:b], Src: src, Off: b, N: len(payload) - b})
+		var s Segmenter
+		n := s.Start(VCI(vci), direct, payload[:b], src, b, len(payload)-b)
 		want := Segment(VCI(vci), payload)
 		for i := range want {
 			want[i].Direct = direct
 		}
-		if s.Cells() != len(want) {
-			t.Fatalf("%d cells to fill, want %d", s.Cells(), len(want))
+		if n != len(want) {
+			t.Fatalf("%d cells to fill, want %d", n, len(want))
 		}
 		got := make([]Cell, len(want)) // dirty, as lent slots are
 		for i := range got {
@@ -168,7 +169,9 @@ func FuzzSegmentParts(f *testing.F) {
 		}
 		for i := 0; i < len(got); {
 			k := min(1+pick(50), len(got)-i)
-			s.Fill(got[i : i+k])
+			if left := s.Fill(got[i : i+k]); left != len(got)-i-k {
+				t.Fatalf("%d cells left after %d, want %d", left, i+k, len(got)-i-k)
+			}
 			i += k
 		}
 		for i := range want {

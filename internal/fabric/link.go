@@ -192,7 +192,7 @@ type Link struct {
 	sink     CellSink
 	nextFree time.Duration
 	stats    LinkStats
-	imp      *impairment // nil until SetInjector
+	imp      *impairment // a cross link's transmit half and an injected link only
 
 	pend  sim.Ring[atm.Cell] // cells on the wire, in arrival order, in the delivering engine's cell pool
 	runs  sim.Ring[wireRun]  // pend's back-to-back runs, oldest first
@@ -359,10 +359,9 @@ func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
 func (l *Link) perCell() bool { return l.peer != nil || l.imp != nil && l.imp.inj != nil }
 
 // Room lends a sender slots for its next cells, at least one and at most n:
-// the back of the in-flight ring, a chunk at a time, on a local link with no
-// injector, and link-owned scratch otherwise. The sender fills them, asks
-// again until it holds n, and books them with Commit(n, …) before anything
-// else sends on the link.
+// the in-flight ring's back chunk on a local link with no injector, else
+// link scratch. The sender fills them, asks again until it holds n, and
+// books them with Commit(n, …) before anything else sends on the link.
 //
 //unetlint:allow hotpathalloc the scratch grows to the longest run a per-cell link is handed, once
 func (l *Link) Room(n int) []atm.Cell {
@@ -377,8 +376,7 @@ func (l *Link) Room(n int) []atm.Cell {
 
 // Commit books the n cells Room last lent as if cell i were handed to the
 // transmitter at start + i*spacing (never before now), each starting when
-// the transmitter is free of the cell ahead: a NIC draining its transmit
-// FIFO, or the switch forwarding a train, gets the departures per-cell sends
+// the transmitter is free of the cell ahead: the departures per-cell sends
 // would have, in one call. A local link with no injector stamps them once
 // per back-to-back run; otherwise they are judged, or cross, one by one.
 //

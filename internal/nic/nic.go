@@ -169,6 +169,7 @@ func New(e *sim.Engine, host *unet.Host, params Params, uplink *fabric.Link) *De
 	if uplink.Engine() != e {
 		panic(fmt.Sprintf("nic: %s/%s transmits on a foreign shard's uplink", host.Name, params.Name))
 	}
+	params.SingleCellMax = min(params.SingleCellMax, atm.SingleCellMax) // the fast path is one cell (§4.2.2)
 	d := &Device{
 		e:      e,
 		host:   host,
@@ -678,34 +679,32 @@ func (d *Device) handleTx(ep *unet.Endpoint) {
 	d.stats.PDUsOut++
 	if desc.Inline != nil && d.params.SingleCellMax > 0 {
 		d.cursor += txSingleCell
-		d.sendCells(tx, false, atm.Parts{Body: desc.Inline})
+		atm.SegmentAppend(d.uplink.Room(1)[:0], tx, desc.Inline) // one cell: New caps SingleCellMax
+		d.sendCells(1)
 		return
 	}
 	// The rest is read out of the segment (an inline message, on a device
 	// without the fast path, is empty), behind the deposit offset if direct.
-	parts := atm.Parts{Src: ep.DevSegment(), Off: desc.Offset, N: desc.Length}
+	head := d.head[:0]
 	if desc.Direct {
-		binary.BigEndian.PutUint64(d.head[:], uint64(desc.DstOffset))
-		parts.Body = d.head[:]
+		head = binary.BigEndian.AppendUint64(head, uint64(desc.DstOffset))
 	}
 	d.cursor += d.params.TxFixed
-	d.sendCells(tx, desc.Direct, parts)
+	var s atm.Segmenter
+	n := s.Start(tx, desc.Direct, head, ep.DevSegment(), desc.Offset, desc.Length)
+	for k := n; k > 0; k = s.Fill(d.uplink.Room(k)) {
+	}
+	d.sendCells(n)
 }
 
-// sendCells segments a PDU into the uplink's lent slots and books them in
-// one Commit, the per-cell cost and the output-FIFO stall folded into the
-// cursor in closed form: the device is the uplink's only sender, so NextFree
-// is fully known. Cell i is handed over at start + i*TxPerCell, where a
-// stall-per-cell loop may have handed it over later: at a TxPerCell of a
-// cell time or more only the first cell can stall, and below that a later
-// stall ends before the link is free for that cell anyway, so every
-// departure is the loop's, and the cursor ends where the loop's did.
-func (d *Device) sendCells(vci atm.VCI, direct bool, p atm.Parts) {
-	s := atm.NewSegmenter(vci, direct, p)
-	n := s.Cells()
-	for s.Cells() > 0 {
-		s.Fill(d.uplink.Room(s.Cells()))
-	}
+// sendCells books the n cells just built in the uplink's lent slots in one
+// Commit, the per-cell cost and the output-FIFO stall folded into the cursor
+// in closed form: the device is the uplink's only sender, so NextFree is
+// known. Cell i is handed over at start + i*TxPerCell, where a stall-per-cell
+// loop may have handed it over later: at a TxPerCell of a cell time or more
+// only the first cell can stall, and below that a later stall ends before the
+// link is free for that cell anyway, so departures and cursor are the loop's.
+func (d *Device) sendCells(n int) {
 	tx, ct := d.params.TxPerCell, d.uplink.Params().CellTime
 	limit := time.Duration(outFIFOCells) * ct
 	start := max(d.cursor+tx, d.uplink.NextFree()-limit)

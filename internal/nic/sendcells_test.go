@@ -68,7 +68,7 @@ func TestSendCellsMatchesStallLoop(t *testing.T) {
 					d := New(e, unet.NewHost(e, "host"), p, up)
 					at := time.Duration(0)
 					for k := 0; k < 6; k++ {
-						pdu := make([]byte, (1+rng.Intn(200))*atm.PayloadSize-atm.TrailerSize)
+						cells := make([]atm.Cell, 1+rng.Intn(200))
 						fixed := time.Duration(rng.Int63n(int64(30 * us)))
 						e.At(at, func() {
 							if k == 0 {
@@ -76,13 +76,16 @@ func TestSendCellsMatchesStallLoop(t *testing.T) {
 							}
 							d.cursor = max(d.cursor, e.Now()) + fixed
 							if closed {
-								d.sendCells(5, false, atm.Parts{Body: pdu})
+								for i := 0; i < len(cells); {
+									i += copy(up.Room(len(cells)-i), cells[i:])
+								}
+								d.sendCells(len(cells))
 							} else {
-								stalls += d.sendCellsPerCell(atm.Segment(5, pdu))
+								stalls += d.sendCellsPerCell(cells)
 							}
 							after = append(after, fmt.Sprintf("cursor %v, next free %v, %d cells out", d.cursor, up.NextFree(), d.stats.CellsOut))
 						})
-						at += time.Duration(rng.Int63n(int64(atm.CellsFor(len(pdu))+20))) * lp.CellTime
+						at += time.Duration(rng.Int63n(int64(len(cells)+20))) * lp.CellTime
 					}
 					e.Run()
 					return after, sink.at

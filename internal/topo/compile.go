@@ -270,6 +270,23 @@ func (f *Fabric) far(sw, out int) (peer, in int) {
 	return f.peerSw[sw][k], f.peerPort[sw][k]
 }
 
+// Path returns the switch indices a cell traverses from host `from` to
+// host `to`, in order. Reporting and tests use it; Provision walks the same
+// plan.
+func (f *Fabric) Path(from, to int) []int {
+	sw, dst := f.hostSw[from], f.hostSw[to]
+	path := []int{sw}
+	for sw != dst {
+		out := f.nextHop(sw, dst)
+		if out < 0 {
+			return nil
+		}
+		sw, _ = f.far(sw, out)
+		path = append(path, sw)
+	}
+	return path
+}
+
 // Size returns the number of hosts.
 func (f *Fabric) Size() int { return len(f.uplinks) }
 

@@ -332,19 +332,3 @@ func TestShardedCompileDeliversIdentically(t *testing.T) {
 		}
 	}
 }
-
-// Path returns the switch indices a cell traverses from host `from` to
-// host `to`, in order, by the plan Provision walks.
-func (f *Fabric) Path(from, to int) []int {
-	sw, dst := f.hostSw[from], f.hostSw[to]
-	path := []int{sw}
-	for sw != dst {
-		out := f.nextHop(sw, dst)
-		if out < 0 {
-			return nil
-		}
-		sw, _ = f.far(sw, out)
-		path = append(path, sw)
-	}
-	return path
-}

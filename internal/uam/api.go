@@ -142,9 +142,8 @@ func (u *UAM) handleGetReq(p *sim.Proc, pe *peer, h header, data []byte) {
 		_ = u.sendReliable(p, pe, typeGetRefused, 0, h.arg, body{})
 		return
 	}
-	// Get-data segments carry the destination offset in the header arg and
-	// the tag in the trailing 4 bytes, after the memory's bytes, read in
-	// place.
+	// Get-data segments carry the destination offset in the header arg, the
+	// memory's bytes, read in place, and then the 4-byte tag.
 	var tag [4]byte
 	binary.BigEndian.PutUint32(tag[:], h.arg)
 	for sent := 0; ; {

@@ -18,8 +18,7 @@ func deadErr(pe *peer) error { return fmt.Errorf("%w: node %d", ErrPeerDead, pe.
 // holds.
 func (pe *peer) outstanding() int { return seqDiff(pe.nextSeq, pe.ackedTo) }
 
-// body is a message's payload in parts, in order: data, n bytes of the
-// node's memory from off, and tail, written straight into the window slot.
+// body is a message's payload in parts: data, n bytes of memory from off, tail.
 type body struct {
 	data, tail []byte
 	off, n     int

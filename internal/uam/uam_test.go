@@ -195,6 +195,48 @@ func TestGetFetchesRemoteMemory(t *testing.T) {
 	}
 }
 
+// TestGetReadsMemoryWhenStaged: each get-data segment carries the source's
+// memory as it is when the source stages that segment into its window slot,
+// after the drain every send starts with (§5.1.2). A store its requester
+// issued after the get, already queued at the source, therefore lands
+// before the first segment is read, and every segment, of a one-segment get
+// and of a three-segment one, returns the stored bytes. Overlapping gets and
+// stores from one node are ordered by WaitGet, as split-phase operations.
+func TestGetReadsMemoryWhenStaged(t *testing.T) {
+	for _, n := range []int{64, 10000} {
+		tb, us := fixture(t, 2, uam.Config{})
+		copy(us[1].Mem(0, n), bytes.Repeat([]byte{1}, n))
+		stored := bytes.Repeat([]byte{2}, n)
+		const dst = 1 << 15
+		tb.Hosts[1].Spawn("srv", func(p *sim.Proc) {
+			p.Sleep(2 * time.Millisecond) // the get and the store's segments are queued by now
+			for p.Now() < 30*time.Millisecond {
+				us[1].PollWait(p, time.Millisecond)
+			}
+		})
+		tb.Hosts[0].Spawn("cli", func(p *sim.Proc) {
+			tag, err := us[0].Get(p, 1, 0, dst, n)
+			if err == nil {
+				err = us[0].Store(p, 1, 0, stored, 0, 0)
+			}
+			if err == nil {
+				err = us[0].WaitGet(p, tag)
+			}
+			if err != nil {
+				t.Error(err)
+			}
+			us[0].Flush(p, 1)
+		})
+		tb.Eng.Run()
+		if got := us[0].Mem(dst, n); !bytes.Equal(got, stored) {
+			t.Errorf("%d-byte get: %d bytes read before the queued store, want none", n, n-bytes.Count(got, []byte{2}))
+		}
+		if !bytes.Equal(us[1].Mem(0, n), stored) {
+			t.Errorf("%d-byte get: the store did not land", n)
+		}
+	}
+}
+
 func TestWindowLimitsOutstanding(t *testing.T) {
 	cfg := uam.Config{Window: 4}
 	tb, us := fixture(t, 2, cfg)

@@ -17,7 +17,7 @@ const pageSize = 1 << 10
 // (Writable) that crosses a run's end merges the runs it touches into a new
 // array, and is good until a merge that includes it. The older array keeps
 // its bytes and nothing writes it again: reads and writes go through the
-// directory a page at a time. Segments and UAM's memory are these (DESIGN.md §10).
+// directory a run at a time (span). Segments and UAM's memory are these (DESIGN.md §10).
 type Backing struct {
 	size  int
 	pages [][]byte // page i is bytes [i*pageSize, …): nil, or a slice of its run's array, capped at the run's end

@@ -203,15 +203,15 @@ func TestDefaultCellTimeMatchesPeakBandwidth(t *testing.T) {
 	}
 }
 
-// TestLinkSize pins Link to the 256-byte allocator size class and a cross
-// link's SPSC ring record (inflight) to 64 bytes: a large fabric holds
+// TestLinkSize pins Link to the 208-byte allocator size class and a cross
+// link's in-flight record (inflight) to 64 bytes: a large fabric holds
 // thousands of links, and a word more on either shows up in the
 // benchmark's alloc_mb. A link's cells on the wire are bare atm.Cells,
 // stamped once per run. What only a cross-shard receive half or a link
 // with an injector needs lives behind Link.rx or Link.imp for that reason.
 func TestLinkSize(t *testing.T) {
-	if got := unsafe.Sizeof(Link{}); got > 256 {
-		t.Errorf("sizeof(Link) = %d, want at most 256", got)
+	if got := unsafe.Sizeof(Link{}); got > 208 {
+		t.Errorf("sizeof(Link) = %d, want at most 208", got)
 	}
 	if got := unsafe.Sizeof(inflight{}); got != 64 {
 		t.Errorf("sizeof(inflight) = %d, want 64", got)

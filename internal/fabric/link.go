@@ -142,8 +142,8 @@ type Injector interface {
 	Judge(c *atm.Cell, depart time.Duration) Verdict
 }
 
-// inflight is one cell crossing a shard boundary in a cross link's SPSC
-// ring, tagged with its arrival time at the far end (last bit out of the
+// inflight is one cell crossing a shard boundary in a cross link's
+// outbound buffer, tagged with its arrival time at the far end (last bit out of the
 // transmitter plus propagation) and with how long before that the
 // transmitter enqueued it, which orders its delivery among the receiving
 // shard's same-instant events. The lead sits in the cell's alignment
@@ -192,20 +192,19 @@ type Link struct {
 	sink     CellSink
 	nextFree time.Duration
 	stats    LinkStats
-	imp      *impairment // a cross link's transmit half and an injected link only
+	imp      *impairment // a cross link's transmit half and an injected link only; nil on any other
 
 	pend  sim.Ring[atm.Cell] // cells on the wire, in arrival order, in the delivering engine's cell pool
 	runs  sim.Ring[wireRun]  // pend's back-to-back runs, oldest first
 	armed bool
 
 	// Cross-shard mode (see NewCrossLink): the transmit side keeps the
-	// serialization arithmetic (nextFree, stats, loss) but pushes in-flight
-	// cells into a lock-free SPSC ring instead of the local pend ring; peer
-	// is the receive half in the destination shard, which owns the pend
-	// ring, the delivery machinery and the train grouping, and alone has
-	// rx set. A local link has neither.
+	// serialization arithmetic (nextFree, stats, loss) but appends in-flight
+	// cells to its peer's rx.out instead of the local pend ring; peer is the
+	// receive half in the destination shard, which owns the buffer, the
+	// pend ring, the delivery machinery and the train grouping, and alone
+	// has rx set. A local link has neither.
 	peer *Link
-	ring *sim.SPSC[inflight]
 	rx   *crossRx
 }
 
@@ -226,10 +225,15 @@ type impairment struct {
 	lent    []atm.Cell // what Room lends a per-cell link's sender
 }
 
-// crossRx is what a receive half needs to place its delivery events in the
-// destination shard's event order. It hangs off the Link by pointer so the
-// thousands of local links of a large fabric do not pay for it.
+// crossRx is what a receive half needs to take its transmit half's cells
+// and place their delivery events in the destination shard's event order.
+// It hangs off the Link by pointer so the thousands of local links of a
+// large fabric do not pay for it.
 type crossRx struct {
+	// out is what the transmit half sent in the current window, in send
+	// order. Only the transmit half's shard appends, during windows; only
+	// this half's shard drains, between them.
+	out []inflight
 	// index is the exchange's registration index, the final tie-break among
 	// cross arrivals.
 	index int
@@ -250,7 +254,7 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 // the transmit half: senders use it exactly like a local link — Send and
 // SendRun serialize against nextFree, NextFree paces the output FIFO, loss
 // applies at the transmitter — but cells in flight cross the shard boundary
-// through an SPSC ring the destination drains at its round tops, and the
+// in a buffer the destination shard drains between windows, and the
 // receive half replays them through the standard in-flight ring so delivery
 // times, train grouping and the place of each delivery among the
 // destination's same-instant events are the ones a local link would have
@@ -259,8 +263,9 @@ func NewLink(e *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 // The link's latency (CellTime + Propagation) is registered as the
 // src→dst pair lookahead: a cell sent at time t arrives no earlier than
 // t + CellTime + Propagation, which is exactly the bound the conservative
-// window protocol needs — and registering it per pair lets shards joined
-// only by slow paths keep windows wider than the global minimum.
+// window protocol needs. The group's window is the least lookahead of any
+// pair that carries an exchange, so the testbed's host links, which share
+// one timing, set it.
 func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink) *Link {
 	if p.CellTime <= 0 {
 		p.CellTime = DefaultCellTime
@@ -273,7 +278,7 @@ func NewCrossLink(src, dst *sim.Engine, name string, p LinkParams, sink CellSink
 		panic("fabric: cross link endpoints are the same shard; use NewLink")
 	}
 	peer := &Link{e: dst, name: name, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[atm.Cell](dst), runs: sim.NewRing[wireRun](dst)}
-	l := &Link{e: src, name: name, p: p, peer: peer, ring: sim.NewSPSC[inflight](256), imp: &impairment{}}
+	l := &Link{e: src, name: name, p: p, peer: peer, imp: &impairment{}}
 	peer.rx.index = g.AddExchangeFrom(src, dst, crossExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
 	return l
@@ -290,31 +295,29 @@ func (l *Link) Engine() *sim.Engine { return l.e }
 func (l *Link) Name() string { return l.name }
 
 // crossExchange is a cross-shard link's sim.Exchange. Drain runs on the
-// destination shard's worker while the transmitter keeps running, so it
-// takes only what the ring has published. It stages each published batch
-// into the receive half's pend ring with one Room call a chunk, so a train
-// lies in one chunk as on a local link; the cells join runs there and the
-// usual armed event delivers them.
+// destination shard's worker between windows, while the transmitter is
+// still. It stages the transmit half's buffer into the receive half's pend
+// ring with one Room call a chunk, so a train lies in one chunk as on a
+// local link; the cells join runs there and the usual armed event
+// delivers them.
 type crossExchange struct{ l *Link }
 
 func (x crossExchange) Drain() {
 	peer := x.l.peer
-	for n := x.l.ring.Len(); n > 0; n = x.l.ring.Len() {
-		room := peer.pend.Room(n)
+	for out := peer.rx.out; len(out) > 0; {
+		room := peer.pend.Room(len(out))
 		for i := range room {
-			f, _ := x.l.ring.Pop()
-			room[i] = f.c
-			peer.join(f.arrive, f.lead)
+			room[i] = out[i].c
+			peer.join(out[i].arrive, out[i].lead)
 		}
+		out = out[len(room):]
 	}
+	peer.rx.out = peer.rx.out[:0]
 	if peer.runs.Len() > 0 && !peer.armed {
 		peer.armed = true
 		peer.armArrival(peer.rx.idle)
 	}
 }
-
-// Pending reports outstanding ring traffic (any shard).
-func (x crossExchange) Pending() bool { return x.l.ring.Pending() }
 
 // Params returns the link's timing parameters.
 func (l *Link) Params() LinkParams { return l.p }
@@ -344,10 +347,15 @@ func (l *Link) Send(c atm.Cell) time.Duration {
 }
 
 // SendRun enqueues cells[i] as if it were handed to the transmitter at
-// start + i*spacing: the cells copied into Room and booked with Commit.
+// start + i*spacing: on a per-cell link each departs from where it lies,
+// on any other the cells are copied into Room and booked with Commit.
 //
 //unetlint:hotpath per-run transmit; runs for every run of cells a NIC or switch puts on a link
 func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
+	if l.perCell() {
+		l.departEach(cells, start, spacing)
+		return
+	}
 	for i := 0; i < len(cells); {
 		i += copy(l.Room(len(cells)-i), cells[i:])
 	}
@@ -355,7 +363,7 @@ func (l *Link) SendRun(cells []atm.Cell, start, spacing time.Duration) {
 }
 
 // perCell reports whether cells go onto the wire one at a time, through an
-// injector or a cross link's SPSC ring.
+// injector or a cross link's outbound buffer.
 func (l *Link) perCell() bool { return l.peer != nil || l.imp != nil && l.imp.inj != nil }
 
 // Room lends a sender slots for its next cells, at least one and at most n:
@@ -382,19 +390,15 @@ func (l *Link) Room(n int) []atm.Cell {
 //
 //unetlint:hotpath per-run transmit; runs for every run of cells a NIC or switch puts on a link
 func (l *Link) Commit(n int, start, spacing time.Duration) {
+	if l.perCell() {
+		l.departEach(l.imp.lent[:n], start, spacing)
+		return
+	}
 	if n == 0 {
 		return
 	}
 	free := l.idleFrom()
 	l.stats.CellsSent += uint64(n)
-	if l.perCell() {
-		for i := range n {
-			free = l.depart(free, start+time.Duration(i)*spacing)
-			l.nextFree = free
-			l.judge(&l.imp.lent[i], free)
-		}
-		return
-	}
 	for i := 0; i < n; i++ {
 		free = l.depart(free, start+time.Duration(i)*spacing)
 		r := l.join(free+l.p.Propagation, 0)
@@ -411,6 +415,19 @@ func (l *Link) Commit(n int, start, spacing time.Duration) {
 	if !l.armed { // the ring held no run before these
 		l.armed = true
 		l.e.AtArg(l.runs.Front().first, linkFire, l)
+	}
+}
+
+// departEach books cells one by one on a per-cell link, cell i handed to
+// the transmitter at start + i*spacing: each departs when the transmitter
+// is free of the one ahead and is judged, or crosses, at its departure.
+func (l *Link) departEach(cells []atm.Cell, start, spacing time.Duration) {
+	free := l.idleFrom()
+	l.stats.CellsSent += uint64(len(cells))
+	for i := range cells {
+		free = l.depart(free, start+time.Duration(i)*spacing)
+		l.nextFree = free
+		l.judge(&cells[i], free)
 	}
 }
 
@@ -448,12 +465,13 @@ func (l *Link) judge(c *atm.Cell, depart time.Duration) {
 	}
 }
 
-// enqueue hands an in-flight cell to the delivery machinery: the
-// cross-shard SPSC ring on a tx half, the local pend ring (arming the
-// delivery event) otherwise.
+// enqueue hands an in-flight cell to the delivery machinery: the outbound
+// buffer on a tx half, the local pend ring (arming the delivery event)
+// otherwise.
 func (l *Link) enqueue(c *atm.Cell, arrive time.Duration) {
 	if l.peer != nil {
-		l.ring.Push(inflight{c: *c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
+		rx := l.peer.rx
+		rx.out = append(rx.out, inflight{c: *c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
 	l.pend.Push(*c)

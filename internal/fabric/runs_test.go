@@ -27,7 +27,7 @@ type stampedLink struct {
 	train      []atm.Cell
 
 	peer *stampedLink
-	ring *sim.SPSC[inflight]
+	out  []inflight
 	rx   *crossRx
 }
 
@@ -37,7 +37,7 @@ func newStampedLink(e *sim.Engine, p LinkParams, sink CellSink) *stampedLink {
 
 func newStampedCrossLink(src, dst *sim.Engine, p LinkParams, sink CellSink) *stampedLink {
 	peer := &stampedLink{e: dst, p: p, sink: sink, rx: &crossRx{}, pend: sim.NewRing[inflight](dst)}
-	l := &stampedLink{e: src, p: p, peer: peer, ring: sim.NewSPSC[inflight](256)}
+	l := &stampedLink{e: src, p: p, peer: peer}
 	g := src.Group()
 	peer.rx.index = g.AddExchangeFrom(src, dst, stampedExchange{l})
 	g.ObserveLookaheadBetween(src, dst, p.CellTime+p.Propagation)
@@ -48,20 +48,15 @@ type stampedExchange struct{ l *stampedLink }
 
 func (x stampedExchange) Drain() {
 	peer := x.l.peer
-	for {
-		f, ok := x.l.ring.Pop()
-		if !ok {
-			break
-		}
+	for _, f := range x.l.out {
 		peer.pend.Push(f)
 	}
+	x.l.out = x.l.out[:0]
 	if peer.pend.Len() > 0 && !peer.armed {
 		peer.armed = true
 		peer.armArrival(peer.rx.idle)
 	}
 }
-
-func (x stampedExchange) Pending() bool { return x.l.ring.Pending() }
 
 func (l *stampedLink) SetInjector(inj Injector) { l.inj = inj }
 
@@ -102,7 +97,7 @@ func (l *stampedLink) SendAt(c atm.Cell, start time.Duration) time.Duration {
 
 func (l *stampedLink) enqueue(c atm.Cell, arrive time.Duration) {
 	if l.peer != nil {
-		l.ring.Push(inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
+		l.out = append(l.out, inflight{c: c, arrive: arrive, lead: uint32(min(arrive-l.e.Now(), maxLead))})
 		return
 	}
 	l.pend.Push(inflight{c: c, arrive: arrive})

@@ -177,6 +177,19 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 		return nil
 	}
 
+	// sources is every file the program parsed, by the name the file set
+	// holds; an allocation in a loaded package must resolve to one of them,
+	// or its package's escape facts would be lost without a word.
+	loaded := make(map[string]bool)
+	sources := make(map[string]bool)
+	for _, u := range prog.Units {
+		loaded[u.PkgPath] = true
+		for _, f := range u.Files {
+			sources[prog.Fset.File(f.Pos()).Name()] = true
+		}
+	}
+	lost := make(map[string]bool)
+
 	// said is every allocation message the compiler printed inside each
 	// function, panic-only ones included.
 	type site struct {
@@ -185,24 +198,26 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 	}
 	var sites []site
 	said := make(map[string]map[string]bool)
-	for _, line := range strings.Split(stderr.String(), "\n") {
-		msg, kind := escapeMessage(line)
-		if kind == "" {
+	for _, l := range parseEscapes(stderr.String(), modDir, modPath, sources) {
+		if !loaded[l.pkg] {
 			continue
 		}
-		file, lineNo, col, ok := splitPosPrefix(line)
-		if !ok {
+		if !sources[l.file] {
+			if !lost[l.file] {
+				lost[l.file] = true
+				pass.Reportf(token.NoPos, "hotpathalloc: go build -gcflags=-m reports allocations of %s in %s, which is no loaded source, so they are not checked; the build cache may replay paths from another directory (go clean -cache)", l.pkg, l.file)
+			}
 			continue
 		}
-		pos, node := prog.resolvePos(filepath.Join(modDir, file), lineNo, col)
+		pos, node := prog.resolvePos(l.file, l.line, l.col)
 		if node == nil {
 			continue // package-scope initialization
 		}
 		if said[node.ID] == nil {
 			said[node.ID] = make(map[string]bool)
 		}
-		said[node.ID][msg] = true
-		sites = append(sites, site{node, allocSite{pos: pos, msg: msg}})
+		said[node.ID][l.msg] = true
+		sites = append(sites, site{node, allocSite{pos: pos, msg: l.msg}})
 	}
 	facts := make(map[string][]allocSite)
 	for _, s := range sites {
@@ -213,6 +228,61 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 	}
 	escapeCache[modDir] = facts
 	return facts
+}
+
+// escapeLine is one allocation a -m listing reports: the package being
+// compiled, the file with its absolute path, the position and the message.
+type escapeLine struct {
+	pkg, file string
+	line, col int
+	msg       string
+}
+
+// parseEscapes reads the allocations `go build -gcflags=-m` reports when run
+// at modDir, the root of module modPath, resolving each file to one of
+// sources where it can. The build cache replays a package's diagnostics
+// with the file paths of the directory that first compiled it: relative to
+// the module root ("internal/atm/aal5.go", "./internal/sim/fifo.go") after
+// a build there, or to the package's own directory ("./aal5.go", or
+// "../sim/fifo.go" for a generic instantiated there) after one inside it.
+// So a relative path is tried against the module root and against the
+// directory of the package the preceding "# path" header names, the
+// package's first when the path starts with a dot. Absolute paths outside
+// the module (the standard library's generics) are no source of the
+// program and are left out.
+func parseEscapes(out, modDir, modPath string, sources map[string]bool) []escapeLine {
+	var pkg string
+	var lines []escapeLine
+	for _, line := range strings.Split(out, "\n") {
+		if h, ok := strings.CutPrefix(line, "# "); ok {
+			pkg, _, _ = strings.Cut(h, " ")
+			continue
+		}
+		msg, kind := escapeMessage(line)
+		if kind == "" {
+			continue
+		}
+		file, lineNo, col, ok := splitPosPrefix(line)
+		if !ok {
+			continue
+		}
+		if filepath.IsAbs(file) {
+			if !strings.HasPrefix(file, modDir+string(filepath.Separator)) {
+				continue
+			}
+		} else {
+			try := [2]string{filepath.Join(modDir, file), filepath.Join(modDir, strings.TrimPrefix(pkg, modPath), file)}
+			if strings.HasPrefix(file, ".") {
+				try[0], try[1] = try[1], try[0]
+			}
+			file = try[0]
+			if !sources[file] && sources[try[1]] {
+				file = try[1]
+			}
+		}
+		lines = append(lines, escapeLine{pkg: pkg, file: file, line: lineNo, col: col, msg: msg})
+	}
+	return lines
 }
 
 // goModule reads the root directory and path of the module containing dir

@@ -152,7 +152,7 @@ func TestLentCellsMatchSegmentAppend(t *testing.T) {
 				send(unet.SendDesc{Channel: chA, Offset: off, Length: n}, flat[off:off+n])
 				desc := ep.DescAt(chA, off, n)
 				send(desc, flat[off:off+n])
-				m := min(n, atm.MaxPDU-directHeaderSize)
+				m := min(n, atm.MaxPDU-unet.DirectHeaderSize)
 				dst := rng.Intn(size - m + 1)
 				payload := binary.BigEndian.AppendUint64(nil, uint64(dst))
 				send(unet.SendDesc{Channel: chA, Offset: off, Length: m, Direct: true, DstOffset: dst}, append(payload, flat[off:off+m]...))

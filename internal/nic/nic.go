@@ -27,10 +27,6 @@ import (
 	"unet/internal/unet"
 )
 
-// directHeaderSize prefixes direct-access PDUs with the 64-bit deposit
-// offset (§3.6).
-const directHeaderSize = 8
-
 // Stats counts device-level events.
 type Stats struct {
 	CellsOut     uint64
@@ -157,7 +153,7 @@ type Device struct {
 	// overflow fallback, replacing a per-cell closure allocation.
 	dcFree *delayedCell
 
-	head [directHeaderSize]byte // the direct-access header of the PDU being sent
+	head [unet.DirectHeaderSize]byte // the direct-access header of the PDU being sent
 }
 
 var _ unet.Device = (*Device)(nil)
@@ -787,13 +783,13 @@ func (d *Device) perform() {
 // deliverDirect deposits a §3.6 direct-access PDU at the sender-specified
 // segment offset, if the endpoint allows it.
 func (d *Device) deliverDirect(ep *unet.Endpoint, ch unet.ChannelID, payload []byte) {
-	if len(payload) < directHeaderSize || !ep.Config().DirectAccess {
+	if len(payload) < unet.DirectHeaderSize || !ep.Config().DirectAccess {
 		d.stats.DirectDenied++
 		ep.DevDropNoBuffer()
 		return
 	}
 	off := int(binary.BigEndian.Uint64(payload))
-	data := payload[directHeaderSize:]
+	data := payload[unet.DirectHeaderSize:]
 	if off < 0 || off+len(data) > ep.Config().SegmentSize {
 		d.stats.DirectDenied++
 		ep.DevDropNoBuffer()

@@ -2,7 +2,6 @@ package sim
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"strings"
 	"sync/atomic"
@@ -81,8 +80,7 @@ func TestShardNeighborMatchesBarrier(t *testing.T) {
 }
 
 func TestShardNeighborBurstGrowsRing(t *testing.T) {
-	// One event pushes far more messages than the first ring holds
-	// (capacity 8), so the ring grows inside the producer's window: every
+	// One event sends a burst of 100 messages within one window: every
 	// message must be delivered exactly once at its scheduled time.
 	const flight = time.Microsecond
 	const burst = 100
@@ -90,25 +88,16 @@ func TestShardNeighborBurstGrowsRing(t *testing.T) {
 	s1 := root.NewShard()
 	g := root.Group()
 	toS1 := newRingMailbox(g, root, s1)
-	toS1.ring = NewSPSC[shardMsg](8)
 	g.ObserveLookaheadBetween(root, s1, flight)
-	// A return edge keeps s1 from free-running ahead of the test's window.
-	newRingMailbox(g, s1, root)
-	g.ObserveLookaheadBetween(s1, root, flight)
 
 	var got []time.Duration
-	pushed := make(chan struct{})
 	root.At(10*time.Microsecond, func() {
 		base := root.Now() + flight
 		for i := 0; i < burst; i++ {
 			at := base + time.Duration(i)*time.Microsecond
 			toS1.send(at, func() { got = append(got, s1.Now()) })
 		}
-		close(pushed)
 	})
-	// s1 sits in an event of the same window until the burst is in, so it
-	// drains none of it meanwhile and the ring's growth is the same every run.
-	s1.At(10*time.Microsecond, func() { <-pushed })
 	root.Run()
 
 	if len(got) != burst {
@@ -120,12 +109,8 @@ func TestShardNeighborBurstGrowsRing(t *testing.T) {
 			t.Fatalf("message %d delivered at %v, want %v", i, at, want)
 		}
 	}
-	if toS1.ring.Pending() {
-		t.Fatal("ring not fully drained after the run")
-	}
-	// 8+16+32 entries hold 56 messages; the other 44 sit in a ring of 64.
-	if c := toS1.ring.Cap(); c != 64 {
-		t.Fatalf("ring Cap() = %d after a %d-message burst through 8 entries, want 64", c, burst)
+	if len(toS1.out) != 0 {
+		t.Fatalf("%d messages left undrained after the run", len(toS1.out))
 	}
 }
 
@@ -164,8 +149,8 @@ func TestShardNeighborPanicAborts(t *testing.T) {
 	toRoot := newRingMailbox(g, s1, root)
 	g.ObserveLookaheadBetween(root, s1, time.Microsecond)
 	g.ObserveLookaheadBetween(s1, root, time.Microsecond)
-	// Keep both shards exchanging so the healthy one is blocked in
-	// waitNeighbor when the other dies.
+	// Keep both shards exchanging so the healthy one meets the other at
+	// the barriers when it dies.
 	for i := 1; i <= 100; i++ {
 		at := time.Duration(i) * time.Microsecond
 		root.At(at, func() { toS1.send(root.Now()+time.Microsecond, func() {}) })
@@ -207,21 +192,25 @@ func TestShardNeighborProfile(t *testing.T) {
 	if len(prof.Shards) != len(g.shards) {
 		t.Fatalf("profile has %d shards, the group %d", len(prof.Shards), len(g.shards))
 	}
+	// The pings leave root at 3i µs, reach s1 at 3i+1 and return at 3i+2:
+	// 600 instants a window apart, as the 1µs lookahead allows no more,
+	// and each shard runs every window.
 	total := prof.Total()
+	if total.Windows != 2*600 {
+		t.Fatalf("ran %d windows, want 2 shards × 600 instants", total.Windows)
+	}
 	if total.Stalls == 0 {
 		t.Fatalf("no stalls recorded on a blocking ping-pong: %+v", total)
-	}
-	if total.BarrierWait == 0 {
-		t.Fatal("stalls recorded but no sync-wait time attributed")
 	}
 }
 
 func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 	// TestShardPerPairWiderThanGlobalMin with the fast pair wired up: r and
 	// s2 ping over slow 100µs edges while s1 sits on fast 1µs edges but
-	// stays silent. Horizons derive from direct in-neighbors, so the pings
-	// cost a handful of windows, not one per 1µs lookahead step. (The
-	// quiescence floor that skips the idle gaps is TestShardHorizonFloor's.)
+	// stays silent. Its channels make la 1µs, so a window is 1µs wide, but
+	// each round starts at the group's next event: the idle gaps between
+	// pings cost no window, and the pings cost one round an instant, not
+	// one per 1µs step.
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
@@ -261,35 +250,7 @@ func TestShardNeighborSparseTopologyRounds(t *testing.T) {
 		}
 	}
 	if perShard := g.Profile().Total().Windows / uint64(len(g.shards)); perShard > 200 {
-		t.Fatalf("ran %d windows per shard; a 1µs global-window creep would need ~2000", perShard)
-	}
-}
-
-func TestShardHorizonFloor(t *testing.T) {
-	// A shard's horizon is its least in-neighbor clock plus that edge's
-	// lookahead, and the quiescence floor lifts it to the floor plus its
-	// least in-edge lookahead. A round that only publishes runs no window,
-	// so a window count cannot see the floor: this reads the horizon.
-	root := New(1)
-	s1 := root.NewShard()
-	s2 := root.NewShard()
-	g := root.Group()
-	newRingMailbox(g, s1, root)
-	newRingMailbox(g, s2, root)
-	g.ObserveLookaheadBetween(s1, root, 5*time.Microsecond)
-	g.ObserveLookaheadBetween(s2, root, 100*time.Microsecond)
-	g.setup()
-	g.pub[1].v.Store(int64(10 * time.Microsecond))
-	g.pub[2].v.Store(int64(time.Microsecond))
-	if h := time.Duration(g.horizon(0)); h != 15*time.Microsecond {
-		t.Fatalf("horizon %v, want s1's 10µs + 5µs", h)
-	}
-	g.gmin.Store(int64(time.Millisecond))
-	if h := time.Duration(g.horizon(0)); h != time.Millisecond+5*time.Microsecond {
-		t.Fatalf("horizon %v over a 1ms floor, want 1ms + the least lookahead 5µs", h)
-	}
-	if h := g.horizon(1); h != math.MaxInt64 {
-		t.Fatalf("s1 has no in-edge, yet its horizon is %v", time.Duration(h))
+		t.Fatalf("ran %d windows per shard; 1µs windows that crept through the idle gaps would need ~2000", perShard)
 	}
 }
 

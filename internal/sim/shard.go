@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -20,33 +21,43 @@ import (
 // another shard before t+L, where L is the latency of the link between
 // them. Every cross-shard channel is registered as an Exchange between a
 // producing and a consuming shard (AddExchangeFrom), and the pair's
-// minimum latency as its lookahead (ObserveLookaheadBetween); together
-// they form the static graph the window protocol in neighbor.go
-// synchronizes over. Within a window shards share no mutable state, so
-// they run without locks.
+// minimum latency as its lookahead (ObserveLookaheadBetween).
+//
+// Every shard runs the same window. One round, for each shard:
+//
+//  1. drain its in-exchanges into arrival events;
+//  2. contribute its next event time to a barrier that returns the least
+//     contribution, m; the run ends when no shard has an event or when m
+//     lies past the limit;
+//  3. run the window [m, min(m+la, stop)), where la is the least lookahead
+//     of any pair that carries an exchange;
+//  4. meet the other shards at a second barrier.
+//
+// It is safe because a message sent at t ≥ m arrives no earlier than
+// m+la: nothing can arrive inside the window that the drains before it had
+// not already scheduled. Drains run only between the second barrier of one
+// round and the first of the next, while no shard runs a window, so an
+// exchange's buffer is never read while it is written and needs no
+// synchronization of its own: the barriers order both sides.
 //
 // The sharded run reproduces the serial one because a message's place in
 // the destination's event order is a function of virtual times only: its
 // arrival fires at (arrival time, sender's clock when the delivery was
-// armed, exchange registration index) — see Engine.ArriveArg — never of
-// the wall-clock moment the destination drained it or of where a window
-// boundary fell.
+// armed, exchange registration index) — see Engine.ArriveArg. And it is a
+// function of its inputs because the window edges are too: m and la are
+// fixed by the events, never by which goroutine got where first, so what a
+// drain hands a shard, and where a window splits a receiver's trains, is
+// the same in every run and at every shard count whose layout makes the
+// same links cross.
 
-// Exchange is a cross-shard channel: a lock-free SPSC ring (spsc.go) the
-// producing shard pushes into as it runs, and a consumer side that turns
-// ring entries into events on the destination engine.
-//
-// Drain is called only by the destination shard's worker, at its round
-// tops, while the producer keeps running: it pops what the ring has
-// published and schedules the deliveries with Engine.ArriveArg under the
-// index AddExchangeFrom returned. Every delivery must lie at least the
-// pair's lookahead after the send.
-//
-// Pending reads only atomics and may be called from any shard — the
-// group's quiescence scan uses it.
+// Exchange is a cross-shard channel: the producing shard buffers messages
+// as it runs its window, and Drain, called by the destination shard's
+// worker between windows, empties the buffer into events on the
+// destination engine with Engine.ArriveArg, under the index
+// AddExchangeFrom returned. Every delivery must lie at least the pair's
+// lookahead after its send.
 type Exchange interface {
 	Drain()
-	Pending() bool
 }
 
 // registration is one AddExchangeFrom call; its position in
@@ -72,23 +83,10 @@ type Group struct {
 	aborted atomic.Bool
 	failure atomic.Value // string
 
-	// Window-protocol state (see neighbor.go), rebuilt by setup at the top
-	// of each run, before any worker goroutine exists. nextAt, pub, sigs,
-	// waiting, waitGen, gmin and ndone are the only cross-shard-mutable
-	// pieces and are all atomics or mutex-guarded; the edge sets are
-	// immutable during a run.
-	nextAt  []atomic.Int64   // per-shard earliest pending event, for the quiescence fold
-	pub     []paddedClock    // published per-shard clocks, cache-line padded
-	sigs    []shardSignal    // per-shard wake channels
-	waiting atomic.Int32     // shards currently blocked in waitNeighbor
-	waitGen atomic.Uint64    // wait entries; guards quiescentScan vs ABA on waiting
-	gmin    atomic.Int64     // quiescence floor: global min next-event time
-	ndone   atomic.Bool      // termination flag
-	scanMu  sync.Mutex       // serializes quiescentScan
-	inEdges [][]inEdge       // direct in-edges per shard, ordered by source
-	outNbrs [][]int          // distinct out-neighbor shard ids per shard
-	minInLA []int64          // min in-edge lookahead per shard (floor lift)
-	inbox   [][]registration // exchanges into each shard, registration order
+	// Per-run window state, rebuilt by setup before any worker exists.
+	la    int64            // least lookahead over the pairs that carry an exchange
+	inbox [][]registration // exchanges into each shard, registration order
+	bar   barrier
 }
 
 // NewShard creates a new shard engine attached to e's group, creating the
@@ -182,6 +180,12 @@ func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
 
 const noEvent = int64(math.MaxInt64)
 
+// yieldBudget is how many runtime.Gosched rounds a waiter tries after its
+// spin budget before parking. On an oversubscribed machine a yield usually
+// hands the core straight to the shard being waited on, which is far
+// cheaper than a futex sleep/wake pair.
+const yieldBudget = 64
+
 // run executes the sharded simulation until global quiescence, or until
 // every pending event lies beyond limit (limit < 0 means no limit). It is
 // entered through Run/RunUntil on the root engine. The calling goroutine
@@ -220,18 +224,146 @@ func (g *Group) run(limit time.Duration) time.Duration {
 	return now
 }
 
+// setup builds the per-run window state: la, each shard's in-exchanges in
+// registration order and the barrier. Every registered exchange must cross
+// a pair with an observed lookahead; the protocol has no safe window width
+// for one that does not.
+func (g *Group) setup() {
+	n := len(g.shards)
+	g.la = noEvent
+	g.inbox = make([][]registration, n)
+	for idx, r := range g.exchanges {
+		d, ok := g.pairLA[pairKey{r.src, r.dst}]
+		if !ok {
+			panic(fmt.Sprintf("sim: exchange %d crosses shards %d→%d, a pair with no observed lookahead", idx, r.src, r.dst))
+		}
+		g.la = min(g.la, int64(d))
+		g.inbox[r.dst] = append(g.inbox[r.dst], r)
+	}
+	// With a core per shard, spinning through another shard's window is
+	// cheaper than any sleep; without, fall through to yielding almost at
+	// once.
+	spin := 16
+	if runtime.GOMAXPROCS(0) >= n {
+		spin = 1024
+	}
+	g.bar.reset(n, spin)
+}
+
+// runShard is shard id's round loop (see the top of this file).
+func (g *Group) runShard(id int, limit time.Duration) {
+	e := g.shards[id]
+	prof := &g.prof[id]
+	stop := int64(stopFor(limit))
+	for {
+		for _, r := range g.inbox[id] {
+			r.ex.Drain()
+		}
+		next := noEvent
+		if ev := e.peekLive(); ev != nil {
+			next = int64(ev.at)
+		}
+		m := g.reduce(next, prof)
+		if m >= stop {
+			e.alignNow(limit)
+			return
+		}
+		e.runWindow(time.Duration(min(satAdd(m, g.la), stop)))
+		prof.Windows++
+		g.reduce(noEvent, prof)
+	}
+}
+
+// barrier is the group's min-reducing barrier: every shard arrives with a
+// value, and every arrival of a round returns the least of them. The last
+// to arrive folds the round; the others spin, then yield, then park until
+// it has.
+type barrier struct {
+	n       int32
+	spin    int
+	arrived atomic.Int32
+	acc     atomic.Int64  // least value of the round being gathered
+	gen     atomic.Uint64 // rounds folded
+	least   int64         // the last folded round's value, written before gen moves
+	parked  atomic.Int32
+	mu      sync.Mutex
+	cond    sync.Cond
+}
+
+func (b *barrier) reset(n, spin int) {
+	b.n, b.spin = int32(n), spin
+	b.arrived.Store(0)
+	b.acc.Store(noEvent)
+	b.cond.L = &b.mu
+}
+
+// wake releases every parked waiter to re-check the round and the abort
+// flag. Taking the mutex orders the broadcast after any waiter's check.
+func (b *barrier) wake() {
+	b.mu.Lock()
+	b.cond.Broadcast()
+	b.mu.Unlock()
+}
+
+// reduce arrives at the barrier with v and returns the least value any
+// shard arrived with in this round. A shard that waits counts a stall and
+// the wall time it waited, which feeds ShardProfile alone.
+//
+//unetlint:allow nondeterminism wall-clock wait for the bench's sim.shard_sync_wait rung only; never feeds virtual time or event order
+func (g *Group) reduce(v int64, prof *ShardProfile) int64 {
+	b := &g.bar
+	gen := b.gen.Load()
+	for cur := b.acc.Load(); v < cur && !b.acc.CompareAndSwap(cur, v); cur = b.acc.Load() {
+	}
+	if b.arrived.Add(1) == b.n {
+		// Nobody leaves or arrives again until gen moves, so the reset
+		// cannot lose a later round's arrival.
+		b.least = b.acc.Swap(noEvent)
+		b.arrived.Store(0)
+		b.gen.Add(1)
+		// A waiter raises parked before its last look at gen, so either it
+		// sees the new round or this sees it parked.
+		if b.parked.Load() > 0 {
+			b.wake()
+		}
+		return b.least
+	}
+	t0 := time.Now()
+	prof.Stalls++
+	for spins := 0; b.gen.Load() == gen; spins++ {
+		if g.aborted.Load() {
+			panic("sim: peer shard failed")
+		}
+		switch {
+		case spins < b.spin:
+		case spins < b.spin+yieldBudget:
+			runtime.Gosched()
+		default:
+			b.mu.Lock()
+			b.parked.Add(1)
+			for b.gen.Load() == gen && !g.aborted.Load() {
+				b.cond.Wait()
+			}
+			b.parked.Add(-1)
+			b.mu.Unlock()
+		}
+	}
+	prof.BarrierWait += time.Since(t0)
+	return b.least
+}
+
 // abortOnPanic converts a shard panic into a group-wide abort so the
-// remaining shards do not wait on a clock that will never move. The panic
-// is swallowed here — a worker goroutine must not crash the process — and
-// re-raised by run on the caller's goroutine once every shard has stopped.
-// Only the first failure is recorded; the cascade panics the other shards
-// raise when they observe the abort are not it.
+// remaining shards do not wait at a barrier the failed one will never
+// reach. The panic is swallowed here — a worker goroutine must not crash
+// the process — and re-raised by run on the caller's goroutine once every
+// shard has stopped. Only the first failure is recorded; the cascade
+// panics the other shards raise when they observe the abort are not it.
 func (g *Group) abortOnPanic() {
 	if r := recover(); r != nil {
 		if g.aborted.CompareAndSwap(false, true) {
 			g.failure.Store(fmt.Sprint(r))
 		}
-		g.notifyAll()
+		g.bar.wake()
 	}
 }
 

@@ -17,38 +17,33 @@ type shardMsg struct {
 }
 
 // ringMailbox is a minimal Exchange, built the way fabric's cross links
-// are: the producer shard pushes timed callbacks into an SPSC ring as it
-// runs; the destination drains them at its round tops into arrival events.
+// are: the producer shard appends timed callbacks to a slice as it runs its
+// window; the destination drains them between windows into arrival events.
 // Each message is its own delivery, so its event is filed under its send
 // time — where an At call made by the sender itself would have put it.
 type ringMailbox struct {
 	src, dst *Engine
 	index    int
-	ring     *SPSC[shardMsg]
+	out      []shardMsg
 }
 
 func newRingMailbox(g *Group, src, dst *Engine) *ringMailbox {
-	m := &ringMailbox{src: src, dst: dst, ring: NewSPSC[shardMsg](64)}
+	m := &ringMailbox{src: src, dst: dst}
 	m.index = g.AddExchangeFrom(src, dst, m)
 	return m
 }
 
 // send is called by the producing shard during its window.
 func (m *ringMailbox) send(at time.Duration, fn func()) {
-	m.ring.Push(shardMsg{at: at, sent: m.src.Now(), fn: fn})
+	m.out = append(m.out, shardMsg{at: at, sent: m.src.Now(), fn: fn})
 }
 
 func (m *ringMailbox) Drain() {
-	for {
-		msg, ok := m.ring.Pop()
-		if !ok {
-			return
-		}
+	for _, msg := range m.out {
 		m.dst.ArriveArg(msg.at, msg.sent, m.index, func(fn any) { fn.(func())() }, msg.fn)
 	}
+	m.out = m.out[:0]
 }
-
-func (m *ringMailbox) Pending() bool { return m.ring.Pending() }
 
 // ringPair builds a two-shard group joined by ring mailboxes both ways with
 // lookahead la.
@@ -299,10 +294,10 @@ func TestShardPairLookaheadValidation(t *testing.T) {
 
 func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 	// Shards r and s2 exchange pings over slow 100µs links, while a third
-	// shard s1 sits on fast 1µs links but stays silent. A single global
-	// window would clamp every shard to the tightest pair (1µs) and grind
-	// ~100 rounds per ping; r and s2 must be bound only by the 100µs paths
-	// that can actually reach them.
+	// shard s1 observes fast 1µs lookaheads but has no channel. la counts
+	// only pairs that carry an exchange, so windows are 100µs wide, and
+	// each round starts at the group's next event, so the idle gaps
+	// between pings cost nothing.
 	const slow = 100 * time.Microsecond
 	const fast = time.Microsecond
 	root := New(1)
@@ -342,11 +337,11 @@ func TestShardPerPairWiderThanGlobalMin(t *testing.T) {
 
 	prof := g.Profile()
 	total := prof.Total()
-	// 10 pings over 2ms of virtual time: a 1µs global window would need a
-	// round per 1µs of progress (thousands). With per-pair horizons each
-	// ping leg is a handful of rounds.
+	// 10 pings over 2ms of virtual time: 1µs windows that stepped through
+	// the idle gaps would need a round per 1µs of progress (thousands);
+	// here each ping leg is a round.
 	perShard := total.Windows / uint64(len(prof.Shards))
 	if perShard > 200 {
-		t.Fatalf("ran %d rounds per shard; per-pair lookahead should need far fewer than the ~2000 a 1µs global window implies", perShard)
+		t.Fatalf("ran %d rounds per shard; the ~2000 of 1µs windows through the idle gaps would mean la counts a pair with no exchange", perShard)
 	}
 }

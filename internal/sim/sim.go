@@ -49,9 +49,10 @@
 // same simulation bit for bit.
 //
 // One simulation can also be partitioned across several engines — shards —
-// that execute on parallel goroutines under conservative, neighbor-
-// synchronized time windows while reproducing the serial engine's results;
-// see shard.go for the group and neighbor.go for the protocol.
+// that execute on parallel goroutines, every shard in the same conservative
+// time window, each window opened by a min-reducing barrier over the
+// shards' next events, while reproducing the serial engine's results; see
+// shard.go.
 package sim
 
 import (
@@ -152,9 +153,9 @@ func (e *Engine) PendingEvents() int {
 
 // peek returns the earliest pending event without removing it, or nil. It
 // establishes the exact global minimum at the heap top, draining wheel
-// slots only as far as needed: the shard window protocol publishes this
-// value as the shard's next-event time, and a lower bound would stall the
-// conservative horizon computation.
+// slots only as far as needed: a shard contributes this value to its
+// group's barrier as its next-event time, and the least contribution opens
+// the next window.
 func (e *Engine) peek() *event {
 	if w := e.wheel; w != nil && w.count > 0 {
 		if head := e.events.min(); head == nil || head.at > w.nextLB {
@@ -164,10 +165,10 @@ func (e *Engine) peek() *event {
 	return e.events.min()
 }
 
-// peekLive is peek for a shard publishing its next-event time: it first
+// peekLive is peek for a shard contributing its next-event time: it first
 // discards, without a step, the canceled entries at the top, whose times
-// are lower bounds that would hold every neighbor's horizon back (a NIC
-// re-arming its wake later leaves one per move).
+// are lower bounds that would open the group's windows early, with nothing
+// in them (a NIC re-arming its wake later leaves one per move).
 func (e *Engine) peekLive() *event {
 	for {
 		ev := e.peek()

@@ -28,6 +28,11 @@ type SendDesc struct {
 	DstOffset int
 }
 
+// DirectHeaderSize is the 64-bit deposit offset a direct-access PDU carries
+// ahead of its data (§3.6), so a direct send holds at most the device MTU
+// less this.
+const DirectHeaderSize = 8
+
 // RecvDesc describes one arrived message (§3.4).
 //
 // Buffer ownership (DESIGN.md §10): the Inline slab and the Buffers list

@@ -185,7 +185,7 @@ func (ep *Endpoint) Send(p *sim.Proc, d SendDesc) error {
 	} else if err := ep.checkRange(d.Offset, d.Length); err != nil {
 		return err
 	}
-	if d.Length > dev.MTU() {
+	if d.Length > dev.MTU() || d.Direct && d.Length > dev.MTU()-DirectHeaderSize {
 		return ErrTooLong
 	}
 	p.Charge(descriptorPush)

@@ -528,6 +528,32 @@ func TestMTUEnforced(t *testing.T) {
 	}
 }
 
+func TestDirectMTUEnforced(t *testing.T) {
+	// A direct PDU carries its deposit offset ahead of the data, so its
+	// data may be the MTU less DirectHeaderSize: one byte more is refused
+	// at the descriptor, and the longest one is deposited whole.
+	tb, pr := newPair(t, unet.EndpointConfig{SegmentSize: 1 << 20, DirectAccess: true}, 0)
+	mtu := tb.Devices[0].MTU()
+	longest := mtu - unet.DirectHeaderSize
+	if longest != 65527 {
+		t.Fatalf("longest direct send is %d bytes on an SBA-200, want 65 527", longest)
+	}
+	if err := pr.EpA.Send(nil, unet.SendDesc{Channel: pr.ChA, Length: longest + 1, Direct: true}); !errors.Is(err, unet.ErrTooLong) {
+		t.Fatalf("%d-byte direct send: %v, want ErrTooLong", longest+1, err)
+	}
+	var rd unet.RecvDesc
+	pr.EpB.Host().Spawn("rx", func(p *sim.Proc) { rd = pr.EpB.Recv(p) })
+	pr.EpA.Host().Spawn("tx", func(p *sim.Proc) {
+		if err := pr.EpA.Send(p, unet.SendDesc{Channel: pr.ChA, Length: longest, Direct: true, DstOffset: 4096}); err != nil {
+			t.Errorf("%d-byte direct send: %v", longest, err)
+		}
+	})
+	tb.Eng.Run()
+	if !rd.Direct || rd.Length != longest || rd.DirectOffset != 4096 {
+		t.Fatalf("received %+v, want a %d-byte direct deposit at 4096", rd, longest)
+	}
+}
+
 func TestForeDeviceHasNoFastPath(t *testing.T) {
 	nicp := nic.ForeParams()
 	tb := testbed.New(testbed.Config{Hosts: 2, NIC: &nicp})

@@ -29,9 +29,10 @@ loc:
 	@find . -name '*.go' ! -name '*_test.go' ! -path './bench/*' ! -path '*/testdata/*' | xargs cat | wc -l
 
 # race is every test under the race detector with real parallelism pinned
-# at GOMAXPROCS=4: the shard window protocol (SPSC rings, published clocks,
-# quiescence scan, parking, fast-forward), the tie tests and the table-wide
-# goldens at shards 1/2/4 among them. There is no package or -run list to
+# at GOMAXPROCS=4: the shard window protocol (the min-reducing barrier,
+# its parking and abort, and the exchange buffers it hands between
+# goroutines), the tie tests and the table-wide goldens at shards 1/2/4
+# among them. There is no package or -run list to
 # keep in step with the tests. The timeout is go test's default tripled:
 # internal/experiments takes more than the default 10 minutes under the
 # race detector on two vCPUs (ROADMAP item 0).

@@ -177,8 +177,7 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 		return nil
 	}
 
-	// sources is every file the program parsed, by the name the file set
-	// holds; an allocation in a loaded package must resolve to one of them,
+	// An allocation in a loaded package must resolve to a parsed source,
 	// or its package's escape facts would be lost without a word.
 	loaded := make(map[string]bool)
 	sources := make(map[string]bool)
@@ -230,8 +229,7 @@ func escapeFacts(pass *ProgramPass) map[string][]allocSite {
 	return facts
 }
 
-// escapeLine is one allocation a -m listing reports: the package being
-// compiled, the file with its absolute path, the position and the message.
+// escapeLine is one allocation a -m listing reports, its file absolute.
 type escapeLine struct {
 	pkg, file string
 	line, col int
@@ -239,17 +237,13 @@ type escapeLine struct {
 }
 
 // parseEscapes reads the allocations `go build -gcflags=-m` reports when run
-// at modDir, the root of module modPath, resolving each file to one of
-// sources where it can. The build cache replays a package's diagnostics
-// with the file paths of the directory that first compiled it: relative to
-// the module root ("internal/atm/aal5.go", "./internal/sim/fifo.go") after
-// a build there, or to the package's own directory ("./aal5.go", or
-// "../sim/fifo.go" for a generic instantiated there) after one inside it.
-// So a relative path is tried against the module root and against the
-// directory of the package the preceding "# path" header names, the
-// package's first when the path starts with a dot. Absolute paths outside
-// the module (the standard library's generics) are no source of the
-// program and are left out.
+// at modDir, the root of module modPath. The build cache replays a
+// package's lines with paths relative to the directory that first compiled
+// it: the module root, or the package's own directory ("./aal5.go",
+// "../sim/fifo.go"). So a relative path is tried against both, the
+// package's (named by the preceding "# path" header) first when the path
+// starts with a dot, and the one in sources wins. Absolute paths outside
+// the module, the standard library's generics, are left out.
 func parseEscapes(out, modDir, modPath string, sources map[string]bool) []escapeLine {
 	var pkg string
 	var lines []escapeLine

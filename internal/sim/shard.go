@@ -13,42 +13,32 @@ import (
 // Sharded execution: a Group partitions one simulation across several
 // Engines ("shards"), each with its own event arena, heap and process set,
 // and runs them on parallel goroutines under conservative time windows.
-//
-// The scheme exploits the same property of the modeled system that the
-// paper's cluster architecture rests on: hosts interact only through links
-// with a fixed minimum latency (cell serialization plus fiber propagation),
-// so an event executing at virtual time t in one shard cannot affect
-// another shard before t+L, where L is the latency of the link between
-// them. Every cross-shard channel is registered as an Exchange between a
-// producing and a consuming shard (AddExchangeFrom), and the pair's
-// minimum latency as its lookahead (ObserveLookaheadBetween).
+// Hosts interact only through links with a fixed minimum latency, so an
+// event at t in one shard cannot affect another before t+L. Every
+// cross-shard channel is registered as an Exchange (AddExchangeFrom) and
+// its pair's minimum latency as a lookahead (ObserveLookaheadBetween).
 //
 // Every shard runs the same window. One round, for each shard:
 //
 //  1. drain its in-exchanges into arrival events;
 //  2. contribute its next event time to a barrier that returns the least
-//     contribution, m; the run ends when no shard has an event or when m
-//     lies past the limit;
-//  3. run the window [m, min(m+la, stop)), where la is the least lookahead
-//     of any pair that carries an exchange;
+//     contribution, m; the run ends when there is none or m lies past the
+//     limit;
+//  3. run the window [m, min(m+la, stop)), la the least lookahead of any
+//     pair that carries an exchange;
 //  4. meet the other shards at a second barrier.
 //
-// It is safe because a message sent at t ≥ m arrives no earlier than
-// m+la: nothing can arrive inside the window that the drains before it had
-// not already scheduled. Drains run only between the second barrier of one
-// round and the first of the next, while no shard runs a window, so an
-// exchange's buffer is never read while it is written and needs no
-// synchronization of its own: the barriers order both sides.
+// A message sent at t ≥ m arrives no earlier than m+la, so nothing arrives
+// inside the window that the drains had not scheduled. Drains run only
+// between windows, so an exchange's buffer needs no synchronization of its
+// own: the barriers order its writer and its reader.
 //
-// The sharded run reproduces the serial one because a message's place in
-// the destination's event order is a function of virtual times only: its
-// arrival fires at (arrival time, sender's clock when the delivery was
-// armed, exchange registration index) — see Engine.ArriveArg. And it is a
-// function of its inputs because the window edges are too: m and la are
-// fixed by the events, never by which goroutine got where first, so what a
-// drain hands a shard, and where a window splits a receiver's trains, is
-// the same in every run and at every shard count whose layout makes the
-// same links cross.
+// The sharded run reproduces the serial one because an arrival fires at
+// (arrival time, sender's clock when the delivery was armed, exchange
+// index), see Engine.ArriveArg, whichever round drained it. And a run is a
+// function of its inputs because m and la are fixed by virtual time, never
+// by goroutine timing: what a drain hands a shard, and where a window
+// splits a receiver's trains, is the same in every run.
 
 // Exchange is a cross-shard channel: the producing shard buffers messages
 // as it runs its window, and Drain, called by the destination shard's
@@ -115,8 +105,9 @@ func (e *Engine) NewShard() *Engine {
 func (e *Engine) Group() *Group { return e.group }
 
 // ShardProfile is one shard's window counts, accumulated across runs by
-// the shard's own worker: windows run, waits entered, and the wall-clock
-// time those waits took, which never feeds virtual time. The frozen
+// the shard's own worker: windows run, barrier arrivals that waited for
+// another shard, and the wall-clock time those waits took, which never
+// feeds virtual time. The frozen
 // bench's sim.shard_* rungs read them (ROADMAP 2(l)).
 type ShardProfile struct {
 	Windows, Stalls uint64
@@ -157,8 +148,8 @@ func (g *Group) AddExchangeFrom(src, dst *Engine, ex Exchange) int {
 
 // ObserveLookaheadBetween lower-bounds the direct src→dst path with d:
 // every message sent from src to dst at time t must be scheduled at t+d or
-// later. It constrains only that pair — shards linked by slow paths keep
-// wide windows even when some other pair is tightly coupled.
+// later. The group's window is the least bound of the pairs that carry an
+// exchange.
 func (g *Group) ObserveLookaheadBetween(src, dst *Engine, d time.Duration) {
 	if src.group != g || dst.group != g {
 		panic("sim: ObserveLookaheadBetween endpoints must be members of this group")

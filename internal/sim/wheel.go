@@ -28,9 +28,9 @@ import (
 //     same structure, so the heap's (at, seq) order is the global order and
 //     fire order is bit-identical to the heap-only scheduler's.
 //   - drain moves events heap-ward only until the heap top is the exact
-//     global minimum (not a lower bound) — shard horizon computation
-//     publishes that top, and a mere lower bound could stall the window
-//     protocol forever.
+//     global minimum (not a lower bound) — a shard contributes that top
+//     to its group's barrier, and a mere lower bound would open windows
+//     with nothing in them.
 //   - Slot lists are doubly linked (event.next/event.prev), so Cancel on a
 //     wheel-resident event unlinks and recycles it immediately: canceled
 //     far timers never pile up, and the heap keeps only canceled entries

@@ -143,7 +143,7 @@ type Injector interface {
 }
 
 // inflight is one cell crossing a shard boundary in a cross link's
-// outbound buffer, tagged with its arrival time at the far end (last bit out of the
+// buffer, tagged with its arrival time at the far end (last bit out of the
 // transmitter plus propagation) and with how long before that the
 // transmitter enqueued it, which orders its delivery among the receiving
 // shard's same-instant events. The lead sits in the cell's alignment
